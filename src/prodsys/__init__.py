@@ -4,7 +4,6 @@ from .panel import (
     LagPairs,
     LoadReport,
     PanelDataset,
-    PanelObservation,
     build_lag_pairs,
     compute_shares,
     load_csv,
@@ -51,7 +50,6 @@ __all__ = [
     "LagPairs",
     "LoadReport",
     "PanelDataset",
-    "PanelObservation",
     "build_lag_pairs",
     "compute_shares",
     "load_csv",

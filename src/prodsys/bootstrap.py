@@ -6,7 +6,8 @@ weight per firm (the block), synthetic outcomes are rebuilt step by step
 autoregressive recursion, the purged output through the omega law), and
 the full estimator is re-run on each synthetic panel.  Labor shares and
 all right-hand-side observables stay at their observed values by design;
-only the step outcomes are resampled.
+only the step outcomes are resampled.  The step residuals and the fitted
+omega law are the ones defined in :mod:`prodsys.moments`.
 """
 
 from __future__ import annotations
@@ -15,16 +16,20 @@ import dataclasses
 
 import numpy as np
 
+from .moments import capital_terms, omega_residual, phi_proxy
 from .panel import PanelDataset
 from .translog import (
+    OMEGA_LAW,
     EstimateOptions,
-    Step3Result,
     TranslogEstimate,
+    _point_estimate,
+    _step3_result,
+    _step2_arrays,
     _ystar,
     omega_proxy,
-    phi_proxy,
     step1_cost_share,
     step2_gmm,
+    step2_residual,
     step3_core,
     system_refine,
 )
@@ -48,6 +53,10 @@ __all__ = [
 #: giving E[w] = 0, E[w^2] = 1
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 GOLDEN_PROB = (np.sqrt(5.0) - 1.0) / (2.0 * np.sqrt(5.0))
+
+#: exceptions that count a replicate as failed; anything else is a bug and
+#: propagates (``ValueError`` covers ``numpy.linalg.LinAlgError``)
+NUMERICAL_FAILURES = (ValueError, RuntimeError, FloatingPointError)
 
 
 @dataclasses.dataclass
@@ -122,16 +131,22 @@ def mammen_weights(firm_ids, seed=None) -> np.ndarray:
     return np.where(rng.random(n) < GOLDEN_PROB, GOLDEN, 1.0 - GOLDEN)
 
 
+def _omega_block(params, laws) -> np.ndarray:
+    """Omega-law parameters ``(beta_k, beta_kk, rho_omega_0, rho_omega_1, rho_omega_2)``."""
+    return np.concatenate(([params.beta_k, params.beta_kk, laws.rho_omega_0, laws.rho_omega_1], laws.rho_omega_2))
+
+
 def compute_residuals(dataset: PanelDataset, estimate: TranslogEstimate) -> ResidualSet:
     """Step residuals at the reported parameters, each recentered to mean zero."""
     params, laws = estimate.params, estimate.laws
     pairs = dataset.lag_pairs()
     eta = estimate.eta_hat - np.mean(estimate.eta_hat)
 
-    phi = estimate.phi_hat
-    zeta = phi[pairs.cur] - laws.rho_phi_1 * phi[pairs.prev] - dataset.z[pairs.prev] @ laws.rho_phi_2
+    alpha = np.concatenate(([params.beta_0, params.beta_l, laws.rho_phi_1], laws.rho_phi_2))
+    zeta = step2_residual(alpha, estimate.step1.delta_lm, *_step2_arrays(dataset))
     zeta = zeta - np.mean(zeta)
 
+    phi = estimate.phi_hat
     mstar, valid, _ = omega_proxy(
         dataset, params.beta_0, params.beta_l, params.beta_m, params.theta, phi,
         which=estimate.step3.proxy,
@@ -139,14 +154,9 @@ def compute_residuals(dataset: PanelDataset, estimate: TranslogEstimate) -> Resi
     ystar = _ystar(dataset, params.beta_0, params.beta_l, params.beta_m, phi)
     mask = valid[pairs.prev]
     cur, prev = pairs.cur[mask], pairs.prev[mask]
-    lag_omega = mstar[prev] - params.beta_k * dataset.k[prev] - 0.5 * params.beta_kk * dataset.k[prev] ** 2
-    resid = (
-        ystar[cur]
-        - params.beta_k * dataset.k[cur]
-        - 0.5 * params.beta_kk * dataset.k[cur] ** 2
-        - laws.rho_omega_0
-        - laws.rho_omega_1 * lag_omega
-        - dataset.x[prev] @ laws.rho_omega_2
+    resid = omega_residual(
+        _omega_block(params, laws), OMEGA_LAW,
+        ystar[cur], capital_terms(dataset.k[cur]), capital_terms(dataset.k[prev]), mstar[prev], dataset.x[prev],
     )
     resid = resid - np.mean(resid)
     return ResidualSet(
@@ -188,16 +198,13 @@ def synthetic_outcomes(dataset: PanelDataset, estimate: TranslogEstimate, residu
 
     mask = residuals.omega_pair_mask
     cur, prev = pairs.cur[mask], pairs.prev[mask]
-    k_cur, k_prev = dataset.k[cur], dataset.k[prev]
-    lag_omega = residuals.mstar[prev] - params.beta_k * k_prev - 0.5 * params.beta_kk * k_prev**2
-    ystar_b = (
-        params.beta_k * k_cur
-        + 0.5 * params.beta_kk * k_cur**2
-        + laws.rho_omega_0
-        + laws.rho_omega_1 * lag_omega
-        + dataset.x[prev] @ laws.rho_omega_2
-        + w_obs[cur] * residuals.resid_omega
+    # the omega-law residual of a zero target is minus the fitted law
+    fitted = -omega_residual(
+        _omega_block(params, laws), OMEGA_LAW,
+        np.zeros(cur.size), capital_terms(dataset.k[cur]), capital_terms(dataset.k[prev]),
+        residuals.mstar[prev], dataset.x[prev],
     )
+    ystar_b = fitted + w_obs[cur] * residuals.resid_omega
     return lnr_b, ml_b, ystar_b
 
 
@@ -273,35 +280,15 @@ def bootstrap_replicate(
         mstar_b[prev[keep]], dataset.x[prev[keep]],
         grad_tol=opts.grad_tol, max_iter=opts.max_iter,
     )
-    px = dataset.x.shape[1]
-    step3_b = Step3Result(
-        beta_k=float(core.params[0]),
-        beta_kk=float(core.params[1]),
-        rho_omega_0=float(core.params[2]),
-        rho_omega_1=float(core.params[3]),
-        rho_omega_2=np.asarray(core.params[4:4 + px], dtype=float),
-        objective=core.objective,
-        converged=core.converged,
-        proxy=opts.proxy,
-        n_pairs=int(np.sum(keep)),
-        n_dropped=int(np.sum(~keep)),
-    )
+    step3_b = _step3_result(core, proxy=opts.proxy, n_pairs=int(np.sum(keep)), n_dropped=int(np.sum(~keep)))
 
+    sys_b = None
     if opts.refine == "system":
         sys_b = system_refine(
             ds_b, step1_b, step2_b, step3_b, proxy=opts.proxy,
             instruments=opts.instruments, grad_tol=opts.grad_tol, max_iter=opts.max_iter,
         )
-        return np.concatenate((
-            [sys_b.beta_k, sys_b.beta_kk, sys_b.beta_l, sys_b.beta_m, sys_b.beta_0,
-             step1_b.theta, sys_b.rho_phi_1], sys_b.rho_phi_2,
-            [sys_b.rho_omega_0, sys_b.rho_omega_1], sys_b.rho_omega_2,
-        ))
-    return np.concatenate((
-        [step3_b.beta_k, step3_b.beta_kk, step2_b.beta_l, step2_b.beta_m, step2_b.beta_0,
-         step1_b.theta, step2_b.rho_phi_1], step2_b.rho_phi_2,
-        [step3_b.rho_omega_0, step3_b.rho_omega_1], step3_b.rho_omega_2,
-    ))
+    return pack_parameters(*_point_estimate(step1_b, step2_b, step3_b, sys_b))
 
 
 def parameter_names(dataset: PanelDataset) -> tuple[str, ...]:
@@ -315,11 +302,18 @@ def parameter_names(dataset: PanelDataset) -> tuple[str, ...]:
 
 
 def pack_parameters(params, laws) -> np.ndarray:
-    """Point estimates stacked in the layout of :func:`parameter_names`."""
+    """Point estimates stacked in the layout of :func:`parameter_names`.
+
+    ``laws=None`` (series laws, which have no linear coefficients) packs
+    only the leading technology block.
+    """
+    technology = [params.beta_k, params.beta_kk, params.beta_l, params.beta_m, params.beta_0, params.theta]
+    if laws is None:
+        return np.asarray(technology, dtype=float)
     return np.concatenate(
         (
-            [params.beta_k, params.beta_kk, params.beta_l, params.beta_m, params.beta_0,
-             params.theta, laws.rho_phi_1],
+            technology,
+            [laws.rho_phi_1],
             np.asarray(laws.rho_phi_2, dtype=float).ravel(),
             [laws.rho_omega_0, laws.rho_omega_1],
             np.asarray(laws.rho_omega_2, dtype=float).ravel(),
@@ -354,7 +348,7 @@ def run_bootstrap(
             w = mammen_weights(dataset.n_firms, seq)
         try:
             rows.append(bootstrap_replicate(dataset, estimate, residuals, w, options=options))
-        except Exception as exc:  # noqa: BLE001 - replicate failure is an outcome, not a bug
+        except NUMERICAL_FAILURES as exc:
             failures.append(f"replicate {b}: {exc}")
     if not rows:
         raise ValueError("all bootstrap replicates failed")

@@ -19,7 +19,7 @@ import types
 import numpy as np
 import yaml
 
-from .bootstrap import BootstrapConfig, pack_parameters, run_bootstrap
+from .bootstrap import BootstrapConfig, pack_parameters, parameter_names, run_bootstrap
 from .diagnostics import aggregate_productivity, elasticities, monte_carlo_study
 from .panel import FLOAT_FORMAT, PanelDataset, load_csv, write_csv, write_prices_csv
 from .partialid import GRID_AXES, MomentInequalityConfig, identified_set
@@ -250,18 +250,9 @@ def _write_latents_csv(path: str, dataset: PanelDataset, result) -> None:
             )
 
 
-def _param_rows(result) -> list[tuple[str, float]]:
-    p, laws = result.params, result.laws
-    rows = [
-        ("beta_k", p.beta_k), ("beta_kk", p.beta_kk), ("beta_l", p.beta_l),
-        ("beta_m", p.beta_m), ("beta_0", p.beta_0), ("theta", p.theta),
-    ]
-    if laws is not None:
-        rows.append(("rho_phi_1", laws.rho_phi_1))
-        rows.extend((f"rho_phi_2[{j}]", v) for j, v in enumerate(np.atleast_1d(laws.rho_phi_2)))
-        rows.extend([("rho_omega_0", laws.rho_omega_0), ("rho_omega_1", laws.rho_omega_1)])
-        rows.extend((f"rho_omega_2[{j}]", v) for j, v in enumerate(np.atleast_1d(laws.rho_omega_2)))
-    return rows
+def _param_rows(result, dataset: PanelDataset) -> list[tuple[str, float]]:
+    # zip stops at the technology block when the laws are series (laws=None)
+    return list(zip(parameter_names(dataset), pack_parameters(result.params, result.laws)))
 
 
 def cmd_estimate(args, config: dict) -> int:
@@ -288,7 +279,7 @@ def cmd_estimate(args, config: dict) -> int:
             dataset, degree=degree, proxy=options.proxy, instruments=options.instruments,
             grad_tol=options.grad_tol, max_iter=options.max_iter,
         )
-        rows = _param_rows(result)
+        rows = _param_rows(result, dataset)
         rows.extend((f"phi_law_coef[{j}]", v) for j, v in enumerate(result.step2.coef))
         rows.extend((f"omega_law_coef[{j}]", v) for j, v in enumerate(result.step3.coef))
         rows.extend([("degree_phi", float(result.degree_phi)), ("degree_omega", float(result.degree_omega))])
@@ -300,7 +291,7 @@ def cmd_estimate(args, config: dict) -> int:
         ]
     else:
         result = estimate(dataset, options)
-        rows = _param_rows(result)
+        rows = _param_rows(result, dataset)
         converged = result.step2.converged and result.step3.converged
         summary = [
             "law: parametric",

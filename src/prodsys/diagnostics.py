@@ -10,10 +10,11 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import io
+import types
 
 import numpy as np
 
-from .bootstrap import pack_parameters
+from .bootstrap import NUMERICAL_FAILURES, pack_parameters, parameter_names
 from .panel import PanelDataset
 from .simulate import DgpConfig, generate_panel
 from .translog import EstimateOptions, TranslogParams, estimate
@@ -130,18 +131,14 @@ class McStudyReport:
 
 
 def _truth_vector(config: DgpConfig) -> tuple[tuple[str, ...], np.ndarray]:
-    params, laws = config.params, config.laws
-    names = ["beta_k", "beta_kk", "beta_l", "beta_m", "beta_0", "theta", "rho_phi_1"]
-    values = [params.beta_k, params.beta_kk, params.beta_l, params.beta_m, params.beta_0, config.theta, laws.rho_phi_1]
-    for j in range(np.asarray(laws.rho_phi_2).size):
-        names.append(f"rho_phi_2[{j}]")
-        values.append(np.asarray(laws.rho_phi_2)[j])
-    names.extend(["rho_omega_0", "rho_omega_1"])
-    values.extend([laws.rho_omega_0, laws.rho_omega_1])
-    for j in range(np.asarray(laws.rho_omega_2).size):
-        names.append(f"rho_omega_2[{j}]")
-        values.append(np.asarray(laws.rho_omega_2)[j])
-    return tuple(names), np.asarray(values, dtype=float)
+    laws = config.laws
+    # simulated panels carry unnamed controls, which take PanelDataset's default names
+    controls = types.SimpleNamespace(
+        z_names=[f"z{j}" for j in range(laws.rho_phi_2.size)],
+        x_names=[f"x{j}" for j in range(laws.rho_omega_2.size)],
+    )
+    params = dataclasses.replace(config.params, theta=config.theta)
+    return parameter_names(controls), pack_parameters(params, laws)
 
 
 def _mc_replicate(config: DgpConfig, seed: int, options: EstimateOptions | None):
@@ -149,7 +146,7 @@ def _mc_replicate(config: DgpConfig, seed: int, options: EstimateOptions | None)
         dataset, _ = generate_panel(config, seed=seed)
         result = estimate(dataset, options) if options is not None else estimate(dataset)
         return "ok", pack_parameters(result.params, result.laws)
-    except Exception as exc:  # noqa: BLE001 - replication failure is an outcome
+    except NUMERICAL_FAILURES as exc:
         return "fail", str(exc)
 
 

@@ -23,7 +23,6 @@ __all__ = [
     "minimize_gmm",
     "finite_diff_jacobian",
     "check_gradient",
-    "jittered_starts",
 ]
 
 #: default iteration controls for the Levenberg-Marquardt loop
@@ -106,22 +105,6 @@ def check_gradient(fun, jac, x) -> float:
         raise ValueError(f"jacobian shape {analytic.shape} != finite-difference shape {numeric.shape}")
     scale = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     return float(np.max(np.abs(analytic - numeric) / scale))
-
-
-def jittered_starts(x0, n: int = 5, *, scale: float = 0.25, seed: int = 20240901) -> list[np.ndarray]:
-    """Deterministic jittered copies of a starting point.
-
-    Multiplicative jitter ``x0 * (1 + scale*u) + scale*u*1{x0==0}`` with
-    ``u ~ U(-1, 1)`` from a fixed-seed generator, so repeated calls yield
-    identical start lists.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, x0.size, n)))
-    starts = [x0]
-    for _ in range(max(0, n - 1)):
-        u = rng.uniform(-1.0, 1.0, x0.size)
-        starts.append(x0 * (1.0 + scale * u) + scale * u * (x0 == 0.0))
-    return starts
 
 
 def _clip(x: np.ndarray, bounds) -> np.ndarray:

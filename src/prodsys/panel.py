@@ -12,12 +12,11 @@ from __future__ import annotations
 import csv
 import dataclasses
 import os
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
-    "PanelObservation",
     "LagPairs",
     "LoadReport",
     "PanelDataset",
@@ -42,22 +41,6 @@ REQUIRED_COLUMNS = (
 
 #: printf-style float format that round-trips IEEE doubles exactly.
 FLOAT_FORMAT = "%.17g"
-
-
-@dataclasses.dataclass(frozen=True)
-class PanelObservation:
-    """One firm-year record with quantity variables in logs."""
-
-    firm_id: str
-    year: int
-    y: float
-    k: float
-    l: float
-    m: float
-    s_l: float
-    ln_r: float
-    x: tuple[float, ...] = ()
-    z: tuple[float, ...] = ()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -243,23 +226,6 @@ class PanelDataset:
 
     def __len__(self) -> int:
         return self.n_obs
-
-    def row(self, i: int) -> PanelObservation:
-        return PanelObservation(
-            firm_id=str(self.labels[i]),
-            year=int(self.year[i]),
-            y=float(self.y[i]),
-            k=float(self.k[i]),
-            l=float(self.l[i]),
-            m=float(self.m[i]),
-            s_l=float(self.s_l[i]),
-            ln_r=float(self.ln_r[i]),
-            x=tuple(self.x[i]),
-            z=tuple(self.z[i]),
-        )
-
-    def __iter__(self) -> Iterable[PanelObservation]:
-        return (self.row(i) for i in range(self.n_obs))
 
     # -- validation and derived structure ----------------------------------
 

@@ -233,7 +233,9 @@ def default_grid(params: TranslogParams, *, n_points: int = 11) -> dict:
     """Candidate ranges bracketing a point estimate by 50% per coordinate.
 
     Half-widths are floored so the grid stays informative when an
-    estimated coordinate is close to zero.
+    estimated coordinate is close to zero.  The curvature must stay
+    negative, so a ``beta_0`` axis that would reach zero ends at half its
+    center instead.
     """
     centers = {
         "beta_k": params.beta_k,
@@ -246,7 +248,10 @@ def default_grid(params: TranslogParams, *, n_points: int = 11) -> dict:
     for name in GRID_AXES:
         center = centers[name]
         half = max(0.5 * abs(center), _HALF_WIDTH_FLOOR[name])
-        grid[name] = np.linspace(center - half, center + half, n_points)
+        upper = center + half
+        if name == "beta_0" and upper >= 0.0:
+            upper = center / 2.0
+        grid[name] = np.linspace(center - half, upper, n_points)
     return grid
 
 

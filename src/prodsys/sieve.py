@@ -13,6 +13,10 @@ degenerate rescaling valley (see ``translog.system_refine``), where the
 proxied series is an artifact and its conditional mean looks nonlinear.
 ``sieve_estimate`` therefore selects degrees at the jointly refined
 solution and then fixes them.
+
+The series laws enter the same residuals and Jacobians as the linear
+ones, defined once in :mod:`prodsys.moments`; a :class:`SieveBasis` is
+the law object there.
 """
 
 from __future__ import annotations
@@ -23,22 +27,23 @@ import types
 
 import numpy as np
 
-from .optim import GmmProblem, NlsProblem, minimize_gmm, minimize_nls
+from .moments import capital_terms, phi_proxy
+from .optim import minimize_gmm, minimize_nls
 from .panel import PanelDataset
 from .translog import (
     ELASTICITY_WARN_FRACTION,
     ProductivityLaws,
     Step1Result,
     TranslogParams,
+    _omega_law_nls,
+    _phi_law_gmm,
     _step2_arrays,
     _ystar,
     build_instruments,
     omega_proxy,
-    phi_proxy,
     recover_productivity,
     step1_cost_share,
     step2_gmm,
-    step3_core,
     step3_nls,
     system_refine,
 )
@@ -267,7 +272,9 @@ def _linear_term_index(basis: SieveBasis, coord: int) -> int:
 def _refined_reference(dataset, step1, *, proxy, instruments, grad_tol, max_iter):
     p2 = step2_gmm(dataset, step1, instruments=instruments, grad_tol=grad_tol, max_iter=max_iter)
     p3 = step3_nls(dataset, step1, p2, proxy=proxy, grad_tol=grad_tol, max_iter=max_iter)
-    return system_refine(dataset, step1, p2, p3, proxy=proxy)
+    return system_refine(
+        dataset, step1, p2, p3, proxy=proxy, instruments=instruments, grad_tol=grad_tol, max_iter=max_iter,
+    )
 
 
 def sieve_step2_gmm(
@@ -293,7 +300,8 @@ def sieve_step2_gmm(
     target is an artifact.
     """
     delta = step1.delta_lm
-    ml_cur, ml_prev, sl_cur, sl_prev, z_prev = _step2_arrays(dataset)
+    arrays = _step2_arrays(dataset)
+    ml_cur, ml_prev, sl_cur, sl_prev, z_prev = arrays
     pz = z_prev.shape[1]
     dim = 1 + pz
 
@@ -355,42 +363,9 @@ def sieve_step2_gmm(
         )
     weight = (vecs * np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)) @ vecs.T
 
-    def eps(alpha):
-        b0, bl, coef = alpha[0], alpha[1], alpha[2:]
-        phi_c = phi_proxy(ml_cur, sl_cur, b0, bl, delta)
-        phi_p = phi_proxy(ml_prev, sl_prev, b0, bl, delta)
-        return phi_c - basis.evaluate(np.column_stack([phi_p, z_prev])) @ coef
-
-    def eps_jac(alpha):
-        b0, bl, coef = alpha[0], alpha[1], alpha[2:]
-        phi_p = phi_proxy(ml_prev, sl_prev, b0, bl, delta)
-        u = np.column_stack([phi_p, z_prev])
-        p = basis.evaluate(u)
-        dr_dphi = basis.evaluate_deriv(u, 0) @ coef
-        # d phi(b0, bl)/d b0 = (delta*s - bl)/b0^2 and d/d bl = 1/b0 at fixed data
-        dphi_c_db0 = (delta * sl_cur - bl) / b0**2
-        dphi_p_db0 = (delta * sl_prev - bl) / b0**2
-        cols = [dphi_c_db0 - dr_dphi * dphi_p_db0, (1.0 - dr_dphi) / b0]
-        return np.column_stack(cols + [-p[:, j] for j in range(p.shape[1])])
-
-    def moments(alpha):
-        return q.T @ eps(alpha) / n_pairs
-
-    def moments_jac(alpha):
-        return q.T @ eps_jac(alpha) / n_pairs
-
-    lin = 2 + _linear_term_index(basis, 0)
-    lo = np.concatenate(([-10.0, 1e-10], np.full(basis.n_terms, -50.0)))
-    hi = np.concatenate(([-1e-10, delta * (1 - 1e-10)], np.full(basis.n_terms, 50.0)))
-    lo[lin], hi[lin] = -0.999999, 0.999999
-    problem = GmmProblem(moments=moments, jacobian=moments_jac, weight=weight, bounds=(lo, hi))
-
-    starts = []
-    for b0 in (-0.2, -0.1, -0.05, -0.02, -0.005):
-        for frac in (0.25, 0.5, 0.75):
-            s = np.zeros(2 + basis.n_terms)
-            s[0], s[1], s[lin] = b0, frac * delta, 0.5
-            starts.append(s)
+    problem, starts = _phi_law_gmm(
+        basis, 2 + _linear_term_index(basis, 0), 2 + basis.n_terms, delta, arrays, q, weight,
+    )
     result = minimize_gmm(problem, starts[0], starts=starts[1:], grad_tol=grad_tol, max_iter=max_iter)
 
     beta_0, beta_l, coef = result.params[0], result.params[1], result.params[2:]
@@ -451,8 +426,6 @@ def sieve_step3_nls(
     cur, prev = pairs.cur[keep], pairs.prev[keep]
     y_cur = ystar[cur]
     k_cur, k_prev = dataset.k[cur], dataset.k[prev]
-    k2_cur, k2_prev = 0.5 * k_cur**2, 0.5 * k_prev**2
-    m_prev = mstar[prev]
     x_prev = dataset.x[prev]
     px = x_prev.shape[1]
     dim = 1 + px
@@ -507,34 +480,8 @@ def sieve_step3_nls(
         basis, centers=np.mean(inputs_ref, axis=0), scales=_guarded_std(inputs_ref)
     )
 
-    def residual(gamma):
-        bk, bkk, coef = gamma[0], gamma[1], gamma[2:]
-        w = m_prev - bk * k_prev - bkk * k2_prev
-        p = basis.evaluate(np.column_stack([w, x_prev]))
-        return y_cur - bk * k_cur - bkk * k2_cur - p @ coef
-
-    def jacobian(gamma):
-        bk, bkk, coef = gamma[0], gamma[1], gamma[2:]
-        w = m_prev - bk * k_prev - bkk * k2_prev
-        u = np.column_stack([w, x_prev])
-        p = basis.evaluate(u)
-        dr_dw = basis.evaluate_deriv(u, 0) @ coef
-        cols = [-k_cur + dr_dw * k_prev, -k2_cur + dr_dw * k2_prev]
-        return np.column_stack(cols + [-p[:, j] for j in range(p.shape[1])])
-
-    lin = 2 + _linear_term_index(basis, 0)
-    lo = np.full(2 + basis.n_terms, -np.inf)
-    hi = np.full(2 + basis.n_terms, np.inf)
-    lo[lin], hi[lin] = -0.999999, 0.999999
-    problem = NlsProblem(residual=residual, jacobian=jacobian, bounds=(lo, hi))
-
-    design = np.column_stack([k_cur, k2_cur, np.ones_like(y_cur)])
-    ols, *_ = np.linalg.lstsq(design, y_cur, rcond=None)
-    starts = []
-    for r1 in (0.5, 0.2, 0.8):
-        s = np.zeros(2 + basis.n_terms)
-        s[0], s[1], s[2], s[lin] = ols[0], ols[1], ols[2], r1
-        starts.append(s)
+    args = (basis, y_cur, capital_terms(k_cur), capital_terms(k_prev), mstar[prev], x_prev)
+    problem, starts = _omega_law_nls(args, 2 + _linear_term_index(basis, 0), 2 + basis.n_terms)
     result = minimize_nls(problem, starts[0], starts=starts[1:], grad_tol=grad_tol, max_iter=max_iter)
 
     if n_dropped:

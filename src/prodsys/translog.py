@@ -23,6 +23,10 @@ step-two moments with instrumented step-three moments and re-minimizes
 over both parameter blocks at once; ``system_refine`` documents why the
 sequential step-two criterion alone is nearly flat in the curvature
 parameter.
+
+The phi-law innovation and the omega-law residual, with their Jacobians,
+are defined once in :mod:`prodsys.moments`; every step here evaluates
+them under the linear laws ``PHI_LAW`` and ``OMEGA_LAW``.
 """
 
 from __future__ import annotations
@@ -32,6 +36,16 @@ from typing import Sequence
 
 import numpy as np
 
+from .moments import (
+    LinearLaw,
+    capital_terms,
+    law_residual,
+    omega_residual,
+    omega_residual_jacobian,
+    phi_innovation,
+    phi_innovation_jacobian,
+    phi_proxy,
+)
 from .optim import GmmProblem, NlsProblem, OptimResult, _psd_sqrt, minimize_gmm, minimize_nls
 from .panel import PanelDataset
 
@@ -56,12 +70,16 @@ __all__ = [
     "system_refine",
     "recover_productivity",
     "estimate",
-    "stacked_moments",
 ]
 
 #: warn when the implied labor elasticity is nonpositive for more than
 #: this fraction of observations
 ELASTICITY_WARN_FRACTION = 0.01
+
+#: the parametric laws of motion: ``(rho_phi_1, rho_phi_2)`` and
+#: ``(rho_omega_0, rho_omega_1, rho_omega_2)``
+PHI_LAW = LinearLaw(intercept=False)
+OMEGA_LAW = LinearLaw(intercept=True)
 
 
 @dataclasses.dataclass
@@ -227,21 +245,6 @@ def step1_cost_share(dataset: PanelDataset) -> Step1Result:
 # -- step two ----------------------------------------------------------------
 
 
-def phi_proxy(m_minus_l, s_l, beta_0: float, beta_l: float, delta_lm: float) -> np.ndarray:
-    """Labor-augmenting productivity from observables.
-
-    Ratio of the two flexible-input first-order conditions gives
-
-        phi = (m - l) + beta_l/beta_0 - (delta_lm/beta_0) * s_l,
-
-    which holds exactly on optimizing data regardless of prices, markups
-    and the transitory shock (they cancel in the FOC ratio).
-    """
-    if beta_0 == 0.0:
-        raise ValueError("phi proxy undefined at beta_0 = 0")
-    return np.asarray(m_minus_l, dtype=float) + beta_l / beta_0 - (delta_lm / beta_0) * np.asarray(s_l, dtype=float)
-
-
 def build_instruments(dataset: PanelDataset, *, kind: str = "default"):
     """Instrument matrix for the phi law-of-motion GMM.
 
@@ -267,12 +270,6 @@ def build_instruments(dataset: PanelDataset, *, kind: str = "default"):
     return np.column_stack(cols), tuple(names)
 
 
-def _alpha_split(alpha: np.ndarray, pz: int):
-    beta_0, beta_l, rho_1 = alpha[0], alpha[1], alpha[2]
-    rho_2 = alpha[3:3 + pz]
-    return beta_0, beta_l, rho_1, rho_2
-
-
 def _step2_arrays(dataset: PanelDataset):
     pairs = dataset.lag_pairs()
     cur, prev = pairs.cur, pairs.prev
@@ -285,31 +282,53 @@ def _step2_arrays(dataset: PanelDataset):
     )
 
 
-def step2_residual(alpha: np.ndarray, delta_lm: float, ml_cur, ml_prev, sl_cur, sl_prev, z_prev) -> np.ndarray:
-    """Innovation of the phi law at candidate ``alpha = (beta_0, beta_l, rho)``."""
-    beta_0, beta_l, rho_1, rho_2 = _alpha_split(alpha, z_prev.shape[1])
-    phi_cur = phi_proxy(ml_cur, sl_cur, beta_0, beta_l, delta_lm)
-    phi_prev = phi_proxy(ml_prev, sl_prev, beta_0, beta_l, delta_lm)
-    return phi_cur - rho_1 * phi_prev - z_prev @ rho_2
+def step2_residual(alpha: np.ndarray, delta_lm: float, *arrays) -> np.ndarray:
+    """Innovation of the linear phi law at ``alpha = (beta_0, beta_l, rho)``.
+
+    ``arrays`` are the lag-pair arrays of :func:`_step2_arrays`.
+    """
+    return phi_innovation(alpha, PHI_LAW, delta_lm, *arrays)
 
 
-def step2_residual_jacobian(alpha: np.ndarray, delta_lm: float, ml_cur, ml_prev, sl_cur, sl_prev, z_prev) -> np.ndarray:
-    """Analytic derivative of the step-two innovation in each parameter."""
-    beta_0, beta_l, rho_1, _ = _alpha_split(alpha, z_prev.shape[1])
-    phi_prev = phi_proxy(ml_prev, sl_prev, beta_0, beta_l, delta_lm)
-    d_beta0 = (-beta_l * (1.0 - rho_1) + delta_lm * (sl_cur - rho_1 * sl_prev)) / beta_0**2
-    d_betal = (1.0 - rho_1) / beta_0 * np.ones_like(phi_prev)
-    cols = [d_beta0, d_betal, -phi_prev] + [-z_prev[:, j] for j in range(z_prev.shape[1])]
-    return np.column_stack(cols)
+def step2_residual_jacobian(alpha: np.ndarray, delta_lm: float, *arrays) -> np.ndarray:
+    """Analytic derivative of :func:`step2_residual` in each parameter."""
+    return phi_innovation_jacobian(alpha, PHI_LAW, delta_lm, *arrays)
 
 
-def default_step2_starts(delta_lm: float, pz: int) -> list[np.ndarray]:
-    """Deterministic start grid: curvature magnitudes crossed with labor shares."""
+def _gram_weight(mat: np.ndarray, label: str, warnings: list[str]) -> np.ndarray:
+    gram = mat.T @ mat / mat.shape[0]
+    cond = np.linalg.cond(gram)
+    if cond > 1e12:
+        warnings.append(f"{label} Gram matrix ill-conditioned (cond={cond:.2e}); using pseudo-inverse")
+        return np.linalg.pinv(gram)
+    return np.linalg.inv(gram)
+
+
+def _phi_law_gmm(law, lin: int, n_params: int, delta_lm: float, arrays, q, weight):
+    """GMM problem and default start grid of a phi law, linear or series.
+
+    Parameters are ``(beta_0, beta_l, coef)``; ``coef[lin - 2]`` is the
+    slope in lagged phi, kept inside the unit interval.  The starts cross
+    curvature magnitudes with labor shares.
+    """
+    n_pairs = q.shape[0]
+    args = (law, delta_lm, *arrays)
+    lo, hi = np.full(n_params, -50.0), np.full(n_params, 50.0)
+    lo[:2], hi[:2] = (-10.0, 1e-10), (-1e-10, delta_lm * (1 - 1e-10))
+    lo[lin], hi[lin] = -0.999999, 0.999999
+    problem = GmmProblem(
+        moments=lambda alpha: q.T @ phi_innovation(alpha, *args) / n_pairs,
+        jacobian=lambda alpha: q.T @ phi_innovation_jacobian(alpha, *args) / n_pairs,
+        weight=weight,
+        bounds=(lo, hi),
+    )
     starts = []
     for b0 in (-0.2, -0.1, -0.05, -0.02, -0.005):
         for frac in (0.25, 0.5, 0.75):
-            starts.append(np.array([b0, frac * delta_lm, 0.5] + [0.0] * pz))
-    return starts
+            start = np.zeros(n_params)
+            start[0], start[1], start[lin] = b0, frac * delta_lm, 0.5
+            starts.append(start)
+    return problem, starts
 
 
 def step2_gmm(
@@ -332,8 +351,7 @@ def step2_gmm(
     """
     delta = step1.delta_lm
     arrays = _step2_arrays(dataset)
-    z_prev = arrays[4]
-    pz = z_prev.shape[1]
+    pz = dataset.z.shape[1]
     q, names = build_instruments(dataset, kind=instruments)
     n_pairs = q.shape[0]
     if n_pairs <= q.shape[1]:
@@ -341,28 +359,13 @@ def step2_gmm(
 
     warnings: list[str] = []
     if weight is None:
-        qq = q.T @ q / n_pairs
-        cond = np.linalg.cond(qq)
-        if cond > 1e12:
-            warnings.append(f"instrument Gram matrix ill-conditioned (cond={cond:.2e}); using pseudo-inverse")
-            weight = np.linalg.pinv(qq)
-        else:
-            weight = np.linalg.inv(qq)
+        weight = _gram_weight(q, "instrument", warnings)
 
-    def moments(alpha):
-        return q.T @ step2_residual(alpha, delta, *arrays) / n_pairs
-
-    def moments_jac(alpha):
-        return q.T @ step2_residual_jacobian(alpha, delta, *arrays) / n_pairs
-
-    lo = np.concatenate(([-10.0, 1e-10, -0.999999], np.full(pz, -50.0)))
-    hi = np.concatenate(([-1e-10, delta * (1 - 1e-10), 0.999999], np.full(pz, 50.0)))
-    problem = GmmProblem(moments=moments, jacobian=moments_jac, weight=weight, bounds=(lo, hi))
-
-    start_list = list(starts) if starts is not None else default_step2_starts(delta, pz)
+    problem, default_starts = _phi_law_gmm(PHI_LAW, 2, 3 + pz, delta, arrays, q, weight)
+    start_list = list(starts) if starts is not None else default_starts
     result = minimize_gmm(problem, start_list[0], starts=start_list[1:], grad_tol=grad_tol, max_iter=max_iter)
 
-    beta_0, beta_l, rho_1, rho_2 = _alpha_split(result.params, pz)
+    beta_0, beta_l, rho_1, rho_2 = *result.params[:3], result.params[3:]
     beta_m = delta - beta_l
     phi_hat = phi_proxy(dataset.m - dataset.l, dataset.s_l, beta_0, beta_l, delta)
 
@@ -498,6 +501,32 @@ def _ystar(dataset: PanelDataset, beta_0: float, beta_l: float, beta_m: float, p
     return dataset.y - beta_m * dataset.m - beta_l * (phi + dataset.l) + 0.5 * beta_0 * x**2
 
 
+def _omega_law_nls(args, lin: int, n_params: int):
+    """Least-squares problem and starts of an omega law, linear or series.
+
+    ``args`` follow the law in :func:`omega_residual`'s argument order;
+    parameters are ``(beta_k, beta_kk, coef)`` with the intercept first in
+    ``coef`` and the slope in lagged omega at index ``lin``, kept inside the
+    unit interval.  Starts profile the capital terms and the intercept by
+    least squares at a few fixed slopes.
+    """
+    y_cur, cap_cur = args[1], args[2]
+    lo, hi = np.full(n_params, -np.inf), np.full(n_params, np.inf)
+    lo[lin], hi[lin] = -0.999999, 0.999999
+    problem = NlsProblem(
+        residual=lambda gamma: omega_residual(gamma, *args),
+        jacobian=lambda gamma: omega_residual_jacobian(gamma, *args),
+        bounds=(lo, hi),
+    )
+    ols, *_ = np.linalg.lstsq(np.column_stack([cap_cur, np.ones_like(y_cur)]), y_cur, rcond=None)
+    starts = []
+    for slope in (0.5, 0.2, 0.8):
+        start = np.zeros(n_params)
+        start[:3], start[lin] = ols, slope
+        starts.append(start)
+    return problem, starts
+
+
 def step3_core(
     y_cur,
     k_cur,
@@ -508,43 +537,14 @@ def step3_core(
     grad_tol: float = 1e-8,
     max_iter: int = 500,
 ) -> OptimResult:
-    """Shared step-three least squares on pre-assembled pair arrays.
+    """Step-three least squares of the linear omega law on pre-assembled pair arrays.
 
     Parameter order is ``(beta_k, beta_kk, rho_0, rho_1, rho_2)``; the
     model is documented on :func:`step3_nls`, which assembles the arrays
-    from a dataset.  Kept separate so resampled targets can reuse the
-    identical objective and start rule.
+    from a dataset.
     """
-    k2_cur, k2_prev = 0.5 * k_cur**2, 0.5 * k_prev**2
-    px = x_prev.shape[1]
-
-    def split(gamma):
-        return gamma[0], gamma[1], gamma[2], gamma[3], gamma[4:4 + px]
-
-    def residual(gamma):
-        bk, bkk, r0, r1, r2 = split(gamma)
-        lag_omega = mstar_prev - bk * k_prev - bkk * k2_prev
-        return y_cur - bk * k_cur - bkk * k2_cur - r0 - r1 * lag_omega - x_prev @ r2
-
-    def jacobian(gamma):
-        bk, bkk, r0, r1, r2 = split(gamma)
-        lag_omega = mstar_prev - bk * k_prev - bkk * k2_prev
-        cols = [
-            -k_cur + r1 * k_prev,
-            -k2_cur + r1 * k2_prev,
-            -np.ones_like(y_cur),
-            -lag_omega,
-        ] + [-x_prev[:, j] for j in range(px)]
-        return np.column_stack(cols)
-
-    # profile start: capital terms by least squares at a few fixed rho_1 values
-    design = np.column_stack([k_cur, k2_cur, np.ones_like(y_cur)])
-    coef, *_ = np.linalg.lstsq(design, y_cur, rcond=None)
-    starts = [np.concatenate(([coef[0], coef[1], coef[2], r1], np.zeros(px))) for r1 in (0.5, 0.2, 0.8)]
-
-    lo = np.concatenate(([-np.inf, -np.inf, -np.inf, -0.999999], np.full(px, -np.inf)))
-    hi = np.concatenate(([np.inf, np.inf, np.inf, 0.999999], np.full(px, np.inf)))
-    problem = NlsProblem(residual=residual, jacobian=jacobian, bounds=(lo, hi))
+    args = (OMEGA_LAW, y_cur, capital_terms(k_cur), capital_terms(k_prev), mstar_prev, x_prev)
+    problem, starts = _omega_law_nls(args, 3, 4 + x_prev.shape[1])
     return minimize_nls(problem, starts[0], starts=starts[1:], grad_tol=grad_tol, max_iter=max_iter)
 
 
@@ -576,28 +576,31 @@ def step3_nls(
     if cur.size < 4 + dataset.x.shape[1]:
         raise ValueError("too few usable lag pairs for step three")
 
-    px = dataset.x.shape[1]
     result = step3_core(
         ystar[cur], dataset.k[cur], dataset.k[prev], mstar[prev], dataset.x[prev],
         grad_tol=grad_tol, max_iter=max_iter,
     )
-    bk, bkk, r0, r1 = result.params[0], result.params[1], result.params[2], result.params[3]
-    r2 = result.params[4:4 + px]
+    return _step3_result(result, proxy=proxy, n_pairs=int(cur.size), n_dropped=n_dropped)
+
+
+def _step3_result(result: OptimResult, *, proxy: str, n_pairs: int, n_dropped: int) -> Step3Result:
+    """Step-three record from a :func:`step3_core` fit."""
     warnings = []
     if n_dropped:
         warnings.append(f"omega proxy invalid for {n_dropped} observations (dropped from step three)")
     if not result.converged:
         warnings.append(f"step-3 NLS did not converge: {result.status}")
+    bk, bkk, r0, r1 = result.params[:4]
     return Step3Result(
         beta_k=float(bk),
         beta_kk=float(bkk),
         rho_omega_0=float(r0),
         rho_omega_1=float(r1),
-        rho_omega_2=np.asarray(r2, dtype=float),
+        rho_omega_2=np.asarray(result.params[4:], dtype=float),
         objective=result.objective,
         converged=result.converged,
         proxy=proxy,
-        n_pairs=int(cur.size),
+        n_pairs=n_pairs,
         n_dropped=n_dropped,
         warnings=warnings,
     )
@@ -635,15 +638,6 @@ def build_level_instruments(dataset: PanelDataset):
         cols.append(dataset.z[prev, j])
         names.append(f"{dataset.z_names[j]}_lag")
     return np.column_stack(cols), tuple(names)
-
-
-def _gram_weight(mat: np.ndarray, label: str, warnings: list[str]) -> np.ndarray:
-    gram = mat.T @ mat / mat.shape[0]
-    cond = np.linalg.cond(gram)
-    if cond > 1e12:
-        warnings.append(f"{label} Gram matrix ill-conditioned (cond={cond:.2e}); using pseudo-inverse")
-        return np.linalg.pinv(gram)
-    return np.linalg.inv(gram)
 
 
 def system_refine(
@@ -692,8 +686,7 @@ def system_refine(
     m_cur, m_prev = dataset.m[cur], dataset.m[prev]
     l_cur, l_prev = dataset.l[cur], dataset.l[prev]
     y_cur = dataset.y[cur]
-    k_cur, k_prev = dataset.k[cur], dataset.k[prev]
-    k2_cur, k2_prev = 0.5 * k_cur**2, 0.5 * k_prev**2
+    cap_cur, cap_prev = capital_terms(dataset.k[cur]), capital_terms(dataset.k[prev])
     x_prev = dataset.x[prev]
     pz, px = z_prev.shape[1], x_prev.shape[1]
 
@@ -712,10 +705,9 @@ def system_refine(
     if n_dropped:
         warnings.append(f"omega proxy invalid for {n_dropped} lag pairs (dropped from joint refinement)")
         (ml_cur, ml_prev, s_cur, s_prev, m_cur, m_prev, l_cur, l_prev, y_cur,
-         k_cur, k_prev, k2_cur, k2_prev, log_m, log_l) = (
+         cap_cur, cap_prev, log_m, log_l, z_prev, x_prev) = (
             a[usable] for a in (ml_cur, ml_prev, s_cur, s_prev, m_cur, m_prev, l_cur, l_prev, y_cur,
-                                k_cur, k_prev, k2_cur, k2_prev, log_m, log_l))
-        z_prev, x_prev = z_prev[usable], x_prev[usable]
+                                cap_cur, cap_prev, log_m, log_l, z_prev, x_prev))
 
     q, _ = build_instruments(dataset, kind=instruments)
     h, h_names = build_level_instruments(dataset)
@@ -736,21 +728,20 @@ def system_refine(
             return pl
         return 0.5 * (pm + pl)
 
-    def split(lam):
-        return lam[:3 + pz], lam[3 + pz], lam[4 + pz], lam[5 + pz], lam[6 + pz], lam[7 + pz:]
-
     scale_floor = 1e-8  # keeps noiseless panels from dividing by ~eps
 
     def residual(lam):
-        alpha, bk, bkk, g0, g1, g2 = split(lam)
-        b0, bl, r1, r2 = _alpha_split(alpha, pz)
+        # lam stacks the phi block (beta_0, beta_l, rho_phi) and the omega
+        # block (beta_k, beta_kk, rho_omega) of the moment core
+        alpha, gamma = lam[:3 + pz], lam[3 + pz:]
+        b0, bl = alpha[0], alpha[1]
         bm = delta - bl
         phi_cur = phi_proxy(ml_cur, s_cur, b0, bl, delta)
         phi_prev = phi_proxy(ml_prev, s_prev, b0, bl, delta)
-        eps = phi_cur - r1 * phi_prev - z_prev @ r2
+        eps = law_residual(phi_cur, PHI_LAW, phi_prev, z_prev, alpha[2:])
         ystar = y_cur - bm * m_cur - bl * (phi_cur + l_cur) + 0.5 * b0 * (ml_cur - phi_cur) ** 2
-        lag_omega = lag_proxy(b0, bl, bm, phi_prev, ml_prev - phi_prev) - bk * k_prev - bkk * k2_prev
-        r = ystar - bk * k_cur - bkk * k2_cur - g0 - g1 * lag_omega - x_prev @ g2
+        mstar_prev = lag_proxy(b0, bl, bm, phi_prev, ml_prev - phi_prev)
+        r = omega_residual(gamma, OMEGA_LAW, ystar, cap_cur, cap_prev, mstar_prev, x_prev)
         s_eps = max(float(np.std(eps)), scale_floor)
         s_r = max(float(np.std(r)), scale_floor)
         return np.concatenate([half_q @ (q.T @ eps) / (n * s_eps), half_h @ (h.T @ r) / (n * s_r)])
@@ -771,8 +762,8 @@ def system_refine(
                                       [0.1, 0.0, 0.0, 0.5], np.zeros(px))))
     result = minimize_nls(problem, starts[0], starts=starts[1:], grad_tol=grad_tol, max_iter=max_iter)
 
-    alpha, bk, bkk, g0, g1, g2 = split(result.params)
-    b0, bl, r1, r2 = _alpha_split(alpha, pz)
+    b0, bl, r1, r2 = *result.params[:3], result.params[3:3 + pz]
+    bk, bkk, g0, g1, g2 = *result.params[3 + pz:7 + pz], result.params[7 + pz:]
     if not result.converged:
         warnings.append(f"joint refinement did not converge: {result.status}")
     return SystemResult(
@@ -811,6 +802,28 @@ def recover_productivity(dataset: PanelDataset, params: TranslogParams, phi_hat:
     )
 
 
+def _point_estimate(step1: Step1Result, step2, step3, system: SystemResult | None = None):
+    """``(TranslogParams, ProductivityLaws)`` of a run: the refined point if any, else the steps."""
+    phi_block = step2 if system is None else system
+    omega_block = step3 if system is None else system
+    params = TranslogParams(
+        beta_k=omega_block.beta_k,
+        beta_kk=omega_block.beta_kk,
+        beta_l=phi_block.beta_l,
+        beta_m=phi_block.beta_m,
+        beta_0=phi_block.beta_0,
+        theta=step1.theta,
+    )
+    laws = ProductivityLaws(
+        rho_phi_1=phi_block.rho_phi_1,
+        rho_phi_2=phi_block.rho_phi_2,
+        rho_omega_0=omega_block.rho_omega_0,
+        rho_omega_1=omega_block.rho_omega_1,
+        rho_omega_2=omega_block.rho_omega_2,
+    )
+    return params, laws
+
+
 def estimate(dataset: PanelDataset, options: EstimateOptions | None = None) -> TranslogEstimate:
     """Run the full estimator on a panel.
 
@@ -842,26 +855,9 @@ def estimate(dataset: PanelDataset, options: EstimateOptions | None = None) -> T
             grad_tol=opts.grad_tol,
             max_iter=opts.max_iter,
         )
-        point = system
-    else:
-        point = None
 
-    params = TranslogParams(
-        beta_k=point.beta_k if point else step3.beta_k,
-        beta_kk=point.beta_kk if point else step3.beta_kk,
-        beta_l=point.beta_l if point else step2.beta_l,
-        beta_m=point.beta_m if point else step2.beta_m,
-        beta_0=point.beta_0 if point else step2.beta_0,
-        theta=step1.theta,
-    )
-    laws = ProductivityLaws(
-        rho_phi_1=point.rho_phi_1 if point else step2.rho_phi_1,
-        rho_phi_2=point.rho_phi_2 if point else step2.rho_phi_2,
-        rho_omega_0=point.rho_omega_0 if point else step3.rho_omega_0,
-        rho_omega_1=point.rho_omega_1 if point else step3.rho_omega_1,
-        rho_omega_2=point.rho_omega_2 if point else step3.rho_omega_2,
-    )
-    if point:
+    params, laws = _point_estimate(step1, step2, step3, system)
+    if system is not None:
         phi_hat = phi_proxy(dataset.m - dataset.l, dataset.s_l, params.beta_0, params.beta_l, step1.delta_lm)
     else:
         phi_hat = step2.phi_hat
@@ -879,55 +875,3 @@ def estimate(dataset: PanelDataset, options: EstimateOptions | None = None) -> T
         system=system,
         warnings=warnings,
     )
-
-
-def stacked_moments(dataset: PanelDataset, est: TranslogEstimate, *, instruments: str = "default") -> np.ndarray:
-    """Sample moment vector of the equivalent one-shot system at an estimate.
-
-    Stacks the two step-one moments, the step-two instrument
-    orthogonality conditions and the step-three least-squares normal
-    equations.  At the sequential solution every block is numerically
-    zero except for the over-identified part of the step-two block.
-    """
-    p = est.params
-    ln_theta_delta = np.log(p.theta * p.delta_lm)
-    block1 = np.array(
-        [
-            np.mean(dataset.ln_r - ln_theta_delta),
-            np.mean(np.exp(ln_theta_delta - dataset.ln_r)) - p.theta,
-        ]
-    )
-
-    arrays = _step2_arrays(dataset)
-    q, _ = build_instruments(dataset, kind=instruments)
-    alpha = np.concatenate(([p.beta_0, p.beta_l, est.laws.rho_phi_1], est.laws.rho_phi_2))
-    eps = step2_residual(alpha, p.delta_lm, *arrays)
-    block2 = q.T @ eps / q.shape[0]
-
-    mstar, valid, _ = omega_proxy(
-        dataset, p.beta_0, p.beta_l, p.beta_m, p.theta, est.phi_hat, which=est.step3.proxy
-    )
-    ystar = _ystar(dataset, p.beta_0, p.beta_l, p.beta_m, est.phi_hat)
-    pairs = dataset.lag_pairs()
-    keep = valid[pairs.prev]
-    cur, prev = pairs.cur[keep], pairs.prev[keep]
-    k_cur, k_prev = dataset.k[cur], dataset.k[prev]
-    k2_cur, k2_prev = 0.5 * k_cur**2, 0.5 * k_prev**2
-    lag_omega = mstar[prev] - est.step3.beta_k * k_prev - est.step3.beta_kk * k2_prev
-    resid = (
-        ystar[cur]
-        - est.step3.beta_k * k_cur
-        - est.step3.beta_kk * k2_cur
-        - est.step3.rho_omega_0
-        - est.step3.rho_omega_1 * lag_omega
-        - dataset.x[prev] @ est.step3.rho_omega_2
-    )
-    r1 = est.step3.rho_omega_1
-    jac_cols = [
-        -k_cur + r1 * k_prev,
-        -k2_cur + r1 * k2_prev,
-        -np.ones_like(resid),
-        -lag_omega,
-    ] + [-dataset.x[prev][:, j] for j in range(dataset.x.shape[1])]
-    block3 = np.column_stack(jac_cols).T @ resid / resid.size
-    return np.concatenate([block1, block2, block3])

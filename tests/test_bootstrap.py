@@ -218,3 +218,36 @@ def test_se_tracks_monte_carlo_spread(bench, bench_est):
         draws.append(estimate(ds_r).params.beta_l)
     rmse = float(np.sqrt(np.mean((np.array(draws) - truth.params.beta_l) ** 2)))
     assert 0.5 * rmse < se < 2.0 * rmse
+
+
+def test_programming_errors_in_a_replicate_propagate(bench, bench_est, monkeypatch):
+    ds, _, _ = bench
+
+    def buggy(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(prodsys.bootstrap, "bootstrap_replicate", buggy)
+    with pytest.raises(TypeError, match="bug"):
+        run_bootstrap(ds, bench_est, BootstrapConfig(n_reps=2, seed=0))
+
+
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError, RuntimeError, FloatingPointError])
+def test_numerical_failures_count_as_failed_replicates(bench, bench_est, monkeypatch, error):
+    ds, _, _ = bench
+    width = len(parameter_names(ds))
+    calls = {"n": 0}
+
+    def flaky(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] == 1:
+            raise error("numerical")
+        return np.zeros(width)
+
+    monkeypatch.setattr(prodsys.bootstrap, "bootstrap_replicate", flaky)
+    out = run_bootstrap(ds, bench_est, BootstrapConfig(n_reps=3, seed=0))
+    assert out.n_failures == 1 and out.draws.shape == (2, width)
+
+
+def test_pack_without_laws_is_the_leading_technology_block(bench_est):
+    full = pack_parameters(bench_est.params, bench_est.laws)
+    assert np.array_equal(pack_parameters(bench_est.params, None), full[:6])

@@ -10,7 +10,7 @@ import prodsys.diagnostics
 from prodsys.diagnostics import aggregate_productivity, elasticities, monte_carlo_study
 from prodsys.panel import PanelDataset
 from prodsys.simulate import benchmark_config
-from prodsys.translog import EstimateOptions, TranslogParams
+from prodsys.translog import EstimateOptions, ProductivityLaws, TranslogParams
 
 
 def test_elasticity_formulas_and_additivity(rng):
@@ -148,3 +148,26 @@ def test_report_serialization():
     text = report.to_text()
     assert "parameter" in text and "rmse" in text
     assert "replications: 2 successful, 0 failed" in text
+
+
+def test_programming_errors_in_a_replication_propagate(monkeypatch):
+    def buggy(dataset, options=None):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(prodsys.diagnostics, "estimate", buggy)
+    with pytest.raises(TypeError, match="bug"):
+        monte_carlo_study(SMALL_CFG, 2, FAST, seed=5)
+
+
+def test_truth_vector_follows_the_parameter_layout():
+    cfg = benchmark_config(n=10)
+    cfg.laws = ProductivityLaws(
+        rho_phi_1=0.9, rho_omega_0=0.2, rho_omega_1=0.6, rho_phi_2=[0.1], rho_omega_2=[0.2, 0.3],
+    )
+    names, truth = prodsys.diagnostics._truth_vector(cfg)
+    assert names == (
+        "beta_k", "beta_kk", "beta_l", "beta_m", "beta_0", "theta", "rho_phi_1", "rho_phi_2[z0]",
+        "rho_omega_0", "rho_omega_1", "rho_omega_2[x0]", "rho_omega_2[x1]",
+    )
+    assert truth[5] == cfg.theta
+    assert truth.tolist()[6:] == [0.9, 0.1, 0.2, 0.6, 0.2, 0.3]

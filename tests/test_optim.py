@@ -9,7 +9,6 @@ from prodsys.optim import (
     _psd_sqrt,
     check_gradient,
     finite_diff_jacobian,
-    jittered_starts,
     minimize_gmm,
     minimize_nls,
 )
@@ -101,16 +100,6 @@ def test_multistart_keeps_lowest_objective():
     assert res_multi.params[0] > 0
     assert res_multi.objective < res_bad.objective
     assert res_multi.start_index == 1
-
-
-def test_jittered_starts_deterministic_and_scaled():
-    s1 = jittered_starts(np.array([1.0, -2.0]), n=4)
-    s2 = jittered_starts(np.array([1.0, -2.0]), n=4)
-    assert len(s1) == 4
-    for a, b in zip(s1, s2):
-        assert np.array_equal(a, b)
-    spread = np.std([s[0] for s in s1])
-    assert 0.0 < spread < 2.0
 
 
 def test_psd_sqrt_properties(rng):

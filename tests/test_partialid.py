@@ -239,3 +239,13 @@ def test_config_validation(small_panel):
         MomentInequalityConfig(propensity_degree=0).validate()
     with pytest.raises(ValueError, match="beta_0 = 0"):
         identified_set(ds, MomentInequalityConfig(grid=dict(SMALL_GRID, beta_0=np.array([-0.05, 0.0]))))
+
+
+def test_default_grid_at_benchmark_truth_stays_negative_in_beta_0(small_panel):
+    ds, _, cfg = small_panel
+    grid = default_grid(cfg.params)
+    # beta_0 = -0.05 with the 0.05 floor would end the axis at zero
+    assert np.all(grid["beta_0"] < 0.0)
+    assert grid["beta_0"][0] == -0.1 and grid["beta_0"][-1] == -0.025
+    res = identified_set(ds, MomentInequalityConfig(grid=grid))
+    assert res.candidates.shape == (11**5, 5)

@@ -172,3 +172,22 @@ def test_quadratic_basis_improves_phi_law_fit():
         coef, *_ = np.linalg.lstsq(bx, pc, rcond=None)
         rss[deg] = float(np.sum((pc - bx @ coef) ** 2))
     assert rss[2] < 0.8 * rss[1]
+
+
+def test_degree_selection_reference_uses_the_callers_options(small_panel, monkeypatch):
+    import prodsys.sieve
+
+    ds, _, _ = small_panel
+    seen = {}
+
+    class Recorded(Exception):
+        pass
+
+    def spy(*args, **kwargs):
+        seen.update(kwargs)
+        raise Recorded
+
+    monkeypatch.setattr(prodsys.sieve, "system_refine", spy)
+    with pytest.raises(Recorded):
+        sieve_estimate(ds, degree="auto", instruments="exactly_identified", grad_tol=1e-7, max_iter=300)
+    assert seen == {"proxy": "materials", "instruments": "exactly_identified", "grad_tol": 1e-7, "max_iter": 300}

@@ -19,7 +19,6 @@ from prodsys.translog import (
     omega_proxy,
     phi_proxy,
     recover_productivity,
-    stacked_moments,
     step1_cost_share,
     step2_gmm,
     step2_residual,
@@ -290,14 +289,3 @@ def test_estimate_rejects_unknown_refine(bench):
     ds, _, _ = bench
     with pytest.raises(ValueError):
         estimate(ds, EstimateOptions(refine="polish"))
-
-
-def test_stacked_moments_shape(bench, bench_est):
-    ds, _, _ = bench
-    sm = stacked_moments(ds, bench_est)
-    # 2 scale moments + 5 phi-law instruments + 4 omega-law normal equations
-    assert sm.shape == (11,)
-    assert np.all(np.isfinite(sm))
-    # the two scale moments are zero by construction of step one
-    assert abs(sm[0]) < 1e-12
-    assert abs(sm[1]) < 1e-12
