@@ -16,7 +16,7 @@ import dataclasses
 
 import numpy as np
 
-from .moments import capital_terms, omega_residual, phi_proxy
+from .moments import capital_terms, flexible_output, omega_residual, phi_proxy
 from .panel import PanelDataset
 from .translog import (
     OMEGA_LAW,
@@ -24,8 +24,8 @@ from .translog import (
     TranslogEstimate,
     _point_estimate,
     _step3_result,
+    _omega_law_data,
     _step2_arrays,
-    _ystar,
     omega_proxy,
     step1_cost_share,
     step2_gmm,
@@ -111,7 +111,6 @@ class ResidualSet:
     resid_omega: np.ndarray
     omega_pair_mask: np.ndarray
     mstar: np.ndarray
-    valid: np.ndarray
 
 
 def mammen_weights(firm_ids, seed=None) -> np.ndarray:
@@ -146,23 +145,16 @@ def compute_residuals(dataset: PanelDataset, estimate: TranslogEstimate) -> Resi
     zeta = step2_residual(alpha, estimate.step1.delta_lm, *_step2_arrays(dataset))
     zeta = zeta - np.mean(zeta)
 
-    phi = estimate.phi_hat
-    mstar, valid, _ = omega_proxy(
-        dataset, params.beta_0, params.beta_l, params.beta_m, params.theta, phi,
-        which=estimate.step3.proxy,
+    ystar, mstar, mask, _ = _omega_law_data(
+        dataset, params.beta_0, params.beta_l, params.beta_m, params.theta, estimate.phi_hat, estimate.step3.proxy,
     )
-    ystar = _ystar(dataset, params.beta_0, params.beta_l, params.beta_m, phi)
-    mask = valid[pairs.prev]
     cur, prev = pairs.cur[mask], pairs.prev[mask]
     resid = omega_residual(
         _omega_block(params, laws), OMEGA_LAW,
         ystar[cur], capital_terms(dataset.k[cur]), capital_terms(dataset.k[prev]), mstar[prev], dataset.x[prev],
     )
     resid = resid - np.mean(resid)
-    return ResidualSet(
-        eta=eta, zeta_phi=zeta, resid_omega=resid,
-        omega_pair_mask=mask, mstar=mstar, valid=valid,
-    )
+    return ResidualSet(eta=eta, zeta_phi=zeta, resid_omega=resid, omega_pair_mask=mask, mstar=mstar)
 
 
 def synthetic_outcomes(dataset: PanelDataset, estimate: TranslogEstimate, residuals: ResidualSet, weights):
@@ -244,15 +236,9 @@ def bootstrap_replicate(
     cur, prev = pairs.cur[mask], pairs.prev[mask]
     m_b = dataset.l + ml_b
     delta = params.beta_l + params.beta_m
-    phi_rep = phi_proxy(ml_b, dataset.s_l, params.beta_0, params.beta_l, delta)
-    x_rep = ml_b - phi_rep
+    phi_rep = phi_proxy(ml_b[cur], dataset.s_l[cur], params.beta_0, params.beta_l, delta)
     y_b = dataset.y.copy()
-    y_b[cur] = (
-        ystar_b
-        + params.beta_m * m_b[cur]
-        + params.beta_l * (phi_rep[cur] + dataset.l[cur])
-        - 0.5 * params.beta_0 * x_rep[cur] ** 2
-    )
+    y_b[cur] = ystar_b + flexible_output(params.beta_0, params.beta_l, params.beta_m, m_b[cur], dataset.l[cur], phi_rep)
     ds_b = PanelDataset(
         dataset.labels, dataset.year, y_b, dataset.k, dataset.l, m_b, dataset.s_l, lnr_b,
         x=dataset.x, z=dataset.z, x_names=dataset.x_names, z_names=dataset.z_names,
@@ -261,8 +247,7 @@ def bootstrap_replicate(
 
     step1_b = step1_cost_share(ds_b)
     step2_b = step2_gmm(
-        ds_b, step1_b, instruments=opts.instruments, starts=opts.step2_starts,
-        grad_tol=opts.grad_tol, max_iter=opts.max_iter,
+        ds_b, step1_b, instruments=opts.instruments, grad_tol=opts.grad_tol, max_iter=opts.max_iter,
     )
 
     # third step: resampled y* against the omega proxy rebuilt from the

@@ -18,7 +18,6 @@ intercept and not separately reported.
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
 
 import numpy as np
 
@@ -127,7 +126,6 @@ def _gap(dataset: PanelDataset) -> np.ndarray:
 def ces_step1_nls(
     dataset: PanelDataset,
     *,
-    starts: Sequence[np.ndarray] | None = None,
     grad_tol: float = 1e-8,
     max_iter: int = 500,
 ) -> CesStep1Result:
@@ -176,15 +174,12 @@ def ces_step1_nls(
         lo = np.concatenate(([bracket[0], 1e-8, -0.999999], np.full(pz, -50.0)))
         hi = np.concatenate(([bracket[1], 1e6, 0.999999], np.full(pz, 50.0)))
         problem = NlsProblem(residual=residual, jacobian=jacobian, bounds=(lo, hi))
-        if starts is not None:
-            start_list = [np.asarray(s, dtype=float) for s in starts]
-        else:
-            start_list = [
-                np.concatenate(([s0, bm0, 0.5], np.zeros(pz)))
-                for s0 in sigma_starts
-                for bm0 in (0.3, 1.0)
-            ]
-        return minimize_nls(problem, start_list[0], starts=start_list[1:], grad_tol=grad_tol, max_iter=max_iter)
+        starts = [
+            np.concatenate(([s0, bm0, 0.5], np.zeros(pz)))
+            for s0 in sigma_starts
+            for bm0 in (0.3, 1.0)
+        ]
+        return minimize_nls(problem, starts[0], starts=starts[1:], grad_tol=grad_tol, max_iter=max_iter)
 
     low = solve((1e-3, 1.0 - 1e-6), (0.3, 0.6, 0.9))
     high = solve((1.0 + 1e-6, 50.0), (1.5, 3.0, 8.0))
@@ -211,7 +206,6 @@ def ces_step2_nls(
     dataset: PanelDataset,
     step1: CesStep1Result,
     *,
-    starts: Sequence[np.ndarray] | None = None,
     grad_tol: float = 1e-8,
     max_iter: int = 500,
 ) -> CesStep2Result:
@@ -264,15 +258,12 @@ def ces_step2_nls(
     lo = np.concatenate(([1e-6, 1e-10, -np.inf, -0.999999], np.full(px, -np.inf)))
     hi = np.concatenate(([5.0, 1e6, np.inf, 0.999999], np.full(px, np.inf)))
     problem = NlsProblem(residual=residual, jacobian=jacobian, bounds=(lo, hi))
-    if starts is not None:
-        start_list = [np.asarray(s, dtype=float) for s in starts]
-    else:
-        start_list = [
-            np.concatenate(([nu0, bk0, 0.0, 0.5], np.zeros(px)))
-            for nu0 in (0.5, 0.9)
-            for bk0 in (0.1, 0.5, 1.0)
-        ]
-    result = minimize_nls(problem, start_list[0], starts=start_list[1:], grad_tol=grad_tol, max_iter=max_iter)
+    starts = [
+        np.concatenate(([nu0, bk0, 0.0, 0.5], np.zeros(px)))
+        for nu0 in (0.5, 0.9)
+        for bk0 in (0.1, 0.5, 1.0)
+    ]
+    result = minimize_nls(problem, starts[0], starts=starts[1:], grad_tol=grad_tol, max_iter=max_iter)
 
     warnings = []
     if not result.converged:

@@ -167,12 +167,22 @@ def _estimator_options(section: dict, path: str, args=None) -> EstimateOptions:
     refine = section.get("refine", "system")
     if refine not in ("system", "none"):
         raise ConfigError(f"{path}.refine: must be system or none, got {refine!r}")
+    instruments = section.get("instruments", "default")
+    if instruments not in ("default", "exactly_identified"):
+        raise ConfigError(f"{path}.instruments: must be default or exactly_identified, got {instruments!r}")
+    grad_tol = section.get("grad_tol", 1e-8)
+    try:
+        grad_tol = float(grad_tol)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}.grad_tol: expected a number, got {grad_tol!r}") from exc
+    if not 0.0 < grad_tol < np.inf:
+        raise ConfigError(f"{path}.grad_tol: must be a positive number, got {grad_tol!r}")
     return EstimateOptions(
         proxy=proxy,
-        instruments=section.get("instruments", "default"),
+        instruments=instruments,
         refine=refine,
-        grad_tol=float(section.get("grad_tol", 1e-8)),
-        max_iter=int(section.get("max_iter", 500)),
+        grad_tol=grad_tol,
+        max_iter=_positive_int(section.get("max_iter", 500), f"{path}.max_iter"),
     )
 
 
@@ -195,6 +205,14 @@ def _load_panel(section: dict, path: str, data_flag=None) -> PanelDataset:
     for reason, count in sorted(report.dropped.items()):
         print(f"  dropped {count}: {reason}")
     return dataset
+
+
+def _run_on_panel(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``; a ``ValueError`` means the panel cannot support the fit."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +293,8 @@ def cmd_estimate(args, config: dict) -> int:
         degree = _resolve(args.degree, section.get("degree"), "auto")
         if degree != "auto":
             degree = _positive_int(degree, "estimate.degree")
-        result = sieve_estimate(
-            dataset, degree=degree, proxy=options.proxy, instruments=options.instruments,
+        result = _run_on_panel(
+            sieve_estimate, dataset, degree=degree, proxy=options.proxy, instruments=options.instruments,
             grad_tol=options.grad_tol, max_iter=options.max_iter,
         )
         rows = _param_rows(result, dataset)
@@ -290,7 +308,7 @@ def cmd_estimate(args, config: dict) -> int:
             f"step3 objective {result.step3.objective:.6e} converged {result.step3.converged}",
         ]
     else:
-        result = estimate(dataset, options)
+        result = _run_on_panel(estimate, dataset, options)
         rows = _param_rows(result, dataset)
         converged = result.step2.converged and result.step3.converged
         summary = [
@@ -336,6 +354,11 @@ def cmd_montecarlo(args, config: dict) -> int:
     seed = int(_resolve(args.seed, config.get("seed"), 0))
     threads = _positive_int(_resolve(args.threads, config.get("threads"), 1), "threads")
     dgp = _dgp_from_config(section.get("dgp") or {}, "montecarlo.dgp", seed)
+    if dgp.technology != "translog":
+        raise ConfigError(
+            f"montecarlo.dgp.technology: the study fits the translog estimator, so it needs translog data, "
+            f"got {dgp.technology!r}"
+        )
     options = _estimator_options(section.get("estimator") or {}, "montecarlo.estimator", args)
     out = _out_dir(args, config)
     try:
@@ -377,7 +400,7 @@ def cmd_bootstrap(args, config: dict) -> int:
         raise ConfigError(f"bootstrap: {exc}") from exc
     out = _out_dir(args, config)
 
-    point = estimate(dataset, options)
+    point = _run_on_panel(estimate, dataset, options)
     converged = point.step2.converged and point.step3.converged
     if point.system is not None:
         converged = converged and point.system.converged
@@ -473,10 +496,7 @@ def cmd_partialid(args, config: dict) -> int:
     except ValueError as exc:
         raise ConfigError(f"partialid: {exc}") from exc
     out = _out_dir(args, config)
-    try:
-        result = identified_set(dataset, mi_config)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    result = _run_on_panel(identified_set, dataset, mi_config)
 
     with open(os.path.join(out, "partialid.csv"), "w") as fh:
         header = list(GRID_AXES) + [f"stat_q{('%g' % (100 * lv)).replace('.', '_')}" for lv in result.cutoff_levels]

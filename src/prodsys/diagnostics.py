@@ -163,8 +163,11 @@ def monte_carlo_study(
     Per-replication seeds are hashed out of the master seed, so parallel
     and sequential execution give identical reports.  Failures are
     excluded from the statistics and counted; every replication failing
-    is an error.
+    is an error.  Only translog panels are accepted: the study fits the
+    translog estimator and reports the translog truth.
     """
+    if config.technology != "translog":
+        raise ValueError(f"the study fits the translog estimator; {config.technology!r} data have no translog truth")
     if replications < 1:
         raise ValueError("need at least one replication")
     names, truth = _truth_vector(config)

@@ -1,4 +1,4 @@
-"""The two productivity laws as residuals: one definition each, with analytic Jacobians.
+"""The two productivity laws as residuals, and the flexible-input output term they share.
 
 Both laws of motion are written as ``target - r(lag, controls)``, where the
 law ``r`` is a linear combination of basis terms in the lagged
@@ -13,11 +13,17 @@ first-order conditions, the innovation at ``(beta_0, beta_l, coef)`` is
 
     eps_t = phi_t - r_phi(phi_{t-1}, Z_{t-1}).
 
-omega law (step three): with lagged omega proxied from a flexible-input
-first-order condition, ``omega_{t-1} = m*_{t-1} - beta_k*k_{t-1} -
-0.5*beta_kk*k_{t-1}^2``, the residual at ``(beta_k, beta_kk, coef)`` is
+omega law (step three): the flexible-input part of log output,
 
-    r_t = y*_t - beta_k*k_t - 0.5*beta_kk*k_t^2 - r_omega(omega_{t-1}, X_{t-1}).
+    f(m, l, phi) = beta_m*m + beta_l*(phi + l) - 0.5*beta_0*(m - phi - l)^2,
+
+is :func:`flexible_output`.  Output purged of it is ``y* = y - f``, and a
+flexible-input first-order condition minus it proxies lagged omega plus
+the capital terms, ``m*_{t-1}``.  The residual at ``(beta_k, beta_kk,
+coef)`` is
+
+    r_t = y*_t - beta_k*k_t - 0.5*beta_kk*k_t^2
+          - r_omega(m*_{t-1} - beta_k*k_{t-1} - 0.5*beta_kk*k_{t-1}^2, X_{t-1}).
 
 Each Jacobian takes the same arguments as its residual, so a residual and
 its Jacobian can share one argument tuple.
@@ -34,6 +40,7 @@ __all__ = [
     "phi_innovation",
     "phi_innovation_jacobian",
     "capital_terms",
+    "flexible_output",
     "omega_residual",
     "omega_residual_jacobian",
 ]
@@ -118,6 +125,11 @@ def phi_innovation_jacobian(params, law, delta_lm: float, ml_cur, ml_prev, sl_cu
     d_beta0 = (-beta_l * (1.0 - dr) + delta_lm * (sl_cur - dr * sl_prev)) / beta_0**2
     d_betal = np.broadcast_to((1.0 - dr) / beta_0, d_beta0.shape)
     return _columns(d_beta0, d_betal, -law.evaluate(u))
+
+
+def flexible_output(beta_0: float, beta_l: float, beta_m: float, m, l, phi):
+    """Flexible-input part of log output: ``beta_m*m + beta_l*(phi + l) - 0.5*beta_0*(m - phi - l)^2``."""
+    return beta_m * m + beta_l * (phi + l) - 0.5 * beta_0 * (m - phi - l) ** 2
 
 
 def capital_terms(k) -> np.ndarray:

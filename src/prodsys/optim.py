@@ -71,17 +71,16 @@ class OptimResult:
     start_index: int = 0
 
 
-def finite_diff_jacobian(fun: Callable[[np.ndarray], np.ndarray], x, *, step: float | None = None) -> np.ndarray:
+def finite_diff_jacobian(fun: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
     """Central-difference Jacobian of a vector-valued function.
 
-    The per-coordinate step is ``step`` if given, otherwise
-    ``1e-6 * max(1, |x_j|)``.
+    The per-coordinate step is ``1e-6 * max(1, |x_j|)``.
     """
     x = np.asarray(x, dtype=float)
     f0 = np.atleast_1d(np.asarray(fun(x), dtype=float))
     jac = np.empty((f0.size, x.size))
     for j in range(x.size):
-        h = step if step is not None else 1e-6 * max(1.0, abs(x[j]))
+        h = 1e-6 * max(1.0, abs(x[j]))
         xp = x.copy()
         xm = x.copy()
         xp[j] += h
@@ -114,7 +113,7 @@ def _clip(x: np.ndarray, bounds) -> np.ndarray:
     return np.minimum(np.maximum(x, lo), hi)
 
 
-def _lm_single(problem: NlsProblem, x0, *, grad_tol, step_tol, max_iter) -> OptimResult:
+def _lm_single(problem: NlsProblem, x0, *, grad_tol, max_iter) -> OptimResult:
     resid = problem.residual
     jacfun = problem.jacobian or (lambda x: finite_diff_jacobian(resid, x))
     x = _clip(np.asarray(x0, dtype=float).copy(), problem.bounds)
@@ -147,7 +146,7 @@ def _lm_single(problem: NlsProblem, x0, *, grad_tol, step_tol, max_iter) -> Opti
                 continue
             x_new = _clip(x + step, problem.bounds)
             actual_step = x_new - x
-            if np.linalg.norm(actual_step) <= step_tol * (step_tol + np.linalg.norm(x)):
+            if np.linalg.norm(actual_step) <= STEP_TOL * (STEP_TOL + np.linalg.norm(x)):
                 return OptimResult(x, obj, grad_norm, it, True, "step tolerance reached")
             r_new = np.atleast_1d(np.asarray(resid(x_new), dtype=float))
             if np.all(np.isfinite(r_new)) and float(r_new @ r_new) < obj:
@@ -168,7 +167,6 @@ def minimize_nls(
     *,
     starts: Sequence[np.ndarray] | None = None,
     grad_tol: float = GRAD_TOL,
-    step_tol: float = STEP_TOL,
     max_iter: int = MAX_ITER,
 ) -> OptimResult:
     """Levenberg-Marquardt minimization of ``sum(residual**2)``.
@@ -182,7 +180,7 @@ def minimize_nls(
         all_starts += [np.asarray(s, dtype=float) for s in starts]
     best: OptimResult | None = None
     for idx, start in enumerate(all_starts):
-        res = _lm_single(problem, start, grad_tol=grad_tol, step_tol=step_tol, max_iter=max_iter)
+        res = _lm_single(problem, start, grad_tol=grad_tol, max_iter=max_iter)
         res.start_index = idx
         if best is None or res.objective < best.objective:
             best = res
@@ -209,7 +207,6 @@ def minimize_gmm(
     *,
     starts: Sequence[np.ndarray] | None = None,
     grad_tol: float = GRAD_TOL,
-    step_tol: float = STEP_TOL,
     max_iter: int = MAX_ITER,
 ) -> OptimResult:
     """Minimize the GMM criterion ``g(x)' W g(x)``.
@@ -230,4 +227,4 @@ def minimize_gmm(
         jacobian = lambda x: half @ np.atleast_2d(np.asarray(problem.jacobian(x), dtype=float))
 
     nls = NlsProblem(residual=residual, jacobian=jacobian, bounds=problem.bounds)
-    return minimize_nls(nls, x0, starts=starts, grad_tol=grad_tol, step_tol=step_tol, max_iter=max_iter)
+    return minimize_nls(nls, x0, starts=starts, grad_tol=grad_tol, max_iter=max_iter)

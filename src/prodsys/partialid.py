@@ -229,8 +229,8 @@ def moment_statistic(dataset: PanelDataset, beta, cutoff: float, scores: np.ndar
     return float(np.mean(resid * w))
 
 
-def default_grid(params: TranslogParams, *, n_points: int = 11) -> dict:
-    """Candidate ranges bracketing a point estimate by 50% per coordinate.
+def default_grid(params: TranslogParams) -> dict:
+    """Candidate ranges of 11 points bracketing a point estimate by 50% per coordinate.
 
     Half-widths are floored so the grid stays informative when an
     estimated coordinate is close to zero.  The curvature must stay
@@ -251,7 +251,7 @@ def default_grid(params: TranslogParams, *, n_points: int = 11) -> dict:
         upper = center + half
         if name == "beta_0" and upper >= 0.0:
             upper = center / 2.0
-        grid[name] = np.linspace(center - half, upper, n_points)
+        grid[name] = np.linspace(center - half, upper, 11)
     return grid
 
 

@@ -31,14 +31,13 @@ from .moments import capital_terms, phi_proxy
 from .optim import minimize_gmm, minimize_nls
 from .panel import PanelDataset
 from .translog import (
-    ELASTICITY_WARN_FRACTION,
     ProductivityLaws,
     Step1Result,
     TranslogParams,
+    _omega_law_data,
     _omega_law_nls,
     _phi_law_gmm,
     _step2_arrays,
-    _ystar,
     build_instruments,
     omega_proxy,
     recover_productivity,
@@ -60,6 +59,10 @@ __all__ = [
     "sieve_step3_nls",
     "sieve_estimate",
 ]
+
+
+#: relative GCV margin within which the smallest degree is preferred
+GCV_TOLERANCE = 0.002
 
 
 @dataclasses.dataclass
@@ -141,13 +144,13 @@ def _guarded_std(a: np.ndarray) -> np.ndarray:
     return np.where(s > 0, s, 1.0)
 
 
-def gcv_select_degree(target, inputs, degrees=(1, 2, 3), *, intercept: bool = False, tolerance: float = 0.002):
+def gcv_select_degree(target, inputs, degrees=(1, 2, 3), *, intercept: bool = False):
     """Pick the approximation degree by generalized cross-validation.
 
     The criterion for a candidate is ``mean((I - P)target^2) / (1 -
     n_terms/n)^2`` with ``P`` the least-squares projection on the basis
     columns.  The returned degree is the smallest whose criterion is
-    within ``tolerance`` (relative) of the minimum: GCV values of nested
+    within ``GCV_TOLERANCE`` (relative) of the minimum: GCV values of nested
     fits differ only by O(terms/n) noise on correctly specified data, so
     a strict argmin keeps spurious extra terms with probability that does
     not vanish with the sample size.  Rank-deficient candidate bases are
@@ -189,7 +192,7 @@ def gcv_select_degree(target, inputs, degrees=(1, 2, 3), *, intercept: bool = Fa
         values[d] = float(np.mean(resid**2) / (1.0 - p.shape[1] / n) ** 2)
     if not values:
         raise ValueError("every candidate degree was rank-deficient")
-    cutoff = min(values.values()) * (1.0 + tolerance)
+    cutoff = min(values.values()) * (1.0 + GCV_TOLERANCE)
     chosen = min(d for d, v in values.items() if v <= cutoff)
     return chosen, values, warnings
 
@@ -370,10 +373,6 @@ def sieve_step2_gmm(
 
     beta_0, beta_l, coef = result.params[0], result.params[1], result.params[2:]
     phi_hat = phi_proxy(dataset.m - dataset.l, dataset.s_l, beta_0, beta_l, delta)
-    labor_el = beta_l + beta_0 * (dataset.m - phi_hat - dataset.l)
-    frac_bad = float(np.mean(labor_el <= 0.0))
-    if frac_bad > ELASTICITY_WARN_FRACTION:
-        warnings.append(f"implied labor elasticity nonpositive for {frac_bad:.1%} of observations")
     if not result.converged:
         warnings.append(f"sieve step-2 GMM did not converge: {result.status}")
 
@@ -417,18 +416,12 @@ def sieve_step3_nls(
     refinement); omitted, the parametric step 3 at the ``step2`` point
     fills that role.
     """
-    mstar, valid, n_dropped = omega_proxy(
-        dataset, step2.beta_0, step2.beta_l, step2.beta_m, step1.theta, step2.phi_hat, which=proxy
+    ystar, mstar, keep, n_dropped = _omega_law_data(
+        dataset, step2.beta_0, step2.beta_l, step2.beta_m, step1.theta, step2.phi_hat, proxy
     )
-    ystar = _ystar(dataset, step2.beta_0, step2.beta_l, step2.beta_m, step2.phi_hat)
     pairs = dataset.lag_pairs()
-    keep = valid[pairs.prev]
     cur, prev = pairs.cur[keep], pairs.prev[keep]
-    y_cur = ystar[cur]
-    k_cur, k_prev = dataset.k[cur], dataset.k[prev]
-    x_prev = dataset.x[prev]
-    px = x_prev.shape[1]
-    dim = 1 + px
+    dim = 1 + dataset.x.shape[1]
 
     warnings: list[str] = []
     gcv_table = None
@@ -480,7 +473,10 @@ def sieve_step3_nls(
         basis, centers=np.mean(inputs_ref, axis=0), scales=_guarded_std(inputs_ref)
     )
 
-    args = (basis, y_cur, capital_terms(k_cur), capital_terms(k_prev), mstar[prev], x_prev)
+    args = (
+        basis, ystar[cur], capital_terms(dataset.k[cur]), capital_terms(dataset.k[prev]),
+        mstar[prev], dataset.x[prev],
+    )
     problem, starts = _omega_law_nls(args, 2 + _linear_term_index(basis, 0), 2 + basis.n_terms)
     result = minimize_nls(problem, starts[0], starts=starts[1:], grad_tol=grad_tol, max_iter=max_iter)
 

@@ -25,20 +25,22 @@ sequential step-two criterion alone is nearly flat in the curvature
 parameter.
 
 The phi-law innovation and the omega-law residual, with their Jacobians,
-are defined once in :mod:`prodsys.moments`; every step here evaluates
-them under the linear laws ``PHI_LAW`` and ``OMEGA_LAW``.
+and the flexible-input part of log output are defined once in
+:mod:`prodsys.moments`.  Every step here evaluates the laws under the
+linear ``PHI_LAW`` and ``OMEGA_LAW``, and every purged output ``y*`` and
+omega proxy ``m*`` subtracts :func:`~prodsys.moments.flexible_output`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
 
 import numpy as np
 
 from .moments import (
     LinearLaw,
     capital_terms,
+    flexible_output,
     law_residual,
     omega_residual,
     omega_residual_jacobian,
@@ -71,10 +73,6 @@ __all__ = [
     "recover_productivity",
     "estimate",
 ]
-
-#: warn when the implied labor elasticity is nonpositive for more than
-#: this fraction of observations
-ELASTICITY_WARN_FRACTION = 0.01
 
 #: the parametric laws of motion: ``(rho_phi_1, rho_phi_2)`` and
 #: ``(rho_omega_0, rho_omega_1, rho_omega_2)``
@@ -212,7 +210,6 @@ class EstimateOptions:
 
     proxy: str = "materials"  # materials | labor | average
     instruments: str = "default"  # default | exactly_identified
-    step2_starts: Sequence[np.ndarray] | None = None
     refine: str = "system"  # system | none
     grad_tol: float = 1e-8
     max_iter: int = 500
@@ -336,8 +333,6 @@ def step2_gmm(
     step1: Step1Result,
     *,
     instruments: str = "default",
-    starts: Sequence[np.ndarray] | None = None,
-    weight: np.ndarray | None = None,
     grad_tol: float = 1e-8,
     max_iter: int = 500,
 ) -> Step2Result:
@@ -358,23 +353,14 @@ def step2_gmm(
         raise ValueError("not enough lag pairs for the instrument count")
 
     warnings: list[str] = []
-    if weight is None:
-        weight = _gram_weight(q, "instrument", warnings)
-
-    problem, default_starts = _phi_law_gmm(PHI_LAW, 2, 3 + pz, delta, arrays, q, weight)
-    start_list = list(starts) if starts is not None else default_starts
-    result = minimize_gmm(problem, start_list[0], starts=start_list[1:], grad_tol=grad_tol, max_iter=max_iter)
+    weight = _gram_weight(q, "instrument", warnings)
+    problem, starts = _phi_law_gmm(PHI_LAW, 2, 3 + pz, delta, arrays, q, weight)
+    result = minimize_gmm(problem, starts[0], starts=starts[1:], grad_tol=grad_tol, max_iter=max_iter)
 
     beta_0, beta_l, rho_1, rho_2 = *result.params[:3], result.params[3:]
     beta_m = delta - beta_l
     phi_hat = phi_proxy(dataset.m - dataset.l, dataset.s_l, beta_0, beta_l, delta)
 
-    # with proxied phi the implied labor elasticity equals delta*s_l, so this
-    # literal check can only fire on degenerate shares or parameter values
-    labor_el = beta_l + beta_0 * (dataset.m - phi_hat - dataset.l)
-    frac_bad = float(np.mean(labor_el <= 0.0))
-    if frac_bad > ELASTICITY_WARN_FRACTION:
-        warnings.append(f"implied labor elasticity nonpositive for {frac_bad:.1%} of observations")
     # the criterion has a rescaling valley: (beta_0, beta_l) can be moved so
     # that proxied phi becomes nearly constant, which mechanically shrinks the
     # innovation; flag that degenerate configuration rather than hiding it
@@ -402,7 +388,7 @@ def step2_gmm(
     )
 
 
-def information_matrix(dataset: PanelDataset, step1: Step1Result, alpha, *, instruments: str = "default", weight: np.ndarray | None = None):
+def information_matrix(dataset: PanelDataset, step1: Step1Result, alpha, *, instruments: str = "default"):
     """Curvature of the GMM criterion at ``alpha``: ``G'WG`` with rank and condition.
 
     A full-rank matrix signals local identification of the step-two
@@ -412,8 +398,7 @@ def information_matrix(dataset: PanelDataset, step1: Step1Result, alpha, *, inst
     arrays = _step2_arrays(dataset)
     q, _ = build_instruments(dataset, kind=instruments)
     n_pairs = q.shape[0]
-    if weight is None:
-        weight = np.linalg.pinv(q.T @ q / n_pairs)
+    weight = np.linalg.pinv(q.T @ q / n_pairs)
     g = q.T @ step2_residual_jacobian(np.asarray(alpha, dtype=float), step1.delta_lm, *arrays) / n_pairs
     info = g.T @ weight @ g
     svals = np.linalg.svd(info, compute_uv=False)
@@ -438,67 +423,48 @@ def omega_proxy(
 ):
     """Proxy for ``omega + beta_k*k + 0.5*beta_kk*k^2`` from a flexible-input FOC.
 
-    The materials version is
+    A flexible input's first-order condition equates its log expenditure
+    ``ln P + input`` to ``ln P^Y + ln theta + ln e + f + omega + capital
+    terms``, with ``e`` its output elasticity and ``f`` the flexible-input
+    part of log output (:func:`~prodsys.moments.flexible_output`).  Solving
+    for omega plus the capital terms,
 
-        m* = ln(P^M/P^Y) - ln(theta) - ln(beta_m - beta_0*x)
-             + (1 - beta_m)*m - beta_l*(phi + l) + 0.5*beta_0*x^2,
+        m* = ln(P/P^Y) - ln(theta) - ln(e) + input - f,
 
-    with ``x = m - phi - l``; the labor version uses the labor FOC and the
-    average takes the mean of the two.  Observations where a log argument
-    is nonpositive are flagged invalid and reported, not raised.
+    with ``(P, e, input)`` equal to ``(P^M, beta_m - beta_0*x, m)`` for
+    materials and ``(P^L, beta_l + beta_0*x, l)`` for labor, ``x = m - phi -
+    l``; ``average`` takes the mean over both.  Observations where an
+    elasticity is nonpositive are flagged invalid and reported, not raised.
 
     Returns ``(proxy, valid_mask, n_dropped)``.
     """
     x = dataset.m - phi - dataset.l
-    common = 0.5 * beta_0 * x**2 - beta_l * phi
-    valid = np.ones(dataset.n_obs, dtype=bool)
-
-    def materials():
-        arg = beta_m - beta_0 * x
-        ok = arg > 0
-        out = np.full(dataset.n_obs, np.nan)
-        out[ok] = (
-            dataset.ln_price_m[ok]
-            - np.log(theta)
-            - np.log(arg[ok])
-            + (1.0 - beta_m) * dataset.m[ok]
-            - beta_l * dataset.l[ok]
-            + common[ok]
-        )
-        return out, ok
-
-    def labor():
-        arg = beta_l + beta_0 * x
-        ok = arg > 0
-        out = np.full(dataset.n_obs, np.nan)
-        out[ok] = (
-            dataset.ln_price_l[ok]
-            - np.log(theta)
-            - np.log(arg[ok])
-            + (1.0 - beta_l) * dataset.l[ok]
-            - beta_m * dataset.m[ok]
-            + common[ok]
-        )
-        return out, ok
-
-    if which == "materials":
-        proxy, valid = materials()
-    elif which == "labor":
-        proxy, valid = labor()
-    elif which == "average":
-        pm, okm = materials()
-        pl, okl = labor()
-        valid = okm & okl
-        proxy = np.full(dataset.n_obs, np.nan)
-        proxy[valid] = 0.5 * (pm[valid] + pl[valid])
-    else:
+    materials = (dataset.ln_price_m, beta_m - beta_0 * x, dataset.m)
+    labor = (dataset.ln_price_l, beta_l + beta_0 * x, dataset.l)
+    focs = {"materials": (materials,), "labor": (labor,), "average": (materials, labor)}.get(which)
+    if focs is None:
         raise ValueError(f"unknown omega proxy {which!r}")
+    valid = np.ones(dataset.n_obs, dtype=bool)
+    for _, elasticity, _ in focs:
+        valid &= elasticity > 0
+    flex = flexible_output(beta_0, beta_l, beta_m, dataset.m[valid], dataset.l[valid], phi[valid])
+    proxy = np.full(dataset.n_obs, np.nan)
+    proxy[valid] = np.mean(
+        [ln_p[valid] - np.log(theta) - np.log(el[valid]) + inp[valid] - flex for ln_p, el, inp in focs], axis=0,
+    )
     return proxy, valid, int(np.sum(~valid))
 
 
-def _ystar(dataset: PanelDataset, beta_0: float, beta_l: float, beta_m: float, phi: np.ndarray) -> np.ndarray:
-    x = dataset.m - phi - dataset.l
-    return dataset.y - beta_m * dataset.m - beta_l * (phi + dataset.l) + 0.5 * beta_0 * x**2
+def _omega_law_data(dataset: PanelDataset, beta_0, beta_l, beta_m, theta, phi, proxy: str):
+    """Purged output and omega proxy at a step-two point, with the usable lag pairs.
+
+    Returns ``(ystar, mstar, keep, n_dropped)``: ``y*`` and ``m*`` on every
+    row, ``keep`` masking the lag pairs whose lagged proxy is valid, and the
+    count of invalid rows.
+    """
+    mstar, valid, n_dropped = omega_proxy(dataset, beta_0, beta_l, beta_m, theta, phi, which=proxy)
+    ystar = dataset.y - flexible_output(beta_0, beta_l, beta_m, dataset.m, dataset.l, phi)
+    return ystar, mstar, valid[dataset.lag_pairs().prev], n_dropped
 
 
 def _omega_law_nls(args, lin: int, n_params: int):
@@ -566,12 +532,10 @@ def step3_nls(
                + rho_1*(m*_{t-1} - beta_k*k_{t-1} - 0.5*beta_kk*k_{t-1}^2)
                + rho_2'X_{t-1} + error.
     """
-    mstar, valid, n_dropped = omega_proxy(
-        dataset, step2.beta_0, step2.beta_l, step2.beta_m, step1.theta, step2.phi_hat, which=proxy
+    ystar, mstar, keep, n_dropped = _omega_law_data(
+        dataset, step2.beta_0, step2.beta_l, step2.beta_m, step1.theta, step2.phi_hat, proxy
     )
-    ystar = _ystar(dataset, step2.beta_0, step2.beta_l, step2.beta_m, step2.phi_hat)
     pairs = dataset.lag_pairs()
-    keep = valid[pairs.prev]
     cur, prev = pairs.cur[keep], pairs.prev[keep]
     if cur.size < 4 + dataset.x.shape[1]:
         raise ValueError("too few usable lag pairs for step three")
@@ -677,8 +641,6 @@ def system_refine(
     form.  Starts are the sequential solution plus a coarse grid over the
     step-two block.
     """
-    if proxy not in ("materials", "labor", "average"):
-        raise ValueError(f"unknown omega proxy {proxy!r}")
     delta, theta = step1.delta_lm, step1.theta
     pairs = dataset.lag_pairs()
     cur, prev = pairs.cur, pairs.prev
@@ -691,42 +653,24 @@ def system_refine(
     pz, px = z_prev.shape[1], x_prev.shape[1]
 
     # on proxied phi the flexible FOCs give beta_m - beta_0*x = delta*(1 - s)
-    # and beta_l + beta_0*x = delta*s, so the log term of the lagged omega
-    # proxy is free of the candidate point and can be computed once
-    log_m = dataset.ln_price_m[prev] - np.log(theta) - np.log(delta * (1.0 - s_prev))
-    log_l = dataset.ln_price_l[prev] - np.log(theta) - np.log(delta * s_prev)
+    # and beta_l + beta_0*x = delta*s, so the lagged proxy is this
+    # candidate-free FOC term minus the flexible output (see omega_proxy);
+    # 0 < s < 1 and delta > 0 keep it finite
+    materials = dataset.ln_price_m[prev] - np.log(delta * (1.0 - s_prev)) + m_prev
+    labor = dataset.ln_price_l[prev] - np.log(delta * s_prev) + l_prev
+    focs = {"materials": materials, "labor": labor, "average": 0.5 * (materials + labor)}
+    if proxy not in focs:
+        raise ValueError(f"unknown omega proxy {proxy!r}")
+    foc_prev = focs[proxy] - np.log(theta)
 
     warnings: list[str] = []
-    needed = {"materials": (log_m,), "labor": (log_l,), "average": (log_m, log_l)}[proxy]
-    usable = np.ones(cur.size, dtype=bool)
-    for term in needed:
-        usable &= np.isfinite(term)
-    n_dropped = int(np.sum(~usable))
-    if n_dropped:
-        warnings.append(f"omega proxy invalid for {n_dropped} lag pairs (dropped from joint refinement)")
-        (ml_cur, ml_prev, s_cur, s_prev, m_cur, m_prev, l_cur, l_prev, y_cur,
-         cap_cur, cap_prev, log_m, log_l, z_prev, x_prev) = (
-            a[usable] for a in (ml_cur, ml_prev, s_cur, s_prev, m_cur, m_prev, l_cur, l_prev, y_cur,
-                                cap_cur, cap_prev, log_m, log_l, z_prev, x_prev))
-
     q, _ = build_instruments(dataset, kind=instruments)
     h, h_names = build_level_instruments(dataset)
-    q, h = q[usable], h[usable]
-    n = int(usable.sum())
+    n = cur.size
     if n <= max(q.shape[1], h.shape[1]):
         raise ValueError("not enough usable lag pairs for the joint refinement")
     half_q = _psd_sqrt(_gram_weight(q, "step-2 instrument", warnings))
     half_h = _psd_sqrt(_gram_weight(h, "output-level instrument", warnings))
-
-    def lag_proxy(b0, bl, bm, phi_p, x_p):
-        common = 0.5 * b0 * x_p**2 - bl * phi_p
-        pm = log_m + (1.0 - bm) * m_prev - bl * l_prev + common
-        if proxy == "materials":
-            return pm
-        pl = log_l + (1.0 - bl) * l_prev - bm * m_prev + common
-        if proxy == "labor":
-            return pl
-        return 0.5 * (pm + pl)
 
     scale_floor = 1e-8  # keeps noiseless panels from dividing by ~eps
 
@@ -739,8 +683,8 @@ def system_refine(
         phi_cur = phi_proxy(ml_cur, s_cur, b0, bl, delta)
         phi_prev = phi_proxy(ml_prev, s_prev, b0, bl, delta)
         eps = law_residual(phi_cur, PHI_LAW, phi_prev, z_prev, alpha[2:])
-        ystar = y_cur - bm * m_cur - bl * (phi_cur + l_cur) + 0.5 * b0 * (ml_cur - phi_cur) ** 2
-        mstar_prev = lag_proxy(b0, bl, bm, phi_prev, ml_prev - phi_prev)
+        ystar = y_cur - flexible_output(b0, bl, bm, m_cur, l_cur, phi_cur)
+        mstar_prev = foc_prev - flexible_output(b0, bl, bm, m_prev, l_prev, phi_prev)
         r = omega_residual(gamma, OMEGA_LAW, ystar, cap_cur, cap_prev, mstar_prev, x_prev)
         s_eps = max(float(np.std(eps)), scale_floor)
         s_r = max(float(np.std(r)), scale_floor)
@@ -790,16 +734,8 @@ def system_refine(
 
 def recover_productivity(dataset: PanelDataset, params: TranslogParams, phi_hat: np.ndarray, eta_hat: np.ndarray) -> np.ndarray:
     """Factor-neutral productivity implied by the technology and estimates."""
-    x = dataset.m - phi_hat - dataset.l
-    return (
-        dataset.y
-        - params.beta_k * dataset.k
-        - 0.5 * params.beta_kk * dataset.k**2
-        - params.beta_m * dataset.m
-        - params.beta_l * (phi_hat + dataset.l)
-        + 0.5 * params.beta_0 * x**2
-        - eta_hat
-    )
+    flex = flexible_output(params.beta_0, params.beta_l, params.beta_m, dataset.m, dataset.l, phi_hat)
+    return dataset.y - params.beta_k * dataset.k - 0.5 * params.beta_kk * dataset.k**2 - flex - eta_hat
 
 
 def _point_estimate(step1: Step1Result, step2, step3, system: SystemResult | None = None):
@@ -840,7 +776,6 @@ def estimate(dataset: PanelDataset, options: EstimateOptions | None = None) -> T
         dataset,
         step1,
         instruments=opts.instruments,
-        starts=opts.step2_starts,
         grad_tol=opts.grad_tol,
         max_iter=opts.max_iter,
     )

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import prodsys.diagnostics
+from prodsys.ces import CesParams
 from prodsys.diagnostics import aggregate_productivity, elasticities, monte_carlo_study
 from prodsys.panel import PanelDataset
-from prodsys.simulate import benchmark_config
+from prodsys.simulate import DgpConfig, benchmark_config
 from prodsys.translog import EstimateOptions, ProductivityLaws, TranslogParams
 
 
@@ -171,3 +172,13 @@ def test_truth_vector_follows_the_parameter_layout():
     )
     assert truth[5] == cfg.theta
     assert truth.tolist()[6:] == [0.9, 0.1, 0.2, 0.6, 0.2, 0.3]
+
+
+def test_monte_carlo_rejects_ces_data():
+    # the study would report the translog defaults as the truth of CES data
+    cfg = DgpConfig(
+        n=20, t_periods=4, technology="ces",
+        ces=CesParams(sigma=0.6, nu=0.9, beta_k=0.2, beta_m=0.5),
+    )
+    with pytest.raises(ValueError, match="translog"):
+        monte_carlo_study(cfg, 1)
