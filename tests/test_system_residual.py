@@ -1,0 +1,112 @@
+"""The joint system's stacked residual against the moment core on lag-pair arrays.
+
+``system_refine`` hands the optimizer a residual that stacks the whitened,
+std-normalised phi-law moments and omega-law moments.  Here that residual is
+captured from the optimizer call and compared with a direct evaluation on
+the lag-pair arrays through :func:`phi_innovation`, :func:`flexible_output`
+and :func:`omega_residual`.  The benchmark panels carry no controls, so the
+controlled panel below is the check of the lagged ``z`` and ``x`` columns.
+"""
+
+import numpy as np
+import pytest
+
+from prodsys import translog
+from prodsys.moments import LinearLaw, capital_terms, flexible_output, omega_residual, phi_innovation, phi_proxy
+from prodsys.optim import _psd_sqrt
+from prodsys.panel import PanelDataset
+from prodsys.simulate import benchmark_config, generate_panel
+
+PROXIES = ("materials", "labor", "average")
+
+
+class _Captured(Exception):
+    """Stops ``system_refine`` once its optimizer problem is in hand."""
+
+
+def _with_controls(ds, rng):
+    return PanelDataset(
+        firm_ids=ds.labels, years=ds.year, y=ds.y, k=ds.k, l=ds.l, m=ds.m, s_l=ds.s_l, ln_r=ds.ln_r,
+        x=rng.standard_normal((ds.n_obs, 2)), z=rng.standard_normal((ds.n_obs, 1)),
+        ln_price_l=ds.ln_price_l, ln_price_m=ds.ln_price_m,
+    )
+
+
+@pytest.fixture(scope="module", params=("plain", "controls"))
+def panel_steps(request):
+    cfg = benchmark_config(n=400, seed=201)
+    ds, _ = generate_panel(cfg, seed=201)
+    if request.param == "controls":
+        ds = _with_controls(ds, np.random.default_rng(5))
+    step1 = translog.step1_cost_share(ds)
+    step2 = translog.step2_gmm(ds, step1)
+    return ds, step1, step2
+
+
+def _captured_problem(monkeypatch, ds, step1, step2, step3, proxy):
+    seen = {}
+
+    def capture(problem, x0, *, starts=None, **_):
+        seen.update(problem=problem, starts=[np.asarray(x0, dtype=float)] + list(starts or []))
+        raise _Captured
+
+    monkeypatch.setattr(translog, "minimize_nls", capture)
+    with pytest.raises(_Captured):
+        translog.system_refine(ds, step1, step2, step3, proxy=proxy)
+    return seen["problem"], seen["starts"]
+
+
+def _pair_array_residual(ds, step1, proxy):
+    """The joint residual evaluated row by row on the lag pairs."""
+    delta, theta = step1.delta_lm, step1.theta
+    pairs = ds.lag_pairs()
+    cur, prev = pairs.cur, pairs.prev
+    n = cur.size
+    ml_cur, ml_prev = ds.m[cur] - ds.l[cur], ds.m[prev] - ds.l[prev]
+    s_cur, s_prev = ds.s_l[cur], ds.s_l[prev]
+    z_prev, x_prev = ds.z[prev], ds.x[prev]
+    cap_cur, cap_prev = capital_terms(ds.k[cur]), capital_terms(ds.k[prev])
+    materials = ds.ln_price_m[prev] - np.log(delta * (1.0 - s_prev)) + ds.m[prev]
+    labor = ds.ln_price_l[prev] - np.log(delta * s_prev) + ds.l[prev]
+    foc_prev = {"materials": materials, "labor": labor, "average": 0.5 * (materials + labor)}[proxy] - np.log(theta)
+    q, _ = translog.build_instruments(ds)
+    h, _ = translog.build_level_instruments(ds)
+    half_q = _psd_sqrt(np.linalg.inv(q.T @ q / n))
+    half_h = _psd_sqrt(np.linalg.inv(h.T @ h / n))
+    pz = z_prev.shape[1]
+    phi_law, omega_law = LinearLaw(intercept=False), LinearLaw(intercept=True)
+
+    def residual(lam):
+        alpha, gamma = lam[:3 + pz], lam[3 + pz:]
+        b0, bl = alpha[0], alpha[1]
+        bm = delta - bl
+        eps = phi_innovation(alpha, phi_law, delta, ml_cur, ml_prev, s_cur, s_prev, z_prev)
+        phi_cur = phi_proxy(ml_cur, s_cur, b0, bl, delta)
+        phi_prev = phi_proxy(ml_prev, s_prev, b0, bl, delta)
+        ystar = ds.y[cur] - flexible_output(b0, bl, bm, ds.m[cur], ds.l[cur], phi_cur)
+        mstar_prev = foc_prev - flexible_output(b0, bl, bm, ds.m[prev], ds.l[prev], phi_prev)
+        r = omega_residual(gamma, omega_law, ystar, cap_cur, cap_prev, mstar_prev, x_prev)
+        s_eps = max(float(np.std(eps)), 1e-8)
+        s_r = max(float(np.std(r)), 1e-8)
+        return np.concatenate([half_q @ (q.T @ eps) / (n * s_eps), half_h @ (h.T @ r) / (n * s_r)])
+
+    return residual
+
+
+@pytest.mark.parametrize("proxy", PROXIES)
+def test_system_residual_matches_pair_array_residual(monkeypatch, panel_steps, proxy):
+    ds, step1, step2 = panel_steps
+    step3 = translog.step3_nls(ds, step1, step2, proxy=proxy)
+    problem, starts = _captured_problem(monkeypatch, ds, step1, step2, step3, proxy)
+    reference = _pair_array_residual(ds, step1, proxy)
+    lo, hi = problem.bounds
+    rng = np.random.default_rng(17)
+    seq = starts[0]
+    points = list(starts) + [
+        np.clip(seq + 0.05 * np.maximum(np.abs(seq), 0.1) * rng.standard_normal(seq.size), lo + 1e-9, hi - 1e-9)
+        for _ in range(20)
+    ]
+    for lam in points:
+        got, want = problem.residual(lam), reference(lam)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-8 * np.maximum(1.0, np.abs(want))), np.max(np.abs(got - want))
