@@ -253,19 +253,15 @@ def bootstrap_replicate(
     # third step: resampled y* against the omega proxy rebuilt from the
     # observed inputs at the replicate's second-step parameters
     phi_b = phi_proxy(dataset.m - dataset.l, dataset.s_l, step2_b.beta_0, step2_b.beta_l, step1_b.delta_lm)
-    mstar_b, valid_b, _ = omega_proxy(
+    mstar_b, _, n_dropped = omega_proxy(
         dataset, step2_b.beta_0, step2_b.beta_l, step2_b.beta_m, step1_b.theta, phi_b,
         which=opts.proxy,
     )
-    keep = valid_b[prev]
-    if np.sum(keep) < 4 + dataset.x.shape[1]:
-        raise ValueError("too few valid pairs in replicate third step")
     core = step3_core(
-        ystar_b[keep], dataset.k[cur[keep]], dataset.k[prev[keep]],
-        mstar_b[prev[keep]], dataset.x[prev[keep]],
+        ystar_b, dataset.k[cur], dataset.k[prev], mstar_b[prev], dataset.x[prev],
         grad_tol=opts.grad_tol, max_iter=opts.max_iter,
     )
-    step3_b = _step3_result(core, proxy=opts.proxy, n_pairs=int(np.sum(keep)), n_dropped=int(np.sum(~keep)))
+    step3_b = _step3_result(core, proxy=opts.proxy, n_pairs=int(cur.size), n_dropped=n_dropped)
 
     sys_b = None
     if opts.refine == "system":

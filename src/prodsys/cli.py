@@ -284,15 +284,15 @@ def cmd_estimate(args, config: dict) -> int:
     law = _resolve(args.law, section.get("law"), "parametric")
     if law not in ("parametric", "sieve"):
         raise ConfigError(f"estimate.law: must be parametric or sieve, got {law!r}")
-    dataset = _load_panel(section, "estimate", args.data)
     opts_section = {k: section[k] for k in ("proxy", "instruments", "refine", "grad_tol", "max_iter") if k in section}
     options = _estimator_options(opts_section, "estimate", args)
+    degree = _resolve(args.degree, section.get("degree"), "auto")
+    if law == "sieve" and degree != "auto":
+        degree = _positive_int(degree, "estimate.degree")
+    dataset = _load_panel(section, "estimate", args.data)
     out = _out_dir(args, config)
 
     if law == "sieve":
-        degree = _resolve(args.degree, section.get("degree"), "auto")
-        if degree != "auto":
-            degree = _positive_int(degree, "estimate.degree")
         result = _run_on_panel(
             sieve_estimate, dataset, degree=degree, proxy=options.proxy, instruments=options.instruments,
             grad_tol=options.grad_tol, max_iter=options.max_iter,
@@ -383,7 +383,6 @@ def cmd_bootstrap(args, config: dict) -> int:
          "proxy", "instruments", "refine", "grad_tol", "max_iter"),
         "bootstrap",
     )
-    dataset = _load_panel(section, "bootstrap", args.data)
     opts_section = {k: section[k] for k in ("proxy", "instruments", "refine", "grad_tol", "max_iter") if k in section}
     options = _estimator_options(opts_section, "bootstrap", args)
     seed = int(_resolve(args.seed, config.get("seed"), 0))
@@ -398,6 +397,7 @@ def cmd_bootstrap(args, config: dict) -> int:
         boot_config.validate()
     except ValueError as exc:
         raise ConfigError(f"bootstrap: {exc}") from exc
+    dataset = _load_panel(section, "bootstrap", args.data)
     out = _out_dir(args, config)
 
     point = _run_on_panel(estimate, dataset, options)

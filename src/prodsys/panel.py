@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import math
 import os
 from typing import Mapping, Sequence
 
@@ -350,7 +351,7 @@ def load_csv(
                     report.drop(f"missing_{colname}")
                     ok = False
                     break
-                if not np.isfinite(v) or v <= 0.0:
+                if not math.isfinite(v) or v <= 0.0:
                     report.drop(f"nonpositive_{colname}")
                     ok = False
                     break
@@ -365,7 +366,7 @@ def load_csv(
                     report.drop(f"missing_{colname}")
                     ok = False
                     break
-            if not ok or not all(np.isfinite(v) for v in ctrl.values()):
+            if not ok or not all(math.isfinite(v) for v in ctrl.values()):
                 if ok:
                     report.drop("nonfinite_control")
                 continue

@@ -435,18 +435,16 @@ def sieve_step3_nls(
                 beta_k=par.beta_k, beta_kk=par.beta_kk,
             )
         phi_ref = phi_proxy(dataset.m - dataset.l, dataset.s_l, ref.beta_0, ref.beta_l, step1.delta_lm)
-        mstar_ref, valid_ref, _ = omega_proxy(
+        mstar_ref, _, _ = omega_proxy(
             dataset, ref.beta_0, ref.beta_l, ref.beta_m, step1.theta, phi_ref, which=proxy
         )
         omega_ref = mstar_ref - ref.beta_k * dataset.k - ref.beta_kk * 0.5 * dataset.k**2
-        both = valid_ref[pairs.cur] & valid_ref[pairs.prev]
         inputs_ref = np.column_stack([omega_ref[pairs.prev], dataset.x[pairs.prev]])
         if degree == "auto":
             degree, gcv_table, gcv_warnings = gcv_select_degree(
-                omega_ref[pairs.cur[both]], inputs_ref[both], degrees, intercept=True
+                omega_ref[pairs.cur], inputs_ref, degrees, intercept=True
             )
             warnings += gcv_warnings
-        inputs_ref = inputs_ref[valid_ref[pairs.prev]]
     degree = int(degree)
 
     if degree == 1:

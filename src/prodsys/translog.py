@@ -28,7 +28,9 @@ The phi-law innovation and the omega-law residual, with their Jacobians,
 and the flexible-input part of log output are defined once in
 :mod:`prodsys.moments`.  Every step here evaluates the laws under the
 linear ``PHI_LAW`` and ``OMEGA_LAW``, and every purged output ``y*`` and
-omega proxy ``m*`` subtracts :func:`~prodsys.moments.flexible_output`.
+omega proxy ``m*`` subtracts :func:`~prodsys.moments.flexible_output`.  The
+joint refinement evaluates the same two residuals in closed form on
+proxied phi, from cross-products of the data formed once per call.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .moments import (
     LinearLaw,
     capital_terms,
     flexible_output,
-    law_residual,
     omega_residual,
     omega_residual_jacobian,
     phi_innovation,
@@ -604,6 +605,59 @@ def build_level_instruments(dataset: PanelDataset):
     return np.column_stack(cols), tuple(names)
 
 
+def _system_cross_products(dataset: PanelDataset, step1: Step1Result, *, proxy: str, instruments: str, warnings):
+    """Candidate-free cross-products of the joint system's two residuals.
+
+    On proxied phi the phi-law innovation is ``eps = E a`` and the omega-law
+    residual is ``r = R c``, with data columns
+
+        E = [ml_cur, ml_prev, 1, s_cur, s_prev, z_prev],
+        R = [y_cur - delta*m_cur, 1, s_cur^2, k_cur, k_cur^2/2,
+             foc_prev - delta*m_prev, s_prev^2, k_prev, k_prev^2/2, x_prev]
+
+    and coefficients ``a`` and ``c`` that depend only on the candidate (see
+    :func:`system_refine`).  Returns ``(P_E, P_R, G_E, G_R, n, h_names)``:
+    the whitened projections ``half_q Q'E / n`` and ``half_h H'R / n``, the
+    centered Gram matrices ``E_c'E_c / n`` and ``R_c'R_c / n``, the number
+    of lag pairs and the level-instrument names.  No lag-pair array outlives
+    the call.
+    """
+    delta = step1.delta_lm
+    pairs = dataset.lag_pairs()
+    cur, prev = pairs.cur, pairs.prev
+    n = cur.size
+    s_cur, s_prev = dataset.s_l[cur], dataset.s_l[prev]
+    m_cur, m_prev = dataset.m[cur], dataset.m[prev]
+    k_cur, k_prev = dataset.k[cur], dataset.k[prev]
+
+    # on proxied phi the flexible FOCs give beta_m - beta_0*x = delta*(1 - s)
+    # and beta_l + beta_0*x = delta*s, so the lagged proxy is this
+    # candidate-free FOC term minus the flexible output (see omega_proxy);
+    # 0 < s < 1 and delta > 0 keep it finite
+    materials = dataset.ln_price_m[prev] - np.log(delta * (1.0 - s_prev)) + m_prev
+    labor = dataset.ln_price_l[prev] - np.log(delta * s_prev) + dataset.l[prev]
+    focs = {"materials": materials, "labor": labor, "average": 0.5 * (materials + labor)}
+    if proxy not in focs:
+        raise ValueError(f"unknown omega proxy {proxy!r}")
+    foc_prev = focs[proxy] - np.log(step1.theta)
+
+    ones = np.ones(n)
+    e = np.column_stack([m_cur - dataset.l[cur], m_prev - dataset.l[prev], ones, s_cur, s_prev, *dataset.z[prev].T])
+    r = np.column_stack([
+        dataset.y[cur] - delta * m_cur, ones, s_cur**2, k_cur, 0.5 * k_cur**2,
+        foc_prev - delta * m_prev, s_prev**2, k_prev, 0.5 * k_prev**2, *dataset.x[prev].T,
+    ])
+    q, _ = build_instruments(dataset, kind=instruments)
+    h, h_names = build_level_instruments(dataset)
+    if n <= max(q.shape[1], h.shape[1]):
+        raise ValueError("not enough usable lag pairs for the joint refinement")
+    proj_e = _psd_sqrt(_gram_weight(q, "step-2 instrument", warnings)) @ (q.T @ e) / n
+    proj_r = _psd_sqrt(_gram_weight(h, "output-level instrument", warnings)) @ (h.T @ r) / n
+    e -= e.mean(axis=0)
+    r -= r.mean(axis=0)
+    return proj_e, proj_r, e.T @ e / n, r.T @ r / n, n, h_names
+
+
 def system_refine(
     dataset: PanelDataset,
     step1: Step1Result,
@@ -640,55 +694,48 @@ def system_refine(
     by pure rescaling.  Step-one quantities stay frozen at their closed
     form.  Starts are the sequential solution plus a coarse grid over the
     step-two block.
+
+    Both stacked residuals are fixed data columns times coefficients that
+    depend only on the candidate.  On proxied phi, ``x = m - phi - l =
+    (delta*s - beta_l)/beta_0``, so the flexible-input term is ``delta*m +
+    (beta_l^2 - delta^2*s^2)/(2*beta_0)`` and
+
+        eps = E a,  a = [1, -rho_phi_1, (beta_l/beta_0)(1 - rho_phi_1),
+                         -delta/beta_0, rho_phi_1*delta/beta_0, -rho_phi_2],
+        r = R c,    c = [1, -(beta_l^2/(2*beta_0))(1 - rho_omega_1) - rho_omega_0,
+                         delta^2/(2*beta_0), -beta_k, -beta_kk, -rho_omega_1,
+                         -rho_omega_1*delta^2/(2*beta_0), rho_omega_1*beta_k,
+                         rho_omega_1*beta_kk, -rho_omega_2]
+
+    with ``E`` and ``R`` the columns of :func:`_system_cross_products`.  The
+    projections ``Q'E``, ``H'R`` and the centered Gram matrices of ``E`` and
+    ``R`` are formed once per call; each residual evaluation, and so each
+    of the finite-difference Jacobian's, is then a few products of size at
+    most about 20, and its cost no longer grows with the number of lag
+    pairs.  The standard deviation of ``eps`` is ``sqrt(a' G_E a)``.
     """
-    delta, theta = step1.delta_lm, step1.theta
-    pairs = dataset.lag_pairs()
-    cur, prev = pairs.cur, pairs.prev
-    ml_cur, ml_prev, s_cur, s_prev, z_prev = _step2_arrays(dataset)
-    m_cur, m_prev = dataset.m[cur], dataset.m[prev]
-    l_cur, l_prev = dataset.l[cur], dataset.l[prev]
-    y_cur = dataset.y[cur]
-    cap_cur, cap_prev = capital_terms(dataset.k[cur]), capital_terms(dataset.k[prev])
-    x_prev = dataset.x[prev]
-    pz, px = z_prev.shape[1], x_prev.shape[1]
-
-    # on proxied phi the flexible FOCs give beta_m - beta_0*x = delta*(1 - s)
-    # and beta_l + beta_0*x = delta*s, so the lagged proxy is this
-    # candidate-free FOC term minus the flexible output (see omega_proxy);
-    # 0 < s < 1 and delta > 0 keep it finite
-    materials = dataset.ln_price_m[prev] - np.log(delta * (1.0 - s_prev)) + m_prev
-    labor = dataset.ln_price_l[prev] - np.log(delta * s_prev) + l_prev
-    focs = {"materials": materials, "labor": labor, "average": 0.5 * (materials + labor)}
-    if proxy not in focs:
-        raise ValueError(f"unknown omega proxy {proxy!r}")
-    foc_prev = focs[proxy] - np.log(theta)
-
+    delta = step1.delta_lm
+    pz, px = dataset.z.shape[1], dataset.x.shape[1]
     warnings: list[str] = []
-    q, _ = build_instruments(dataset, kind=instruments)
-    h, h_names = build_level_instruments(dataset)
-    n = cur.size
-    if n <= max(q.shape[1], h.shape[1]):
-        raise ValueError("not enough usable lag pairs for the joint refinement")
-    half_q = _psd_sqrt(_gram_weight(q, "step-2 instrument", warnings))
-    half_h = _psd_sqrt(_gram_weight(h, "output-level instrument", warnings))
-
+    proj_e, proj_r, gram_e, gram_r, n, h_names = _system_cross_products(
+        dataset, step1, proxy=proxy, instruments=instruments, warnings=warnings
+    )
     scale_floor = 1e-8  # keeps noiseless panels from dividing by ~eps
 
     def residual(lam):
         # lam stacks the phi block (beta_0, beta_l, rho_phi) and the omega
         # block (beta_k, beta_kk, rho_omega) of the moment core
-        alpha, gamma = lam[:3 + pz], lam[3 + pz:]
-        b0, bl = alpha[0], alpha[1]
-        bm = delta - bl
-        phi_cur = phi_proxy(ml_cur, s_cur, b0, bl, delta)
-        phi_prev = phi_proxy(ml_prev, s_prev, b0, bl, delta)
-        eps = law_residual(phi_cur, PHI_LAW, phi_prev, z_prev, alpha[2:])
-        ystar = y_cur - flexible_output(b0, bl, bm, m_cur, l_cur, phi_cur)
-        mstar_prev = foc_prev - flexible_output(b0, bl, bm, m_prev, l_prev, phi_prev)
-        r = omega_residual(gamma, OMEGA_LAW, ystar, cap_cur, cap_prev, mstar_prev, x_prev)
-        s_eps = max(float(np.std(eps)), scale_floor)
-        s_r = max(float(np.std(r)), scale_floor)
-        return np.concatenate([half_q @ (q.T @ eps) / (n * s_eps), half_h @ (h.T @ r) / (n * s_r)])
+        b0, bl, r1, r2 = lam[0], lam[1], lam[2], lam[3:3 + pz]
+        bk, bkk, g0, g1, g2 = lam[3 + pz], lam[4 + pz], lam[5 + pz], lam[6 + pz], lam[7 + pz:]
+        curv = delta**2 / (2.0 * b0)
+        a = np.concatenate(([1.0, -r1, bl / b0 * (1.0 - r1), -delta / b0, r1 * delta / b0], -r2))
+        c = np.concatenate((
+            [1.0, -bl**2 / (2.0 * b0) * (1.0 - g1) - g0, curv, -bk, -bkk, -g1, -g1 * curv, g1 * bk, g1 * bkk], -g2,
+        ))
+        # np.std of eps = E a is sqrt(a' G a) with G the centered Gram matrix
+        s_eps = max(float(np.sqrt(max(a @ gram_e @ a, 0.0))), scale_floor)
+        s_r = max(float(np.sqrt(max(c @ gram_r @ c, 0.0))), scale_floor)
+        return np.concatenate([proj_e @ a / s_eps, proj_r @ c / s_r])
 
     lo = np.concatenate(([-10.0, 1e-10, -0.999999], np.full(pz, -50.0),
                          [-5.0, -5.0, -50.0, -0.999999], np.full(px, -50.0)))

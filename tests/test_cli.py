@@ -57,6 +57,20 @@ def test_bad_estimator_setting_is_a_config_error(tmp_path, small_panel, capsys, 
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(("command", "settings", "named"), [
+    ("estimate", "instruments: bogus", "instruments"),
+    ("estimate", "law: sieve\n  degree: 0", "degree"),
+    ("bootstrap", "instruments: bogus", "instruments"),
+    ("bootstrap", "n_reps: 0", "n_reps"),
+], ids=["estimate-instruments", "estimate-degree", "bootstrap-instruments", "bootstrap-n_reps"])
+def test_settings_are_checked_before_the_data(tmp_path, capsys, command, settings, named):
+    # no data key: the bad setting is reported, not the missing CSV
+    config = write_config(tmp_path, f"{command}:\n  {settings}\n")
+    assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "no input CSV" not in err
+
+
 @pytest.mark.parametrize("command", [["estimate"], ["estimate", "--law", "sieve"], ["bootstrap", "--B", "1"]])
 def test_unusable_panel_is_a_data_error(tmp_path, capsys, command):
     # three firms over two years leave fewer lag pairs than instruments
