@@ -605,7 +605,9 @@ def build_level_instruments(dataset: PanelDataset):
     return np.column_stack(cols), tuple(names)
 
 
-def _system_cross_products(dataset: PanelDataset, step1: Step1Result, *, proxy: str, instruments: str, warnings):
+def _system_cross_products(
+    dataset: PanelDataset, step1: Step1Result, *, proxy: str, instruments: str, warnings: list[str]
+):
     """Candidate-free cross-products of the joint system's two residuals.
 
     On proxied phi the phi-law innovation is ``eps = E a`` and the omega-law
@@ -712,7 +714,7 @@ def system_refine(
     ``R`` are formed once per call; each residual evaluation, and so each
     of the finite-difference Jacobian's, is then a few products of size at
     most about 20, and its cost no longer grows with the number of lag
-    pairs.  The standard deviation of ``eps`` is ``sqrt(a' G_E a)``.
+    pairs.
     """
     delta = step1.delta_lm
     pz, px = dataset.z.shape[1], dataset.x.shape[1]
@@ -725,8 +727,8 @@ def system_refine(
     def residual(lam):
         # lam stacks the phi block (beta_0, beta_l, rho_phi) and the omega
         # block (beta_k, beta_kk, rho_omega) of the moment core
-        b0, bl, r1, r2 = lam[0], lam[1], lam[2], lam[3:3 + pz]
-        bk, bkk, g0, g1, g2 = lam[3 + pz], lam[4 + pz], lam[5 + pz], lam[6 + pz], lam[7 + pz:]
+        b0, bl, r1, r2 = *lam[:3], lam[3:3 + pz]
+        bk, bkk, g0, g1, g2 = *lam[3 + pz:7 + pz], lam[7 + pz:]
         curv = delta**2 / (2.0 * b0)
         a = np.concatenate(([1.0, -r1, bl / b0 * (1.0 - r1), -delta / b0, r1 * delta / b0], -r2))
         c = np.concatenate((
