@@ -79,6 +79,8 @@ class BootstrapConfig:
         for level in self.levels:
             if not 0.0 < level < 1.0:
                 raise ValueError(f"interval level {level} outside (0, 1)")
+        if self.weight_override is not None and not np.isfinite(self.weight_override):
+            raise ValueError(f"weight_override must be finite, got {self.weight_override}")
 
 
 @dataclasses.dataclass
@@ -100,16 +102,15 @@ class BootstrapResult:
 class ResidualSet:
     """Recentered step residuals at the reported point estimates.
 
-    ``zeta_phi`` lives on lag-pair rows; ``resid_omega`` on the subset of
-    pairs whose lagged omega proxy is valid (``omega_pair_mask``).
-    ``mstar`` is the flexible-input-based omega proxy on the observed
-    data, reused by every replicate when rebuilding the purged output.
+    ``eta`` lives on every row, ``zeta_phi`` and ``resid_omega`` on the lag
+    pairs.  ``mstar`` is the omega proxy on the observed data at the
+    reported point (:func:`~prodsys.translog.omega_proxy`, finite on every
+    row), reused by every replicate when rebuilding the purged output.
     """
 
     eta: np.ndarray
     zeta_phi: np.ndarray
     resid_omega: np.ndarray
-    omega_pair_mask: np.ndarray
     mstar: np.ndarray
 
 
@@ -145,16 +146,16 @@ def compute_residuals(dataset: PanelDataset, estimate: TranslogEstimate) -> Resi
     zeta = step2_residual(alpha, estimate.step1.delta_lm, *_step2_arrays(dataset))
     zeta = zeta - np.mean(zeta)
 
-    ystar, mstar, mask, _ = _omega_law_data(
-        dataset, params.beta_0, params.beta_l, params.beta_m, params.theta, estimate.phi_hat, estimate.step3.proxy,
+    ystar, mstar = _omega_law_data(
+        dataset, params.beta_0, params.beta_l, estimate.step1.delta_lm, params.theta, estimate.step3.proxy,
     )
-    cur, prev = pairs.cur[mask], pairs.prev[mask]
+    cur, prev = pairs.cur, pairs.prev
     resid = omega_residual(
         _omega_block(params, laws), OMEGA_LAW,
         ystar[cur], capital_terms(dataset.k[cur]), capital_terms(dataset.k[prev]), mstar[prev], dataset.x[prev],
     )
     resid = resid - np.mean(resid)
-    return ResidualSet(eta=eta, zeta_phi=zeta, resid_omega=resid, omega_pair_mask=mask, mstar=mstar)
+    return ResidualSet(eta=eta, zeta_phi=zeta, resid_omega=resid, mstar=mstar)
 
 
 def synthetic_outcomes(dataset: PanelDataset, estimate: TranslogEstimate, residuals: ResidualSet, weights):
@@ -164,10 +165,11 @@ def synthetic_outcomes(dataset: PanelDataset, estimate: TranslogEstimate, residu
     rows), the flexible-input gap rebuilt through the phi-law recursion
     (all rows; non-pair rows keep their observed values, which also
     restarts the recursion after panel gaps), and the purged output on
-    the pair rows selected by ``residuals.omega_pair_mask``.
+    the lag pairs, in pair order.
     """
     params, laws = estimate.params, estimate.laws
     pairs = dataset.lag_pairs()
+    cur, prev = pairs.cur, pairs.prev
     w_obs = np.asarray(weights, dtype=float)[dataset.firm]
 
     lnr_b = estimate.step1.ln_theta_delta - w_obs * residuals.eta
@@ -175,21 +177,19 @@ def synthetic_outcomes(dataset: PanelDataset, estimate: TranslogEstimate, residu
     delta = params.beta_l + params.beta_m
     ratio = params.beta_l / params.beta_0
     slope = delta / params.beta_0
-    z_term = dataset.z[pairs.prev] @ laws.rho_phi_2
-    shock = w_obs[pairs.cur] * residuals.zeta_phi
+    z_term = dataset.z[prev] @ laws.rho_phi_2
+    shock = w_obs[cur] * residuals.zeta_phi
     ml_b = (dataset.m - dataset.l).copy()
     s = dataset.s_l
     # pairs are ordered by (firm, year), so each firm's run chains left to right
     for i in range(len(pairs)):
-        c, p = pairs.cur[i], pairs.prev[i]
+        c, p = cur[i], prev[i]
         ml_b[c] = (
             -ratio + slope * s[c]
             + laws.rho_phi_1 * (ml_b[p] + ratio - slope * s[p])
             + z_term[i] + shock[i]
         )
 
-    mask = residuals.omega_pair_mask
-    cur, prev = pairs.cur[mask], pairs.prev[mask]
     # the omega-law residual of a zero target is minus the fitted law
     fitted = -omega_residual(
         _omega_block(params, laws), OMEGA_LAW,
@@ -230,10 +230,8 @@ def bootstrap_replicate(
     opts = _replicate_options(estimate, options)
     params = estimate.params
     pairs = dataset.lag_pairs()
+    cur, prev = pairs.cur, pairs.prev
     lnr_b, ml_b, ystar_b = synthetic_outcomes(dataset, estimate, residuals, weights)
-
-    mask = residuals.omega_pair_mask
-    cur, prev = pairs.cur[mask], pairs.prev[mask]
     m_b = dataset.l + ml_b
     delta = params.beta_l + params.beta_m
     phi_rep = phi_proxy(ml_b[cur], dataset.s_l[cur], params.beta_0, params.beta_l, delta)
@@ -252,16 +250,14 @@ def bootstrap_replicate(
 
     # third step: resampled y* against the omega proxy rebuilt from the
     # observed inputs at the replicate's second-step parameters
-    phi_b = phi_proxy(dataset.m - dataset.l, dataset.s_l, step2_b.beta_0, step2_b.beta_l, step1_b.delta_lm)
-    mstar_b, _, n_dropped = omega_proxy(
-        dataset, step2_b.beta_0, step2_b.beta_l, step2_b.beta_m, step1_b.theta, phi_b,
-        which=opts.proxy,
+    mstar_b = omega_proxy(
+        dataset, step2_b.beta_0, step2_b.beta_l, step1_b.delta_lm, step1_b.theta, which=opts.proxy,
     )
     core = step3_core(
         ystar_b, dataset.k[cur], dataset.k[prev], mstar_b[prev], dataset.x[prev],
         grad_tol=opts.grad_tol, max_iter=opts.max_iter,
     )
-    step3_b = _step3_result(core, proxy=opts.proxy, n_pairs=int(cur.size), n_dropped=n_dropped)
+    step3_b = _step3_result(core, proxy=opts.proxy, n_pairs=int(cur.size))
 
     sys_b = None
     if opts.refine == "system":

@@ -102,6 +102,22 @@ def _out_dir(args, config) -> str:
     return out
 
 
+def _number(value, path: str) -> float:
+    try:
+        value = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: expected a number, got {value!r}") from exc
+    if not np.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return value
+
+
+def _numbers(values, path: str) -> tuple:
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{path}: expected a list of numbers, got {values!r}")
+    return tuple(_number(v, path) for v in values)
+
+
 def _positive_int(value, path: str) -> int:
     try:
         value = int(value)
@@ -170,12 +186,8 @@ def _estimator_options(section: dict, path: str, args=None) -> EstimateOptions:
     instruments = section.get("instruments", "default")
     if instruments not in ("default", "exactly_identified"):
         raise ConfigError(f"{path}.instruments: must be default or exactly_identified, got {instruments!r}")
-    grad_tol = section.get("grad_tol", 1e-8)
-    try:
-        grad_tol = float(grad_tol)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}.grad_tol: expected a number, got {grad_tol!r}") from exc
-    if not 0.0 < grad_tol < np.inf:
+    grad_tol = _number(section.get("grad_tol", 1e-8), f"{path}.grad_tol")
+    if not grad_tol > 0.0:
         raise ConfigError(f"{path}.grad_tol: must be a positive number, got {grad_tol!r}")
     return EstimateOptions(
         proxy=proxy,
@@ -387,11 +399,11 @@ def cmd_bootstrap(args, config: dict) -> int:
     options = _estimator_options(opts_section, "bootstrap", args)
     seed = int(_resolve(args.seed, config.get("seed"), 0))
     n_reps = _positive_int(_resolve(args.B, section.get("n_reps"), 200), "bootstrap.n_reps")
-    levels = tuple(float(v) for v in section.get("levels", (0.90, 0.95, 0.99)))
+    levels = _numbers(section.get("levels", (0.90, 0.95, 0.99)), "bootstrap.levels")
     override = section.get("weight_override")
     boot_config = BootstrapConfig(
         n_reps=n_reps, seed=seed, levels=levels,
-        weight_override=None if override is None else float(override),
+        weight_override=None if override is None else _number(override, "bootstrap.weight_override"),
     )
     try:
         boot_config.validate()
@@ -459,10 +471,13 @@ def _parse_grid_flag(text: str) -> dict:
 
 
 def _grid_from_section(section_grid: dict) -> dict:
+    _check_keys(section_grid, GRID_AXES, "partialid.grid")
     grid = {}
     for name, spec in section_grid.items():
         _check_keys(spec, ("min", "max", "count"), f"partialid.grid.{name}")
-        grid[name] = np.linspace(float(spec["min"]), float(spec["max"]), _positive_int(spec.get("count", 11), "count"))
+        path = f"partialid.grid.{name}"
+        lo, hi = _number(spec.get("min"), f"{path}.min"), _number(spec.get("max"), f"{path}.max")
+        grid[name] = np.linspace(lo, hi, _positive_int(spec.get("count", 11), f"{path}.count"))
     return grid
 
 
@@ -474,27 +489,28 @@ def cmd_partialid(args, config: dict) -> int:
          "propensity_degree", "grid"),
         "partialid",
     )
-    dataset = _load_panel(section, "partialid", args.data)
     if args.cutoffs is not None:
         cutoffs = _parse_cutoffs(args.cutoffs)
     else:
-        cutoffs = tuple(float(v) for v in section.get("cutoffs", (0.25, 0.5, 0.75)))
+        cutoffs = _numbers(section.get("cutoffs", (0.25, 0.5, 0.75)), "partialid.cutoffs")
     grid = None
     if args.grid is not None:
         grid = _parse_grid_flag(args.grid)
     elif section.get("grid") is not None:
         grid = _grid_from_section(section["grid"])
+    slack = _resolve(args.slack, section.get("slack"), None)
     mi_config = MomentInequalityConfig(
         cutoffs=tuple(cutoffs),
         grid=grid,
-        slack=_resolve(args.slack, section.get("slack"), None),
-        slack_scale=float(section.get("slack_scale", 1.0)),
-        propensity_degree=int(section.get("propensity_degree", 1)),
+        slack=None if slack is None else _number(slack, "partialid.slack"),
+        slack_scale=_number(section.get("slack_scale", 1.0), "partialid.slack_scale"),
+        propensity_degree=_positive_int(section.get("propensity_degree", 1), "partialid.propensity_degree"),
     )
     try:
         mi_config.validate()
     except ValueError as exc:
         raise ConfigError(f"partialid: {exc}") from exc
+    dataset = _load_panel(section, "partialid", args.data)
     out = _out_dir(args, config)
     result = _run_on_panel(identified_set, dataset, mi_config)
 

@@ -4,8 +4,9 @@ The parametric estimator assumes linear laws for ``phi`` and ``omega``.
 Here the conditional means are approximated by polynomial series in
 (lagged productivity, controls), with the approximation degree chosen by
 generalized cross-validation.  Degree one is the linear law, so those
-paths run the parametric routines and the two estimators coincide
-exactly.
+paths run the parametric steps: degree one equals the sequential
+``estimate(refine="none")``, not the jointly refined ``estimate()``
+(ROADMAP item 4(b)).
 
 Degree selection needs a trustworthy point at which to evaluate the
 proxied regressors: the sequential step-two solution can sit in the
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import types
 
 import numpy as np
 
@@ -251,7 +251,6 @@ class SieveStep3Result:
     converged: bool
     proxy: str
     n_pairs: int
-    n_dropped: int
     warnings: list[str] = dataclasses.field(default_factory=list)
 
     def linear_law(self) -> tuple[float, float, np.ndarray]:
@@ -407,42 +406,35 @@ def sieve_step3_nls(
 ) -> SieveStep3Result:
     """Series version of the third step.
 
-    ``step2`` is any result carrying ``(beta_0, beta_l, beta_m,
-    phi_hat)``.  The law ``r_omega(omega_lag, X_lag)`` is a polynomial
-    with intercept.  Degree one runs the parametric step and repackages
-    it.  For higher degrees and ``degree="auto"``, the omega series used
-    for degree selection and input scaling is formed at ``reference``
-    (any object with the five production coefficients, e.g. the joint
-    refinement); omitted, the parametric step 3 at the ``step2`` point
-    fills that role.
+    ``step2`` is any result carrying ``beta_0`` and ``beta_l``: phi, the
+    purged output and the omega proxy are all formed on phi proxied at that
+    point with ``step1.delta_lm``.  The law ``r_omega(omega_lag, X_lag)`` is
+    a polynomial with intercept.  Degree one runs the parametric step and
+    repackages it.  For higher degrees and ``degree="auto"``, the omega
+    series used for degree selection and input scaling is formed at
+    ``reference`` (any object with ``beta_0``, ``beta_l``, ``beta_k`` and
+    ``beta_kk``, e.g. the joint refinement); omitted, the parametric step 3
+    at the ``step2`` point fills that role.
     """
-    ystar, mstar, keep, n_dropped = _omega_law_data(
-        dataset, step2.beta_0, step2.beta_l, step2.beta_m, step1.theta, step2.phi_hat, proxy
-    )
+    ystar, mstar = _omega_law_data(dataset, step2.beta_0, step2.beta_l, step1.delta_lm, step1.theta, proxy)
     pairs = dataset.lag_pairs()
-    cur, prev = pairs.cur[keep], pairs.prev[keep]
+    cur, prev = pairs.cur, pairs.prev
     dim = 1 + dataset.x.shape[1]
 
     warnings: list[str] = []
     gcv_table = None
     inputs_ref = None
     if degree == "auto" or int(degree) > 1:
-        ref = reference
-        if ref is None:
-            par = step3_nls(dataset, step1, step2, proxy=proxy, grad_tol=grad_tol, max_iter=max_iter)
-            ref = types.SimpleNamespace(
-                beta_0=step2.beta_0, beta_l=step2.beta_l, beta_m=step2.beta_m,
-                beta_k=par.beta_k, beta_kk=par.beta_kk,
-            )
-        phi_ref = phi_proxy(dataset.m - dataset.l, dataset.s_l, ref.beta_0, ref.beta_l, step1.delta_lm)
-        mstar_ref, _, _ = omega_proxy(
-            dataset, ref.beta_0, ref.beta_l, ref.beta_m, step1.theta, phi_ref, which=proxy
-        )
-        omega_ref = mstar_ref - ref.beta_k * dataset.k - ref.beta_kk * 0.5 * dataset.k**2
-        inputs_ref = np.column_stack([omega_ref[pairs.prev], dataset.x[pairs.prev]])
+        ref_phi = ref_omega = reference
+        if reference is None:
+            ref_phi = step2
+            ref_omega = step3_nls(dataset, step1, step2, proxy=proxy, grad_tol=grad_tol, max_iter=max_iter)
+        mstar_ref = omega_proxy(dataset, ref_phi.beta_0, ref_phi.beta_l, step1.delta_lm, step1.theta, which=proxy)
+        omega_ref = mstar_ref - ref_omega.beta_k * dataset.k - ref_omega.beta_kk * 0.5 * dataset.k**2
+        inputs_ref = np.column_stack([omega_ref[prev], dataset.x[prev]])
         if degree == "auto":
             degree, gcv_table, gcv_warnings = gcv_select_degree(
-                omega_ref[pairs.cur], inputs_ref, degrees, intercept=True
+                omega_ref[cur], inputs_ref, degrees, intercept=True
             )
             warnings += gcv_warnings
     degree = int(degree)
@@ -460,7 +452,6 @@ def sieve_step3_nls(
             converged=par.converged,
             proxy=proxy,
             n_pairs=par.n_pairs,
-            n_dropped=par.n_dropped,
             warnings=warnings + par.warnings,
         )
 
@@ -478,8 +469,6 @@ def sieve_step3_nls(
     problem, starts = _omega_law_nls(args, 2 + _linear_term_index(basis, 0), 2 + basis.n_terms)
     result = minimize_nls(problem, starts[0], starts=starts[1:], grad_tol=grad_tol, max_iter=max_iter)
 
-    if n_dropped:
-        warnings.append(f"omega proxy invalid for {n_dropped} observations (dropped)")
     if not result.converged:
         warnings.append(f"sieve step-3 NLS did not converge: {result.status}")
     return SieveStep3Result(
@@ -493,7 +482,6 @@ def sieve_step3_nls(
         converged=result.converged,
         proxy=proxy,
         n_pairs=int(cur.size),
-        n_dropped=n_dropped,
         warnings=warnings,
     )
 

@@ -166,7 +166,6 @@ class Step3Result:
     converged: bool
     proxy: str
     n_pairs: int
-    n_dropped: int
     warnings: list[str] = dataclasses.field(default_factory=list)
 
 
@@ -412,16 +411,26 @@ def information_matrix(dataset: PanelDataset, step1: Step1Result, alpha, *, inst
 # -- step three --------------------------------------------------------------
 
 
+def _foc_term(dataset: PanelDataset, delta_lm: float, theta: float, which: str) -> np.ndarray:
+    """``ln(P/P^Y) - ln(theta) - ln(e) + input`` of the omega proxy's FOC, on every row.
+
+    On proxied phi the elasticity ``e`` is ``delta*(1 - s_l)`` for materials
+    and ``delta*s_l`` for labor, whatever the candidate; ``average`` takes
+    the mean over both.
+    """
+    if not delta_lm > 0:
+        raise ValueError(f"delta_lm must be positive, got {delta_lm}")
+    materials = dataset.ln_price_m - np.log(delta_lm * (1.0 - dataset.s_l)) + dataset.m
+    labor = dataset.ln_price_l - np.log(delta_lm * dataset.s_l) + dataset.l
+    focs = {"materials": materials, "labor": labor, "average": 0.5 * (materials + labor)}
+    if which not in focs:
+        raise ValueError(f"unknown omega proxy {which!r}")
+    return focs[which] - np.log(theta)
+
+
 def omega_proxy(
-    dataset: PanelDataset,
-    beta_0: float,
-    beta_l: float,
-    beta_m: float,
-    theta: float,
-    phi: np.ndarray,
-    *,
-    which: str = "materials",
-):
+    dataset: PanelDataset, beta_0: float, beta_l: float, delta_lm: float, theta: float, *, which: str = "materials"
+) -> np.ndarray:
     """Proxy for ``omega + beta_k*k + 0.5*beta_kk*k^2`` from a flexible-input FOC.
 
     A flexible input's first-order condition equates its log expenditure
@@ -434,38 +443,19 @@ def omega_proxy(
 
     with ``(P, e, input)`` equal to ``(P^M, beta_m - beta_0*x, m)`` for
     materials and ``(P^L, beta_l + beta_0*x, l)`` for labor, ``x = m - phi -
-    l``; ``average`` takes the mean over both.  Observations where an
-    elasticity is nonpositive are flagged invalid and reported, not raised.
-
-    Returns ``(proxy, valid_mask, n_dropped)``.
+    l``; ``average`` takes the mean over both.  Phi is proxied from the
+    ratio of the two FOCs at ``(beta_0, beta_l, delta_lm)``, where the
+    elasticities are ``delta*(1 - s_l)`` and ``delta*s_l``: positive on every
+    row, so the proxy is finite everywhere.
     """
-    x = dataset.m - phi - dataset.l
-    materials = (dataset.ln_price_m, beta_m - beta_0 * x, dataset.m)
-    labor = (dataset.ln_price_l, beta_l + beta_0 * x, dataset.l)
-    focs = {"materials": (materials,), "labor": (labor,), "average": (materials, labor)}.get(which)
-    if focs is None:
-        raise ValueError(f"unknown omega proxy {which!r}")
-    valid = np.ones(dataset.n_obs, dtype=bool)
-    for _, elasticity, _ in focs:
-        valid &= elasticity > 0
-    flex = flexible_output(beta_0, beta_l, beta_m, dataset.m[valid], dataset.l[valid], phi[valid])
-    proxy = np.full(dataset.n_obs, np.nan)
-    proxy[valid] = np.mean(
-        [ln_p[valid] - np.log(theta) - np.log(el[valid]) + inp[valid] - flex for ln_p, el, inp in focs], axis=0,
-    )
-    return proxy, valid, int(np.sum(~valid))
+    return _omega_law_data(dataset, beta_0, beta_l, delta_lm, theta, which)[1]
 
 
-def _omega_law_data(dataset: PanelDataset, beta_0, beta_l, beta_m, theta, phi, proxy: str):
-    """Purged output and omega proxy at a step-two point, with the usable lag pairs.
-
-    Returns ``(ystar, mstar, keep, n_dropped)``: ``y*`` and ``m*`` on every
-    row, ``keep`` masking the lag pairs whose lagged proxy is valid, and the
-    count of invalid rows.
-    """
-    mstar, valid, n_dropped = omega_proxy(dataset, beta_0, beta_l, beta_m, theta, phi, which=proxy)
-    ystar = dataset.y - flexible_output(beta_0, beta_l, beta_m, dataset.m, dataset.l, phi)
-    return ystar, mstar, valid[dataset.lag_pairs().prev], n_dropped
+def _omega_law_data(dataset: PanelDataset, beta_0, beta_l, delta_lm, theta, proxy: str):
+    """Purged output ``y*`` and omega proxy ``m*`` on every row, at proxied phi."""
+    phi = phi_proxy(dataset.m - dataset.l, dataset.s_l, beta_0, beta_l, delta_lm)
+    flex = flexible_output(beta_0, beta_l, delta_lm - beta_l, dataset.m, dataset.l, phi)
+    return dataset.y - flex, _foc_term(dataset, delta_lm, theta, proxy) - flex
 
 
 def _omega_law_nls(args, lin: int, n_params: int):
@@ -533,11 +523,9 @@ def step3_nls(
                + rho_1*(m*_{t-1} - beta_k*k_{t-1} - 0.5*beta_kk*k_{t-1}^2)
                + rho_2'X_{t-1} + error.
     """
-    ystar, mstar, keep, n_dropped = _omega_law_data(
-        dataset, step2.beta_0, step2.beta_l, step2.beta_m, step1.theta, step2.phi_hat, proxy
-    )
+    ystar, mstar = _omega_law_data(dataset, step2.beta_0, step2.beta_l, step1.delta_lm, step1.theta, proxy)
     pairs = dataset.lag_pairs()
-    cur, prev = pairs.cur[keep], pairs.prev[keep]
+    cur, prev = pairs.cur, pairs.prev
     if cur.size < 4 + dataset.x.shape[1]:
         raise ValueError("too few usable lag pairs for step three")
 
@@ -545,14 +533,12 @@ def step3_nls(
         ystar[cur], dataset.k[cur], dataset.k[prev], mstar[prev], dataset.x[prev],
         grad_tol=grad_tol, max_iter=max_iter,
     )
-    return _step3_result(result, proxy=proxy, n_pairs=int(cur.size), n_dropped=n_dropped)
+    return _step3_result(result, proxy=proxy, n_pairs=int(cur.size))
 
 
-def _step3_result(result: OptimResult, *, proxy: str, n_pairs: int, n_dropped: int) -> Step3Result:
+def _step3_result(result: OptimResult, *, proxy: str, n_pairs: int) -> Step3Result:
     """Step-three record from a :func:`step3_core` fit."""
     warnings = []
-    if n_dropped:
-        warnings.append(f"omega proxy invalid for {n_dropped} observations (dropped from step three)")
     if not result.converged:
         warnings.append(f"step-3 NLS did not converge: {result.status}")
     bk, bkk, r0, r1 = result.params[:4]
@@ -566,7 +552,6 @@ def _step3_result(result: OptimResult, *, proxy: str, n_pairs: int, n_dropped: i
         converged=result.converged,
         proxy=proxy,
         n_pairs=n_pairs,
-        n_dropped=n_dropped,
         warnings=warnings,
     )
 
@@ -631,17 +616,7 @@ def _system_cross_products(
     s_cur, s_prev = dataset.s_l[cur], dataset.s_l[prev]
     m_cur, m_prev = dataset.m[cur], dataset.m[prev]
     k_cur, k_prev = dataset.k[cur], dataset.k[prev]
-
-    # on proxied phi the flexible FOCs give beta_m - beta_0*x = delta*(1 - s)
-    # and beta_l + beta_0*x = delta*s, so the lagged proxy is this
-    # candidate-free FOC term minus the flexible output (see omega_proxy);
-    # 0 < s < 1 and delta > 0 keep it finite
-    materials = dataset.ln_price_m[prev] - np.log(delta * (1.0 - s_prev)) + m_prev
-    labor = dataset.ln_price_l[prev] - np.log(delta * s_prev) + dataset.l[prev]
-    focs = {"materials": materials, "labor": labor, "average": 0.5 * (materials + labor)}
-    if proxy not in focs:
-        raise ValueError(f"unknown omega proxy {proxy!r}")
-    foc_prev = focs[proxy] - np.log(step1.theta)
+    foc_prev = _foc_term(dataset, delta, step1.theta, proxy)[prev]  # lagged omega proxy plus flexible output
 
     ones = np.ones(n)
     e = np.column_stack([m_cur - dataset.l[cur], m_prev - dataset.l[prev], ones, s_cur, s_prev, *dataset.z[prev].T])

@@ -71,6 +71,32 @@ def test_settings_are_checked_before_the_data(tmp_path, capsys, command, setting
     assert named in err and "no input CSV" not in err
 
 
+@pytest.mark.parametrize(("command", "settings", "named"), [
+    ("partialid", "slack_scale: abc", "slack_scale"),
+    ("partialid", "slack: abc", "slack"),
+    ("partialid", "cutoffs: [abc]", "cutoffs"),
+    ("partialid", "cutoffs: 0.5", "cutoffs"),
+    ("partialid", "cutoffs: [1.5]", "cutoff"),
+    ("partialid", "propensity_degree: abc", "propensity_degree"),
+    ("partialid", "grid: {beta_k: {min: low, max: 0.3}}", "grid.beta_k.min"),
+    ("partialid", "grid: 3", "grid"),
+    ("bootstrap", "levels: [abc]", "levels"),
+    ("bootstrap", "weight_override: .nan", "weight_override"),
+    ("bootstrap", "weight_override: abc", "weight_override"),
+], ids=[
+    "partialid-slack_scale", "partialid-slack", "partialid-cutoffs-text", "partialid-cutoffs-scalar",
+    "partialid-cutoffs-range", "partialid-propensity_degree", "partialid-grid-min", "partialid-grid-scalar", "bootstrap-levels",
+    "bootstrap-weight_override-nan", "bootstrap-weight_override-text",
+])
+def test_bad_numeric_settings_are_config_errors_before_the_data(tmp_path, capsys, command, settings, named):
+    # no data key: the bad setting is reported (exit 2), not the missing CSV
+    # and not a traceback
+    config = write_config(tmp_path, f"{command}:\n  {settings}\n")
+    assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "no input CSV" not in err
+
+
 @pytest.mark.parametrize("command", [["estimate"], ["estimate", "--law", "sieve"], ["bootstrap", "--B", "1"]])
 def test_unusable_panel_is_a_data_error(tmp_path, capsys, command):
     # three firms over two years leave fewer lag pairs than instruments

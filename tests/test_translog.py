@@ -117,12 +117,10 @@ def test_phi_proxy_exact_on_simulated_data(bench):
 def test_omega_proxies_coincide_at_truth(bench):
     ds, truth, cfg = bench
     p = cfg.params
-    phi = truth.phi.ravel()
-    out = {}
-    for which in ("materials", "labor", "average"):
-        proxy, valid, dropped = omega_proxy(ds, p.beta_0, p.beta_l, p.beta_m, cfg.theta, phi, which=which)
-        assert dropped == 0
-        out[which] = proxy
+    out = {
+        which: omega_proxy(ds, p.beta_0, p.beta_l, p.delta_lm, cfg.theta, which=which)
+        for which in ("materials", "labor", "average")
+    }
     assert np.max(np.abs(out["materials"] - out["labor"])) < 1e-8
     assert np.max(np.abs(out["materials"] - out["average"])) < 1e-8
     # the proxy equals omega plus the capital terms
@@ -130,21 +128,19 @@ def test_omega_proxies_coincide_at_truth(bench):
     assert np.max(np.abs(out["materials"] - target)) < 1e-8
 
 
-def test_omega_proxy_flags_nonpositive_elasticity_rows():
+def test_omega_proxy_rejects_unknown_proxy_and_nonpositive_delta():
     n = 4
     ds = PanelDataset(
         firm_ids=["a"] * n, years=range(n),
-        y=np.zeros(n), k=np.zeros(n), l=np.zeros(n),
-        m=np.array([0.1, 0.2, 10.0, 0.3]),  # third row drives beta_l + beta_0*x below zero
+        y=np.zeros(n), k=np.zeros(n), l=np.zeros(n), m=np.array([0.1, 0.2, 10.0, 0.3]),
         s_l=np.full(n, 0.5), ln_r=np.zeros(n),
     )
-    proxy, valid, dropped = omega_proxy(ds, -0.05, 0.25, 0.5, 1.0, np.zeros(n), which="labor")
-    assert dropped == 1
-    assert not valid[2]
-    assert np.isnan(proxy[2])
-    assert np.all(np.isfinite(proxy[valid]))
-    with pytest.raises(ValueError):
-        omega_proxy(ds, -0.05, 0.25, 0.5, 1.0, np.zeros(n), which="median")
+    assert np.all(np.isfinite(omega_proxy(ds, -0.05, 0.25, 0.75, 1.0, which="labor")))
+    with pytest.raises(ValueError, match="unknown omega proxy"):
+        omega_proxy(ds, -0.05, 0.25, 0.75, 1.0, which="median")
+    for delta_lm in (0.0, -0.3):
+        with pytest.raises(ValueError, match="delta_lm must be positive"):
+            omega_proxy(ds, -0.05, 0.25, delta_lm, 1.0, which="materials")
 
 
 def test_recover_productivity_identity(bench):
