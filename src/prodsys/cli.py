@@ -1,9 +1,10 @@
 """Command-line interface for simulation, estimation and inference runs.
 
 One YAML config file per run plus a small set of override flags; flag
-beats file beats default.  Every command is a pure function of its
-inputs, config and seed, so re-running writes byte-identical files.  All
-numeric output carries 17 significant digits.
+beats file beats default.  Every config value is type-checked before any
+data is read.  Every command is a pure function of its inputs, config and
+seed, so re-running writes byte-identical files.  All numeric output
+carries 17 significant digits.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 estimation
 non-convergence.
@@ -25,7 +26,7 @@ from .panel import FLOAT_FORMAT, PanelDataset, load_csv, write_csv, write_prices
 from .partialid import GRID_AXES, MomentInequalityConfig, identified_set
 from .simulate import CesParams, DgpConfig, generate_panel
 from .sieve import sieve_estimate
-from .translog import EstimateOptions, ProductivityLaws, TranslogParams, estimate
+from .translog import PROXIES, EstimateOptions, ProductivityLaws, TranslogParams, estimate
 
 __all__ = ["ConfigError", "DataError", "EstimationError", "main"]
 
@@ -75,7 +76,7 @@ def _load_config(path: str | None) -> dict:
         ("schema", "seed", "threads", "out", "simulate", "estimate", "montecarlo", "bootstrap", "partialid", "report"),
         path,
     )
-    version = raw.get("schema", SCHEMA_VERSION)
+    version = _integer(raw.get("schema", SCHEMA_VERSION), "schema", 1)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"{path}: unsupported schema version {version}; this build reads version {SCHEMA_VERSION}")
     return raw
@@ -90,42 +91,125 @@ def _resolve(flag_value, file_value, default):
 
 
 def _section(config: dict, name: str) -> dict:
-    section = config.get(name) or {}
+    section = {} if config.get(name) is None else config[name]
     if not isinstance(section, dict):
         raise ConfigError(f"{name}: expected a mapping")
     return section
 
 
-def _out_dir(args, config) -> str:
-    out = _resolve(args.out, config.get("out"), ".")
-    os.makedirs(out, exist_ok=True)
-    return out
+def _out_dir(args) -> str:
+    os.makedirs(args.out, exist_ok=True)
+    return args.out
+
+
+# ---------------------------------------------------------------------------
+# typed config readers: each maps a wrong kind of value to a ConfigError
+# naming its key
 
 
 def _number(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
     try:
         value = float(value)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{path}: expected a number, got {value!r}") from exc
     if not np.isfinite(value):
         raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     return value
 
 
-def _numbers(values, path: str) -> tuple:
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"{path}: expected a list of numbers, got {values!r}")
+def _numbers(values, path: str, length: int | None = None) -> tuple:
+    if not isinstance(values, (list, tuple)) or length not in (None, len(values)):
+        size = "" if length is None else f" of length {length}"
+        raise ConfigError(f"{path}: expected a list of numbers{size}, got {values!r}")
     return tuple(_number(v, path) for v in values)
 
 
-def _positive_int(value, path: str) -> int:
+def _number_or_numbers(value, path: str, length: int | None = None):
+    return _numbers(value, path, length) if isinstance(value, (list, tuple)) else _number(value, path)
+
+
+def _integer(value, path: str, minimum: int) -> int:
+    # YAML and the flags give ints or strings; a float such as 2.5 is refused, not truncated
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
     try:
         value = int(value)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{path}: expected an integer, got {value!r}") from exc
-    if value < 1:
-        raise ConfigError(f"{path}: must be at least 1")
+    if value < minimum:
+        raise ConfigError(f"{path}: must be at least {minimum}")
     return value
+
+
+def _positive_int(value, path: str) -> int:
+    return _integer(value, path, 1)
+
+
+def _seed(value, path: str) -> int:
+    return _integer(value, path, 0)
+
+
+def _names(values, path: str) -> tuple:
+    if not isinstance(values, (list, tuple)) or not all(isinstance(v, str) for v in values):
+        raise ConfigError(f"{path}: expected a list of column names, got {values!r}")
+    return tuple(values)
+
+
+def _path(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a file path, got {value!r}")
+    return value
+
+
+def _prices(value, path: str):
+    """A price CSV path, or a mapping of year to a ratio or ``[ratio_l, ratio_m]``."""
+    if not isinstance(value, dict):
+        return _path(value, path)
+    return {
+        _integer(year, f"{path} year", 0): _number_or_numbers(ratio, f"{path}.{year}", 2)
+        for year, ratio in value.items()
+    }
+
+
+def _mapping_of(cls, keys):
+    """Reader of a mapping of a number for each of ``keys`` into ``cls(**mapping)``."""
+    def read(value, path: str):
+        values = _typed(value, path, dict.fromkeys(keys, _number))
+        if len(values) < len(keys):
+            raise ConfigError(f"{path}: missing key(s) {sorted(set(keys) - set(values))}")
+        return cls(**values)
+    return read
+
+
+def _typed(section: dict, path: str, readers: dict) -> dict:
+    """``section`` with each value through its key's reader (``None``: as is).
+
+    Unknown keys are errors; a null value counts as absent, so its default holds.
+    """
+    _check_keys(section, readers, path)
+    return {
+        key: value if readers[key] is None else readers[key](value, f"{path}.{key}")
+        for key, value in section.items() if value is not None
+    }
+
+
+#: the technology coefficients a config or a params.csv sets
+_BETAS = ("beta_k", "beta_kk", "beta_l", "beta_m", "beta_0")
+_PANEL = {"data": _path, "prices": _prices, "x_columns": _names, "z_columns": _names}
+_ESTIMATOR = {"proxy": None, "instruments": None, "refine": None, "grad_tol": _number, "max_iter": _positive_int}
+_DGP = {
+    "n": _positive_int, "t_periods": _positive_int, "technology": None,
+    "params": _mapping_of(TranslogParams, _BETAS),
+    "ces": _mapping_of(CesParams, ("sigma", "nu", "beta_k", "beta_m")),
+    "laws": _mapping_of(ProductivityLaws, ("rho_phi_1", "rho_omega_0", "rho_omega_1")),
+    "sigma_omega": _number, "sigma_phi": _number, "sigma_eta": _number, "markup": _number,
+    **dict.fromkeys(("omega_init_range", "phi_init_range", "k_init_range"), lambda v, p: _numbers(v, p, 2)),
+    "iota": lambda v, p: _numbers(v, p, 3),
+    "depreciation_rates": _numbers,
+    "price_y": _number_or_numbers, "price_l": _number_or_numbers, "price_m": _number_or_numbers,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -133,38 +217,7 @@ def _positive_int(value, path: str) -> int:
 
 
 def _dgp_from_config(section: dict, path: str, seed: int) -> DgpConfig:
-    allowed = (
-        "n", "t_periods", "technology", "params", "ces", "laws",
-        "sigma_omega", "sigma_phi", "sigma_eta",
-        "omega_init_range", "phi_init_range", "k_init_range",
-        "iota", "depreciation_rates", "price_y", "price_l", "price_m", "markup",
-    )
-    _check_keys(section, allowed, path)
-    kwargs = {k: section[k] for k in ("n", "t_periods", "technology", "sigma_omega", "sigma_phi", "sigma_eta", "markup") if k in section}
-    if "params" in section:
-        _check_keys(section["params"], ("beta_k", "beta_kk", "beta_l", "beta_m", "beta_0"), f"{path}.params")
-        kwargs["params"] = TranslogParams(**{k: float(v) for k, v in section["params"].items()})
-    if "ces" in section:
-        _check_keys(section["ces"], ("sigma", "nu", "beta_k", "beta_m"), f"{path}.ces")
-        kwargs["ces"] = CesParams(**{k: float(v) for k, v in section["ces"].items()})
-    if "laws" in section:
-        _check_keys(section["laws"], ("rho_phi_1", "rho_omega_0", "rho_omega_1"), f"{path}.laws")
-        kwargs["laws"] = ProductivityLaws(**{k: float(v) for k, v in section["laws"].items()})
-    for key in ("omega_init_range", "phi_init_range", "k_init_range"):
-        if key in section:
-            pair = section[key]
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise ConfigError(f"{path}.{key}: expected [low, high]")
-            kwargs[key] = (float(pair[0]), float(pair[1]))
-    if "iota" in section:
-        kwargs["iota"] = tuple(float(v) for v in section["iota"])
-    if "depreciation_rates" in section:
-        kwargs["depreciation_rates"] = tuple(float(v) for v in section["depreciation_rates"])
-    for key in ("price_y", "price_l", "price_m"):
-        if key in section:
-            value = section[key]
-            kwargs[key] = [float(v) for v in value] if isinstance(value, (list, tuple)) else float(value)
-    config = DgpConfig(seed=seed, **kwargs)
+    config = DgpConfig(seed=seed, **_typed(section, path, _DGP))
     try:
         config.validate()
     except ValueError as exc:
@@ -172,30 +225,19 @@ def _dgp_from_config(section: dict, path: str, seed: int) -> DgpConfig:
     return config
 
 
-def _estimator_options(section: dict, path: str, args=None) -> EstimateOptions:
-    allowed = ("proxy", "instruments", "refine", "grad_tol", "max_iter")
-    _check_keys(section, allowed, path)
-    proxy = _resolve(getattr(args, "proxy", None), section.get("proxy"), "materials")
-    if proxy == "material":
-        proxy = "materials"
-    if proxy not in ("materials", "labor", "average"):
-        raise ConfigError(f"{path}.proxy: must be materials, labor or average, got {proxy!r}")
-    refine = section.get("refine", "system")
-    if refine not in ("system", "none"):
-        raise ConfigError(f"{path}.refine: must be system or none, got {refine!r}")
-    instruments = section.get("instruments", "default")
-    if instruments not in ("default", "exactly_identified"):
-        raise ConfigError(f"{path}.instruments: must be default or exactly_identified, got {instruments!r}")
-    grad_tol = _number(section.get("grad_tol", 1e-8), f"{path}.grad_tol")
-    if not grad_tol > 0.0:
-        raise ConfigError(f"{path}.grad_tol: must be a positive number, got {grad_tol!r}")
-    return EstimateOptions(
-        proxy=proxy,
-        instruments=instruments,
-        refine=refine,
-        grad_tol=grad_tol,
-        max_iter=_positive_int(section.get("max_iter", 500), f"{path}.max_iter"),
-    )
+def _estimator_options(section: dict, path: str, args) -> EstimateOptions:
+    """Options from the ``_ESTIMATOR`` keys of a typed section; ``material`` means ``materials``."""
+    kwargs = {key: section[key] for key in _ESTIMATOR if key in section}
+    if getattr(args, "proxy", None) is not None:
+        kwargs["proxy"] = args.proxy
+    if kwargs.get("proxy") == "material":
+        kwargs["proxy"] = "materials"
+    options = EstimateOptions(**kwargs)
+    try:
+        options.validate()
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    return options
 
 
 def _load_panel(section: dict, path: str, data_flag=None) -> PanelDataset:
@@ -205,12 +247,12 @@ def _load_panel(section: dict, path: str, data_flag=None) -> PanelDataset:
     try:
         dataset, report = load_csv(
             data,
-            x_columns=tuple(section.get("x_columns", ())),
-            z_columns=tuple(section.get("z_columns", ())),
+            x_columns=section.get("x_columns", ()),
+            z_columns=section.get("z_columns", ()),
             prices=section.get("prices"),
         )
-    except FileNotFoundError as exc:
-        raise DataError(f"input file not found: {data}") from exc
+    except OSError as exc:
+        raise DataError(f"cannot read {exc.filename}: {exc.strerror}") from exc
     except ValueError as exc:
         raise DataError(f"{data}: {exc}") from exc
     print(f"loaded {report.rows_kept} of {report.rows_read} rows from {data}")
@@ -228,56 +270,35 @@ def _run_on_panel(fn, *args, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# commands
+# output tables
 
 
-def cmd_simulate(args, config: dict) -> int:
-    section = _section(config, "simulate")
-    seed = int(_resolve(args.seed, config.get("seed"), 0))
-    dgp = _dgp_from_config(section, "simulate", seed)
-    out = _out_dir(args, config)
-    dataset, truth = generate_panel(dgp, seed=seed)
-    write_csv(dataset, os.path.join(out, "panel.csv"))
-    write_prices_csv(dataset, os.path.join(out, "prices.csv"))
-    with open(os.path.join(out, "truth.csv"), "w") as fh:
-        fh.write("firm_id,year,omega,phi,eta\n")
-        firm_index = {label: i for i, label in enumerate(dataset.firm_labels)}
-        t0 = int(np.min(dataset.year))
-        for row in range(dataset.n_obs):
-            i = firm_index[dataset.labels[row]]
-            t = int(dataset.year[row]) - t0
-            fh.write(
-                "%s,%d,%s,%s,%s\n"
-                % (
-                    dataset.labels[row],
-                    dataset.year[row],
-                    _fmt(truth.omega[i, t]),
-                    _fmt(truth.phi[i, t]),
-                    _fmt(truth.eta[i, t]),
-                )
-            )
-    print(f"simulated panel: n={dgp.n} firms, T={dgp.t_periods} periods, seed={seed}")
-    print(f"max static FOC residual: {truth.max_foc_residual:.3e}")
-    print(f"wrote panel.csv, prices.csv, truth.csv to {out}")
-    return 0
-
-
-def _write_params_csv(path: str, rows: list[tuple[str, float]]) -> None:
+def _write_table(path: str, header, rows) -> None:
+    """CSV with ``header``; string cells verbatim, every other cell through ``FLOAT_FORMAT``."""
     with open(path, "w") as fh:
-        fh.write("parameter,value\n")
-        for name, value in rows:
-            fh.write("%s,%s\n" % (name, _fmt(value)))
+        for row in [header, *rows]:
+            fh.write(",".join(v if isinstance(v, str) else FLOAT_FORMAT % v for v in row) + "\n")
 
 
-def _write_latents_csv(path: str, dataset: PanelDataset, result) -> None:
-    with open(path, "w") as fh:
-        fh.write("firm_id,year,phi_hat,omega_hat,eta_hat\n")
-        for i in range(dataset.n_obs):
-            fh.write(
-                "%s,%d,%s,%s,%s\n"
-                % (dataset.labels[i], dataset.year[i], _fmt(result.phi_hat[i]),
-                   _fmt(result.omega_hat[i]), _fmt(result.eta_hat[i]))
-            )
+def _read_table(path: str, header: tuple, labels: int) -> dict:
+    """``{first labels cells: the other cells as floats}`` of a ``_write_table`` file."""
+    table = {}
+    try:
+        with open(path) as fh:
+            if fh.readline().strip() != ",".join(header):
+                raise DataError(f"{path}: expected header {','.join(header)!r}")
+            for line in fh:
+                if not line.strip():
+                    continue
+                cells = line.strip().split(",")
+                if len(cells) != len(header):
+                    raise ValueError(f"expected {len(header)} cells, got {len(cells)}")
+                table[tuple(cells[:labels])] = [float(v) for v in cells[labels:]]
+    except OSError as exc:
+        raise DataError(f"cannot read {exc.filename}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise DataError(f"{path}: malformed row ({exc})") from exc
+    return table
 
 
 def _param_rows(result, dataset: PanelDataset) -> list[tuple[str, float]]:
@@ -285,24 +306,47 @@ def _param_rows(result, dataset: PanelDataset) -> list[tuple[str, float]]:
     return list(zip(parameter_names(dataset), pack_parameters(result.params, result.laws)))
 
 
-def cmd_estimate(args, config: dict) -> int:
-    section = dict(_section(config, "estimate"))
-    _check_keys(
-        section,
-        ("data", "prices", "x_columns", "z_columns", "law", "degree",
-         "proxy", "instruments", "refine", "grad_tol", "max_iter"),
-        "estimate",
+def _fits(result) -> list:
+    """``(name, optimizer record)`` of each fitted block of an estimate."""
+    fits = [("step2", result.step2), ("step3", result.step3)]
+    if getattr(result, "system", None) is not None:
+        fits.append(("system", result.system))
+    return fits
+
+
+# ---------------------------------------------------------------------------
+# commands
+
+
+def cmd_simulate(args, config: dict) -> int:
+    dgp = _dgp_from_config(_section(config, "simulate"), "simulate", args.seed)
+    out = _out_dir(args)
+    dataset, truth = generate_panel(dgp, seed=args.seed)
+    write_csv(dataset, os.path.join(out, "panel.csv"))
+    write_prices_csv(dataset, os.path.join(out, "prices.csv"))
+    # simulated firms are numbered in generation order, the order of truth's rows
+    i, t = dataset.firm, dataset.year - int(np.min(dataset.year))
+    _write_table(
+        os.path.join(out, "truth.csv"), ("firm_id", "year", "omega", "phi", "eta"),
+        zip(dataset.labels, dataset.year, truth.omega[i, t], truth.phi[i, t], truth.eta[i, t]),
     )
+    print(f"simulated panel: n={dgp.n} firms, T={dgp.t_periods} periods, seed={args.seed}")
+    print(f"max static FOC residual: {truth.max_foc_residual:.3e}")
+    print(f"wrote panel.csv, prices.csv, truth.csv to {out}")
+    return 0
+
+
+def cmd_estimate(args, config: dict) -> int:
+    section = _typed(_section(config, "estimate"), "estimate", {**_PANEL, **_ESTIMATOR, "law": None, "degree": None})
     law = _resolve(args.law, section.get("law"), "parametric")
     if law not in ("parametric", "sieve"):
         raise ConfigError(f"estimate.law: must be parametric or sieve, got {law!r}")
-    opts_section = {k: section[k] for k in ("proxy", "instruments", "refine", "grad_tol", "max_iter") if k in section}
-    options = _estimator_options(opts_section, "estimate", args)
+    options = _estimator_options(section, "estimate", args)
     degree = _resolve(args.degree, section.get("degree"), "auto")
-    if law == "sieve" and degree != "auto":
+    if degree != "auto":
         degree = _positive_int(degree, "estimate.degree")
     dataset = _load_panel(section, "estimate", args.data)
-    out = _out_dir(args, config)
+    out = _out_dir(args)
 
     if law == "sieve":
         result = _run_on_panel(
@@ -313,68 +357,52 @@ def cmd_estimate(args, config: dict) -> int:
         rows.extend((f"phi_law_coef[{j}]", v) for j, v in enumerate(result.step2.coef))
         rows.extend((f"omega_law_coef[{j}]", v) for j, v in enumerate(result.step3.coef))
         rows.extend([("degree_phi", float(result.degree_phi)), ("degree_omega", float(result.degree_omega))])
-        converged = result.step2.converged and result.step3.converged
-        summary = [
-            f"law: sieve, degrees phi={result.degree_phi} omega={result.degree_omega}",
-            f"step2 objective {result.step2.objective:.6e} converged {result.step2.converged}",
-            f"step3 objective {result.step3.objective:.6e} converged {result.step3.converged}",
-        ]
+        summary = [f"law: sieve, degrees phi={result.degree_phi} omega={result.degree_omega}"]
     else:
         result = _run_on_panel(estimate, dataset, options)
         rows = _param_rows(result, dataset)
-        converged = result.step2.converged and result.step3.converged
-        summary = [
-            "law: parametric",
-            f"step2 objective {result.step2.objective:.6e} converged {result.step2.converged}",
-            f"step3 objective {result.step3.objective:.6e} converged {result.step3.converged}",
-        ]
-        if result.system is not None:
-            converged = converged and result.system.converged
-            summary.append(
-                f"system objective {result.system.objective:.6e} converged {result.system.converged}"
-            )
+        summary = ["law: parametric"]
+    summary += [f"{name} objective {fit.objective:.6e} converged {fit.converged}" for name, fit in _fits(result)]
+    lines = summary + ["%-20s %s" % (name, _fmt(value)) for name, value in rows]
 
-    _write_params_csv(os.path.join(out, "params.csv"), rows)
-    _write_latents_csv(os.path.join(out, "latents.csv"), dataset, result)
+    _write_table(os.path.join(out, "params.csv"), ("parameter", "value"), rows)
+    _write_table(
+        os.path.join(out, "latents.csv"), ("firm_id", "year", "phi_hat", "omega_hat", "eta_hat"),
+        zip(dataset.labels, dataset.year, result.phi_hat, result.omega_hat, result.eta_hat),
+    )
     record = elasticities(result.params, dataset.k, dataset.m, dataset.l, result.phi_hat)
+    means = "mean elasticities: capital %.6f labor %.6f material %.6f rts %.6f" % (
+        float(np.mean(record.capital)), float(np.mean(record.labor)),
+        float(np.mean(record.material)), float(np.mean(record.rts)),
+    )
     with open(os.path.join(out, "report.txt"), "w") as fh:
-        fh.write("\n".join(summary) + "\n")
-        for name, value in rows:
-            fh.write("%-20s %s\n" % (name, _fmt(value)))
-        fh.write("mean elasticities: capital %.6f labor %.6f material %.6f rts %.6f\n" % (
-            float(np.mean(record.capital)), float(np.mean(record.labor)),
-            float(np.mean(record.material)), float(np.mean(record.rts)),
-        ))
-        for w in result.warnings:
-            fh.write("warning: %s\n" % w)
-    for line in summary:
-        print(line)
-    for name, value in rows:
-        print("%-20s %s" % (name, _fmt(value)))
+        fh.write("\n".join([*lines, means, *(f"warning: {w}" for w in result.warnings)]) + "\n")
+    print("\n".join(lines))
     for w in result.warnings:
         print("warning:", w, file=sys.stderr)
     print(f"wrote params.csv, latents.csv, report.txt to {out}")
-    if not converged:
+    if not all(fit.converged for _, fit in _fits(result)):
         raise EstimationError("estimation did not converge; see report.txt")
     return 0
 
 
 def cmd_montecarlo(args, config: dict) -> int:
-    section = _section(config, "montecarlo")
-    _check_keys(section, ("replications", "dgp", "estimator"), "montecarlo")
+    section = _typed(
+        _section(config, "montecarlo"), "montecarlo",
+        {"replications": _positive_int, "dgp": None, "estimator": None},
+    )
     replications = _positive_int(_resolve(args.replications, section.get("replications"), 200), "montecarlo.replications")
-    seed = int(_resolve(args.seed, config.get("seed"), 0))
-    threads = _positive_int(_resolve(args.threads, config.get("threads"), 1), "threads")
-    dgp = _dgp_from_config(section.get("dgp") or {}, "montecarlo.dgp", seed)
+    dgp = _dgp_from_config(section.get("dgp", {}), "montecarlo.dgp", args.seed)
     if dgp.technology != "translog":
         raise ConfigError(
             f"montecarlo.dgp.technology: the study fits the translog estimator, so it needs translog data, "
             f"got {dgp.technology!r}"
         )
-    options = _estimator_options(section.get("estimator") or {}, "montecarlo.estimator", args)
-    out = _out_dir(args, config)
+    estimator = _typed(section.get("estimator", {}), "montecarlo.estimator", _ESTIMATOR)
+    options = _estimator_options(estimator, "montecarlo.estimator", args)
+    out = _out_dir(args)
     try:
-        report = monte_carlo_study(dgp, replications, options, seed=seed, threads=threads)
+        report = monte_carlo_study(dgp, replications, options, seed=args.seed, threads=args.threads)
     except ValueError as exc:
         raise EstimationError(str(exc)) from exc
     with open(os.path.join(out, "mc.csv"), "w") as fh:
@@ -388,35 +416,25 @@ def cmd_montecarlo(args, config: dict) -> int:
 
 
 def cmd_bootstrap(args, config: dict) -> int:
-    section = _section(config, "bootstrap")
-    _check_keys(
-        section,
-        ("data", "prices", "x_columns", "z_columns", "n_reps", "levels", "weight_override",
-         "proxy", "instruments", "refine", "grad_tol", "max_iter"),
-        "bootstrap",
+    section = _typed(
+        _section(config, "bootstrap"), "bootstrap",
+        {**_PANEL, **_ESTIMATOR, "n_reps": _positive_int, "levels": _numbers, "weight_override": _number},
     )
-    opts_section = {k: section[k] for k in ("proxy", "instruments", "refine", "grad_tol", "max_iter") if k in section}
-    options = _estimator_options(opts_section, "bootstrap", args)
-    seed = int(_resolve(args.seed, config.get("seed"), 0))
-    n_reps = _positive_int(_resolve(args.B, section.get("n_reps"), 200), "bootstrap.n_reps")
-    levels = _numbers(section.get("levels", (0.90, 0.95, 0.99)), "bootstrap.levels")
-    override = section.get("weight_override")
+    options = _estimator_options(section, "bootstrap", args)
     boot_config = BootstrapConfig(
-        n_reps=n_reps, seed=seed, levels=levels,
-        weight_override=None if override is None else _number(override, "bootstrap.weight_override"),
+        n_reps=_positive_int(_resolve(args.B, section.get("n_reps"), 200), "bootstrap.n_reps"),
+        seed=args.seed,
+        **{key: section[key] for key in ("levels", "weight_override") if key in section},
     )
     try:
         boot_config.validate()
     except ValueError as exc:
         raise ConfigError(f"bootstrap: {exc}") from exc
     dataset = _load_panel(section, "bootstrap", args.data)
-    out = _out_dir(args, config)
+    out = _out_dir(args)
 
     point = _run_on_panel(estimate, dataset, options)
-    converged = point.step2.converged and point.step3.converged
-    if point.system is not None:
-        converged = converged and point.system.converged
-    if not converged:
+    if not all(fit.converged for _, fit in _fits(point)):
         raise EstimationError("point estimation did not converge; bootstrap not run")
     try:
         result = run_bootstrap(dataset, point, boot_config, options)
@@ -424,22 +442,18 @@ def cmd_bootstrap(args, config: dict) -> int:
         raise EstimationError(str(exc)) from exc
 
     point_vec = pack_parameters(point.params, point.laws)
-    with open(os.path.join(out, "bootstrap.csv"), "w") as fh:
-        header = "parameter,point,se"
-        for level in levels:
-            tag = ("%g" % (100 * level)).replace(".", "_")
-            header += f",lower{tag},upper{tag}"
-        fh.write(header + "\n")
-        for j, name in enumerate(result.names):
-            row = [name, _fmt(point_vec[j]), _fmt(result.standard_errors[j])]
-            for level in levels:
-                lo, hi = result.intervals[float(level)]
-                row.extend([_fmt(lo[j]), _fmt(hi[j])])
-            fh.write(",".join(row) + "\n")
-    with open(os.path.join(out, "draws.csv"), "w") as fh:
-        fh.write(",".join(result.names) + "\n")
-        for row in result.draws:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    header = ["parameter", "point", "se"]
+    for level in boot_config.levels:
+        tag = ("%g" % (100 * level)).replace(".", "_")
+        header += [f"lower{tag}", f"upper{tag}"]
+    rows = []
+    for j, name in enumerate(result.names):
+        rows.append([name, point_vec[j], result.standard_errors[j]])
+        for level in boot_config.levels:
+            lo, hi = result.intervals[float(level)]
+            rows[-1] += [lo[j], hi[j]]
+    _write_table(os.path.join(out, "bootstrap.csv"), header, rows)
+    _write_table(os.path.join(out, "draws.csv"), result.names, result.draws)
     print(f"bootstrap: {result.draws.shape[0]} successful replicates, {result.n_failures} failures")
     for j, name in enumerate(result.names):
         print("%-20s se %s" % (name, _fmt(result.standard_errors[j])))
@@ -470,58 +484,45 @@ def _parse_grid_flag(text: str) -> dict:
     return grid
 
 
-def _grid_from_section(section_grid: dict) -> dict:
-    _check_keys(section_grid, GRID_AXES, "partialid.grid")
+def _grid(value, path: str) -> dict:
+    _check_keys(value, GRID_AXES, path)
     grid = {}
-    for name, spec in section_grid.items():
-        _check_keys(spec, ("min", "max", "count"), f"partialid.grid.{name}")
-        path = f"partialid.grid.{name}"
-        lo, hi = _number(spec.get("min"), f"{path}.min"), _number(spec.get("max"), f"{path}.max")
-        grid[name] = np.linspace(lo, hi, _positive_int(spec.get("count", 11), f"{path}.count"))
+    for name, spec in value.items():
+        spec = _typed(spec, f"{path}.{name}", {"min": _number, "max": _number, "count": _positive_int})
+        if not {"min", "max"} <= set(spec):
+            raise ConfigError(f"{path}.{name}: needs min and max")
+        grid[name] = np.linspace(spec["min"], spec["max"], spec.get("count", 11))
     return grid
 
 
 def cmd_partialid(args, config: dict) -> int:
-    section = _section(config, "partialid")
-    _check_keys(
-        section,
-        ("data", "prices", "x_columns", "z_columns", "cutoffs", "slack", "slack_scale",
-         "propensity_degree", "grid"),
-        "partialid",
+    section = _typed(
+        _section(config, "partialid"), "partialid",
+        {**_PANEL, "cutoffs": _numbers, "slack": _number, "slack_scale": _number,
+         "propensity_degree": _positive_int, "grid": _grid},
     )
+    settings = {key: section[key] for key in ("cutoffs", "grid", "slack", "slack_scale", "propensity_degree")
+                if key in section}
     if args.cutoffs is not None:
-        cutoffs = _parse_cutoffs(args.cutoffs)
-    else:
-        cutoffs = _numbers(section.get("cutoffs", (0.25, 0.5, 0.75)), "partialid.cutoffs")
-    grid = None
+        settings["cutoffs"] = _parse_cutoffs(args.cutoffs)
     if args.grid is not None:
-        grid = _parse_grid_flag(args.grid)
-    elif section.get("grid") is not None:
-        grid = _grid_from_section(section["grid"])
-    slack = _resolve(args.slack, section.get("slack"), None)
-    mi_config = MomentInequalityConfig(
-        cutoffs=tuple(cutoffs),
-        grid=grid,
-        slack=None if slack is None else _number(slack, "partialid.slack"),
-        slack_scale=_number(section.get("slack_scale", 1.0), "partialid.slack_scale"),
-        propensity_degree=_positive_int(section.get("propensity_degree", 1), "partialid.propensity_degree"),
-    )
+        settings["grid"] = _parse_grid_flag(args.grid)
+    if args.slack is not None:
+        settings["slack"] = _number(args.slack, "--slack")
+    mi_config = MomentInequalityConfig(**settings)
     try:
         mi_config.validate()
     except ValueError as exc:
         raise ConfigError(f"partialid: {exc}") from exc
     dataset = _load_panel(section, "partialid", args.data)
-    out = _out_dir(args, config)
+    out = _out_dir(args)
     result = _run_on_panel(identified_set, dataset, mi_config)
 
-    with open(os.path.join(out, "partialid.csv"), "w") as fh:
-        header = list(GRID_AXES) + [f"stat_q{('%g' % (100 * lv)).replace('.', '_')}" for lv in result.cutoff_levels]
-        fh.write(",".join(header + ["feasible"]) + "\n")
-        for g in range(result.candidates.shape[0]):
-            row = [_fmt(v) for v in result.candidates[g]]
-            row.extend(_fmt(v) for v in result.statistics[g])
-            row.append("1" if result.feasible[g] else "0")
-            fh.write(",".join(row) + "\n")
+    stats = [f"stat_q{('%g' % (100 * lv)).replace('.', '_')}" for lv in result.cutoff_levels]
+    _write_table(
+        os.path.join(out, "partialid.csv"), [*GRID_AXES, *stats, "feasible"],
+        ([*c, *s, "1" if f else "0"] for c, s, f in zip(result.candidates, result.statistics, result.feasible)),
+    )
     print(f"cutoff levels {result.cutoff_levels} -> m cutoffs {[round(float(c), 6) for c in result.cutoffs]}")
     print(f"slack {_fmt(result.slack)}, feasible fraction {result.volume_fraction:.4f}, empty: {result.empty}")
     for name in GRID_AXES:
@@ -533,87 +534,35 @@ def cmd_partialid(args, config: dict) -> int:
     return 0
 
 
-def _read_params_csv(path: str) -> dict:
-    values = {}
-    try:
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != "parameter,value":
-                raise DataError(f"{path}: expected header 'parameter,value'")
-            for line in fh:
-                if not line.strip():
-                    continue
-                name, value = line.strip().split(",")
-                values[name] = float(value)
-    except FileNotFoundError as exc:
-        raise DataError(f"parameter file not found: {path}") from exc
-    except ValueError as exc:
-        raise DataError(f"{path}: malformed row ({exc})") from exc
-    missing = {"beta_k", "beta_kk", "beta_l", "beta_m", "beta_0"} - set(values)
-    if missing:
-        raise DataError(f"{path}: missing parameters {sorted(missing)}")
-    return values
-
-
-def _read_latents_csv(path: str, dataset: PanelDataset):
-    table = {}
-    try:
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != "firm_id,year,phi_hat,omega_hat,eta_hat":
-                raise DataError(f"{path}: expected header 'firm_id,year,phi_hat,omega_hat,eta_hat'")
-            for line in fh:
-                if not line.strip():
-                    continue
-                firm, year, phi, omega, eta = line.strip().split(",")
-                table[(firm, int(year))] = (float(phi), float(omega), float(eta))
-    except FileNotFoundError as exc:
-        raise DataError(f"latent series file not found: {path}") from exc
-    except ValueError as exc:
-        raise DataError(f"{path}: malformed row ({exc})") from exc
-    phi = np.empty(dataset.n_obs)
-    omega = np.empty(dataset.n_obs)
-    eta = np.empty(dataset.n_obs)
-    for i in range(dataset.n_obs):
-        key = (str(dataset.labels[i]), int(dataset.year[i]))
-        if key not in table:
-            raise DataError(f"{path}: no latent row for firm {key[0]} year {key[1]}")
-        phi[i], omega[i], eta[i] = table[key]
-    return phi, omega, eta
-
-
 def cmd_report(args, config: dict) -> int:
-    section = _section(config, "report")
-    _check_keys(section, ("data", "prices", "x_columns", "z_columns", "params", "latents"), "report")
-    dataset = _load_panel(section, "report", args.data)
+    section = _typed(_section(config, "report"), "report", {**_PANEL, "params": _path, "latents": _path})
     params_path = _resolve(args.params, section.get("params"), None)
     latents_path = _resolve(args.latents, section.get("latents"), None)
     if params_path is None or latents_path is None:
         raise ConfigError("report: both params and latents files are required")
-    values = _read_params_csv(params_path)
-    params = TranslogParams(
-        beta_k=values["beta_k"], beta_kk=values["beta_kk"], beta_l=values["beta_l"],
-        beta_m=values["beta_m"], beta_0=values["beta_0"], theta=values.get("theta", 1.0),
-    )
-    phi, omega, _eta = _read_latents_csv(latents_path, dataset)
-    out = _out_dir(args, config)
+    dataset = _load_panel(section, "report", args.data)
+    values = {name: value for (name,), (value,) in _read_table(params_path, ("parameter", "value"), 1).items()}
+    if not set(_BETAS) <= set(values):
+        raise DataError(f"{params_path}: missing parameters {sorted(set(_BETAS) - set(values))}")
+    params = TranslogParams(**{name: values[name] for name in _BETAS}, theta=values.get("theta", 1.0))
+    latents = _read_table(latents_path, ("firm_id", "year", "phi_hat", "omega_hat", "eta_hat"), 2)
+    try:
+        phi, omega, _eta = np.array([latents[(label, str(year))] for label, year in zip(dataset.labels, dataset.year)]).T
+    except KeyError as exc:
+        label, year = exc.args[0]
+        raise DataError(f"{latents_path}: no latent row for firm {label} year {year}") from exc
+    out = _out_dir(args)
 
     record = elasticities(params, dataset.k, dataset.m, dataset.l, phi)
-    with open(os.path.join(out, "elasticities.csv"), "w") as fh:
-        fh.write("firm_id,year,capital,labor,material,rts\n")
-        for i in range(dataset.n_obs):
-            fh.write(
-                "%s,%d,%s,%s,%s,%s\n"
-                % (dataset.labels[i], dataset.year[i], _fmt(record.capital[i]),
-                   _fmt(record.labor[i]), _fmt(record.material[i]), _fmt(record.rts[i]))
-            )
-
-    carrier = types.SimpleNamespace(params=params, phi_hat=phi, omega_hat=omega)
-    series = aggregate_productivity(dataset, carrier)
-    with open(os.path.join(out, "aggregates.csv"), "w") as fh:
-        fh.write("year,phi,omega,labor_phi\n")
-        for j, year in enumerate(series.years):
-            fh.write("%d,%s,%s,%s\n" % (year, _fmt(series.phi[j]), _fmt(series.omega[j]), _fmt(series.labor_phi[j])))
+    _write_table(
+        os.path.join(out, "elasticities.csv"), ("firm_id", "year", "capital", "labor", "material", "rts"),
+        zip(dataset.labels, dataset.year, record.capital, record.labor, record.material, record.rts),
+    )
+    series = aggregate_productivity(dataset, types.SimpleNamespace(params=params, phi_hat=phi, omega_hat=omega))
+    _write_table(
+        os.path.join(out, "aggregates.csv"), ("year", "phi", "omega", "labor_phi"),
+        zip(series.years, series.phi, series.omega, series.labor_phi),
+    )
     print(f"wrote elasticities.csv, aggregates.csv to {out}")
     return 0
 
@@ -626,43 +575,38 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="prodsys", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, help, *shared):
+        """A subcommand with ``--config``, ``--out`` and the ``shared`` flags it reads."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="YAML config file")
-        p.add_argument("--seed", type=int, help="master seed (overrides config)")
         p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--threads", type=int, help="worker processes where supported")
+        if "seed" in shared:
+            p.add_argument("--seed", type=int, help="master seed (overrides config)")
+        if "data" in shared:
+            p.add_argument("--data", help="panel CSV path")
+        if "proxy" in shared:
+            p.add_argument("--proxy", choices=(*PROXIES, "material"), help="omega proxy input")
+        return p
 
-    p = sub.add_parser("simulate", help="draw a synthetic panel and write it to CSV")
-    common(p)
+    command("simulate", "draw a synthetic panel and write it to CSV", "seed")
 
-    p = sub.add_parser("estimate", help="run the estimator on a panel CSV")
-    common(p)
-    p.add_argument("--data", help="panel CSV path")
+    p = command("estimate", "run the estimator on a panel CSV", "data", "proxy")
     p.add_argument("--law", choices=("parametric", "sieve"), help="productivity law family")
     p.add_argument("--degree", help="sieve degree: auto or a positive integer")
-    p.add_argument("--proxy", choices=("materials", "material", "labor", "average"), help="omega proxy input")
 
-    p = sub.add_parser("montecarlo", help="replicated simulate-estimate study")
-    common(p)
+    p = command("montecarlo", "replicated simulate-estimate study", "seed", "proxy")
     p.add_argument("--replications", "-R", dest="replications", type=int, help="replication count")
-    p.add_argument("--proxy", choices=("materials", "material", "labor", "average"), help="omega proxy input")
+    p.add_argument("--threads", type=int, help="worker processes (overrides config)")
 
-    p = sub.add_parser("bootstrap", help="wild residual block bootstrap on a panel CSV")
-    common(p)
-    p.add_argument("--data", help="panel CSV path")
+    p = command("bootstrap", "wild residual block bootstrap on a panel CSV", "seed", "data", "proxy")
     p.add_argument("--B", dest="B", type=int, help="bootstrap replication count")
-    p.add_argument("--proxy", choices=("materials", "material", "labor", "average"), help="omega proxy input")
 
-    p = sub.add_parser("partialid", help="moment-inequality identified set on a panel CSV")
-    common(p)
-    p.add_argument("--data", help="panel CSV path")
+    p = command("partialid", "moment-inequality identified set on a panel CSV", "data")
     p.add_argument("--cutoffs", help="comma-separated quantile levels")
     p.add_argument("--slack", type=float, help="inequality slack")
     p.add_argument("--grid", help="per-axis grid, e.g. beta_k=0.1:0.3:11,beta_kk=-0.05:0.03:11,...")
 
-    p = sub.add_parser("report", help="elasticity and aggregate-productivity tables")
-    common(p)
-    p.add_argument("--data", help="panel CSV path")
+    p = command("report", "elasticity and aggregate-productivity tables", "data")
     p.add_argument("--params", help="params.csv from a previous estimate run")
     p.add_argument("--latents", help="latents.csv from a previous estimate run")
     return parser
@@ -682,6 +626,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _load_config(args.config)
+        # top-level settings, checked for every command: flag beats file beats default
+        for key, reader, default in (("seed", _seed, 0), ("threads", _positive_int, 1), ("out", _path, ".")):
+            value = reader(_resolve(None, config.get(key), default), key)
+            flag = getattr(args, key, None)
+            setattr(args, key, value if flag is None else reader(flag, f"--{key}"))
         return _COMMANDS[args.command](args, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

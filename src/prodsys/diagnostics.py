@@ -10,6 +10,7 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import io
+import os
 import types
 
 import numpy as np
@@ -161,9 +162,10 @@ def monte_carlo_study(
     """Simulate and re-estimate ``replications`` times with derived seeds.
 
     Per-replication seeds are hashed out of the master seed, so parallel
-    and sequential execution give identical reports.  Failures are
-    excluded from the statistics and counted; every replication failing
-    is an error.  Only translog panels are accepted: the study fits the
+    and sequential execution give identical reports; at most
+    ``min(threads, replications, os.cpu_count())`` worker processes start.
+    Failures are excluded from the statistics and counted; every
+    replication failing is an error.  Only translog panels are accepted: the study fits the
     translog estimator and reports the translog truth.
     """
     if config.technology != "translog":
@@ -173,8 +175,10 @@ def monte_carlo_study(
     names, truth = _truth_vector(config)
     rep_seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(replications, dtype=np.uint64)]
 
-    if threads > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+    # seeds are per replication, so the worker count changes no report
+    workers = min(threads, replications, os.cpu_count() or 1)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_mc_replicate, [config] * replications, rep_seeds, [options] * replications))
     else:
         outcomes = [_mc_replicate(config, s, options) for s in rep_seeds]

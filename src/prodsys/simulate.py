@@ -87,11 +87,14 @@ class DgpConfig:
             raise ValueError("innovation scales must be nonnegative")
         if self.markup <= 0:
             raise ValueError("markup must be positive")
-        if not all(0.0 < d < 1.0 for d in self.depreciation_rates):
-            raise ValueError("depreciation rates must lie in (0, 1)")
+        if len(self.depreciation_rates) == 0 or not all(0.0 < d < 1.0 for d in self.depreciation_rates):
+            raise ValueError("need depreciation rates, each in (0, 1)")
         lo, hi = self.k_init_range
         if not (0.0 < lo <= hi):
             raise ValueError("capital init range must be positive")
+        if any(lo > hi for lo, hi in (self.omega_init_range, self.phi_init_range)):
+            raise ValueError("productivity init ranges need low <= high")
+        self.price_arrays()
         self.laws.validate()
         if self.technology == "translog":
             self.params.validate()

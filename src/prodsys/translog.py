@@ -61,6 +61,7 @@ __all__ = [
     "SystemResult",
     "TranslogEstimate",
     "EstimateOptions",
+    "PROXIES",
     "step1_cost_share",
     "phi_proxy",
     "build_instruments",
@@ -79,6 +80,9 @@ __all__ = [
 #: ``(rho_omega_0, rho_omega_1, rho_omega_2)``
 PHI_LAW = LinearLaw(intercept=False)
 OMEGA_LAW = LinearLaw(intercept=True)
+
+#: the inputs whose first-order condition can proxy omega (``EstimateOptions.proxy``)
+PROXIES = ("materials", "labor", "average")
 
 
 @dataclasses.dataclass
@@ -213,6 +217,17 @@ class EstimateOptions:
     refine: str = "system"  # system | none
     grad_tol: float = 1e-8
     max_iter: int = 500
+
+    def validate(self) -> None:
+        """Raise ``ValueError`` naming the first setting outside its allowed values."""
+        choices = {"proxy": PROXIES, "instruments": ("default", "exactly_identified"), "refine": ("system", "none")}
+        for name, allowed in choices.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {', '.join(allowed)}; got {getattr(self, name)!r}")
+        if not self.grad_tol > 0.0:
+            raise ValueError(f"grad_tol must be positive, got {self.grad_tol!r}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
 
 
 # -- step one ----------------------------------------------------------------
@@ -793,8 +808,7 @@ def estimate(dataset: PanelDataset, options: EstimateOptions | None = None) -> T
     the sequential step records kept for diagnostics.
     """
     opts = options or EstimateOptions()
-    if opts.refine not in ("system", "none"):
-        raise ValueError(f"unknown refine option {opts.refine!r}")
+    opts.validate()
     step1 = step1_cost_share(dataset)
     step2 = step2_gmm(
         dataset,

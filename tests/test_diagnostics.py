@@ -110,6 +110,32 @@ def test_parallel_matches_sequential():
     assert seq.n_failures == par.n_failures == 0
 
 
+@pytest.mark.parametrize(("cpus", "started"), [(4, [2]), (1, [])], ids=["four-cpus", "one-cpu"])
+def test_worker_count_is_capped_by_replications_and_cpus(monkeypatch, cpus, started):
+    # a recording stand-in for the process pool: no worker process is started
+    workers = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    sequential = monte_carlo_study(SMALL_CFG, 2, FAST, seed=5)
+    monkeypatch.setattr(prodsys.diagnostics.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(prodsys.diagnostics.os, "cpu_count", lambda: cpus)
+    report = monte_carlo_study(SMALL_CFG, 2, FAST, seed=5, threads=64)
+    assert workers == started
+    assert np.array_equal(report.mean, sequential.mean) and np.array_equal(report.rmse, sequential.rmse)
+
+
 def test_failures_counted_and_reported(bench_est, monkeypatch):
     calls = {"n": 0}
 

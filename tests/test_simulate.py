@@ -34,6 +34,16 @@ def test_config_validation_errors():
     assert abs(cfg.theta - np.exp(0.07**2 / 2)) < 1e-15
 
 
+@pytest.mark.parametrize("setting", [
+    {"price_y": -1.0}, {"price_m": (1.0, 2.0)}, {"omega_init_range": (1.0, -1.0)}, {"depreciation_rates": ()},
+])
+def test_config_rejects_bad_prices_init_ranges_and_rates(setting):
+    # these used to pass validate() and then fail inside generate_panel, or
+    # (no depreciation rates) simulate without depreciation
+    with pytest.raises(ValueError):
+        DgpConfig(**setting).validate()
+
+
 def test_generate_panel_deterministic():
     cfg = benchmark_config(n=30, t_periods=5, seed=123)
     d1, t1 = generate_panel(cfg, seed=123)

@@ -285,3 +285,12 @@ def test_estimate_rejects_unknown_refine(bench):
     ds, _, _ = bench
     with pytest.raises(ValueError):
         estimate(ds, EstimateOptions(refine="polish"))
+
+
+@pytest.mark.parametrize("setting", [
+    {"proxy": "capital"}, {"instruments": "bogus"}, {"refine": "polish"}, {"grad_tol": 0.0}, {"max_iter": 0},
+])
+def test_estimate_options_validate_names_the_setting(setting):
+    EstimateOptions().validate()
+    with pytest.raises(ValueError, match=next(iter(setting))):
+        EstimateOptions(**setting).validate()
