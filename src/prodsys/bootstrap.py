@@ -16,10 +16,9 @@ import dataclasses
 
 import numpy as np
 
-from .moments import capital_terms, flexible_output, omega_residual, phi_proxy
+from .moments import flexible_output, omega_law_coef, omega_law_columns, phi_law_coef, phi_law_columns, phi_proxy
 from .panel import PanelDataset
 from .translog import (
-    OMEGA_LAW,
     EstimateOptions,
     TranslogEstimate,
     _point_estimate,
@@ -29,7 +28,6 @@ from .translog import (
     omega_proxy,
     step1_cost_share,
     step2_gmm,
-    step2_residual,
     step3_core,
     system_refine,
 )
@@ -143,16 +141,15 @@ def compute_residuals(dataset: PanelDataset, estimate: TranslogEstimate) -> Resi
     eta = estimate.eta_hat - np.mean(estimate.eta_hat)
 
     alpha = np.concatenate(([params.beta_0, params.beta_l, laws.rho_phi_1], laws.rho_phi_2))
-    zeta = step2_residual(alpha, estimate.step1.delta_lm, *_step2_arrays(dataset))
+    zeta = phi_law_columns(*_step2_arrays(dataset)) @ phi_law_coef(alpha, estimate.step1.delta_lm)
     zeta = zeta - np.mean(zeta)
 
     ystar, mstar = _omega_law_data(
         dataset, params.beta_0, params.beta_l, estimate.step1.delta_lm, params.theta, estimate.step3.proxy,
     )
     cur, prev = pairs.cur, pairs.prev
-    resid = omega_residual(
-        _omega_block(params, laws), OMEGA_LAW,
-        ystar[cur], capital_terms(dataset.k[cur]), capital_terms(dataset.k[prev]), mstar[prev], dataset.x[prev],
+    resid = omega_law_columns(ystar[cur], dataset.k[cur], dataset.k[prev], mstar[prev], dataset.x[prev]) @ (
+        omega_law_coef(_omega_block(params, laws))
     )
     resid = resid - np.mean(resid)
     return ResidualSet(eta=eta, zeta_phi=zeta, resid_omega=resid, mstar=mstar)
@@ -181,8 +178,15 @@ def synthetic_outcomes(dataset: PanelDataset, estimate: TranslogEstimate, residu
     shock = w_obs[cur] * residuals.zeta_phi
     ml_b = (dataset.m - dataset.l).copy()
     s = dataset.s_l
-    # pairs are ordered by (firm, year), so each firm's run chains left to right
-    for i in range(len(pairs)):
+    # pairs are ordered by (firm, year): a pair extends the chain of the pair
+    # before it when its lagged row is that pair's current row, and a chain
+    # restarts after a gap.  Pairs at the same depth of their chains read only
+    # rows written at smaller depths, so each depth is one step across firms.
+    restart = np.ones(len(pairs), dtype=bool)
+    restart[1:] = prev[1:] != cur[:-1]
+    depth = np.arange(len(pairs)) - np.flatnonzero(restart)[np.cumsum(restart) - 1]
+    order = np.argsort(depth, kind="stable")
+    for i in np.split(order, np.cumsum(np.bincount(depth))[:-1]):
         c, p = cur[i], prev[i]
         ml_b[c] = (
             -ratio + slope * s[c]
@@ -191,11 +195,9 @@ def synthetic_outcomes(dataset: PanelDataset, estimate: TranslogEstimate, residu
         )
 
     # the omega-law residual of a zero target is minus the fitted law
-    fitted = -omega_residual(
-        _omega_block(params, laws), OMEGA_LAW,
-        np.zeros(cur.size), capital_terms(dataset.k[cur]), capital_terms(dataset.k[prev]),
-        residuals.mstar[prev], dataset.x[prev],
-    )
+    fitted = -omega_law_columns(
+        np.zeros(cur.size), dataset.k[cur], dataset.k[prev], residuals.mstar[prev], dataset.x[prev],
+    ) @ omega_law_coef(_omega_block(params, laws))
     ystar_b = fitted + w_obs[cur] * residuals.resid_omega
     return lnr_b, ml_b, ystar_b
 

@@ -6,8 +6,8 @@ data is read.  Every command is a pure function of its inputs, config and
 seed, so re-running writes byte-identical files.  All numeric output
 carries 17 significant digits.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 estimation
-non-convergence.
+Exit codes: 0 success, 2 config error (including a simulation the static
+input solver cannot clear), 3 data error, 4 estimation non-convergence.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import types
 import numpy as np
 import yaml
 
-from .bootstrap import BootstrapConfig, pack_parameters, parameter_names, run_bootstrap
+from .bootstrap import NUMERICAL_FAILURES, BootstrapConfig, pack_parameters, parameter_names, run_bootstrap
 from .diagnostics import aggregate_productivity, elasticities, monte_carlo_study
 from .panel import FLOAT_FORMAT, PanelDataset, load_csv, write_csv, write_prices_csv
 from .partialid import GRID_AXES, MomentInequalityConfig, identified_set
@@ -320,8 +320,12 @@ def _fits(result) -> list:
 
 def cmd_simulate(args, config: dict) -> int:
     dgp = _dgp_from_config(_section(config, "simulate"), "simulate", args.seed)
+    try:
+        dataset, truth = generate_panel(dgp, seed=args.seed)
+    except NUMERICAL_FAILURES as exc:
+        # a valid config whose economy the static input solver cannot clear
+        raise ConfigError(f"simulate: {exc}") from exc
     out = _out_dir(args)
-    dataset, truth = generate_panel(dgp, seed=args.seed)
     write_csv(dataset, os.path.join(out, "panel.csv"))
     write_prices_csv(dataset, os.path.join(out, "prices.csv"))
     # simulated firms are numbered in generation order, the order of truth's rows

@@ -27,6 +27,16 @@ coef)`` is
 
 Each Jacobian takes the same arguments as its residual, so a residual and
 its Jacobian can share one argument tuple.
+
+The cross-product core: under the linear laws (:class:`LinearLaw`) and on
+proxied phi, the innovation is ``E a(alpha)`` and the residual ``D c(gamma)``,
+with blocks of fixed data columns (:func:`phi_law_columns`,
+:func:`omega_law_columns`) and coefficient maps of the candidate
+(:func:`phi_law_coef`, :func:`omega_law_coef`).  The maps' derivatives give
+the Jacobians ``E da/dalpha`` and ``D dc/dgamma``.  A fit forms ``Q'E`` or a
+square root of ``D'D`` once, and each candidate then costs the same at any
+number of lag pairs.  :func:`proxied_omega_coef` carries ``c`` through the
+proxied-phi expansion of ``y*`` and ``m*`` for the joint system.
 """
 
 from __future__ import annotations
@@ -43,6 +53,13 @@ __all__ = [
     "flexible_output",
     "omega_residual",
     "omega_residual_jacobian",
+    "phi_law_columns",
+    "phi_law_coef",
+    "phi_law_coef_jacobian",
+    "omega_law_columns",
+    "omega_law_coef",
+    "omega_law_coef_jacobian",
+    "proxied_omega_coef",
 ]
 
 
@@ -155,3 +172,84 @@ def omega_residual_jacobian(params, law, y_cur, cap_cur, cap_prev, mstar_prev, x
     u = _columns(mstar_prev - cap_prev @ beta, x_prev)
     dr = law.evaluate_deriv(u, 0) @ coef
     return _columns(dr[:, None] * cap_prev - cap_cur, -law.evaluate(u))
+
+
+# -- the cross-product core of the linear laws ----------------------------------
+
+
+def _block(*cols) -> np.ndarray:
+    """1-D columns side by side, stored column-major for the products and QR that read the block."""
+    return np.stack(cols).T
+
+
+def phi_law_columns(ml_cur, ml_prev, sl_cur, sl_prev, z_prev) -> np.ndarray:
+    """The block ``E = [ml_cur, ml_prev, 1, s_cur, s_prev, z_prev]``."""
+    return _block(ml_cur, ml_prev, np.ones(len(ml_cur)), sl_cur, sl_prev, *z_prev.T)
+
+
+def phi_law_coef(alpha, delta_lm: float) -> np.ndarray:
+    """``a`` at ``alpha = (beta_0, beta_l, rho_1, rho_2)``, with ``E a`` the innovation of the linear phi law.
+
+    Proxied phi is ``ml + beta_l/beta_0 - (delta/beta_0)*s``, so ``a = [1,
+    -rho_1, (beta_l/beta_0)(1 - rho_1), -delta/beta_0, rho_1*delta/beta_0,
+    -rho_2]``.
+    """
+    b0, bl, r1, r2 = alpha[0], alpha[1], alpha[2], alpha[3:]
+    return np.concatenate(([1.0, -r1, bl / b0 * (1.0 - r1), -delta_lm / b0, r1 * delta_lm / b0], -r2))
+
+
+def phi_law_coef_jacobian(alpha, delta_lm: float) -> np.ndarray:
+    """``da/dalpha`` of :func:`phi_law_coef`, one column per parameter."""
+    b0, bl, r1 = alpha[0], alpha[1], alpha[2]
+    pz = len(alpha) - 3
+    out = np.zeros((5 + pz, 3 + pz))
+    out[2:5, 0] = -bl / b0**2 * (1.0 - r1), delta_lm / b0**2, -r1 * delta_lm / b0**2
+    out[2, 1] = (1.0 - r1) / b0
+    out[1:5, 2] = -1.0, -bl / b0, 0.0, delta_lm / b0
+    out[5:, 3:] = -np.eye(pz)
+    return out
+
+
+def omega_law_columns(y_cur, k_cur, k_prev, mstar_prev, x_prev) -> np.ndarray:
+    """The block ``D = [y*_cur, 1, k_cur, k_cur^2/2, m*_prev, k_prev, k_prev^2/2, x_prev]``."""
+    ones = np.ones(len(y_cur))
+    return _block(y_cur, ones, k_cur, 0.5 * k_cur**2, mstar_prev, k_prev, 0.5 * k_prev**2, *x_prev.T)
+
+
+def omega_law_coef(gamma) -> np.ndarray:
+    """``c`` at ``gamma = (beta_k, beta_kk, rho_0, rho_1, rho_2)``, with ``D c`` the residual of the linear omega law.
+
+    ``c = [1, -rho_0, -beta_k, -beta_kk, -rho_1, rho_1*beta_k, rho_1*beta_kk, -rho_2]``.
+    """
+    bk, bkk, g0, g1, g2 = gamma[0], gamma[1], gamma[2], gamma[3], gamma[4:]
+    return np.concatenate(([1.0, -g0, -bk, -bkk, -g1, g1 * bk, g1 * bkk], -g2))
+
+
+def omega_law_coef_jacobian(gamma) -> np.ndarray:
+    """``dc/dgamma`` of :func:`omega_law_coef`, one column per parameter."""
+    bk, bkk, g1 = gamma[0], gamma[1], gamma[3]
+    px = len(gamma) - 4
+    out = np.zeros((7 + px, 4 + px))
+    out[[2, 5], 0] = -1.0, g1
+    out[[3, 6], 1] = -1.0, g1
+    out[1, 2] = -1.0
+    out[4:7, 3] = -1.0, bk, bkk
+    out[7:, 4:] = -np.eye(px)
+    return out
+
+
+def proxied_omega_coef(gamma, beta_0: float, beta_l: float, delta_lm: float) -> np.ndarray:
+    """:func:`omega_law_coef` carried through the proxied-phi expansion of ``y*`` and ``m*``.
+
+    On proxied phi ``m - phi - l = (delta*s - beta_l)/beta_0``, so the
+    flexible-input term is ``delta*m + (beta_l^2 - delta^2*s^2)/(2*beta_0)``
+    and ``D c`` equals the returned coefficients times the block
+
+        R = [y_cur - delta*m_cur, 1, s_cur^2, k_cur, k_cur^2/2,
+             foc_prev - delta*m_prev, s_prev^2, k_prev, k_prev^2/2, x_prev],
+
+    with ``foc_prev`` the lagged omega proxy plus flexible output.
+    """
+    c = omega_law_coef(gamma)
+    shift, curv = -beta_l**2 / (2.0 * beta_0), delta_lm**2 / (2.0 * beta_0)
+    return np.concatenate(([c[0], c[1] + shift * (c[0] + c[4]), curv * c[0]], c[2:5], [curv * c[4]], c[5:]))

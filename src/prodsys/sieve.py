@@ -27,7 +27,14 @@ import itertools
 
 import numpy as np
 
-from .moments import capital_terms, phi_proxy
+from .moments import (
+    capital_terms,
+    omega_residual,
+    omega_residual_jacobian,
+    phi_innovation,
+    phi_innovation_jacobian,
+    phi_proxy,
+)
 from .optim import minimize_gmm, minimize_nls
 from .panel import PanelDataset
 from .translog import (
@@ -365,8 +372,11 @@ def sieve_step2_gmm(
         )
     weight = (vecs * np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)) @ vecs.T
 
+    args = (basis, delta, *arrays)
     problem, starts = _phi_law_gmm(
-        basis, 2 + _linear_term_index(basis, 0), 2 + basis.n_terms, delta, arrays, q, weight,
+        lambda alpha: q.T @ phi_innovation(alpha, *args) / n_pairs,
+        lambda alpha: q.T @ phi_innovation_jacobian(alpha, *args) / n_pairs,
+        2 + _linear_term_index(basis, 0), 2 + basis.n_terms, delta, weight,
     )
     result = minimize_gmm(problem, starts[0], starts=starts[1:], grad_tol=grad_tol, max_iter=max_iter)
 
@@ -466,7 +476,12 @@ def sieve_step3_nls(
         basis, ystar[cur], capital_terms(dataset.k[cur]), capital_terms(dataset.k[prev]),
         mstar[prev], dataset.x[prev],
     )
-    problem, starts = _omega_law_nls(args, 2 + _linear_term_index(basis, 0), 2 + basis.n_terms)
+    problem, starts = _omega_law_nls(
+        lambda gamma: omega_residual(gamma, *args),
+        lambda gamma: omega_residual_jacobian(gamma, *args),
+        2 + _linear_term_index(basis, 0), 2 + basis.n_terms,
+        np.column_stack([args[2], np.ones(cur.size)]), ystar[cur],
+    )
     result = minimize_nls(problem, starts[0], starts=starts[1:], grad_tol=grad_tol, max_iter=max_iter)
 
     if not result.converged:

@@ -24,13 +24,17 @@ over both parameter blocks at once; ``system_refine`` documents why the
 sequential step-two criterion alone is nearly flat in the curvature
 parameter.
 
-The phi-law innovation and the omega-law residual, with their Jacobians,
-and the flexible-input part of log output are defined once in
-:mod:`prodsys.moments`.  Every step here evaluates the laws under the
-linear ``PHI_LAW`` and ``OMEGA_LAW``, and every purged output ``y*`` and
-omega proxy ``m*`` subtracts :func:`~prodsys.moments.flexible_output`.  The
-joint refinement evaluates the same two residuals in closed form on
-proxied phi, from cross-products of the data formed once per call.
+The laws' residuals, their Jacobians and the flexible-input part of log
+output are defined once in :mod:`prodsys.moments`, and every purged output
+``y*`` and omega proxy ``m*`` subtracts
+:func:`~prodsys.moments.flexible_output`.  Under the linear laws each
+residual is a fixed block of data columns times coefficients of the
+candidate (the moments module's cross-product core), so every fit here
+forms its cross-products once per call and no optimizer iteration touches
+an array as long as the panel: step two reads ``Q'E/n``, step three a
+square root of ``D'D``, and the joint refinement the whitened projections
+and Gram matrices of both blocks.  The series laws of :mod:`prodsys.sieve`
+keep the lag-pair residuals, through the same bounds and start grids.
 """
 
 from __future__ import annotations
@@ -40,14 +44,15 @@ import dataclasses
 import numpy as np
 
 from .moments import (
-    LinearLaw,
-    capital_terms,
     flexible_output,
-    omega_residual,
-    omega_residual_jacobian,
-    phi_innovation,
-    phi_innovation_jacobian,
+    omega_law_coef,
+    omega_law_coef_jacobian,
+    omega_law_columns,
+    phi_law_coef,
+    phi_law_coef_jacobian,
+    phi_law_columns,
     phi_proxy,
+    proxied_omega_coef,
 )
 from .optim import GmmProblem, NlsProblem, OptimResult, _psd_sqrt, minimize_gmm, minimize_nls
 from .panel import PanelDataset
@@ -75,11 +80,6 @@ __all__ = [
     "recover_productivity",
     "estimate",
 ]
-
-#: the parametric laws of motion: ``(rho_phi_1, rho_phi_2)`` and
-#: ``(rho_omega_0, rho_omega_1, rho_omega_2)``
-PHI_LAW = LinearLaw(intercept=False)
-OMEGA_LAW = LinearLaw(intercept=True)
 
 #: the inputs whose first-order condition can proxy omega (``EstimateOptions.proxy``)
 PROXIES = ("materials", "labor", "average")
@@ -283,6 +283,7 @@ def build_instruments(dataset: PanelDataset, *, kind: str = "default"):
 
 
 def _step2_arrays(dataset: PanelDataset):
+    """Lag-pair arrays ``(ml_cur, ml_prev, s_cur, s_prev, z_prev)`` of the phi law."""
     pairs = dataset.lag_pairs()
     cur, prev = pairs.cur, pairs.prev
     return (
@@ -294,19 +295,6 @@ def _step2_arrays(dataset: PanelDataset):
     )
 
 
-def step2_residual(alpha: np.ndarray, delta_lm: float, *arrays) -> np.ndarray:
-    """Innovation of the linear phi law at ``alpha = (beta_0, beta_l, rho)``.
-
-    ``arrays`` are the lag-pair arrays of :func:`_step2_arrays`.
-    """
-    return phi_innovation(alpha, PHI_LAW, delta_lm, *arrays)
-
-
-def step2_residual_jacobian(alpha: np.ndarray, delta_lm: float, *arrays) -> np.ndarray:
-    """Analytic derivative of :func:`step2_residual` in each parameter."""
-    return phi_innovation_jacobian(alpha, PHI_LAW, delta_lm, *arrays)
-
-
 def _gram_weight(mat: np.ndarray, label: str, warnings: list[str]) -> np.ndarray:
     gram = mat.T @ mat / mat.shape[0]
     cond = np.linalg.cond(gram)
@@ -316,24 +304,18 @@ def _gram_weight(mat: np.ndarray, label: str, warnings: list[str]) -> np.ndarray
     return np.linalg.inv(gram)
 
 
-def _phi_law_gmm(law, lin: int, n_params: int, delta_lm: float, arrays, q, weight):
+def _phi_law_gmm(moments, jacobian, lin: int, n_params: int, delta_lm: float, weight):
     """GMM problem and default start grid of a phi law, linear or series.
 
-    Parameters are ``(beta_0, beta_l, coef)``; ``coef[lin - 2]`` is the
-    slope in lagged phi, kept inside the unit interval.  The starts cross
-    curvature magnitudes with labor shares.
+    ``moments`` and ``jacobian`` map the parameters ``(beta_0, beta_l,
+    coef)`` to the averaged moments and their derivative; ``coef[lin - 2]``
+    is the slope in lagged phi, kept inside the unit interval.  The starts
+    cross curvature magnitudes with labor shares.
     """
-    n_pairs = q.shape[0]
-    args = (law, delta_lm, *arrays)
     lo, hi = np.full(n_params, -50.0), np.full(n_params, 50.0)
     lo[:2], hi[:2] = (-10.0, 1e-10), (-1e-10, delta_lm * (1 - 1e-10))
     lo[lin], hi[lin] = -0.999999, 0.999999
-    problem = GmmProblem(
-        moments=lambda alpha: q.T @ phi_innovation(alpha, *args) / n_pairs,
-        jacobian=lambda alpha: q.T @ phi_innovation_jacobian(alpha, *args) / n_pairs,
-        weight=weight,
-        bounds=(lo, hi),
-    )
+    problem = GmmProblem(moments=moments, jacobian=jacobian, weight=weight, bounds=(lo, hi))
     starts = []
     for b0 in (-0.2, -0.1, -0.05, -0.02, -0.005):
         for frac in (0.25, 0.5, 0.75):
@@ -358,9 +340,13 @@ def step2_gmm(
     weight is ``(Q'Q/N)^{-1}``; parameters are ``(beta_0, beta_l,
     rho_phi_1, rho_phi_2)`` with ``beta_m`` recovered as ``delta_lm -
     beta_l``.
+
+    The innovation is ``E a(alpha)`` with fixed columns ``E``
+    (:func:`~prodsys.moments.phi_law_columns`), so ``Q'E/N`` is formed once
+    and the moments ``(Q'E/N) a`` and their Jacobian ``(Q'E/N) da/dalpha``
+    cost the same at any panel size.
     """
     delta = step1.delta_lm
-    arrays = _step2_arrays(dataset)
     pz = dataset.z.shape[1]
     q, names = build_instruments(dataset, kind=instruments)
     n_pairs = q.shape[0]
@@ -369,7 +355,12 @@ def step2_gmm(
 
     warnings: list[str] = []
     weight = _gram_weight(q, "instrument", warnings)
-    problem, starts = _phi_law_gmm(PHI_LAW, 2, 3 + pz, delta, arrays, q, weight)
+    qe = q.T @ phi_law_columns(*_step2_arrays(dataset)) / n_pairs
+    problem, starts = _phi_law_gmm(
+        lambda alpha: qe @ phi_law_coef(alpha, delta),
+        lambda alpha: qe @ phi_law_coef_jacobian(alpha, delta),
+        2, 3 + pz, delta, weight,
+    )
     result = minimize_gmm(problem, starts[0], starts=starts[1:], grad_tol=grad_tol, max_iter=max_iter)
 
     beta_0, beta_l, rho_1, rho_2 = *result.params[:3], result.params[3:]
@@ -406,15 +397,16 @@ def step2_gmm(
 def information_matrix(dataset: PanelDataset, step1: Step1Result, alpha, *, instruments: str = "default"):
     """Curvature of the GMM criterion at ``alpha``: ``G'WG`` with rank and condition.
 
-    A full-rank matrix signals local identification of the step-two
+    ``G = (Q'E/N) da/dalpha`` is the Jacobian of step two's moments.  A
+    full-rank matrix signals local identification of the step-two
     parameters; rank deficiency arises, for example, when the labor share
     carries no independent variation.
     """
-    arrays = _step2_arrays(dataset)
     q, _ = build_instruments(dataset, kind=instruments)
     n_pairs = q.shape[0]
     weight = np.linalg.pinv(q.T @ q / n_pairs)
-    g = q.T @ step2_residual_jacobian(np.asarray(alpha, dtype=float), step1.delta_lm, *arrays) / n_pairs
+    qe = q.T @ phi_law_columns(*_step2_arrays(dataset)) / n_pairs
+    g = qe @ phi_law_coef_jacobian(np.asarray(alpha, dtype=float), step1.delta_lm)
     info = g.T @ weight @ g
     svals = np.linalg.svd(info, compute_uv=False)
     tol = max(info.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
@@ -473,24 +465,21 @@ def _omega_law_data(dataset: PanelDataset, beta_0, beta_l, delta_lm, theta, prox
     return dataset.y - flex, _foc_term(dataset, delta_lm, theta, proxy) - flex
 
 
-def _omega_law_nls(args, lin: int, n_params: int):
+def _omega_law_nls(residual, jacobian, lin: int, n_params: int, regressors, target):
     """Least-squares problem and starts of an omega law, linear or series.
 
-    ``args`` follow the law in :func:`omega_residual`'s argument order;
-    parameters are ``(beta_k, beta_kk, coef)`` with the intercept first in
+    ``residual`` and ``jacobian`` map the parameters ``(beta_k, beta_kk,
+    coef)`` to the residual and its derivative; the intercept is first in
     ``coef`` and the slope in lagged omega at index ``lin``, kept inside the
-    unit interval.  Starts profile the capital terms and the intercept by
-    least squares at a few fixed slopes.
+    unit interval.  Starts take the capital terms and the intercept from the
+    least squares of ``target`` on ``regressors`` (the purged output on
+    ``[k, k^2/2, 1]``, or any factor with the same cross-products), at a few
+    fixed slopes.
     """
-    y_cur, cap_cur = args[1], args[2]
     lo, hi = np.full(n_params, -np.inf), np.full(n_params, np.inf)
     lo[lin], hi[lin] = -0.999999, 0.999999
-    problem = NlsProblem(
-        residual=lambda gamma: omega_residual(gamma, *args),
-        jacobian=lambda gamma: omega_residual_jacobian(gamma, *args),
-        bounds=(lo, hi),
-    )
-    ols, *_ = np.linalg.lstsq(np.column_stack([cap_cur, np.ones_like(y_cur)]), y_cur, rcond=None)
+    problem = NlsProblem(residual=residual, jacobian=jacobian, bounds=(lo, hi))
+    ols, *_ = np.linalg.lstsq(regressors, target, rcond=None)
     starts = []
     for slope in (0.5, 0.2, 0.8):
         start = np.zeros(n_params)
@@ -514,9 +503,23 @@ def step3_core(
     Parameter order is ``(beta_k, beta_kk, rho_0, rho_1, rho_2)``; the
     model is documented on :func:`step3_nls`, which assembles the arrays
     from a dataset.
+
+    The residual is ``D c(gamma)`` with fixed columns ``D``
+    (:func:`~prodsys.moments.omega_law_columns`).  With ``S`` the triangular
+    factor of ``D = QS``, ``S'S = D'D``, so the short residual ``S c`` and
+    its Jacobian ``S dc/dgamma`` have the same ``r'r``, ``J'r`` and ``J'J``
+    as ``D c`` and ``D dc/dgamma``.  Levenberg-Marquardt reads a problem
+    only through those three products (the objective, the gradient and the
+    damped normal equations), so it takes the same iterates as on the long
+    residual, and ``S`` is formed once per call.  The starts' least squares
+    of ``y*`` on ``[k, k^2/2, 1]`` reads the same columns of ``S``.
     """
-    args = (OMEGA_LAW, y_cur, capital_terms(k_cur), capital_terms(k_prev), mstar_prev, x_prev)
-    problem, starts = _omega_law_nls(args, 3, 4 + x_prev.shape[1])
+    root = np.linalg.qr(omega_law_columns(y_cur, k_cur, k_prev, mstar_prev, x_prev), mode="r")
+    problem, starts = _omega_law_nls(
+        lambda gamma: root @ omega_law_coef(gamma),
+        lambda gamma: root @ omega_law_coef_jacobian(gamma),
+        3, 4 + x_prev.shape[1], root[:, [2, 3, 1]], root[:, 0],
+    )
     return minimize_nls(problem, starts[0], starts=starts[1:], grad_tol=grad_tol, max_iter=max_iter)
 
 
@@ -611,18 +614,15 @@ def _system_cross_products(
     """Candidate-free cross-products of the joint system's two residuals.
 
     On proxied phi the phi-law innovation is ``eps = E a`` and the omega-law
-    residual is ``r = R c``, with data columns
+    residual is ``r = R c``, with ``E`` the block of
+    :func:`~prodsys.moments.phi_law_columns`, ``R`` the block of
+    :func:`~prodsys.moments.proxied_omega_coef`, and coefficients ``a`` and
+    ``c`` that depend only on the candidate (see :func:`system_refine`).
 
-        E = [ml_cur, ml_prev, 1, s_cur, s_prev, z_prev],
-        R = [y_cur - delta*m_cur, 1, s_cur^2, k_cur, k_cur^2/2,
-             foc_prev - delta*m_prev, s_prev^2, k_prev, k_prev^2/2, x_prev]
-
-    and coefficients ``a`` and ``c`` that depend only on the candidate (see
-    :func:`system_refine`).  Returns ``(P_E, P_R, G_E, G_R, n, h_names)``:
-    the whitened projections ``half_q Q'E / n`` and ``half_h H'R / n``, the
-    centered Gram matrices ``E_c'E_c / n`` and ``R_c'R_c / n``, the number
-    of lag pairs and the level-instrument names.  No lag-pair array outlives
-    the call.
+    Returns ``(P_E, P_R, G_E, G_R, n, h_names)``: the whitened projections
+    ``half_q Q'E / n`` and ``half_h H'R / n``, the centered Gram matrices
+    ``E_c'E_c / n`` and ``R_c'R_c / n``, the number of lag pairs and the
+    level-instrument names.  No lag-pair array outlives the call.
     """
     delta = step1.delta_lm
     pairs = dataset.lag_pairs()
@@ -634,7 +634,7 @@ def _system_cross_products(
     foc_prev = _foc_term(dataset, delta, step1.theta, proxy)[prev]  # lagged omega proxy plus flexible output
 
     ones = np.ones(n)
-    e = np.column_stack([m_cur - dataset.l[cur], m_prev - dataset.l[prev], ones, s_cur, s_prev, *dataset.z[prev].T])
+    e = phi_law_columns(*_step2_arrays(dataset))
     r = np.column_stack([
         dataset.y[cur] - delta * m_cur, ones, s_cur**2, k_cur, 0.5 * k_cur**2,
         foc_prev - delta * m_prev, s_prev**2, k_prev, 0.5 * k_prev**2, *dataset.x[prev].T,
@@ -688,18 +688,12 @@ def system_refine(
     step-two block.
 
     Both stacked residuals are fixed data columns times coefficients that
-    depend only on the candidate.  On proxied phi, ``x = m - phi - l =
-    (delta*s - beta_l)/beta_0``, so the flexible-input term is ``delta*m +
-    (beta_l^2 - delta^2*s^2)/(2*beta_0)`` and
-
-        eps = E a,  a = [1, -rho_phi_1, (beta_l/beta_0)(1 - rho_phi_1),
-                         -delta/beta_0, rho_phi_1*delta/beta_0, -rho_phi_2],
-        r = R c,    c = [1, -(beta_l^2/(2*beta_0))(1 - rho_omega_1) - rho_omega_0,
-                         delta^2/(2*beta_0), -beta_k, -beta_kk, -rho_omega_1,
-                         -rho_omega_1*delta^2/(2*beta_0), rho_omega_1*beta_k,
-                         rho_omega_1*beta_kk, -rho_omega_2]
-
-    with ``E`` and ``R`` the columns of :func:`_system_cross_products`.  The
+    depend only on the candidate: ``eps = E a`` with ``a`` step two's
+    :func:`~prodsys.moments.phi_law_coef`, and ``r = R c`` with ``c`` step
+    three's :func:`~prodsys.moments.omega_law_coef` carried through the
+    proxied-phi expansion of ``y*`` and ``m*``
+    (:func:`~prodsys.moments.proxied_omega_coef`), ``E`` and ``R`` the
+    columns of :func:`_system_cross_products`.  The
     projections ``Q'E``, ``H'R`` and the centered Gram matrices of ``E`` and
     ``R`` are formed once per call; each residual evaluation, and so each
     of the finite-difference Jacobian's, is then a few products of size at
@@ -717,13 +711,8 @@ def system_refine(
     def residual(lam):
         # lam stacks the phi block (beta_0, beta_l, rho_phi) and the omega
         # block (beta_k, beta_kk, rho_omega) of the moment core
-        b0, bl, r1, r2 = *lam[:3], lam[3:3 + pz]
-        bk, bkk, g0, g1, g2 = *lam[3 + pz:7 + pz], lam[7 + pz:]
-        curv = delta**2 / (2.0 * b0)
-        a = np.concatenate(([1.0, -r1, bl / b0 * (1.0 - r1), -delta / b0, r1 * delta / b0], -r2))
-        c = np.concatenate((
-            [1.0, -bl**2 / (2.0 * b0) * (1.0 - g1) - g0, curv, -bk, -bkk, -g1, -g1 * curv, g1 * bk, g1 * bkk], -g2,
-        ))
+        a = phi_law_coef(lam[:3 + pz], delta)
+        c = proxied_omega_coef(lam[3 + pz:], lam[0], lam[1], delta)
         # np.std of eps = E a is sqrt(a' G a) with G the centered Gram matrix
         s_eps = max(float(np.sqrt(max(a @ gram_e @ a, 0.0))), scale_floor)
         s_r = max(float(np.sqrt(max(c @ gram_r @ c, 0.0))), scale_floor)

@@ -88,6 +88,47 @@ def test_synthetic_outcomes_structure(bench, bench_est):
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
+def _looped_input_gap(ds, est, res, weights):
+    """The phi-law recursion of ``synthetic_outcomes`` one lag pair at a time."""
+    p, laws = est.params, est.laws
+    pairs = ds.lag_pairs()
+    cur, prev = pairs.cur, pairs.prev
+    w_obs = np.asarray(weights, dtype=float)[ds.firm]
+    delta = p.beta_l + p.beta_m
+    ratio, slope = p.beta_l / p.beta_0, delta / p.beta_0
+    z_term = ds.z[prev] @ laws.rho_phi_2
+    shock = w_obs[cur] * res.zeta_phi
+    ml_b = (ds.m - ds.l).copy()
+    s = ds.s_l
+    for i in range(len(pairs)):
+        c, q = cur[i], prev[i]
+        ml_b[c] = -ratio + slope * s[c] + laws.rho_phi_1 * (ml_b[q] + ratio - slope * s[q]) + z_term[i] + shock[i]
+    return ml_b
+
+
+def test_synthetic_input_gap_equals_the_pair_loop_on_a_gappy_panel():
+    full, _ = generate_panel(benchmark_config(n=60, t_periods=8, seed=31), seed=31)
+    rng = np.random.default_rng(8)
+    keep = rng.random(full.n_obs) > 0.2  # drops rows inside firms, so chains restart after gaps
+    ds = PanelDataset(
+        firm_ids=full.labels[keep], years=full.year[keep], y=full.y[keep], k=full.k[keep], l=full.l[keep],
+        m=full.m[keep], s_l=full.s_l[keep], ln_r=full.ln_r[keep],
+        z=rng.standard_normal((int(keep.sum()), 1)),
+        ln_price_l=full.ln_price_l[keep], ln_price_m=full.ln_price_m[keep],
+    )
+    pairs = ds.lag_pairs()
+    same_firm = ds.firm[pairs.cur[1:]] == ds.firm[pairs.cur[:-1]]
+    assert np.any(same_firm & (pairs.prev[1:] != pairs.cur[:-1]))  # a restart inside a firm
+    assert len(np.unique(np.bincount(ds.firm))) > 1  # unbalanced
+
+    est = estimate(ds, EstimateOptions(refine="none"))
+    res = compute_residuals(ds, est)
+    for seed in (3, 4):
+        w = mammen_weights(ds.n_firms, seed=seed)
+        _, ml_b, _ = synthetic_outcomes(ds, est, res, w)
+        assert np.array_equal(ml_b, _looped_input_gap(ds, est, res, w))
+
+
 def test_weights_constant_within_firm(bench, bench_est):
     ds, _, _ = bench
     res = compute_residuals(ds, bench_est)

@@ -269,6 +269,14 @@ def test_ces_monte_carlo_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out" / "mc.csv").exists()
 
 
+def test_simulation_the_solver_cannot_clear_is_a_config_error(tmp_path, capsys):
+    config = write_config(tmp_path, "simulate: {sigma_eta: 50, n: 5, t_periods: 3}\n")
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: simulate: ") and "static input solver failed" in err
+    assert not (tmp_path / "out" / "panel.csv").exists()
+
+
 def test_ces_panels_can_still_be_simulated(tmp_path):
     config = write_config(tmp_path, "simulate:" + CES_DGP)
     assert main(["simulate", "--config", config, "--out", str(tmp_path / "out")]) == 0

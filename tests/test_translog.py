@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prodsys.moments import phi_law_coef, phi_law_coef_jacobian, phi_law_columns
 from prodsys.optim import finite_diff_jacobian
 from prodsys.panel import PanelDataset
 from prodsys.translog import (
@@ -21,8 +22,6 @@ from prodsys.translog import (
     recover_productivity,
     step1_cost_share,
     step2_gmm,
-    step2_residual,
-    step2_residual_jacobian,
 )
 
 
@@ -157,22 +156,22 @@ def test_recover_productivity_identity(bench):
 def test_step2_residual_zero_at_truth_noiseless(noiseless):
     ds, _, cfg = noiseless
     s1 = step1_cost_share(ds)
-    arrays = _step2_arrays(ds)
+    e = phi_law_columns(*_step2_arrays(ds))
     alpha = np.array([cfg.params.beta_0, cfg.params.beta_l, cfg.laws.rho_phi_1])
-    resid = step2_residual(alpha, s1.delta_lm, *arrays)
+    resid = e @ phi_law_coef(alpha, s1.delta_lm)
     assert np.max(np.abs(resid)) < 1e-10
 
 
 def test_step2_jacobian_matches_finite_differences(bench, rng):
     ds, _, _ = bench
     s1 = step1_cost_share(ds)
-    arrays = _step2_arrays(ds)
+    e = phi_law_columns(*_step2_arrays(ds))
     for _ in range(20):
         alpha = np.array([
             -rng.uniform(0.01, 0.2), rng.uniform(0.05, 0.6), rng.uniform(-0.9, 0.95),
         ])
-        analytic = step2_residual_jacobian(alpha, s1.delta_lm, *arrays)
-        fd = finite_diff_jacobian(lambda a: step2_residual(a, s1.delta_lm, *arrays), alpha)
+        analytic = e @ phi_law_coef_jacobian(alpha, s1.delta_lm)
+        fd = finite_diff_jacobian(lambda a: e @ phi_law_coef(a, s1.delta_lm), alpha)
         rel = np.abs(analytic - fd) / np.maximum(np.abs(analytic), 1.0)
         assert np.max(rel) < 1e-6
 
@@ -224,11 +223,11 @@ def test_information_matrix_full_rank_at_truth(bench):
     assert rank == 3
     assert np.isfinite(cond)
     # curvature agrees with a finite-difference rebuild of the moment jacobian
-    arrays = _step2_arrays(ds)
+    e = phi_law_columns(*_step2_arrays(ds))
     q, _ = build_instruments(ds)
     n_pairs = q.shape[0]
     weight = np.linalg.pinv(q.T @ q / n_pairs)
-    g_fd = finite_diff_jacobian(lambda a: q.T @ step2_residual(a, s1.delta_lm, *arrays) / n_pairs, alpha)
+    g_fd = finite_diff_jacobian(lambda a: q.T @ (e @ phi_law_coef(a, s1.delta_lm)) / n_pairs, alpha)
     info_fd = g_fd.T @ weight @ g_fd
     rel = np.max(np.abs(info - info_fd) / np.maximum(np.abs(info), 1e-12))
     assert rel < 1e-6
