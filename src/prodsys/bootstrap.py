@@ -129,9 +129,11 @@ def mammen_weights(firm_ids, seed=None) -> np.ndarray:
     return np.where(rng.random(n) < GOLDEN_PROB, GOLDEN, 1.0 - GOLDEN)
 
 
-def _omega_block(params, laws) -> np.ndarray:
-    """Omega-law parameters ``(beta_k, beta_kk, rho_omega_0, rho_omega_1, rho_omega_2)``."""
-    return np.concatenate(([params.beta_k, params.beta_kk, laws.rho_omega_0, laws.rho_omega_1], laws.rho_omega_2))
+def _omega_law_coef(params, laws) -> np.ndarray:
+    """:func:`~prodsys.moments.omega_law_coef` at the reported omega-law parameters."""
+    return omega_law_coef(
+        np.concatenate(([params.beta_k, params.beta_kk, laws.rho_omega_0, laws.rho_omega_1], laws.rho_omega_2))
+    )
 
 
 def compute_residuals(dataset: PanelDataset, estimate: TranslogEstimate) -> ResidualSet:
@@ -148,9 +150,8 @@ def compute_residuals(dataset: PanelDataset, estimate: TranslogEstimate) -> Resi
         dataset, params.beta_0, params.beta_l, estimate.step1.delta_lm, params.theta, estimate.step3.proxy,
     )
     cur, prev = pairs.cur, pairs.prev
-    resid = omega_law_columns(ystar[cur], dataset.k[cur], dataset.k[prev], mstar[prev], dataset.x[prev]) @ (
-        omega_law_coef(_omega_block(params, laws))
-    )
+    d = omega_law_columns(ystar[cur], dataset.k[cur], dataset.k[prev], mstar[prev], dataset.x[prev])
+    resid = d @ _omega_law_coef(params, laws)
     resid = resid - np.mean(resid)
     return ResidualSet(eta=eta, zeta_phi=zeta, resid_omega=resid, mstar=mstar)
 
@@ -197,7 +198,7 @@ def synthetic_outcomes(dataset: PanelDataset, estimate: TranslogEstimate, residu
     # the omega-law residual of a zero target is minus the fitted law
     fitted = -omega_law_columns(
         np.zeros(cur.size), dataset.k[cur], dataset.k[prev], residuals.mstar[prev], dataset.x[prev],
-    ) @ omega_law_coef(_omega_block(params, laws))
+    ) @ _omega_law_coef(params, laws)
     ystar_b = fitted + w_obs[cur] * residuals.resid_omega
     return lnr_b, ml_b, ystar_b
 

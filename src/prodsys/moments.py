@@ -194,8 +194,8 @@ def phi_law_coef(alpha, delta_lm: float) -> np.ndarray:
     -rho_1, (beta_l/beta_0)(1 - rho_1), -delta/beta_0, rho_1*delta/beta_0,
     -rho_2]``.
     """
-    b0, bl, r1, r2 = alpha[0], alpha[1], alpha[2], alpha[3:]
-    return np.concatenate(([1.0, -r1, bl / b0 * (1.0 - r1), -delta_lm / b0, r1 * delta_lm / b0], -r2))
+    b0, bl, r1 = alpha[:3].tolist()  # Python floats: the joint refinement calls this per residual evaluation
+    return np.concatenate(([1.0, -r1, bl / b0 * (1.0 - r1), -delta_lm / b0, r1 * delta_lm / b0], -alpha[3:]))
 
 
 def phi_law_coef_jacobian(alpha, delta_lm: float) -> np.ndarray:
@@ -221,8 +221,8 @@ def omega_law_coef(gamma) -> np.ndarray:
 
     ``c = [1, -rho_0, -beta_k, -beta_kk, -rho_1, rho_1*beta_k, rho_1*beta_kk, -rho_2]``.
     """
-    bk, bkk, g0, g1, g2 = gamma[0], gamma[1], gamma[2], gamma[3], gamma[4:]
-    return np.concatenate(([1.0, -g0, -bk, -bkk, -g1, g1 * bk, g1 * bkk], -g2))
+    bk, bkk, g0, g1 = gamma[:4].tolist()
+    return np.concatenate(([1.0, -g0, -bk, -bkk, -g1, g1 * bk, g1 * bkk], -gamma[4:]))
 
 
 def omega_law_coef_jacobian(gamma) -> np.ndarray:
@@ -248,8 +248,15 @@ def proxied_omega_coef(gamma, beta_0: float, beta_l: float, delta_lm: float) -> 
         R = [y_cur - delta*m_cur, 1, s_cur^2, k_cur, k_cur^2/2,
              foc_prev - delta*m_prev, s_prev^2, k_prev, k_prev^2/2, x_prev],
 
-    with ``foc_prev`` the lagged omega proxy plus flexible output.
+    with ``foc_prev`` the lagged omega proxy plus flexible output: ``y*``
+    adds ``-beta_l^2/(2*beta_0)`` on the constant and ``delta^2/(2*beta_0)``
+    on ``s_cur^2`` to the ``y*`` coefficient, and ``m*`` the same on the
+    constant and ``s_prev^2`` to the ``m*`` coefficient.  Written out in one
+    step, since the joint refinement calls this per residual evaluation.
     """
-    c = omega_law_coef(gamma)
-    shift, curv = -beta_l**2 / (2.0 * beta_0), delta_lm**2 / (2.0 * beta_0)
-    return np.concatenate(([c[0], c[1] + shift * (c[0] + c[4]), curv * c[0]], c[2:5], [curv * c[4]], c[5:]))
+    bk, bkk, g0, g1 = gamma[:4].tolist()
+    curv = delta_lm**2 / (2.0 * beta_0)
+    return np.concatenate((
+        [1.0, -beta_l**2 / (2.0 * beta_0) * (1.0 - g1) - g0, curv, -bk, -bkk, -g1, -g1 * curv, g1 * bk, g1 * bkk],
+        -gamma[4:],
+    ))

@@ -692,13 +692,12 @@ def system_refine(
     :func:`~prodsys.moments.phi_law_coef`, and ``r = R c`` with ``c`` step
     three's :func:`~prodsys.moments.omega_law_coef` carried through the
     proxied-phi expansion of ``y*`` and ``m*``
-    (:func:`~prodsys.moments.proxied_omega_coef`), ``E`` and ``R`` the
-    columns of :func:`_system_cross_products`.  The
-    projections ``Q'E``, ``H'R`` and the centered Gram matrices of ``E`` and
-    ``R`` are formed once per call; each residual evaluation, and so each
-    of the finite-difference Jacobian's, is then a few products of size at
-    most about 20, and its cost no longer grows with the number of lag
-    pairs.
+    (:func:`~prodsys.moments.proxied_omega_coef`).  The projections
+    ``Q'E``, ``H'R`` and the centered Gram matrices of ``E`` and ``R`` (see
+    :func:`_system_cross_products`) are formed once per call; each residual
+    evaluation, and so each of the finite-difference Jacobian's, is then a
+    few products of size at most about 20, and its cost no longer grows
+    with the number of lag pairs.
     """
     delta = step1.delta_lm
     pz, px = dataset.z.shape[1], dataset.x.shape[1]
