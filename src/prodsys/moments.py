@@ -248,11 +248,11 @@ def proxied_omega_coef(gamma, beta_0: float, beta_l: float, delta_lm: float) -> 
         R = [y_cur - delta*m_cur, 1, s_cur^2, k_cur, k_cur^2/2,
              foc_prev - delta*m_prev, s_prev^2, k_prev, k_prev^2/2, x_prev],
 
-    with ``foc_prev`` the lagged omega proxy plus flexible output: ``y*``
-    adds ``-beta_l^2/(2*beta_0)`` on the constant and ``delta^2/(2*beta_0)``
-    on ``s_cur^2`` to the ``y*`` coefficient, and ``m*`` the same on the
-    constant and ``s_prev^2`` to the ``m*`` coefficient.  Written out in one
-    step, since the joint refinement calls this per residual evaluation.
+    with ``foc_prev`` the lagged omega proxy plus flexible output.  The
+    coefficients of ``y*`` and ``m*`` each carry over to the constant times
+    ``-beta_l^2/(2*beta_0)`` and to their ``s^2`` column times
+    ``delta^2/(2*beta_0)``.  The map is written out in one step because the
+    joint refinement calls it at every residual evaluation.
     """
     bk, bkk, g0, g1 = gamma[:4].tolist()
     curv = delta_lm**2 / (2.0 * beta_0)
