@@ -1,10 +1,19 @@
-"""Shared simulated panels, built once per session."""
+"""Shared simulated panels, built once per session, and the Hypothesis profiles."""
+
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from prodsys.simulate import DgpConfig, benchmark_config, generate_panel
 from prodsys.translog import estimate
+
+# CI runs the same examples every time and prints a reproducer on failure;
+# local runs stay random.  GitHub Actions sets CI.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

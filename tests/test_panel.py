@@ -154,6 +154,7 @@ def test_load_csv_basic_and_drop_accounting(tmp_path):
     assert report.rows_read == 4
     assert report.rows_kept == 2
     assert report.rows_dropped == 2
+    assert report.dropped == {"nonpositive_output": 1, "nonpositive_labor_cost": 1}
     assert ds.n_obs == 2
     assert np.allclose(ds.y, np.log([10.0, 11.0]))
     s_exp, r_exp = compute_shares(3.0, 7.0, 20.0)
@@ -240,3 +241,197 @@ def test_load_csv_reads_control_columns(tmp_path):
     assert ds.z_names == ("exported",)
     assert np.allclose(ds.x[:, 0], [0.5, 0.6])
     assert np.allclose(ds.z[:, 0], [-1.0, -1.1])
+
+
+# -- the column-wise reader against a row-at-a-time reference -------------------
+
+
+def _rowwise_load_csv(path, *, x_columns=(), z_columns=(), prices=None):
+    """Reference reader: one ``csv.DictReader`` record at a time, every check per row."""
+    import csv
+    import math
+
+    from prodsys.panel import REQUIRED_COLUMNS, LoadReport, _parse_prices
+
+    report = LoadReport()
+    price_table = _parse_prices(prices)
+    controls = list(x_columns) + [c for c in z_columns if c not in x_columns]
+
+    records: list[dict] = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        fields = reader.fieldnames or []
+        missing = [c for c in REQUIRED_COLUMNS if c not in fields]
+        if missing:
+            raise ValueError(f"missing required columns: {', '.join(missing)}")
+        missing = [c for c in controls if c not in fields]
+        if missing:
+            raise ValueError(f"missing control columns: {', '.join(missing)}")
+        for rec in reader:
+            report.rows_read += 1
+            try:
+                year = int(rec["year"])
+            except (TypeError, ValueError):
+                report.drop("bad_year")
+                continue
+            vals = {}
+            ok = True
+            for colname in ("output", "capital", "labor_cost", "material_cost", "revenue"):
+                raw = rec.get(colname, "")
+                try:
+                    v = float(raw)
+                except (TypeError, ValueError):
+                    report.drop(f"missing_{colname}")
+                    ok = False
+                    break
+                if not math.isfinite(v) or v <= 0.0:
+                    report.drop(f"nonpositive_{colname}")
+                    ok = False
+                    break
+                vals[colname] = v
+            if not ok:
+                continue
+            ctrl = {}
+            for colname in controls:
+                try:
+                    ctrl[colname] = float(rec[colname])
+                except (TypeError, ValueError):
+                    report.drop(f"missing_{colname}")
+                    ok = False
+                    break
+            if not ok or not all(math.isfinite(v) for v in ctrl.values()):
+                if ok:
+                    report.drop("nonfinite_control")
+                continue
+            records.append({"firm_id": rec["firm_id"], "year": year, **vals, **ctrl})
+
+    if not records:
+        raise ValueError(f"no usable rows in {path}")
+    report.rows_kept = len(records)
+
+    def pull(name, typ=float):
+        return np.asarray([r[name] for r in records], dtype=typ)
+
+    out = pull("output")
+    cap = pull("capital")
+    wl = pull("labor_cost")
+    wm = pull("material_cost")
+    rev = pull("revenue")
+    years = pull("year", int)
+    s_l, ln_r = compute_shares(wl, wm, rev)
+    ratio_l = np.asarray([price_table.get(int(t), (1.0, 1.0))[0] for t in years])
+    ratio_m = np.asarray([price_table.get(int(t), (1.0, 1.0))[1] for t in years])
+    if np.any(ratio_l <= 0) or np.any(ratio_m <= 0):
+        raise ValueError("price ratios must be strictly positive")
+
+    levels = {c: pull(c, object) for c in REQUIRED_COLUMNS + tuple(controls) if c != "firm_id"}
+    levels["firm_id"] = np.asarray([r["firm_id"] for r in records], dtype=object)
+
+    dataset = PanelDataset(
+        firm_ids=[r["firm_id"] for r in records],
+        years=years,
+        y=np.log(out),
+        k=np.log(cap),
+        l=np.log(wl),
+        m=np.log(wm),
+        s_l=s_l,
+        ln_r=ln_r,
+        x=np.column_stack([pull(c) for c in x_columns]) if x_columns else None,
+        z=np.column_stack([pull(c) for c in z_columns]) if z_columns else None,
+        x_names=tuple(x_columns),
+        z_names=tuple(z_columns),
+        ln_price_l=np.log(ratio_l),
+        ln_price_m=np.log(ratio_m),
+        levels=levels,
+    )
+    if report.rows_dropped:
+        report.messages.append(
+            f"dropped {report.rows_dropped} of {report.rows_read} rows: "
+            + ", ".join(f"{k}={v}" for k, v in sorted(report.dropped.items()))
+        )
+    return dataset, report
+
+
+FUZZ_HEADER = ("firm_id", "year", "output", "capital", "labor_cost", "material_cost", "revenue", "xc", "zc")
+BAD_LEVELS = ("", "abc", "0", "-0.0", "-2.5", "nan", "inf", "-inf", "1.50", " 3", "1e400")
+BAD_YEARS = ("", "y2k", "2001.0", " 2002", "-7")
+
+
+@st.composite
+def messy_csv(draw):
+    """A small panel file with bad cells, ragged rows and blank lines, and the reader's options."""
+    header = list(draw(st.permutations(FUZZ_HEADER)))
+    if draw(st.booleans()):
+        header.append(draw(st.sampled_from(FUZZ_HEADER[1:])))  # a repeated name: the last column wins
+    def one_in_five(good, other):
+        return st.tuples(st.integers(0, 4), good, other).map(lambda t: t[2] if t[0] == 0 else t[1])
+
+    level = one_in_five(st.floats(1e-3, 1e3).map(repr), st.sampled_from(BAD_LEVELS))
+    control = one_in_five(st.floats(-5.0, 5.0).map(repr), st.sampled_from(BAD_LEVELS))
+    rows = []
+    for i in range(draw(st.integers(0, 12))):
+        cell = {
+            "firm_id": draw(st.sampled_from(["a", "b", "c,d", " e"])),
+            "year": draw(one_in_five(st.just(str(2000 + i // 2)), st.sampled_from(("2001", "2003") + BAD_YEARS))),
+            "xc": draw(control),
+            "zc": draw(control),
+        }
+        row = [cell[name] if name in cell else draw(level) for name in header]
+        shape = draw(st.sampled_from(["whole"] * 6 + ["short", "long", "blank"]))
+        if shape == "short":
+            row = row[: draw(st.integers(1, len(row) - 1))]
+        elif shape == "long":
+            row = row + ["9"] * draw(st.integers(1, 2))
+        elif shape == "blank":
+            row = []
+        rows.append(row)
+    options = {
+        "x_columns": draw(st.sampled_from([(), ("xc",)])),
+        "z_columns": draw(st.sampled_from([(), ("zc",)])),
+    }
+    if draw(st.booleans()):
+        ratio = st.sampled_from([0.5, 1.0, 2.0, 0.0])
+        options["prices"] = {yr: (draw(ratio), draw(ratio)) for yr in (2000, 2001, 2003)}
+    return header, rows, options
+
+
+def _load_or_error(reader, path, options):
+    try:
+        return reader(path, **options)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(messy_csv())
+def test_load_csv_matches_the_rowwise_reader(tmp_path_factory, case):
+    import csv
+
+    header, rows, options = case
+    work = tmp_path_factory.mktemp("fuzz")
+    path = work / "panel.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    expected = _load_or_error(_rowwise_load_csv, path, options)
+    got = _load_or_error(load_csv, path, options)
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    (exp_ds, exp_report), (ds, report) = expected, got
+    assert vars(report) == vars(exp_report)
+    assert list(report.dropped) == list(exp_report.dropped)
+    for name, exp_value in vars(exp_ds).items():
+        value = getattr(ds, name)
+        if isinstance(exp_value, np.ndarray):
+            assert value.dtype == exp_value.dtype, name
+            assert value.shape == exp_value.shape, name
+            assert value.tolist() == exp_value.tolist(), name
+            if exp_value.dtype != object:
+                assert value.tobytes() == exp_value.tobytes(), name
+        elif name not in ("levels", "_lag_pairs"):
+            assert value == exp_value, name
+    write_csv(exp_ds, work / "expected.csv")
+    write_csv(ds, work / "got.csv")
+    assert (work / "got.csv").read_bytes() == (work / "expected.csv").read_bytes()
