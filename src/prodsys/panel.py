@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import math
+import itertools
 import os
 from typing import Mapping, Sequence
 
@@ -40,8 +40,14 @@ REQUIRED_COLUMNS = (
     "revenue",
 )
 
+#: Level columns, in the order the loader checks them.
+LEVEL_COLUMNS = REQUIRED_COLUMNS[2:]
+
 #: printf-style float format that round-trips IEEE doubles exactly.
 FLOAT_FORMAT = "%.17g"
+
+#: Rows the CSV reader and writer hold as strings at a time.
+CHUNK_ROWS = 4096
 
 
 @dataclasses.dataclass(frozen=True)
@@ -146,8 +152,11 @@ class PanelDataset:
     ln_price_l, ln_price_m : array_like or float, optional
         Per-observation log price ratios ln(P^L/P^Y) and ln(P^M/P^Y).
     levels : dict, optional
-        Original level columns keyed by CSV column name; kept verbatim so
-        that a write after a load reproduces the file.
+        Parsed level columns keyed by CSV column name (floats, integer
+        years, string firm ids), which :func:`write_csv` writes back.  They
+        hold the parsed values, not the cells' text: a file that
+        :func:`write_csv` wrote round-trips byte for byte, others come back
+        normalized (``1.50`` as ``1.5``).
     """
 
     def __init__(
@@ -169,13 +178,18 @@ class PanelDataset:
         ln_price_m=0.0,
         levels: Mapping[str, np.ndarray] | None = None,
     ) -> None:
-        labels = np.asarray([str(f) for f in firm_ids], dtype=object)
+        names = [str(f) for f in firm_ids]
+        labels = np.asarray(names, dtype=object)
         years = np.asarray(years, dtype=int)
         n = labels.size
         if years.size != n:
             raise ValueError("firm_ids and years must have equal length")
 
-        self.firm_labels, firm = np.unique(labels, return_inverse=True)
+        # np.unique(labels, return_inverse=True), without sorting every row's label
+        distinct = sorted(set(names))
+        code = {name: i for i, name in enumerate(distinct)}
+        self.firm_labels = np.asarray(distinct, dtype=object)
+        firm = np.fromiter(map(code.__getitem__, names), np.intp, n)
         order = np.lexsort((years, firm))
 
         def col(v, name):
@@ -211,7 +225,7 @@ class PanelDataset:
         self.ln_price_m = price_col(ln_price_m, "ln_price_m")
         self.levels = None
         if levels is not None:
-            self.levels = {key: np.asarray(vals, dtype=object)[order] for key, vals in levels.items()}
+            self.levels = {key: np.asarray(vals)[order] for key, vals in levels.items()}
         self._lag_pairs: LagPairs | None = None
         self.validate()
 
@@ -301,6 +315,26 @@ def _parse_prices(prices) -> dict[int, tuple[float, float]]:
     return table
 
 
+def _convert(cells, conv, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """``cells`` through ``conv`` as an array, and the mask of cells ``conv`` rejects.
+
+    A rejected cell reads 0 in the array.  The column is converted in one
+    pass; only a column with a rejected cell is converted again cell by cell.
+    """
+    try:
+        return np.fromiter(map(conv, cells), dtype, len(cells)), np.zeros(len(cells), dtype=bool)
+    except (TypeError, ValueError):
+        pass
+    out = np.zeros(len(cells), dtype)
+    bad = np.zeros(len(cells), dtype=bool)
+    for i, cell in enumerate(cells):
+        try:
+            out[i] = conv(cell)
+        except (TypeError, ValueError):
+            bad[i] = True
+    return out, bad
+
+
 def load_csv(
     path,
     *,
@@ -315,6 +349,16 @@ def load_csv(
     labor and material inputs are measured by deflated expenditures.  Rows
     with missing or nonpositive levels are dropped and counted per reason
     in the returned :class:`LoadReport`; duplicate (firm, year) keys raise.
+    A row is dropped for the first check it fails, in this order: the year
+    is not an integer (``bad_year``); then for each level column in the
+    order above, the cell is not a number (``missing_<col>``) or is not
+    finite and positive (``nonpositive_<col>``); then a control cell is not
+    a number (``missing_<col>``), in control order; then a control is not
+    finite (``nonfinite_control``).  As in :class:`csv.DictReader`, blank
+    lines are skipped, a short row reads its missing cells as empty, a long
+    row's extra cells are ignored and a repeated header name reads its last
+    column.  The dataset's ``levels`` hold the parsed cells of the kept
+    rows, not their text (see :func:`write_csv`).
 
     ``prices`` optionally supplies per-year price ratios P/P^Y (see
     ``_parse_prices`` for accepted forms); years without an entry default
@@ -323,88 +367,87 @@ def load_csv(
     report = LoadReport()
     price_table = _parse_prices(prices)
     controls = list(x_columns) + [c for c in z_columns if c not in x_columns]
+    numeric = list(dict.fromkeys(LEVEL_COLUMNS + tuple(controls)))
 
-    records: list[dict] = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
+        reader = csv.reader(fh)
+        fields = next(reader, [])
         missing = [c for c in REQUIRED_COLUMNS if c not in fields]
         if missing:
             raise ValueError(f"missing required columns: {', '.join(missing)}")
         missing = [c for c in controls if c not in fields]
         if missing:
             raise ValueError(f"missing control columns: {', '.join(missing)}")
-        for rec in reader:
-            report.rows_read += 1
-            try:
-                year = int(rec["year"])
-            except (TypeError, ValueError):
-                report.drop("bad_year")
+        where = {name: i for i, name in enumerate(fields)}  # a repeated name keeps its last column
+        width = len(fields)
+        ids: list = []
+        year_parts = []
+        parts: dict[str, list] = {name: [] for name in numeric}
+        # a chunk at a time, so only one chunk's cells are held as strings
+        for chunk in iter(lambda: list(itertools.islice(reader, CHUNK_ROWS)), []):
+            rows = [row for row in chunk if row]
+            if not rows:
                 continue
-            vals = {}
-            ok = True
-            for colname in ("output", "capital", "labor_cost", "material_cost", "revenue"):
-                raw = rec.get(colname, "")
-                try:
-                    v = float(raw)
-                except (TypeError, ValueError):
-                    report.drop(f"missing_{colname}")
-                    ok = False
-                    break
-                if not math.isfinite(v) or v <= 0.0:
-                    report.drop(f"nonpositive_{colname}")
-                    ok = False
-                    break
-                vals[colname] = v
-            if not ok:
-                continue
-            ctrl = {}
-            for colname in controls:
-                try:
-                    ctrl[colname] = float(rec[colname])
-                except (TypeError, ValueError):
-                    report.drop(f"missing_{colname}")
-                    ok = False
-                    break
-            if not ok or not all(math.isfinite(v) for v in ctrl.values()):
-                if ok:
-                    report.drop("nonfinite_control")
-                continue
-            records.append({"firm_id": rec["firm_id"], "year": year, **vals, **ctrl})
+            if set(map(len, rows)) != {width}:  # csv.DictReader's restval and restkey
+                rows = [(row + [None] * width)[:width] for row in rows]
+            cols = list(zip(*rows))
+            ids.extend(cols[where["firm_id"]])
+            year_parts.append(_convert(cols[where["year"]], int, int))
+            for name in numeric:
+                parts[name].append(_convert(cols[where[name]], float, float))
 
-    if not records:
+    report.rows_read = len(ids)
+    if not ids:
         raise ValueError(f"no usable rows in {path}")
-    report.rows_kept = len(records)
+    years, bad_year = (np.concatenate(p) for p in zip(*year_parts))
+    values, failed = {}, {}
+    for name, chunks in parts.items():
+        values[name], failed[name] = (np.concatenate(p) for p in zip(*chunks))
 
-    def pull(name, typ=float):
-        return np.asarray([r[name] for r in records], dtype=typ)
+    checks = [("bad_year", bad_year)]
+    for name in LEVEL_COLUMNS:
+        v = values[name]
+        checks += [(f"missing_{name}", failed[name]), (f"nonpositive_{name}", ~(np.isfinite(v) & (v > 0.0)))]
+    checks += [(f"missing_{name}", failed[name]) for name in controls]
+    if controls:
+        checks.append(("nonfinite_control", ~np.all([np.isfinite(values[c]) for c in controls], axis=0)))
+    keep = np.ones(len(ids), dtype=bool)
+    first_hit = {}
+    for reason, mask in checks:
+        hit = mask & keep
+        if hit.any():
+            keep &= ~hit
+            first_hit[reason] = (int(hit.argmax()), int(np.count_nonzero(hit)))
+    # reasons in the order they first occur in the file
+    for reason, (_, count) in sorted(first_hit.items(), key=lambda item: item[1][0]):
+        report.dropped[reason] = count
 
-    out = pull("output")
-    cap = pull("capital")
-    wl = pull("labor_cost")
-    wm = pull("material_cost")
-    rev = pull("revenue")
-    years = pull("year", int)
-    s_l, ln_r = compute_shares(wl, wm, rev)
-    ratio_l = np.asarray([price_table.get(int(t), (1.0, 1.0))[0] for t in years])
-    ratio_m = np.asarray([price_table.get(int(t), (1.0, 1.0))[1] for t in years])
+    if not keep.any():
+        raise ValueError(f"no usable rows in {path}")
+    report.rows_kept = int(np.count_nonzero(keep))
+    years = years[keep]
+    kept = {name: v[keep] for name, v in values.items()}
+    firm_ids = np.asarray(ids, dtype=object)[keep]
+    s_l, ln_r = compute_shares(kept["labor_cost"], kept["material_cost"], kept["revenue"])
+    table_years, at = np.unique(years, return_inverse=True)
+    ratios = np.array([price_table.get(int(t), (1.0, 1.0)) for t in table_years], dtype=float)
+    ratio_l, ratio_m = ratios[at, 0], ratios[at, 1]
     if np.any(ratio_l <= 0) or np.any(ratio_m <= 0):
         raise ValueError("price ratios must be strictly positive")
 
-    levels = {c: pull(c, object) for c in REQUIRED_COLUMNS + tuple(controls) if c != "firm_id"}
-    levels["firm_id"] = np.asarray([r["firm_id"] for r in records], dtype=object)
-
+    levels = {"firm_id": firm_ids, "year": years}
+    levels.update((c, kept[c]) for c in LEVEL_COLUMNS + tuple(controls))
     dataset = PanelDataset(
-        firm_ids=[r["firm_id"] for r in records],
+        firm_ids=firm_ids,
         years=years,
-        y=np.log(out),
-        k=np.log(cap),
-        l=np.log(wl),
-        m=np.log(wm),
+        y=np.log(kept["output"]),
+        k=np.log(kept["capital"]),
+        l=np.log(kept["labor_cost"]),
+        m=np.log(kept["material_cost"]),
         s_l=s_l,
         ln_r=ln_r,
-        x=np.column_stack([pull(c) for c in x_columns]) if x_columns else None,
-        z=np.column_stack([pull(c) for c in z_columns]) if z_columns else None,
+        x=np.column_stack([kept[c] for c in x_columns]) if x_columns else None,
+        z=np.column_stack([kept[c] for c in z_columns]) if z_columns else None,
         x_names=tuple(x_columns),
         z_names=tuple(z_columns),
         ln_price_l=np.log(ratio_l),
@@ -419,45 +462,48 @@ def load_csv(
     return dataset, report
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    return FLOAT_FORMAT % float(value)
+def _formatted(values: np.ndarray) -> list[str]:
+    return list(map(FLOAT_FORMAT.__mod__, values.tolist()))
 
 
 def write_csv(dataset: PanelDataset, path) -> None:
     """Write a panel back to CSV.
 
-    Datasets that came from a CSV keep their original level columns and
-    those are emitted verbatim, so load -> write -> load is exact.  For
-    simulated datasets the levels are reconstructed from the logs with the
-    output price normalized to one: labor and material columns carry
-    expenditures P*quantity, matching the semantics of the load path.
+    Datasets that came from a CSV write their ``levels``, the parsed cells
+    of the file, through ``FLOAT_FORMAT``: a file this function wrote
+    reloads and rewrites byte for byte, other files come back normalized
+    (``1.50`` as ``1.5``, `` 2001`` as ``2001``).  For simulated datasets
+    the levels are reconstructed from the logs with the output price
+    normalized to one: labor and material columns carry expenditures
+    P*quantity, matching the semantics of the load path.
     """
     extra = [c for c in (dataset.x_names + dataset.z_names)]
     header = list(REQUIRED_COLUMNS) + [c for c in dict.fromkeys(extra)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        if dataset.levels is not None:
-            cols = [dataset.levels[c] for c in header[1:]]
-            ids = dataset.levels["firm_id"]
-            for i in range(dataset.n_obs):
-                writer.writerow([ids[i]] + [_fmt(col[i]) for col in cols])
-            return
-        out = np.exp(dataset.y)
-        cap = np.exp(dataset.k)
-        wl = np.exp(dataset.l + dataset.ln_price_l)
-        wm = np.exp(dataset.m + dataset.ln_price_m)
-        rev = np.exp(dataset.y)
+    if dataset.levels is not None:
+        ids = dataset.levels["firm_id"]
+        cols = [dataset.levels[c] for c in header[1:]]
+    else:
         xz = {}
         for j, name in enumerate(dataset.x_names):
             xz[name] = dataset.x[:, j]
         for j, name in enumerate(dataset.z_names):
             xz.setdefault(name, dataset.z[:, j])
-        for i in range(dataset.n_obs):
-            rowvals = [out[i], cap[i], wl[i], wm[i], rev[i]] + [xz[c][i] for c in header[7:]]
-            writer.writerow([dataset.labels[i], int(dataset.year[i])] + [_fmt(v) for v in rowvals])
+        ids = dataset.labels
+        cols = [
+            dataset.year,
+            np.exp(dataset.y),
+            np.exp(dataset.k),
+            np.exp(dataset.l + dataset.ln_price_l),
+            np.exp(dataset.m + dataset.ln_price_m),
+            np.exp(dataset.y),
+        ] + [xz[c] for c in header[7:]]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        # a chunk at a time, so only one chunk's cells are held as strings
+        for start in range(0, dataset.n_obs, CHUNK_ROWS):
+            part = slice(start, start + CHUNK_ROWS)
+            writer.writerows(zip(ids[part].tolist(), *(_formatted(col[part]) for col in cols)))
 
 
 def write_prices_csv(dataset: PanelDataset, path) -> None:
@@ -468,5 +514,5 @@ def write_prices_csv(dataset: PanelDataset, path) -> None:
         writer.writerow(["year", "ratio_l", "ratio_m"])
         for yr, i in zip(years, first):
             writer.writerow(
-                [int(yr), _fmt(np.exp(dataset.ln_price_l[i])), _fmt(np.exp(dataset.ln_price_m[i]))]
+                [int(yr), FLOAT_FORMAT % np.exp(dataset.ln_price_l[i]), FLOAT_FORMAT % np.exp(dataset.ln_price_m[i])]
             )

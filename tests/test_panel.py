@@ -435,3 +435,15 @@ def test_load_csv_matches_the_rowwise_reader(tmp_path_factory, case):
     write_csv(exp_ds, work / "expected.csv")
     write_csv(ds, work / "got.csv")
     assert (work / "got.csv").read_bytes() == (work / "expected.csv").read_bytes()
+
+
+def test_load_then_write_normalizes_cells_once(tmp_path):
+    # levels hold parsed values, not the cells' text: the first write
+    # normalizes, and from then on the file round-trips byte for byte
+    path = tmp_path / "p.csv"
+    write_rows(path, [("a", " 2001", "1.50", 5, 3, 7, "2e1"), ("a", 2002, 11, 5.5, 3.1, 7.2, 21)])
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    write_csv(load_csv(path)[0], first)
+    assert first.read_text().splitlines()[1:] == ["a,2001,1.5,5,3,7,20", "a,2002,11,5.5,3.1000000000000001,7.2000000000000002,21"]
+    write_csv(load_csv(first)[0], second)
+    assert second.read_bytes() == first.read_bytes()
