@@ -318,19 +318,20 @@ def _parse_prices(prices) -> dict[int, tuple[float, float]]:
 def _convert(cells, conv, dtype) -> tuple[np.ndarray, np.ndarray]:
     """``cells`` through ``conv`` as an array, and the mask of cells ``conv`` rejects.
 
-    A rejected cell reads 0 in the array.  The column is converted in one
-    pass; only a column with a rejected cell is converted again cell by cell.
+    A rejected cell, or one whose value ``dtype`` cannot hold, reads 0 in
+    the array.  The column is converted in one pass; only a column with a
+    rejected cell is converted again cell by cell.
     """
     try:
         return np.fromiter(map(conv, cells), dtype, len(cells)), np.zeros(len(cells), dtype=bool)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     out = np.zeros(len(cells), dtype)
     bad = np.zeros(len(cells), dtype=bool)
     for i, cell in enumerate(cells):
         try:
             out[i] = conv(cell)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             bad[i] = True
     return out, bad
 
@@ -350,7 +351,7 @@ def load_csv(
     with missing or nonpositive levels are dropped and counted per reason
     in the returned :class:`LoadReport`; duplicate (firm, year) keys raise.
     A row is dropped for the first check it fails, in this order: the year
-    is not an integer (``bad_year``); then for each level column in the
+    is not an integer that fits in 64 bits (``bad_year``); then for each level column in the
     order above, the cell is not a number (``missing_<col>``) or is not
     finite and positive (``nonpositive_<col>``); then a control cell is not
     a number (``missing_<col>``), in control order; then a control is not
@@ -462,10 +463,6 @@ def load_csv(
     return dataset, report
 
 
-def _formatted(values: np.ndarray) -> list[str]:
-    return list(map(FLOAT_FORMAT.__mod__, values.tolist()))
-
-
 def write_csv(dataset: PanelDataset, path) -> None:
     """Write a panel back to CSV.
 
@@ -503,7 +500,8 @@ def write_csv(dataset: PanelDataset, path) -> None:
         # a chunk at a time, so only one chunk's cells are held as strings
         for start in range(0, dataset.n_obs, CHUNK_ROWS):
             part = slice(start, start + CHUNK_ROWS)
-            writer.writerows(zip(ids[part].tolist(), *(_formatted(col[part]) for col in cols)))
+            cells = (map(FLOAT_FORMAT.__mod__, col[part].tolist()) for col in cols)
+            writer.writerows(zip(ids[part].tolist(), *cells))
 
 
 def write_prices_csv(dataset: PanelDataset, path) -> None:

@@ -162,6 +162,18 @@ def test_load_csv_basic_and_drop_accounting(tmp_path):
     assert abs(ds.ln_r[0] - r_exp) < 1e-15
 
 
+def test_load_csv_drops_a_year_too_large_for_an_integer_column(tmp_path):
+    path = tmp_path / "p.csv"
+    write_rows(path, [
+        ("a", 2001, 10.0, 5.0, 3.0, 7.0, 20.0),
+        ("a", 10**30, 11.0, 5.5, 3.1, 7.2, 21.0),
+        ("b", 10**30, -1.0, 5.0, 3.0, 7.0, 20.0),
+    ])
+    ds, report = load_csv(path)
+    assert report.dropped == {"bad_year": 2}
+    assert list(ds.year) == [2001]
+
+
 def test_load_csv_missing_column_raises(tmp_path):
     path = tmp_path / "p.csv"
     write_rows(path, [("a", 2001, 1, 1, 1, 1, 1)], header="firm_id,year,output")
