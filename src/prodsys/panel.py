@@ -74,9 +74,6 @@ class LoadReport:
     dropped: dict[str, int] = dataclasses.field(default_factory=dict)
     messages: list[str] = dataclasses.field(default_factory=list)
 
-    def drop(self, reason: str) -> None:
-        self.dropped[reason] = self.dropped.get(reason, 0) + 1
-
     @property
     def rows_dropped(self) -> int:
         return sum(self.dropped.values())
@@ -351,13 +348,14 @@ def load_csv(
     with missing or nonpositive levels are dropped and counted per reason
     in the returned :class:`LoadReport`; duplicate (firm, year) keys raise.
     A row is dropped for the first check it fails, in this order: the year
-    is not an integer that fits in 64 bits (``bad_year``); then for each level column in the
-    order above, the cell is not a number (``missing_<col>``) or is not
-    finite and positive (``nonpositive_<col>``); then a control cell is not
-    a number (``missing_<col>``), in control order; then a control is not
-    finite (``nonfinite_control``).  As in :class:`csv.DictReader`, blank
-    lines are skipped, a short row reads its missing cells as empty, a long
-    row's extra cells are ignored and a repeated header name reads its last
+    is not an integer that fits in 64 bits (``bad_year``); then for each
+    level column in the order above, the cell is not a number
+    (``missing_<col>``) or is not finite and positive
+    (``nonpositive_<col>``); then a control cell is not a number
+    (``missing_<col>``), in control order; then a control is not finite
+    (``nonfinite_control``).  As in :class:`csv.DictReader`, blank lines
+    are skipped, a short row reads its missing cells as empty, a long row's
+    extra cells are ignored and a repeated header name reads its last
     column.  The dataset's ``levels`` hold the parsed cells of the kept
     rows, not their text (see :func:`write_csv`).
 
