@@ -150,10 +150,9 @@ class PanelDataset:
         Per-observation log price ratios ln(P^L/P^Y) and ln(P^M/P^Y).
     levels : dict, optional
         Parsed level columns keyed by CSV column name (floats, integer
-        years, string firm ids), which :func:`write_csv` writes back.  They
-        hold the parsed values, not the cells' text: a file that
-        :func:`write_csv` wrote round-trips byte for byte, others come back
-        normalized (``1.50`` as ``1.5``).
+        years, firm ids), which :func:`write_csv` writes back.  They hold
+        the parsed values, not the cells' text, so ``1.50`` writes back as
+        ``1.5``.
     """
 
     def __init__(
