@@ -10,14 +10,13 @@ from prodsys.sieve import (
     build_sieve_instruments,
     gcv_select_degree,
     sieve_estimate,
-    sieve_step2_gmm,
 )
 from prodsys.translog import (
     EstimateOptions,
     TranslogParams,
     estimate,
     phi_proxy,
-    step1_cost_share,
+    step3_nls,
 )
 
 
@@ -131,6 +130,22 @@ def test_degree_one_equals_parametric(bench):
     assert np.max(np.abs(sv.phi_hat - par.phi_hat)) < 1e-8
 
 
+def test_mixed_degrees_fit_omega_parametrically_at_the_series_phi_point(small_panel):
+    ds, _, _ = small_panel
+    sv = sieve_estimate(ds, degree="auto")
+    assert (sv.degree_phi, sv.degree_omega) == (3, 1)
+    par = step3_nls(ds, sv.step1, sv.step2)
+    assert (sv.step3.beta_k, sv.step3.beta_kk, sv.step3.objective) == (par.beta_k, par.beta_kk, par.objective)
+    assert np.array_equal(sv.step3.coef, np.concatenate(([par.rho_omega_0, par.rho_omega_1], par.rho_omega_2)))
+    assert sv.laws is None
+
+
+def test_degree_below_one_is_refused(small_panel):
+    ds, _, _ = small_panel
+    with pytest.raises(ValueError):
+        sieve_estimate(ds, degree=0)
+
+
 def quadratic_law_panel(n=300, t_periods=10, seed=9):
     """Panel whose labor-augmenting law has a genuine quadratic term."""
     r = np.random.default_rng(seed)
@@ -157,8 +172,8 @@ def quadratic_law_panel(n=300, t_periods=10, seed=9):
 
 def test_quadratic_basis_improves_phi_law_fit():
     ds, _ = quadratic_law_panel()
-    s1 = step1_cost_share(ds)
-    fit2 = sieve_step2_gmm(ds, s1, degree=2)
+    est = sieve_estimate(ds, degree=2)
+    s1, fit2 = est.step1, est.step2
     assert fit2.converged
     # score both degrees on the same proxied series so the comparison is
     # about the basis, not about where the GMM landed
