@@ -3,17 +3,18 @@
 The parametric estimator assumes linear laws for ``phi`` and ``omega``.
 Here the conditional means are approximated by polynomial series in
 (lagged productivity, controls), with the approximation degree chosen by
-generalized cross-validation.  Degree one is the linear law, so those
-paths run the parametric steps: degree one equals the sequential
-``estimate(refine="none")``, not the jointly refined ``estimate()``
-(ROADMAP item 4(b)).
+generalized cross-validation.
 
-Degree selection needs a trustworthy point at which to evaluate the
-proxied regressors: the sequential step-two solution can sit in the
-degenerate rescaling valley (see ``translog.system_refine``), where the
-proxied series is an artifact and its conditional mean looks nonlinear.
-``sieve_estimate`` therefore selects degrees at the jointly refined
-solution and then fixes them.
+``sieve_estimate`` runs the parametric steps two and three once.  A law of
+degree one reports that fit, so degree one equals the sequential
+``estimate(refine="none")``, not the jointly refined ``estimate()``.  When
+a degree is ``"auto"`` or above one, the parametric fit is also refined
+jointly: the sequential step-two solution can sit in the degenerate
+rescaling valley (see ``translog.system_refine``), where the proxied
+series is an artifact and its conditional mean looks nonlinear.  The
+refined point is the reference at which degrees are chosen and the series
+bases are scaled; the series steps then fit only the laws of degree two
+or more, each in the basis it is handed.
 
 The series laws enter the same residuals and Jacobians as the linear
 ones, defined once in :mod:`prodsys.moments`; a :class:`SieveBasis` is
@@ -44,6 +45,7 @@ from .translog import (
     _omega_law_data,
     _omega_law_nls,
     _phi_law_gmm,
+    _point_estimate,
     _step2_arrays,
     build_instruments,
     omega_proxy,
@@ -238,13 +240,6 @@ class SieveStep2Result:
     instrument_names: tuple[str, ...]
     warnings: list[str] = dataclasses.field(default_factory=list)
 
-    def linear_law(self) -> tuple[float, np.ndarray]:
-        """(rho_phi_1, rho_phi_2) in raw coordinates; degree one only."""
-        if self.degree != 1:
-            raise ValueError("law is nonlinear above degree one")
-        slopes = self.coef / self.basis.scales
-        return float(slopes[0]), np.asarray(slopes[1:], dtype=float)
-
 
 @dataclasses.dataclass
 class SieveStep3Result:
@@ -260,14 +255,6 @@ class SieveStep3Result:
     n_pairs: int
     warnings: list[str] = dataclasses.field(default_factory=list)
 
-    def linear_law(self) -> tuple[float, float, np.ndarray]:
-        """(rho_omega_0, rho_omega_1, rho_omega_2) in raw coordinates; degree one only."""
-        if self.degree != 1:
-            raise ValueError("law is nonlinear above degree one")
-        slopes = self.coef[1:] / self.basis.scales
-        intercept = float(self.coef[0] - np.sum(slopes * self.basis.centers))
-        return intercept, float(slopes[0]), np.asarray(slopes[1:], dtype=float)
-
 
 def _linear_term_index(basis: SieveBasis, coord: int) -> int:
     e = np.zeros(basis.dim, dtype=int)
@@ -278,84 +265,27 @@ def _linear_term_index(basis: SieveBasis, coord: int) -> int:
     return int(hits[0])
 
 
-def _refined_reference(dataset, step1, *, proxy, instruments, grad_tol, max_iter):
-    p2 = step2_gmm(dataset, step1, instruments=instruments, grad_tol=grad_tol, max_iter=max_iter)
-    p3 = step3_nls(dataset, step1, p2, proxy=proxy, grad_tol=grad_tol, max_iter=max_iter)
-    return system_refine(
-        dataset, step1, p2, p3, proxy=proxy, instruments=instruments, grad_tol=grad_tol, max_iter=max_iter,
-    )
-
-
 def sieve_step2_gmm(
     dataset: PanelDataset,
     step1: Step1Result,
+    basis: SieveBasis,
     *,
-    degree="auto",
-    degrees=(1, 2, 3),
     instruments: str = "default",
-    reference=None,
     grad_tol: float = 1e-8,
     max_iter: int = 500,
 ) -> SieveStep2Result:
-    """Series version of the second step.
+    """Series version of the second step, with the phi law in ``basis``.
 
     The law ``r_phi(phi_lag, Z_lag)`` is a polynomial without intercept
-    (zero stays a fixed point of the law, as in the linear normalization).
-    Degree one runs the parametric step and repackages it.  For higher
-    degrees and for ``degree="auto"`` the proxied regressors are formed
-    at ``reference`` (any object with ``beta_0``/``beta_l``); when that
-    is omitted the joint refinement is run internally, since the
-    sequential solution may sit in the degenerate valley where the series
-    target is an artifact.
+    (zero stays a fixed point of the law, as in the linear normalization),
+    so ``basis`` has no constant term and no centering.  The instruments
+    are expanded to the basis degree.
     """
     delta = step1.delta_lm
     arrays = _step2_arrays(dataset)
-    ml_cur, ml_prev, sl_cur, sl_prev, z_prev = arrays
-    pz = z_prev.shape[1]
-    dim = 1 + pz
-
     warnings: list[str] = []
-    gcv_table = None
-    ref = reference
-    if degree == "auto" or int(degree) > 1:
-        if ref is None:
-            ref = _refined_reference(
-                dataset, step1, proxy="materials", instruments=instruments,
-                grad_tol=grad_tol, max_iter=max_iter,
-            )
-        phi_cur_ref = phi_proxy(ml_cur, sl_cur, ref.beta_0, ref.beta_l, delta)
-        phi_prev_ref = phi_proxy(ml_prev, sl_prev, ref.beta_0, ref.beta_l, delta)
-        inputs_ref = np.column_stack([phi_prev_ref, z_prev])
-        if degree == "auto":
-            degree, gcv_table, gcv_warnings = gcv_select_degree(
-                phi_cur_ref, inputs_ref, degrees, intercept=False
-            )
-            warnings += gcv_warnings
-    degree = int(degree)
 
-    if degree == 1:
-        par = step2_gmm(dataset, step1, instruments=instruments, grad_tol=grad_tol, max_iter=max_iter)
-        return SieveStep2Result(
-            beta_0=par.beta_0,
-            beta_l=par.beta_l,
-            beta_m=par.beta_m,
-            coef=np.concatenate(([par.rho_phi_1], par.rho_phi_2)),
-            basis=build_basis(dim, 1, intercept=False),
-            degree=1,
-            gcv=gcv_table,
-            phi_hat=par.phi_hat,
-            objective=par.objective,
-            converged=par.converged,
-            n_pairs=par.n_pairs,
-            instrument_names=par.instrument_names,
-            warnings=warnings + par.warnings,
-        )
-
-    basis = build_basis(dim, degree, intercept=False)
-    # scale only: centering would break the r(0) = 0 normalization
-    basis = dataclasses.replace(basis, scales=_guarded_std(inputs_ref))
-
-    q, qnames = build_sieve_instruments(dataset, degree=degree, kind=instruments)
+    q, qnames = build_sieve_instruments(dataset, degree=basis.degree, kind=instruments)
     n_pairs = q.shape[0]
     if n_pairs <= q.shape[1]:
         raise ValueError("not enough lag pairs for the expanded instrument count")
@@ -391,8 +321,8 @@ def sieve_step2_gmm(
         beta_m=float(delta - beta_l),
         coef=np.asarray(coef, dtype=float),
         basis=basis,
-        degree=degree,
-        gcv=gcv_table,
+        degree=basis.degree,
+        gcv=None,
         phi_hat=phi_hat,
         objective=result.objective,
         converged=result.converged,
@@ -406,71 +336,24 @@ def sieve_step3_nls(
     dataset: PanelDataset,
     step1: Step1Result,
     step2,
+    basis: SieveBasis,
     *,
-    degree="auto",
-    degrees=(1, 2, 3),
     proxy: str = "materials",
-    reference=None,
     grad_tol: float = 1e-8,
     max_iter: int = 500,
 ) -> SieveStep3Result:
-    """Series version of the third step.
+    """Series version of the third step, with the omega law in ``basis``.
 
     ``step2`` is any result carrying ``beta_0`` and ``beta_l``: phi, the
     purged output and the omega proxy are all formed on phi proxied at that
     point with ``step1.delta_lm``.  The law ``r_omega(omega_lag, X_lag)`` is
-    a polynomial with intercept.  Degree one runs the parametric step and
-    repackages it.  For higher degrees and ``degree="auto"``, the omega
-    series used for degree selection and input scaling is formed at
-    ``reference`` (any object with ``beta_0``, ``beta_l``, ``beta_k`` and
-    ``beta_kk``, e.g. the joint refinement); omitted, the parametric step 3
-    at the ``step2`` point fills that role.
+    a polynomial with intercept, so ``basis`` has a constant term.
     """
     ystar, mstar = _omega_law_data(dataset, step2.beta_0, step2.beta_l, step1.delta_lm, step1.theta, proxy)
     pairs = dataset.lag_pairs()
     cur, prev = pairs.cur, pairs.prev
-    dim = 1 + dataset.x.shape[1]
-
-    warnings: list[str] = []
-    gcv_table = None
-    inputs_ref = None
-    if degree == "auto" or int(degree) > 1:
-        ref_phi = ref_omega = reference
-        if reference is None:
-            ref_phi = step2
-            ref_omega = step3_nls(dataset, step1, step2, proxy=proxy, grad_tol=grad_tol, max_iter=max_iter)
-        mstar_ref = omega_proxy(dataset, ref_phi.beta_0, ref_phi.beta_l, step1.delta_lm, step1.theta, which=proxy)
-        omega_ref = mstar_ref - ref_omega.beta_k * dataset.k - ref_omega.beta_kk * 0.5 * dataset.k**2
-        inputs_ref = np.column_stack([omega_ref[prev], dataset.x[prev]])
-        if degree == "auto":
-            degree, gcv_table, gcv_warnings = gcv_select_degree(
-                omega_ref[cur], inputs_ref, degrees, intercept=True
-            )
-            warnings += gcv_warnings
-    degree = int(degree)
-
-    if degree == 1:
-        par = step3_nls(dataset, step1, step2, proxy=proxy, grad_tol=grad_tol, max_iter=max_iter)
-        return SieveStep3Result(
-            beta_k=par.beta_k,
-            beta_kk=par.beta_kk,
-            coef=np.concatenate(([par.rho_omega_0, par.rho_omega_1], par.rho_omega_2)),
-            basis=build_basis(dim, 1, intercept=True),
-            degree=1,
-            gcv=gcv_table,
-            objective=par.objective,
-            converged=par.converged,
-            proxy=proxy,
-            n_pairs=par.n_pairs,
-            warnings=warnings + par.warnings,
-        )
-
-    if cur.size < 3 + dim:
+    if cur.size < 3 + basis.dim:
         raise ValueError("too few usable lag pairs for step three")
-    basis = build_basis(dim, degree, intercept=True)
-    basis = dataclasses.replace(
-        basis, centers=np.mean(inputs_ref, axis=0), scales=_guarded_std(inputs_ref)
-    )
 
     args = (
         basis, ystar[cur], capital_terms(dataset.k[cur]), capital_terms(dataset.k[prev]),
@@ -484,6 +367,7 @@ def sieve_step3_nls(
     )
     result = minimize_nls(problem, starts[0], starts=starts[1:], grad_tol=grad_tol, max_iter=max_iter)
 
+    warnings = []
     if not result.converged:
         warnings.append(f"sieve step-3 NLS did not converge: {result.status}")
     return SieveStep3Result(
@@ -491,8 +375,8 @@ def sieve_step3_nls(
         beta_kk=float(result.params[1]),
         coef=np.asarray(result.params[2:], dtype=float),
         basis=basis,
-        degree=degree,
-        gcv=gcv_table,
+        degree=basis.degree,
+        gcv=None,
         objective=result.objective,
         converged=result.converged,
         proxy=proxy,
@@ -528,39 +412,78 @@ def sieve_estimate(
 ) -> SieveEstimate:
     """Three-step estimation with series laws of motion.
 
-    ``laws`` on the returned estimate is populated only when both selected
-    degrees are one (the series then is a linear law).  The series steps
-    run sequentially; there is no joint refinement of nonlinear laws, but
-    the refined parametric solution anchors degree selection and input
-    scaling.
+    ``degree`` sets both laws' degree, or ``"auto"`` picks each from
+    ``degrees`` by GCV at the refined parametric point.  A law of degree
+    one is the parametric step's fit; for omega that is step three at the
+    series phi point when phi is of a higher degree.  ``laws`` on the
+    returned estimate is populated only when both degrees are one.  The
+    series steps run sequentially; there is no joint refinement of
+    nonlinear laws.
     """
+    if degree != "auto" and int(degree) < 1:
+        raise ValueError(f"sieve degree must be at least 1, got {degree!r}")
+    fit = {"grad_tol": grad_tol, "max_iter": max_iter}
     step1 = step1_cost_share(dataset)
-    reference = None
+    p2 = step2_gmm(dataset, step1, instruments=instruments, **fit)
+    p3 = step3_nls(dataset, step1, p2, proxy=proxy, **fit)
+
+    degree_phi = degree_omega = degree
+    gcv_phi = gcv_omega = None
+    warn_phi: list[str] = []
+    warn_omega: list[str] = []
     if degree == "auto" or int(degree) > 1:
-        reference = _refined_reference(
-            dataset, step1, proxy=proxy, instruments=instruments,
-            grad_tol=grad_tol, max_iter=max_iter,
+        ref = system_refine(dataset, step1, p2, p3, proxy=proxy, instruments=instruments, **fit)
+        # both laws' series at the reference: targets and (lagged) inputs
+        delta = step1.delta_lm
+        ml_cur, ml_prev, sl_cur, sl_prev, z_prev = _step2_arrays(dataset)
+        phi_cur = phi_proxy(ml_cur, sl_cur, ref.beta_0, ref.beta_l, delta)
+        phi_inputs = np.column_stack([phi_proxy(ml_prev, sl_prev, ref.beta_0, ref.beta_l, delta), z_prev])
+        mstar = omega_proxy(dataset, ref.beta_0, ref.beta_l, delta, step1.theta, which=proxy)
+        omega = mstar - ref.beta_k * dataset.k - ref.beta_kk * 0.5 * dataset.k**2
+        pairs = dataset.lag_pairs()
+        omega_inputs = np.column_stack([omega[pairs.prev], dataset.x[pairs.prev]])
+        if degree == "auto":
+            degree_phi, gcv_phi, warn_phi = gcv_select_degree(phi_cur, phi_inputs, degrees, intercept=False)
+            degree_omega, gcv_omega, warn_omega = gcv_select_degree(
+                omega[pairs.cur], omega_inputs, degrees, intercept=True
+            )
+    degree_phi, degree_omega = int(degree_phi), int(degree_omega)
+
+    if degree_phi == 1:
+        s2 = SieveStep2Result(
+            beta_0=p2.beta_0, beta_l=p2.beta_l, beta_m=p2.beta_m,
+            coef=np.concatenate(([p2.rho_phi_1], p2.rho_phi_2)), basis=build_basis(1 + dataset.z.shape[1], 1),
+            degree=1, gcv=None, phi_hat=p2.phi_hat, objective=p2.objective, converged=p2.converged,
+            n_pairs=p2.n_pairs, instrument_names=p2.instrument_names, warnings=p2.warnings,
         )
-    s2 = sieve_step2_gmm(
-        dataset, step1, degree=degree, degrees=degrees, instruments=instruments,
-        reference=reference, grad_tol=grad_tol, max_iter=max_iter,
-    )
-    s3 = sieve_step3_nls(
-        dataset, step1, s2, degree=degree, degrees=degrees, proxy=proxy,
-        reference=reference, grad_tol=grad_tol, max_iter=max_iter,
-    )
+    else:
+        # scale only: centering would break the r(0) = 0 normalization
+        basis = dataclasses.replace(build_basis(phi_inputs.shape[1], degree_phi), scales=_guarded_std(phi_inputs))
+        s2 = sieve_step2_gmm(dataset, step1, basis, instruments=instruments, **fit)
+    s2 = dataclasses.replace(s2, gcv=gcv_phi, warnings=warn_phi + s2.warnings)
+
+    if degree_omega == 1:
+        par = p3 if degree_phi == 1 else step3_nls(dataset, step1, s2, proxy=proxy, **fit)
+        s3 = SieveStep3Result(
+            beta_k=par.beta_k, beta_kk=par.beta_kk,
+            coef=np.concatenate(([par.rho_omega_0, par.rho_omega_1], par.rho_omega_2)),
+            basis=build_basis(1 + dataset.x.shape[1], 1, intercept=True), degree=1, gcv=None,
+            objective=par.objective, converged=par.converged, proxy=proxy, n_pairs=par.n_pairs,
+            warnings=par.warnings,
+        )
+    else:
+        basis = dataclasses.replace(
+            build_basis(omega_inputs.shape[1], degree_omega, intercept=True),
+            centers=np.mean(omega_inputs, axis=0), scales=_guarded_std(omega_inputs),
+        )
+        s3 = sieve_step3_nls(dataset, step1, s2, basis, proxy=proxy, **fit)
+    s3 = dataclasses.replace(s3, gcv=gcv_omega, warnings=warn_omega + s3.warnings)
+
     params = TranslogParams(
         beta_k=s3.beta_k, beta_kk=s3.beta_kk, beta_l=s2.beta_l, beta_m=s2.beta_m,
         beta_0=s2.beta_0, theta=step1.theta,
     )
-    laws = None
-    if s2.degree == 1 and s3.degree == 1:
-        rho_1, rho_2 = s2.linear_law()
-        om_0, om_1, om_2 = s3.linear_law()
-        laws = ProductivityLaws(
-            rho_phi_1=rho_1, rho_omega_0=om_0, rho_omega_1=om_1,
-            rho_phi_2=rho_2, rho_omega_2=om_2,
-        )
+    laws = _point_estimate(step1, p2, p3)[1] if degree_phi == degree_omega == 1 else None
     omega_hat = recover_productivity(dataset, params, s2.phi_hat, step1.eta_hat)
     return SieveEstimate(
         params=params,

@@ -130,6 +130,23 @@ def test_degree_one_equals_parametric(bench):
     assert np.max(np.abs(sv.phi_hat - par.phi_hat)) < 1e-8
 
 
+def test_auto_degree_runs_each_parametric_step_once(bench, monkeypatch):
+    import prodsys.sieve
+
+    ds, _, _ = bench
+    calls = {"step2_gmm": 0, "step3_nls": 0}
+    for name, fit in [(name, getattr(prodsys.sieve, name)) for name in calls]:
+        def spy(*args, _name=name, _fit=fit, **kwargs):
+            calls[_name] += 1
+            return _fit(*args, **kwargs)
+        monkeypatch.setattr(prodsys.sieve, name, spy)
+    sv = sieve_estimate(ds, degree="auto")
+    # GCV picks degree one for both laws here: the parametric fits are
+    # the reference's and the reported ones at once
+    assert (sv.degree_phi, sv.degree_omega) == (1, 1)
+    assert calls == {"step2_gmm": 1, "step3_nls": 1}
+
+
 def test_mixed_degrees_fit_omega_parametrically_at_the_series_phi_point(small_panel):
     ds, _, _ = small_panel
     sv = sieve_estimate(ds, degree="auto")
