@@ -203,15 +203,6 @@ def synthetic_outcomes(dataset: PanelDataset, estimate: TranslogEstimate, residu
     return lnr_b, ml_b, ystar_b
 
 
-def _replicate_options(estimate: TranslogEstimate, options: EstimateOptions | None) -> EstimateOptions:
-    if options is not None:
-        return options
-    return EstimateOptions(
-        proxy=estimate.step3.proxy,
-        refine="system" if estimate.system is not None else "none",
-    )
-
-
 def bootstrap_replicate(
     dataset: PanelDataset,
     estimate: TranslogEstimate,
@@ -227,10 +218,11 @@ def bootstrap_replicate(
     Output is rebuilt by inverting the purged-output identity at the
     reported parameters, so that re-deriving ``y*`` on the synthetic
     panel returns exactly the resampled ``y*``; first-period rows keep
-    observed output, which no step consumes.  Vector layout matches
-    :func:`parameter_names`.
+    observed output, which no step consumes.  The replicate runs with
+    ``options``, by default the ones the point estimate ran with.  Vector
+    layout matches :func:`parameter_names`.
     """
-    opts = _replicate_options(estimate, options)
+    opts = options or estimate.options
     params = estimate.params
     pairs = dataset.lag_pairs()
     cur, prev = pairs.cur, pairs.prev

@@ -145,7 +145,7 @@ def _truth_vector(config: DgpConfig) -> tuple[tuple[str, ...], np.ndarray]:
 def _mc_replicate(config: DgpConfig, seed: int, options: EstimateOptions | None):
     try:
         dataset, _ = generate_panel(config, seed=seed)
-        result = estimate(dataset, options) if options is not None else estimate(dataset)
+        result = estimate(dataset, options)
         return "ok", pack_parameters(result.params, result.laws)
     except NUMERICAL_FAILURES as exc:
         return "fail", str(exc)

@@ -204,6 +204,7 @@ class TranslogEstimate:
     step1: Step1Result
     step2: Step2Result
     step3: Step3Result
+    options: EstimateOptions  # the validated settings of the run
     system: SystemResult | None = None
     warnings: list[str] = dataclasses.field(default_factory=list)
 
@@ -833,6 +834,7 @@ def estimate(dataset: PanelDataset, options: EstimateOptions | None = None) -> T
         step1=step1,
         step2=step2,
         step3=step3,
+        options=opts,
         system=system,
         warnings=warnings,
     )

@@ -153,6 +153,15 @@ def test_override_one_reproduces_point(bench, bench_est):
     assert np.array_equal(out.draws[0], out.draws[1])
 
 
+@pytest.mark.parametrize("refine", ["system", "none"])
+def test_override_one_reproduces_point_with_the_estimates_options(bench, refine):
+    # no options given: the replicate reruns the estimator the point came from
+    ds, _, _ = bench
+    est = estimate(ds, EstimateOptions(instruments="exactly_identified", refine=refine))
+    out = run_bootstrap(ds, est, BootstrapConfig(n_reps=1, seed=5, weight_override=1.0))
+    assert np.max(np.abs(out.draws[0] - pack_parameters(est.params, est.laws))) < 1e-6
+
+
 def test_override_one_reproduces_sequential_point(bench):
     ds, _, _ = bench
     opts = EstimateOptions(refine="none")
