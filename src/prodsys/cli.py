@@ -467,25 +467,17 @@ def cmd_bootstrap(args, config: dict) -> int:
     return 0
 
 
-def _parse_cutoffs(text: str):
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"--cutoffs: expected comma-separated numbers, got {text!r}") from exc
-
-
 def _parse_grid_flag(text: str) -> dict:
-    grid = {}
+    """``--grid name=low:high:count,...`` read as the config's ``grid`` mapping."""
+    spec = {}
     for item in text.split(","):
         try:
-            name, spec = item.split("=")
-            lo, hi, count = spec.split(":")
-            grid[name] = np.linspace(float(lo), float(hi), int(count))
+            name, bounds = item.split("=")
+            low, high, count = bounds.split(":")
         except ValueError as exc:
-            raise ConfigError(
-                f"--grid: expected name=low:high:count entries, got {item!r}"
-            ) from exc
-    return grid
+            raise ConfigError(f"--grid: expected name=low:high:count entries, got {item!r}") from exc
+        spec[name] = {"min": low, "max": high, "count": count}
+    return _grid(spec, "--grid")
 
 
 def _grid(value, path: str) -> dict:
@@ -508,7 +500,7 @@ def cmd_partialid(args, config: dict) -> int:
     settings = {key: section[key] for key in ("cutoffs", "grid", "slack", "slack_scale", "propensity_degree")
                 if key in section}
     if args.cutoffs is not None:
-        settings["cutoffs"] = _parse_cutoffs(args.cutoffs)
+        settings["cutoffs"] = _numbers(args.cutoffs.split(","), "--cutoffs")
     if args.grid is not None:
         settings["grid"] = _parse_grid_flag(args.grid)
     if args.slack is not None:

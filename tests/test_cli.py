@@ -103,6 +103,23 @@ def test_bad_numeric_settings_are_config_errors_before_the_data(tmp_path, capsys
     assert named in err and "no input CSV" not in err
 
 
+OTHER_AXES = "beta_kk=-0.05:0.03:3,beta_l=0.1:0.4:3,beta_m=0.3:0.7:3,beta_0=-0.2:-0.01:3"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--grid", f"beta_k=nan:0.3:3,{OTHER_AXES}"],
+    ["--grid", f"beta_k=0.1:0.3:0,{OTHER_AXES}"],
+    ["--cutoffs", "0.5,inf"],
+], ids=["grid-nonfinite", "grid-zero-count", "cutoffs-nonfinite"])
+def test_partialid_flags_go_through_the_config_readers(tmp_path, small_panel, capsys, flags):
+    # the same values in the config file are config errors; as flags they are too
+    data = tmp_path / "panel.csv"
+    write_csv(small_panel[0], data)
+    assert main(["partialid", "--data", str(data), *flags, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and flags[0] in err
+
+
 @pytest.mark.parametrize(("command", "settings", "named"), [
     ("simulate", "seed: abc", "seed"),
     ("estimate", "estimate: {data: DATA, x_columns: 3}", "estimate.x_columns"),
