@@ -195,6 +195,13 @@ def _candidate_loadings(beta_k, beta_kk, beta_l, beta_m, beta_0):
     )
 
 
+def _features(dataset: PanelDataset) -> np.ndarray:
+    """The features (1, k, k^2/2, m, S^2) of :func:`_candidate_loadings` on the lag pairs."""
+    cur = dataset.lag_pairs().cur
+    k = dataset.k[cur]
+    return np.column_stack([np.ones(cur.size), k, 0.5 * k**2, dataset.m[cur], dataset.s_l[cur] ** 2])
+
+
 def _signed_weights(dataset: PanelDataset, cutoff: float, scores: np.ndarray) -> np.ndarray:
     pairs = dataset.lag_pairs()
     high = dataset.m[pairs.cur] > cutoff
@@ -213,18 +220,8 @@ def moment_statistic(dataset: PanelDataset, beta, cutoff: float, scores: np.ndar
         raise ValueError("candidate must be (beta_k, beta_kk, beta_l, beta_m, beta_0)")
     if beta[4] == 0.0:
         raise ValueError("candidate beta_0 must be nonzero")
-    pairs = dataset.lag_pairs()
-    cur = pairs.cur
-    features = np.column_stack(
-        [
-            np.ones(cur.size),
-            dataset.k[cur],
-            0.5 * dataset.k[cur] ** 2,
-            dataset.m[cur],
-            dataset.s_l[cur] ** 2,
-        ]
-    )
-    resid = dataset.y[cur] - features @ _candidate_loadings(*beta)
+    cur = dataset.lag_pairs().cur
+    resid = dataset.y[cur] - _features(dataset) @ _candidate_loadings(*beta)
     w = _signed_weights(dataset, cutoff, scores)
     return float(np.mean(resid * w))
 
@@ -275,18 +272,9 @@ def identified_set(dataset: PanelDataset, config: MomentInequalityConfig) -> Ide
     if np.any(axes[GRID_AXES.index("beta_0")] == 0.0):
         raise ValueError("grid contains beta_0 = 0, where the proxy is undefined")
 
-    pairs = dataset.lag_pairs()
-    cur = pairs.cur
+    cur = dataset.lag_pairs().cur
     n_pairs = cur.size
-    features = np.column_stack(
-        [
-            np.ones(n_pairs),
-            dataset.k[cur],
-            0.5 * dataset.k[cur] ** 2,
-            dataset.m[cur],
-            dataset.s_l[cur] ** 2,
-        ]
-    )
+    features = _features(dataset)
     levels = tuple(float(v) for v in config.cutoffs)
     cutoffs = cutoff_values(dataset, levels)
     a_terms = np.empty(len(cutoffs))
