@@ -19,7 +19,6 @@ import numpy as np
 from .moments import flexible_output, omega_law_coef, omega_law_columns, phi_law_coef, phi_law_columns, phi_proxy
 from .panel import PanelDataset
 from .translog import (
-    EstimateOptions,
     TranslogEstimate,
     _point_estimate,
     _step3_result,
@@ -204,12 +203,7 @@ def synthetic_outcomes(dataset: PanelDataset, estimate: TranslogEstimate, residu
 
 
 def bootstrap_replicate(
-    dataset: PanelDataset,
-    estimate: TranslogEstimate,
-    residuals: ResidualSet,
-    weights,
-    *,
-    options: EstimateOptions | None = None,
+    dataset: PanelDataset, estimate: TranslogEstimate, residuals: ResidualSet, weights
 ) -> np.ndarray:
     """Re-run the estimator on one synthetic panel; returns a parameter vector.
 
@@ -218,11 +212,11 @@ def bootstrap_replicate(
     Output is rebuilt by inverting the purged-output identity at the
     reported parameters, so that re-deriving ``y*`` on the synthetic
     panel returns exactly the resampled ``y*``; first-period rows keep
-    observed output, which no step consumes.  The replicate runs with
-    ``options``, by default the ones the point estimate ran with.  Vector
+    observed output, which no step consumes.  The replicate runs with the
+    options the point estimate ran with (``estimate.options``).  Vector
     layout matches :func:`parameter_names`.
     """
-    opts = options or estimate.options
+    opts = estimate.options
     params = estimate.params
     pairs = dataset.lag_pairs()
     cur, prev = pairs.cur, pairs.prev
@@ -239,27 +233,14 @@ def bootstrap_replicate(
     )
 
     step1_b = step1_cost_share(ds_b)
-    step2_b = step2_gmm(
-        ds_b, step1_b, instruments=opts.instruments, grad_tol=opts.grad_tol, max_iter=opts.max_iter,
-    )
+    step2_b = step2_gmm(ds_b, step1_b, opts)
 
     # third step: resampled y* against the omega proxy rebuilt from the
     # observed inputs at the replicate's second-step parameters
-    mstar_b = omega_proxy(
-        dataset, step2_b.beta_0, step2_b.beta_l, step1_b.delta_lm, step1_b.theta, which=opts.proxy,
-    )
-    core = step3_core(
-        ystar_b, dataset.k[cur], dataset.k[prev], mstar_b[prev], dataset.x[prev],
-        grad_tol=opts.grad_tol, max_iter=opts.max_iter,
-    )
+    mstar_b = omega_proxy(dataset, step2_b.beta_0, step2_b.beta_l, step1_b.delta_lm, step1_b.theta, which=opts.proxy)
+    core = step3_core(ystar_b, dataset.k[cur], dataset.k[prev], mstar_b[prev], dataset.x[prev], opts)
     step3_b = _step3_result(core, proxy=opts.proxy, n_pairs=int(cur.size))
-
-    sys_b = None
-    if opts.refine == "system":
-        sys_b = system_refine(
-            ds_b, step1_b, step2_b, step3_b, proxy=opts.proxy,
-            instruments=opts.instruments, grad_tol=opts.grad_tol, max_iter=opts.max_iter,
-        )
+    sys_b = system_refine(ds_b, step1_b, step2_b, step3_b, opts) if opts.refine == "system" else None
     return pack_parameters(*_point_estimate(step1_b, step2_b, step3_b, sys_b))
 
 
@@ -293,13 +274,10 @@ def pack_parameters(params, laws) -> np.ndarray:
     )
 
 
-def run_bootstrap(
-    dataset: PanelDataset,
-    estimate: TranslogEstimate,
-    config: BootstrapConfig,
-    options: EstimateOptions | None = None,
-) -> BootstrapResult:
+def run_bootstrap(dataset: PanelDataset, estimate: TranslogEstimate, config: BootstrapConfig) -> BootstrapResult:
     """B replicates with per-replicate seeds spawned from the master seed.
+
+    Every replicate re-runs the estimator with ``estimate.options``.
 
     Failed replicates are recorded and skipped, never resampled; more
     than 20% failures flags the result unreliable.  Standard errors are
@@ -319,7 +297,7 @@ def run_bootstrap(
         else:
             w = mammen_weights(dataset.n_firms, seq)
         try:
-            rows.append(bootstrap_replicate(dataset, estimate, residuals, w, options=options))
+            rows.append(bootstrap_replicate(dataset, estimate, residuals, w))
         except NUMERICAL_FAILURES as exc:
             failures.append(f"replicate {b}: {exc}")
     if not rows:

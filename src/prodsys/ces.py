@@ -12,7 +12,8 @@ FOC ratio of the two flexible inputs yields ``phi`` in closed form given
 phi law by nonlinear least squares; the second step estimates ``(nu,
 beta_k)`` and the omega law, proxying lagged omega through the materials
 FOC.  The constant ``ln(theta*nu)`` is absorbed into the second-step
-intercept and not separately reported.
+intercept and not separately reported.  Both steps run the optimizer at
+its default tolerance and iteration cap.
 """
 
 from __future__ import annotations
@@ -123,12 +124,7 @@ def _gap(dataset: PanelDataset) -> np.ndarray:
     return dataset.ln_price_m - dataset.ln_price_l
 
 
-def ces_step1_nls(
-    dataset: PanelDataset,
-    *,
-    grad_tol: float = 1e-8,
-    max_iter: int = 500,
-) -> CesStep1Result:
+def ces_step1_nls(dataset: PanelDataset) -> CesStep1Result:
     """Estimate ``(sigma, beta_m)`` and the phi law by least squares.
 
     The residual is the phi-law innovation at proxied phi.  Separate
@@ -179,7 +175,7 @@ def ces_step1_nls(
             for s0 in sigma_starts
             for bm0 in (0.3, 1.0)
         ]
-        return minimize_nls(problem, starts[0], starts=starts[1:], grad_tol=grad_tol, max_iter=max_iter)
+        return minimize_nls(problem, starts[0], starts=starts[1:])
 
     low = solve((1e-3, 1.0 - 1e-6), (0.3, 0.6, 0.9))
     high = solve((1.0 + 1e-6, 50.0), (1.5, 3.0, 8.0))
@@ -202,13 +198,7 @@ def ces_step1_nls(
     )
 
 
-def ces_step2_nls(
-    dataset: PanelDataset,
-    step1: CesStep1Result,
-    *,
-    grad_tol: float = 1e-8,
-    max_iter: int = 500,
-) -> CesStep2Result:
+def ces_step2_nls(dataset: PanelDataset, step1: CesStep1Result) -> CesStep2Result:
     """Estimate ``(nu, beta_k)``, the intercept and the omega law.
 
     Fits ``y_t = -nu*q*ln(S_t) + c + rho_1*[m*_{t-1} + (1 + nu*q)*ln(S_{t-1})]
@@ -263,7 +253,7 @@ def ces_step2_nls(
         for nu0 in (0.5, 0.9)
         for bk0 in (0.1, 0.5, 1.0)
     ]
-    result = minimize_nls(problem, starts[0], starts=starts[1:], grad_tol=grad_tol, max_iter=max_iter)
+    result = minimize_nls(problem, starts[0], starts=starts[1:])
 
     warnings = []
     if not result.converged:
@@ -280,10 +270,10 @@ def ces_step2_nls(
     )
 
 
-def ces_estimate(dataset: PanelDataset, *, grad_tol: float = 1e-8, max_iter: int = 500) -> CesEstimate:
+def ces_estimate(dataset: PanelDataset) -> CesEstimate:
     """Run both CES steps and assemble the estimate."""
-    step1 = ces_step1_nls(dataset, grad_tol=grad_tol, max_iter=max_iter)
-    step2 = ces_step2_nls(dataset, step1, grad_tol=grad_tol, max_iter=max_iter)
+    step1 = ces_step1_nls(dataset)
+    step2 = ces_step2_nls(dataset, step1)
     params = CesParams(
         sigma=step1.sigma,
         nu=step2.nu,

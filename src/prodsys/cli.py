@@ -346,6 +346,9 @@ def cmd_estimate(args, config: dict) -> int:
     if law not in ("parametric", "sieve"):
         raise ConfigError(f"estimate.law: must be parametric or sieve, got {law!r}")
     options = _estimator_options(section, "estimate", args)
+    if law == "sieve" and options.refine != "system":
+        # the sieve picks its degrees at the refined point
+        raise ConfigError(f"estimate.refine: must be system with law sieve, got {options.refine!r}")
     degree = _resolve(args.degree, section.get("degree"), "auto")
     if degree != "auto":
         degree = _positive_int(degree, "estimate.degree")
@@ -353,10 +356,7 @@ def cmd_estimate(args, config: dict) -> int:
     out = _out_dir(args)
 
     if law == "sieve":
-        result = _run_on_panel(
-            sieve_estimate, dataset, degree=degree, proxy=options.proxy, instruments=options.instruments,
-            grad_tol=options.grad_tol, max_iter=options.max_iter,
-        )
+        result = _run_on_panel(sieve_estimate, dataset, degree=degree, options=options)
         rows = _param_rows(result, dataset)
         rows.extend((f"phi_law_coef[{j}]", v) for j, v in enumerate(result.step2.coef))
         rows.extend((f"omega_law_coef[{j}]", v) for j, v in enumerate(result.step3.coef))
@@ -441,7 +441,7 @@ def cmd_bootstrap(args, config: dict) -> int:
     if not all(fit.converged for _, fit in _fits(point)):
         raise EstimationError("point estimation did not converge; bootstrap not run")
     try:
-        result = run_bootstrap(dataset, point, boot_config, options)
+        result = run_bootstrap(dataset, point, boot_config)
     except ValueError as exc:
         raise EstimationError(str(exc)) from exc
 

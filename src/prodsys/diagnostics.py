@@ -142,7 +142,7 @@ def _truth_vector(config: DgpConfig) -> tuple[tuple[str, ...], np.ndarray]:
     return parameter_names(controls), pack_parameters(params, laws)
 
 
-def _mc_replicate(config: DgpConfig, seed: int, options: EstimateOptions | None):
+def _mc_replicate(config: DgpConfig, seed: int, options: EstimateOptions):
     try:
         dataset, _ = generate_panel(config, seed=seed)
         result = estimate(dataset, options)
@@ -172,6 +172,8 @@ def monte_carlo_study(
         raise ValueError(f"the study fits the translog estimator; {config.technology!r} data have no translog truth")
     if replications < 1:
         raise ValueError("need at least one replication")
+    options = options or EstimateOptions()
+    options.validate()  # a bad setting is the caller's error, not a failed replication
     names, truth = _truth_vector(config)
     rep_seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(replications, dtype=np.uint64)]
 

@@ -39,6 +39,7 @@ from .moments import (
 from .optim import minimize_gmm, minimize_nls
 from .panel import PanelDataset
 from .translog import (
+    EstimateOptions,
     ProductivityLaws,
     Step1Result,
     TranslogParams,
@@ -266,13 +267,7 @@ def _linear_term_index(basis: SieveBasis, coord: int) -> int:
 
 
 def sieve_step2_gmm(
-    dataset: PanelDataset,
-    step1: Step1Result,
-    basis: SieveBasis,
-    *,
-    instruments: str = "default",
-    grad_tol: float = 1e-8,
-    max_iter: int = 500,
+    dataset: PanelDataset, step1: Step1Result, basis: SieveBasis, options: EstimateOptions
 ) -> SieveStep2Result:
     """Series version of the second step, with the phi law in ``basis``.
 
@@ -285,7 +280,7 @@ def sieve_step2_gmm(
     arrays = _step2_arrays(dataset)
     warnings: list[str] = []
 
-    q, qnames = build_sieve_instruments(dataset, degree=basis.degree, kind=instruments)
+    q, qnames = build_sieve_instruments(dataset, degree=basis.degree, kind=options.instruments)
     n_pairs = q.shape[0]
     if n_pairs <= q.shape[1]:
         raise ValueError("not enough lag pairs for the expanded instrument count")
@@ -308,7 +303,7 @@ def sieve_step2_gmm(
         lambda alpha: q.T @ phi_innovation_jacobian(alpha, *args) / n_pairs,
         2 + _linear_term_index(basis, 0), 2 + basis.n_terms, delta, weight,
     )
-    result = minimize_gmm(problem, starts[0], starts=starts[1:], grad_tol=grad_tol, max_iter=max_iter)
+    result = minimize_gmm(problem, starts[0], starts=starts[1:], grad_tol=options.grad_tol, max_iter=options.max_iter)
 
     beta_0, beta_l, coef = result.params[0], result.params[1], result.params[2:]
     phi_hat = phi_proxy(dataset.m - dataset.l, dataset.s_l, beta_0, beta_l, delta)
@@ -333,14 +328,7 @@ def sieve_step2_gmm(
 
 
 def sieve_step3_nls(
-    dataset: PanelDataset,
-    step1: Step1Result,
-    step2,
-    basis: SieveBasis,
-    *,
-    proxy: str = "materials",
-    grad_tol: float = 1e-8,
-    max_iter: int = 500,
+    dataset: PanelDataset, step1: Step1Result, step2, basis: SieveBasis, options: EstimateOptions
 ) -> SieveStep3Result:
     """Series version of the third step, with the omega law in ``basis``.
 
@@ -349,7 +337,7 @@ def sieve_step3_nls(
     point with ``step1.delta_lm``.  The law ``r_omega(omega_lag, X_lag)`` is
     a polynomial with intercept, so ``basis`` has a constant term.
     """
-    ystar, mstar = _omega_law_data(dataset, step2.beta_0, step2.beta_l, step1.delta_lm, step1.theta, proxy)
+    ystar, mstar = _omega_law_data(dataset, step2.beta_0, step2.beta_l, step1.delta_lm, step1.theta, options.proxy)
     pairs = dataset.lag_pairs()
     cur, prev = pairs.cur, pairs.prev
     if cur.size < 3 + basis.dim:
@@ -365,7 +353,7 @@ def sieve_step3_nls(
         2 + _linear_term_index(basis, 0), 2 + basis.n_terms,
         np.column_stack([args[2], np.ones(cur.size)]), ystar[cur],
     )
-    result = minimize_nls(problem, starts[0], starts=starts[1:], grad_tol=grad_tol, max_iter=max_iter)
+    result = minimize_nls(problem, starts[0], starts=starts[1:], grad_tol=options.grad_tol, max_iter=options.max_iter)
 
     warnings = []
     if not result.converged:
@@ -379,7 +367,7 @@ def sieve_step3_nls(
         gcv=None,
         objective=result.objective,
         converged=result.converged,
-        proxy=proxy,
+        proxy=options.proxy,
         n_pairs=int(cur.size),
         warnings=warnings,
     )
@@ -401,14 +389,7 @@ class SieveEstimate:
 
 
 def sieve_estimate(
-    dataset: PanelDataset,
-    *,
-    degree="auto",
-    degrees=(1, 2, 3),
-    proxy: str = "materials",
-    instruments: str = "default",
-    grad_tol: float = 1e-8,
-    max_iter: int = 500,
+    dataset: PanelDataset, *, degree="auto", degrees=(1, 2, 3), options: EstimateOptions | None = None
 ) -> SieveEstimate:
     """Three-step estimation with series laws of motion.
 
@@ -419,26 +400,32 @@ def sieve_estimate(
     returned estimate is populated only when both degrees are one.  The
     series steps run sequentially; there is no joint refinement of
     nonlinear laws.
+
+    ``options`` (default ``EstimateOptions()``) reach every fit.  Degrees
+    are always picked at the refined point, so ``refine="none"`` is refused.
     """
+    opts = options or EstimateOptions()
+    opts.validate()
+    if opts.refine != "system":
+        raise ValueError(f"refine must be system: the sieve picks degrees at the refined point; got {opts.refine!r}")
     if degree != "auto" and int(degree) < 1:
         raise ValueError(f"sieve degree must be at least 1, got {degree!r}")
-    fit = {"grad_tol": grad_tol, "max_iter": max_iter}
     step1 = step1_cost_share(dataset)
-    p2 = step2_gmm(dataset, step1, instruments=instruments, **fit)
-    p3 = step3_nls(dataset, step1, p2, proxy=proxy, **fit)
+    p2 = step2_gmm(dataset, step1, opts)
+    p3 = step3_nls(dataset, step1, p2, opts)
 
     degree_phi = degree_omega = degree
     gcv_phi = gcv_omega = None
     warn_phi: list[str] = []
     warn_omega: list[str] = []
     if degree == "auto" or int(degree) > 1:
-        ref = system_refine(dataset, step1, p2, p3, proxy=proxy, instruments=instruments, **fit)
+        ref = system_refine(dataset, step1, p2, p3, opts)
         # both laws' series at the reference: targets and (lagged) inputs
         delta = step1.delta_lm
         ml_cur, ml_prev, sl_cur, sl_prev, z_prev = _step2_arrays(dataset)
         phi_cur = phi_proxy(ml_cur, sl_cur, ref.beta_0, ref.beta_l, delta)
         phi_inputs = np.column_stack([phi_proxy(ml_prev, sl_prev, ref.beta_0, ref.beta_l, delta), z_prev])
-        mstar = omega_proxy(dataset, ref.beta_0, ref.beta_l, delta, step1.theta, which=proxy)
+        mstar = omega_proxy(dataset, ref.beta_0, ref.beta_l, delta, step1.theta, which=opts.proxy)
         omega = mstar - ref.beta_k * dataset.k - ref.beta_kk * 0.5 * dataset.k**2
         pairs = dataset.lag_pairs()
         omega_inputs = np.column_stack([omega[pairs.prev], dataset.x[pairs.prev]])
@@ -459,16 +446,16 @@ def sieve_estimate(
     else:
         # scale only: centering would break the r(0) = 0 normalization
         basis = dataclasses.replace(build_basis(phi_inputs.shape[1], degree_phi), scales=_guarded_std(phi_inputs))
-        s2 = sieve_step2_gmm(dataset, step1, basis, instruments=instruments, **fit)
+        s2 = sieve_step2_gmm(dataset, step1, basis, opts)
     s2 = dataclasses.replace(s2, gcv=gcv_phi, warnings=warn_phi + s2.warnings)
 
     if degree_omega == 1:
-        par = p3 if degree_phi == 1 else step3_nls(dataset, step1, s2, proxy=proxy, **fit)
+        par = p3 if degree_phi == 1 else step3_nls(dataset, step1, s2, opts)
         s3 = SieveStep3Result(
             beta_k=par.beta_k, beta_kk=par.beta_kk,
             coef=np.concatenate(([par.rho_omega_0, par.rho_omega_1], par.rho_omega_2)),
             basis=build_basis(1 + dataset.x.shape[1], 1, intercept=True), degree=1, gcv=None,
-            objective=par.objective, converged=par.converged, proxy=proxy, n_pairs=par.n_pairs,
+            objective=par.objective, converged=par.converged, proxy=opts.proxy, n_pairs=par.n_pairs,
             warnings=par.warnings,
         )
     else:
@@ -476,7 +463,7 @@ def sieve_estimate(
             build_basis(omega_inputs.shape[1], degree_omega, intercept=True),
             centers=np.mean(omega_inputs, axis=0), scales=_guarded_std(omega_inputs),
         )
-        s3 = sieve_step3_nls(dataset, step1, s2, basis, proxy=proxy, **fit)
+        s3 = sieve_step3_nls(dataset, step1, s2, basis, opts)
     s3 = dataclasses.replace(s3, gcv=gcv_omega, warnings=warn_omega + s3.warnings)
 
     params = TranslogParams(

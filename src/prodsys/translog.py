@@ -35,11 +35,16 @@ an array as long as the panel: step two reads ``Q'E/n``, step three a
 square root of ``D'D``, and the joint refinement the whitened projections
 and Gram matrices of both blocks.  The series laws of :mod:`prodsys.sieve`
 keep the lag-pair residuals, through the same bounds and start grids.
+
+Every step takes the run's :class:`EstimateOptions` as one required
+argument, so no fit can fall back to settings its caller did not choose;
+only the entry points (:func:`estimate` here) default and validate them.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import numbers
 
 import numpy as np
 
@@ -54,7 +59,7 @@ from .moments import (
     phi_proxy,
     proxied_omega_coef,
 )
-from .optim import GmmProblem, NlsProblem, OptimResult, _psd_sqrt, minimize_gmm, minimize_nls
+from .optim import GRAD_TOL, MAX_ITER, GmmProblem, NlsProblem, OptimResult, _psd_sqrt, minimize_gmm, minimize_nls
 from .panel import PanelDataset
 
 __all__ = [
@@ -211,13 +216,18 @@ class TranslogEstimate:
 
 @dataclasses.dataclass
 class EstimateOptions:
-    """Knobs for the three-step run; defaults follow the benchmark setup."""
+    """Settings of every fit of a run, handed whole to each step.
+
+    ``proxy`` picks the omega proxy's first-order condition, ``instruments``
+    the step-two instrument set and ``refine`` whether the joint refinement
+    runs; ``grad_tol`` and ``max_iter`` go to every optimizer start.
+    """
 
     proxy: str = "materials"  # materials | labor | average
     instruments: str = "default"  # default | exactly_identified
     refine: str = "system"  # system | none
-    grad_tol: float = 1e-8
-    max_iter: int = 500
+    grad_tol: float = GRAD_TOL
+    max_iter: int = MAX_ITER
 
     def validate(self) -> None:
         """Raise ``ValueError`` naming the first setting outside its allowed values."""
@@ -225,10 +235,10 @@ class EstimateOptions:
         for name, allowed in choices.items():
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {', '.join(allowed)}; got {getattr(self, name)!r}")
-        if not self.grad_tol > 0.0:
-            raise ValueError(f"grad_tol must be positive, got {self.grad_tol!r}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
+        if not (self.grad_tol > 0.0 and np.isfinite(self.grad_tol)):
+            raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol!r}")
+        if not isinstance(self.max_iter, numbers.Integral) or isinstance(self.max_iter, bool) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
 
 
 # -- step one ----------------------------------------------------------------
@@ -326,14 +336,7 @@ def _phi_law_gmm(moments, jacobian, lin: int, n_params: int, delta_lm: float, we
     return problem, starts
 
 
-def step2_gmm(
-    dataset: PanelDataset,
-    step1: Step1Result,
-    *,
-    instruments: str = "default",
-    grad_tol: float = 1e-8,
-    max_iter: int = 500,
-) -> Step2Result:
+def step2_gmm(dataset: PanelDataset, step1: Step1Result, options: EstimateOptions) -> Step2Result:
     """GMM estimation of the curvature, labor coefficient and phi law.
 
     Moments are ``E[Q_{t-1} * eps_t(alpha)] = 0`` where ``eps`` is the
@@ -349,7 +352,7 @@ def step2_gmm(
     """
     delta = step1.delta_lm
     pz = dataset.z.shape[1]
-    q, names = build_instruments(dataset, kind=instruments)
+    q, names = build_instruments(dataset, kind=options.instruments)
     n_pairs = q.shape[0]
     if n_pairs <= q.shape[1]:
         raise ValueError("not enough lag pairs for the instrument count")
@@ -362,7 +365,7 @@ def step2_gmm(
         lambda alpha: qe @ phi_law_coef_jacobian(alpha, delta),
         2, 3 + pz, delta, weight,
     )
-    result = minimize_gmm(problem, starts[0], starts=starts[1:], grad_tol=grad_tol, max_iter=max_iter)
+    result = minimize_gmm(problem, starts[0], starts=starts[1:], grad_tol=options.grad_tol, max_iter=options.max_iter)
 
     beta_0, beta_l, rho_1, rho_2 = *result.params[:3], result.params[3:]
     beta_m = delta - beta_l
@@ -395,7 +398,7 @@ def step2_gmm(
     )
 
 
-def information_matrix(dataset: PanelDataset, step1: Step1Result, alpha, *, instruments: str = "default"):
+def information_matrix(dataset: PanelDataset, step1: Step1Result, alpha, options: EstimateOptions):
     """Curvature of the GMM criterion at ``alpha``: ``G'WG`` with rank and condition.
 
     ``G = (Q'E/N) da/dalpha`` is the Jacobian of step two's moments.  A
@@ -403,7 +406,7 @@ def information_matrix(dataset: PanelDataset, step1: Step1Result, alpha, *, inst
     parameters; rank deficiency arises, for example, when the labor share
     carries no independent variation.
     """
-    q, _ = build_instruments(dataset, kind=instruments)
+    q, _ = build_instruments(dataset, kind=options.instruments)
     n_pairs = q.shape[0]
     weight = np.linalg.pinv(q.T @ q / n_pairs)
     qe = q.T @ phi_law_columns(*_step2_arrays(dataset)) / n_pairs
@@ -489,16 +492,7 @@ def _omega_law_nls(residual, jacobian, lin: int, n_params: int, regressors, targ
     return problem, starts
 
 
-def step3_core(
-    y_cur,
-    k_cur,
-    k_prev,
-    mstar_prev,
-    x_prev,
-    *,
-    grad_tol: float = 1e-8,
-    max_iter: int = 500,
-) -> OptimResult:
+def step3_core(y_cur, k_cur, k_prev, mstar_prev, x_prev, options: EstimateOptions) -> OptimResult:
     """Step-three least squares of the linear omega law on pre-assembled pair arrays.
 
     Parameter order is ``(beta_k, beta_kk, rho_0, rho_1, rho_2)``; the
@@ -521,18 +515,10 @@ def step3_core(
         lambda gamma: root @ omega_law_coef_jacobian(gamma),
         3, 4 + x_prev.shape[1], root[:, [2, 3, 1]], root[:, 0],
     )
-    return minimize_nls(problem, starts[0], starts=starts[1:], grad_tol=grad_tol, max_iter=max_iter)
+    return minimize_nls(problem, starts[0], starts=starts[1:], grad_tol=options.grad_tol, max_iter=options.max_iter)
 
 
-def step3_nls(
-    dataset: PanelDataset,
-    step1: Step1Result,
-    step2: Step2Result,
-    *,
-    proxy: str = "materials",
-    grad_tol: float = 1e-8,
-    max_iter: int = 500,
-) -> Step3Result:
+def step3_nls(dataset: PanelDataset, step1: Step1Result, step2: Step2Result, options: EstimateOptions) -> Step3Result:
     """Nonlinear least squares for the capital coefficients and the omega law.
 
     Regresses the flexible-input-purged output ``y*`` on the capital terms
@@ -542,17 +528,14 @@ def step3_nls(
                + rho_1*(m*_{t-1} - beta_k*k_{t-1} - 0.5*beta_kk*k_{t-1}^2)
                + rho_2'X_{t-1} + error.
     """
-    ystar, mstar = _omega_law_data(dataset, step2.beta_0, step2.beta_l, step1.delta_lm, step1.theta, proxy)
+    ystar, mstar = _omega_law_data(dataset, step2.beta_0, step2.beta_l, step1.delta_lm, step1.theta, options.proxy)
     pairs = dataset.lag_pairs()
     cur, prev = pairs.cur, pairs.prev
     if cur.size < 4 + dataset.x.shape[1]:
         raise ValueError("too few usable lag pairs for step three")
 
-    result = step3_core(
-        ystar[cur], dataset.k[cur], dataset.k[prev], mstar[prev], dataset.x[prev],
-        grad_tol=grad_tol, max_iter=max_iter,
-    )
-    return _step3_result(result, proxy=proxy, n_pairs=int(cur.size))
+    result = step3_core(ystar[cur], dataset.k[cur], dataset.k[prev], mstar[prev], dataset.x[prev], options)
+    return _step3_result(result, proxy=options.proxy, n_pairs=int(cur.size))
 
 
 def _step3_result(result: OptimResult, *, proxy: str, n_pairs: int) -> Step3Result:
@@ -609,9 +592,7 @@ def build_level_instruments(dataset: PanelDataset):
     return np.column_stack(cols), tuple(names)
 
 
-def _system_cross_products(
-    dataset: PanelDataset, step1: Step1Result, *, proxy: str, instruments: str, warnings: list[str]
-):
+def _system_cross_products(dataset: PanelDataset, step1: Step1Result, options: EstimateOptions, warnings: list[str]):
     """Candidate-free cross-products of the joint system's two residuals.
 
     On proxied phi the phi-law innovation is ``eps = E a`` and the omega-law
@@ -632,7 +613,7 @@ def _system_cross_products(
     s_cur, s_prev = dataset.s_l[cur], dataset.s_l[prev]
     m_cur, m_prev = dataset.m[cur], dataset.m[prev]
     k_cur, k_prev = dataset.k[cur], dataset.k[prev]
-    foc_prev = _foc_term(dataset, delta, step1.theta, proxy)[prev]  # lagged omega proxy plus flexible output
+    foc_prev = _foc_term(dataset, delta, step1.theta, options.proxy)[prev]  # lagged omega proxy plus flexible output
 
     ones = np.ones(n)
     e = phi_law_columns(*_step2_arrays(dataset))
@@ -640,7 +621,7 @@ def _system_cross_products(
         dataset.y[cur] - delta * m_cur, ones, s_cur**2, k_cur, 0.5 * k_cur**2,
         foc_prev - delta * m_prev, s_prev**2, k_prev, 0.5 * k_prev**2, *dataset.x[prev].T,
     ])
-    q, _ = build_instruments(dataset, kind=instruments)
+    q, _ = build_instruments(dataset, kind=options.instruments)
     h, h_names = build_level_instruments(dataset)
     if n <= max(q.shape[1], h.shape[1]):
         raise ValueError("not enough usable lag pairs for the joint refinement")
@@ -656,11 +637,7 @@ def system_refine(
     step1: Step1Result,
     step2: Step2Result,
     step3: Step3Result,
-    *,
-    proxy: str = "materials",
-    instruments: str = "default",
-    grad_tol: float = 1e-8,
-    max_iter: int = 500,
+    options: EstimateOptions,
 ) -> SystemResult:
     """Joint GMM over the step-two and step-three blocks on stacked moments.
 
@@ -703,9 +680,7 @@ def system_refine(
     delta = step1.delta_lm
     pz, px = dataset.z.shape[1], dataset.x.shape[1]
     warnings: list[str] = []
-    proj_e, proj_r, gram_e, gram_r, n, h_names = _system_cross_products(
-        dataset, step1, proxy=proxy, instruments=instruments, warnings=warnings
-    )
+    proj_e, proj_r, gram_e, gram_r, n, h_names = _system_cross_products(dataset, step1, options, warnings)
     scale_floor = 1e-8  # keeps noiseless panels from dividing by ~eps
 
     def residual(lam):
@@ -732,7 +707,7 @@ def system_refine(
     for b0, frac in ((-0.05, 0.5), (-0.1, 0.25), (-0.02, 0.75), (-0.2, 0.5)):
         starts.append(np.concatenate(([b0, frac * delta, 0.5], np.zeros(pz),
                                       [0.1, 0.0, 0.0, 0.5], np.zeros(px))))
-    result = minimize_nls(problem, starts[0], starts=starts[1:], grad_tol=grad_tol, max_iter=max_iter)
+    result = minimize_nls(problem, starts[0], starts=starts[1:], grad_tol=options.grad_tol, max_iter=options.max_iter)
 
     b0, bl, r1, r2 = *result.params[:3], result.params[3:3 + pz]
     bk, bkk, g0, g1, g2 = *result.params[3 + pz:7 + pz], result.params[7 + pz:]
@@ -799,24 +774,9 @@ def estimate(dataset: PanelDataset, options: EstimateOptions | None = None) -> T
     opts = options or EstimateOptions()
     opts.validate()
     step1 = step1_cost_share(dataset)
-    step2 = step2_gmm(
-        dataset,
-        step1,
-        instruments=opts.instruments,
-        grad_tol=opts.grad_tol,
-        max_iter=opts.max_iter,
-    )
-    step3 = step3_nls(dataset, step1, step2, proxy=opts.proxy, grad_tol=opts.grad_tol, max_iter=opts.max_iter)
-
-    system = None
-    if opts.refine == "system":
-        system = system_refine(
-            dataset, step1, step2, step3,
-            proxy=opts.proxy,
-            instruments=opts.instruments,
-            grad_tol=opts.grad_tol,
-            max_iter=opts.max_iter,
-        )
+    step2 = step2_gmm(dataset, step1, opts)
+    step3 = step3_nls(dataset, step1, step2, opts)
+    system = system_refine(dataset, step1, step2, step3, opts) if opts.refine == "system" else None
 
     params, laws = _point_estimate(step1, step2, step3, system)
     if system is not None:

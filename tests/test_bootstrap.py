@@ -162,39 +162,40 @@ def test_override_one_reproduces_point_with_the_estimates_options(bench, refine)
     assert np.max(np.abs(out.draws[0] - pack_parameters(est.params, est.laws))) < 1e-6
 
 
-def test_override_one_reproduces_sequential_point(bench):
+@pytest.fixture(scope="module")
+def sequential_est(bench):
+    """The sequential point estimate: its replicates skip the joint refinement."""
+    return estimate(bench[0], EstimateOptions(refine="none"))
+
+
+def test_override_one_reproduces_sequential_point(bench, sequential_est):
     ds, _, _ = bench
-    opts = EstimateOptions(refine="none")
-    est = estimate(ds, opts)
-    out = run_bootstrap(ds, est, BootstrapConfig(n_reps=1, seed=5, weight_override=1.0), options=opts)
-    point = pack_parameters(est.params, est.laws)
+    out = run_bootstrap(ds, sequential_est, BootstrapConfig(n_reps=1, seed=5, weight_override=1.0))
+    point = pack_parameters(sequential_est.params, sequential_est.laws)
     assert np.max(np.abs(out.draws[0] - point)) < 1e-6
     assert np.all(out.standard_errors == 0.0)
     assert any("single successful replicate" in msg for msg in out.warnings)
 
 
-def test_override_zero_ignores_seed(bench, bench_est):
+def test_override_zero_ignores_seed(bench, sequential_est):
     ds, _, _ = bench
-    opts = EstimateOptions(refine="none")
-    a = run_bootstrap(ds, bench_est, BootstrapConfig(n_reps=1, seed=1, weight_override=0.0), options=opts)
-    b = run_bootstrap(ds, bench_est, BootstrapConfig(n_reps=1, seed=2, weight_override=0.0), options=opts)
+    a = run_bootstrap(ds, sequential_est, BootstrapConfig(n_reps=1, seed=1, weight_override=0.0))
+    b = run_bootstrap(ds, sequential_est, BootstrapConfig(n_reps=1, seed=2, weight_override=0.0))
     assert np.array_equal(a.draws, b.draws)
 
 
-def test_master_seed_determinism(bench, bench_est):
+def test_master_seed_determinism(bench, sequential_est):
     ds, _, _ = bench
-    opts = EstimateOptions(refine="none")
-    a = run_bootstrap(ds, bench_est, BootstrapConfig(n_reps=2, seed=3), options=opts)
-    b = run_bootstrap(ds, bench_est, BootstrapConfig(n_reps=2, seed=3), options=opts)
-    c = run_bootstrap(ds, bench_est, BootstrapConfig(n_reps=2, seed=4), options=opts)
+    a = run_bootstrap(ds, sequential_est, BootstrapConfig(n_reps=2, seed=3))
+    b = run_bootstrap(ds, sequential_est, BootstrapConfig(n_reps=2, seed=3))
+    c = run_bootstrap(ds, sequential_est, BootstrapConfig(n_reps=2, seed=4))
     assert np.array_equal(a.draws, b.draws)
     assert not np.array_equal(a.draws, c.draws)
 
 
-def test_intervals_ordered_and_nested(bench, bench_est):
+def test_intervals_ordered_and_nested(bench, sequential_est):
     ds, _, _ = bench
-    opts = EstimateOptions(refine="none")
-    out = run_bootstrap(ds, bench_est, BootstrapConfig(n_reps=6, seed=9), options=opts)
+    out = run_bootstrap(ds, sequential_est, BootstrapConfig(n_reps=6, seed=9))
     assert set(out.intervals) == {0.90, 0.95, 0.99}
     lo90, hi90 = out.intervals[0.90]
     lo99, hi99 = out.intervals[0.99]

@@ -124,7 +124,7 @@ def test_sieve_estimate_tables(runs, library):
 
 def test_bootstrap_tables(runs, library, point):
     levels = (0.90, 0.95, 0.99)
-    result = run_bootstrap(library[2], point, BootstrapConfig(n_reps=2, seed=SEED, levels=levels), EstimateOptions())
+    result = run_bootstrap(library[2], point, BootstrapConfig(n_reps=2, seed=SEED, levels=levels))
     vec = pack_parameters(point.params, point.laws)
     header = ["parameter", "point", "se", "lower90", "upper90", "lower95", "upper95", "lower99", "upper99"]
     rows = []

@@ -162,6 +162,15 @@ def test_failures_counted_and_reported(bench_est, monkeypatch):
         monte_carlo_study(SMALL_CFG, 0, FAST, seed=5)
 
 
+def test_bad_options_are_refused_before_any_replication(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(prodsys.diagnostics, "generate_panel", unreachable)
+    with pytest.raises(ValueError, match="^refine"):
+        monte_carlo_study(SMALL_CFG, 2, EstimateOptions(refine="polish"), seed=5)
+
+
 def test_report_serialization():
     report = monte_carlo_study(SMALL_CFG, 2, FAST, seed=5)
     lines = report.to_csv().strip().split("\n")

@@ -51,7 +51,7 @@ def panel_steps(request):
     if request.param == "controls":
         ds = _with_controls(ds, np.random.default_rng(5))
     step1 = translog.step1_cost_share(ds)
-    step2 = translog.step2_gmm(ds, step1)
+    step2 = translog.step2_gmm(ds, step1, translog.EstimateOptions())
     return ds, step1, step2
 
 
@@ -87,7 +87,7 @@ def _assert_close(got, want):
 
 def test_step2_moments_match_pair_array_moments(monkeypatch, panel_steps):
     ds, step1, _ = panel_steps
-    problem, starts = _capture(monkeypatch, "minimize_gmm", lambda: translog.step2_gmm(ds, step1))
+    problem, starts = _capture(monkeypatch, "minimize_gmm", lambda: translog.step2_gmm(ds, step1, translog.EstimateOptions()))
     assert len(starts) == 15
 
     pairs = ds.lag_pairs()
@@ -110,7 +110,8 @@ def test_step3_products_match_pair_array_products(monkeypatch, panel_steps):
     ystar = ds.y - flex
     mstar = translog.omega_proxy(ds, b0, bl, delta, step1.theta)
     core_args = (ystar[cur], ds.k[cur], ds.k[prev], mstar[prev], ds.x[prev])
-    problem, starts = _capture(monkeypatch, "minimize_nls", lambda: translog.step3_core(*core_args))
+    options = translog.EstimateOptions()
+    problem, starts = _capture(monkeypatch, "minimize_nls", lambda: translog.step3_core(*core_args, options))
     assert len(starts) == 3
 
     args = (OMEGA_LAW, ystar[cur], capital_terms(ds.k[cur]), capital_terms(ds.k[prev]), mstar[prev], ds.x[prev])

@@ -151,7 +151,7 @@ def test_mixed_degrees_fit_omega_parametrically_at_the_series_phi_point(small_pa
     ds, _, _ = small_panel
     sv = sieve_estimate(ds, degree="auto")
     assert (sv.degree_phi, sv.degree_omega) == (3, 1)
-    par = step3_nls(ds, sv.step1, sv.step2)
+    par = step3_nls(ds, sv.step1, sv.step2, EstimateOptions())
     assert (sv.step3.beta_k, sv.step3.beta_kk, sv.step3.objective) == (par.beta_k, par.beta_kk, par.objective)
     assert np.array_equal(sv.step3.coef, np.concatenate(([par.rho_omega_0, par.rho_omega_1], par.rho_omega_2)))
     assert sv.laws is None
@@ -161,6 +161,13 @@ def test_degree_below_one_is_refused(small_panel):
     ds, _, _ = small_panel
     with pytest.raises(ValueError):
         sieve_estimate(ds, degree=0)
+
+
+def test_refine_none_is_refused(small_panel):
+    # degrees are picked at the refined point; "none" is not ignored
+    ds, _, _ = small_panel
+    with pytest.raises(ValueError, match="refine"):
+        sieve_estimate(ds, degree=2, options=EstimateOptions(refine="none"))
 
 
 def quadratic_law_panel(n=300, t_periods=10, seed=9):
@@ -215,11 +222,12 @@ def test_degree_selection_reference_uses_the_callers_options(small_panel, monkey
     class Recorded(Exception):
         pass
 
-    def spy(*args, **kwargs):
-        seen.update(kwargs)
+    def spy(dataset, step1, step2, step3, options):
+        seen["options"] = options
         raise Recorded
 
     monkeypatch.setattr(prodsys.sieve, "system_refine", spy)
+    options = EstimateOptions(proxy="labor", instruments="exactly_identified", grad_tol=1e-7, max_iter=300)
     with pytest.raises(Recorded):
-        sieve_estimate(ds, degree="auto", instruments="exactly_identified", grad_tol=1e-7, max_iter=300)
-    assert seen == {"proxy": "materials", "instruments": "exactly_identified", "grad_tol": 1e-7, "max_iter": 300}
+        sieve_estimate(ds, degree="auto", options=options)
+    assert seen["options"] == options

@@ -39,7 +39,7 @@ def panel_steps(request):
     if request.param == "controls":
         ds = _with_controls(ds, np.random.default_rng(5))
     step1 = translog.step1_cost_share(ds)
-    step2 = translog.step2_gmm(ds, step1)
+    step2 = translog.step2_gmm(ds, step1, translog.EstimateOptions())
     return ds, step1, step2
 
 
@@ -52,7 +52,7 @@ def _captured_problem(monkeypatch, ds, step1, step2, step3, proxy):
 
     monkeypatch.setattr(translog, "minimize_nls", capture)
     with pytest.raises(_Captured):
-        translog.system_refine(ds, step1, step2, step3, proxy=proxy)
+        translog.system_refine(ds, step1, step2, step3, translog.EstimateOptions(proxy=proxy))
     return seen["problem"], seen["starts"]
 
 
@@ -96,7 +96,7 @@ def _pair_array_residual(ds, step1, proxy):
 @pytest.mark.parametrize("proxy", PROXIES)
 def test_system_residual_matches_pair_array_residual(monkeypatch, panel_steps, proxy):
     ds, step1, step2 = panel_steps
-    step3 = translog.step3_nls(ds, step1, step2, proxy=proxy)
+    step3 = translog.step3_nls(ds, step1, step2, translog.EstimateOptions(proxy=proxy))
     problem, starts = _captured_problem(monkeypatch, ds, step1, step2, step3, proxy)
     reference = _pair_array_residual(ds, step1, proxy)
     lo, hi = problem.bounds

@@ -199,13 +199,13 @@ def test_step2_gmm_needs_enough_pairs():
         s_l=np.full(4, 0.4), ln_r=np.full(4, -0.3),
     )
     with pytest.raises(ValueError, match="lag pairs"):
-        step2_gmm(ds, step1_cost_share(ds))
+        step2_gmm(ds, step1_cost_share(ds), EstimateOptions())
 
 
 def test_step2_gmm_recovers_truth_noiseless(noiseless):
     ds, _, cfg = noiseless
     s1 = step1_cost_share(ds)
-    s2 = step2_gmm(ds, s1)
+    s2 = step2_gmm(ds, s1, EstimateOptions())
     assert s2.converged
     assert abs(s2.beta_0 - cfg.params.beta_0) < 1e-6
     assert abs(s2.beta_l - cfg.params.beta_l) < 1e-6
@@ -218,7 +218,7 @@ def test_information_matrix_full_rank_at_truth(bench):
     ds, _, cfg = bench
     s1 = step1_cost_share(ds)
     alpha = np.array([cfg.params.beta_0, cfg.params.beta_l, cfg.laws.rho_phi_1])
-    info, rank, cond = information_matrix(ds, s1, alpha)
+    info, rank, cond = information_matrix(ds, s1, alpha, EstimateOptions())
     assert info.shape == (3, 3)
     assert rank == 3
     assert np.isfinite(cond)
@@ -288,6 +288,7 @@ def test_estimate_rejects_unknown_refine(bench):
 
 @pytest.mark.parametrize("setting", [
     {"proxy": "capital"}, {"instruments": "bogus"}, {"refine": "polish"}, {"grad_tol": 0.0}, {"max_iter": 0},
+    {"grad_tol": math.inf}, {"max_iter": 2.5}, {"max_iter": True},
 ])
 def test_estimate_options_validate_names_the_setting(setting):
     EstimateOptions().validate()
