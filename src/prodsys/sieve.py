@@ -401,8 +401,9 @@ def sieve_estimate(
     series steps run sequentially; there is no joint refinement of
     nonlinear laws.
 
-    ``options`` (default ``EstimateOptions()``) reach every fit.  Degrees
-    are always picked at the refined point, so ``refine="none"`` is refused.
+    The one ``options`` object (default ``EstimateOptions()``) reaches every
+    fit.  Degrees are picked at the refined point, so ``refine="none"`` is
+    refused.
     """
     opts = options or EstimateOptions()
     opts.validate()
