@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import itertools
 import os
+import warnings
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -46,7 +47,7 @@ LEVEL_COLUMNS = REQUIRED_COLUMNS[2:]
 #: printf-style float format that round-trips IEEE doubles exactly.
 FLOAT_FORMAT = "%.17g"
 
-#: Rows the CSV reader and writer hold as strings at a time.
+#: Rows the fallback CSV reader and the writer hold as strings at a time.
 CHUNK_ROWS = 4096
 
 
@@ -314,9 +315,9 @@ def _parse_prices(prices) -> dict[int, tuple[float, float]]:
 def _convert(cells, conv, dtype) -> tuple[np.ndarray, np.ndarray]:
     """``cells`` through ``conv`` as an array, and the mask of cells ``conv`` rejects.
 
-    A rejected cell, or one whose value ``dtype`` cannot hold, reads 0 in
-    the array.  The column is converted in one pass; only a column with a
-    rejected cell is converted again cell by cell.
+    The fallback reader's conversion.  A rejected cell, or one whose value
+    ``dtype`` cannot hold, reads 0 in the array.  The column is converted in
+    one pass; only a column with a rejected cell is converted again cell by cell.
     """
     try:
         return np.fromiter(map(conv, cells), dtype, len(cells)), np.zeros(len(cells), dtype=bool)
@@ -330,6 +331,54 @@ def _convert(cells, conv, dtype) -> tuple[np.ndarray, np.ndarray]:
         except (TypeError, ValueError, OverflowError):
             bad[i] = True
     return out, bad
+
+
+def _parse_c(fh, reader, where, numeric):
+    """What :func:`_parse_chunked` returns, with no cell rejected, from one pass of numpy's C parser;
+    or None, with ``reader`` back at the start of the body, where that parser refuses the file."""
+    if not fh.seekable():  # the fallback could not read it again
+        return None
+    dtype = np.dtype([("", object), ("", int)] + [("", float)] * len(numeric))
+    usecols = [where[name] for name in ("firm_id", "year", *numeric)]
+    try:
+        with warnings.catch_warnings():
+            # numpy < 2.0 reads a 2001.0 year as 2001 with only a DeprecationWarning; an empty body only warns
+            warnings.simplefilter("error")
+            table = np.loadtxt(fh, dtype, delimiter=",", quotechar='"', comments=None, usecols=usecols, ndmin=1)
+    except (ValueError, OverflowError, Warning):
+        fh.seek(0)
+        next(reader)  # the header
+        return None
+    ids, years, *columns = (table[name] for name in dtype.names)
+    clean = np.zeros(len(ids), dtype=bool)
+    return ids, years, clean, dict(zip(numeric, columns)), dict.fromkeys(numeric, clean)
+
+
+def _parse_chunked(reader, width, where, numeric):
+    """The fallback parse, or None for a body with no row: the firm ids, the years and the mask
+    of bad years, and the ``numeric`` columns with their masks of cells that are not numbers."""
+    ids: list = []
+    year_parts = []
+    parts: dict[str, list] = {name: [] for name in numeric}
+    # a chunk at a time, so only one chunk's cells are held as strings
+    for chunk in iter(lambda: list(itertools.islice(reader, CHUNK_ROWS)), []):
+        rows = [row for row in chunk if row]
+        if not rows:
+            continue
+        if set(map(len, rows)) != {width}:  # csv.DictReader's restval and restkey
+            rows = [(row + [None] * width)[:width] for row in rows]
+        cols = list(zip(*rows))
+        ids.extend(cols[where["firm_id"]])
+        year_parts.append(_convert(cols[where["year"]], int, int))
+        for name in numeric:
+            parts[name].append(_convert(cols[where[name]], float, float))
+    if not ids:
+        return None
+    years, bad_year = (np.concatenate(p) for p in zip(*year_parts))
+    values, failed = {}, {}
+    for name, chunks in parts.items():
+        values[name], failed[name] = (np.concatenate(p) for p in zip(*chunks))
+    return ids, years, bad_year, values, failed
 
 
 def load_csv(
@@ -358,6 +407,11 @@ def load_csv(
     column.  The dataset's ``levels`` hold the parsed cells of the kept
     rows, not their text (see :func:`write_csv`).
 
+    numpy's C parser (``np.loadtxt``) reads the body in one pass; where it
+    refuses a cell or a row, or warns, the chunked ``csv.reader`` fallback
+    reads the file again.  The two read alike every file both accept, so the
+    result does not depend on which one ran.
+
     ``prices`` optionally supplies per-year price ratios P/P^Y (see
     ``_parse_prices`` for accepted forms); years without an entry default
     to ratio 1.
@@ -377,30 +431,12 @@ def load_csv(
         if missing:
             raise ValueError(f"missing control columns: {', '.join(missing)}")
         where = {name: i for i, name in enumerate(fields)}  # a repeated name keeps its last column
-        width = len(fields)
-        ids: list = []
-        year_parts = []
-        parts: dict[str, list] = {name: [] for name in numeric}
-        # a chunk at a time, so only one chunk's cells are held as strings
-        for chunk in iter(lambda: list(itertools.islice(reader, CHUNK_ROWS)), []):
-            rows = [row for row in chunk if row]
-            if not rows:
-                continue
-            if set(map(len, rows)) != {width}:  # csv.DictReader's restval and restkey
-                rows = [(row + [None] * width)[:width] for row in rows]
-            cols = list(zip(*rows))
-            ids.extend(cols[where["firm_id"]])
-            year_parts.append(_convert(cols[where["year"]], int, int))
-            for name in numeric:
-                parts[name].append(_convert(cols[where[name]], float, float))
+        parsed = _parse_c(fh, reader, where, numeric) or _parse_chunked(reader, len(fields), where, numeric)
 
-    report.rows_read = len(ids)
-    if not ids:
+    if parsed is None:
         raise ValueError(f"no usable rows in {path}")
-    years, bad_year = (np.concatenate(p) for p in zip(*year_parts))
-    values, failed = {}, {}
-    for name, chunks in parts.items():
-        values[name], failed[name] = (np.concatenate(p) for p in zip(*chunks))
+    ids, years, bad_year, values, failed = parsed
+    report.rows_read = len(ids)
 
     checks = [("bad_year", bad_year)]
     for name in LEVEL_COLUMNS:

@@ -235,8 +235,8 @@ class EstimateOptions:
         for name, allowed in choices.items():
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {', '.join(allowed)}; got {getattr(self, name)!r}")
-        if not (self.grad_tol > 0.0 and np.isfinite(self.grad_tol)):
-            raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol!r}")
+        if not 0.0 < self.grad_tol < 1.0:
+            raise ValueError(f"grad_tol must lie in (0, 1), got {self.grad_tol!r}")
         if not isinstance(self.max_iter, numbers.Integral) or isinstance(self.max_iter, bool) or self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
 

@@ -67,9 +67,13 @@ def test_bad_estimator_setting_is_a_config_error(tmp_path, small_panel, capsys, 
     ("estimate", "instruments: bogus", "instruments"),
     ("estimate", "law: sieve\n  degree: 0", "degree"),
     ("estimate", "law: sieve\n  refine: none", "refine"),
+    ("estimate", "grad_tol: 1e300", "grad_tol"),
     ("bootstrap", "instruments: bogus", "instruments"),
     ("bootstrap", "n_reps: 0", "n_reps"),
-], ids=["estimate-instruments", "estimate-degree", "estimate-sieve-refine", "bootstrap-instruments", "bootstrap-n_reps"])
+], ids=[
+    "estimate-instruments", "estimate-degree", "estimate-sieve-refine", "estimate-grad_tol",
+    "bootstrap-instruments", "bootstrap-n_reps",
+])
 def test_settings_are_checked_before_the_data(tmp_path, capsys, command, settings, named):
     # no data key: the bad setting is reported, not the missing CSV
     config = write_config(tmp_path, f"{command}:\n  {settings}\n")

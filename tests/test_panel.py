@@ -1,13 +1,17 @@
 """Container, shares and CSV round-trip behavior."""
 
 import csv
+import io
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prodsys import panel
 from prodsys.panel import (
     REQUIRED_COLUMNS,
     LoadReport,
@@ -20,6 +24,7 @@ from prodsys.panel import (
     write_csv,
     write_prices_csv,
 )
+from prodsys.simulate import benchmark_config, generate_panel
 
 
 def tiny_panel(**kw):
@@ -370,19 +375,30 @@ def _rowwise_load_csv(path, *, x_columns=(), z_columns=(), prices=None):
 
 
 FUZZ_HEADER = ("firm_id", "year", "output", "capital", "labor_cost", "material_cost", "revenue", "xc", "zc")
-BAD_LEVELS = ("", "abc", "0", "-0.0", "-2.5", "nan", "inf", "-inf", "1.50", " 3", "1e400")
+# numpy's C parser refuses 1_000, 2_001 and non-ASCII digits (\u0663 is an Arabic-Indic 3), which
+# float() and int() accept: a file with one goes to the fallback; '"1.5"' is written with its quotes escaped
+BAD_LEVELS = (
+    "", "abc", "0", "-0.0", "-2.5", "nan", "inf", "-inf", "1.50", " 3", "1e400",
+    "1_000", " 1.5 ", "+inf", "Infinity", "0x1p3", "#", "\u0663", '"1.5"',
+)
 # no year beyond 64 bits: the reference raises OverflowError on one that it
 # keeps, where load_csv drops it as bad_year (tested on its own above)
-BAD_YEARS = ("", "y2k", "2001.0", " 2002", "-7")
+BAD_YEARS = ("", "y2k", "2001.0", " 2002", "-7", "2_001", "\u0662\u0660\u0660\u0661", "+2001")
 
 
 @st.composite
 def messy_csv(draw):
-    """A small panel file with bad cells, ragged rows and blank lines, and the reader's options."""
+    """A small panel file with bad cells, ragged rows and blank lines, and the reader's options.
+
+    A clean file has only good cells and whole rows, so numpy's C parser reads it.
+    """
     header = list(draw(st.permutations(FUZZ_HEADER)))
     if draw(st.booleans()):
         header.append(draw(st.sampled_from(FUZZ_HEADER[1:])))  # a repeated name: the last column wins
+    clean = draw(st.booleans())
     def one_in_five(good, other):
+        if clean:
+            return good
         return st.tuples(st.integers(0, 4), good, other).map(lambda t: t[2] if t[0] == 0 else t[1])
 
     level = one_in_five(st.floats(1e-3, 1e3).map(repr), st.sampled_from(BAD_LEVELS))
@@ -390,13 +406,13 @@ def messy_csv(draw):
     rows = []
     for i in range(draw(st.integers(0, 12))):
         cell = {
-            "firm_id": draw(st.sampled_from(["a", "b", "c,d", " e"])),
+            "firm_id": draw(st.sampled_from(["a", "b", "c,d", " e", "a\nb", "#x"])),
             "year": draw(one_in_five(st.just(str(2000 + i // 2)), st.sampled_from(("2001", "2003") + BAD_YEARS))),
             "xc": draw(control),
             "zc": draw(control),
         }
         row = [cell[name] if name in cell else draw(level) for name in header]
-        shape = draw(st.sampled_from(["whole"] * 6 + ["short", "long", "blank"]))
+        shape = "whole" if clean else draw(st.sampled_from(["whole"] * 6 + ["short", "long", "blank"]))
         if shape == "short":
             row = row[: draw(st.integers(1, len(row) - 1))]
         elif shape == "long":
@@ -467,3 +483,122 @@ def test_load_then_write_normalizes_cells_once(tmp_path):
     ]
     write_csv(load_csv(first)[0], second)
     assert second.read_bytes() == first.read_bytes()
+
+
+# -- which parser reads a file ----------------------------------------------------
+
+
+@pytest.fixture()
+def chunked_calls(monkeypatch):
+    """Every call of load_csv's fallback reader, recorded."""
+    calls = []
+    fallback = panel._parse_chunked
+
+    def spy(*args):
+        calls.append(args)
+        return fallback(*args)
+
+    monkeypatch.setattr(panel, "_parse_chunked", spy)
+    return calls
+
+
+@pytest.fixture()
+def cli_file(tmp_path):
+    """A small copy of the estimate_cli benchmark's input file."""
+    dataset, _ = generate_panel(benchmark_config(n=40, seed=101), seed=101)
+    path = tmp_path / "panel.csv"
+    write_csv(dataset, path)
+    return path
+
+
+def test_the_benchmark_file_never_reaches_the_fallback(cli_file, chunked_calls):
+    _, report = load_csv(cli_file)
+    assert chunked_calls == []
+    assert report.rows_read == report.rows_kept == 400
+
+
+def test_an_empty_cell_sends_the_file_to_the_fallback(cli_file, chunked_calls):
+    with open(cli_file, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[7][REQUIRED_COLUMNS.index("output")] = ""
+    with open(cli_file, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    _, report = load_csv(cli_file)
+    assert len(chunked_calls) == 1
+    assert report.dropped == {"missing_output": 1}
+
+
+def test_a_parse_that_only_warns_is_refused(tmp_path, monkeypatch, chunked_calls):
+    # numpy 1.23-1.26 read a 2002.0 year as 2002 with only a DeprecationWarning; int() refuses it
+    path = tmp_path / "p.csv"
+    write_rows(path, [("a", 2001, 10.0, 5.0, 3.0, 7.0, 20.0), ("a", "2002.0", 11.0, 5.5, 3.1, 7.2, 21.0)])
+    loadtxt = np.loadtxt
+
+    def numpy_1_24(fh, *args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return loadtxt(io.StringIO(fh.read().replace("2002.0", "2002")), *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", numpy_1_24)
+    ds, report = load_csv(path)
+    assert len(chunked_calls) == 1
+    assert report.dropped == {"bad_year": 1}
+    assert ds.year.tolist() == [2001]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="names a pipe by /dev/fd")
+def test_a_pipe_goes_straight_to_the_fallback(chunked_calls):
+    # a pipe cannot be read twice, so the C parser may not take a file it could refuse
+    read_end, write_end = os.pipe()
+    os.write(write_end, b"firm_id,year,output,capital,labor_cost,material_cost,revenue\na,2001,,5,3,7,20\na,2002,11,5,3,7,20\n")
+    os.close(write_end)
+    try:
+        _, report = load_csv(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+    assert len(chunked_calls) == 1
+    assert report.dropped == {"missing_output": 1}
+
+
+def _load_as_bytes(path, options):
+    """load_csv's report, and every array of its dataset and levels by dtype, shape and content."""
+    ds, report = load_csv(path, **options)
+    arrays = {name: v for name, v in vars(ds).items() if isinstance(v, np.ndarray)}
+    arrays.update((f"levels.{name}", v) for name, v in ds.levels.items())
+    content = {name: (a.dtype.str, a.shape, a.tolist() if a.dtype == object else a.tobytes()) for name, a in arrays.items()}
+    return vars(report), content
+
+
+HEADER = ",".join(REQUIRED_COLUMNS)
+ACCEPTED = {
+    "quoted-cells": (HEADER + '\r\n"a","2001","10.5",5,3,7,"20"\r\n"c,d",2002,11,5,3,7,20\r\n', {}),
+    "cr-line-ends": (HEADER + "\ra,2001,10,5,3,7,20\ra,2002,11,5,3,7,20\r", {}),
+    "lf-blank-lines": (HEADER + "\n\na,2001,10,5,3,7,20\n\n\na,2002,11,5,3,7,20", {}),
+    "padded-cells": (HEADER + "\r\n a , 2001 , 10.5 ,\t5,3 ,+7,2e1\r\n", {}),
+    "odd-ids": (HEADER + '\r\n"a""b",2001,1,1,1,1,1\r\n#x,2001,1,1,1,1,1\r\n"a\nb",2001,1,1,1,1,1\r\n"",2001,1,1,1,1,1\r\n', {}),
+    "odd-years": (HEADER + "\r\na,+2001,1,1,1,1,1\r\na,0002002,1,1,1,1,1\r\nb,-0,1,1,1,1,1\r\n", {}),
+    "long-rows-unused-and-repeated-columns": (
+        "firm_id,note,year,output,capital,labor_cost,material_cost,revenue,year\r\n"
+        "a,x,1999,10,5,3,7,20,2001\r\na,,1999,11,5,3,7,20,2002,9,9\r\n", {}),
+    "drops-on-parsed-values": (
+        HEADER + "\r\na,2001,10,5,3,7,20\r\na,2002,-1,5,3,7,20\r\na,2003,10,0,3,7,20\r\n"
+        "a,2004,10,5,nan,7,20\r\na,2005,10,5,3,inf,20\r\na,2006,10,5,3,7,1e400\r\na,2007,-0.0,5,3,7,20\r\n", {}),
+    "controls-and-prices": (
+        HEADER + ",rd,exp\r\na,2001,10,5,3,7,20,0.5,-1\r\na,2002,11,5,3,7,20,nan,1\r\nb,2001,12,5,3,7,20,-2,-inf\r\n"
+        "b,2002,13,5,3,7,20,1e-3,2\r\n",
+        {"x_columns": ("rd",), "z_columns": ("exp", "rd"), "prices": {2001: (0.5, 2.0)}}),
+}
+
+
+@pytest.mark.parametrize(("text", "options"), ACCEPTED.values(), ids=ACCEPTED)
+def test_both_parsers_read_an_accepted_file_alike(tmp_path, monkeypatch, chunked_calls, text, options):
+    path = tmp_path / "p.csv"
+    path.write_bytes(text.encode())
+    fast = _load_as_bytes(path, options)
+    assert chunked_calls == []
+
+    def refuse(*args, **kwargs):
+        raise ValueError("refused")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    assert _load_as_bytes(path, options) == fast
+    assert len(chunked_calls) == 1

@@ -288,7 +288,7 @@ def test_estimate_rejects_unknown_refine(bench):
 
 @pytest.mark.parametrize("setting", [
     {"proxy": "capital"}, {"instruments": "bogus"}, {"refine": "polish"}, {"grad_tol": 0.0}, {"max_iter": 0},
-    {"grad_tol": math.inf}, {"max_iter": 2.5}, {"max_iter": True},
+    {"grad_tol": math.inf}, {"max_iter": 2.5}, {"max_iter": True}, {"grad_tol": 1.0}, {"grad_tol": 1e300},
 ])
 def test_estimate_options_validate_names_the_setting(setting):
     EstimateOptions().validate()
