@@ -549,7 +549,7 @@ def test_a_parse_that_only_warns_is_refused(tmp_path, monkeypatch, chunked_calls
 def test_a_pipe_goes_straight_to_the_fallback(chunked_calls):
     # a pipe cannot be read twice, so the C parser may not take a file it could refuse
     read_end, write_end = os.pipe()
-    os.write(write_end, b"firm_id,year,output,capital,labor_cost,material_cost,revenue\na,2001,,5,3,7,20\na,2002,11,5,3,7,20\n")
+    os.write(write_end, (HEADER + "\na,2001,,5,3,7,20\na,2002,11,5,3,7,20\n").encode())
     os.close(write_end)
     try:
         _, report = load_csv(f"/dev/fd/{read_end}")
