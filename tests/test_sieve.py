@@ -1,7 +1,12 @@
 """Polynomial sieve: basis enumeration, GCV selection, parametric nesting."""
 
+import dataclasses
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prodsys.panel import PanelDataset, shares_from_logs
 from prodsys.simulate import solve_translog_inputs
@@ -45,12 +50,72 @@ def test_basis_evaluation_and_derivative():
 
 def test_basis_affine_map_round_trip(rng):
     basis = build_basis(1, 3, intercept=True)
-    import dataclasses
     mapped = dataclasses.replace(basis, centers=np.array([1.5]), scales=np.array([2.0]))
     u = rng.uniform(-2, 2, (20, 1))
     z = (u - 1.5) / 2.0
     direct = np.column_stack([np.ones(20), z[:, 0], z[:, 0] ** 2, z[:, 0] ** 3])
     assert np.allclose(mapped.evaluate(u), direct, atol=1e-14)
+
+
+# zero or at least 1e-6 in magnitude: a difference of two such values cubed
+# (or raised to the sixth) stays far above the subnormal range, so the exact
+# product below bounds every entry in relative terms
+_signed = st.one_of(st.just(0.0), st.floats(1e-6, 3.0), st.floats(-3.0, -1e-6))
+
+
+@st.composite
+def mapped_bases(draw):
+    """A basis with a random affine map, and inputs of both signs.
+
+    ``stretch`` 2 doubles every exponent without touching ``degree``: the
+    dataclass is public, so exponents above ``degree`` must evaluate too.
+    """
+    dim = draw(st.integers(1, 4))
+    basis = build_basis(dim, draw(st.integers(1, 3)), intercept=draw(st.booleans()))
+    vec = st.lists(_signed, min_size=dim, max_size=dim)
+    basis = dataclasses.replace(
+        basis,
+        exponents=basis.exponents * draw(st.sampled_from((1, 2))),
+        centers=np.array(draw(vec)),
+        scales=np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=dim, max_size=dim))),
+    )
+    u = np.array(draw(st.lists(vec, min_size=1, max_size=5)))
+    return basis, u
+
+
+def _exact_z(basis, u):
+    return [
+        [(Fraction(x) - Fraction(c)) / Fraction(s) for x, c, s in zip(row, basis.centers, basis.scales)]
+        for row in u
+    ]
+
+
+def _exact_monomial(z_row, expo):
+    out = Fraction(1)
+    for z, e in zip(z_row, expo):
+        out *= z ** int(e)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=mapped_bases())
+def test_basis_matches_exact_products(case):
+    basis, u = case
+    z = _exact_z(basis, u)
+    exact = np.array([[float(_exact_monomial(row, e)) for e in basis.exponents] for row in z])
+    got = basis.evaluate(u)
+    assert got.shape == (u.shape[0], basis.n_terms)
+    np.testing.assert_allclose(got, exact, rtol=1e-13, atol=0)
+    # the broadcast-power form the basis used to be evaluated with
+    zf = (u - basis.centers) / basis.scales
+    np.testing.assert_allclose(got, np.prod(zf[:, None, :] ** basis.exponents[None], axis=2), rtol=1e-13, atol=0)
+    for coord in range(basis.dim):
+        lowered = np.array([
+            [float(e[coord] * _exact_monomial(row, e - (np.arange(basis.dim) == coord)) / Fraction(basis.scales[coord]))
+             if e[coord] else 0.0 for e in basis.exponents]
+            for row in z
+        ])
+        np.testing.assert_allclose(basis.evaluate_deriv(u, coord), lowered, rtol=1e-13, atol=0)
 
 
 def test_term_names():
