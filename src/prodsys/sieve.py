@@ -24,6 +24,7 @@ the law object there.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -83,6 +84,11 @@ class SieveBasis:
     degree (x before y, x^2 before xy before y^2).  Inputs are mapped
     through ``(u - centers) / scales`` before the monomials are formed, so
     the fitted function can be translated back to raw coordinates.
+
+    ``exponents`` holds one row of non-negative integer powers per term,
+    one column per input.  Each mapped input's powers, up to the largest
+    exponent, are formed by repeated multiplication, and a term is the
+    product of its inputs' powers, taken in input order.
     """
 
     dim: int
@@ -93,6 +99,9 @@ class SieveBasis:
     scales: np.ndarray = dataclasses.field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self) -> None:
+        expo = self.exponents
+        if expo.ndim != 2 or expo.shape[1] != self.dim or expo.dtype.kind not in "iu" or np.any(expo < 0):
+            raise ValueError(f"exponents must be a table of non-negative integers with {self.dim} columns")
         if self.centers.size == 0:
             self.centers = np.zeros(self.dim)
         if self.scales.size == 0:
@@ -103,21 +112,39 @@ class SieveBasis:
         return self.exponents.shape[0]
 
     def evaluate(self, u) -> np.ndarray:
-        u = np.atleast_2d(np.asarray(u, dtype=float))
-        if u.shape[1] != self.dim:
-            raise ValueError(f"expected {self.dim} input columns, got {u.shape[1]}")
-        z = (u - self.centers) / self.scales
-        return np.prod(z[:, None, :] ** self.exponents[None, :, :], axis=2)
+        return self._monomials(u, self.exponents)
 
     def evaluate_deriv(self, u, coord: int) -> np.ndarray:
         """Derivative of every term in the raw input ``u[:, coord]``."""
-        u = np.atleast_2d(np.asarray(u, dtype=float))
-        z = (u - self.centers) / self.scales
+        if not 0 <= coord < self.dim:
+            raise ValueError(f"coord {coord} outside the basis's {self.dim} inputs")
         expo = self.exponents
         down = expo.copy()
         down[:, coord] = np.maximum(down[:, coord] - 1, 0)
-        vals = np.prod(z[:, None, :] ** down[None, :, :], axis=2)
-        return vals * expo[:, coord] / self.scales[coord]
+        vals = self._monomials(u, down)
+        vals *= expo[:, coord] / self.scales[coord]
+        return vals
+
+    def _monomials(self, u, exponents: np.ndarray) -> np.ndarray:
+        """``prod_d z_d ** exponents[t, d]`` for every row of ``u``, ``z`` the mapped input.
+
+        The powers come from a per-input table of repeated products:
+        numpy's ``**`` with an array exponent is an order of magnitude
+        slower, and not correctly rounded on every CPU.
+        """
+        u = np.atleast_2d(np.asarray(u, dtype=float))
+        if u.shape[1] != self.dim:
+            raise ValueError(f"expected {self.dim} input columns, got {u.shape[1]}")
+        z = ((u - self.centers) / self.scales).T
+        table = np.empty((self.dim, int(exponents.max(initial=0)) + 1, z.shape[1]))
+        table[:, 0] = 1.0
+        for p in range(1, table.shape[1]):
+            np.multiply(table[:, p - 1], z, out=table[:, p])
+        out = np.empty((z.shape[1], exponents.shape[0]))
+        for t, expo in enumerate(exponents.tolist()):
+            factors = [table[d, e] for d, e in enumerate(expo) if e] or [table[0, 0]]
+            out[:, t] = functools.reduce(np.multiply, factors)
+        return out
 
     def term_names(self, var_names) -> tuple[str, ...]:
         names = []

@@ -57,6 +57,22 @@ def test_basis_affine_map_round_trip(rng):
     assert np.allclose(mapped.evaluate(u), direct, atol=1e-14)
 
 
+def test_basis_derivative_refuses_wrong_columns_and_coord():
+    basis = build_basis(2, 2)
+    u = np.array([[2.0, 3.0]])
+    with pytest.raises(ValueError, match="input columns"):
+        basis.evaluate_deriv(u[:, :1], 0)
+    for coord in (-1, 2):
+        with pytest.raises(ValueError, match="coord"):
+            basis.evaluate_deriv(u, coord)
+
+
+@pytest.mark.parametrize("exponents", [[[1, 0], [-1, 1]], [[1.0, 0.0]], [[1], [2]]])
+def test_basis_refuses_malformed_exponents(exponents):
+    with pytest.raises(ValueError, match="exponents"):
+        dataclasses.replace(build_basis(2, 2), exponents=np.array(exponents))
+
+
 # zero or at least 1e-6 in magnitude: a difference of two such values cubed
 # (or raised to the sixth) stays far above the subnormal range, so the exact
 # product below bounds every entry in relative terms
