@@ -290,17 +290,20 @@ def _parse_prices(prices) -> dict[int, tuple[float, float]]:
         table: dict[int, tuple[float, float]] = {}
         with open(prices, newline="") as fh:
             reader = csv.DictReader(fh)
-            fields = reader.fieldnames or []
-            if "year" not in fields:
-                raise ValueError("price CSV must have a 'year' column")
-            for rec in reader:
-                yr = int(rec["year"])
-                if "ratio_l" in fields and "ratio_m" in fields:
-                    table[yr] = (float(rec["ratio_l"]), float(rec["ratio_m"]))
-                elif "value" in fields:
-                    table[yr] = (1.0, float(rec["value"]))
-                else:
-                    raise ValueError("price CSV needs 'value' or 'ratio_l'/'ratio_m' columns")
+            try:
+                fields = reader.fieldnames or []
+                if "year" not in fields:
+                    raise ValueError("price CSV must have a 'year' column")
+                for rec in reader:
+                    yr = int(rec["year"])
+                    if "ratio_l" in fields and "ratio_m" in fields:
+                        table[yr] = (float(rec["ratio_l"]), float(rec["ratio_m"]))
+                    elif "value" in fields:
+                        table[yr] = (1.0, float(rec["value"]))
+                    else:
+                        raise ValueError("price CSV needs 'value' or 'ratio_l'/'ratio_m' columns")
+            except csv.Error as exc:  # DictReader counts only the lines of rows it returned
+                raise ValueError(f"{prices}, line {reader.reader.line_num}: {exc}") from exc
         return table
     table = {}
     for yr, val in prices.items():
@@ -333,9 +336,9 @@ def _convert(cells, conv, dtype) -> tuple[np.ndarray, np.ndarray]:
     return out, bad
 
 
-def _parse_c(fh, reader, where, numeric):
+def _parse_c(fh, where, numeric):
     """What :func:`_parse_chunked` returns, with no cell rejected, from one pass of numpy's C parser;
-    or None, with ``reader`` back at the start of the body, where that parser refuses the file."""
+    or None where that parser refuses the file, which it may have read in part."""
     if not fh.seekable():  # the fallback could not read it again
         return None
     dtype = np.dtype([("", object), ("", int)] + [("", float)] * len(numeric))
@@ -346,8 +349,6 @@ def _parse_c(fh, reader, where, numeric):
             warnings.simplefilter("error")
             table = np.loadtxt(fh, dtype, delimiter=",", quotechar='"', comments=None, usecols=usecols, ndmin=1)
     except (ValueError, OverflowError, Warning):
-        fh.seek(0)
-        next(reader)  # the header
         return None
     ids, years, *columns = (table[name] for name in dtype.names)
     clean = np.zeros(len(ids), dtype=bool)
@@ -410,7 +411,9 @@ def load_csv(
     numpy's C parser (``np.loadtxt``) reads the body in one pass; where it
     refuses a cell or a row, or warns, the chunked ``csv.reader`` fallback
     reads the file again.  The two read alike every file both accept, so the
-    result does not depend on which one ran.
+    result does not depend on which one ran.  A row ``csv.reader`` cannot
+    split, such as one with a cell longer than ``csv.field_size_limit()``,
+    raises ``ValueError`` naming its line.
 
     ``prices`` optionally supplies per-year price ratios P/P^Y (see
     ``_parse_prices`` for accepted forms); years without an entry default
@@ -423,15 +426,24 @@ def load_csv(
 
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        fields = next(reader, [])
-        missing = [c for c in REQUIRED_COLUMNS if c not in fields]
-        if missing:
-            raise ValueError(f"missing required columns: {', '.join(missing)}")
-        missing = [c for c in controls if c not in fields]
-        if missing:
-            raise ValueError(f"missing control columns: {', '.join(missing)}")
-        where = {name: i for i, name in enumerate(fields)}  # a repeated name keeps its last column
-        parsed = _parse_c(fh, reader, where, numeric) or _parse_chunked(reader, len(fields), where, numeric)
+        try:
+            fields = next(reader, [])
+            missing = [c for c in REQUIRED_COLUMNS if c not in fields]
+            if missing:
+                raise ValueError(f"missing required columns: {', '.join(missing)}")
+            missing = [c for c in controls if c not in fields]
+            if missing:
+                raise ValueError(f"missing control columns: {', '.join(missing)}")
+            where = {name: i for i, name in enumerate(fields)}  # a repeated name keeps its last column
+            parsed = _parse_c(fh, where, numeric)
+            if parsed is None:
+                if fh.seekable():  # a fresh reader, so its line numbers count from the header again
+                    fh.seek(0)
+                    reader = csv.reader(fh)
+                    next(reader)
+                parsed = _parse_chunked(reader, len(fields), where, numeric)
+        except csv.Error as exc:  # such as a cell longer than csv.field_size_limit()
+            raise ValueError(f"line {reader.line_num}: {exc}") from exc
 
     if parsed is None:
         raise ValueError(f"no usable rows in {path}")

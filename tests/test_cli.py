@@ -260,6 +260,21 @@ def test_unusable_panel_is_a_data_error(tmp_path, capsys, command):
     assert "data error:" in capsys.readouterr().err
 
 
+def test_a_cell_the_csv_module_cannot_hold_is_a_data_error(tmp_path, small_panel, capsys):
+    # the blank output cell sends the file to csv.reader, which refuses the long firm id
+    data = tmp_path / "panel.csv"
+    write_csv(small_panel[0], data)
+    lines = data.read_text().splitlines()
+    header = lines[0].split(",")
+    row = lines[1].split(",")
+    row[header.index("output")] = ""
+    lines[1] = ",".join(row)
+    lines[2] = "f" * 200_000 + lines[2][lines[2].index(","):]
+    data.write_text("\n".join(lines) + "\n")
+    assert main(["estimate", "--data", str(data), "--out", str(tmp_path / "out")]) == 3
+    assert f"data error: {data}: line 3: field larger than field limit" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["estimate", "--data", "{dir}"],
     ["estimate", "--data", "{csv}", "--config", "{prices}"],

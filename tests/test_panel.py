@@ -559,6 +559,30 @@ def test_a_pipe_goes_straight_to_the_fallback(chunked_calls):
     assert report.dropped == {"missing_output": 1}
 
 
+def _long_cell_rows(blank_output: bool):
+    """Two rows, the second with a firm id longer than the csv module's field limit."""
+    return [("a", 2001, "" if blank_output else 10.0, 5.0, 3.0, 7.0, 20.0), ("b" * 200_000, 2001, 11.0, 5.5, 3.1, 7.2, 21.0)]
+
+
+def test_a_cell_the_fallback_cannot_hold_names_its_line(tmp_path):
+    path = tmp_path / "p.csv"
+    write_rows(path, _long_cell_rows(blank_output=False))
+    _, report = load_csv(path)  # the C parser has no field limit
+    assert report.rows_kept == 2
+    write_rows(path, _long_cell_rows(blank_output=True))
+    with pytest.raises(ValueError, match="^line 3: field larger than field limit"):
+        load_csv(path)
+
+
+def test_a_price_cell_the_csv_module_cannot_hold_names_its_line(tmp_path):
+    path = tmp_path / "p.csv"
+    write_rows(path, [("a", 2001, 10.0, 5.0, 3.0, 7.0, 20.0)])
+    prices = tmp_path / "prices.csv"
+    prices.write_text("year,value\n2001,1.5\n2002," + "9" * 200_000 + "\n")
+    with pytest.raises(ValueError, match="prices.csv, line 3: field larger than field limit"):
+        load_csv(path, prices=prices)
+
+
 def _load_as_bytes(path, options):
     """load_csv's report, and every array of its dataset and levels by dtype, shape and content."""
     ds, report = load_csv(path, **options)
