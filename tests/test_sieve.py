@@ -83,8 +83,8 @@ _signed = st.one_of(st.just(0.0), st.floats(1e-6, 3.0), st.floats(-3.0, -1e-6))
 def mapped_bases(draw):
     """A basis with a random affine map, and inputs of both signs.
 
-    ``stretch`` 2 doubles every exponent without touching ``degree``: the
-    dataclass is public, so exponents above ``degree`` must evaluate too.
+    A drawn factor of 2 doubles every exponent without touching ``degree``:
+    the dataclass is public, so exponents above ``degree`` must evaluate too.
     """
     dim = draw(st.integers(1, 4))
     basis = build_basis(dim, draw(st.integers(1, 3)), intercept=draw(st.booleans()))
