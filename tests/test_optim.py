@@ -1,8 +1,12 @@
 """Solver behavior on problems with known closed-form answers."""
 
 import numpy as np
+import optim_reference
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from prodsys import optim
 from prodsys.optim import (
     GmmProblem,
     NlsProblem,
@@ -137,3 +141,73 @@ def test_gmm_identity_weight_default(rng):
     res = minimize_gmm(GmmProblem(moments=lambda x: a @ x - b), np.zeros(2))
     expected, *_ = np.linalg.lstsq(a, b, rcond=None)
     assert np.max(np.abs(res.params - expected)) < 1e-8
+
+
+# -- the faster loop against the reference copies in optim_reference.py -------
+
+_coef = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@st.composite
+def _bounded_problems(draw):
+    """A small nonlinear least-squares problem, its box and a start.
+
+    ``r(x) = A sin(x) + c * x'x - b``.  Optionally the residual turns NaN
+    above and inf below a cut in the last coordinate, and the analytic
+    Jacobian turns NaN above a cut in the first: the loop must refuse those
+    trial points and carry a NaN gradient the same way in both versions.
+    """
+    p, m = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    a = np.array(draw(st.lists(_coef, min_size=m * p, max_size=m * p))).reshape(m, p)
+    b = np.array(draw(st.lists(_coef, min_size=m, max_size=m)))
+    curv = draw(_coef)
+    nan_above, inf_below, nan_grad_above = (draw(st.one_of(st.none(), _coef)) for _ in range(3))
+
+    def residual(x):
+        r = a @ np.sin(x) + curv * (x @ x) - b
+        if nan_above is not None and x[-1] > nan_above:
+            r[0] = np.nan
+        if inf_below is not None and x[-1] < inf_below:
+            r[-1] = np.inf
+        return r
+
+    def jacobian(x):
+        jac = a * np.cos(x) + 2.0 * curv * x
+        if nan_grad_above is not None and x[0] > nan_grad_above:
+            jac[:, 0] = np.nan
+        return jac
+
+    bounds = None
+    if draw(st.booleans()):
+        lo = np.array(draw(st.lists(_coef, min_size=p, max_size=p)))
+        bounds = (lo, lo + np.array(draw(st.lists(st.floats(0.0, 4.0), min_size=p, max_size=p))))
+    problem = NlsProblem(residual=residual, jacobian=jacobian if draw(st.booleans()) else None, bounds=bounds)
+    x0 = np.array(draw(st.lists(_coef, min_size=p, max_size=p)))
+    return problem, x0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bounded_problems(), st.sampled_from([1e-8, 1e-3]), st.integers(1, 60))
+def test_lm_single_is_bitwise_equal_to_the_reference_loop(case, grad_tol, max_iter):
+    problem, x0 = case
+    with np.errstate(invalid="ignore"):  # inf - inf in a Jacobian column is part of the case
+        got = optim._lm_single(problem, x0, grad_tol=grad_tol, max_iter=max_iter)
+        want = optim_reference._lm_single(problem, x0, grad_tol=grad_tol, max_iter=max_iter)
+    assert _bits(got.params) == _bits(want.params)
+    assert _bits(got.objective) == _bits(want.objective)
+    assert _bits(got.grad_norm) == _bits(want.grad_norm)
+    assert (got.n_iter, got.status, got.converged) == (want.n_iter, want.status, want.converged)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bounded_problems())
+def test_finite_diff_jacobian_is_bitwise_equal_to_the_reference(case):
+    problem, x0 = case
+    with np.errstate(invalid="ignore"):
+        got = optim.finite_diff_jacobian(problem.residual, x0)
+        want = optim_reference.finite_diff_jacobian(problem.residual, x0)
+    assert _bits(got) == _bits(want)

@@ -13,7 +13,7 @@ import pytest
 
 from prodsys import translog
 from prodsys.moments import LinearLaw, capital_terms, flexible_output, omega_residual, phi_innovation, phi_proxy
-from prodsys.optim import _psd_sqrt
+from prodsys.optim import _psd_sqrt, finite_diff_jacobian
 from prodsys.panel import PanelDataset
 from prodsys.simulate import benchmark_config, generate_panel
 
@@ -110,3 +110,38 @@ def test_system_residual_matches_pair_array_residual(monkeypatch, panel_steps, p
         got, want = problem.residual(lam), reference(lam)
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-8 * np.maximum(1.0, np.abs(want))), np.max(np.abs(got - want))
+
+
+@pytest.mark.parametrize("proxy", PROXIES)
+def test_system_residual_is_bitwise_the_same_in_any_call_order(monkeypatch, panel_steps, proxy):
+    """The residual's value at a point does not depend on the points evaluated before it.
+
+    One captured residual is evaluated in the optimizer's order (the accepted
+    point, then the finite-difference Jacobian's columns) and then at those
+    and random points in a random order, with repeats.  Every value must be
+    bitwise the value of a freshly captured residual at the same point, and
+    overwriting a returned array must not change a later value.
+    """
+    ds, step1, step2 = panel_steps
+    step3 = translog.step3_nls(ds, step1, step2, translog.EstimateOptions(proxy=proxy))
+    problem, starts = _captured_problem(monkeypatch, ds, step1, step2, step3, proxy)
+    lo, hi = problem.bounds
+    rng = np.random.default_rng(29)
+    seen = []
+
+    def recorded(lam):
+        out = problem.residual(lam)
+        seen.append((lam.copy(), out.copy()))
+        out[:] = np.nan
+        return out.copy()
+
+    for x in starts[:2]:
+        recorded(x)
+        finite_diff_jacobian(recorded, x)
+    walk = [lam for lam, _ in seen]
+    walk += [rng.uniform(lo + 1e-9, hi - 1e-9) for _ in range(5)]
+    for i in rng.permutation(np.arange(len(walk)).repeat(2))[:40]:
+        recorded(walk[i])
+    for lam, got in seen:
+        fresh, _ = _captured_problem(monkeypatch, ds, step1, step2, step3, proxy)
+        assert got.tobytes() == fresh.residual(lam).tobytes()
