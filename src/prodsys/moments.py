@@ -194,8 +194,9 @@ def phi_law_coef(alpha, delta_lm: float) -> np.ndarray:
     -rho_1, (beta_l/beta_0)(1 - rho_1), -delta/beta_0, rho_1*delta/beta_0,
     -rho_2]``.
     """
-    b0, bl, r1 = alpha[:3].tolist()  # Python floats: the joint refinement calls this per residual evaluation
-    return np.concatenate(([1.0, -r1, bl / b0 * (1.0 - r1), -delta_lm / b0, r1 * delta_lm / b0], -alpha[3:]))
+    # one array of Python floats: the joint refinement calls this per residual evaluation
+    b0, bl, r1, *r2 = alpha.tolist()
+    return np.array([1.0, -r1, bl / b0 * (1.0 - r1), -delta_lm / b0, r1 * delta_lm / b0, *[-v for v in r2]])
 
 
 def phi_law_coef_jacobian(alpha, delta_lm: float) -> np.ndarray:
@@ -221,8 +222,8 @@ def omega_law_coef(gamma) -> np.ndarray:
 
     ``c = [1, -rho_0, -beta_k, -beta_kk, -rho_1, rho_1*beta_k, rho_1*beta_kk, -rho_2]``.
     """
-    bk, bkk, g0, g1 = gamma[:4].tolist()
-    return np.concatenate(([1.0, -g0, -bk, -bkk, -g1, g1 * bk, g1 * bkk], -gamma[4:]))
+    bk, bkk, g0, g1, *g2 = gamma.tolist()
+    return np.array([1.0, -g0, -bk, -bkk, -g1, g1 * bk, g1 * bkk, *[-v for v in g2]])
 
 
 def omega_law_coef_jacobian(gamma) -> np.ndarray:
@@ -254,9 +255,9 @@ def proxied_omega_coef(gamma, beta_0: float, beta_l: float, delta_lm: float) -> 
     ``delta^2/(2*beta_0)``.  The map is written out in one step because the
     joint refinement calls it at every residual evaluation.
     """
-    bk, bkk, g0, g1 = gamma[:4].tolist()
+    bk, bkk, g0, g1, *g2 = gamma.tolist()
     curv = delta_lm**2 / (2.0 * beta_0)
-    return np.concatenate((
-        [1.0, -beta_l**2 / (2.0 * beta_0) * (1.0 - g1) - g0, curv, -bk, -bkk, -g1, -g1 * curv, g1 * bk, g1 * bkk],
-        -gamma[4:],
-    ))
+    return np.array([
+        1.0, -beta_l**2 / (2.0 * beta_0) * (1.0 - g1) - g0, curv, -bk, -bkk, -g1, -g1 * curv, g1 * bk, g1 * bkk,
+        *[-v for v in g2],
+    ])

@@ -11,6 +11,7 @@ run.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -74,19 +75,24 @@ class OptimResult:
 def finite_diff_jacobian(fun: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
     """Central-difference Jacobian of a vector-valued function.
 
-    The per-coordinate step is ``1e-6 * max(1, |x_j|)``.
+    The per-coordinate step is ``1e-6 * max(1, |x_j|)``.  The function is
+    evaluated only at the ``2 * len(x)`` perturbed points (at ``x`` itself
+    only when ``x`` is empty, to size the output).
     """
     x = np.asarray(x, dtype=float)
-    f0 = np.atleast_1d(np.asarray(fun(x), dtype=float))
-    jac = np.empty((f0.size, x.size))
-    for j in range(x.size):
-        h = 1e-6 * max(1.0, abs(x[j]))
+    if x.size == 0:
+        return np.empty((np.atleast_1d(np.asarray(fun(x), dtype=float)).size, 0))
+    jac = None
+    for j, xj in enumerate(x.tolist()):
+        h = 1e-6 * max(1.0, abs(xj))
         xp = x.copy()
         xm = x.copy()
         xp[j] += h
         xm[j] -= h
         fp = np.atleast_1d(np.asarray(fun(xp), dtype=float))
         fm = np.atleast_1d(np.asarray(fun(xm), dtype=float))
+        if jac is None:
+            jac = np.empty((fp.size, x.size))
         jac[:, j] = (fp - fm) / (2.0 * h)
     return jac
 
@@ -114,6 +120,10 @@ def _clip(x: np.ndarray, bounds) -> np.ndarray:
 
 
 def _lm_single(problem: NlsProblem, x0, *, grad_tol, max_iter) -> OptimResult:
+    # The loop runs thousands of times per estimate on problems of a dozen
+    # parameters, so each step is one numpy call where the textbook form
+    # takes several; tests/optim_reference.py keeps the textbook form, and
+    # the two agree bit for bit.
     resid = problem.residual
     jacfun = problem.jacobian or (lambda x: finite_diff_jacobian(resid, x))
     x = _clip(np.asarray(x0, dtype=float).copy(), problem.bounds)
@@ -130,27 +140,36 @@ def _lm_single(problem: NlsProblem, x0, *, grad_tol, max_iter) -> OptimResult:
     for it in range(1, max_iter + 1):
         jac = np.atleast_2d(np.asarray(jacfun(x), dtype=float))
         grad = jac.T @ r
+        # np.max, not Python max(): a NaN entry must make the norm NaN
         grad_norm = float(np.max(np.abs(grad)))
         if grad_norm < grad_tol:
             converged, status = True, "gradient tolerance reached"
             return OptimResult(x, obj, grad_norm, it - 1, converged, status)
 
         jtj = jac.T @ jac
-        diag = np.maximum(np.diag(jtj), 1e-12)
+        p = jtj.shape[0]
+        diag = np.maximum(jtj.diagonal(), 1e-12)
+        neg_grad = -grad
+        # np.linalg.norm of a 1-D float vector is sqrt(v.v)
+        step_floor = STEP_TOL * (STEP_TOL + math.sqrt(x @ x))
         accepted = False
         while lam <= 1e12:
+            damped = jtj.copy()
+            damped.flat[::p + 1] += lam * diag
             try:
-                step = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
+                step = np.linalg.solve(damped, neg_grad)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
             x_new = _clip(x + step, problem.bounds)
             actual_step = x_new - x
-            if np.linalg.norm(actual_step) <= STEP_TOL * (STEP_TOL + np.linalg.norm(x)):
+            if math.sqrt(actual_step @ actual_step) <= step_floor:
                 return OptimResult(x, obj, grad_norm, it, True, "step tolerance reached")
             r_new = np.atleast_1d(np.asarray(resid(x_new), dtype=float))
-            if np.all(np.isfinite(r_new)) and float(r_new @ r_new) < obj:
-                x, r, obj = x_new, r_new, float(r_new @ r_new)
+            # a NaN or inf residual has a NaN or inf objective, which is never lower
+            obj_new = float(r_new @ r_new)
+            if obj_new < obj:
+                x, r, obj = x_new, r_new, obj_new
                 lam = max(lam / 3.0, 1e-12)
                 accepted = True
                 break

@@ -44,6 +44,8 @@ only the entry points (:func:`estimate` here) default and validate them.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 import numbers
 
 import numpy as np
@@ -675,23 +677,45 @@ def system_refine(
     :func:`_system_cross_products`) are formed once per call; each residual
     evaluation, and so each of the finite-difference Jacobian's, is then a
     few products of size at most about 20, and its cost no longer grows
-    with the number of lag pairs.
+    with the number of lag pairs.  A Jacobian column that moves an omega
+    coordinate leaves the phi block as it was, and one that moves a
+    ``rho_phi`` coordinate leaves the omega block, so the residual reuses
+    the block it last computed when its inputs are bitwise the same.
     """
     delta = step1.delta_lm
     pz, px = dataset.z.shape[1], dataset.x.shape[1]
     warnings: list[str] = []
     proj_e, proj_r, gram_e, gram_r, n, h_names = _system_cross_products(dataset, step1, options, warnings)
     scale_floor = 1e-8  # keeps noiseless panels from dividing by ~eps
+    n_phi, n_e = 3 + pz, proj_e.shape[0]
+
+    # lam stacks the phi block (beta_0, beta_l, rho_phi) and the omega block
+    # (beta_k, beta_kk, rho_omega) of the moment core.  The phi moments read
+    # lam[:3 + pz]; the omega moments read beta_0, beta_l and lam[3 + pz:].
+    # A finite-difference column moves one coordinate, so one of the two is
+    # often unchanged since the previous evaluation: each keeps its last
+    # value, keyed on the bytes it read (0.0 and -0.0 stay apart), and is
+    # copied into a fresh output, never handed out.
+    @functools.lru_cache(maxsize=1)
+    def phi_moments(alpha: bytes):
+        a = phi_law_coef(np.frombuffer(alpha), delta)
+        # np.std of eps = E a is sqrt(a' G a) with G the centered Gram matrix
+        return proj_e @ a, max(math.sqrt(max(a @ gram_e @ a, 0.0)), scale_floor)
+
+    @functools.lru_cache(maxsize=1)
+    def omega_moments(betas_gamma: bytes):
+        v = np.frombuffer(betas_gamma)
+        c = proxied_omega_coef(v[2:], v[0], v[1], delta)
+        return proj_r @ c, max(math.sqrt(max(c @ gram_r @ c, 0.0)), scale_floor)
 
     def residual(lam):
-        # lam stacks the phi block (beta_0, beta_l, rho_phi) and the omega
-        # block (beta_k, beta_kk, rho_omega) of the moment core
-        a = phi_law_coef(lam[:3 + pz], delta)
-        c = proxied_omega_coef(lam[3 + pz:], lam[0], lam[1], delta)
-        # np.std of eps = E a is sqrt(a' G a) with G the centered Gram matrix
-        s_eps = max(float(np.sqrt(max(a @ gram_e @ a, 0.0))), scale_floor)
-        s_r = max(float(np.sqrt(max(c @ gram_r @ c, 0.0))), scale_floor)
-        return np.concatenate([proj_e @ a / s_eps, proj_r @ c / s_r])
+        lam = np.asarray(lam, dtype=float)
+        out = np.empty(n_e + proj_r.shape[0])
+        moments, scale = phi_moments(lam[:n_phi].tobytes())
+        np.divide(moments, scale, out=out[:n_e])
+        moments, scale = omega_moments(lam[:2].tobytes() + lam[n_phi:].tobytes())
+        np.divide(moments, scale, out=out[n_e:])
+        return out
 
     lo = np.concatenate(([-10.0, 1e-10, -0.999999], np.full(pz, -50.0),
                          [-5.0, -5.0, -50.0, -0.999999], np.full(px, -50.0)))

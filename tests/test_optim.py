@@ -211,3 +211,14 @@ def test_finite_diff_jacobian_is_bitwise_equal_to_the_reference(case):
         got = optim.finite_diff_jacobian(problem.residual, x0)
         want = optim_reference.finite_diff_jacobian(problem.residual, x0)
     assert _bits(got) == _bits(want)
+
+
+def test_finite_diff_jacobian_evaluates_only_the_perturbed_points(rng):
+    a = rng.standard_normal((3, 4))
+    x = rng.standard_normal(4)
+    got, want = [], []
+    optim.finite_diff_jacobian(lambda v: got.append(v.copy()) or a @ v, x)
+    optim_reference.finite_diff_jacobian(lambda v: want.append(v.copy()) or a @ v, x)
+    assert len(got) == 2 * x.size
+    assert np.array_equal(got, want[1:])  # the reference's first call is the centre
+    assert optim.finite_diff_jacobian(lambda v: a[:, :0] @ v, np.zeros(0)).shape == (3, 0)
