@@ -492,7 +492,9 @@ def generate_panel(config: DgpConfig, seed: int | None = None) -> tuple[PanelDat
     y = ybar + eta
 
     width = len(str(n - 1))
-    firm_ids = np.repeat([f"f{i:0{width}d}" for i in range(n)], t_periods)
+    # one str per firm, repeated by reference: PanelDataset reads every id
+    # with str(), which is free on a str and slow on a numpy string scalar
+    firm_ids = [name for name in (f"f{i:0{width}d}" for i in range(n)) for _ in range(t_periods)]
     years = np.tile(np.arange(1, t_periods + 1), n)
     ln_pl_rel = (ln_pl - ln_py).ravel()
     ln_pm_rel = (ln_pm - ln_py).ravel()
