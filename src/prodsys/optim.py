@@ -87,8 +87,8 @@ def finite_diff_jacobian(fun: Callable[[np.ndarray], np.ndarray], x) -> np.ndarr
         h = 1e-6 * max(1.0, abs(xj))
         xp = x.copy()
         xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
+        xp[j] = xj + h
+        xm[j] = xj - h
         fp = np.atleast_1d(np.asarray(fun(xp), dtype=float))
         fm = np.atleast_1d(np.asarray(fun(xm), dtype=float))
         if jac is None:

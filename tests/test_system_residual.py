@@ -12,7 +12,16 @@ import numpy as np
 import pytest
 
 from prodsys import translog
-from prodsys.moments import LinearLaw, capital_terms, flexible_output, omega_residual, phi_innovation, phi_proxy
+from prodsys.moments import (
+    LinearLaw,
+    capital_terms,
+    flexible_output,
+    omega_residual,
+    phi_innovation,
+    phi_law_coef,
+    phi_proxy,
+    proxied_omega_coef,
+)
 from prodsys.optim import _psd_sqrt, finite_diff_jacobian
 from prodsys.panel import PanelDataset
 from prodsys.simulate import benchmark_config, generate_panel
@@ -112,6 +121,23 @@ def test_system_residual_matches_pair_array_residual(monkeypatch, panel_steps, p
         assert np.all(np.abs(got - want) <= 1e-8 * np.maximum(1.0, np.abs(want))), np.max(np.abs(got - want))
 
 
+def _from_scratch_residual(ds, step1, proxy):
+    """The joint residual as first written on the cross products: both blocks at every call."""
+    proj_e, proj_r, gram_e, gram_r, _, _ = translog._system_cross_products(
+        ds, step1, translog.EstimateOptions(proxy=proxy), []
+    )
+    delta, pz = step1.delta_lm, ds.z.shape[1]
+
+    def residual(lam):
+        a = phi_law_coef(lam[:3 + pz], delta)
+        c = proxied_omega_coef(lam[3 + pz:], lam[0], lam[1], delta)
+        s_eps = max(float(np.sqrt(max(a @ gram_e @ a, 0.0))), 1e-8)
+        s_r = max(float(np.sqrt(max(c @ gram_r @ c, 0.0))), 1e-8)
+        return np.concatenate([proj_e @ a / s_eps, proj_r @ c / s_r])
+
+    return residual
+
+
 @pytest.mark.parametrize("proxy", PROXIES)
 def test_system_residual_is_bitwise_the_same_in_any_call_order(monkeypatch, panel_steps, proxy):
     """The residual's value at a point does not depend on the points evaluated before it.
@@ -119,8 +145,9 @@ def test_system_residual_is_bitwise_the_same_in_any_call_order(monkeypatch, pane
     One captured residual is evaluated in the optimizer's order (the accepted
     point, then the finite-difference Jacobian's columns) and then at those
     and random points in a random order, with repeats.  Every value must be
-    bitwise the value of a freshly captured residual at the same point, and
-    overwriting a returned array must not change a later value.
+    bitwise the value of a freshly captured residual at the same point and
+    of the residual computed from scratch, and overwriting a returned array
+    must not change a later value.
     """
     ds, step1, step2 = panel_steps
     step3 = translog.step3_nls(ds, step1, step2, translog.EstimateOptions(proxy=proxy))
@@ -142,6 +169,7 @@ def test_system_residual_is_bitwise_the_same_in_any_call_order(monkeypatch, pane
     walk += [rng.uniform(lo + 1e-9, hi - 1e-9) for _ in range(5)]
     for i in rng.permutation(np.arange(len(walk)).repeat(2))[:40]:
         recorded(walk[i])
+    from_scratch = _from_scratch_residual(ds, step1, proxy)
     for lam, got in seen:
         fresh, _ = _captured_problem(monkeypatch, ds, step1, step2, step3, proxy)
-        assert got.tobytes() == fresh.residual(lam).tobytes()
+        assert got.tobytes() == fresh.residual(lam).tobytes() == from_scratch(lam).tobytes()
