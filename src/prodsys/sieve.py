@@ -106,6 +106,11 @@ class SieveBasis:
             self.centers = np.zeros(self.dim)
         if self.scales.size == 0:
             self.scales = np.ones(self.dim)
+        # one of each per input: numpy would broadcast a single one over every input
+        if self.centers.shape != (self.dim,) or self.scales.shape != (self.dim,):
+            raise ValueError(f"centers and scales must hold one value per input ({self.dim})")
+        if not np.all(np.isfinite(self.scales) & (self.scales > 0)):
+            raise ValueError("scales must be finite and positive")
 
     @property
     def n_terms(self) -> int:

@@ -73,6 +73,21 @@ def test_basis_refuses_malformed_exponents(exponents):
         dataclasses.replace(build_basis(2, 2), exponents=np.array(exponents))
 
 
+@pytest.mark.parametrize("replace, match", [
+    ({"centers": [1.0], "scales": [2.0]}, "one value per input"),
+    ({"centers": [1.0]}, "one value per input"),
+    ({"scales": [1.0, 1.0, 1.0]}, "one value per input"),
+    ({"scales": [[1.0, 1.0]]}, "one value per input"),
+    ({"scales": [1.0, 0.0]}, "finite and positive"),
+    ({"scales": [-2.0, 1.0]}, "finite and positive"),
+    ({"scales": [1.0, np.inf]}, "finite and positive"),
+    ({"scales": [np.nan, 1.0]}, "finite and positive"),
+])
+def test_basis_refuses_an_affine_map_that_is_not_one_finite_positive_scale_per_input(replace, match):
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(build_basis(2, 2), **{k: np.array(v) for k, v in replace.items()})
+
+
 # zero or at least 1e-6 in magnitude: a difference of two such values cubed
 # (or raised to the sixth) stays far above the subnormal range, so the exact
 # product below bounds every entry in relative terms
