@@ -7,6 +7,7 @@ import os
 import warnings
 
 import numpy as np
+import panel_reference
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -483,6 +484,61 @@ def test_load_then_write_normalizes_cells_once(tmp_path):
     ]
     write_csv(load_csv(first)[0], second)
     assert second.read_bytes() == first.read_bytes()
+
+
+# -- the writer against the reference copy in panel_reference.py --------------------
+
+# every character csv's QUOTE_MINIMAL quotes, a space, non-ASCII and a comment sign
+CSV_TEXT = st.text(alphabet=[",", '"', "\r", "\n", " ", "a", "b", "é", "#"], max_size=4)
+
+
+@st.composite
+def writable_panel(draw):
+    """A PanelDataset with awkward firm ids and control names, and its x/z column names."""
+    ids = draw(st.lists(CSV_TEXT, min_size=1, max_size=6, unique=True))
+    keys = [(f, yr) for f in ids for yr in sorted(draw(st.sets(st.integers(1998, 2003), min_size=1, max_size=4)))]
+    keys = draw(st.permutations(keys))
+    n = len(keys)
+    value = st.floats(-5.0, 5.0)
+
+    def column():
+        return draw(st.lists(value, min_size=n, max_size=n))
+
+    x_names = draw(st.lists(CSV_TEXT, max_size=2, unique=True))
+    z_names = draw(st.lists(CSV_TEXT, max_size=2, unique=True))
+    dataset = PanelDataset(
+        firm_ids=[f for f, _ in keys],
+        years=[yr for _, yr in keys],
+        y=column(), k=column(), l=column(), m=column(),
+        s_l=draw(st.lists(st.floats(0.01, 0.99), min_size=n, max_size=n)),
+        ln_r=column(),
+        x=np.array([column() for _ in x_names]).T if x_names else None,
+        z=np.array([column() for _ in z_names]).T if z_names else None,
+        x_names=x_names,
+        z_names=z_names,
+        ln_price_l=draw(value),
+        ln_price_m=np.array(column()),
+    )
+    return dataset, {"x_columns": x_names, "z_columns": z_names}
+
+
+@settings(max_examples=200, deadline=None)
+@given(writable_panel(), st.integers(1, 5))
+def test_write_csv_writes_the_reference_bytes(tmp_path_factory, case, chunk_rows):
+    # a small chunk puts an id that needs quoting in a later chunk than the first
+    dataset, options = case
+    work = tmp_path_factory.mktemp("writer")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(panel, "CHUNK_ROWS", chunk_rows)
+        panel_reference.write_csv(dataset, work / "built-reference.csv")
+        write_csv(dataset, work / "built.csv")
+        assert (work / "built.csv").read_bytes() == (work / "built-reference.csv").read_bytes()
+        loaded, report = load_csv(work / "built-reference.csv", **options)
+        assert report.rows_kept == dataset.n_obs
+        panel_reference.write_csv(loaded, work / "loaded-reference.csv")
+        write_csv(loaded, work / "loaded.csv")
+        assert (work / "loaded.csv").read_bytes() == (work / "loaded-reference.csv").read_bytes()
+    assert loaded.labels.tolist() == dataset.labels.tolist()
 
 
 # -- which parser reads a file ----------------------------------------------------
