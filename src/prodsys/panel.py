@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import itertools
 import os
+import re
 import warnings
 from typing import Mapping, Sequence
 
@@ -508,6 +509,17 @@ def load_csv(
     return dataset, report
 
 
+#: the characters that make ``csv``'s ``QUOTE_MINIMAL`` quote a cell: delimiter, quote, line ends
+_needs_quotes = re.compile('[,"\r\n]').search
+
+
+def _csv_cell(text: str) -> str:
+    """``text`` as one ``csv.writer`` cell: quoted, with its quotes doubled, if it needs quotes."""
+    if _needs_quotes(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_csv(dataset: PanelDataset, path) -> None:
     """Write a panel back to CSV.
 
@@ -518,6 +530,9 @@ def write_csv(dataset: PanelDataset, path) -> None:
     the levels are reconstructed from the logs with the output price
     normalized to one: labor and material columns carry expenditures
     P*quantity, matching the semantics of the load path.
+
+    Each row is formatted from one ``%`` template, and cells are quoted as
+    ``csv.writer`` quotes them, so the file is what ``csv.writer`` writes.
     """
     extra = [c for c in (dataset.x_names + dataset.z_names)]
     header = list(REQUIRED_COLUMNS) + [c for c in dict.fromkeys(extra)]
@@ -539,14 +554,16 @@ def write_csv(dataset: PanelDataset, path) -> None:
             np.exp(dataset.m + dataset.ln_price_m),
             np.exp(dataset.y),
         ] + [xz[c] for c in header[7:]]
+    row = ",".join(["%s"] + [FLOAT_FORMAT] * len(cols)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join([_csv_cell(str(name)) for name in header]) + "\r\n")
         # a chunk at a time, so only one chunk's cells are held as strings
         for start in range(0, dataset.n_obs, CHUNK_ROWS):
             part = slice(start, start + CHUNK_ROWS)
-            cells = (map(FLOAT_FORMAT.__mod__, col[part].tolist()) for col in cols)
-            writer.writerows(zip(ids[part].tolist(), *cells))
+            labels = list(map(str, ids[part].tolist()))
+            if _needs_quotes("".join(labels)):
+                labels = list(map(_csv_cell, labels))
+            fh.write("".join([row % r for r in zip(labels, *(c[part].tolist() for c in cols))]))
 
 
 def write_prices_csv(dataset: PanelDataset, path) -> None:

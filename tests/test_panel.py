@@ -522,6 +522,13 @@ def writable_panel(draw):
     return dataset, {"x_columns": x_names, "z_columns": z_names}
 
 
+@given(st.text(alphabet=[",", '"', "\r", "\n", " ", "\t", "'", "a", "é", "#"]))
+def test_csv_cell_quotes_as_csv_writer(text):
+    out = io.StringIO()
+    csv.writer(out).writerow([text, ""])
+    assert out.getvalue() == panel._csv_cell(text) + ",\r\n"
+
+
 @settings(max_examples=200, deadline=None)
 @given(writable_panel(), st.integers(1, 5))
 def test_write_csv_writes_the_reference_bytes(tmp_path_factory, case, chunk_rows):
