@@ -13,6 +13,7 @@ input solver cannot clear), 3 data error, 4 estimation non-convergence.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 import types
@@ -22,7 +23,7 @@ import yaml
 
 from .bootstrap import NUMERICAL_FAILURES, BootstrapConfig, pack_parameters, parameter_names, run_bootstrap
 from .diagnostics import aggregate_productivity, elasticities, monte_carlo_study
-from .panel import FLOAT_FORMAT, PanelDataset, load_csv, write_csv, write_prices_csv
+from .panel import FLOAT_FORMAT, PanelDataset, _csv_cell, load_csv, write_csv, write_prices_csv
 from .partialid import GRID_AXES, MomentInequalityConfig, identified_set
 from .simulate import CesParams, DgpConfig, generate_panel
 from .sieve import sieve_estimate
@@ -274,29 +275,30 @@ def _run_on_panel(fn, *args, **kwargs):
 
 
 def _write_table(path: str, header, rows) -> None:
-    """CSV with ``header``; string cells verbatim, every other cell through ``FLOAT_FORMAT``."""
-    with open(path, "w") as fh:
+    """CSV with ``header``; string cells quoted as ``csv`` quotes them, every other cell
+    through ``FLOAT_FORMAT``."""
+    with open(path, "w", newline="") as fh:
         for row in [header, *rows]:
-            fh.write(",".join(v if isinstance(v, str) else FLOAT_FORMAT % v for v in row) + "\n")
+            fh.write(",".join(_csv_cell(v) if isinstance(v, str) else FLOAT_FORMAT % v for v in row) + "\n")
 
 
 def _read_table(path: str, header: tuple, labels: int) -> dict:
     """``{first labels cells: the other cells as floats}`` of a ``_write_table`` file."""
     table = {}
     try:
-        with open(path) as fh:
-            if fh.readline().strip() != ",".join(header):
+        with open(path, newline="") as fh:
+            rows = csv.reader(fh)
+            if ",".join(next(rows, [])).strip() != ",".join(header):
                 raise DataError(f"{path}: expected header {','.join(header)!r}")
-            for line in fh:
-                if not line.strip():
+            for cells in rows:
+                if len(cells) < 2 and not "".join(cells).strip():  # a blank line, or only spaces
                     continue
-                cells = line.strip().split(",")
                 if len(cells) != len(header):
                     raise ValueError(f"expected {len(header)} cells, got {len(cells)}")
                 table[tuple(cells[:labels])] = [float(v) for v in cells[labels:]]
     except OSError as exc:
         raise DataError(f"cannot read {exc.filename}: {exc.strerror}") from exc
-    except ValueError as exc:
+    except (ValueError, csv.Error) as exc:
         raise DataError(f"{path}: malformed row ({exc})") from exc
     return table
 

@@ -1,6 +1,7 @@
 """Command-line output tables and exit codes."""
 
 import contextlib
+import csv
 import io
 import tempfile
 import types
@@ -318,3 +319,25 @@ def test_ces_panels_can_still_be_simulated(tmp_path):
     config = write_config(tmp_path, "simulate:" + CES_DGP)
     assert main(["simulate", "--config", config, "--out", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "panel.csv").exists()
+
+
+def test_tables_round_trip_firm_ids_that_need_quotes(tmp_path, small_panel):
+    # a comma, a quote and a leading space: load_csv reads them, so report must find them
+    data = tmp_path / "panel.csv"
+    write_csv(small_panel[0], data)
+    with open(data, newline="") as fh:
+        rows = list(csv.reader(fh))
+    names = {}
+    for row in rows[1:]:
+        i = names.setdefault(row[0], len(names))
+        row[0] = [f"Acme, Inc {i:02d}", f'The "{i:02d}" Co', f" f{i:02d}"][i % 3]
+    with open(data, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    est, rep = tmp_path / "est", tmp_path / "rep"
+    assert main(["estimate", "--data", str(data), "--out", str(est)]) == 0
+    argv = ["--data", str(data), "--params", str(est / "params.csv"), "--latents", str(est / "latents.csv")]
+    assert main(["report", *argv, "--out", str(rep)]) == 0
+    keys = {(row[0], row[1]) for row in rows[1:]}
+    for table in (est / "latents.csv", rep / "elasticities.csv"):
+        with open(table, newline="") as fh:
+            assert {(row[0], row[1]) for row in list(csv.reader(fh))[1:]} == keys
