@@ -23,7 +23,6 @@ __all__ = [
     "minimize_nls",
     "minimize_gmm",
     "finite_diff_jacobian",
-    "check_gradient",
 ]
 
 #: default iteration controls for the Levenberg-Marquardt loop
@@ -95,21 +94,6 @@ def finite_diff_jacobian(fun: Callable[[np.ndarray], np.ndarray], x) -> np.ndarr
             jac = np.empty((fp.size, x.size))
         jac[:, j] = (fp - fm) / (2.0 * h)
     return jac
-
-
-def check_gradient(fun, jac, x) -> float:
-    """Worst relative discrepancy between analytic and numeric Jacobians.
-
-    Returns ``max |analytic - numeric| / max(1, |analytic|, |numeric|)``
-    over all entries.
-    """
-    x = np.asarray(x, dtype=float)
-    analytic = np.atleast_2d(np.asarray(jac(x), dtype=float))
-    numeric = np.atleast_2d(finite_diff_jacobian(fun, x))
-    if analytic.shape != numeric.shape:
-        raise ValueError(f"jacobian shape {analytic.shape} != finite-difference shape {numeric.shape}")
-    scale = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
-    return float(np.max(np.abs(analytic - numeric) / scale))
 
 
 def _clip(x: np.ndarray, bounds) -> np.ndarray:

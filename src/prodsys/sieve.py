@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import numbers
 
 import numpy as np
 
@@ -181,6 +182,13 @@ def build_basis(dim: int, degree: int, intercept: bool = False) -> SieveBasis:
     return SieveBasis(dim=dim, degree=degree, exponents=np.array(rows, dtype=int), include_intercept=intercept)
 
 
+def _degree(value, what: str) -> int:
+    """``value`` as a series degree: an integer of at least 1, never truncated."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{what} must be an integer of at least 1, got {value!r}")
+    return int(value)
+
+
 def _guarded_std(a: np.ndarray) -> np.ndarray:
     s = np.std(a, axis=0)
     return np.where(s > 0, s, 1.0)
@@ -197,7 +205,7 @@ def gcv_select_degree(target, inputs, degrees=(1, 2, 3), *, intercept: bool = Fa
     a strict argmin keeps spurious extra terms with probability that does
     not vanish with the sample size.  Rank-deficient candidate bases are
     skipped with a warning; a single candidate is returned without
-    evaluation.
+    evaluation.  Every candidate must be an integer of at least 1.
 
     Returns ``(degree, gcv_by_degree, warnings)``.
     """
@@ -206,7 +214,7 @@ def gcv_select_degree(target, inputs, degrees=(1, 2, 3), *, intercept: bool = Fa
     if inputs.shape[0] != target.size:
         inputs = inputs.T
     n, dim = inputs.shape
-    degrees = sorted(int(d) for d in degrees)
+    degrees = sorted(_degree(d, "candidate degree") for d in degrees)
     if not degrees:
         raise ValueError("no candidate degrees")
     if len(degrees) == 1:
@@ -425,13 +433,13 @@ def sieve_estimate(
 ) -> SieveEstimate:
     """Three-step estimation with series laws of motion.
 
-    ``degree`` sets both laws' degree, or ``"auto"`` picks each from
-    ``degrees`` by GCV at the refined parametric point.  A law of degree
-    one is the parametric step's fit; for omega that is step three at the
-    series phi point when phi is of a higher degree.  ``laws`` on the
-    returned estimate is populated only when both degrees are one.  The
-    series steps run sequentially; there is no joint refinement of
-    nonlinear laws.
+    ``degree`` sets both laws' degree, an integer of at least 1, or
+    ``"auto"`` picks each from ``degrees`` by GCV at the refined parametric
+    point.  A law of degree one is the parametric step's fit; for omega that
+    is step three at the series phi point when phi is of a higher degree.
+    ``laws`` on the returned estimate is populated only when both degrees
+    are one.  The series steps run sequentially; there is no joint
+    refinement of nonlinear laws.
 
     The one ``options`` object (default ``EstimateOptions()``) reaches every
     fit.  Degrees are picked at the refined point, so ``refine="none"`` is
@@ -441,8 +449,10 @@ def sieve_estimate(
     opts.validate()
     if opts.refine != "system":
         raise ValueError(f"refine must be system: the sieve picks degrees at the refined point; got {opts.refine!r}")
-    if degree != "auto" and int(degree) < 1:
-        raise ValueError(f"sieve degree must be at least 1, got {degree!r}")
+    if degree != "auto":
+        degree = _degree(degree, 'sieve degree (or "auto")')
+    else:  # refused before any fit, not after the refinement
+        degrees = [_degree(d, "candidate degree") for d in degrees]
     step1 = step1_cost_share(dataset)
     p2 = step2_gmm(dataset, step1, opts)
     p3 = step3_nls(dataset, step1, p2, opts)
@@ -451,7 +461,7 @@ def sieve_estimate(
     gcv_phi = gcv_omega = None
     warn_phi: list[str] = []
     warn_omega: list[str] = []
-    if degree == "auto" or int(degree) > 1:
+    if degree == "auto" or degree > 1:
         ref = system_refine(dataset, step1, p2, p3, opts)
         # both laws' series at the reference: targets and (lagged) inputs
         delta = step1.delta_lm
@@ -467,7 +477,6 @@ def sieve_estimate(
             degree_omega, gcv_omega, warn_omega = gcv_select_degree(
                 omega[pairs.cur], omega_inputs, degrees, intercept=True
             )
-    degree_phi, degree_omega = int(degree_phi), int(degree_omega)
 
     if degree_phi == 1:
         s2 = SieveStep2Result(

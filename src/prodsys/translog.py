@@ -44,7 +44,6 @@ only the entry points (:func:`estimate` here) default and validate them.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import numbers
 
@@ -61,7 +60,8 @@ from .moments import (
     phi_proxy,
     proxied_omega_coef,
 )
-from .optim import GRAD_TOL, MAX_ITER, GmmProblem, NlsProblem, OptimResult, _psd_sqrt, minimize_gmm, minimize_nls
+from .optim import GRAD_TOL, MAX_ITER, GmmProblem, NlsProblem, OptimResult, _psd_sqrt, finite_diff_jacobian
+from .optim import minimize_gmm, minimize_nls
 from .panel import PanelDataset
 
 __all__ = [
@@ -317,6 +317,20 @@ def _gram_weight(mat: np.ndarray, label: str, warnings: list[str]) -> np.ndarray
     return np.linalg.inv(gram)
 
 
+def _phi_moment_block(dataset: PanelDataset, options: EstimateOptions, label: str, warnings: list[str]):
+    """``(names, W, E, Q'E)`` of step two's moments, for every fit that reads them.
+
+    ``Q`` is :func:`build_instruments`' matrix, ``W`` its :func:`_gram_weight`
+    (warning under ``label``) and ``E`` the phi-law columns, a fresh array.
+    """
+    q, names = build_instruments(dataset, kind=options.instruments)
+    if q.shape[0] <= q.shape[1]:
+        raise ValueError("not enough lag pairs for the instrument count")
+    weight = _gram_weight(q, label, warnings)
+    e = phi_law_columns(*_step2_arrays(dataset))
+    return names, weight, e, q.T @ e
+
+
 def _phi_law_gmm(moments, jacobian, lin: int, n_params: int, delta_lm: float, weight):
     """GMM problem and default start grid of a phi law, linear or series.
 
@@ -354,14 +368,10 @@ def step2_gmm(dataset: PanelDataset, step1: Step1Result, options: EstimateOption
     """
     delta = step1.delta_lm
     pz = dataset.z.shape[1]
-    q, names = build_instruments(dataset, kind=options.instruments)
-    n_pairs = q.shape[0]
-    if n_pairs <= q.shape[1]:
-        raise ValueError("not enough lag pairs for the instrument count")
-
     warnings: list[str] = []
-    weight = _gram_weight(q, "instrument", warnings)
-    qe = q.T @ phi_law_columns(*_step2_arrays(dataset)) / n_pairs
+    names, weight, e, qe = _phi_moment_block(dataset, options, "instrument", warnings)
+    n_pairs = e.shape[0]
+    qe = qe / n_pairs
     problem, starts = _phi_law_gmm(
         lambda alpha: qe @ phi_law_coef(alpha, delta),
         lambda alpha: qe @ phi_law_coef_jacobian(alpha, delta),
@@ -403,16 +413,14 @@ def step2_gmm(dataset: PanelDataset, step1: Step1Result, options: EstimateOption
 def information_matrix(dataset: PanelDataset, step1: Step1Result, alpha, options: EstimateOptions):
     """Curvature of the GMM criterion at ``alpha``: ``G'WG`` with rank and condition.
 
-    ``G = (Q'E/N) da/dalpha`` is the Jacobian of step two's moments.  A
+    ``G = (Q'E/N) da/dalpha`` is the Jacobian of step two's moments and ``W``
+    their weight, so this is the curvature of the criterion step two minimizes.  A
     full-rank matrix signals local identification of the step-two
     parameters; rank deficiency arises, for example, when the labor share
     carries no independent variation.
     """
-    q, _ = build_instruments(dataset, kind=options.instruments)
-    n_pairs = q.shape[0]
-    weight = np.linalg.pinv(q.T @ q / n_pairs)
-    qe = q.T @ phi_law_columns(*_step2_arrays(dataset)) / n_pairs
-    g = qe @ phi_law_coef_jacobian(np.asarray(alpha, dtype=float), step1.delta_lm)
+    _, weight, e, qe = _phi_moment_block(dataset, options, "instrument", [])
+    g = qe / e.shape[0] @ phi_law_coef_jacobian(np.asarray(alpha, dtype=float), step1.delta_lm)
     info = g.T @ weight @ g
     svals = np.linalg.svd(info, compute_uv=False)
     tol = max(info.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
@@ -617,17 +625,15 @@ def _system_cross_products(dataset: PanelDataset, step1: Step1Result, options: E
     k_cur, k_prev = dataset.k[cur], dataset.k[prev]
     foc_prev = _foc_term(dataset, delta, step1.theta, options.proxy)[prev]  # lagged omega proxy plus flexible output
 
-    ones = np.ones(n)
-    e = phi_law_columns(*_step2_arrays(dataset))
     r = np.column_stack([
-        dataset.y[cur] - delta * m_cur, ones, s_cur**2, k_cur, 0.5 * k_cur**2,
+        dataset.y[cur] - delta * m_cur, np.ones(n), s_cur**2, k_cur, 0.5 * k_cur**2,
         foc_prev - delta * m_prev, s_prev**2, k_prev, 0.5 * k_prev**2, *dataset.x[prev].T,
     ])
-    q, _ = build_instruments(dataset, kind=options.instruments)
     h, h_names = build_level_instruments(dataset)
-    if n <= max(q.shape[1], h.shape[1]):
+    if n <= h.shape[1]:  # H has more columns than Q
         raise ValueError("not enough usable lag pairs for the joint refinement")
-    proj_e = _psd_sqrt(_gram_weight(q, "step-2 instrument", warnings)) @ (q.T @ e) / n
+    _, weight_q, e, qe = _phi_moment_block(dataset, options, "step-2 instrument", warnings)
+    proj_e = _psd_sqrt(weight_q) @ qe / n
     proj_r = _psd_sqrt(_gram_weight(h, "output-level instrument", warnings)) @ (h.T @ r) / n
     e -= e.mean(axis=0)
     r -= r.mean(axis=0)
@@ -675,51 +681,50 @@ def system_refine(
     (:func:`~prodsys.moments.proxied_omega_coef`).  The projections
     ``Q'E``, ``H'R`` and the centered Gram matrices of ``E`` and ``R`` (see
     :func:`_system_cross_products`) are formed once per call; each residual
-    evaluation, and so each of the finite-difference Jacobian's, is then a
-    few products of size at most about 20, and its cost no longer grows
-    with the number of lag pairs.  A Jacobian column that moves an omega
-    coordinate leaves the phi block as it was, and one that moves a
-    ``rho_phi`` coordinate leaves the omega block, so the residual reuses
-    the block it last computed when its inputs are bitwise the same.
+    evaluation is then a few products of size at most about 20, and its cost
+    no longer grows with the number of lag pairs.
+
+    ``lam`` stacks the phi block ``(beta_0, beta_l, rho_phi)`` and the omega
+    block ``(beta_k, beta_kk, rho_omega)``.  The phi moments read
+    ``lam[:3 + pz]`` and the omega moments ``beta_0``, ``beta_l`` and
+    ``lam[3 + pz:]``, so the Jacobian is each block's finite differences over
+    the coordinates it reads, and zero elsewhere.
     """
     delta = step1.delta_lm
     pz, px = dataset.z.shape[1], dataset.x.shape[1]
     warnings: list[str] = []
     proj_e, proj_r, gram_e, gram_r, n, h_names = _system_cross_products(dataset, step1, options, warnings)
     scale_floor = 1e-8  # keeps noiseless panels from dividing by ~eps
-    width = np.dtype(float).itemsize
-    betas_end, phi_end = 2 * width, (3 + pz) * width  # where beta_l and the phi block end in lam's bytes
 
-    # lam stacks the phi block (beta_0, beta_l, rho_phi) and the omega block
-    # (beta_k, beta_kk, rho_omega) of the moment core.  The phi moments read
-    # lam[:3 + pz]; the omega moments read beta_0, beta_l and lam[3 + pz:].
-    # A finite-difference column moves one coordinate, so one of the two is
-    # often unchanged since the previous evaluation: each keeps its last
-    # value, keyed on the bytes it read (0.0 and -0.0 stay apart), and the
-    # residual is a fresh concatenation, so a kept value is never handed out.
     # ndarray.dot, not @: the same BLAS call, with half the overhead at this size
-    @functools.lru_cache(maxsize=1)
-    def phi_moments(alpha: bytes) -> np.ndarray:
-        a = phi_law_coef(np.frombuffer(alpha), delta)
+    def phi_moments(alpha):
+        a = phi_law_coef(alpha, delta)
         # np.std of eps = E a is sqrt(a' G a) with G the centered Gram matrix
         return proj_e.dot(a) / max(math.sqrt(max(float(a.dot(gram_e).dot(a)), 0.0)), scale_floor)
 
-    @functools.lru_cache(maxsize=1)
-    def omega_moments(betas_gamma: bytes) -> np.ndarray:
-        v = np.frombuffer(betas_gamma)
-        beta_0, beta_l = v[:2].tolist()
-        c = proxied_omega_coef(v[2:], beta_0, beta_l, delta)
+    def omega_moments(betas_gamma):
+        beta_0, beta_l = betas_gamma[:2].tolist()
+        c = proxied_omega_coef(betas_gamma[2:], beta_0, beta_l, delta)
         return proj_r.dot(c) / max(math.sqrt(max(float(c.dot(gram_r).dot(c)), 0.0)), scale_floor)
 
+    n_phi, n_e = 3 + pz, proj_e.shape[0]
+    omega_cols = np.r_[0:2, n_phi:n_phi + 4 + px]  # what the omega moments read
+
     def residual(lam):
-        key = np.asarray(lam, dtype=float).tobytes()
-        return np.concatenate((phi_moments(key[:phi_end]), omega_moments(key[:betas_end] + key[phi_end:])))
+        lam = np.asarray(lam, dtype=float)
+        return np.concatenate((phi_moments(lam[:n_phi]), omega_moments(lam[omega_cols])))
+
+    def jacobian(lam):
+        jac = np.zeros((n_e + proj_r.shape[0], lam.size))
+        jac[:n_e, :n_phi] = finite_diff_jacobian(phi_moments, lam[:n_phi])
+        jac[n_e:, omega_cols] = finite_diff_jacobian(omega_moments, lam[omega_cols])
+        return jac
 
     lo = np.concatenate(([-10.0, 1e-10, -0.999999], np.full(pz, -50.0),
                          [-5.0, -5.0, -50.0, -0.999999], np.full(px, -50.0)))
     hi = np.concatenate(([-1e-10, delta * (1 - 1e-10), 0.999999], np.full(pz, 50.0),
                          [5.0, 5.0, 50.0, 0.999999], np.full(px, 50.0)))
-    problem = NlsProblem(residual=residual, bounds=(lo, hi))
+    problem = NlsProblem(residual=residual, jacobian=jacobian, bounds=(lo, hi))
 
     seq = np.concatenate((
         [step2.beta_0, step2.beta_l, step2.rho_phi_1], step2.rho_phi_2,

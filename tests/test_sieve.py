@@ -259,6 +259,32 @@ def test_degree_below_one_is_refused(small_panel):
         sieve_estimate(ds, degree=0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"degree": 2.7}, {"degree": 2.0}, {"degree": True}, {"degree": "2"}, {"degree": None},
+    {"degree": "auto", "degrees": (2.5, 3)},
+])
+def test_a_degree_that_is_not_an_integer_is_refused_not_truncated(small_panel, monkeypatch, kwargs):
+    # 2.7 used to fit degree 2, True degree 1, and (2.5, 3) to choose between 2 and 3
+    import prodsys.sieve
+
+    monkeypatch.setattr(prodsys.sieve, "step1_cost_share", lambda *_: pytest.fail("fitted before refusing"))
+    ds, _, _ = small_panel
+    with pytest.raises(ValueError, match="integer of at least 1"):
+        sieve_estimate(ds, **kwargs)
+
+
+@pytest.mark.parametrize("degrees", [(2.5, 3), (1.9, 3), (True, 2), (0, 2), (2.0,), ("2",)])
+def test_candidate_degrees_that_are_not_integers_are_refused(degrees):
+    # (1.9, 3) used to report a key 1, and a single candidate skipped every check
+    with pytest.raises(ValueError, match="integer of at least 1"):
+        gcv_select_degree(np.arange(10.0) ** 2, np.arange(10.0)[:, None], degrees=degrees)
+
+
+def test_integer_degrees_of_any_integer_type_are_accepted():
+    degree, values, _ = gcv_select_degree(np.arange(10.0) ** 2, np.arange(10.0)[:, None], degrees=(np.int64(3), 1))
+    assert degree == 3 and type(degree) is int and set(values) == {1, 3}
+
+
 def test_refine_none_is_refused(small_panel):
     # degrees are picked at the refined point; "none" is not ignored
     ds, _, _ = small_panel

@@ -173,3 +173,32 @@ def test_system_residual_is_bitwise_the_same_in_any_call_order(monkeypatch, pane
     for lam, got in seen:
         fresh, _ = _captured_problem(monkeypatch, ds, step1, step2, step3, proxy)
         assert got.tobytes() == fresh.residual(lam).tobytes() == from_scratch(lam).tobytes()
+
+
+@pytest.mark.parametrize("proxy", PROXIES)
+def test_system_jacobian_is_the_finite_difference_jacobian_of_the_residual(monkeypatch, panel_steps, proxy):
+    """Each block's differences over the coordinates it reads, bitwise the whole residual's.
+
+    A column that moves a coordinate one block does not read leaves that
+    block's value as it was, so its difference is exactly zero; the phi rows
+    have zeros in every omega column and the omega rows in every ``rho_phi``
+    column.
+    """
+    ds, step1, step2 = panel_steps
+    step3 = translog.step3_nls(ds, step1, step2, translog.EstimateOptions(proxy=proxy))
+    problem, starts = _captured_problem(monkeypatch, ds, step1, step2, step3, proxy)
+    assert problem.jacobian is not None
+    n_phi = 3 + ds.z.shape[1]
+    n_e = translog.build_instruments(ds)[0].shape[1]
+    lo, hi = problem.bounds
+    rng = np.random.default_rng(41)
+    seq = starts[0]
+    points = list(starts) + [
+        np.clip(seq + 0.05 * np.maximum(np.abs(seq), 0.1) * rng.standard_normal(seq.size), lo + 1e-9, hi - 1e-9)
+        for _ in range(20)
+    ]
+    for lam in points:
+        jac = problem.jacobian(lam)
+        assert jac.tobytes() == finite_diff_jacobian(problem.residual, lam).tobytes()
+        assert not np.any(jac[:n_e, n_phi:]) and not np.any(jac[n_e:, 2:n_phi])
+        assert np.all(np.isfinite(jac))
