@@ -524,8 +524,9 @@ def cmd_partialid(args, config: dict) -> int:
     print(f"cutoff levels {result.cutoff_levels} -> m cutoffs {[round(float(c), 6) for c in result.cutoffs]}")
     print(f"slack {_fmt(result.slack)}, feasible fraction {result.volume_fraction:.4f}, empty: {result.empty}")
     for name in GRID_AXES:
-        lo, hi = result.bounding_box[name]
-        print("%-10s [%s, %s]" % (name, _fmt(lo), _fmt(hi)))
+        bounds = [_fmt(v) + (" (grid edge)" if edge else "")
+                  for v, edge in zip(result.bounding_box[name], result.at_grid_edge[name])]
+        print("%-10s [%s, %s]" % (name, *bounds))
     for w in result.warnings:
         print("warning:", w, file=sys.stderr)
     print(f"wrote partialid.csv to {out}")

@@ -137,7 +137,8 @@ class PanelDataset:
     Parameters
     ----------
     firm_ids : sequence
-        Firm identifiers (any hashable scalars; stored as strings).
+        Firm identifiers (any scalars), stored and coded as their ``str()``,
+        so ``1`` and ``1.0`` are different firms.
     years : sequence of int
     y, k, l, m : array_like
         Logs of output, capital, labor and materials.
@@ -176,18 +177,22 @@ class PanelDataset:
         ln_price_m=0.0,
         levels: Mapping[str, np.ndarray] | None = None,
     ) -> None:
-        names = [str(f) for f in firm_ids]
-        labels = np.asarray(names, dtype=object)
+        labels = np.asarray([str(f) for f in firm_ids], dtype=object)
         years = np.asarray(years, dtype=int)
         n = labels.size
         if years.size != n:
             raise ValueError("firm_ids and years must have equal length")
 
-        # np.unique(labels, return_inverse=True), without sorting every row's label
-        distinct = sorted(set(names))
+        # np.unique(labels, return_inverse=True), one lookup per run of equal
+        # labels: grouped input (simulated, read from a file, or a dataset's
+        # own labels) codes each firm once.  Runs are found on the strings,
+        # since raw ids such as 1 and 1.0 compare equal but are different ids.
+        starts = np.flatnonzero(np.concatenate(([n > 0], labels[1:] != labels[:-1])))
+        runs = labels[starts].tolist()
+        distinct = sorted(dict.fromkeys(runs))  # first-seen order: sorted input sorts in one pass
         code = {name: i for i, name in enumerate(distinct)}
         self.firm_labels = np.asarray(distinct, dtype=object)
-        firm = np.fromiter(map(code.__getitem__, names), np.intp, n)
+        firm = np.repeat(np.fromiter(map(code.__getitem__, runs), np.intp, len(runs)), np.diff(starts, append=n))
         order = np.lexsort((years, firm))
 
         def col(v, name):

@@ -24,6 +24,7 @@ from .translog import TranslogParams, estimate
 
 __all__ = [
     "GRID_AXES",
+    "GRID_EDGE_WARNING",
     "MomentInequalityConfig",
     "IdentifiedSet",
     "cutoff_values",
@@ -35,6 +36,9 @@ __all__ = [
 
 #: candidate coordinate order used throughout
 GRID_AXES = ("beta_k", "beta_kk", "beta_l", "beta_m", "beta_0")
+
+#: the stable opening of the warning that some bound is the grid's end
+GRID_EDGE_WARNING = "identified set reaches the grid edge"
 
 # half-width floors keep the default grid wide enough to cover the truth
 # when a coordinate's (markup-biased) point estimate sits near zero
@@ -91,7 +95,9 @@ class IdentifiedSet:
     ``candidates`` has one row per grid point in ``GRID_AXES`` order;
     ``statistics`` one column per cutoff.  A candidate is feasible when
     its smallest statistic is at least ``-slack``.  ``bounding_box``
-    gives per-coordinate (min, max) over the feasible points.
+    gives per-coordinate (min, max) over the feasible points, and
+    ``at_grid_edge`` per coordinate whether each of those two bounds is the
+    grid's own end on that axis, where the set may go on past the grid.
     """
 
     candidates: np.ndarray
@@ -102,6 +108,7 @@ class IdentifiedSet:
     slack: float
     volume_fraction: float
     bounding_box: dict
+    at_grid_edge: dict
     empty: bool
     n_pairs: int
     warnings: list[str] = dataclasses.field(default_factory=list)
@@ -298,14 +305,20 @@ def identified_set(dataset: PanelDataset, config: MomentInequalityConfig) -> Ide
     feasible = np.min(statistics, axis=1) >= -slack
     n_feasible = int(np.sum(feasible))
     bounding_box = {}
+    at_grid_edge = {}
     for i, name in enumerate(GRID_AXES):
         if n_feasible:
             coord = candidates[feasible, i]
-            bounding_box[name] = (float(np.min(coord)), float(np.max(coord)))
+            lo, hi = float(np.min(coord)), float(np.max(coord))
         else:
-            bounding_box[name] = (np.nan, np.nan)
+            lo, hi = np.nan, np.nan
+        bounding_box[name] = (lo, hi)
+        at_grid_edge[name] = (bool(lo == np.min(axes[i])), bool(hi == np.max(axes[i])))
     if n_feasible == 0:
         warnings.append("no grid candidate satisfies all inequalities")
+    edges = [f"{name} {end}" for name in GRID_AXES for end, flag in zip(("low", "high"), at_grid_edge[name]) if flag]
+    if edges:
+        warnings.append(f"{GRID_EDGE_WARNING}: {', '.join(edges)}; widen the grid there to find those bounds")
     return IdentifiedSet(
         candidates=candidates,
         statistics=statistics,
@@ -315,6 +328,7 @@ def identified_set(dataset: PanelDataset, config: MomentInequalityConfig) -> Ide
         slack=float(slack),
         volume_fraction=n_feasible / candidates.shape[0],
         bounding_box=bounding_box,
+        at_grid_edge=at_grid_edge,
         empty=n_feasible == 0,
         n_pairs=n_pairs,
         warnings=warnings,

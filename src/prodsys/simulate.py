@@ -36,6 +36,8 @@ __all__ = [
 
 #: static first-order conditions must hold at least this tightly
 FOC_TOL = 1e-10
+#: most Newton steps on the reduced condition, and the relative step that ends them
+NEWTON_STEPS, NEWTON_XTOL = 50, 1e-12
 
 
 @dataclasses.dataclass
@@ -83,6 +85,12 @@ class DgpConfig:
             raise ValueError(f"unknown technology {self.technology!r}")
         if self.technology == "ces" and self.ces is None:
             raise ValueError("ces technology requires ces parameters")
+        # NaN passes every comparison below, and inf prices or scales fail only in the solver
+        for name in ("sigma_omega", "sigma_phi", "sigma_eta", "omega_init_range", "phi_init_range", "k_init_range",
+                     "iota", "depreciation_rates", "price_y", "price_l", "price_m", "markup"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=float))):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if min(self.sigma_omega, self.sigma_phi, self.sigma_eta) < 0:
             raise ValueError("innovation scales must be nonnegative")
         if self.markup <= 0:
@@ -197,6 +205,13 @@ def _foc_error(f1, f2):
     return np.where(np.isnan(err), np.inf, err)
 
 
+def _translog_levels(params: TranslogParams, c, phi, ln_pm, x):
+    """``(l, m)`` given ``x = m - phi - l``: the materials condition solved for ``m``."""
+    bl, bm, b0 = params.beta_l, params.beta_m, params.beta_0
+    m = (ln_pm - c + bl * x + 0.5 * b0 * x**2 - np.log(bm - b0 * x)) / (bl + bm - 1.0)
+    return m - x - phi, m
+
+
 def solve_translog_inputs(
     params: TranslogParams,
     omega,
@@ -211,12 +226,19 @@ def solve_translog_inputs(
 ):
     """Optimal (l, m) from the two static first-order conditions.
 
-    Vectorized damped Newton in (l, m), started at the Cobb-Douglas
-    solution (the ``beta_0 = 0`` limit, where the system is linear).  The
-    economically relevant optimum is the one with positive labor and
-    material elasticities; steps are backtracked to stay in that region.
-    Rows that Newton fails to close are finished by a bisection on the
-    one-dimensional reduced condition in ``x = m - phi - l``.
+    Their difference is one equation in ``x = m - phi - l``, free of omega,
+    capital, theta, the markup and the output price:
+
+        h(x) = x + phi + ln(e_l / e_m) + ln P^M - ln P^L = 0,
+        e_l = beta_l + beta_0 x,  e_m = beta_m - beta_0 x.
+
+    A vectorized Newton solves it from the Cobb-Douglas root (``beta_0 =
+    0``), each step kept inside the interval where both elasticities are
+    positive, and the materials condition gives the levels in closed form.
+    A row is accepted when both conditions hold and ``h'(x) = 1 + beta_0
+    (1/e_l + 1/e_m) > 0``: that root is the profit maximum, and for
+    ``beta_0 < 0`` the two outer roots (``h' < 0``) are saddle points; for
+    ``beta_0 > 0`` the root is unique.  Other rows go to a bisection.
 
     Returns ``(l, m, max_residual)``.
     """
@@ -233,53 +255,27 @@ def solve_translog_inputs(
         raise ValueError("static optimum requires beta_l + beta_m < 1")
     c = np.log(theta) - np.log(markup) + ln_py + params.beta_k * k + 0.5 * params.beta_kk * k**2 + omega
 
-    # Cobb-Douglas start: with beta_0 = 0 the log FOCs are linear in (l, m)
-    b1 = -(c + bl * phi + np.log(bl) - ln_pl)
-    b2 = -(c + bl * phi + np.log(bm) - ln_pm)
-    det = 1.0 - delta
-    l = ((bm - 1.0) * b1 - bm * b2) / det
-    m = ((bl - 1.0) * b2 - bl * b1) / det
+    lo, hi = sorted((-bl / b0, bm / b0)) if b0 else (-np.inf, np.inf)  # where e_l, e_m > 0
+    g = phi + ln_pm - ln_pl
+    x_cd = np.log(bm / bl) - g
+    x = np.where((x_cd > lo) & (x_cd < hi), x_cd, 0.5 * (lo + hi))
+    for _ in range(NEWTON_STEPS):
+        e_l, e_m = bl + b0 * x, bm - b0 * x
+        step = (x + g + np.log(e_l / e_m)) / (1.0 + b0 * delta / (e_l * e_m))  # 1/e_l + 1/e_m = delta/(e_l e_m)
+        # no step goes more than halfway to an edge of the interval
+        x, x_old = np.clip(x - step, 0.5 * (x + lo), 0.5 * (x + hi)), x
+        if not np.any(np.abs(x - x_old) > NEWTON_XTOL * (1.0 + np.abs(x))):
+            break
 
+    l, m = _translog_levels(params, c, phi, ln_pm, x)
     f1, f2, e_l, e_m = _translog_foc(params, c, phi, l, m, ln_pl, ln_pm)
     err = _foc_error(f1, f2)
-    for _ in range(100):
-        active = err > 1e-13
-        if not np.any(active):
-            break
-        x = m - phi - l
-        a11 = e_l - 1.0 - b0 / e_l
-        a12 = e_m + b0 / e_l
-        a21 = e_l + b0 / e_m
-        a22 = e_m - 1.0 - b0 / e_m
-        det2 = a11 * a22 - a12 * a21
-        det2 = np.where(np.abs(det2) < 1e-300, np.nan, det2)
-        dl = (a12 * f2 - a22 * f1) / det2
-        dm = (a21 * f1 - a11 * f2) / det2
-        dl = np.where(active & np.isfinite(dl), dl, 0.0)
-        dm = np.where(active & np.isfinite(dm), dm, 0.0)
-
-        scale = np.ones_like(l)
-        for _ in range(60):
-            l_new = l + scale * dl
-            m_new = m + scale * dm
-            x_new = m_new - phi - l_new
-            bad = active & ((bl + b0 * x_new <= 0) | (bm - b0 * x_new <= 0))
-            if not np.any(bad):
-                break
-            scale = np.where(bad, scale * 0.5, scale)
-        f1_new, f2_new, e_l_new, e_m_new = _translog_foc(params, c, phi, l_new, m_new, ln_pl, ln_pm)
-        err_new = np.maximum(np.abs(f1_new), np.abs(f2_new))
-        improve = active & (err_new <= err)
-        # halve once more for rows that overshot; full vector retry next pass
-        l = np.where(improve, l_new, np.where(active, l + 0.5 * scale * dl, l))
-        m = np.where(improve, m_new, np.where(active, m + 0.5 * scale * dm, m))
-        f1, f2, e_l, e_m = _translog_foc(params, c, phi, l, m, ln_pl, ln_pm)
-        err = _foc_error(f1, f2)
-
-    if np.any(err > FOC_TOL):
-        bad = np.flatnonzero(err > FOC_TOL)
-        for i in bad:
-            l[i], m[i] = _translog_bisect(params, float(c[i]), float(phi[i]), float(ln_pl[i]), float(ln_pm[i]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        open_rows = np.flatnonzero((err > FOC_TOL) | ~(1.0 + b0 * delta / (e_l * e_m) > 0.0))
+    if open_rows.size:
+        for i in open_rows:
+            x[i] = _translog_bisect(params, float(g[i]), float(x_cd[i]), lo, hi)
+        l, m = _translog_levels(params, c, phi, ln_pm, x)
         f1, f2, _, _ = _translog_foc(params, c, phi, l, m, ln_pl, ln_pm)
         err = _foc_error(f1, f2)
     if np.any(err > FOC_TOL):
@@ -287,32 +283,26 @@ def solve_translog_inputs(
     return l, m, float(np.max(err))
 
 
-def _translog_bisect(params: TranslogParams, c: float, phi: float, ln_pl: float, ln_pm: float):
-    """One-dimensional fallback: root of the FOC difference in x = m - phi - l."""
+def _translog_bisect(params: TranslogParams, g: float, x_cd: float, lo: float, hi: float) -> float:
+    """Fallback: a root of ``h(x) = x + g + ln(e_l / e_m)`` on ``(lo, hi)`` by bisection."""
     bl, bm, b0 = params.beta_l, params.beta_m, params.beta_0
-    delta = bl + bm
-
-    if b0 < 0:
-        lo_x, hi_x = -bm / abs(b0), bl / abs(b0)
-    elif b0 > 0:
-        lo_x, hi_x = -bl / b0, bm / b0
-    else:
+    if b0 == 0.0:
         raise ValueError("bisection fallback requires beta_0 != 0")
-    eps = 1e-12 * max(1.0, hi_x - lo_x)
-    lo_x, hi_x = lo_x + eps, hi_x - eps
 
     def h(x):
-        return x + phi + np.log(bl + b0 * x) - np.log(bm - b0 * x) + ln_pm - ln_pl
+        return x + g + np.log(bl + b0 * x) - np.log(bm - b0 * x)
 
-    # anchor on the Cobb-Douglas x; with several roots the economically
-    # relevant one is the closest to the beta_0 = 0 limit
-    x_cd = np.clip((ln_pl - np.log(bl)) - (ln_pm - np.log(bm)) - phi, lo_x, hi_x)
-    grid = np.linspace(lo_x, hi_x, 4097)
+    eps = 1e-12 * max(1.0, hi - lo)
+    grid = np.linspace(lo + eps, hi - eps, 4097)
     vals = h(grid)
     sign_change = np.flatnonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))
     if sign_change.size == 0:
         raise RuntimeError("no root of the reduced first-order condition in the admissible region")
-    pick = sign_change[np.argmin(np.abs(grid[sign_change] - x_cd))]
+    # the root where h rises, the profit maximum; failing that, the one
+    # closest to the Cobb-Douglas x, the beta_0 = 0 limit
+    rising = sign_change[vals[sign_change] < vals[sign_change + 1]]
+    pool = rising if rising.size else sign_change
+    pick = pool[np.argmin(np.abs(grid[pool] - x_cd))]
     a, b = grid[pick], grid[pick + 1]
     fa = h(a)
     for _ in range(200):
@@ -322,9 +312,7 @@ def _translog_bisect(params: TranslogParams, c: float, phi: float, ln_pl: float,
             b = mid
         else:
             a, fa = mid, fm
-    x = 0.5 * (a + b)
-    m = (ln_pm - c + bl * x + 0.5 * b0 * x**2 - np.log(bm - b0 * x)) / (delta - 1.0)
-    return m - x - phi, m
+    return 0.5 * (a + b)
 
 
 # -- static input choice, CES -------------------------------------------------
@@ -491,10 +479,9 @@ def generate_panel(config: DgpConfig, seed: int | None = None) -> tuple[PanelDat
         ybar = (params.nu / a) * np.log(s) + omega
     y = ybar + eta
 
-    width = len(str(n - 1))
-    # one str per firm, repeated by reference: PanelDataset reads every id
-    # with str(), which is free on a str and slow on a numpy string scalar
-    firm_ids = [name for name in (f"f{i:0{width}d}" for i in range(n)) for _ in range(t_periods)]
+    # one str per firm, repeated by reference, so PanelDataset codes each firm once
+    name = f"f%0{len(str(n - 1))}d"
+    firm_ids = np.repeat(np.array([name % i for i in range(n)], dtype=object), t_periods)
     years = np.tile(np.arange(1, t_periods + 1), n)
     ln_pl_rel = (ln_pl - ln_py).ravel()
     ln_pm_rel = (ln_pm - ln_py).ravel()

@@ -352,6 +352,23 @@ def _phi_law_gmm(moments, jacobian, lin: int, n_params: int, delta_lm: float, we
     return problem, starts
 
 
+def _valley_warning(dataset: PanelDataset, phi_hat: np.ndarray) -> list[str]:
+    """Zero or one warning: whether the proxied phi ``phi_hat`` of a point has collapsed.
+
+    Step two's criterion has a rescaling valley: ``(beta_0, beta_l)`` can
+    be moved so that proxied phi becomes nearly constant, which mechanically
+    shrinks the innovation; flag that degenerate configuration rather than
+    hiding it.
+    """
+    var_ratio = float(np.var(phi_hat) / max(np.var(dataset.m - dataset.l), 1e-300))
+    if var_ratio >= 0.01:
+        return []
+    return [
+        f"proxied phi variance is {var_ratio:.1e} of the m - l variance; "
+        "point is likely in the degenerate rescaling valley (see system_refine)"
+    ]
+
+
 def step2_gmm(dataset: PanelDataset, step1: Step1Result, options: EstimateOptions) -> Step2Result:
     """GMM estimation of the curvature, labor coefficient and phi law.
 
@@ -383,15 +400,7 @@ def step2_gmm(dataset: PanelDataset, step1: Step1Result, options: EstimateOption
     beta_m = delta - beta_l
     phi_hat = phi_proxy(dataset.m - dataset.l, dataset.s_l, beta_0, beta_l, delta)
 
-    # the criterion has a rescaling valley: (beta_0, beta_l) can be moved so
-    # that proxied phi becomes nearly constant, which mechanically shrinks the
-    # innovation; flag that degenerate configuration rather than hiding it
-    var_ratio = float(np.var(phi_hat) / max(np.var(dataset.m - dataset.l), 1e-300))
-    if var_ratio < 0.01:
-        warnings.append(
-            f"proxied phi variance is {var_ratio:.1e} of the m - l variance; "
-            "point is likely in the degenerate rescaling valley (see system_refine)"
-        )
+    warnings += _valley_warning(dataset, phi_hat)
     if not result.converged:
         warnings.append(f"step-2 GMM did not converge: {result.status}")
 
@@ -738,6 +747,7 @@ def system_refine(
 
     b0, bl, r1, r2 = *result.params[:3], result.params[3:3 + pz]
     bk, bkk, g0, g1, g2 = *result.params[3 + pz:7 + pz], result.params[7 + pz:]
+    warnings += _valley_warning(dataset, phi_proxy(dataset.m - dataset.l, dataset.s_l, b0, bl, delta))
     if not result.converged:
         warnings.append(f"joint refinement did not converge: {result.status}")
     return SystemResult(
@@ -811,7 +821,10 @@ def estimate(dataset: PanelDataset, options: EstimateOptions | None = None) -> T
     else:
         phi_hat = step2.phi_hat
     omega_hat = recover_productivity(dataset, params, phi_hat, step1.eta_hat)
-    warnings = step2.warnings + step3.warnings + (system.warnings if system else [])
+    # each warning names the fit whose point it describes: under refinement
+    # the reported point is the system's, which checks its own phi variance
+    warnings = [f"{layer}: {w}" for layer, fit in (("step 2", step2), ("step 3", step3), ("system", system))
+                if fit is not None for w in fit.warnings]
     return TranslogEstimate(
         params=params,
         laws=laws,

@@ -86,6 +86,25 @@ def test_dataset_sorts_by_firm_then_year():
     assert list(ds.y) == [3.0, 2.0, 5.0, 1.0, 4.0]
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([1, 1.0, "1", "1.0", True, np.int64(1), "a", 2]), st.integers(2000, 2003)),
+                min_size=1, max_size=24))
+def test_firm_codes_are_those_of_the_id_strings(keys):
+    # ids are coded by their str(): 1 and 1.0 (or True) compare equal but are
+    # different firms, and so are grouped runs of them
+    keys = list({(str(f), yr): (f, yr) for f, yr in keys}.values())
+    n = len(keys)
+    ds = PanelDataset(
+        firm_ids=[f for f, _ in keys], years=[yr for _, yr in keys],
+        y=np.zeros(n), k=np.zeros(n), l=np.zeros(n), m=np.zeros(n), s_l=np.full(n, 0.5), ln_r=np.zeros(n),
+    )
+    labels, codes = np.unique(np.array([str(f) for f, _ in keys]), return_inverse=True)
+    assert list(ds.firm_labels) == list(labels)
+    assert sorted(zip(ds.firm.tolist(), ds.year.tolist())) == list(zip(ds.firm.tolist(), ds.year.tolist()))
+    assert sorted(zip(ds.firm.tolist(), ds.year.tolist())) == sorted(zip(codes.tolist(), (yr for _, yr in keys)))
+    assert list(ds.labels) == [ds.firm_labels[c] for c in ds.firm]
+
+
 def test_dataset_rejects_duplicate_keys():
     with pytest.raises(ValueError, match="duplicate"):
         tiny_panel(years=[2001, 2002, 2002, 2002, 2004], firm_ids=["a", "a", "a", "b", "a"])

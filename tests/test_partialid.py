@@ -6,6 +6,7 @@ import pytest
 from prodsys.panel import PanelDataset
 from prodsys.partialid import (
     GRID_AXES,
+    GRID_EDGE_WARNING,
     MomentInequalityConfig,
     cutoff_values,
     default_grid,
@@ -13,7 +14,8 @@ from prodsys.partialid import (
     identified_set,
     moment_statistic,
 )
-from prodsys.translog import TranslogParams
+from prodsys.simulate import benchmark_config, generate_panel
+from prodsys.translog import TranslogParams, estimate
 
 
 def six_row_panel(y_shift=0.0):
@@ -200,6 +202,8 @@ def test_empty_set_is_flagged_not_raised(small_panel):
     assert np.sum(res.feasible) == 0
     assert any("no grid candidate" in msg for msg in res.warnings)
     assert all(np.isnan(res.bounding_box[name]).all() for name in GRID_AXES)
+    assert res.at_grid_edge == {name: (False, False) for name in GRID_AXES}
+    assert not any(msg.startswith(GRID_EDGE_WARNING) for msg in res.warnings)
 
 
 def test_default_path_builds_grid_from_point_estimate(small_panel):
@@ -249,3 +253,32 @@ def test_default_grid_at_benchmark_truth_stays_negative_in_beta_0(small_panel):
     assert grid["beta_0"][0] == -0.1 and grid["beta_0"][-1] == -0.025
     res = identified_set(ds, MomentInequalityConfig(grid=grid))
     assert res.candidates.shape == (11**5, 5)
+
+
+@pytest.fixture(scope="module")
+def markup_panel():
+    """A panel like the benchmark's partial-identification pool (n = 200, markup 1.2) and its default grid."""
+    ds, _ = generate_panel(benchmark_config(n=200, seed=401, markup=1.2), seed=401)
+    return ds, default_grid(estimate(ds).params)
+
+
+def test_bounds_on_the_grid_ends_are_flagged(markup_panel):
+    # every inequality's normal in (beta_k, beta_kk) has both entries
+    # positive here, so the set runs off the grid on every axis
+    ds, grid = markup_panel
+    res = identified_set(ds, MomentInequalityConfig(grid=grid))
+    assert res.at_grid_edge == {name: (True, True) for name in GRID_AXES}
+    assert all(res.bounding_box[name] == (grid[name][0], grid[name][-1]) for name in GRID_AXES)
+    (edge,) = [msg for msg in res.warnings if msg.startswith(GRID_EDGE_WARNING)]
+    assert all(f"{name} {end}" in edge for name in GRID_AXES for end in ("low", "high"))
+
+
+def test_a_bound_inside_the_grid_is_not_flagged(markup_panel):
+    ds, grid = markup_panel
+    wide = dict(grid, beta_m=np.linspace(0.05, 1.7, 34))
+    res = identified_set(ds, MomentInequalityConfig(grid=wide))
+    lo, hi = res.bounding_box["beta_m"]
+    assert lo == wide["beta_m"][0] and hi < wide["beta_m"][-1]
+    assert res.at_grid_edge == {name: (True, name != "beta_m") for name in GRID_AXES}
+    (edge,) = [msg for msg in res.warnings if msg.startswith(GRID_EDGE_WARNING)]
+    assert "beta_m low" in edge and "beta_m high" not in edge

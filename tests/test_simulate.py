@@ -1,10 +1,17 @@
 """Data-generating process: determinism, optimality, and identities."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
+import simulate_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prodsys.ces import CesParams
 from prodsys.simulate import (
+    FOC_TOL,
     DgpConfig,
     benchmark_config,
     evolve_productivity,
@@ -42,6 +49,19 @@ def test_config_rejects_bad_prices_init_ranges_and_rates(setting):
     # (no depreciation rates) simulate without depreciation
     with pytest.raises(ValueError):
         DgpConfig(**setting).validate()
+
+
+@pytest.mark.parametrize("setting", [
+    {"sigma_eta": math.nan}, {"sigma_phi": math.nan}, {"markup": math.nan}, {"sigma_omega": math.inf},
+    {"omega_init_range": (math.nan, 1.0)}, {"phi_init_range": (-1.0, math.nan)}, {"k_init_range": (10.0, math.inf)},
+    {"iota": (0.8, math.nan, 0.1)}, {"price_l": math.nan}, {"price_m": [1.0, math.nan, 1.0]},
+], ids=lambda setting: next(iter(setting)))
+def test_config_rejects_non_finite_numbers(setting):
+    # NaN passes every comparison in validate(); these configs used to fail
+    # only inside the solver, after a run of RuntimeWarnings
+    name = next(iter(setting))
+    with pytest.raises(ValueError, match=name):
+        DgpConfig(n=5, t_periods=3, **setting).validate()
 
 
 def test_generate_panel_deterministic():
@@ -202,3 +222,102 @@ def test_time_varying_prices_enter_panel():
     for i, yr in enumerate(years):
         rows = ds.year == yr
         assert np.allclose(ds.ln_price_m[rows], np.log(pm[i]), atol=1e-12)
+
+
+def _foc_residual(params, c, phi, l, m, ln_pl, ln_pm):
+    """Both log first-order conditions written out, and the two elasticities."""
+    x = m - phi - l
+    e_l = params.beta_l + params.beta_0 * x
+    e_m = params.beta_m - params.beta_0 * x
+    f = c + params.beta_m * m + params.beta_l * (phi + l) - 0.5 * params.beta_0 * x**2
+    return np.maximum(np.abs(f - l + np.log(e_l) - ln_pl), np.abs(f - m + np.log(e_m) - ln_pm)), e_l, e_m
+
+
+@st.composite
+def _static_problems(draw):
+    beta_l, beta_m = draw(st.floats(0.1, 0.45)), draw(st.floats(0.1, 0.45))
+    params = TranslogParams(beta_k=draw(st.floats(0.0, 0.4)), beta_kk=draw(st.floats(-0.03, 0.0)),
+                            beta_l=beta_l, beta_m=beta_m, beta_0=draw(st.floats(-0.4, 0.4)))
+    n = draw(st.integers(1, 6))
+
+    def rows(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+    omega, phi, k = rows(-1.5, 1.5), rows(-1.5, 1.5), rows(1.0, 6.0)
+    prices = {"ln_price_y": rows(-0.5, 0.5), "ln_price_l": rows(-0.5, 0.5), "ln_price_m": rows(-0.5, 0.5)}
+    return params, omega, phi, k, prices, draw(st.floats(1.0, 1.2)), draw(st.floats(0.8, 1.5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_static_problems())
+def test_translog_solver_clears_both_conditions_and_matches_the_two_dimensional_newton(problem):
+    params, omega, phi, k, prices, theta, markup = problem
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            l_ref, m_ref, _ = simulate_reference.solve_translog_inputs(
+                params, omega, phi, k, theta=theta, markup=markup, **prices)
+        except RuntimeError:
+            l_ref = m_ref = None
+    try:
+        l, m, resid = solve_translog_inputs(params, omega, phi, k, theta=theta, markup=markup, **prices)
+    except RuntimeError:
+        assert l_ref is None  # a row neither solver can clear, such as a root at an elasticity's edge
+        return
+    c = (np.log(theta) - np.log(markup) + prices["ln_price_y"] + params.beta_k * k
+         + 0.5 * params.beta_kk * k**2 + omega)
+    err, e_l, e_m = _foc_residual(params, c, phi, l, m, prices["ln_price_l"], prices["ln_price_m"])
+    assert np.all(err <= FOC_TOL) and resid <= FOC_TOL
+    assert np.all(e_l > 0) and np.all(e_m > 0)
+    if l_ref is None:
+        return
+    # the old solver can stop at an outer root of the reduced condition, where
+    # h'(x) < 0 and the profit Hessian is indefinite (a saddle point); where
+    # it found the maximum (h' > 0) both solvers must give the same inputs
+    x_ref = m_ref - phi - l_ref
+    e_sum = 1.0 / (params.beta_l + params.beta_0 * x_ref) + 1.0 / (params.beta_m - params.beta_0 * x_ref)
+    maximum = 1.0 + params.beta_0 * e_sum > 0
+    assert np.all(np.abs(l - l_ref)[maximum] <= 1e-10)
+    assert np.all(np.abs(m - m_ref)[maximum] <= 1e-10)
+
+
+@pytest.mark.parametrize("params, row, old_root", [
+    # a row drawn at random, where Newton from the Cobb-Douglas x finds the maximum
+    (TranslogParams(beta_k=0.36432457320029354, beta_kk=-0.0028796118048876433, beta_l=0.18964181364119276,
+                    beta_m=0.46092253027976376, beta_0=-0.12865924854045402),
+     {"omega": -0.8134344806948327, "phi": -0.07558584049775363, "k": 5.380905205129476,
+      "ln_price_y": 0.33004658725434044, "ln_price_l": -0.4574343029669419, "ln_price_m": 0.8378031909727974,
+      "theta": 1.0129893239116643, "markup": 0.8750227227017399}, 0),
+    # a saddle point next to the Cobb-Douglas x: Newton stops there and the bisection finishes the row
+    (TranslogParams(beta_k=0.2, beta_kk=-0.01, beta_l=0.107, beta_m=0.279, beta_0=-0.087),
+     {"omega": 0.1, "phi": 0.956, "k": 3.0, "ln_price_y": 0.0, "ln_price_l": 0.0, "ln_price_m": 0.0,
+      "theta": 1.0, "markup": 1.0}, 2),
+], ids=["newton", "bisection"])
+def test_translog_solver_takes_the_profit_maximum_among_three_roots(params, row, old_root):
+    # the reduced condition has three roots on these rows; the outer two are
+    # saddle points of profit, and the old two-dimensional Newton stopped at one
+    bl, bm, b0 = params.beta_l, params.beta_m, params.beta_0
+    xs = np.linspace(-bm / -b0, bl / -b0, 100003)[1:-1]
+    h = xs + row["phi"] + np.log((bl + b0 * xs) / (bm - b0 * xs)) + row["ln_price_m"] - row["ln_price_l"]
+    roots = xs[np.flatnonzero(np.sign(h[1:]) != np.sign(h[:-1]))]
+    assert roots.size == 3
+    c = (np.log(row["theta"]) - np.log(row["markup"]) + row["ln_price_y"]
+         + params.beta_k * row["k"] + 0.5 * params.beta_kk * row["k"] ** 2 + row["omega"])
+
+    def solve(solver):
+        """The root and the profit at the solver's inputs."""
+        l, m, _ = solver(params, **row)
+        x = m[0] - row["phi"] - l[0]
+        f = bm * m[0] + bl * (row["phi"] + l[0]) - 0.5 * b0 * x**2
+        return x, np.exp(c + f) - np.exp(l[0] + row["ln_price_l"]) - np.exp(m[0] + row["ln_price_m"])
+
+    (x_new, profit_new), (x_old, profit_old) = solve(solve_translog_inputs), solve(simulate_reference.solve_translog_inputs)
+    assert abs(x_new - roots[1]) < 1e-4 and abs(x_old - roots[old_root]) < 1e-4
+    assert profit_new > profit_old
+
+
+def test_generate_panel_raises_no_runtime_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, truth = generate_panel(benchmark_config(n=400, seed=301), seed=322)
+    assert truth.max_foc_residual <= 1e-13

@@ -14,6 +14,7 @@ from prodsys.translog import (
     EstimateOptions,
     TranslogParams,
     _step2_arrays,
+    _valley_warning,
     build_instruments,
     estimate,
     information_matrix,
@@ -265,6 +266,24 @@ def test_system_refine_escapes_step2_valley(bench):
     assert abs(est.laws.rho_phi_1 - cfg.laws.rho_phi_1) < 0.01
     assert abs(est.params.beta_k - cfg.params.beta_k) < 0.08
     assert abs(est.laws.rho_omega_1 - cfg.laws.rho_omega_1) < 0.05
+
+
+def test_estimate_reports_no_valley_warning_for_the_refined_point(bench_est):
+    # step two's point sits in the rescaling valley on this panel and the
+    # refined point does not; each copied warning names the fit it describes
+    est = bench_est
+    assert est.params.beta_0 == est.system.beta_0
+    assert any("valley" in w for w in est.step2.warnings)
+    assert not any("valley" in w for w in est.system.warnings)
+    assert all(w.startswith(("step 2: ", "step 3: ", "system: ")) for w in est.warnings)
+    assert [w for w in est.warnings if "valley" in w] == [f"step 2: {w}" for w in est.step2.warnings if "valley" in w]
+
+
+def test_valley_check_flags_a_collapsed_proxy(bench):
+    ds, truth, _ = bench
+    assert _valley_warning(ds, truth.phi.ravel()) == []
+    (warning,) = _valley_warning(ds, np.full(ds.n_obs, 0.3))
+    assert "rescaling valley" in warning
 
 
 def test_estimate_reports_consistent_fields(bench_est, bench):
