@@ -175,8 +175,14 @@ def minimize_nls(
     """Levenberg-Marquardt minimization of ``sum(residual**2)``.
 
     When ``starts`` is given, the solver runs from ``x0`` and from every
-    extra start and returns the result with the lowest objective (earliest
-    start wins ties).  Starts where the residual is not finite are skipped.
+    extra start and returns the best result: a converged start beats one
+    that is not, and among starts of equal status the lowest objective wins
+    (earliest start wins ties).  A start that runs out of iterations is often
+    still sliding toward the box, where its objective can undercut an
+    interior optimum it would never settle at.  The rule reads each result's
+    ``converged`` flag as :func:`_lm_single` sets it, so it is only as strict
+    as that flag.  Starts where the residual is not finite never converge and
+    so lose to any start that does.
     """
     all_starts = [np.asarray(x0, dtype=float)]
     if starts is not None:
@@ -185,7 +191,7 @@ def minimize_nls(
     for idx, start in enumerate(all_starts):
         res = _lm_single(problem, start, grad_tol=grad_tol, max_iter=max_iter)
         res.start_index = idx
-        if best is None or res.objective < best.objective:
+        if best is None or (not res.converged, res.objective) < (not best.converged, best.objective):
             best = res
     assert best is not None
     return best

@@ -1,5 +1,7 @@
 """Solver behavior on problems with known closed-form answers."""
 
+import math
+
 import numpy as np
 import optim_reference
 import pytest
@@ -102,6 +104,32 @@ def test_multistart_keeps_lowest_objective():
     assert res_multi.params[0] > 0
     assert res_multi.objective < res_bad.objective
     assert res_multi.start_index == 1
+
+
+def test_multistart_prefers_a_converged_start_to_a_lower_unconverged_one():
+    # right of x = 1 a linear well with objective 1 at x = 3; left of it
+    # exp(x), which falls toward the box edge at -50 by about one unit of x
+    # per Gauss-Newton step, so max_iter = 6 stops that start far from it
+    def residual(x):
+        return np.array([x[0] - 3.0, 1.0]) if x[0] > 1.0 else np.array([math.exp(x[0]), 0.0])
+
+    def jacobian(x):
+        return np.array([[1.0], [0.0]]) if x[0] > 1.0 else np.array([[math.exp(x[0])], [0.0]])
+
+    problem = NlsProblem(residual=residual, jacobian=jacobian, bounds=(np.array([-50.0]), np.array([50.0])))
+    well, slide = np.array([5.0]), np.array([0.0])
+    alone = minimize_nls(problem, slide, max_iter=6)
+    assert not alone.converged and alone.objective < 1e-4 and alone.params[0] > -10.0
+
+    res = minimize_nls(problem, well, starts=[slide], max_iter=6)
+    assert res.converged and res.start_index == 0
+    assert abs(res.params[0] - 3.0) < 1e-8 and res.objective > alone.objective
+    # the order of the starts does not matter
+    res = minimize_nls(problem, slide, starts=[well], max_iter=6)
+    assert res.converged and res.start_index == 1
+    # among unconverged starts the lowest objective still wins
+    res = minimize_nls(problem, np.array([0.5]), starts=[slide], max_iter=6)
+    assert not res.converged and res.start_index == 1
 
 
 def test_psd_sqrt_properties(rng):
