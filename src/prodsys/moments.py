@@ -36,7 +36,10 @@ with blocks of fixed data columns (:func:`phi_law_columns`,
 the Jacobians ``E da/dalpha`` and ``D dc/dgamma``.  A fit forms ``Q'E`` or a
 square root of ``D'D`` once, and each candidate then costs the same at any
 number of lag pairs.  :func:`proxied_omega_coef` carries ``c`` through the
-proxied-phi expansion of ``y*`` and ``m*`` for the joint system.
+proxied-phi expansion of ``y*`` and ``m*`` for the joint system, and
+:func:`proxied_omega_coef_jacobian` gives its derivative in ``(beta_0,
+beta_l, gamma)``, from which the joint system's omega rows are formed in
+closed form.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ __all__ = [
     "omega_law_coef",
     "omega_law_coef_jacobian",
     "proxied_omega_coef",
+    "proxied_omega_coef_jacobian",
 ]
 
 
@@ -261,3 +265,19 @@ def proxied_omega_coef(gamma, beta_0: float, beta_l: float, delta_lm: float) -> 
         1.0, -beta_l**2 / (2.0 * beta_0) * (1.0 - g1) - g0, curv, -bk, -bkk, -g1, -g1 * curv, g1 * bk, g1 * bkk,
         *[-v for v in g2],
     ])
+
+
+def proxied_omega_coef_jacobian(gamma, beta_0: float, beta_l: float, delta_lm: float) -> np.ndarray:
+    """``dc/d(beta_0, beta_l, gamma)`` of :func:`proxied_omega_coef`, one column per parameter."""
+    bk, bkk, g1 = gamma[0], gamma[1], gamma[3]
+    px = len(gamma) - 4
+    curv = delta_lm**2 / (2.0 * beta_0)
+    out = np.zeros((9 + px, 6 + px))
+    out[[1, 2, 6], 0] = beta_l**2 / (2.0 * beta_0**2) * (1.0 - g1), -curv / beta_0, g1 * curv / beta_0
+    out[1, 1] = -beta_l / beta_0 * (1.0 - g1)
+    out[[3, 7], 2] = -1.0, g1
+    out[[4, 8], 3] = -1.0, g1
+    out[1, 4] = -1.0
+    out[[1, 5, 6, 7, 8], 5] = beta_l**2 / (2.0 * beta_0), -1.0, -curv, bk, bkk
+    out[9:, 6:] = -np.eye(px)
+    return out

@@ -59,6 +59,7 @@ from .moments import (
     phi_law_columns,
     phi_proxy,
     proxied_omega_coef,
+    proxied_omega_coef_jacobian,
 )
 from .optim import GRAD_TOL, MAX_ITER, GmmProblem, NlsProblem, OptimResult, _psd_sqrt, finite_diff_jacobian
 from .optim import minimize_gmm, minimize_nls
@@ -696,8 +697,16 @@ def system_refine(
     ``lam`` stacks the phi block ``(beta_0, beta_l, rho_phi)`` and the omega
     block ``(beta_k, beta_kk, rho_omega)``.  The phi moments read
     ``lam[:3 + pz]`` and the omega moments ``beta_0``, ``beta_l`` and
-    ``lam[3 + pz:]``, so the Jacobian is each block's finite differences over
-    the coordinates it reads, and zero elsewhere.
+    ``lam[3 + pz:]``, so the Jacobian is each block's derivative over the
+    coordinates it reads, and zero elsewhere.  The phi rows are central
+    finite differences.  The omega rows are in closed form: the omega
+    moments are ``P c / s`` with ``s = sqrt(c'Gc)``, so their derivative is
+    ``(P dc - (P c / s) c'G dc / s) / s`` with ``dc`` from
+    :func:`~prodsys.moments.proxied_omega_coef_jacobian`, and ``P dc /
+    scale_floor`` where the floor binds.  Of the starts, :func:`minimize_nls`
+    keeps a converged one over one that ran out of iterations: a start that
+    slides toward the box corner ``beta_0 = -1e-10``, ``beta_k = beta_kk =
+    5`` can stop there at a lower objective than the interior optimum.
     """
     delta = step1.delta_lm
     pz, px = dataset.z.shape[1], dataset.x.shape[1]
@@ -716,6 +725,18 @@ def system_refine(
         c = proxied_omega_coef(betas_gamma[2:], beta_0, beta_l, delta)
         return proj_r.dot(c) / max(math.sqrt(max(float(c.dot(gram_r).dot(c)), 0.0)), scale_floor)
 
+    def omega_jacobian(betas_gamma):
+        beta_0, beta_l = betas_gamma[:2].tolist()
+        gamma = betas_gamma[2:]
+        c = proxied_omega_coef(gamma, beta_0, beta_l, delta)
+        dc = proxied_omega_coef_jacobian(gamma, beta_0, beta_l, delta)
+        gram_c = gram_r.dot(c)
+        s = math.sqrt(max(float(c.dot(gram_c)), 0.0))
+        if s <= scale_floor:
+            return proj_r.dot(dc) / scale_floor
+        # d(Pc/s) = (P dc - (Pc/s) ds)/s with ds = c'G dc/s, so no s**3 to overflow
+        return (proj_r.dot(dc) - np.outer(proj_r.dot(c) / s, gram_c.dot(dc) / s)) / s
+
     n_phi, n_e = 3 + pz, proj_e.shape[0]
     omega_cols = np.r_[0:2, n_phi:n_phi + 4 + px]  # what the omega moments read
 
@@ -726,7 +747,7 @@ def system_refine(
     def jacobian(lam):
         jac = np.zeros((n_e + proj_r.shape[0], lam.size))
         jac[:n_e, :n_phi] = finite_diff_jacobian(phi_moments, lam[:n_phi])
-        jac[n_e:, omega_cols] = finite_diff_jacobian(omega_moments, lam[omega_cols])
+        jac[n_e:, omega_cols] = omega_jacobian(lam[omega_cols])
         return jac
 
     lo = np.concatenate(([-10.0, 1e-10, -0.999999], np.full(pz, -50.0),

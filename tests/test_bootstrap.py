@@ -8,6 +8,7 @@ from prodsys.bootstrap import (
     GOLDEN,
     GOLDEN_PROB,
     BootstrapConfig,
+    bootstrap_replicate,
     compute_residuals,
     mammen_weights,
     pack_parameters,
@@ -275,6 +276,19 @@ def test_se_tracks_monte_carlo_spread(bench, bench_est):
         draws.append(estimate(ds_r).params.beta_l)
     rmse = float(np.sqrt(np.mean((np.array(draws) - truth.params.beta_l) ** 2)))
     assert 0.5 * rmse < se < 2.0 * rmse
+
+
+def test_replicate_keeps_the_converged_interior_point(bench, bench_est):
+    """Replicate 44 of ``BootstrapConfig(n_reps=50, seed=11)``, a draw of the SE test above.
+
+    One joint-refinement start there runs out of iterations toward the box
+    corner ``beta_k = 5`` at a lower objective than the interior optimum the
+    other starts converge to; the converged point is the answer.
+    """
+    ds, _, _ = bench
+    seq = np.random.SeedSequence(11).spawn(50)[44]
+    draw = bootstrap_replicate(ds, bench_est, compute_residuals(ds, bench_est), mammen_weights(ds.n_firms, seq))
+    assert -5.0 < draw[parameter_names(ds).index("beta_k")] < 5.0
 
 
 def test_programming_errors_in_a_replicate_propagate(bench, bench_est, monkeypatch):

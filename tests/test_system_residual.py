@@ -175,14 +175,25 @@ def test_system_residual_is_bitwise_the_same_in_any_call_order(monkeypatch, pane
         assert got.tobytes() == fresh.residual(lam).tobytes() == from_scratch(lam).tobytes()
 
 
+def _scattered_points(problem, starts, seed):
+    """Every start and 20 points scattered around the sequential start, inside the box."""
+    lo, hi = problem.bounds
+    rng = np.random.default_rng(seed)
+    seq = starts[0]
+    return list(starts) + [
+        np.clip(seq + 0.05 * np.maximum(np.abs(seq), 0.1) * rng.standard_normal(seq.size), lo + 1e-9, hi - 1e-9)
+        for _ in range(20)
+    ]
+
+
 @pytest.mark.parametrize("proxy", PROXIES)
 def test_system_jacobian_is_the_finite_difference_jacobian_of_the_residual(monkeypatch, panel_steps, proxy):
-    """Each block's differences over the coordinates it reads, bitwise the whole residual's.
+    """The phi rows are the phi block's differences, bitwise the whole residual's.
 
     A column that moves a coordinate one block does not read leaves that
     block's value as it was, so its difference is exactly zero; the phi rows
-    have zeros in every omega column and the omega rows in every ``rho_phi``
-    column.
+    have zeros in every omega column and the omega rows (the closed form,
+    held to the differences by the next test) in every ``rho_phi`` column.
     """
     ds, step1, step2 = panel_steps
     step3 = translog.step3_nls(ds, step1, step2, translog.EstimateOptions(proxy=proxy))
@@ -190,15 +201,51 @@ def test_system_jacobian_is_the_finite_difference_jacobian_of_the_residual(monke
     assert problem.jacobian is not None
     n_phi = 3 + ds.z.shape[1]
     n_e = translog.build_instruments(ds)[0].shape[1]
-    lo, hi = problem.bounds
-    rng = np.random.default_rng(41)
-    seq = starts[0]
-    points = list(starts) + [
-        np.clip(seq + 0.05 * np.maximum(np.abs(seq), 0.1) * rng.standard_normal(seq.size), lo + 1e-9, hi - 1e-9)
-        for _ in range(20)
-    ]
-    for lam in points:
+    for lam in _scattered_points(problem, starts, 41):
         jac = problem.jacobian(lam)
-        assert jac.tobytes() == finite_diff_jacobian(problem.residual, lam).tobytes()
+        assert jac[:n_e].tobytes() == finite_diff_jacobian(problem.residual, lam)[:n_e].tobytes()
         assert not np.any(jac[:n_e, n_phi:]) and not np.any(jac[n_e:, 2:n_phi])
         assert np.all(np.isfinite(jac))
+
+
+@pytest.mark.parametrize("proxy", PROXIES)
+def test_system_jacobian_omega_rows_are_the_finite_differences(monkeypatch, panel_steps, proxy):
+    """The closed-form omega rows agree with central differences of the residual to 1e-6."""
+    ds, step1, step2 = panel_steps
+    step3 = translog.step3_nls(ds, step1, step2, translog.EstimateOptions(proxy=proxy))
+    problem, starts = _captured_problem(monkeypatch, ds, step1, step2, step3, proxy)
+    n_e = translog.build_instruments(ds)[0].shape[1]
+    for lam in _scattered_points(problem, starts, 43):
+        got = problem.jacobian(lam)[n_e:]
+        want = finite_diff_jacobian(problem.residual, lam)[n_e:]
+        assert np.all(np.abs(got - want) <= 1e-6 * np.maximum(1.0, np.abs(want))), np.max(np.abs(got - want))
+
+
+@pytest.mark.parametrize("proxy", PROXIES)
+def test_system_jacobian_omega_rows_under_the_scale_floor(monkeypatch, noiseless, proxy):
+    """At the truth of a noiseless panel the omega residual vanishes and its std is floored.
+
+    The omega moments are then ``P c / scale_floor`` around the truth.  The
+    residual's central differences at steps a thousand times smaller than
+    the default stay under the floor, and the closed form agrees with them.
+    """
+    ds, truth, _ = noiseless
+    options = translog.EstimateOptions(proxy=proxy)
+    step1 = translog.step1_cost_share(ds)
+    step2 = translog.step2_gmm(ds, step1, options)
+    step3 = translog.step3_nls(ds, step1, step2, options)
+    problem, _ = _captured_problem(monkeypatch, ds, step1, step2, step3, proxy)
+    params, laws = truth.params, truth.laws
+    lam = np.concatenate((
+        [params.beta_0, params.beta_l, laws.rho_phi_1], laws.rho_phi_2,
+        [params.beta_k, params.beta_kk, laws.rho_omega_0, laws.rho_omega_1], laws.rho_omega_2,
+    ))
+    _, proj_r, _, gram_r, _, _ = translog._system_cross_products(ds, step1, options, [])
+    c = proxied_omega_coef(lam[3:], lam[0], lam[1], step1.delta_lm)
+    assert np.sqrt(max(c @ gram_r @ c, 0.0)) < 1e-8  # the floor binds
+    n_e = problem.residual(lam).size - proj_r.shape[0]
+    got = problem.jacobian(lam)[n_e:]
+    shrink = 1e-3
+    want = finite_diff_jacobian(lambda u: problem.residual(lam + shrink * u)[n_e:], np.zeros_like(lam)) / shrink
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))

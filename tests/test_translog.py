@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from prodsys.moments import phi_law_coef, phi_law_coef_jacobian, phi_law_columns
 from prodsys.optim import finite_diff_jacobian
 from prodsys.panel import PanelDataset
+from prodsys.simulate import benchmark_config, generate_panel
 from prodsys.translog import (
     EstimateOptions,
     TranslogParams,
@@ -266,6 +267,16 @@ def test_system_refine_escapes_step2_valley(bench):
     assert abs(est.laws.rho_phi_1 - cfg.laws.rho_phi_1) < 0.01
     assert abs(est.params.beta_k - cfg.params.beta_k) < 0.08
     assert abs(est.laws.rho_omega_1 - cfg.laws.rho_omega_1) < 0.05
+
+
+def test_system_refine_keeps_the_converged_interior_point():
+    # on this panel the sequential start of the joint refinement runs out of
+    # iterations toward the corner beta_0 = -1e-10, beta_k = beta_kk = 5 at a
+    # lower objective than the interior optimum the grid starts converge to
+    ds, _ = generate_panel(benchmark_config(n=200, seed=1035, markup=1.2))
+    est = estimate(ds)
+    assert est.system.converged
+    assert est.params.beta_0 < -0.01
 
 
 def test_estimate_reports_no_valley_warning_for_the_refined_point(bench_est):
