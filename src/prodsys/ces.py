@@ -63,7 +63,12 @@ class CesParams:
         return -(1.0 - self.sigma) / self.sigma
 
     def validate(self) -> None:
-        if not (self.sigma > 0 and np.isfinite(self.sigma)) or self.sigma == 1.0:
+        # NaN passes every comparison below
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if not np.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
+        if not self.sigma > 0 or self.sigma == 1.0:
             raise ValueError("sigma must be positive and different from one")
         if self.nu <= 0 or self.beta_k <= 0 or self.beta_m <= 0 or self.theta <= 0:
             raise ValueError("nu, beta_k, beta_m and theta must be positive")

@@ -1,5 +1,7 @@
 """CES variant: proxy closed form and two-step recovery."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,18 @@ def test_params_validation_and_exponent():
         CesParams(sigma=-0.2, nu=0.9, beta_k=0.2, beta_m=0.5).validate()
     with pytest.raises(ValueError):
         CesParams(sigma=0.6, nu=0.9, beta_k=-0.1, beta_m=0.5).validate()
+
+
+@pytest.mark.parametrize("name", ["sigma", "nu", "beta_k", "beta_m", "theta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite_numbers(name, value):
+    # NaN passes every comparison in validate(); a NaN nu used to reach
+    # generate_panel and fail there as non-finite output data
+    fields = {"sigma": 0.6, "nu": 0.9, "beta_k": 0.2, "beta_m": 0.5, name: value}
+    with pytest.raises(ValueError, match=name):
+        CesParams(**fields).validate()
+    with pytest.raises(ValueError, match=name):
+        DgpConfig(technology="ces", ces=CesParams(**fields)).validate()
 
 
 def test_phi_proxy_hand_value():
