@@ -267,17 +267,31 @@ def proxied_omega_coef(gamma, beta_0: float, beta_l: float, delta_lm: float) -> 
     ])
 
 
+#: (rows, columns) of the nonzero entries of :func:`proxied_omega_coef_jacobian` left of the ``rho_2`` columns
+_PROXIED_OMEGA_JACOBIAN_ENTRIES = (
+    np.array([1, 2, 6, 1, 3, 7, 4, 8, 1, 1, 5, 6, 7, 8]),
+    np.array([0, 0, 0, 1, 2, 2, 3, 3, 4, 5, 5, 5, 5, 5]),
+)
+
+
 def proxied_omega_coef_jacobian(gamma, beta_0: float, beta_l: float, delta_lm: float) -> np.ndarray:
-    """``dc/d(beta_0, beta_l, gamma)`` of :func:`proxied_omega_coef`, one column per parameter."""
-    bk, bkk, g1 = gamma[0], gamma[1], gamma[3]
-    px = len(gamma) - 4
+    """``dc/d(beta_0, beta_l, gamma)`` of :func:`proxied_omega_coef`, one column per parameter.
+
+    The entries are set from Python floats in one call because the joint
+    refinement calls this at every Jacobian evaluation.
+    """
+    bk, bkk, _, g1, *g2 = gamma.tolist()
     curv = delta_lm**2 / (2.0 * beta_0)
+    shift = beta_l**2 / (2.0 * beta_0)
+    px = len(g2)
     out = np.zeros((9 + px, 6 + px))
-    out[[1, 2, 6], 0] = beta_l**2 / (2.0 * beta_0**2) * (1.0 - g1), -curv / beta_0, g1 * curv / beta_0
-    out[1, 1] = -beta_l / beta_0 * (1.0 - g1)
-    out[[3, 7], 2] = -1.0, g1
-    out[[4, 8], 3] = -1.0, g1
-    out[1, 4] = -1.0
-    out[[1, 5, 6, 7, 8], 5] = beta_l**2 / (2.0 * beta_0), -1.0, -curv, bk, bkk
+    out[_PROXIED_OMEGA_JACOBIAN_ENTRIES] = (
+        shift / beta_0 * (1.0 - g1), -curv / beta_0, g1 * curv / beta_0,  # beta_0: rows 1, 2, 6
+        -beta_l / beta_0 * (1.0 - g1),  # beta_l: row 1
+        -1.0, g1,  # beta_k: rows 3, 7
+        -1.0, g1,  # beta_kk: rows 4, 8
+        -1.0,  # rho_0: row 1
+        shift, -1.0, -curv, bk, bkk,  # rho_1: rows 1, 5, 6, 7, 8
+    )
     out[9:, 6:] = -np.eye(px)
     return out

@@ -735,7 +735,7 @@ def system_refine(
         if s <= scale_floor:
             return proj_r.dot(dc) / scale_floor
         # d(Pc/s) = (P dc - (Pc/s) ds)/s with ds = c'G dc/s, so no s**3 to overflow
-        return (proj_r.dot(dc) - np.outer(proj_r.dot(c) / s, gram_c.dot(dc) / s)) / s
+        return (proj_r.dot(dc) - (proj_r.dot(c) / s)[:, None] * (gram_c.dot(dc) / s)) / s
 
     n_phi, n_e = 3 + pz, proj_e.shape[0]
     omega_cols = np.r_[0:2, n_phi:n_phi + 4 + px]  # what the omega moments read

@@ -13,6 +13,8 @@ from prodsys.moments import (
     phi_innovation,
     phi_innovation_jacobian,
     phi_proxy,
+    proxied_omega_coef,
+    proxied_omega_coef_jacobian,
 )
 from prodsys.optim import finite_diff_jacobian
 from prodsys.sieve import build_basis
@@ -83,3 +85,15 @@ def test_linear_laws_match_the_parametric_formulas(rng):
     lag_omega = mstar_prev - beta_k * k_prev - 0.5 * beta_kk * k_prev**2
     expected = y_cur - beta_k * k_cur - 0.5 * beta_kk * k_cur**2 - rho_0 - rho_1 * lag_omega - x_prev @ rho_2
     assert np.allclose(residual(params, *args), expected, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("px", [0, 2])
+def test_proxied_omega_coef_jacobian_matches_finite_differences(rng, px):
+    for _ in range(5):
+        betas = np.array([-rng.uniform(0.01, 0.5), rng.uniform(0.05, 0.6)])
+        point = np.concatenate((betas, rng.standard_normal(4 + px)))
+        delta = rng.uniform(0.6, 0.95)
+        fd = finite_diff_jacobian(lambda v: proxied_omega_coef(v[2:], v[0], v[1], delta), point)
+        got = proxied_omega_coef_jacobian(point[2:], point[0], point[1], delta)
+        assert got.shape == (9 + px, 6 + px)
+        assert np.max(np.abs(got - fd) / np.maximum(1.0, np.abs(fd))) < 1e-6
