@@ -281,9 +281,10 @@ def test_se_tracks_monte_carlo_spread(bench, bench_est):
 def test_replicate_keeps_the_converged_interior_point(bench, bench_est):
     """Replicate 44 of ``BootstrapConfig(n_reps=50, seed=11)``, a draw of the SE test above.
 
-    One joint-refinement start there runs out of iterations toward the box
-    corner ``beta_k = 5`` at a lower objective than the interior optimum the
-    other starts converge to; the converged point is the answer.
+    The joint refinement's sequential start there runs out of iterations
+    toward the box corner ``beta_0 = -1e-10``, ``beta_k = beta_kk = 5`` at a
+    lower objective (0.0042) than the interior optimum (0.0198) that the
+    grid starts converge to; the converged point is the answer.
     """
     ds, _, _ = bench
     seq = np.random.SeedSequence(11).spawn(50)[44]

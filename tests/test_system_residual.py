@@ -240,10 +240,10 @@ def test_system_jacobian_omega_rows_under_the_scale_floor(monkeypatch, noiseless
         [params.beta_0, params.beta_l, laws.rho_phi_1], laws.rho_phi_2,
         [params.beta_k, params.beta_kk, laws.rho_omega_0, laws.rho_omega_1], laws.rho_omega_2,
     ))
-    _, proj_r, _, gram_r, _, _ = translog._system_cross_products(ds, step1, options, [])
+    gram_r = translog._system_cross_products(ds, step1, options, [])[3]
     c = proxied_omega_coef(lam[3:], lam[0], lam[1], step1.delta_lm)
     assert np.sqrt(max(c @ gram_r @ c, 0.0)) < 1e-8  # the floor binds
-    n_e = problem.residual(lam).size - proj_r.shape[0]
+    n_e = translog.build_instruments(ds)[0].shape[1]
     got = problem.jacobian(lam)[n_e:]
     shrink = 1e-3
     want = finite_diff_jacobian(lambda u: problem.residual(lam + shrink * u)[n_e:], np.zeros_like(lam)) / shrink

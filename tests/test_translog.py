@@ -270,9 +270,10 @@ def test_system_refine_escapes_step2_valley(bench):
 
 
 def test_system_refine_keeps_the_converged_interior_point():
-    # on this panel the sequential start of the joint refinement runs out of
+    # on this panel the joint refinement's first grid start runs out of
     # iterations toward the corner beta_0 = -1e-10, beta_k = beta_kk = 5 at a
-    # lower objective than the interior optimum the grid starts converge to
+    # lower objective (0.0065) than the interior optimum (0.0088) that the
+    # other grid starts converge to
     ds, _ = generate_panel(benchmark_config(n=200, seed=1035, markup=1.2))
     est = estimate(ds)
     assert est.system.converged
