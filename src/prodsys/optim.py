@@ -30,6 +30,9 @@ GRAD_TOL = 1e-8
 STEP_TOL = 1e-12
 MAX_ITER = 500
 
+#: status of a start stopped on an upper bound that is not a candidate answer
+EDGE_STATUS = "reached an upper bound that is not an answer"
+
 
 @dataclasses.dataclass
 class NlsProblem:
@@ -38,11 +41,18 @@ class NlsProblem:
     ``jacobian`` may be None, in which case central finite differences are
     used.  ``bounds`` is an optional (lower, upper) pair of arrays; the
     iterates are kept inside the box by clipping trial steps.
+    ``refused_upper`` is an optional boolean mask over the parameters that
+    marks upper bounds which are not candidate answers (a limit where the
+    model degenerates); it needs ``bounds``.  A start whose accepted iterate
+    lands on such a bound stops there with ``converged=False`` and status
+    :data:`EDGE_STATUS`.  A trial step clipped onto it and then rejected
+    does not count.
     """
 
     residual: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
     bounds: tuple[np.ndarray, np.ndarray] | None = None
+    refused_upper: np.ndarray | None = None
 
 
 @dataclasses.dataclass
@@ -51,13 +61,15 @@ class GmmProblem:
 
     ``moments`` returns the sample-averaged moment vector, ``jacobian`` its
     derivative with respect to the parameters (optional), and ``weight`` the
-    symmetric positive semidefinite weighting matrix.
+    symmetric positive semidefinite weighting matrix.  ``bounds`` and
+    ``refused_upper`` are those of :class:`NlsProblem`.
     """
 
     moments: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
     weight: np.ndarray | None = None
     bounds: tuple[np.ndarray, np.ndarray] | None = None
+    refused_upper: np.ndarray | None = None
 
 
 @dataclasses.dataclass
@@ -111,6 +123,12 @@ def _lm_single(problem: NlsProblem, x0, *, grad_tol, max_iter) -> OptimResult:
     resid = problem.residual
     jacfun = problem.jacobian or (lambda x: finite_diff_jacobian(resid, x))
     x = _clip(np.asarray(x0, dtype=float).copy(), problem.bounds)
+    # (index, bound) pairs as Python scalars: the test runs on every accepted
+    # step, where a numpy reduction would cost more than the rest of the check
+    refused = []
+    if problem.refused_upper is not None:
+        hi = problem.bounds[1]
+        refused = [(j, float(hi[j])) for j in np.flatnonzero(problem.refused_upper).tolist()]
 
     r = np.atleast_1d(np.asarray(resid(x), dtype=float))
     if not np.all(np.isfinite(r)):
@@ -154,6 +172,9 @@ def _lm_single(problem: NlsProblem, x0, *, grad_tol, max_iter) -> OptimResult:
             obj_new = float(r_new @ r_new)
             if obj_new < obj:
                 x, r, obj = x_new, r_new, obj_new
+                for j, bound in refused:
+                    if x[j] >= bound:
+                        return OptimResult(x, obj, grad_norm, it, False, EDGE_STATUS)
                 lam = max(lam / 3.0, 1e-12)
                 accepted = True
                 break
@@ -162,6 +183,10 @@ def _lm_single(problem: NlsProblem, x0, *, grad_tol, max_iter) -> OptimResult:
             # no descent direction within damping budget: flat or at a kink
             return OptimResult(x, obj, grad_norm, it, True, "no further decrease possible")
     return OptimResult(x, obj, grad_norm, max_iter, converged, status)
+
+
+def _rank(res: OptimResult) -> tuple[bool, bool, float]:
+    return res.status == EDGE_STATUS, not res.converged, res.objective
 
 
 def minimize_nls(
@@ -175,14 +200,21 @@ def minimize_nls(
     """Levenberg-Marquardt minimization of ``sum(residual**2)``.
 
     When ``starts`` is given, the solver runs from ``x0`` and from every
-    extra start and returns the best result: a converged start beats one
-    that is not, and among starts of equal status the lowest objective wins
-    (earliest start wins ties).  A start that runs out of iterations is often
-    still sliding toward the box, where its objective can undercut an
-    interior optimum it would never settle at.  The rule reads each result's
-    ``converged`` flag as :func:`_lm_single` sets it, so it is only as strict
-    as that flag.  Starts where the residual is not finite never converge and
-    so lose to any start that does.
+    extra start and returns the best result, ranked by the key ``(stopped on
+    a refused bound, not converged, objective)``:
+
+    - a start stopped on a ``refused_upper`` bound (status
+      :data:`EDGE_STATUS`) loses to every start that was not, whatever its
+      objective: no point on that bound is an answer;
+    - then a converged start beats one that is not;
+    - among the rest the lowest objective wins (earliest start wins ties).
+
+    A start that runs out of iterations is often still sliding toward the
+    box, where its objective can undercut an interior optimum it would never
+    settle at.  The rule reads each result's ``converged`` flag as
+    :func:`_lm_single` sets it, so it is only as strict as that flag.
+    Starts where the residual is not finite never converge and so lose to
+    any start that does.
     """
     all_starts = [np.asarray(x0, dtype=float)]
     if starts is not None:
@@ -191,7 +223,7 @@ def minimize_nls(
     for idx, start in enumerate(all_starts):
         res = _lm_single(problem, start, grad_tol=grad_tol, max_iter=max_iter)
         res.start_index = idx
-        if best is None or (not res.converged, res.objective) < (not best.converged, best.objective):
+        if best is None or _rank(res) < _rank(best):
             best = res
     assert best is not None
     return best
@@ -235,5 +267,5 @@ def minimize_gmm(
     if problem.jacobian is not None:
         jacobian = lambda x: half @ np.atleast_2d(np.asarray(problem.jacobian(x), dtype=float))
 
-    nls = NlsProblem(residual=residual, jacobian=jacobian, bounds=problem.bounds)
+    nls = NlsProblem(residual=residual, jacobian=jacobian, bounds=problem.bounds, refused_upper=problem.refused_upper)
     return minimize_nls(nls, x0, starts=starts, grad_tol=grad_tol, max_iter=max_iter)

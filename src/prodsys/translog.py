@@ -332,18 +332,38 @@ def _phi_moment_block(dataset: PanelDataset, options: EstimateOptions, label: st
     return names, weight, e, q.T @ e
 
 
+def _refused_beta_0(n_params: int) -> np.ndarray:
+    """The ``refused_upper`` mask of a box whose first parameter is ``beta_0``.
+
+    ``beta_0``'s upper bound is the Cobb-Douglas limit: proxied phi,
+    ``(m - l) + beta_l/beta_0 - (delta/beta_0) s``, divides by zero there,
+    so no point on that face is an answer.  It is the only bound flagged.
+    Winning starts do pass through other faces and leave them again, so
+    flagging those would change answers.  Of the 205 joint-system starts
+    of the ``bootstrap`` benchmark workload (its set-up estimate and 40
+    draws), 49 reach ``beta_l``'s lower bound and 8 of them win; 164 reach
+    a face of the lagged-phi slope and 34 of them win.
+    """
+    refused = np.zeros(n_params, dtype=bool)
+    refused[0] = True
+    return refused
+
+
 def _phi_law_gmm(moments, jacobian, lin: int, n_params: int, delta_lm: float, weight):
     """GMM problem and default start grid of a phi law, linear or series.
 
     ``moments`` and ``jacobian`` map the parameters ``(beta_0, beta_l,
     coef)`` to the averaged moments and their derivative; ``coef[lin - 2]``
     is the slope in lagged phi, kept inside the unit interval.  The starts
-    cross curvature magnitudes with labor shares.
+    cross curvature magnitudes with labor shares.  ``beta_0``'s upper bound
+    ``-1e-10``, the Cobb-Douglas limit, is refused (:func:`_refused_beta_0`):
+    a start whose accepted iterate lands there stops.
     """
     lo, hi = np.full(n_params, -50.0), np.full(n_params, 50.0)
     lo[:2], hi[:2] = (-10.0, 1e-10), (-1e-10, delta_lm * (1 - 1e-10))
     lo[lin], hi[lin] = -0.999999, 0.999999
-    problem = GmmProblem(moments=moments, jacobian=jacobian, weight=weight, bounds=(lo, hi))
+    problem = GmmProblem(moments=moments, jacobian=jacobian, weight=weight, bounds=(lo, hi),
+                         refused_upper=_refused_beta_0(n_params))
     starts = []
     for b0 in (-0.2, -0.1, -0.05, -0.02, -0.005):
         for frac in (0.25, 0.5, 0.75):
@@ -703,10 +723,16 @@ def system_refine(
     moments are ``P c / s`` with ``s = sqrt(c'Gc)``, so their derivative is
     ``(P dc - (P c / s) c'G dc / s) / s`` with ``dc`` from
     :func:`~prodsys.moments.proxied_omega_coef_jacobian`, and ``P dc /
-    scale_floor`` where the floor binds.  Of the starts, :func:`minimize_nls`
-    keeps a converged one over one that ran out of iterations: a start that
-    slides toward the box corner ``beta_0 = -1e-10``, ``beta_k = beta_kk =
-    5`` can stop there at a lower objective than the interior optimum.
+    scale_floor`` where the floor binds.
+
+    The box corner ``beta_0 = -1e-10``, ``beta_k = beta_kk = 5`` is refused.
+    Grid starts slide toward it, and its objective can undercut the interior
+    optimum's, but ``beta_0``'s face is the Cobb-Douglas limit where proxied
+    phi divides by zero.  That face is the box's refused upper bound
+    (:func:`_refused_beta_0`): a start whose accepted iterate lands on it
+    stops there, unconverged, instead of crawling along it to ``max_iter``,
+    and :func:`minimize_nls` ranks it below every other start.  Among the
+    rest a converged start still beats one that ran out of iterations.
     """
     delta = step1.delta_lm
     pz, px = dataset.z.shape[1], dataset.x.shape[1]
@@ -754,7 +780,8 @@ def system_refine(
                          [-5.0, -5.0, -50.0, -0.999999], np.full(px, -50.0)))
     hi = np.concatenate(([-1e-10, delta * (1 - 1e-10), 0.999999], np.full(pz, 50.0),
                          [5.0, 5.0, 50.0, 0.999999], np.full(px, 50.0)))
-    problem = NlsProblem(residual=residual, jacobian=jacobian, bounds=(lo, hi))
+    problem = NlsProblem(residual=residual, jacobian=jacobian, bounds=(lo, hi),
+                         refused_upper=_refused_beta_0(lo.size))
 
     seq = np.concatenate((
         [step2.beta_0, step2.beta_l, step2.rho_phi_1], step2.rho_phi_2,

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prodsys.moments import phi_innovation
 from prodsys.panel import PanelDataset, shares_from_logs
-from prodsys.simulate import solve_translog_inputs
+from prodsys.simulate import benchmark_config, generate_panel, solve_translog_inputs
 from prodsys.sieve import (
     build_basis,
     build_sieve_instruments,
@@ -19,6 +20,7 @@ from prodsys.sieve import (
 from prodsys.translog import (
     EstimateOptions,
     TranslogParams,
+    _step2_arrays,
     estimate,
     phi_proxy,
     step3_nls,
@@ -353,3 +355,31 @@ def test_degree_selection_reference_uses_the_callers_options(small_panel, monkey
     with pytest.raises(Recorded):
         sieve_estimate(ds, degree="auto", options=options)
     assert seen["options"] == options
+
+
+def test_degree_two_phi_law_has_two_roots_with_equal_moments():
+    # A known defect, pinned and not fixed.  The degree-2 phi law has no
+    # intercept, and proxied phi is p(beta_0) + c with c = beta_l/beta_0, so
+    # the innovation p_cur + c - a1 z - a2 z^2, z = (p_prev + c)/sigma, is the
+    # same function of the data at (c, a1, a2) and at
+    #   c' = c - sigma (sigma - a1)/a2,  a1' = a1 + 2 a2 (c - c')/sigma,
+    # with the same beta_0 and a2.  Step two's moments cannot tell the roots
+    # apart, so which one the fit reports can flip under a rounding change.
+    ds, _ = generate_panel(benchmark_config(n=200, seed=401, markup=1.2), seed=401)
+    est = sieve_estimate(ds, degree="auto", degrees=(2, 3))
+    fit = est.step2
+    assert fit.degree == 2 and fit.basis.exponents.tolist() == [[1], [2]]
+    sigma = float(fit.basis.scales[0])
+    (a1, a2), c = fit.coef, fit.beta_l / fit.beta_0
+    c_other = c - sigma * (sigma - a1) / a2
+    root = np.array([fit.beta_0, fit.beta_l, a1, a2])
+    other = np.array([fit.beta_0, c_other * fit.beta_0, a1 + 2 * a2 * (c - c_other) / sigma, a2])
+
+    q, _ = build_sieve_instruments(ds, degree=2)
+    arrays = _step2_arrays(ds)
+
+    def moments(alpha):
+        return q.T @ phi_innovation(alpha, fit.basis, est.step1.delta_lm, *arrays) / q.shape[0]
+
+    assert np.max(np.abs(moments(root) - moments(other))) <= 1e-12
+    assert abs(root[1] - other[1]) > 0.01  # beta_l 0.290 against 0.267

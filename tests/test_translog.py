@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prodsys import optim, translog
 from prodsys.moments import phi_law_coef, phi_law_coef_jacobian, phi_law_columns
 from prodsys.optim import finite_diff_jacobian
 from prodsys.panel import PanelDataset
@@ -278,6 +279,39 @@ def test_system_refine_keeps_the_converged_interior_point():
     est = estimate(ds)
     assert est.system.converged
     assert est.params.beta_0 < -0.01
+
+
+def test_system_start_on_the_cobb_douglas_edge_stops_there(monkeypatch):
+    # on this panel (a sieve_partialid benchmark panel) the joint refinement's
+    # grid start 1 (beta_0 = -0.05) reaches beta_0's upper bound -1e-10 within
+    # a few accepted iterates and used to crawl along it to max_iter = 500
+    ds, _ = generate_panel(benchmark_config(n=200, seed=401, markup=1.2))
+    runs, inside = [], [False]
+    lm_single, refine = optim._lm_single, translog.system_refine
+
+    def recorded(problem, x0, **kwargs):
+        res = lm_single(problem, x0, **kwargs)
+        if inside[0]:
+            runs.append(res)
+        return res
+
+    def traced_refine(*args, **kwargs):
+        inside[0] = True
+        try:
+            return refine(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(optim, "_lm_single", recorded)
+    monkeypatch.setattr(translog, "system_refine", traced_refine)
+    est = estimate(ds)
+    # only grid start 1 stops there: trial steps of the others are clipped
+    # onto the same face and rejected, which must not stop them
+    assert [r.status == optim.EDGE_STATUS for r in runs] == [False, True, False, False, False]
+    assert not runs[1].converged
+    assert runs[1].params[0] == -1e-10 and runs[1].n_iter <= 3
+    assert sum(r.n_iter for r in runs) <= 600
+    assert est.params.beta_0 < -0.01 and est.system.converged
 
 
 def test_estimate_reports_no_valley_warning_for_the_refined_point(bench_est):
