@@ -116,16 +116,28 @@ def mammen_weights(firm_ids, seed=None) -> np.ndarray:
 
     ``firm_ids`` is an integer count or a sequence of per-observation
     identifiers; with a sequence the result has one entry per distinct
-    identifier, so expanding by firm code keeps the weight constant
-    within firm.  Values are (1+sqrt(5))/2 with probability
+    identifier, counted by ``str()`` as :class:`PanelDataset` codes them
+    (``1`` and ``1.0`` are two firms), so expanding by firm code keeps the
+    weight constant within firm.  Values are (1+sqrt(5))/2 with probability
     (sqrt(5)-1)/(2 sqrt(5)) and (1-sqrt(5))/2 otherwise.
     """
     if np.ndim(firm_ids) == 0:
         n = int(firm_ids)
     else:
-        n = int(np.unique(np.asarray(firm_ids)).size)
+        n = len(set(map(str, firm_ids)))
     rng = np.random.default_rng(seed)
     return np.where(rng.random(n) < GOLDEN_PROB, GOLDEN, 1.0 - GOLDEN)
+
+
+#: the :class:`PanelDataset` arrays a synthetic panel shares with the observed one
+_SHARED_COLUMNS = ("labels", "firm", "firm_labels", "year", "k", "l", "s_l", "x", "z", "ln_price_l", "ln_price_m")
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A view of ``a`` that raises on writes."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 def _omega_law_coef(params, laws) -> np.ndarray:
@@ -212,7 +224,10 @@ def bootstrap_replicate(
     Output is rebuilt by inverting the purged-output identity at the
     reported parameters, so that re-deriving ``y*`` on the synthetic
     panel returns exactly the resampled ``y*``; first-period rows keep
-    observed output, which no step consumes.  The replicate runs with the
+    observed output, which no step consumes.  Everything else, the index
+    and lag pairs included, is the observed panel's, shared through
+    read-only views, so the synthetic panel does no id work and cannot
+    write to the observed arrays.  The replicate runs with the
     options the point estimate ran with (``estimate.options``).  Vector
     layout matches :func:`parameter_names`.
     """
@@ -226,10 +241,10 @@ def bootstrap_replicate(
     phi_rep = phi_proxy(ml_b[cur], dataset.s_l[cur], params.beta_0, params.beta_l, delta)
     y_b = dataset.y.copy()
     y_b[cur] = ystar_b + flexible_output(params.beta_0, params.beta_l, params.beta_m, m_b[cur], dataset.l[cur], phi_rep)
-    ds_b = PanelDataset(
-        dataset.labels, dataset.year, y_b, dataset.k, dataset.l, m_b, dataset.s_l, lnr_b,
-        x=dataset.x, z=dataset.z, x_names=dataset.x_names, z_names=dataset.z_names,
-        ln_price_l=dataset.ln_price_l, ln_price_m=dataset.ln_price_m,
+    # the observed panel's index, pairs and unchanged columns, through views that refuse writes
+    shared = {name: _read_only(getattr(dataset, name)) for name in _SHARED_COLUMNS}
+    ds_b = PanelDataset._from_index(
+        y=y_b, m=m_b, ln_r=lnr_b, x_names=dataset.x_names, z_names=dataset.z_names, lag_pairs=pairs, **shared,
     )
 
     step1_b = step1_cost_share(ds_b)

@@ -131,6 +131,50 @@ def _as_float_matrix(arr, n_obs: int, name: str) -> np.ndarray:
     return out
 
 
+def _as_years(years) -> np.ndarray:
+    """``years`` as a new integer array, refusing bools and values that are not whole numbers in 64 bits.
+
+    An integer array is only copied.  Input that is not an array is checked
+    value by value, since numpy reads ``[True, 2]`` as the integers 1 and 2.
+    """
+    raw = years if isinstance(years, np.ndarray) else np.array(years, dtype=object)
+    if raw.dtype.kind in "iu":
+        return raw.astype(int)
+    flat = raw.ravel()
+    if raw.dtype == object:
+        is_bool = np.fromiter((isinstance(v, (bool, np.bool_)) for v in flat), bool, flat.size)
+    else:
+        is_bool = np.full(flat.size, raw.dtype == bool)
+    values = flat.astype(float)
+    whole = np.isfinite(values) & (values == np.trunc(values)) & (np.abs(values) < 2.0**63)
+    bad = np.flatnonzero(is_bool | ~whole)
+    if bad.size:
+        raise ValueError(f"years must be whole numbers that fit in 64 bits, got {flat[bad[:1]].tolist()[0]!r}")
+    return raw.astype(int)
+
+
+def _code_runs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(labels, return_inverse=True)``, one lookup per run of equal labels.
+
+    Grouped input (simulated, read from a file, or a dataset's own labels)
+    codes each firm once.  Runs are found on the strings, since raw ids such
+    as 1 and 1.0 compare equal but are different ids.
+    """
+    n = labels.size
+    starts = np.flatnonzero(np.concatenate(([n > 0], labels[1:] != labels[:-1])))
+    runs = labels[starts].tolist()
+    distinct = sorted(dict.fromkeys(runs))  # first-seen order: sorted input sorts in one pass
+    code = {name: i for i, name in enumerate(distinct)}
+    firm = np.repeat(np.fromiter(map(code.__getitem__, runs), np.intp, len(runs)), np.diff(starts, append=n))
+    return np.asarray(distinct, dtype=object), firm
+
+
+def _in_order(firm: np.ndarray, year: np.ndarray) -> bool:
+    """Whether rows are in (firm, year) order, equal keys allowed: the order ``np.lexsort`` leaves alone."""
+    step = np.diff(firm)
+    return bool(np.all((step > 0) | ((step == 0) & (year[1:] >= year[:-1]))))
+
+
 class PanelDataset:
     """Validated panel of firm-year observations, sorted by (firm, year).
 
@@ -140,6 +184,9 @@ class PanelDataset:
         Firm identifiers (any scalars), stored and coded as their ``str()``,
         so ``1`` and ``1.0`` are different firms.
     years : sequence of int
+        Whole numbers that fit in 64 bits, as ``load_csv`` keeps: bools,
+        fractions and non-finite values raise ``ValueError``; whole floats
+        such as ``2001.0`` are read as integers.
     y, k, l, m : array_like
         Logs of output, capital, labor and materials.
     s_l : array_like
@@ -156,6 +203,21 @@ class PanelDataset:
         years, firm ids), which :func:`write_csv` writes back.  They hold
         the parsed values, not the cells' text, so ``1.50`` writes back as
         ``1.5``.
+
+    Notes
+    -----
+    The constructor first builds the panel's index: each id's ``str()``,
+    the firm codes (one lookup per run of equal ids) and the row order.
+    Rows already in (firm, year) order, as in a file :func:`write_csv`
+    wrote, skip ``np.lexsort`` and have their columns copied rather than
+    gathered.  The columns are stored, never aliased, and
+    :meth:`validate` runs last.
+
+    Code that already holds a canonical index (the simulator, the
+    bootstrap) builds the panel with the private ``_from_index`` instead,
+    which does no id work: it checks in O(n) that the rows are in
+    (firm, year) order, stores the arrays it is given without copying them,
+    and runs :meth:`validate`.
     """
 
     def __init__(
@@ -178,57 +240,85 @@ class PanelDataset:
         levels: Mapping[str, np.ndarray] | None = None,
     ) -> None:
         labels = np.asarray([str(f) for f in firm_ids], dtype=object)
-        years = np.asarray(years, dtype=int)
-        n = labels.size
-        if years.size != n:
+        year = _as_years(years)
+        if year.size != labels.size:
             raise ValueError("firm_ids and years must have equal length")
+        firm_labels, firm = _code_runs(labels)
+        if _in_order(firm, year):
+            take = np.ndarray.copy  # C order, as a gather gives
+        else:
+            order = np.lexsort((year, firm))
+            labels, firm, year = labels[order], firm[order], year[order]
 
-        # np.unique(labels, return_inverse=True), one lookup per run of equal
-        # labels: grouped input (simulated, read from a file, or a dataset's
-        # own labels) codes each firm once.  Runs are found on the strings,
-        # since raw ids such as 1 and 1.0 compare equal but are different ids.
-        starts = np.flatnonzero(np.concatenate(([n > 0], labels[1:] != labels[:-1])))
-        runs = labels[starts].tolist()
-        distinct = sorted(dict.fromkeys(runs))  # first-seen order: sorted input sorts in one pass
-        code = {name: i for i, name in enumerate(distinct)}
-        self.firm_labels = np.asarray(distinct, dtype=object)
-        firm = np.repeat(np.fromiter(map(code.__getitem__, runs), np.intp, len(runs)), np.diff(starts, append=n))
-        order = np.lexsort((years, firm))
+            def take(a):
+                return a[order]
+
+        self._store(
+            labels, firm, firm_labels, year, take, y, k, l, m, s_l, ln_r,
+            x=x, z=z, x_names=x_names, z_names=z_names, ln_price_l=ln_price_l, ln_price_m=ln_price_m, levels=levels,
+        )
+
+    @classmethod
+    def _from_index(cls, labels, firm, firm_labels, year, y, k, l, m, s_l, ln_r, *, lag_pairs=None, **columns):
+        """A panel on a canonical index, with no id work and no copies.
+
+        ``firm_labels`` holds the sorted distinct labels, ``firm`` each row's
+        ``intp`` code into them, ``labels`` is ``firm_labels[firm]`` and
+        ``year`` holds integer years.  Rows out of (firm, year) order raise
+        ``ValueError``; :meth:`validate` refuses duplicate keys and bad
+        columns.  Every array is stored as given, so the caller hands over
+        arrays it does not write to again.  ``lag_pairs`` are those of a
+        panel on the same index; the keywords are the constructor's.
+        """
+        if not labels.shape == firm.shape == year.shape:
+            raise ValueError("labels, firm codes and years must have equal length")
+        if not _in_order(firm, year):
+            raise ValueError("rows are not in (firm, year) order")
+        self = cls.__new__(cls)
+        self._store(labels, firm, firm_labels, year, lambda a: a, y, k, l, m, s_l, ln_r, **columns)
+        self._lag_pairs = lag_pairs
+        return self
+
+    def _store(
+        self, labels, firm, firm_labels, year, take, y, k, l, m, s_l, ln_r, *,
+        x=None, z=None, x_names=(), z_names=(), ln_price_l=0.0, ln_price_m=0.0, levels=None,
+    ) -> None:
+        """Set the index and the columns, each column through ``take``, and validate."""
+        n = year.size
 
         def col(v, name):
             a = np.asarray(v, dtype=float)
             if a.shape != (n,):
                 raise ValueError(f"column {name} has shape {a.shape}, expected ({n},)")
-            return a[order]
+            return take(a)
 
-        self.firm = firm[order]
-        self.labels = labels[order]
-        self.year = years[order]
+        def price_col(v, name):
+            a = np.asarray(v, dtype=float)
+            if a.ndim == 0:
+                return np.full(n, float(a))
+            return col(a, name)
+
+        self.labels = labels
+        self.firm = firm
+        self.firm_labels = firm_labels
+        self.year = year
         self.y = col(y, "y")
         self.k = col(k, "k")
         self.l = col(l, "l")
         self.m = col(m, "m")
         self.s_l = col(s_l, "s_l")
         self.ln_r = col(ln_r, "ln_r")
-        self.x = _as_float_matrix(x, n, "x")[order]
-        self.z = _as_float_matrix(z, n, "z")[order]
+        self.x = take(_as_float_matrix(x, n, "x"))
+        self.z = take(_as_float_matrix(z, n, "z"))
         self.x_names = tuple(x_names) if x_names else tuple(f"x{j}" for j in range(self.x.shape[1]))
         self.z_names = tuple(z_names) if z_names else tuple(f"z{j}" for j in range(self.z.shape[1]))
         if len(self.x_names) != self.x.shape[1] or len(self.z_names) != self.z.shape[1]:
             raise ValueError("control names do not match control dimensions")
-        def price_col(v, name):
-            a = np.asarray(v, dtype=float)
-            if a.ndim == 0:
-                return np.full(n, float(a))
-            if a.shape != (n,):
-                raise ValueError(f"column {name} has shape {a.shape}, expected ({n},)")
-            return a[order]
-
         self.ln_price_l = price_col(ln_price_l, "ln_price_l")
         self.ln_price_m = price_col(ln_price_m, "ln_price_m")
         self.levels = None
         if levels is not None:
-            self.levels = {key: np.asarray(vals)[order] for key, vals in levels.items()}
+            self.levels = {key: take(np.asarray(vals)) for key, vals in levels.items()}
         self._lag_pairs: LagPairs | None = None
         self.validate()
 

@@ -479,21 +479,24 @@ def generate_panel(config: DgpConfig, seed: int | None = None) -> tuple[PanelDat
         ybar = (params.nu / a) * np.log(s) + omega
     y = ybar + eta
 
-    # one str per firm, repeated by reference, so PanelDataset codes each firm once
+    # the index in canonical form: zero-padded names sort as their codes, rows by (firm, year)
     name = f"f%0{len(str(n - 1))}d"
-    firm_ids = np.repeat(np.array([name % i for i in range(n)], dtype=object), t_periods)
+    firm_labels = np.array([name % i for i in range(n)], dtype=object)
+    firm = np.repeat(np.arange(n, dtype=np.intp), t_periods)
     years = np.tile(np.arange(1, t_periods + 1), n)
     ln_pl_rel = (ln_pl - ln_py).ravel()
     ln_pm_rel = (ln_pm - ln_py).ravel()
     s_l, ln_r = shares_from_logs(y.ravel(), l.ravel(), m.ravel(), ln_pl_rel, ln_pm_rel)
 
-    dataset = PanelDataset(
-        firm_ids=firm_ids,
-        years=years,
+    dataset = PanelDataset._from_index(
+        firm_labels[firm],
+        firm,
+        firm_labels,
+        years,
         y=y.ravel(),
-        k=k.ravel(),
-        l=l.ravel(),
-        m=m.ravel(),
+        k=k.flatten(),  # copies: the truth keeps k, l and m, and the panel does not share them
+        l=l.flatten(),
+        m=m.flatten(),
         s_l=s_l,
         ln_r=ln_r,
         ln_price_l=ln_pl_rel,

@@ -323,3 +323,25 @@ def test_numerical_failures_count_as_failed_replicates(bench, bench_est, monkeyp
 def test_pack_without_laws_is_the_leading_technology_block(bench_est):
     full = pack_parameters(bench_est.params, bench_est.laws)
     assert np.array_equal(pack_parameters(bench_est.params, None), full[:6])
+
+
+def test_weights_count_firms_by_their_str_as_the_panel_codes_them():
+    # 1 and 1.0 are two firms of the panel, so they get two weights
+    ids = [1, 1.0, 2]
+    ds = PanelDataset(ids, [2001] * 3, np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), np.full(3, 0.5), np.zeros(3))
+    w = mammen_weights(ids, seed=0)
+    assert w.shape == (ds.n_firms,) == (3,)
+    assert w[ds.firm].shape == (3,)
+    assert mammen_weights(np.array(["a", "b", "a"]), seed=0).shape == (2,)
+
+
+def test_run_bootstrap_leaves_the_observed_panel_unchanged(bench, bench_est):
+    ds, _, _ = bench
+    arrays = {name: value.copy() for name, value in vars(ds).items() if isinstance(value, np.ndarray)}
+    pairs = [a.copy() for a in (ds.lag_pairs().cur, ds.lag_pairs().prev)]
+    run_bootstrap(ds, bench_est, BootstrapConfig(n_reps=2, seed=8))
+    assert len(arrays) == 14
+    for name, before in arrays.items():
+        after = getattr(ds, name)
+        assert after.dtype == before.dtype and after.tobytes() == before.tobytes(), name
+    assert all(np.array_equal(a, b) for a, b in zip(pairs, (ds.lag_pairs().cur, ds.lag_pairs().prev)))

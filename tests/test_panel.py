@@ -1,9 +1,11 @@
 """Container, shares and CSV round-trip behavior."""
 
 import csv
+import dataclasses
 import io
 import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodsys import panel
+from prodsys import bootstrap, panel
 from prodsys.panel import (
     REQUIRED_COLUMNS,
     LoadReport,
@@ -26,19 +28,22 @@ from prodsys.panel import (
     write_prices_csv,
 )
 from prodsys.simulate import benchmark_config, generate_panel
+from prodsys.translog import estimate
+
+
+#: the value columns of tiny_panel
+COLUMNS = dict(
+    y=[1.0, 2.0, 3.0, 4.0, 5.0],
+    k=[0.1, 0.2, 0.3, 0.4, 0.5],
+    l=[0.5, 0.6, 0.7, 0.8, 0.9],
+    m=[1.1, 1.2, 1.3, 1.4, 1.5],
+    s_l=[0.3, 0.4, 0.5, 0.6, 0.7],
+    ln_r=[-0.1, -0.2, -0.3, -0.4, -0.5],
+)
 
 
 def tiny_panel(**kw):
-    base = dict(
-        firm_ids=["b", "a", "a", "b", "a"],
-        years=[2001, 2002, 2001, 2002, 2004],
-        y=[1.0, 2.0, 3.0, 4.0, 5.0],
-        k=[0.1, 0.2, 0.3, 0.4, 0.5],
-        l=[0.5, 0.6, 0.7, 0.8, 0.9],
-        m=[1.1, 1.2, 1.3, 1.4, 1.5],
-        s_l=[0.3, 0.4, 0.5, 0.6, 0.7],
-        ln_r=[-0.1, -0.2, -0.3, -0.4, -0.5],
-    )
+    base = dict(firm_ids=["b", "a", "a", "b", "a"], years=[2001, 2002, 2001, 2002, 2004], **COLUMNS)
     base.update(kw)
     return PanelDataset(**base)
 
@@ -161,6 +166,128 @@ def test_controls_carry_names_and_shapes():
     assert ds.z_names == ("z0", "z1")
     with pytest.raises(ValueError):
         tiny_panel(x=np.arange(5.0), x_names=["a", "b"])
+
+
+@pytest.mark.parametrize(
+    "years, bad",
+    [
+        ([2001.7, 2002.2, 2001, 2002], "2001.7"),  # read as 2001 and 2002, two lag pairs
+        ([2001, 2001.9, 2001, 2002], "2001.9"),  # read as a duplicate key (a, 2001)
+        ([True, False, 1, 2], "True"),  # read as the years 1 and 0
+        (np.array([2001.0, np.nan, 2001.0, 2002.0]), "nan"),
+        (np.array([2001.0, np.inf, 2001.0, 2002.0]), "inf"),
+        (np.array([2001.0, 1e19, 2001.0, 2002.0]), "1e+19"),
+        (np.array([True, False, True, False]), "True"),
+    ],
+)
+def test_dataset_refuses_years_that_are_not_whole_numbers(years, bad):
+    # load_csv drops such rows as bad_year; the constructor refuses them and names the first
+    with pytest.raises(ValueError, match=re.escape(f"whole numbers that fit in 64 bits, got {bad}") + "$"):
+        tiny_panel(firm_ids=["a", "a", "b", "b"], years=years, **{c: COLUMNS[c][:4] for c in COLUMNS})
+
+
+def test_dataset_reads_whole_float_years_as_integers():
+    ds = tiny_panel(firm_ids=["a", "a", "b", "b"], years=[2001.0, np.float64(2002.0), 2001, 2002],
+                    **{c: COLUMNS[c][:4] for c in COLUMNS})
+    assert ds.year.dtype == np.array([2001]).dtype
+    assert ds.year.tolist() == [2001, 2002, 2001, 2002]
+    assert len(ds.lag_pairs()) == 2
+
+
+# -- the constructor against the reference copy in panel_reference.py ---------------
+
+#: the reference constructor's attributes, each compared with np.array_equal and its dtype
+ARRAYS = ("labels", "firm", "firm_labels", "year", "y", "k", "l", "m", "s_l", "ln_r", "x", "z", "ln_price_l", "ln_price_m")
+
+
+def assert_same_panel(got: PanelDataset, want: PanelDataset):
+    for name in ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
+    assert (got.x_names, got.z_names) == (want.x_names, want.z_names)
+    assert (got.levels is None) == (want.levels is None)
+    for key in want.levels or {}:
+        a, b = got.levels[key], want.levels[key]
+        assert a.dtype == b.dtype and np.array_equal(a, b), key
+    for a, b in zip(dataclasses.astuple(got.lag_pairs()), dataclasses.astuple(want.lag_pairs())):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+# ints, 1 against 1.0 (and True, "1"), and strings with commas or spaces
+PANEL_IDS = st.one_of(st.integers(-3, 12), st.sampled_from([1, 1.0, True, "1", " 1", "a,b", "a b", "b"]))
+
+
+@st.composite
+def panel_columns(draw):
+    """Constructor arguments for a panel with gap years and controls, rows shuffled or in order."""
+    ids = list({str(f): f for f in draw(st.lists(PANEL_IDS, min_size=1, max_size=6))}.values())
+    keys = [(f, yr) for f in ids for yr in sorted(draw(st.sets(st.integers(1998, 2006), min_size=1, max_size=5)))]
+    keys = sorted(keys, key=lambda key: (str(key[0]), key[1])) if draw(st.booleans()) else draw(st.permutations(keys))
+    n = len(keys)
+    value = st.floats(-5.0, 5.0)
+
+    def column(*shape):
+        return np.array(draw(st.lists(value, min_size=n * math.prod(shape), max_size=n * math.prod(shape)))).reshape(n, *shape)
+
+    kx, kz = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    years = [yr for _, yr in keys]
+    args = dict(
+        firm_ids=[f for f, _ in keys],
+        years=draw(st.sampled_from([years, np.array(years), np.array(years, dtype=float)])),
+        y=column(), k=column(), l=column(), m=column(),
+        s_l=np.array(draw(st.lists(st.floats(0.01, 0.99), min_size=n, max_size=n))),
+        ln_r=column(),
+        x=column(kx) if kx else draw(st.sampled_from([None, column()])),
+        z=column(kz) if kz else None,
+        ln_price_l=draw(st.one_of(value, st.just(column()))),
+        ln_price_m=column(),
+    )
+    if draw(st.booleans()):
+        args["levels"] = {"firm_id": np.asarray(args["firm_ids"], dtype=object), "year": np.array(years), "output": column()}
+    return args
+
+
+@settings(max_examples=300, deadline=None)
+@given(panel_columns())
+def test_constructor_builds_the_reference_panel(args):
+    got, want = PanelDataset(**args), panel_reference.ReferencePanelDataset(**args)
+    assert_same_panel(got, want)
+    # in order or not, the panel holds its own columns
+    for name in ("y", "k", "l", "m", "s_l", "ln_r", "ln_price_m"):
+        assert not np.shares_memory(getattr(got, name), args[name]), name
+
+
+def index_of(ds: PanelDataset) -> tuple:
+    return ds.labels, ds.firm, ds.firm_labels, ds.year
+
+
+def test_generate_panel_builds_the_constructors_panel():
+    ds, truth = generate_panel(benchmark_config(n=12, t_periods=4, seed=5), seed=5)
+    columns = dict(y=ds.y, k=ds.k, l=ds.l, m=ds.m, s_l=ds.s_l, ln_r=ds.ln_r,
+                   ln_price_l=ds.ln_price_l, ln_price_m=ds.ln_price_m)
+    assert_same_panel(ds, PanelDataset(ds.labels, ds.year, **columns))
+    assert_same_panel(ds, panel_reference.ReferencePanelDataset(ds.labels, ds.year, **columns))
+    assert ds.labels[0] == "f00" and ds.n_firms == 12
+    # the truth keeps its own inputs
+    for name in ("k", "l", "m"):
+        assert not np.shares_memory(getattr(ds, name), getattr(truth, name)), name
+
+
+def test_private_constructor_refuses_unsorted_rows_and_duplicate_keys():
+    ds = tiny_panel()
+    columns = {c: getattr(ds, c) for c in COLUMNS}
+    assert_same_panel(PanelDataset._from_index(*index_of(ds), **columns), ds)
+    swap = np.array([1, 0, 2, 3, 4])
+    labels, firm, firm_labels, year = index_of(ds)
+    with pytest.raises(ValueError, match="not in \\(firm, year\\) order"):
+        PanelDataset._from_index(labels[swap], firm[swap], firm_labels, year[swap], **columns)
+    with pytest.raises(ValueError, match="not in \\(firm, year\\) order"):  # a firm's rows split in two
+        PanelDataset._from_index(labels[[0, 1, 3, 2, 4]], firm[[0, 1, 3, 2, 4]], firm_labels, year[[0, 1, 3, 2, 4]],
+                                 **columns)
+    with pytest.raises(ValueError, match="duplicate \\(firm, year\\) key: \\(a, 2002\\)"):
+        PanelDataset._from_index(labels, firm, firm_labels, np.array([2001, 2002, 2002, 2001, 2002]), **columns)
+    with pytest.raises(ValueError, match="equal length"):
+        PanelDataset._from_index(labels, firm, firm_labels, year[:4], **columns)
 
 
 # -- CSV I/O ------------------------------------------------------------------
@@ -701,3 +828,33 @@ def test_both_parsers_read_an_accepted_file_alike(tmp_path, monkeypatch, chunked
     monkeypatch.setattr(np, "loadtxt", refuse)
     assert _load_as_bytes(path, options) == fast
     assert len(chunked_calls) == 1
+
+
+@pytest.fixture(scope="module")
+def controlled(bench):
+    """The bench panel with a control in each law, and its point estimate."""
+    ds, _, _ = bench
+    rng = np.random.default_rng(3)
+    ds = PanelDataset(ds.labels, ds.year, ds.y, ds.k, ds.l, ds.m, ds.s_l, ds.ln_r,
+                      x=rng.normal(size=ds.n_obs), z=rng.normal(size=ds.n_obs), x_names=["age"], z_names=["rd"],
+                      ln_price_l=ds.ln_price_l, ln_price_m=rng.normal(0.0, 0.1, ds.n_obs))
+    return ds, estimate(ds)
+
+
+def test_bootstrap_replicate_builds_the_constructors_panel(controlled, monkeypatch):
+    ds, est = controlled
+    seen = []
+    real = bootstrap.step1_cost_share
+    monkeypatch.setattr(bootstrap, "step1_cost_share", lambda d: seen.append(d) or real(d))
+    bootstrap.bootstrap_replicate(ds, est, bootstrap.compute_residuals(ds, est), bootstrap.mammen_weights(ds.n_firms, 4))
+    (ds_b,) = seen
+    want = PanelDataset(
+        ds.labels, ds.year, ds_b.y, ds.k, ds.l, ds_b.m, ds.s_l, ds_b.ln_r, x=ds.x, z=ds.z,
+        x_names=ds.x_names, z_names=ds.z_names, ln_price_l=ds.ln_price_l, ln_price_m=ds.ln_price_m,
+    )
+    assert_same_panel(ds_b, want)
+    assert not np.array_equal(ds_b.y, ds.y) and not np.array_equal(ds_b.m, ds.m)
+    # what the replicate shares with the observed panel it cannot write to
+    for name in ("labels", "year", "k", "x", "ln_price_m"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ds_b, name)[0] = getattr(ds, name)[0]
