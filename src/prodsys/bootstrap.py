@@ -17,7 +17,7 @@ import dataclasses
 import numpy as np
 
 from .moments import flexible_output, omega_law_coef, omega_law_columns, phi_law_coef, phi_law_columns, phi_proxy
-from .panel import PanelDataset
+from .panel import LagPairs, PanelDataset
 from .translog import (
     TranslogEstimate,
     _point_estimate,
@@ -244,7 +244,8 @@ def bootstrap_replicate(
     # the observed panel's index, pairs and unchanged columns, through views that refuse writes
     shared = {name: _read_only(getattr(dataset, name)) for name in _SHARED_COLUMNS}
     ds_b = PanelDataset._from_index(
-        y=y_b, m=m_b, ln_r=lnr_b, x_names=dataset.x_names, z_names=dataset.z_names, lag_pairs=pairs, **shared,
+        y=y_b, m=m_b, ln_r=lnr_b, x_names=dataset.x_names, z_names=dataset.z_names,
+        lag_pairs=LagPairs(cur=_read_only(cur), prev=_read_only(prev)), **shared,
     )
 
     step1_b = step1_cost_share(ds_b)

@@ -170,7 +170,7 @@ def _code_runs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _in_order(firm: np.ndarray, year: np.ndarray) -> bool:
-    """Whether rows are in (firm, year) order, equal keys allowed: the order ``np.lexsort`` leaves alone."""
+    """Whether rows are in (firm, year) order, equal keys allowed (``validate`` refuses those)."""
     step = np.diff(firm)
     return bool(np.all((step > 0) | ((step == 0) & (year[1:] >= year[:-1]))))
 
@@ -207,11 +207,9 @@ class PanelDataset:
     Notes
     -----
     The constructor first builds the panel's index: each id's ``str()``,
-    the firm codes (one lookup per run of equal ids) and the row order.
-    Rows already in (firm, year) order, as in a file :func:`write_csv`
-    wrote, skip ``np.lexsort`` and have their columns copied rather than
-    gathered.  The columns are stored, never aliased, and
-    :meth:`validate` runs last.
+    the firm codes (one lookup per run of equal ids) and the row order,
+    by ``np.lexsort``.  Every column is gathered through that order, so
+    none is aliased, and :meth:`validate` runs last.
 
     Code that already holds a canonical index (the simulator, the
     bootstrap) builds the panel with the private ``_from_index`` instead,
@@ -244,17 +242,9 @@ class PanelDataset:
         if year.size != labels.size:
             raise ValueError("firm_ids and years must have equal length")
         firm_labels, firm = _code_runs(labels)
-        if _in_order(firm, year):
-            take = np.ndarray.copy  # C order, as a gather gives
-        else:
-            order = np.lexsort((year, firm))
-            labels, firm, year = labels[order], firm[order], year[order]
-
-            def take(a):
-                return a[order]
-
+        order = np.lexsort((year, firm))
         self._store(
-            labels, firm, firm_labels, year, take, y, k, l, m, s_l, ln_r,
+            labels[order], firm[order], firm_labels, year[order], order, y, k, l, m, s_l, ln_r,
             x=x, z=z, x_names=x_names, z_names=z_names, ln_price_l=ln_price_l, ln_price_m=ln_price_m, levels=levels,
         )
 
@@ -275,16 +265,19 @@ class PanelDataset:
         if not _in_order(firm, year):
             raise ValueError("rows are not in (firm, year) order")
         self = cls.__new__(cls)
-        self._store(labels, firm, firm_labels, year, lambda a: a, y, k, l, m, s_l, ln_r, **columns)
+        self._store(labels, firm, firm_labels, year, None, y, k, l, m, s_l, ln_r, **columns)
         self._lag_pairs = lag_pairs
         return self
 
     def _store(
-        self, labels, firm, firm_labels, year, take, y, k, l, m, s_l, ln_r, *,
+        self, labels, firm, firm_labels, year, order, y, k, l, m, s_l, ln_r, *,
         x=None, z=None, x_names=(), z_names=(), ln_price_l=0.0, ln_price_m=0.0, levels=None,
     ) -> None:
-        """Set the index and the columns, each column through ``take``, and validate."""
+        """Set the index and the columns, each column gathered through ``order`` (None: as given), and validate."""
         n = year.size
+
+        def take(a):
+            return a if order is None else a[order]
 
         def col(v, name):
             a = np.asarray(v, dtype=float)

@@ -8,9 +8,9 @@ the same bytes.
 
 ``ReferencePanelDataset`` builds every panel's index the one way: each
 id's ``str()``, its code, and a ``np.lexsort`` of the rows, with every
-column gathered through that order.  ``prodsys.panel.PanelDataset`` skips
-the sort for rows already in order, and the simulator and the bootstrap
-hand on an index they already hold; ``test_panel.py`` requires every
+column gathered through that order.  ``prodsys.panel.PanelDataset`` codes
+each run of equal ids once, and the simulator and the bootstrap hand on
+an index they already hold; ``test_panel.py`` requires every
 attribute and the lag pairs of each path to equal this one's.
 
 The function bodies are kept exactly as they were when the faster

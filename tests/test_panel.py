@@ -858,3 +858,6 @@ def test_bootstrap_replicate_builds_the_constructors_panel(controlled, monkeypat
     for name in ("labels", "year", "k", "x", "ln_price_m"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(ds_b, name)[0] = getattr(ds, name)[0]
+    for name in ("cur", "prev"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ds_b.lag_pairs(), name)[0] = 0
