@@ -33,6 +33,12 @@ MAX_ITER = 500
 #: status of a start stopped on an upper bound that is not a candidate answer
 EDGE_STATUS = "reached an upper bound that is not an answer"
 
+#: accepted steps in a row that the box may cut short before a start stops
+BOX_STALL_STEPS = 100
+
+#: status of a start stopped after BOX_STALL_STEPS cut steps in a row
+STALL_STATUS = "stalled along the box"
+
 
 @dataclasses.dataclass
 class NlsProblem:
@@ -46,7 +52,10 @@ class NlsProblem:
     model degenerates); it needs ``bounds``.  A start whose accepted iterate
     lands on such a bound stops there with ``converged=False`` and status
     :data:`EDGE_STATUS`.  A trial step clipped onto it and then rejected
-    does not count.
+    does not count.  With ``bounds``, a start whose last
+    :data:`BOX_STALL_STEPS` accepted steps were all cut short by the box is
+    sliding along a face, not converging: it stops at its current iterate
+    with ``converged=False`` and status :data:`STALL_STATUS`.
     """
 
     residual: Callable[[np.ndarray], np.ndarray]
@@ -119,10 +128,16 @@ def _lm_single(problem: NlsProblem, x0, *, grad_tol, max_iter) -> OptimResult:
     # The loop runs thousands of times per estimate on problems of a dozen
     # parameters, so each step is one numpy call where the textbook form
     # takes several; tests/optim_reference.py keeps the textbook form, and
-    # the two agree bit for bit.
+    # the two agree bit for bit.  The one rule the reference lacks stops a
+    # start after BOX_STALL_STEPS accepted steps in a row that the box cut
+    # short (the clipped trial's bits differ from x + step's); it only ends
+    # a run early, so every iterate up to the stop is the reference loop's.
     resid = problem.residual
     jacfun = problem.jacobian or (lambda x: finite_diff_jacobian(resid, x))
     x = _clip(np.asarray(x0, dtype=float).copy(), problem.bounds)
+    # accepted steps in a row that the box cut short; without bounds _clip
+    # hands back the trial itself, so no step counts
+    cut_run = 0
     # (index, bound) pairs as Python scalars: the test runs on every accepted
     # step, where a numpy reduction would cost more than the rest of the check
     refused = []
@@ -163,7 +178,8 @@ def _lm_single(problem: NlsProblem, x0, *, grad_tol, max_iter) -> OptimResult:
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            x_new = _clip(x + step, problem.bounds)
+            trial = x + step
+            x_new = _clip(trial, problem.bounds)
             actual_step = x_new - x
             if math.sqrt(actual_step @ actual_step) <= step_floor:
                 return OptimResult(x, obj, grad_norm, it, True, "step tolerance reached")
@@ -175,6 +191,10 @@ def _lm_single(problem: NlsProblem, x0, *, grad_tol, max_iter) -> OptimResult:
                 for j, bound in refused:
                     if x[j] >= bound:
                         return OptimResult(x, obj, grad_norm, it, False, EDGE_STATUS)
+                # bytes, not an elementwise != and any(): a tenth of the cost
+                cut_run = cut_run + 1 if x_new.tobytes() != trial.tobytes() else 0
+                if cut_run >= BOX_STALL_STEPS:
+                    return OptimResult(x, obj, grad_norm, it, False, STALL_STATUS)
                 lam = max(lam / 3.0, 1e-12)
                 accepted = True
                 break
@@ -209,10 +229,12 @@ def minimize_nls(
     - then a converged start beats one that is not;
     - among the rest the lowest objective wins (earliest start wins ties).
 
-    A start that runs out of iterations is often still sliding toward the
-    box, where its objective can undercut an interior optimum it would never
-    settle at.  The rule reads each result's ``converged`` flag as
-    :func:`_lm_single` sets it, so it is only as strict as that flag.
+    A start that runs out of iterations, or stops after sliding along the
+    box (status :data:`STALL_STATUS`), is unconverged like any other: it is
+    often still moving toward the box, where its objective can undercut an
+    interior optimum it would never settle at.  The rule reads each
+    result's ``converged`` flag as :func:`_lm_single` sets it, so it is only
+    as strict as that flag.
     Starts where the residual is not finite never converge and so lose to
     any start that does.
     """

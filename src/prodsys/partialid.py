@@ -187,19 +187,23 @@ def estimate_propensity(dataset: PanelDataset, cutoff: float, *, degree: int = 1
     return np.clip(p, 0.01, 0.99)
 
 
+def _stack_last(arrays) -> np.ndarray:
+    """The arrays broadcast against each other, stacked along a new last axis."""
+    out = np.empty(np.broadcast_shapes(*(np.shape(a) for a in arrays)) + (len(arrays),))
+    for j, a in enumerate(arrays):
+        out[..., j] = a
+    return out
+
+
 def _candidate_loadings(beta_k, beta_kk, beta_l, beta_m, beta_0):
-    """Coefficients of ybar on the features (1, k, k^2/2, m, S^2)."""
+    """Coefficients of ybar on the features (1, k, k^2/2, m, S^2).
+
+    The coordinates broadcast against each other, so each term is computed
+    over only the axes it reads; the result has their broadcast shape plus a
+    last axis of five.
+    """
     delta = beta_l + beta_m
-    return np.stack(
-        [
-            beta_l**2 / (2.0 * beta_0),
-            beta_k,
-            beta_kk,
-            delta,
-            -(delta**2) / (2.0 * beta_0),
-        ],
-        axis=-1,
-    )
+    return _stack_last((beta_l**2 / (2.0 * beta_0), beta_k, beta_kk, delta, -(delta**2) / (2.0 * beta_0)))
 
 
 def _features(dataset: PanelDataset) -> np.ndarray:
@@ -292,23 +296,28 @@ def identified_set(dataset: PanelDataset, config: MomentInequalityConfig) -> Ide
         a_terms[j] = np.mean(dataset.y[cur] * w)
         b_terms[j] = features.T @ w / n_pairs
 
-    mesh = np.meshgrid(*axes, indexing="ij")
-    candidates = np.column_stack([g.reshape(-1) for g in mesh])
-    loadings = _candidate_loadings(
-        candidates[:, 0], candidates[:, 1], candidates[:, 2], candidates[:, 3], candidates[:, 4]
-    )
+    # the grid is a tensor: each axis broadcasts along its own dimension, and
+    # the C-order rows of (N, 5) are the candidates in meshgrid order
+    shape = tuple(axis.size for axis in axes)
+    open_axes = np.ix_(*axes)
+    candidates = _stack_last(open_axes).reshape(-1, 5)
+    loadings = _candidate_loadings(*open_axes).reshape(-1, 5)
     statistics = a_terms[None, :] - loadings @ b_terms.T
 
     slack = config.slack
     if slack is None:
         slack = config.slack_scale * float(n_pairs) ** (-1.0 / 3.0)
-    feasible = np.min(statistics, axis=1) >= -slack
-    n_feasible = int(np.sum(feasible))
+    feasible = statistics[:, 0] >= -slack
+    for column in statistics.T[1:]:
+        feasible &= column >= -slack
+    n_feasible = int(np.count_nonzero(feasible))
+    feasible_grid = feasible.reshape(shape)
     bounding_box = {}
     at_grid_edge = {}
     for i, name in enumerate(GRID_AXES):
         if n_feasible:
-            coord = candidates[feasible, i]
+            # the axis values that some feasible candidate takes
+            coord = axes[i][feasible_grid.any(axis=tuple(d for d in range(5) if d != i))]
             lo, hi = float(np.min(coord)), float(np.max(coord))
         else:
             lo, hi = np.nan, np.nan

@@ -732,7 +732,11 @@ def system_refine(
     (:func:`_refused_beta_0`): a start whose accepted iterate lands on it
     stops there, unconverged, instead of crawling along it to ``max_iter``,
     and :func:`minimize_nls` ranks it below every other start.  Among the
-    rest a converged start still beats one that ran out of iterations.
+    rest a converged start still beats an unconverged one: one that ran out
+    of iterations, or one that stopped after
+    :data:`~prodsys.optim.BOX_STALL_STEPS` accepted steps in a row cut short
+    by the box (grid start 3 does so on some markup panels, bouncing between
+    ``rho_phi``'s face and ``beta_l``'s lower bound).
     """
     delta = step1.delta_lm
     pz, px = dataset.z.shape[1], dataset.x.shape[1]

@@ -200,6 +200,38 @@ def test_multistart_ranks_a_start_stopped_on_a_refused_bound_last():
         assert res.objective > 1e10 * alone.objective
 
 
+def _face_slide():
+    # r = (10 (x - y), y + 1) with x >= 0: the unconstrained minimum is at
+    # x = y = -1, so from (5, 5) the first step lands just inside the face
+    # x = 0 and every later Gauss-Newton step wants x below it; the clipped
+    # steps crawl along the face toward y = -1/101 without ever converging
+    problem = NlsProblem(residual=lambda v: np.array([10.0 * (v[0] - v[1]), v[1] + 1.0]),
+                         jacobian=lambda v: np.array([[10.0, -10.0], [0.0, 1.0]]),
+                         bounds=(np.array([0.0, -100.0]), np.array([10.0, 100.0])))
+    return problem, np.array([5.0, 5.0])
+
+
+def test_descent_along_a_face_stops_after_box_stall_steps_cut_steps():
+    problem, x0 = _face_slide()
+    res = optim._lm_single(problem, x0, grad_tol=1e-8, max_iter=500)
+    assert (res.status, res.converged) == (optim.STALL_STATUS, False)
+    # one uncut step onto the face, then BOX_STALL_STEPS cut ones
+    assert res.n_iter == optim.BOX_STALL_STEPS + 1
+    assert res.params[0] == 0.0 and res.grad_norm > 1.0
+    # it stops at the iterate the loop without the rule reaches at that iteration
+    want = optim_reference._lm_single(problem, x0, grad_tol=1e-8, max_iter=res.n_iter)
+    assert _bits(res.params) == _bits(want.params) and _bits(res.objective) == _bits(want.objective)
+    # without the rule the start crawls on to max_iter
+    full = optim_reference._lm_single(problem, x0, grad_tol=1e-8, max_iter=500)
+    assert (full.n_iter, full.status) == (500, "max iterations reached")
+    assert full.params[0] == 0.0 and full.objective < res.objective
+    # minimize_nls ranks a stalled start like any other unconverged start
+    face_min = np.array([0.0, -1.0 / 101.0])
+    for x0_, starts, index in ((x0, [face_min], 1), (face_min, [x0], 0)):
+        res = minimize_nls(problem, x0_, starts=starts)
+        assert res.start_index == index and res.converged
+
+
 def test_psd_sqrt_properties(rng):
     a = rng.standard_normal((5, 5))
     w = a @ a.T
@@ -285,11 +317,21 @@ def _bounded_problems(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_bounded_problems(), st.sampled_from([1e-8, 1e-3]), st.integers(1, 60))
+@given(_bounded_problems(), st.sampled_from([1e-8, 1e-3]), st.integers(1, 3 * optim.BOX_STALL_STEPS))
 def test_lm_single_is_bitwise_equal_to_the_reference_loop(case, grad_tol, max_iter):
     problem, x0 = case
     with np.errstate(invalid="ignore"):  # inf - inf in a Jacobian column is part of the case
         got = optim._lm_single(problem, x0, grad_tol=grad_tol, max_iter=max_iter)
+        if got.status == optim.STALL_STATUS:
+            # the reference has no stop on the box: cut off at the same iteration,
+            # it must stand on the same iterate
+            assert not got.converged and got.n_iter >= optim.BOX_STALL_STEPS
+            want = optim_reference._lm_single(problem, x0, grad_tol=grad_tol, max_iter=got.n_iter)
+            assert want.status == "max iterations reached"
+            assert _bits(got.params) == _bits(want.params)
+            assert _bits(got.objective) == _bits(want.objective)
+            assert _bits(got.grad_norm) == _bits(want.grad_norm)
+            return
         want = optim_reference._lm_single(problem, x0, grad_tol=grad_tol, max_iter=max_iter)
     assert _bits(got.params) == _bits(want.params)
     assert _bits(got.objective) == _bits(want.objective)

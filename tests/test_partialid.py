@@ -1,7 +1,12 @@
 """Moment-inequality bounds: IPW statistic, propensity fit, grid sweep."""
 
+import dataclasses
+
 import numpy as np
+import partialid_reference
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from prodsys.panel import PanelDataset
 from prodsys.partialid import (
@@ -282,3 +287,42 @@ def test_a_bound_inside_the_grid_is_not_flagged(markup_panel):
     assert res.at_grid_edge == {name: (True, name != "beta_m") for name in GRID_AXES}
     (edge,) = [msg for msg in res.warnings if msg.startswith(GRID_EDGE_WARNING)]
     assert "beta_m low" in edge and "beta_m high" not in edge
+
+
+# -- the tensor sweep against the reference copy in partialid_reference.py -----
+
+# a few shared values make repeated entries on an axis likely
+_axis = st.lists(st.one_of(st.sampled_from((-0.3, 0.0, 1.75)), st.floats(-3.0, 3.0)), min_size=1, max_size=4)
+_beta_0_axis = st.lists(
+    st.one_of(st.sampled_from((-0.05, -0.2)), st.floats(-1.0, 1.0).filter(lambda v: abs(v) > 1e-3)),
+    min_size=1, max_size=4,
+)
+
+
+@st.composite
+def _grids(draw):
+    """An unsorted grid of one to four values per axis, and a slack."""
+    grid = {name: np.array(draw(_beta_0_axis if name == "beta_0" else _axis)) for name in GRID_AXES}
+    # a slack of 0 can leave the set empty, and a huge one keeps all of it
+    slack = draw(st.one_of(st.none(), st.just(0.0), st.floats(0.0, 2.0), st.just(1e9)))
+    return grid, slack
+
+
+@settings(max_examples=60, deadline=None)
+@given(_grids(), st.sampled_from([(0.25, 0.5, 0.75), (0.4,), (0.3, 0.7)]))
+@example((dict(SMALL_GRID, beta_m=np.array([2.0, 1.5])), 0.0), (0.25, 0.5, 0.75))  # the empty set
+def test_identified_set_equals_the_reference_sweep(small_panel, case, cutoffs):
+    ds, _, _ = small_panel
+    grid, slack = case
+    config = MomentInequalityConfig(cutoffs=cutoffs, grid=grid, slack=slack)
+    got, want = identified_set(ds, config), partialid_reference.identified_set(ds, config)
+    for field in dataclasses.fields(got):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, field.name
+            assert a.tobytes() == b.tobytes(), field.name
+        elif field.name == "bounding_box":
+            assert a.keys() == b.keys()
+            assert all(np.array_equal(a[name], b[name], equal_nan=True) for name in a)
+        else:
+            assert a == b, field.name

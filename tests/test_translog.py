@@ -1,5 +1,6 @@
 """Three-step estimator: closed forms, proxies, GMM and the system refinement."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -281,11 +282,8 @@ def test_system_refine_keeps_the_converged_interior_point():
     assert est.params.beta_0 < -0.01
 
 
-def test_system_start_on_the_cobb_douglas_edge_stops_there(monkeypatch):
-    # on this panel (a sieve_partialid benchmark panel) the joint refinement's
-    # grid start 1 (beta_0 = -0.05) reaches beta_0's upper bound -1e-10 within
-    # a few accepted iterates and used to crawl along it to max_iter = 500
-    ds, _ = generate_panel(benchmark_config(n=200, seed=401, markup=1.2))
+def _system_runs(monkeypatch, dataset):
+    """``estimate(dataset)`` and the ``OptimResult`` of each joint-refinement start."""
     runs, inside = [], [False]
     lm_single, refine = optim._lm_single, translog.system_refine
 
@@ -302,9 +300,18 @@ def test_system_start_on_the_cobb_douglas_edge_stops_there(monkeypatch):
         finally:
             inside[0] = False
 
-    monkeypatch.setattr(optim, "_lm_single", recorded)
-    monkeypatch.setattr(translog, "system_refine", traced_refine)
-    est = estimate(ds)
+    with monkeypatch.context() as patch:
+        patch.setattr(optim, "_lm_single", recorded)
+        patch.setattr(translog, "system_refine", traced_refine)
+        return estimate(dataset), runs
+
+
+def test_system_start_on_the_cobb_douglas_edge_stops_there(monkeypatch):
+    # on this panel (a sieve_partialid benchmark panel) the joint refinement's
+    # grid start 1 (beta_0 = -0.05) reaches beta_0's upper bound -1e-10 within
+    # a few accepted iterates and used to crawl along it to max_iter = 500
+    ds, _ = generate_panel(benchmark_config(n=200, seed=401, markup=1.2))
+    est, runs = _system_runs(monkeypatch, ds)
     # only grid start 1 stops there: trial steps of the others are clipped
     # onto the same face and rejected, which must not stop them
     assert [r.status == optim.EDGE_STATUS for r in runs] == [False, True, False, False, False]
@@ -312,6 +319,37 @@ def test_system_start_on_the_cobb_douglas_edge_stops_there(monkeypatch):
     assert runs[1].params[0] == -1e-10 and runs[1].n_iter <= 3
     assert sum(r.n_iter for r in runs) <= 600
     assert est.params.beta_0 < -0.01 and est.system.converged
+
+
+def test_system_start_sliding_along_the_box_stops_without_moving_the_answer(monkeypatch):
+    # on the same panel grid start 3 (beta_0 = -0.02, beta_l = 0.75 delta)
+    # reaches rho_phi's face and bounces on beta_l's lower bound: the box cuts
+    # short every accepted step after the first, and it used to run to max_iter
+    ds, _ = generate_panel(benchmark_config(n=200, seed=401, markup=1.2))
+    est, runs = _system_runs(monkeypatch, ds)
+    assert [r.status == optim.STALL_STATUS for r in runs] == [False, False, False, True, False]
+    assert not runs[3].converged and runs[3].n_iter == optim.BOX_STALL_STEPS + 1
+    assert sum(r.n_iter for r in runs) <= 200
+
+    monkeypatch.setattr(optim, "BOX_STALL_STEPS", est.options.max_iter + 1)
+    crawled, crawl_runs = _system_runs(monkeypatch, ds)
+    assert crawl_runs[3].n_iter == est.options.max_iter and not crawl_runs[3].converged
+    # the losing start stopped earlier; the refined point is bit for bit the same
+    for field in dataclasses.fields(est.system):
+        got, want = getattr(est.system, field.name), getattr(crawled.system, field.name)
+        if isinstance(got, (float, np.ndarray)):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field.name
+        else:
+            assert got == want, field.name
+
+
+def test_system_start_bouncing_off_the_box_runs_on(monkeypatch):
+    # on panel 403 grid start 3 bounces: 110 of its 500 steps are cut short by
+    # the box, never more than 2 in a row, so the stop on the box never fires
+    ds, _ = generate_panel(benchmark_config(n=200, seed=403, markup=1.2))
+    est, runs = _system_runs(monkeypatch, ds)
+    assert runs[3].n_iter == est.options.max_iter and runs[3].status == "max iterations reached"
+    assert not any(r.status == optim.STALL_STATUS for r in runs)
 
 
 def test_estimate_reports_no_valley_warning_for_the_refined_point(bench_est):
