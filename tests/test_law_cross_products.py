@@ -20,12 +20,14 @@ from prodsys.moments import (
     LinearLaw,
     capital_terms,
     flexible_output,
+    omega_law_columns,
     omega_residual,
     omega_residual_jacobian,
     phi_innovation,
     phi_innovation_jacobian,
     phi_proxy,
 )
+from prodsys.optim import _psd_sqrt
 from prodsys.panel import PanelDataset
 from prodsys.simulate import benchmark_config, generate_panel
 
@@ -88,7 +90,12 @@ def _assert_close(got, want):
 def test_step2_moments_match_pair_array_moments(monkeypatch, panel_steps):
     ds, step1, _ = panel_steps
     problem, starts = _capture(monkeypatch, "minimize_gmm", lambda: translog.step2_gmm(ds, step1, translog.EstimateOptions()))
-    assert len(starts) == 15
+    # one start per minimum of step two's slope profile
+    _, weight, e, qe = translog._phi_moment_block(ds, translog.EstimateOptions(), "instrument", [])
+    box = tuple(bound[:2] for bound in problem.bounds)
+    minima = translog._phi_slope_minima(_psd_sqrt(weight) @ (qe / e.shape[0]), step1.delta_lm, box)
+    assert len(starts) == len(minima) >= 1
+    assert all(np.array_equal(start, minimum) for start, minimum in zip(starts, minima))
 
     pairs = ds.lag_pairs()
     cur, prev = pairs.cur, pairs.prev
@@ -112,7 +119,10 @@ def test_step3_products_match_pair_array_products(monkeypatch, panel_steps):
     core_args = (ystar[cur], ds.k[cur], ds.k[prev], mstar[prev], ds.x[prev])
     options = translog.EstimateOptions()
     problem, starts = _capture(monkeypatch, "minimize_nls", lambda: translog.step3_core(*core_args, options))
-    assert len(starts) == 3
+    # one start per minimum of step three's slope profile
+    minima = translog._omega_slope_minima(np.linalg.qr(omega_law_columns(*core_args), mode="r"))
+    assert len(starts) == len(minima) >= 1
+    assert all(np.array_equal(start, minimum) for start, minimum in zip(starts, minima))
 
     args = (OMEGA_LAW, ystar[cur], capital_terms(ds.k[cur]), capital_terms(ds.k[prev]), mstar[prev], ds.x[prev])
     for gamma in _points(problem.bounds, starts):

@@ -123,7 +123,7 @@ def test_system_residual_matches_pair_array_residual(monkeypatch, panel_steps, p
 
 def _from_scratch_residual(ds, step1, proxy):
     """The joint residual as first written on the cross products: both blocks at every call."""
-    proj_e, proj_r, gram_e, gram_r, _, _ = translog._system_cross_products(
+    proj_e, proj_r, gram_e, gram_r, *_ = translog._system_cross_products(
         ds, step1, translog.EstimateOptions(proxy=proxy), []
     )
     delta, pz = step1.delta_lm, ds.z.shape[1]

@@ -283,14 +283,14 @@ def test_system_refine_keeps_the_converged_interior_point():
 
 
 def _system_runs(monkeypatch, dataset):
-    """``estimate(dataset)`` and the ``OptimResult`` of each joint-refinement start."""
+    """``estimate(dataset)`` and the ``(start, OptimResult)`` of each joint-refinement start."""
     runs, inside = [], [False]
     lm_single, refine = optim._lm_single, translog.system_refine
 
     def recorded(problem, x0, **kwargs):
         res = lm_single(problem, x0, **kwargs)
         if inside[0]:
-            runs.append(res)
+            runs.append((np.array(x0, dtype=float), res))
         return res
 
     def traced_refine(*args, **kwargs):
@@ -306,35 +306,54 @@ def _system_runs(monkeypatch, dataset):
         return estimate(dataset), runs
 
 
-def test_system_start_on_the_cobb_douglas_edge_stops_there(monkeypatch):
-    # on this panel (a sieve_partialid benchmark panel) the joint refinement's
-    # grid start 1 (beta_0 = -0.05) reaches beta_0's upper bound -1e-10 within
-    # a few accepted iterates and used to crawl along it to max_iter = 500
+#: the statuses of a start stopped by a guard or out of iterations
+GUARD_STOPS = (optim.EDGE_STATUS, optim.STALL_STATUS, "max iterations reached")
+
+
+def _step2_profile_minima(est, dataset):
+    """Step two's profile minima on the joint system's whitened ``Q'E/n``."""
+    delta = est.step1.delta_lm
+    proj_e = translog._system_cross_products(dataset, est.step1, est.options, [])[0]
+    return translog._phi_slope_minima(proj_e, delta, ((-10.0, 1e-10), (-1e-10, delta * (1 - 1e-10))))
+
+
+def _assert_starts_are_the_scan_minima(est, dataset, starts):
+    """The sequential point, then every other step-2 profile minimum, then the fixed start ``(-0.2, delta/2)``."""
+    others = [m for m in _step2_profile_minima(est, dataset) if abs(m[2] - est.step2.rho_phi_1) >= 1e-6]
+    assert len(starts) == len(others) + 2
+    assert np.allclose(starts[0][:3], [est.step2.beta_0, est.step2.beta_l, est.step2.rho_phi_1], rtol=0, atol=1e-9)
+    for start, minimum in zip(starts[1:-1], others):
+        assert np.allclose(start[:3], minimum[:3], rtol=0, atol=1e-9)
+    assert np.array_equal(starts[-1][:3], [-0.2, 0.5 * est.step1.delta_lm, 0.5])
+
+
+def test_system_starts_on_panel_401_stay_off_the_cobb_douglas_edge(monkeypatch):
+    # on this panel (a sieve_partialid benchmark panel) a start of the old
+    # grid (beta_0 = -0.05) reached beta_0's upper bound -1e-10 within a few
+    # accepted iterates and used to crawl along it to max_iter = 500; the
+    # starts the step-2 scan names stop on no guard
     ds, _ = generate_panel(benchmark_config(n=200, seed=401, markup=1.2))
     est, runs = _system_runs(monkeypatch, ds)
-    # only grid start 1 stops there: trial steps of the others are clipped
-    # onto the same face and rejected, which must not stop them
-    assert [r.status == optim.EDGE_STATUS for r in runs] == [False, True, False, False, False]
-    assert not runs[1].converged
-    assert runs[1].params[0] == -1e-10 and runs[1].n_iter <= 3
-    assert sum(r.n_iter for r in runs) <= 600
+    _assert_starts_are_the_scan_minima(est, ds, [x0 for x0, _ in runs])
+    assert len(runs) == 3
+    assert not any(r.status in GUARD_STOPS for _, r in runs)
+    assert sum(r.n_iter for _, r in runs) <= 600
     assert est.params.beta_0 < -0.01 and est.system.converged
 
 
-def test_system_start_sliding_along_the_box_stops_without_moving_the_answer(monkeypatch):
-    # on the same panel grid start 3 (beta_0 = -0.02, beta_l = 0.75 delta)
-    # reaches rho_phi's face and bounces on beta_l's lower bound: the box cuts
-    # short every accepted step after the first, and it used to run to max_iter
+def test_system_starts_on_panel_401_do_not_slide_along_the_box(monkeypatch):
+    # on the same panel a start of the old grid (beta_0 = -0.02, beta_l =
+    # 0.75 delta) reached rho_phi's face and bounced on beta_l's lower bound,
+    # and stopped only by the rule on cut steps; no start of the scan does
     ds, _ = generate_panel(benchmark_config(n=200, seed=401, markup=1.2))
     est, runs = _system_runs(monkeypatch, ds)
-    assert [r.status == optim.STALL_STATUS for r in runs] == [False, False, False, True, False]
-    assert not runs[3].converged and runs[3].n_iter == optim.BOX_STALL_STEPS + 1
-    assert sum(r.n_iter for r in runs) <= 200
+    assert not any(r.status in GUARD_STOPS for _, r in runs)
+    assert sum(r.n_iter for _, r in runs) <= 200
 
     monkeypatch.setattr(optim, "BOX_STALL_STEPS", est.options.max_iter + 1)
     crawled, crawl_runs = _system_runs(monkeypatch, ds)
-    assert crawl_runs[3].n_iter == est.options.max_iter and not crawl_runs[3].converged
-    # the losing start stopped earlier; the refined point is bit for bit the same
+    assert [r.n_iter for _, r in crawl_runs] == [r.n_iter for _, r in runs]
+    # without the rule the refined point is bit for bit the same
     for field in dataclasses.fields(est.system):
         got, want = getattr(est.system, field.name), getattr(crawled.system, field.name)
         if isinstance(got, (float, np.ndarray)):
@@ -343,13 +362,27 @@ def test_system_start_sliding_along_the_box_stops_without_moving_the_answer(monk
             assert got == want, field.name
 
 
-def test_system_start_bouncing_off_the_box_runs_on(monkeypatch):
-    # on panel 403 grid start 3 bounces: 110 of its 500 steps are cut short by
-    # the box, never more than 2 in a row, so the stop on the box never fires
+def test_system_starts_on_panel_403_converge(monkeypatch):
+    # on panel 403 a start of the old grid bounced off the box for all of its
+    # 500 steps; every start the scan names converges
     ds, _ = generate_panel(benchmark_config(n=200, seed=403, markup=1.2))
     est, runs = _system_runs(monkeypatch, ds)
-    assert runs[3].n_iter == est.options.max_iter and runs[3].status == "max iterations reached"
-    assert not any(r.status == optim.STALL_STATUS for r in runs)
+    _assert_starts_are_the_scan_minima(est, ds, [x0 for x0, _ in runs])
+    assert all(r.converged for _, r in runs)
+    assert not any(r.status in GUARD_STOPS for _, r in runs)
+
+
+@pytest.mark.parametrize("markup, beta_0, objective", [(1.0, -0.04913, 0.008304), (1.2, -0.02688, 0.006489)])
+def test_system_reaches_the_truth_side_when_step_two_has_one_minimum(markup, beta_0, objective):
+    # on panel 1070 step two's profile has one minimum, in the rescaling
+    # valley, so no seed starts near the truth: the fixed start (-0.2,
+    # delta/2) reaches it, where the sequential start ends at objective 0.08
+    ds, _ = generate_panel(benchmark_config(n=200, seed=1070, markup=markup))
+    est = estimate(ds)
+    assert len(_step2_profile_minima(est, ds)) == 1
+    assert est.system.converged
+    assert est.params.beta_0 == pytest.approx(beta_0, abs=5e-5)
+    assert est.system.objective == pytest.approx(objective, rel=1e-3)
 
 
 def test_estimate_reports_no_valley_warning_for_the_refined_point(bench_est):
