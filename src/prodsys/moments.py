@@ -4,9 +4,9 @@ Both laws of motion are written as ``target - r(lag, controls)``, where the
 law ``r`` is a linear combination of basis terms in the lagged
 productivity and the lagged controls.  A law object supplies the basis
 through ``evaluate(u)`` and its derivative in the lagged productivity
-through ``evaluate_deriv(u, 0)``, with ``u = [lag, controls]``.  The
-parametric laws use :class:`LinearLaw`; the series laws use
-``sieve.SieveBasis``.
+through ``evaluate_deriv(u, 0)``, with ``u = [lag, controls]``: the
+series laws use ``sieve.SieveBasis``, and the parametric laws are fitted
+through the cross-product core below.
 
 phi law (step two): with phi proxied from the ratio of the flexible-input
 first-order conditions, the innovation at ``(beta_0, beta_l, coef)`` is
@@ -28,11 +28,11 @@ coef)`` is
 Each Jacobian takes the same arguments as its residual, so a residual and
 its Jacobian can share one argument tuple.
 
-The cross-product core: under the linear laws (:class:`LinearLaw`) and on
-proxied phi, the innovation is ``E a(alpha)`` and the residual ``D c(gamma)``,
-with blocks of fixed data columns (:func:`phi_law_columns`,
-:func:`omega_law_columns`) and coefficient maps of the candidate
-(:func:`phi_law_coef`, :func:`omega_law_coef`).  The maps' derivatives give
+The cross-product core: under the linear laws ``[rho_0 +] rho_1*lag +
+controls @ rho_2`` and on proxied phi, the innovation is ``E a(alpha)``
+and the residual ``D c(gamma)``, with blocks of fixed data columns
+(:func:`phi_law_columns`, :func:`omega_law_columns`) and coefficient maps
+of the candidate (:func:`phi_law_coef`, :func:`omega_law_coef`).  The maps' derivatives give
 the Jacobians ``E da/dalpha`` and ``D dc/dgamma``.  A fit forms ``Q'E`` or a
 square root of ``D'D`` once, and each candidate then costs the same at any
 number of lag pairs.  :func:`proxied_omega_coef` carries ``c`` through the
@@ -48,7 +48,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "LinearLaw",
     "law_residual",
     "phi_proxy",
     "phi_innovation",
@@ -67,31 +66,6 @@ __all__ = [
     "proxied_omega_coef_jacobian",
     "proxied_omega_map",
 ]
-
-
-class LinearLaw:
-    """The parametric law ``[rho_0 +] rho_1*lag + controls @ rho_2``.
-
-    Coefficients are ``(rho_1, rho_2)`` without an intercept (the phi law)
-    and ``(rho_0, rho_1, rho_2)`` with one (the omega law).
-    """
-
-    def __init__(self, intercept: bool) -> None:
-        self.intercept = intercept
-
-    def evaluate(self, u) -> np.ndarray:
-        if not self.intercept:
-            return u
-        out = np.empty((u.shape[0], 1 + u.shape[1]))
-        out[:, 0] = 1.0
-        out[:, 1:] = u
-        return out
-
-    def evaluate_deriv(self, u, coord: int) -> np.ndarray:
-        # every term has a constant derivative, so one row broadcasts over u
-        out = np.zeros((1, u.shape[1] + self.intercept))
-        out[0, coord + self.intercept] = 1.0
-        return out
 
 
 def _columns(*blocks) -> np.ndarray:

@@ -30,9 +30,6 @@ GRAD_TOL = 1e-8
 STEP_TOL = 1e-12
 MAX_ITER = 500
 
-#: status of a start stopped on an upper bound that is not a candidate answer
-EDGE_STATUS = "reached an upper bound that is not an answer"
-
 #: accepted steps in a row that the box may cut short before a start stops
 BOX_STALL_STEPS = 100
 
@@ -46,22 +43,15 @@ class NlsProblem:
 
     ``jacobian`` may be None, in which case central finite differences are
     used.  ``bounds`` is an optional (lower, upper) pair of arrays; the
-    iterates are kept inside the box by clipping trial steps.
-    ``refused_upper`` is an optional boolean mask over the parameters that
-    marks upper bounds which are not candidate answers (a limit where the
-    model degenerates); it needs ``bounds``.  A start whose accepted iterate
-    lands on such a bound stops there with ``converged=False`` and status
-    :data:`EDGE_STATUS`.  A trial step clipped onto it and then rejected
-    does not count.  With ``bounds``, a start whose last
-    :data:`BOX_STALL_STEPS` accepted steps were all cut short by the box is
-    sliding along a face, not converging: it stops at its current iterate
-    with ``converged=False`` and status :data:`STALL_STATUS`.
+    iterates are kept inside the box by clipping trial steps, and a start
+    whose last :data:`BOX_STALL_STEPS` accepted steps were all cut short by
+    the box is sliding along a face, not converging: it stops at its
+    current iterate with ``converged=False`` and status :data:`STALL_STATUS`.
     """
 
     residual: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
     bounds: tuple[np.ndarray, np.ndarray] | None = None
-    refused_upper: np.ndarray | None = None
 
 
 @dataclasses.dataclass
@@ -70,15 +60,14 @@ class GmmProblem:
 
     ``moments`` returns the sample-averaged moment vector, ``jacobian`` its
     derivative with respect to the parameters (optional), and ``weight`` the
-    symmetric positive semidefinite weighting matrix.  ``bounds`` and
-    ``refused_upper`` are those of :class:`NlsProblem`.
+    symmetric positive semidefinite weighting matrix.  ``bounds`` is that
+    of :class:`NlsProblem`.
     """
 
     moments: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
     weight: np.ndarray | None = None
     bounds: tuple[np.ndarray, np.ndarray] | None = None
-    refused_upper: np.ndarray | None = None
 
 
 @dataclasses.dataclass
@@ -138,12 +127,6 @@ def _lm_single(problem: NlsProblem, x0, *, grad_tol, max_iter) -> OptimResult:
     # accepted steps in a row that the box cut short; without bounds _clip
     # hands back the trial itself, so no step counts
     cut_run = 0
-    # (index, bound) pairs as Python scalars: the test runs on every accepted
-    # step, where a numpy reduction would cost more than the rest of the check
-    refused = []
-    if problem.refused_upper is not None:
-        hi = problem.bounds[1]
-        refused = [(j, float(hi[j])) for j in np.flatnonzero(problem.refused_upper).tolist()]
 
     r = np.atleast_1d(np.asarray(resid(x), dtype=float))
     if not np.all(np.isfinite(r)):
@@ -188,9 +171,6 @@ def _lm_single(problem: NlsProblem, x0, *, grad_tol, max_iter) -> OptimResult:
             obj_new = float(r_new @ r_new)
             if obj_new < obj:
                 x, r, obj = x_new, r_new, obj_new
-                for j, bound in refused:
-                    if x[j] >= bound:
-                        return OptimResult(x, obj, grad_norm, it, False, EDGE_STATUS)
                 # bytes, not an elementwise != and any(): a tenth of the cost
                 cut_run = cut_run + 1 if x_new.tobytes() != trial.tobytes() else 0
                 if cut_run >= BOX_STALL_STEPS:
@@ -205,10 +185,6 @@ def _lm_single(problem: NlsProblem, x0, *, grad_tol, max_iter) -> OptimResult:
     return OptimResult(x, obj, grad_norm, max_iter, converged, status)
 
 
-def _rank(res: OptimResult) -> tuple[bool, bool, float]:
-    return res.status == EDGE_STATUS, not res.converged, res.objective
-
-
 def minimize_nls(
     problem: NlsProblem,
     x0,
@@ -220,14 +196,9 @@ def minimize_nls(
     """Levenberg-Marquardt minimization of ``sum(residual**2)``.
 
     When ``starts`` is given, the solver runs from ``x0`` and from every
-    extra start and returns the best result, ranked by the key ``(stopped on
-    a refused bound, not converged, objective)``:
-
-    - a start stopped on a ``refused_upper`` bound (status
-      :data:`EDGE_STATUS`) loses to every start that was not, whatever its
-      objective: no point on that bound is an answer;
-    - then a converged start beats one that is not;
-    - among the rest the lowest objective wins (earliest start wins ties).
+    extra start and returns the best result, ranked by the key ``(not
+    converged, objective)``: a converged start beats one that is not, and
+    among the rest the lowest objective wins (earliest start wins ties).
 
     A start that runs out of iterations, or stops after sliding along the
     box (status :data:`STALL_STATUS`), is unconverged like any other: it is
@@ -241,14 +212,13 @@ def minimize_nls(
     all_starts = [np.asarray(x0, dtype=float)]
     if starts is not None:
         all_starts += [np.asarray(s, dtype=float) for s in starts]
-    best: OptimResult | None = None
+    results = []
     for idx, start in enumerate(all_starts):
         res = _lm_single(problem, start, grad_tol=grad_tol, max_iter=max_iter)
         res.start_index = idx
-        if best is None or _rank(res) < _rank(best):
-            best = res
-    assert best is not None
-    return best
+        results.append(res)
+    # min keeps the first of equal keys
+    return min(results, key=lambda res: (not res.converged, res.objective))
 
 
 def _psd_sqrt(weight: np.ndarray) -> np.ndarray:
@@ -289,5 +259,5 @@ def minimize_gmm(
     if problem.jacobian is not None:
         jacobian = lambda x: half @ np.atleast_2d(np.asarray(problem.jacobian(x), dtype=float))
 
-    nls = NlsProblem(residual=residual, jacobian=jacobian, bounds=problem.bounds, refused_upper=problem.refused_upper)
+    nls = NlsProblem(residual=residual, jacobian=jacobian, bounds=problem.bounds)
     return minimize_nls(nls, x0, starts=starts, grad_tol=grad_tol, max_iter=max_iter)

@@ -526,24 +526,13 @@ def _phi_moment_block(dataset: PanelDataset, options: EstimateOptions, label: st
     return names, weight, e, q.T @ e
 
 
-def _refused_beta_0(n_params: int) -> np.ndarray:
-    """The ``refused_upper`` mask of a box whose first parameter is ``beta_0``.
+def _beta_box(delta_lm: float):
+    """The box ``((lo_0, lo_l), (hi_0, hi_l))`` of ``(beta_0, beta_l)`` in step two and the joint system.
 
-    ``beta_0``'s upper bound is the Cobb-Douglas limit: proxied phi,
-    ``(m - l) + beta_l/beta_0 - (delta/beta_0) s``, divides by zero there,
-    so no point on that face is an answer.  It is the only bound flagged.
-    Winning starts do pass through other faces and leave them again, so
-    flagging those would change answers.  Of the 107 joint-system starts
-    of the ``bootstrap`` benchmark workload (its set-up estimate and 40
-    draws), 41 reach a face of the lagged-phi slope and 11 of them win;
-    none reaches ``beta_l``'s lower bound or this one.  Of the 898 starts
-    on the 300 panels ``benchmark_config(n, seed)`` with ``n = 200``,
-    seeds 1000-1119, and ``n = 400``, seeds 1000-1029, each at markups 1.0
-    and 1.2, none reaches this bound and 3 stop along the box.
+    ``beta_0`` stays below the Cobb-Douglas limit 0, where proxied phi
+    divides by zero, and ``beta_l`` inside ``(0, delta_lm)``.
     """
-    refused = np.zeros(n_params, dtype=bool)
-    refused[0] = True
-    return refused
+    return (-10.0, 1e-10), (-1e-10, delta_lm * (1 - 1e-10))
 
 
 def _phi_law_gmm(moments, jacobian, lin: int, n_params: int, delta_lm: float, weight):
@@ -554,15 +543,12 @@ def _phi_law_gmm(moments, jacobian, lin: int, n_params: int, delta_lm: float, we
     is the slope in lagged phi, kept inside the unit interval.  The starts
     cross curvature magnitudes with labor shares; the series law runs them
     all, and the linear law only the first, on a panel whose slope profile
-    has no minimum.  ``beta_0``'s upper bound ``-1e-10``, the Cobb-Douglas
-    limit, is refused (:func:`_refused_beta_0`): a start whose accepted
-    iterate lands there stops.
+    has no minimum.  ``(beta_0, beta_l)`` lie in :func:`_beta_box`.
     """
     lo, hi = np.full(n_params, -50.0), np.full(n_params, 50.0)
-    lo[:2], hi[:2] = (-10.0, 1e-10), (-1e-10, delta_lm * (1 - 1e-10))
+    lo[:2], hi[:2] = _beta_box(delta_lm)
     lo[lin], hi[lin] = -0.999999, 0.999999
-    problem = GmmProblem(moments=moments, jacobian=jacobian, weight=weight, bounds=(lo, hi),
-                         refused_upper=_refused_beta_0(n_params))
+    problem = GmmProblem(moments=moments, jacobian=jacobian, weight=weight, bounds=(lo, hi))
     starts = []
     for b0 in (-0.2, -0.1, -0.05, -0.02, -0.005):
         for frac in (0.25, 0.5, 0.75):
@@ -620,8 +606,7 @@ def step2_gmm(dataset: PanelDataset, step1: Step1Result, options: EstimateOption
         lambda alpha: qe @ phi_law_coef_jacobian(alpha, delta),
         2, 3 + pz, delta, weight,
     )
-    box = tuple(bound[:2] for bound in problem.bounds)
-    starts = _phi_slope_minima(_psd_sqrt(weight) @ qe, delta, box) or grid[:1]
+    starts = _phi_slope_minima(_psd_sqrt(weight) @ qe, delta, _beta_box(delta)) or grid[:1]
     result = minimize_gmm(problem, starts[0], starts=starts[1:], grad_tol=options.grad_tol, max_iter=options.max_iter)
 
     beta_0, beta_l, rho_1, rho_2 = *result.params[:3], result.params[3:]
@@ -953,18 +938,11 @@ def system_refine(
     :func:`~prodsys.moments.proxied_omega_coef_jacobian`, and ``P dc /
     scale_floor`` where the floor binds.
 
-    The box corner ``beta_0 = -1e-10``, ``beta_k = beta_kk = 5`` is refused:
-    its objective can undercut the interior optimum's, but ``beta_0``'s face
-    is the Cobb-Douglas limit where proxied phi divides by zero.  That face
-    is the box's refused upper bound (:func:`_refused_beta_0`): a start whose
-    accepted iterate lands on it stops there, unconverged, and
-    :func:`minimize_nls` ranks it below every other start.  Among the rest a
-    converged start still beats an unconverged one: one that ran out of
-    iterations, or one that stopped after
-    :data:`~prodsys.optim.BOX_STALL_STEPS` accepted steps in a row cut short
-    by the box.  A fixed grid of starts used to reach both; of the scan's
-    starts, none reaches the refused face, and a few stop along the box
-    (:func:`_refused_beta_0` has the counts).
+    No start the scan names reaches ``beta_0``'s face of :func:`_beta_box`,
+    the Cobb-Douglas limit.  :func:`minimize_nls` ranks any converged start
+    above one that ran out of iterations or stopped along the box
+    (:data:`~prodsys.optim.STALL_STATUS`, a guard kept for the series laws'
+    start grid of :func:`_phi_law_gmm`, which still reaches it).
     """
     delta = step1.delta_lm
     pz, px = dataset.z.shape[1], dataset.x.shape[1]
@@ -1008,19 +986,17 @@ def system_refine(
         jac[n_e:, omega_cols] = omega_jacobian(lam[omega_cols])
         return jac
 
-    lo = np.concatenate(([-10.0, 1e-10, -0.999999], np.full(pz, -50.0),
-                         [-5.0, -5.0, -50.0, -0.999999], np.full(px, -50.0)))
-    hi = np.concatenate(([-1e-10, delta * (1 - 1e-10), 0.999999], np.full(pz, 50.0),
-                         [5.0, 5.0, 50.0, 0.999999], np.full(px, 50.0)))
-    problem = NlsProblem(residual=residual, jacobian=jacobian, bounds=(lo, hi),
-                         refused_upper=_refused_beta_0(lo.size))
+    box = _beta_box(delta)
+    lo = np.concatenate((box[0], [-0.999999], np.full(pz, -50.0), [-5.0, -5.0, -50.0, -0.999999], np.full(px, -50.0)))
+    hi = np.concatenate((box[1], [0.999999], np.full(pz, 50.0), [5.0, 5.0, 50.0, 0.999999], np.full(px, 50.0)))
+    problem = NlsProblem(residual=residual, jacobian=jacobian, bounds=(lo, hi))
 
     seq = np.concatenate((
         [step2.beta_0, step2.beta_l, step2.rho_phi_1], step2.rho_phi_2,
         [step3.beta_k, step3.beta_kk, step3.rho_omega_0, step3.rho_omega_1], step3.rho_omega_2,
     ))
     starts = [seq]
-    for alpha in _phi_slope_minima(proj_e, delta, (lo[:2], hi[:2])):
+    for alpha in _phi_slope_minima(proj_e, delta, box):
         if abs(alpha[2] - step2.rho_phi_1) < 1e-6:
             continue  # the sequential point's own minimum
         gammas = _omega_slope_minima(root_r @ proxied_omega_map(alpha[0], alpha[1], delta, px))

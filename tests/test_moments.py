@@ -4,9 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from moments_reference import LinearLaw
 
 from prodsys.moments import (
-    LinearLaw,
     capital_terms,
     omega_residual,
     omega_residual_jacobian,

@@ -1,6 +1,5 @@
 """Solver behavior on problems with known closed-form answers."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -133,45 +132,22 @@ def test_multistart_prefers_a_converged_start_to_a_lower_unconverged_one():
     assert not res.converged and res.start_index == 1
 
 
-def _slide_to_upper():
+def test_start_sliding_onto_an_upper_bound_ends_as_the_reference_loop_ends_it():
     # r(x) = exp(-x) falls without end as x grows, by about one unit of x per
     # Gauss-Newton step, so from x = 0 the third step is clipped onto hi = 2.5
-    seen = []
-
-    def residual(x):
-        seen.append(float(x[0]))
-        return np.exp(-x)
-
-    problem = NlsProblem(residual=residual, jacobian=lambda x: -np.diag(np.exp(-x)),
+    problem = NlsProblem(residual=lambda x: np.exp(-x), jacobian=lambda x: -np.diag(np.exp(-x)),
                          bounds=(np.array([-50.0]), np.array([2.5])))
-    return problem, seen
-
-
-def test_accepted_iterate_on_a_refused_upper_bound_stops_the_start():
-    problem, seen = _slide_to_upper()
-    flagged = dataclasses.replace(problem, refused_upper=np.array([True]))
-    res = optim._lm_single(flagged, np.array([0.0]), grad_tol=1e-8, max_iter=500)
-    assert (res.status, res.converged) == (optim.EDGE_STATUS, False)
-    assert res.params[0] == 2.5 and res.n_iter <= 3
-    # it stops at the first point on the bound: no residual is evaluated after it
-    assert seen[-1] == 2.5 and seen.count(2.5) == 1 and max(seen[:-1]) < 2.5
-    assert abs(res.objective - math.exp(-5.0)) < 1e-15
-    # minimize_gmm passes the flag through
-    gmm = GmmProblem(moments=problem.residual, jacobian=problem.jacobian, bounds=problem.bounds,
-                     refused_upper=np.array([True]))
-    assert minimize_gmm(gmm, np.array([0.0])).status == optim.EDGE_STATUS
-
-    # without the flag the start ends as the reference loop ends it
     got = optim._lm_single(problem, np.array([0.0]), grad_tol=1e-8, max_iter=500)
     want = optim_reference._lm_single(problem, np.array([0.0]), grad_tol=1e-8, max_iter=500)
     assert (got.status, got.converged, got.n_iter) == (want.status, want.converged, want.n_iter)
     assert _bits(got.params) == _bits(want.params) and got.params[0] == 2.5
-    assert got.status != optim.EDGE_STATUS and got.n_iter > res.n_iter
+    # it does not stop on reaching the bound
+    assert got.n_iter > 3
 
 
-def test_trial_step_clipped_onto_a_refused_bound_does_not_stop_the_start():
+def test_trial_step_clipped_onto_the_upper_bound_and_rejected_still_converges():
     # r(x) = x^3 - 0.1 is nearly flat at x = 0.1, so the first trial steps
-    # overshoot, are clipped onto the refused bound 1 and rejected there
+    # overshoot, are clipped onto the upper bound 1 and rejected there
     seen = []
 
     def residual(x):
@@ -179,25 +155,11 @@ def test_trial_step_clipped_onto_a_refused_bound_does_not_stop_the_start():
         return x**3 - 0.1
 
     problem = NlsProblem(residual=residual, jacobian=lambda x: np.diag(3.0 * x**2),
-                         bounds=(np.array([0.0]), np.array([1.0])), refused_upper=np.array([True]))
+                         bounds=(np.array([0.0]), np.array([1.0])))
     res = optim._lm_single(problem, np.array([0.1]), grad_tol=1e-12, max_iter=500)
     assert 1.0 in seen
-    assert res.converged and res.status != optim.EDGE_STATUS
+    assert res.converged
     assert abs(res.params[0] - 0.1 ** (1 / 3)) < 1e-8
-
-
-def test_multistart_ranks_a_start_stopped_on_a_refused_bound_last():
-    problem, _ = _slide_to_upper()
-    problem.refused_upper = np.array([True])
-    edge, far = np.array([2.0]), np.array([-20.0])
-    alone = minimize_nls(problem, edge)
-    assert alone.status == optim.EDGE_STATUS and abs(alone.objective - math.exp(-5.0)) < 1e-15
-    # the start at -20 runs out of iterations far above that objective, and still wins
-    for x0, starts, index in ((edge, [far], 1), (far, [edge], 0)):
-        res = minimize_nls(problem, x0, starts=starts, max_iter=3)
-        assert res.start_index == index
-        assert not res.converged and res.status == "max iterations reached"
-        assert res.objective > 1e10 * alone.objective
 
 
 def _face_slide():

@@ -10,10 +10,10 @@ controlled panel below is the check of the lagged ``z`` and ``x`` columns.
 
 import numpy as np
 import pytest
+from moments_reference import LinearLaw
 
 from prodsys import translog
 from prodsys.moments import (
-    LinearLaw,
     capital_terms,
     flexible_output,
     omega_residual,

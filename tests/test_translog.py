@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodsys import optim, translog
+from prodsys import optim, sieve, translog
 from prodsys.moments import phi_law_coef, phi_law_coef_jacobian, phi_law_columns
 from prodsys.optim import finite_diff_jacobian
 from prodsys.panel import PanelDataset
@@ -282,10 +282,10 @@ def test_system_refine_keeps_the_converged_interior_point():
     assert est.params.beta_0 < -0.01
 
 
-def _system_runs(monkeypatch, dataset):
-    """``estimate(dataset)`` and the ``(start, OptimResult)`` of each joint-refinement start."""
+def _layer_runs(monkeypatch, module, layer, fit):
+    """``fit()`` and the ``(start, OptimResult)`` of each optimizer start run inside ``module.layer``."""
     runs, inside = [], [False]
-    lm_single, refine = optim._lm_single, translog.system_refine
+    lm_single, traced = optim._lm_single, getattr(module, layer)
 
     def recorded(problem, x0, **kwargs):
         res = lm_single(problem, x0, **kwargs)
@@ -293,28 +293,44 @@ def _system_runs(monkeypatch, dataset):
             runs.append((np.array(x0, dtype=float), res))
         return res
 
-    def traced_refine(*args, **kwargs):
+    def traced_layer(*args, **kwargs):
         inside[0] = True
         try:
-            return refine(*args, **kwargs)
+            return traced(*args, **kwargs)
         finally:
             inside[0] = False
 
     with monkeypatch.context() as patch:
         patch.setattr(optim, "_lm_single", recorded)
-        patch.setattr(translog, "system_refine", traced_refine)
-        return estimate(dataset), runs
+        patch.setattr(module, layer, traced_layer)
+        return fit(), runs
+
+
+def _system_runs(monkeypatch, dataset):
+    """``estimate(dataset)`` and the ``(start, OptimResult)`` of each joint-refinement start."""
+    return _layer_runs(monkeypatch, translog, "system_refine", lambda: estimate(dataset))
+
+
+def _assert_bitwise_equal(got, want, name="result"):
+    """Every float and array of two results, dataclass fields followed down, has the same bytes."""
+    if dataclasses.is_dataclass(got):
+        for field in dataclasses.fields(got):
+            _assert_bitwise_equal(getattr(got, field.name), getattr(want, field.name), f"{name}.{field.name}")
+    elif isinstance(got, (float, np.ndarray)):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+    else:
+        assert got == want, name
 
 
 #: the statuses of a start stopped by a guard or out of iterations
-GUARD_STOPS = (optim.EDGE_STATUS, optim.STALL_STATUS, "max iterations reached")
+GUARD_STOPS = (optim.STALL_STATUS, "max iterations reached")
 
 
 def _step2_profile_minima(est, dataset):
     """Step two's profile minima on the joint system's whitened ``Q'E/n``."""
     delta = est.step1.delta_lm
     proj_e = translog._system_cross_products(dataset, est.step1, est.options, [])[0]
-    return translog._phi_slope_minima(proj_e, delta, ((-10.0, 1e-10), (-1e-10, delta * (1 - 1e-10))))
+    return translog._phi_slope_minima(proj_e, delta, translog._beta_box(delta))
 
 
 def _assert_starts_are_the_scan_minima(est, dataset, starts):
@@ -337,6 +353,8 @@ def test_system_starts_on_panel_401_stay_off_the_cobb_douglas_edge(monkeypatch):
     _assert_starts_are_the_scan_minima(est, ds, [x0 for x0, _ in runs])
     assert len(runs) == 3
     assert not any(r.status in GUARD_STOPS for _, r in runs)
+    # no start ends on beta_0's upper bound
+    assert all(r.params[0] < translog._beta_box(est.step1.delta_lm)[1][0] for _, r in runs)
     assert sum(r.n_iter for _, r in runs) <= 600
     assert est.params.beta_0 < -0.01 and est.system.converged
 
@@ -354,12 +372,27 @@ def test_system_starts_on_panel_401_do_not_slide_along_the_box(monkeypatch):
     crawled, crawl_runs = _system_runs(monkeypatch, ds)
     assert [r.n_iter for _, r in crawl_runs] == [r.n_iter for _, r in runs]
     # without the rule the refined point is bit for bit the same
-    for field in dataclasses.fields(est.system):
-        got, want = getattr(est.system, field.name), getattr(crawled.system, field.name)
-        if isinstance(got, (float, np.ndarray)):
-            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field.name
-        else:
-            assert got == want, field.name
+    _assert_bitwise_equal(est.system, crawled.system)
+
+
+def test_series_step_two_starts_on_a_markup_1_panel_stop_along_the_box(monkeypatch):
+    # the series phi law still runs _phi_law_gmm's 15-start grid; on this
+    # competitive panel three of its starts slide along the box until the
+    # rule on cut steps stops them, which is why BOX_STALL_STEPS stays
+    ds, _ = generate_panel(benchmark_config(n=200, seed=1000, markup=1.0))
+    fit = lambda: sieve.sieve_estimate(ds, degree="auto", degrees=(2, 3))
+    est, runs = _layer_runs(monkeypatch, sieve, "sieve_step2_gmm", fit)
+    stalled = [i for i, (_, r) in enumerate(runs) if r.status == optim.STALL_STATUS]
+    assert len(runs) == 15 and len(stalled) == 3
+
+    max_iter = EstimateOptions().max_iter
+    monkeypatch.setattr(optim, "BOX_STALL_STEPS", max_iter + 1)
+    crawled, crawl_runs = _layer_runs(monkeypatch, sieve, "sieve_step2_gmm", fit)
+    # without the rule those starts run to max_iter and the rest are unchanged
+    assert [r.n_iter for _, r in crawl_runs] == [max_iter if i in stalled else r.n_iter for i, (_, r) in enumerate(runs)]
+    assert all(crawl_runs[i][1].status == "max iterations reached" for i in stalled)
+    # and the estimate is bit for bit the same
+    _assert_bitwise_equal(est, crawled)
 
 
 def test_system_starts_on_panel_403_converge(monkeypatch):
@@ -370,6 +403,7 @@ def test_system_starts_on_panel_403_converge(monkeypatch):
     _assert_starts_are_the_scan_minima(est, ds, [x0 for x0, _ in runs])
     assert all(r.converged for _, r in runs)
     assert not any(r.status in GUARD_STOPS for _, r in runs)
+    assert all(r.params[0] < translog._beta_box(est.step1.delta_lm)[1][0] for _, r in runs)
 
 
 @pytest.mark.parametrize("markup, beta_0, objective", [(1.0, -0.04913, 0.008304), (1.2, -0.02688, 0.006489)])
