@@ -32,16 +32,17 @@ residual is a fixed block of data columns times coefficients of the
 candidate (the moments module's cross-product core), so every fit here
 forms its cross-products once per call and no optimizer iteration touches
 an array as long as the panel: step two reads ``Q'E/n``, step three a
-square root of ``D'D``, and the joint refinement the whitened projections
-and Gram matrices of both blocks.
+square root of ``D'D``, and the joint refinement step two's whitened
+``Q'E/n`` from its record, its own whitened ``H'R/n`` and the Gram matrices
+of both blocks.
 
 At a fixed slope in lagged productivity each linear-law fit is a linear
 least-squares problem in its other coefficients, so steps two and three
 scan that one slope (:func:`_slope_profile`) and polish each local minimum
 of the profile with one optimizer start; the joint refinement starts from
-the same minima.  The series laws of :mod:`prodsys.sieve` keep the
-lag-pair residuals, with the same bounds and their own start grids
-(:func:`_phi_law_gmm`, :func:`_omega_law_nls`).
+step two's minima, which step two's record keeps.  The series laws of
+:mod:`prodsys.sieve` keep the lag-pair residuals, with the same bounds and
+their own start grids (:func:`_phi_law_gmm`, :func:`_omega_law_nls`).
 
 Every step takes the run's :class:`EstimateOptions` as one required
 argument, so no fit can fall back to settings its caller did not choose;
@@ -162,6 +163,14 @@ class Step1Result:
 
 @dataclasses.dataclass
 class Step2Result:
+    """Step two's fit, with the moment block and slope-profile minima the joint refinement reads.
+
+    ``whitened_qe`` is ``W^{1/2} Q'E / n_pairs``, one row per instrument
+    (see :func:`step2_gmm`), and ``slope_minima`` holds one row ``(beta_0,
+    beta_l, rho_phi_1, rho_phi_2)`` per minimum of its slope profile, best
+    first.
+    """
+
     beta_0: float
     beta_l: float
     beta_m: float
@@ -172,6 +181,8 @@ class Step2Result:
     converged: bool
     n_pairs: int
     instrument_names: tuple[str, ...]
+    whitened_qe: np.ndarray
+    slope_minima: np.ndarray
     warnings: list[str] = dataclasses.field(default_factory=list)
 
 
@@ -374,11 +385,11 @@ def _profile_minima(profile):
     around each current best and keeps the two neighbours of the new best.
     ``theta`` has one row per minimum.
     """
-    crit, _ = profile(_SLOPES)
+    crit, theta = profile(_SLOPES)
     left, right = np.r_[np.inf, crit[:-1]], np.r_[crit[1:], np.inf]
     at = np.flatnonzero(np.isfinite(crit) & (crit < left) & (crit <= right))
     if not at.size:
-        return _SLOPES[at], np.empty((0, 0)), crit[at]
+        return _SLOPES[at], theta[:, at].T, crit[at]
     lo, hi = _SLOPES[np.maximum(at - 1, 0)], _SLOPES[np.minimum(at + 1, _SLOPES.size - 1)]
     rows, steps = np.arange(at.size), np.linspace(0.0, 1.0, _ZOOM_POINTS)
     for _ in range(_ZOOM_LEVELS):
@@ -432,12 +443,12 @@ def _phi_profile(proj: np.ndarray, delta_lm: float, bounds):
     return _slope_profile(b, a, faces, feasible)
 
 
-def _phi_slope_minima(proj: np.ndarray, delta_lm: float, bounds) -> list[np.ndarray]:
-    """Step two's profile minima (:func:`_phi_profile`) as ``(beta_0, beta_l, rho_1, rho_2)``, best first."""
+def _phi_slope_minima(proj: np.ndarray, delta_lm: float, bounds) -> np.ndarray:
+    """Step two's profile minima (:func:`_phi_profile`), one row ``(beta_0, beta_l, rho_1, rho_2)`` each, best first."""
     slopes, theta, _ = _profile_minima(_phi_profile(proj, delta_lm, bounds))
     lo, hi = bounds
-    return [np.concatenate((np.clip([1.0 / th[1], th[0] / th[1]], lo, hi), [r], th[2:]))
-            for r, th in zip(slopes.tolist(), theta)]
+    betas = np.clip(np.column_stack((1.0 / theta[:, 1], theta[:, 0] / theta[:, 1])), lo, hi)
+    return np.column_stack((betas, slopes, theta[:, 2:]))
 
 
 def _omega_profile(root: np.ndarray):
@@ -474,20 +485,23 @@ def build_instruments(dataset: PanelDataset, *, kind: str = "default"):
     instruments as parameters.  Returns ``(Q, names)`` with ``Q`` aligned
     to the dataset's lag pairs.
     """
+    names = _instrument_names(dataset, kind)
     pairs = dataset.lag_pairs()
     cur, prev = pairs.cur, pairs.prev
-    ml_prev = dataset.m[prev] - dataset.l[prev]
-    cols = [np.ones(cur.size), ml_prev, dataset.s_l[prev]]
-    names = ["const", "ml_lag", "s_l_lag"]
-    for j in range(dataset.z.shape[1]):
-        cols.append(dataset.z[prev, j])
-        names.append(f"{dataset.z_names[j]}_lag")
+    cols = [np.ones(cur.size), dataset.m[prev] - dataset.l[prev], dataset.s_l[prev], *dataset.z[prev].T]
     if kind == "default":
         cols += [dataset.k[cur], dataset.k[prev]]
-        names += ["k", "k_lag"]
-    elif kind != "exactly_identified":
+    return np.column_stack(cols), names
+
+
+def _instrument_names(dataset: PanelDataset, kind: str) -> tuple[str, ...]:
+    """The column names of :func:`build_instruments`' matrix, without forming it."""
+    names = ("const", "ml_lag", "s_l_lag", *(f"{name}_lag" for name in dataset.z_names))
+    if kind == "default":
+        return names + ("k", "k_lag")
+    if kind != "exactly_identified":
         raise ValueError(f"unknown instrument set {kind!r}")
-    return np.column_stack(cols), tuple(names)
+    return names
 
 
 def _step2_arrays(dataset: PanelDataset):
@@ -513,7 +527,7 @@ def _gram_weight(mat: np.ndarray, label: str, warnings: list[str]) -> np.ndarray
 
 
 def _phi_moment_block(dataset: PanelDataset, options: EstimateOptions, label: str, warnings: list[str]):
-    """``(names, W, E, Q'E)`` of step two's moments, for every fit that reads them.
+    """``(names, W, E, Q'E)`` of step two's moments, for :func:`step2_gmm` and :func:`information_matrix`.
 
     ``Q`` is :func:`build_instruments`' matrix, ``W`` its :func:`_gram_weight`
     (warning under ``label``) and ``E`` the phi-law columns, a fresh array.
@@ -587,12 +601,15 @@ def step2_gmm(dataset: PanelDataset, step1: Step1Result, options: EstimateOption
     The innovation is ``E a(alpha)`` with fixed columns ``E``
     (:func:`~prodsys.moments.phi_law_columns`), so ``Q'E/N`` is formed once
     and the moments ``(Q'E/N) a`` and their Jacobian ``(Q'E/N) da/dalpha``
-    cost the same at any panel size.
+    cost the same at any panel size.  So is the whitened block ``W^{1/2}
+    Q'E / N``, whose product with ``a`` is the moment vector the criterion
+    squares; the record keeps it as ``whitened_qe``.
 
     The starts are the local minima of the criterion's profile in
-    ``rho_phi_1`` (:func:`_phi_profile`), one optimizer start each, and the
-    best polished minimum is reported.  On the benchmark panels the profile
-    has two minima: the lower one in the rescaling valley, which step two
+    ``rho_phi_1`` (:func:`_phi_profile` on the whitened block), one optimizer
+    start each, and the best polished minimum is reported; the record keeps
+    the minima as ``slope_minima``.  On the benchmark panels the profile has
+    two minima: the lower one in the rescaling valley, which step two
     reports, and one near the truth, which the joint refinement starts from.
     """
     delta = step1.delta_lm
@@ -600,13 +617,15 @@ def step2_gmm(dataset: PanelDataset, step1: Step1Result, options: EstimateOption
     warnings: list[str] = []
     names, weight, e, qe = _phi_moment_block(dataset, options, "instrument", warnings)
     n_pairs = e.shape[0]
+    whitened_qe = _psd_sqrt(weight) @ qe / n_pairs
     qe = qe / n_pairs
     problem, grid = _phi_law_gmm(
         lambda alpha: qe @ phi_law_coef(alpha, delta),
         lambda alpha: qe @ phi_law_coef_jacobian(alpha, delta),
         2, 3 + pz, delta, weight,
     )
-    starts = _phi_slope_minima(_psd_sqrt(weight) @ qe, delta, _beta_box(delta)) or grid[:1]
+    minima = _phi_slope_minima(whitened_qe, delta, _beta_box(delta))
+    starts = list(minima) or grid[:1]
     result = minimize_gmm(problem, starts[0], starts=starts[1:], grad_tol=options.grad_tol, max_iter=options.max_iter)
 
     beta_0, beta_l, rho_1, rho_2 = *result.params[:3], result.params[3:]
@@ -628,6 +647,8 @@ def step2_gmm(dataset: PanelDataset, step1: Step1Result, options: EstimateOption
         converged=result.converged,
         n_pairs=n_pairs,
         instrument_names=names,
+        whitened_qe=whitened_qe,
+        slope_minima=minima,
         warnings=warnings,
     )
 
@@ -830,19 +851,22 @@ def build_level_instruments(dataset: PanelDataset):
 
 
 def _system_cross_products(dataset: PanelDataset, step1: Step1Result, options: EstimateOptions, warnings: list[str]):
-    """Candidate-free cross-products of the joint system's two residuals.
+    """Candidate-free cross-products of the joint system's residuals that step two's record does not carry.
 
     On proxied phi the phi-law innovation is ``eps = E a`` and the omega-law
     residual is ``r = R c``, with ``E`` the block of
     :func:`~prodsys.moments.phi_law_columns`, ``R`` the block of
     :func:`~prodsys.moments.proxied_omega_coef`, and coefficients ``a`` and
     ``c`` that depend only on the candidate (see :func:`system_refine`).
+    The whitened projection of ``E`` is step two's
+    (``Step2Result.whitened_qe``); ``E`` is formed here only for its Gram
+    matrix.
 
-    Returns ``(P_E, P_R, G_E, G_R, L_R, n, h_names)``: the whitened
-    projections ``half_q Q'E / n`` and ``half_h H'R / n``, the centered Gram
-    matrices ``E_c'E_c / n`` and ``R_c'R_c / n``, a symmetric root ``L_R`` of
-    the uncentered ``R'R / n``, the number of lag pairs and the
-    level-instrument names.  No lag-pair array outlives the call.
+    Returns ``(P_R, G_E, G_R, L_R, h_names)``: the whitened projection
+    ``half_h H'R / n``, the centered Gram matrices ``E_c'E_c / n`` and
+    ``R_c'R_c / n`` over the ``n`` lag pairs, a symmetric root ``L_R`` of
+    the uncentered ``R'R / n`` and the level-instrument names.  No lag-pair
+    array outlives the call.
     """
     delta = step1.delta_lm
     pairs = dataset.lag_pairs()
@@ -860,14 +884,13 @@ def _system_cross_products(dataset: PanelDataset, step1: Step1Result, options: E
     h, h_names = build_level_instruments(dataset)
     if n <= h.shape[1]:  # H has more columns than Q
         raise ValueError("not enough usable lag pairs for the joint refinement")
-    _, weight_q, e, qe = _phi_moment_block(dataset, options, "step-2 instrument", warnings)
-    proj_e = _psd_sqrt(weight_q) @ qe / n
     proj_r = _psd_sqrt(_gram_weight(h, "output-level instrument", warnings)) @ (h.T @ r) / n
+    e = phi_law_columns(*_step2_arrays(dataset))
     e -= e.mean(axis=0)
     mean_r = r.mean(axis=0)
     r -= mean_r
     gram_r = r.T @ r / n
-    return proj_e, proj_r, e.T @ e / n, gram_r, _psd_sqrt(gram_r + np.outer(mean_r, mean_r)), n, h_names
+    return proj_r, e.T @ e / n, gram_r, _psd_sqrt(gram_r + np.outer(mean_r, mean_r)), h_names
 
 
 def system_refine(
@@ -902,11 +925,15 @@ def system_refine(
     by pure rescaling.  Step-one quantities stay frozen at their closed
     form.
 
-    The starts come from the cross-products formed below.  ``P_E`` is
-    step two's whitened ``Q'E/n``, so :func:`_phi_profile` on it is step
-    two's slope profile; a root of the uncentered ``R'R`` (the centered Gram matrix plus
-    the outer product of the column means), carried to a step-two point by
-    :func:`~prodsys.moments.proxied_omega_map`, is a root of step three's
+    The phi block reads step two's whitened ``Q'E/n``
+    (``step2.whitened_qe``) and the starts read step two's slope-profile
+    minima (``step2.slope_minima``), so neither is formed again here; a
+    ``step2`` record from another panel or instrument set is refused with
+    ``ValueError``.  Step two's warning on an ill-conditioned instrument
+    Gram matrix is step two's alone, and is not repeated among the system's
+    warnings.  A root of the uncentered ``R'R`` (the centered Gram matrix
+    plus the outer product of the column means), carried to a step-two point
+    by :func:`~prodsys.moments.proxied_omega_map`, is a root of step three's
     ``D'D`` there.  The starts are the sequential point, one seed per other
     minimum of step two's profile (its step-two point and the lowest minimum
     of step three's profile at it), and one fixed start, ``(beta_0, beta_l)
@@ -921,9 +948,10 @@ def system_refine(
     :func:`~prodsys.moments.phi_law_coef`, and ``r = R c`` with ``c`` step
     three's :func:`~prodsys.moments.omega_law_coef` carried through the
     proxied-phi expansion of ``y*`` and ``m*``
-    (:func:`~prodsys.moments.proxied_omega_coef`).  The projections
-    ``Q'E``, ``H'R`` and the centered Gram matrices of ``E`` and ``R`` (see
-    :func:`_system_cross_products`) are formed once per call; each residual
+    (:func:`~prodsys.moments.proxied_omega_coef`).  The projection ``H'R``
+    and the centered Gram matrices of ``E`` and ``R`` (see
+    :func:`_system_cross_products`) are formed once per call, and ``Q'E``
+    once per step-two fit; each residual
     evaluation is then a few products of size at most about 20, and its cost
     no longer grows with the number of lag pairs.
 
@@ -946,8 +974,15 @@ def system_refine(
     """
     delta = step1.delta_lm
     pz, px = dataset.z.shape[1], dataset.x.shape[1]
+    proj_e = step2.whitened_qe
+    n_pairs, n_q = dataset.lag_pairs().cur.size, len(_instrument_names(dataset, options.instruments))
+    if step2.n_pairs != n_pairs:
+        raise ValueError(f"step2 was fitted on {step2.n_pairs} lag pairs; this panel has {n_pairs}")
+    if proj_e.shape[0] != n_q:
+        raise ValueError(f"step2's moment block has {proj_e.shape[0]} instruments; "
+                         f"instruments={options.instruments!r} gives {n_q}")
     warnings: list[str] = []
-    proj_e, proj_r, gram_e, gram_r, root_r, n, h_names = _system_cross_products(dataset, step1, options, warnings)
+    proj_r, gram_e, gram_r, root_r, h_names = _system_cross_products(dataset, step1, options, warnings)
     scale_floor = 1e-8  # keeps noiseless panels from dividing by ~eps
 
     # ndarray.dot, not @: the same BLAS call, with half the overhead at this size
@@ -996,7 +1031,7 @@ def system_refine(
         [step3.beta_k, step3.beta_kk, step3.rho_omega_0, step3.rho_omega_1], step3.rho_omega_2,
     ))
     starts = [seq]
-    for alpha in _phi_slope_minima(proj_e, delta, box):
+    for alpha in step2.slope_minima:
         if abs(alpha[2] - step2.rho_phi_1) < 1e-6:
             continue  # the sequential point's own minimum
         gammas = _omega_slope_minima(root_r @ proxied_omega_map(alpha[0], alpha[1], delta, px))
@@ -1024,7 +1059,7 @@ def system_refine(
         rho_omega_2=np.asarray(g2, dtype=float),
         objective=result.objective,
         converged=result.converged,
-        n_pairs=n,
+        n_pairs=n_pairs,
         instrument_names=h_names,
         warnings=warnings,
     )

@@ -93,7 +93,7 @@ def test_step2_moments_match_pair_array_moments(monkeypatch, panel_steps):
     # one start per minimum of step two's slope profile
     _, weight, e, qe = translog._phi_moment_block(ds, translog.EstimateOptions(), "instrument", [])
     box = tuple(bound[:2] for bound in problem.bounds)
-    minima = translog._phi_slope_minima(_psd_sqrt(weight) @ (qe / e.shape[0]), step1.delta_lm, box)
+    minima = translog._phi_slope_minima(_psd_sqrt(weight) @ qe / e.shape[0], step1.delta_lm, box)
     assert len(starts) == len(minima) >= 1
     assert all(np.array_equal(start, minimum) for start, minimum in zip(starts, minima))
 

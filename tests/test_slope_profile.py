@@ -119,7 +119,7 @@ def test_step3_minimum_is_step_threes_answer(bench):
     step1 = translog.step1_cost_share(ds)
     step2 = translog.step2_gmm(ds, step1, translog.EstimateOptions())
     step3 = translog.step3_nls(ds, step1, step2, translog.EstimateOptions())
-    root_r = translog._system_cross_products(ds, step1, translog.EstimateOptions(), [])[4]
+    root_r = translog._system_cross_products(ds, step1, translog.EstimateOptions(), [])[3]
     # the system's root of R'R, carried to step two's point, is a root of step three's D'D
     carried = root_r @ proxied_omega_map(step2.beta_0, step2.beta_l, step1.delta_lm, ds.x.shape[1])
     best = translog._omega_slope_minima(carried)[0]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodsys import optim, sieve, translog
+from prodsys import bootstrap, optim, sieve, translog
 from prodsys.moments import phi_law_coef, phi_law_coef_jacobian, phi_law_columns
 from prodsys.optim import finite_diff_jacobian
 from prodsys.panel import PanelDataset
@@ -326,21 +326,84 @@ def _assert_bitwise_equal(got, want, name="result"):
 GUARD_STOPS = (optim.STALL_STATUS, "max iterations reached")
 
 
-def _step2_profile_minima(est, dataset):
-    """Step two's profile minima on the joint system's whitened ``Q'E/n``."""
+def _step2_profile_minima(est):
+    """Step two's profile minima on the whitened ``Q'E/n`` of step two's record, which the joint system reads."""
     delta = est.step1.delta_lm
-    proj_e = translog._system_cross_products(dataset, est.step1, est.options, [])[0]
-    return translog._phi_slope_minima(proj_e, delta, translog._beta_box(delta))
+    return translog._phi_slope_minima(est.step2.whitened_qe, delta, translog._beta_box(delta))
 
 
-def _assert_starts_are_the_scan_minima(est, dataset, starts):
+def _assert_starts_are_the_scan_minima(est, starts):
     """The sequential point, then every other step-2 profile minimum, then the fixed start ``(-0.2, delta/2)``."""
-    others = [m for m in _step2_profile_minima(est, dataset) if abs(m[2] - est.step2.rho_phi_1) >= 1e-6]
+    others = [m for m in _step2_profile_minima(est) if abs(m[2] - est.step2.rho_phi_1) >= 1e-6]
     assert len(starts) == len(others) + 2
     assert np.allclose(starts[0][:3], [est.step2.beta_0, est.step2.beta_l, est.step2.rho_phi_1], rtol=0, atol=1e-9)
     for start, minimum in zip(starts[1:-1], others):
         assert np.allclose(start[:3], minimum[:3], rtol=0, atol=1e-9)
     assert np.array_equal(starts[-1][:3], [-0.2, 0.5 * est.step1.delta_lm, 0.5])
+
+
+def _counting_calls(monkeypatch, names):
+    """Count the calls to each of the ``translog`` functions ``names`` from now on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _real=getattr(translog, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(translog, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("fit", ["estimate", "bootstrap_replicate"])
+def test_a_refined_fit_forms_step_two_once(monkeypatch, bench, bench_est, fit):
+    # the joint system reads step two's whitened Q'E/n and slope minima
+    # from step two's record instead of forming and scanning them again
+    ds, _, _ = bench
+    residuals = bootstrap.compute_residuals(ds, bench_est)
+    weights = bootstrap.mammen_weights(ds.n_firms, np.random.SeedSequence(11))
+    run = {"estimate": lambda: estimate(ds),
+           "bootstrap_replicate": lambda: bootstrap.bootstrap_replicate(ds, bench_est, residuals, weights)}[fit]
+    calls = _counting_calls(monkeypatch, ("build_instruments", "_phi_slope_minima"))
+    run()
+    assert calls == {"build_instruments": 1, "_phi_slope_minima": 1}
+
+
+def test_step_two_record_keeps_the_minima_of_its_own_block(bench_est):
+    step2, delta = bench_est.step2, bench_est.step1.delta_lm
+    minima = translog._phi_slope_minima(step2.whitened_qe, delta, translog._beta_box(delta))
+    assert step2.slope_minima.shape == (2, 3) and step2.slope_minima.tobytes() == minima.tobytes()
+    assert step2.whitened_qe.shape == (len(step2.instrument_names), 5)
+
+
+def test_an_ill_conditioned_step_two_gram_is_warned_once(bench):
+    # a modifier equal to m - l makes its lag a copy of the instrument ml_lag;
+    # the system reads step two's block and does not repeat step two's warning
+    ds, _, _ = bench
+    dup = PanelDataset(firm_ids=ds.labels, years=ds.year, y=ds.y, k=ds.k, l=ds.l, m=ds.m, s_l=ds.s_l, ln_r=ds.ln_r,
+                       z=(ds.m - ds.l)[:, None], ln_price_l=ds.ln_price_l, ln_price_m=ds.ln_price_m)
+    est = estimate(dup)
+    step2_gram = [w for w in est.warnings if "instrument Gram" in w and "output-level" not in w]
+    assert len(step2_gram) == 1
+    assert step2_gram == [f"step 2: {w}" for w in est.step2.warnings if "instrument Gram" in w]
+
+
+def test_system_refine_refuses_a_step_two_record_of_another_instrument_set(bench):
+    ds, _, _ = bench
+    exact = EstimateOptions(instruments="exactly_identified")
+    step1 = step1_cost_share(ds)
+    step2 = step2_gmm(ds, step1, exact)
+    step3 = translog.step3_nls(ds, step1, step2, exact)
+    with pytest.raises(ValueError, match="instruments='default' gives 5"):
+        translog.system_refine(ds, step1, step2, step3, EstimateOptions())
+
+
+def test_system_refine_refuses_a_step_two_record_of_another_panel(bench, small_panel):
+    (ds, _, _), (other, _, _) = bench, small_panel
+    options = EstimateOptions()
+    step1, other_step1 = step1_cost_share(ds), step1_cost_share(other)
+    step2 = step2_gmm(other, other_step1, options)
+    step3 = translog.step3_nls(ds, step1, step2, options)
+    with pytest.raises(ValueError, match="lag pairs"):
+        translog.system_refine(ds, step1, step2, step3, options)
 
 
 def test_system_starts_on_panel_401_stay_off_the_cobb_douglas_edge(monkeypatch):
@@ -350,7 +413,7 @@ def test_system_starts_on_panel_401_stay_off_the_cobb_douglas_edge(monkeypatch):
     # starts the step-2 scan names stop on no guard
     ds, _ = generate_panel(benchmark_config(n=200, seed=401, markup=1.2))
     est, runs = _system_runs(monkeypatch, ds)
-    _assert_starts_are_the_scan_minima(est, ds, [x0 for x0, _ in runs])
+    _assert_starts_are_the_scan_minima(est, [x0 for x0, _ in runs])
     assert len(runs) == 3
     assert not any(r.status in GUARD_STOPS for _, r in runs)
     # no start ends on beta_0's upper bound
@@ -400,7 +463,7 @@ def test_system_starts_on_panel_403_converge(monkeypatch):
     # 500 steps; every start the scan names converges
     ds, _ = generate_panel(benchmark_config(n=200, seed=403, markup=1.2))
     est, runs = _system_runs(monkeypatch, ds)
-    _assert_starts_are_the_scan_minima(est, ds, [x0 for x0, _ in runs])
+    _assert_starts_are_the_scan_minima(est, [x0 for x0, _ in runs])
     assert all(r.converged for _, r in runs)
     assert not any(r.status in GUARD_STOPS for _, r in runs)
     assert all(r.params[0] < translog._beta_box(est.step1.delta_lm)[1][0] for _, r in runs)
@@ -413,7 +476,7 @@ def test_system_reaches_the_truth_side_when_step_two_has_one_minimum(markup, bet
     # delta/2) reaches it, where the sequential start ends at objective 0.08
     ds, _ = generate_panel(benchmark_config(n=200, seed=1070, markup=markup))
     est = estimate(ds)
-    assert len(_step2_profile_minima(est, ds)) == 1
+    assert len(_step2_profile_minima(est)) == 1
     assert est.system.converged
     assert est.params.beta_0 == pytest.approx(beta_0, abs=5e-5)
     assert est.system.objective == pytest.approx(objective, rel=1e-3)
