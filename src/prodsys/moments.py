@@ -39,8 +39,7 @@ number of lag pairs.  :func:`proxied_omega_coef` carries ``c`` through the
 proxied-phi expansion of ``y*`` and ``m*`` for the joint system, and
 :func:`proxied_omega_coef_jacobian` gives its derivative in ``(beta_0,
 beta_l, gamma)``, from which the joint system's omega rows are formed in
-closed form; :func:`proxied_omega_map` is the same expansion as a matrix on
-``c`` at a fixed ``(beta_0, beta_l)``.
+closed form.
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ __all__ = [
     "omega_law_coef_jacobian",
     "proxied_omega_coef",
     "proxied_omega_coef_jacobian",
-    "proxied_omega_map",
 ]
 
 
@@ -241,24 +239,6 @@ def proxied_omega_coef(gamma, beta_0: float, beta_l: float, delta_lm: float) -> 
         1.0, -beta_l**2 / (2.0 * beta_0) * (1.0 - g1) - g0, curv, -bk, -bkk, -g1, -g1 * curv, g1 * bk, g1 * bkk,
         *[-v for v in g2],
     ])
-
-
-def proxied_omega_map(beta_0: float, beta_l: float, delta_lm: float, px: int) -> np.ndarray:
-    """The matrix ``B`` with ``proxied_omega_coef(gamma, ...) == B @ omega_law_coef(gamma)`` at every ``gamma``.
-
-    At fixed ``(beta_0, beta_l)`` the proxied-phi expansion is linear in
-    ``c``: the constant's coefficient takes ``-beta_l^2/(2*beta_0)`` times
-    those of ``y*`` and ``m*``, and each ``s^2`` column ``delta^2/(2*beta_0)``
-    times them.  So a root ``L`` of ``R'R`` gives ``L B``, a root of the
-    ``D'D`` of the omega law on phi proxied at that point.
-    """
-    curv = delta_lm**2 / (2.0 * beta_0)
-    shift = beta_l**2 / (2.0 * beta_0)
-    out = np.zeros((9 + px, 7 + px))
-    out[[0, 1, 3, 4, 5, 7, 8], [0, 1, 2, 3, 4, 5, 6]] = 1.0
-    out[[1, 1, 2, 6], [0, 4, 0, 4]] = -shift, -shift, curv, curv
-    out[9:, 7:] = np.eye(px)
-    return out
 
 
 #: (rows, columns) of the nonzero entries of :func:`proxied_omega_coef_jacobian` left of the ``rho_2`` columns

@@ -39,10 +39,14 @@ of both blocks.
 At a fixed slope in lagged productivity each linear-law fit is a linear
 least-squares problem in its other coefficients, so steps two and three
 scan that one slope (:func:`_slope_profile`) and polish each local minimum
-of the profile with one optimizer start; the joint refinement starts from
-step two's minima, which step two's record keeps.  The series laws of
-:mod:`prodsys.sieve` keep the lag-pair residuals, with the same bounds and
-their own start grids (:func:`_phi_law_gmm`, :func:`_omega_law_nls`).
+of the profile with one optimizer start.  The joint refinement goes one
+coordinate further: at a fixed curvature ``beta_0`` its criterion splits
+into the two blocks, each a one-slope problem with its other coefficients
+in closed form, so it scans its profile over ``beta_0``
+(:func:`_system_profile`) and polishes the lowest interior minimum with one
+start.  The series laws of :mod:`prodsys.sieve` keep the lag-pair
+residuals, with the same bounds and their own start grids
+(:func:`_phi_law_gmm`, :func:`_omega_law_nls`).
 
 Every step takes the run's :class:`EstimateOptions` as one required
 argument, so no fit can fall back to settings its caller did not choose;
@@ -68,7 +72,6 @@ from .moments import (
     phi_proxy,
     proxied_omega_coef,
     proxied_omega_coef_jacobian,
-    proxied_omega_map,
 )
 from .optim import GRAD_TOL, MAX_ITER, GmmProblem, NlsProblem, OptimResult, _psd_sqrt, finite_diff_jacobian
 from .optim import minimize_gmm, minimize_nls
@@ -163,12 +166,10 @@ class Step1Result:
 
 @dataclasses.dataclass
 class Step2Result:
-    """Step two's fit, with the moment block and slope-profile minima the joint refinement reads.
+    """Step two's fit, with the moment block the joint refinement reads.
 
     ``whitened_qe`` is ``W^{1/2} Q'E / n_pairs``, one row per instrument
-    (see :func:`step2_gmm`), and ``slope_minima`` holds one row ``(beta_0,
-    beta_l, rho_phi_1, rho_phi_2)`` per minimum of its slope profile, best
-    first.
+    (see :func:`step2_gmm`).
     """
 
     beta_0: float
@@ -182,7 +183,6 @@ class Step2Result:
     n_pairs: int
     instrument_names: tuple[str, ...]
     whitened_qe: np.ndarray
-    slope_minima: np.ndarray
     warnings: list[str] = dataclasses.field(default_factory=list)
 
 
@@ -295,7 +295,7 @@ _SLOPES = np.linspace(-0.999, 0.999, 1999)
 _ZOOM_POINTS, _ZOOM_LEVELS = 201, 3
 
 
-def _solve_batch(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _solve_batch(mats: np.ndarray, rhs: np.ndarray, *, definite: bool = False):
     """``x[:, g]`` with ``mats[:, :, g] @ x[:, g] == rhs[:, g]``, for symmetric positive semidefinite ``mats``.
 
     Gaussian elimination written over the batch axis, which is last: at two
@@ -303,7 +303,9 @@ def _solve_batch(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     of ``np.linalg.solve``, which also raises for the whole batch if one
     matrix is singular.  A symmetric positive definite matrix needs no
     pivoting; a singular one divides by a zero pivot, so its solution is
-    not finite.  Call it under ``np.errstate``.
+    not finite.  Call it under ``np.errstate``.  With ``definite`` the
+    function returns ``(x, mask)`` with ``mask`` true where every pivot is
+    positive, which for a symmetric matrix means positive definite.
     """
     k = mats.shape[0]
     mats, x = mats.copy(), rhs.copy()
@@ -313,6 +315,8 @@ def _solve_batch(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         x[j + 1:] -= f * x[j]
     for j in range(k - 1, -1, -1):
         x[j] = (x[j] - np.einsum("kg,kg->g", mats[j, j + 1:], x[j + 1:])) / mats[j, j]
+    if definite:
+        return x, np.all(np.diagonal(mats) > 0.0, axis=-1)
     return x
 
 
@@ -607,10 +611,10 @@ def step2_gmm(dataset: PanelDataset, step1: Step1Result, options: EstimateOption
 
     The starts are the local minima of the criterion's profile in
     ``rho_phi_1`` (:func:`_phi_profile` on the whitened block), one optimizer
-    start each, and the best polished minimum is reported; the record keeps
-    the minima as ``slope_minima``.  On the benchmark panels the profile has
-    two minima: the lower one in the rescaling valley, which step two
-    reports, and one near the truth, which the joint refinement starts from.
+    start each, and the best polished minimum is reported.  On the benchmark
+    panels the profile has two minima: the lower one in the rescaling valley,
+    which step two reports, and one near the truth, beside which the joint
+    refinement's answer lies.
     """
     delta = step1.delta_lm
     pz = dataset.z.shape[1]
@@ -648,7 +652,6 @@ def step2_gmm(dataset: PanelDataset, step1: Step1Result, options: EstimateOption
         n_pairs=n_pairs,
         instrument_names=names,
         whitened_qe=whitened_qe,
-        slope_minima=minima,
         warnings=warnings,
     )
 
@@ -862,11 +865,10 @@ def _system_cross_products(dataset: PanelDataset, step1: Step1Result, options: E
     (``Step2Result.whitened_qe``); ``E`` is formed here only for its Gram
     matrix.
 
-    Returns ``(P_R, G_E, G_R, L_R, h_names)``: the whitened projection
-    ``half_h H'R / n``, the centered Gram matrices ``E_c'E_c / n`` and
-    ``R_c'R_c / n`` over the ``n`` lag pairs, a symmetric root ``L_R`` of
-    the uncentered ``R'R / n`` and the level-instrument names.  No lag-pair
-    array outlives the call.
+    Returns ``(P_R, G_E, G_R, h_names)``: the whitened projection ``half_h
+    H'R / n``, the centered Gram matrices ``E_c'E_c / n`` and ``R_c'R_c /
+    n`` over the ``n`` lag pairs and the level-instrument names.  No
+    lag-pair array outlives the call.
     """
     delta = step1.delta_lm
     pairs = dataset.lag_pairs()
@@ -887,17 +889,236 @@ def _system_cross_products(dataset: PanelDataset, step1: Step1Result, options: E
     proj_r = _psd_sqrt(_gram_weight(h, "output-level instrument", warnings)) @ (h.T @ r) / n
     e = phi_law_columns(*_step2_arrays(dataset))
     e -= e.mean(axis=0)
-    mean_r = r.mean(axis=0)
-    r -= mean_r
-    gram_r = r.T @ r / n
-    return proj_r, e.T @ e / n, gram_r, _psd_sqrt(gram_r + np.outer(mean_r, mean_r)), h_names
+    r -= r.mean(axis=0)
+    return proj_r, e.T @ e / n, r.T @ r / n, h_names
+
+
+# -- the joint system's profile over beta_0 --------------------------------------
+
+#: the joint profile stops short of the Cobb-Douglas limit at ``beta_0 = -_B_MIN``
+_B_MIN = 1e-3
+#: curvatures the joint profile scans: log-spaced from the box's lower end -10 to ``-_B_MIN``
+_PROFILE_BETA_0 = -np.logspace(1.0, math.log10(_B_MIN), 30)
+#: slopes in lagged productivity each block of the joint profile scans
+_PROFILE_SLOPES = np.linspace(-0.975, 0.975, 40)
+#: Dinkelbach steps of each ratio minimum, the relative gap below it that certifies it, and the
+#: bisection steps of a minimum the certificate misses
+_DINKELBACH_STEPS, _CERTIFIED, _BISECTIONS = 6, 1e-11, 60
+
+
+def _quad(mats: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``v[:, g]' mats[:, :, g] v[:, g]`` for every ``g``."""
+    return np.einsum("ig,ijg,jg->g", v, mats, v)
+
+
+def _ratio_minimum(num: np.ndarray, den: np.ndarray, steps: int = _DINKELBACH_STEPS):
+    """``(ratio, v)``: the minimum of ``v'Av / v'Bv`` over ``v`` with ``v[0] = 1``, batched over the last axis.
+
+    ``A`` and ``B`` are symmetric positive semidefinite, so the minimum is
+    the smallest generalized eigenvalue of ``(A, B)`` when its eigenvector
+    has ``v[0] != 0``.  Dinkelbach's method finds it: from ``lam = 0``,
+    minimize the quadratic ``v'(A - lam B)v`` over the free coordinates (one
+    :func:`_solve_batch`) and take the ratio there as the next ``lam``.
+    That is Newton's method on the concave ``F(lam) = min over v of v'(A -
+    lam B)v``, whose root is the eigenvalue, and it costs a few small
+    eliminations where a batched eigensolver costs several times more.
+
+    Every ratio is at least the eigenvalue, so ``A - lam B`` positive
+    definite just below the last ratio certifies it.  Where the certificate
+    fails, as it can where the smallest eigenvalue is close to the next or
+    its eigenvector has a small ``v[0]`` (the iteration may then stop short
+    or at another eigenvalue), :func:`_bisected_minimum` finds the
+    eigenvalue instead; on the joint profile's grids of the benchmark
+    panels no member needs it.  Call this under ``np.errstate``: a singular
+    batch member is not finite.
+    """
+    v = np.ones((num.shape[0], num.shape[2]))
+    if num.shape[0] == 1:
+        return num[0, 0] / den[0, 0], v
+    trial, lam, best = v.copy(), np.zeros(num.shape[2]), np.full(num.shape[2], np.inf)
+    for _ in range(steps):
+        mat = num - lam * den
+        trial[1:] = _solve_batch(mat[1:, 1:], -mat[1:, 0])
+        lam = _quad(num, trial) / _quad(den, trial)
+        # at the eigenvalue itself the free block can be singular; keep the last finite ratio
+        better = lam < best
+        best, v = np.where(better, lam, best), np.where(better, trial, v)
+    _, sure = _solve_batch(num - best * (1.0 - _CERTIFIED) * den, v, definite=True)
+    redo = np.flatnonzero(~sure & np.isfinite(best))
+    if redo.size:
+        best[redo], v[:, redo] = _bisected_minimum(num[:, :, redo], den[:, :, redo], best[redo])
+    return best, v
+
+
+def _bisected_minimum(num: np.ndarray, den: np.ndarray, upper: np.ndarray):
+    """:func:`_ratio_minimum`'s answer by bisection on definiteness, below an upper bound ``upper``.
+
+    ``A - lam B`` is positive definite exactly below the smallest
+    eigenvalue, so halving ``[0, upper]`` on that test brackets it; two
+    steps of inverse iteration shifted to the bracket's lower end then give
+    its eigenvector, whose ratio is the answer.
+    """
+    lo, hi = np.zeros_like(upper), upper.copy()
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        _, definite = _solve_batch(num - mid * den, den[0], definite=True)
+        lo, hi = np.where(definite, mid, lo), np.where(definite, hi, mid)
+    v = np.ones_like(den[0])
+    for _ in range(2):
+        v = _solve_batch(num - lo * den, np.einsum("ijg,jg->ig", den, v))
+        v = v / v[0]
+    return _quad(num, v) / _quad(den, v), v
+
+
+def _ratio_profile(proj: np.ndarray, gram: np.ndarray, maps: np.ndarray):
+    """The ratio ``|proj M v|^2 / (M v)' gram (M v)``, minimized over ``v`` with ``v[0] = 1``, at ``M = sum mu_j maps[j]``.
+
+    ``maps`` stacks four coefficient maps, one per monomial ``mu = (1, r,
+    1/beta_0, r/beta_0)`` of a candidate's curvature and slope, so both
+    quadratic forms are fixed matrices times products of the monomials,
+    formed once here.  The returned function takes ``mu`` (4 x g) and
+    returns ``(crit, v)``, with the criterion's numerator the squared norm
+    of the residual itself.
+    """
+    pm = proj @ maps
+    k = maps.shape[2]
+    num = np.einsum("mik,nil->klmn", pm, pm).reshape(k * k, 16)
+    den = np.einsum("mjk,jl,nlp->kpmn", maps, gram, maps).reshape(k * k, 16)
+
+    def at(mu):
+        mu2 = (mu[:, None] * mu[None]).reshape(16, -1)
+        den_g = (den @ mu2).reshape(k, k, -1)
+        _, v = _ratio_minimum((num @ mu2).reshape(k, k, -1), den_g)
+        resid = np.einsum("mg,mig->ig", mu, pm @ v)
+        return np.einsum("ig,ig->g", resid, resid) / _quad(den_g, v), v
+
+    return at
+
+
+def _phi_block_profile(proj: np.ndarray, gram: np.ndarray, delta: float, box):
+    """The phi block ``|P a|^2 / a'Ga`` at ``(beta_0, rho_1)``, minimized over ``(beta_l, rho_2)`` in the box.
+
+    ``a = [1, -rho_1, c(1 - rho_1), -delta/beta_0, rho_1 delta/beta_0,
+    -rho_2]`` with ``c = beta_l/beta_0`` (:func:`~prodsys.moments.phi_law_coef`).
+    ``G``'s constant column is zero, so ``c`` enters only the numerator,
+    linearly: it is projected out of ``P``, and where its solution puts
+    ``beta_l`` outside :func:`_beta_box` each bound of ``beta_l`` is a face
+    whose ratio is minimized the same way, over ``(1, rho_2)``.  Returns a
+    function of ``mu`` giving ``(crit, beta_l, rho_2)``.
+    """
+    (_, lo_l), (_, hi_l) = box
+    pz = proj.shape[1] - 5
+    maps = np.zeros((4, 5 + pz, 1 + pz))
+    maps[0, 0, 0], maps[1, 1, 0], maps[2, 3, 0], maps[3, 4, 0] = 1.0, -1.0, -delta, delta
+    maps[0, 5:, 1:] = -np.eye(pz)
+    p2 = proj[:, 2]
+    x2 = p2 @ proj / (p2 @ p2)
+    free = _ratio_profile(proj - np.outer(p2, x2), gram, maps)
+    share = -(x2 @ maps)  # c(1 - rho_1) at the free solution is mu' share v
+    faces = []
+    for bound in (lo_l, hi_l):
+        face = maps.copy()
+        face[2, 2, 0], face[3, 2, 0] = bound, -bound  # c(1 - rho_1) = bound (1 - rho_1)/beta_0
+        faces.append(_ratio_profile(proj, gram, face))
+
+    def at(mu):
+        crit, v = free(mu)
+        beta_l = np.einsum("mg,mk,kg->g", mu, share, v) / (1.0 - mu[1]) / mu[2]
+        ok = np.isfinite(crit) & (beta_l >= lo_l) & (beta_l <= hi_l)
+        crit = np.where(ok, crit, np.inf)
+        for bound, face in zip((lo_l, hi_l), faces):
+            face_crit, face_v = face(mu)
+            better = ~ok & (face_crit < crit)
+            crit, beta_l, v = np.where(better, face_crit, crit), np.where(better, bound, beta_l), np.where(better, face_v, v)
+        return crit, beta_l, v[1:]
+
+    return at
+
+
+def _omega_block_profile(proj: np.ndarray, gram: np.ndarray, delta: float):
+    """The omega block ``|P c|^2 / c'Gc`` at ``(beta_0, rho_1)``, minimized over ``(beta_k, beta_kk, rho_2)``.
+
+    ``c`` is :func:`~prodsys.moments.proxied_omega_coef`.  ``beta_l`` and
+    ``rho_0`` enter only its intercept entry, which ``G``'s zero constant
+    column does not see, so that entry is projected out of ``P``; what is
+    left is a ratio of quadratics in ``(1, beta_k, beta_kk, rho_2)``.
+    Returns a function of ``mu`` giving ``(crit, intercept, v)`` with ``v =
+    (1, beta_k, beta_kk, rho_2)`` and ``intercept`` the solution's entry,
+    ``-rho_0 - beta_l^2 (1 - rho_1) / (2 beta_0)``.
+    """
+    px = proj.shape[1] - 9
+    maps = np.zeros((4, 9 + px, 3 + px))
+    half = 0.5 * delta**2
+    maps[0, 0, 0], maps[2, 2, 0], maps[1, 5, 0], maps[3, 6, 0] = 1.0, half, -1.0, -half
+    maps[0, 3, 1], maps[1, 7, 1], maps[0, 4, 2], maps[1, 8, 2] = -1.0, 1.0, -1.0, 1.0
+    maps[0, 9:, 3:] = -np.eye(px)
+    p1 = proj[:, 1]
+    x1 = p1 @ proj / (p1 @ p1)
+    ratio = _ratio_profile(proj - np.outer(p1, x1), gram, maps)
+    intercept = -(x1 @ maps)
+
+    def at(mu):
+        crit, v = ratio(mu)
+        return np.where(np.isfinite(crit), crit, np.inf), np.einsum("mg,mk,kg->g", mu, intercept, v), v
+
+    return at
+
+
+def _system_profile(proj_e, gram_e, proj_r, gram_r, delta: float):
+    """The joint criterion's two blocks at pairs ``(beta_0, rho_1)``, each minimized over its other coordinates.
+
+    At a fixed ``beta_0`` the joint criterion separates: the phi block
+    reads ``beta_l`` and ``rho_phi``, the omega block ``beta_k``,
+    ``beta_kk`` and ``rho_omega``, and ``beta_l`` reaches the omega block
+    only through an entry its free ``rho_omega_0`` absorbs.  So ``J(beta_0)
+    = min over rho_phi_1 of Phi + min over rho_omega_1 of Omega``, each inner
+    minimum a slope scan of closed forms (variable projection).  Returns
+    ``profile(beta_0, slopes)``, over equal-length arrays, giving the phi
+    block's ``(crit, beta_l, rho_phi_2)`` and the omega block's ``(crit,
+    intercept, v)`` (:func:`_phi_block_profile`, :func:`_omega_block_profile`).
+    """
+    phi = _phi_block_profile(proj_e, gram_e, delta, _beta_box(delta))
+    omega = _omega_block_profile(proj_r, gram_r, delta)
+
+    def profile(beta_0, slopes):
+        mu = np.stack([np.ones_like(slopes), slopes, 1.0 / beta_0, slopes / beta_0])
+        with np.errstate(all="ignore"):
+            return phi(mu), omega(mu)
+
+    return profile
+
+
+def _profile_start(profile) -> np.ndarray:
+    """The joint system's start: the lowest interior local minimum of the scanned ``J(beta_0)``.
+
+    Each block is scanned on :data:`_PROFILE_BETA_0` by
+    :data:`_PROFILE_SLOPES`, ``J`` takes each block's best slope per
+    ``beta_0``, and the start is the lowest grid point below both
+    neighbours.  A ``J`` with no such point starts from its lowest value.
+    """
+    n_b, n_s = _PROFILE_BETA_0.size, _PROFILE_SLOPES.size
+    (phi_crit, beta_l, rho_phi_2), (omega_crit, intercept, v) = profile(
+        np.repeat(_PROFILE_BETA_0, n_s), np.tile(_PROFILE_SLOPES, n_b))
+    rows = np.arange(n_b)
+    phi_at = rows * n_s + np.argmin(phi_crit.reshape(n_b, n_s), axis=1)
+    omega_at = rows * n_s + np.argmin(omega_crit.reshape(n_b, n_s), axis=1)
+    crit = phi_crit[phi_at] + omega_crit[omega_at]
+    interior = (crit[1:-1] < crit[:-2]) & (crit[1:-1] <= crit[2:])
+    minima = np.flatnonzero(interior) + 1
+    best = minima[np.argmin(crit[minima])] if minima.size else int(np.argmin(crit))
+    i, j = phi_at[best], omega_at[best]
+    beta_0, rho_omega_1 = _PROFILE_BETA_0[best], _PROFILE_SLOPES[j % n_s]
+    rho_omega_0 = -intercept[j] - beta_l[i] ** 2 * (1.0 - rho_omega_1) / (2.0 * beta_0)
+    return np.concatenate((
+        [beta_0, beta_l[i], _PROFILE_SLOPES[i % n_s]], rho_phi_2[:, i],
+        v[1:3, j], [rho_omega_0, rho_omega_1], v[3:, j],
+    ))
 
 
 def system_refine(
     dataset: PanelDataset,
     step1: Step1Result,
     step2: Step2Result,
-    step3: Step3Result,
     options: EstimateOptions,
 ) -> SystemResult:
     """Joint GMM over the step-two and step-three blocks on stacked moments.
@@ -926,22 +1147,11 @@ def system_refine(
     form.
 
     The phi block reads step two's whitened ``Q'E/n``
-    (``step2.whitened_qe``) and the starts read step two's slope-profile
-    minima (``step2.slope_minima``), so neither is formed again here; a
-    ``step2`` record from another panel or instrument set is refused with
+    (``step2.whitened_qe``), so it is not formed again here; a ``step2``
+    record from another panel or instrument set is refused with
     ``ValueError``.  Step two's warning on an ill-conditioned instrument
     Gram matrix is step two's alone, and is not repeated among the system's
-    warnings.  A root of the uncentered ``R'R`` (the centered Gram matrix
-    plus the outer product of the column means), carried to a step-two point
-    by :func:`~prodsys.moments.proxied_omega_map`, is a root of step three's
-    ``D'D`` there.  The starts are the sequential point, one seed per other
-    minimum of step two's profile (its step-two point and the lowest minimum
-    of step three's profile at it), and one fixed start, ``(beta_0, beta_l)
-    = (-0.2, delta/2)``.  On most benchmark panels step two's profile has
-    two minima, the sequential one in the rescaling valley and one near the
-    truth, next to which the joint answer lies.  Where the profile has only
-    the valley minimum (``benchmark_config(n=200, seed=1070)``), the fixed
-    start is the one that reaches the truth side.
+    warnings.
 
     Both stacked residuals are fixed data columns times coefficients that
     depend only on the candidate: ``eps = E a`` with ``a`` step two's
@@ -955,6 +1165,20 @@ def system_refine(
     evaluation is then a few products of size at most about 20, and its cost
     no longer grows with the number of lag pairs.
 
+    The start is a scan, not a guess.  At a fixed ``beta_0`` the criterion
+    splits into its two blocks, each a one-slope problem whose other
+    coordinates have a closed form (:func:`_system_profile`), so ``J(beta_0)``
+    is scanned on a fixed grid and its lowest interior local minimum
+    (:func:`_profile_start`) is polished with one Levenberg-Marquardt start
+    of the joint problem.  On the benchmark pool's panels the scanned ``J``
+    has two interior minima, the lower near the truth and the other at
+    ``beta_0`` about -0.16 to -0.22; step two's answer in the rescaling
+    valley (about -0.12 to -0.15) is not a minimum of ``J``.  The
+    grid stops at ``beta_0 = -1e-3`` (:data:`_B_MIN`): nearer the
+    Cobb-Douglas limit the omega ratio can run off along ``beta_k`` to a
+    plateau, and on some panels the box's edge there undercuts the interior
+    optimum, which this estimator does not report.
+
     ``lam`` stacks the phi block ``(beta_0, beta_l, rho_phi)`` and the omega
     block ``(beta_k, beta_kk, rho_omega)``.  The phi moments read
     ``lam[:3 + pz]`` and the omega moments ``beta_0``, ``beta_l`` and
@@ -965,12 +1189,6 @@ def system_refine(
     ``(P dc - (P c / s) c'G dc / s) / s`` with ``dc`` from
     :func:`~prodsys.moments.proxied_omega_coef_jacobian`, and ``P dc /
     scale_floor`` where the floor binds.
-
-    No start the scan names reaches ``beta_0``'s face of :func:`_beta_box`,
-    the Cobb-Douglas limit.  :func:`minimize_nls` ranks any converged start
-    above one that ran out of iterations or stopped along the box
-    (:data:`~prodsys.optim.STALL_STATUS`, a guard kept for the series laws'
-    start grid of :func:`_phi_law_gmm`, which still reaches it).
     """
     delta = step1.delta_lm
     pz, px = dataset.z.shape[1], dataset.x.shape[1]
@@ -982,7 +1200,7 @@ def system_refine(
         raise ValueError(f"step2's moment block has {proj_e.shape[0]} instruments; "
                          f"instruments={options.instruments!r} gives {n_q}")
     warnings: list[str] = []
-    proj_r, gram_e, gram_r, root_r, h_names = _system_cross_products(dataset, step1, options, warnings)
+    proj_r, gram_e, gram_r, h_names = _system_cross_products(dataset, step1, options, warnings)
     scale_floor = 1e-8  # keeps noiseless panels from dividing by ~eps
 
     # ndarray.dot, not @: the same BLAS call, with half the overhead at this size
@@ -1025,21 +1243,9 @@ def system_refine(
     lo = np.concatenate((box[0], [-0.999999], np.full(pz, -50.0), [-5.0, -5.0, -50.0, -0.999999], np.full(px, -50.0)))
     hi = np.concatenate((box[1], [0.999999], np.full(pz, 50.0), [5.0, 5.0, 50.0, 0.999999], np.full(px, 50.0)))
     problem = NlsProblem(residual=residual, jacobian=jacobian, bounds=(lo, hi))
-
-    seq = np.concatenate((
-        [step2.beta_0, step2.beta_l, step2.rho_phi_1], step2.rho_phi_2,
-        [step3.beta_k, step3.beta_kk, step3.rho_omega_0, step3.rho_omega_1], step3.rho_omega_2,
-    ))
-    starts = [seq]
-    for alpha in step2.slope_minima:
-        if abs(alpha[2] - step2.rho_phi_1) < 1e-6:
-            continue  # the sequential point's own minimum
-        gammas = _omega_slope_minima(root_r @ proxied_omega_map(alpha[0], alpha[1], delta, px))
-        if gammas:
-            starts.append(np.concatenate((alpha, gammas[0])))
-    starts = [np.clip(start, lo + 1e-9, hi - 1e-9) for start in starts]
-    starts.append(np.concatenate(([-0.2, 0.5 * delta, 0.5], np.zeros(pz), [0.1, 0.0, 0.0, 0.5], np.zeros(px))))
-    result = minimize_nls(problem, starts[0], starts=starts[1:], grad_tol=options.grad_tol, max_iter=options.max_iter)
+    start = _profile_start(_system_profile(proj_e, gram_e, proj_r, gram_r, delta))
+    result = minimize_nls(problem, np.clip(start, lo + 1e-9, hi - 1e-9),
+                          grad_tol=options.grad_tol, max_iter=options.max_iter)
 
     b0, bl, r1, r2 = *result.params[:3], result.params[3:3 + pz]
     bk, bkk, g0, g1, g2 = *result.params[3 + pz:7 + pz], result.params[7 + pz:]
@@ -1109,7 +1315,7 @@ def estimate(dataset: PanelDataset, options: EstimateOptions | None = None) -> T
     step1 = step1_cost_share(dataset)
     step2 = step2_gmm(dataset, step1, opts)
     step3 = step3_nls(dataset, step1, step2, opts)
-    system = system_refine(dataset, step1, step2, step3, opts) if opts.refine == "system" else None
+    system = system_refine(dataset, step1, step2, opts) if opts.refine == "system" else None
 
     params, laws = _point_estimate(step1, step2, step3, system)
     if system is not None:

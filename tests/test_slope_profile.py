@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from moments_reference import proxied_omega_map
+from system_reference import uncentered_root
 
 from prodsys import translog
-from prodsys.moments import omega_law_coef, omega_law_columns, phi_law_coef, proxied_omega_coef, proxied_omega_map
+from prodsys.moments import omega_law_coef, omega_law_columns, phi_law_coef, proxied_omega_coef
 from prodsys.optim import _psd_sqrt
 
 SLOPES = st.floats(-0.999999, 0.999999)
@@ -119,9 +121,8 @@ def test_step3_minimum_is_step_threes_answer(bench):
     step1 = translog.step1_cost_share(ds)
     step2 = translog.step2_gmm(ds, step1, translog.EstimateOptions())
     step3 = translog.step3_nls(ds, step1, step2, translog.EstimateOptions())
-    root_r = translog._system_cross_products(ds, step1, translog.EstimateOptions(), [])[3]
-    # the system's root of R'R, carried to step two's point, is a root of step three's D'D
-    carried = root_r @ proxied_omega_map(step2.beta_0, step2.beta_l, step1.delta_lm, ds.x.shape[1])
+    # a root of the joint system's uncentered R'R, carried to step two's point, is a root of step three's D'D
+    carried = uncentered_root(ds, step1, translog.EstimateOptions()) @ proxied_omega_map(step2.beta_0, step2.beta_l, step1.delta_lm, ds.x.shape[1])
     best = translog._omega_slope_minima(carried)[0]
     got = [step3.beta_k, step3.beta_kk, step3.rho_omega_0, step3.rho_omega_1]
     assert np.max(np.abs(best - got)) < 1e-6

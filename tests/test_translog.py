@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from system_reference import profile_curve
 
 from prodsys import bootstrap, optim, sieve, translog
 from prodsys.moments import phi_law_coef, phi_law_coef_jacobian, phi_law_columns
@@ -332,14 +333,12 @@ def _step2_profile_minima(est):
     return translog._phi_slope_minima(est.step2.whitened_qe, delta, translog._beta_box(delta))
 
 
-def _assert_starts_are_the_scan_minima(est, starts):
-    """The sequential point, then every other step-2 profile minimum, then the fixed start ``(-0.2, delta/2)``."""
-    others = [m for m in _step2_profile_minima(est) if abs(m[2] - est.step2.rho_phi_1) >= 1e-6]
-    assert len(starts) == len(others) + 2
-    assert np.allclose(starts[0][:3], [est.step2.beta_0, est.step2.beta_l, est.step2.rho_phi_1], rtol=0, atol=1e-9)
-    for start, minimum in zip(starts[1:-1], others):
-        assert np.allclose(start[:3], minimum[:3], rtol=0, atol=1e-9)
-    assert np.array_equal(starts[-1][:3], [-0.2, 0.5 * est.step1.delta_lm, 0.5])
+def _assert_start_is_the_profile_minimum(ds, est, starts):
+    """One start, at the lowest interior local minimum of the scanned profile ``J(beta_0)``."""
+    (start,) = starts
+    curve = profile_curve(ds, est.step1, est.step2, est.options)
+    interior = [i for i in range(1, curve.size - 1) if curve[i - 1] > curve[i] <= curve[i + 1]]
+    assert start[0] == translog._PROFILE_BETA_0[min(interior, key=curve.__getitem__)]
 
 
 def _counting_calls(monkeypatch, names):
@@ -370,7 +369,8 @@ def test_a_refined_fit_forms_step_two_once(monkeypatch, bench, bench_est, fit):
 def test_step_two_record_keeps_the_minima_of_its_own_block(bench_est):
     step2, delta = bench_est.step2, bench_est.step1.delta_lm
     minima = translog._phi_slope_minima(step2.whitened_qe, delta, translog._beta_box(delta))
-    assert step2.slope_minima.shape == (2, 3) and step2.slope_minima.tobytes() == minima.tobytes()
+    # step two's answer is the polish of one minimum of its record's block
+    assert min(np.max(np.abs(m - [step2.beta_0, step2.beta_l, step2.rho_phi_1])) for m in minima) < 1e-6
     assert step2.whitened_qe.shape == (len(step2.instrument_names), 5)
 
 
@@ -391,9 +391,8 @@ def test_system_refine_refuses_a_step_two_record_of_another_instrument_set(bench
     exact = EstimateOptions(instruments="exactly_identified")
     step1 = step1_cost_share(ds)
     step2 = step2_gmm(ds, step1, exact)
-    step3 = translog.step3_nls(ds, step1, step2, exact)
     with pytest.raises(ValueError, match="instruments='default' gives 5"):
-        translog.system_refine(ds, step1, step2, step3, EstimateOptions())
+        translog.system_refine(ds, step1, step2, EstimateOptions())
 
 
 def test_system_refine_refuses_a_step_two_record_of_another_panel(bench, small_panel):
@@ -401,20 +400,18 @@ def test_system_refine_refuses_a_step_two_record_of_another_panel(bench, small_p
     options = EstimateOptions()
     step1, other_step1 = step1_cost_share(ds), step1_cost_share(other)
     step2 = step2_gmm(other, other_step1, options)
-    step3 = translog.step3_nls(ds, step1, step2, options)
     with pytest.raises(ValueError, match="lag pairs"):
-        translog.system_refine(ds, step1, step2, step3, options)
+        translog.system_refine(ds, step1, step2, options)
 
 
 def test_system_starts_on_panel_401_stay_off_the_cobb_douglas_edge(monkeypatch):
     # on this panel (a sieve_partialid benchmark panel) a start of the old
     # grid (beta_0 = -0.05) reached beta_0's upper bound -1e-10 within a few
     # accepted iterates and used to crawl along it to max_iter = 500; the
-    # starts the step-2 scan names stop on no guard
+    # one start the profile scan names stops on no guard
     ds, _ = generate_panel(benchmark_config(n=200, seed=401, markup=1.2))
     est, runs = _system_runs(monkeypatch, ds)
-    _assert_starts_are_the_scan_minima(est, [x0 for x0, _ in runs])
-    assert len(runs) == 3
+    _assert_start_is_the_profile_minimum(ds, est, [x0 for x0, _ in runs])
     assert not any(r.status in GUARD_STOPS for _, r in runs)
     # no start ends on beta_0's upper bound
     assert all(r.params[0] < translog._beta_box(est.step1.delta_lm)[1][0] for _, r in runs)
@@ -460,10 +457,10 @@ def test_series_step_two_starts_on_a_markup_1_panel_stop_along_the_box(monkeypat
 
 def test_system_starts_on_panel_403_converge(monkeypatch):
     # on panel 403 a start of the old grid bounced off the box for all of its
-    # 500 steps; every start the scan names converges
+    # 500 steps; the one start the profile scan names converges
     ds, _ = generate_panel(benchmark_config(n=200, seed=403, markup=1.2))
     est, runs = _system_runs(monkeypatch, ds)
-    _assert_starts_are_the_scan_minima(est, [x0 for x0, _ in runs])
+    _assert_start_is_the_profile_minimum(ds, est, [x0 for x0, _ in runs])
     assert all(r.converged for _, r in runs)
     assert not any(r.status in GUARD_STOPS for _, r in runs)
     assert all(r.params[0] < translog._beta_box(est.step1.delta_lm)[1][0] for _, r in runs)
