@@ -256,7 +256,7 @@ def bootstrap_replicate(
     mstar_b = omega_proxy(dataset, step2_b.beta_0, step2_b.beta_l, step1_b.delta_lm, step1_b.theta, which=opts.proxy)
     core = step3_core(ystar_b, dataset.k[cur], dataset.k[prev], mstar_b[prev], dataset.x[prev], opts)
     step3_b = _step3_result(core, proxy=opts.proxy, n_pairs=int(cur.size))
-    sys_b = system_refine(ds_b, step1_b, step2_b, opts) if opts.refine == "system" else None
+    sys_b = system_refine(ds_b, step1_b, step2_b, step3_b, opts) if opts.refine == "system" else None
     return pack_parameters(*_point_estimate(step1_b, step2_b, step3_b, sys_b))
 
 

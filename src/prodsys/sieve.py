@@ -462,7 +462,7 @@ def sieve_estimate(
     warn_phi: list[str] = []
     warn_omega: list[str] = []
     if degree == "auto" or degree > 1:
-        ref = system_refine(dataset, step1, p2, opts)
+        ref = system_refine(dataset, step1, p2, p3, opts)
         # both laws' series at the reference: targets and (lagged) inputs
         delta = step1.delta_lm
         ml_cur, ml_prev, sl_cur, sl_prev, z_prev = _step2_arrays(dataset)

@@ -44,9 +44,9 @@ coordinate further: at a fixed curvature ``beta_0`` its criterion splits
 into the two blocks, each a one-slope problem with its other coefficients
 in closed form, so it scans its profile over ``beta_0``
 (:func:`_system_profile`) and polishes the lowest interior minimum with one
-start.  The series laws of :mod:`prodsys.sieve` keep the lag-pair
-residuals, with the same bounds and their own start grids
-(:func:`_phi_law_gmm`, :func:`_omega_law_nls`).
+start, checked against the sequential point.  The series laws of
+:mod:`prodsys.sieve` keep the lag-pair residuals, with the same bounds and
+their own start grids (:func:`_phi_law_gmm`, :func:`_omega_law_nls`).
 
 Every step takes the run's :class:`EstimateOptions` as one required
 argument, so no fit can fall back to settings its caller did not choose;
@@ -901,9 +901,8 @@ _B_MIN = 1e-3
 _PROFILE_BETA_0 = -np.logspace(1.0, math.log10(_B_MIN), 30)
 #: slopes in lagged productivity each block of the joint profile scans
 _PROFILE_SLOPES = np.linspace(-0.975, 0.975, 40)
-#: Dinkelbach steps of each ratio minimum, the relative gap below it that certifies it, and the
-#: bisection steps of a minimum the certificate misses
-_DINKELBACH_STEPS, _CERTIFIED, _BISECTIONS = 6, 1e-11, 60
+#: Dinkelbach steps of each ratio minimum, and the relative gap below it that certifies it
+_DINKELBACH_STEPS, _CERTIFIED = 6, 1e-11
 
 
 def _quad(mats: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -911,32 +910,25 @@ def _quad(mats: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("ig,ijg,jg->g", v, mats, v)
 
 
-def _ratio_minimum(num: np.ndarray, den: np.ndarray, steps: int = _DINKELBACH_STEPS):
+def _ratio_minimum(num: np.ndarray, den: np.ndarray):
     """``(ratio, v)``: the minimum of ``v'Av / v'Bv`` over ``v`` with ``v[0] = 1``, batched over the last axis.
 
     ``A`` and ``B`` are symmetric positive semidefinite, so the minimum is
     the smallest generalized eigenvalue of ``(A, B)`` when its eigenvector
-    has ``v[0] != 0``.  Dinkelbach's method finds it: from ``lam = 0``,
-    minimize the quadratic ``v'(A - lam B)v`` over the free coordinates (one
-    :func:`_solve_batch`) and take the ratio there as the next ``lam``.
-    That is Newton's method on the concave ``F(lam) = min over v of v'(A -
-    lam B)v``, whose root is the eigenvalue, and it costs a few small
-    eliminations where a batched eigensolver costs several times more.
-
-    Every ratio is at least the eigenvalue, so ``A - lam B`` positive
-    definite just below the last ratio certifies it.  Where the certificate
-    fails, as it can where the smallest eigenvalue is close to the next or
-    its eigenvector has a small ``v[0]`` (the iteration may then stop short
-    or at another eigenvalue), :func:`_bisected_minimum` finds the
-    eigenvalue instead; on the joint profile's grids of the benchmark
-    panels no member needs it.  Call this under ``np.errstate``: a singular
+    has ``v[0] != 0``.  Dinkelbach's method (Newton's method on ``F(lam) =
+    min over v of v'(A - lam B)v``) finds it: from ``lam = 0``, minimize
+    ``v'(A - lam B)v`` over the free coordinates (one :func:`_solve_batch`)
+    and take the ratio there as the next ``lam``.  Every ratio is at least
+    the eigenvalue, so ``A - lam B`` positive definite just below the last
+    ratio certifies it; a member the certificate misses is solved by
+    :func:`_eigen_minimum`.  Call this under ``np.errstate``: a singular
     batch member is not finite.
     """
     v = np.ones((num.shape[0], num.shape[2]))
     if num.shape[0] == 1:
         return num[0, 0] / den[0, 0], v
     trial, lam, best = v.copy(), np.zeros(num.shape[2]), np.full(num.shape[2], np.inf)
-    for _ in range(steps):
+    for _ in range(_DINKELBACH_STEPS):
         mat = num - lam * den
         trial[1:] = _solve_batch(mat[1:, 1:], -mat[1:, 0])
         lam = _quad(num, trial) / _quad(den, trial)
@@ -944,30 +936,23 @@ def _ratio_minimum(num: np.ndarray, den: np.ndarray, steps: int = _DINKELBACH_ST
         better = lam < best
         best, v = np.where(better, lam, best), np.where(better, trial, v)
     _, sure = _solve_batch(num - best * (1.0 - _CERTIFIED) * den, v, definite=True)
-    redo = np.flatnonzero(~sure & np.isfinite(best))
-    if redo.size:
-        best[redo], v[:, redo] = _bisected_minimum(num[:, :, redo], den[:, :, redo], best[redo])
+    for g in np.flatnonzero(~sure & np.isfinite(best)):
+        best[g], v[:, g] = _eigen_minimum(num[:, :, g], den[:, :, g], best[g], v[:, g])
     return best, v
 
 
-def _bisected_minimum(num: np.ndarray, den: np.ndarray, upper: np.ndarray):
-    """:func:`_ratio_minimum`'s answer by bisection on definiteness, below an upper bound ``upper``.
+def _eigen_minimum(num: np.ndarray, den: np.ndarray, ratio: float, v: np.ndarray):
+    """:func:`_ratio_minimum` of one pencil from its smallest generalized eigenvector, scaled to ``v[0] = 1``.
 
-    ``A - lam B`` is positive definite exactly below the smallest
-    eigenvalue, so halving ``[0, upper]`` on that test brackets it; two
-    steps of inverse iteration shifted to the bracket's lower end then give
-    its eigenvector, whose ratio is the answer.
+    A ``den`` that is not positive definite keeps the given ``(ratio, v)``.
     """
-    lo, hi = np.zeros_like(upper), upper.copy()
-    for _ in range(_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        _, definite = _solve_batch(num - mid * den, den[0], definite=True)
-        lo, hi = np.where(definite, mid, lo), np.where(definite, hi, mid)
-    v = np.ones_like(den[0])
-    for _ in range(2):
-        v = _solve_batch(num - lo * den, np.einsum("ijg,jg->ig", den, v))
-        v = v / v[0]
-    return _quad(num, v) / _quad(den, v), v
+    try:
+        root = np.linalg.inv(np.linalg.cholesky(den))
+    except np.linalg.LinAlgError:
+        return ratio, v
+    u = root.T @ np.linalg.eigh(root @ num @ root.T)[1][:, 0]
+    u = u / u[0]
+    return (u @ num @ u) / (u @ den @ u), u
 
 
 def _ratio_profile(proj: np.ndarray, gram: np.ndarray, maps: np.ndarray):
@@ -1119,6 +1104,7 @@ def system_refine(
     dataset: PanelDataset,
     step1: Step1Result,
     step2: Step2Result,
+    step3: Step3Result,
     options: EstimateOptions,
 ) -> SystemResult:
     """Joint GMM over the step-two and step-three blocks on stacked moments.
@@ -1170,14 +1156,19 @@ def system_refine(
     coordinates have a closed form (:func:`_system_profile`), so ``J(beta_0)``
     is scanned on a fixed grid and its lowest interior local minimum
     (:func:`_profile_start`) is polished with one Levenberg-Marquardt start
-    of the joint problem.  On the benchmark pool's panels the scanned ``J``
-    has two interior minima, the lower near the truth and the other at
-    ``beta_0`` about -0.16 to -0.22; step two's answer in the rescaling
-    valley (about -0.12 to -0.15) is not a minimum of ``J``.  The
-    grid stops at ``beta_0 = -1e-3`` (:data:`_B_MIN`): nearer the
-    Cobb-Douglas limit the omega ratio can run off along ``beta_k`` to a
-    plateau, and on some panels the box's edge there undercuts the interior
-    optimum, which this estimator does not report.
+    of the joint problem.  The grid stops at ``beta_0 = -1e-3``
+    (:data:`_B_MIN`): nearer the Cobb-Douglas limit the omega ratio can run
+    off along ``beta_k`` to a plateau, and the box's edge there can undercut
+    the interior optimum, which this estimator does not report.
+
+    The sequential point (step two's and step three's answers) is the
+    check on the scan.  Each block is normalized by its residual's standard
+    deviation, so where a block fits without noise its criterion is of
+    order one everywhere but at the exact fit, a point no grid or closed
+    form at a grid slope reaches; step three's unnormalized fit does.  A
+    polish that does not converge, or ends above the sequential point's
+    objective, is run again from that point, and the better of the two is
+    kept (converged first, then the lower objective).
 
     ``lam`` stacks the phi block ``(beta_0, beta_l, rho_phi)`` and the omega
     block ``(beta_k, beta_kk, rho_omega)``.  The phi moments read
@@ -1246,6 +1237,14 @@ def system_refine(
     start = _profile_start(_system_profile(proj_e, gram_e, proj_r, gram_r, delta))
     result = minimize_nls(problem, np.clip(start, lo + 1e-9, hi - 1e-9),
                           grad_tol=options.grad_tol, max_iter=options.max_iter)
+    sequential = np.clip(np.concatenate((
+        [step2.beta_0, step2.beta_l, step2.rho_phi_1], step2.rho_phi_2,
+        [step3.beta_k, step3.beta_kk, step3.rho_omega_0, step3.rho_omega_1], step3.rho_omega_2,
+    )), lo + 1e-9, hi - 1e-9)
+    r = residual(sequential)
+    if not result.converged or float(r.dot(r)) < result.objective:
+        again = minimize_nls(problem, sequential, grad_tol=options.grad_tol, max_iter=options.max_iter)
+        result = min((result, again), key=lambda res: (not res.converged, res.objective))
 
     b0, bl, r1, r2 = *result.params[:3], result.params[3:3 + pz]
     bk, bkk, g0, g1, g2 = *result.params[3 + pz:7 + pz], result.params[7 + pz:]
@@ -1315,7 +1314,7 @@ def estimate(dataset: PanelDataset, options: EstimateOptions | None = None) -> T
     step1 = step1_cost_share(dataset)
     step2 = step2_gmm(dataset, step1, opts)
     step3 = step3_nls(dataset, step1, step2, opts)
-    system = system_refine(dataset, step1, step2, opts) if opts.refine == "system" else None
+    system = system_refine(dataset, step1, step2, step3, opts) if opts.refine == "system" else None
 
     params, laws = _point_estimate(step1, step2, step3, system)
     if system is not None:

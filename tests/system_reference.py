@@ -1,11 +1,13 @@
 """The joint system's former start rule, kept as the oracle of its profile scan.
 
 ``translog.system_refine`` polishes one start, the lowest interior local
-minimum of its profile ``J(beta_0)``.  Before the profile it ran the same
-problem from a list of seeds: the sequential point (step two's and step
-three's answers), one seed per other minimum of step two's slope profile
-(that minimum, with the lowest minimum of step three's profile at its
-proxied phi), and the fixed start ``(beta_0, beta_l) = (-0.2, delta/2)``.
+minimum of its profile ``J(beta_0)``, and polishes the sequential point
+(step two's and step three's answers) too only where that polish fails or
+ends above it.  Before the profile it ran the same problem from a list of
+seeds: the sequential point, one seed per other minimum of step two's slope
+profile (that minimum, with the lowest minimum of step three's profile at
+its proxied phi), and the fixed start ``(beta_0, beta_l) = (-0.2,
+delta/2)``.
 :func:`reference_system_fit` runs that list on the problem the estimator
 builds, so a test can compare the two rules' answers, and
 :func:`profile_curve` recomputes the scanned profile one curvature at a
@@ -25,7 +27,7 @@ class _Captured(Exception):
     """Stops ``system_refine`` once its optimizer problem is in hand."""
 
 
-def system_problem(dataset, step1, step2, options):
+def system_problem(dataset, step1, step2, step3, options):
     """The :class:`~prodsys.optim.NlsProblem` that ``system_refine`` hands the optimizer."""
     seen = {}
 
@@ -36,7 +38,7 @@ def system_problem(dataset, step1, step2, options):
     real = translog.minimize_nls
     translog.minimize_nls = capture
     try:
-        translog.system_refine(dataset, step1, step2, options)
+        translog.system_refine(dataset, step1, step2, step3, options)
     except _Captured:
         pass
     finally:
@@ -90,7 +92,7 @@ def reference_system_fit(dataset, options):
     step1 = translog.step1_cost_share(dataset)
     step2 = translog.step2_gmm(dataset, step1, options)
     step3 = translog.step3_nls(dataset, step1, step2, options)
-    problem = system_problem(dataset, step1, step2, options)
+    problem = system_problem(dataset, step1, step2, step3, options)
     starts = reference_starts(dataset, step1, step2, step3, options, problem.bounds)
     result = optim.minimize_nls(problem, starts[0], starts=starts[1:],
                                 grad_tol=options.grad_tol, max_iter=options.max_iter)

@@ -346,7 +346,7 @@ def test_degree_selection_reference_uses_the_callers_options(small_panel, monkey
     class Recorded(Exception):
         pass
 
-    def spy(dataset, step1, step2, options):
+    def spy(dataset, step1, step2, step3, options):
         seen["options"] = options
         raise Recorded
 

@@ -52,7 +52,7 @@ def panel_steps(request):
     return ds, step1, step2
 
 
-def _captured_problem(monkeypatch, ds, step1, step2, proxy):
+def _captured_problem(monkeypatch, ds, step1, step2, step3, proxy):
     seen = {}
 
     def capture(problem, x0, *, starts=None, **_):
@@ -61,7 +61,7 @@ def _captured_problem(monkeypatch, ds, step1, step2, proxy):
 
     monkeypatch.setattr(translog, "minimize_nls", capture)
     with pytest.raises(_Captured):
-        translog.system_refine(ds, step1, step2, translog.EstimateOptions(proxy=proxy))
+        translog.system_refine(ds, step1, step2, step3, translog.EstimateOptions(proxy=proxy))
     return seen["problem"], seen["starts"]
 
 
@@ -105,7 +105,8 @@ def _pair_array_residual(ds, step1, proxy):
 @pytest.mark.parametrize("proxy", PROXIES)
 def test_system_residual_matches_pair_array_residual(monkeypatch, panel_steps, proxy):
     ds, step1, step2 = panel_steps
-    problem, starts = _captured_problem(monkeypatch, ds, step1, step2, proxy)
+    step3 = translog.step3_nls(ds, step1, step2, translog.EstimateOptions(proxy=proxy))
+    problem, starts = _captured_problem(monkeypatch, ds, step1, step2, step3, proxy)
     reference = _pair_array_residual(ds, step1, proxy)
     lo, hi = problem.bounds
     rng = np.random.default_rng(17)
@@ -148,7 +149,8 @@ def test_system_residual_is_bitwise_the_same_in_any_call_order(monkeypatch, pane
     must not change a later value.
     """
     ds, step1, step2 = panel_steps
-    problem, starts = _captured_problem(monkeypatch, ds, step1, step2, proxy)
+    step3 = translog.step3_nls(ds, step1, step2, translog.EstimateOptions(proxy=proxy))
+    problem, starts = _captured_problem(monkeypatch, ds, step1, step2, step3, proxy)
     lo, hi = problem.bounds
     rng = np.random.default_rng(29)
     seen = []
@@ -168,7 +170,7 @@ def test_system_residual_is_bitwise_the_same_in_any_call_order(monkeypatch, pane
         recorded(walk[i])
     from_scratch = _from_scratch_residual(ds, step1, step2, proxy)
     for lam, got in seen:
-        fresh, _ = _captured_problem(monkeypatch, ds, step1, step2, proxy)
+        fresh, _ = _captured_problem(monkeypatch, ds, step1, step2, step3, proxy)
         assert got.tobytes() == fresh.residual(lam).tobytes() == from_scratch(lam).tobytes()
 
 
@@ -193,7 +195,8 @@ def test_system_jacobian_is_the_finite_difference_jacobian_of_the_residual(monke
     held to the differences by the next test) in every ``rho_phi`` column.
     """
     ds, step1, step2 = panel_steps
-    problem, starts = _captured_problem(monkeypatch, ds, step1, step2, proxy)
+    step3 = translog.step3_nls(ds, step1, step2, translog.EstimateOptions(proxy=proxy))
+    problem, starts = _captured_problem(monkeypatch, ds, step1, step2, step3, proxy)
     assert problem.jacobian is not None
     n_phi = 3 + ds.z.shape[1]
     n_e = translog.build_instruments(ds)[0].shape[1]
@@ -208,7 +211,8 @@ def test_system_jacobian_is_the_finite_difference_jacobian_of_the_residual(monke
 def test_system_jacobian_omega_rows_are_the_finite_differences(monkeypatch, panel_steps, proxy):
     """The closed-form omega rows agree with central differences of the residual to 1e-6."""
     ds, step1, step2 = panel_steps
-    problem, starts = _captured_problem(monkeypatch, ds, step1, step2, proxy)
+    step3 = translog.step3_nls(ds, step1, step2, translog.EstimateOptions(proxy=proxy))
+    problem, starts = _captured_problem(monkeypatch, ds, step1, step2, step3, proxy)
     n_e = translog.build_instruments(ds)[0].shape[1]
     for lam in _scattered_points(problem, starts, 43):
         got = problem.jacobian(lam)[n_e:]
@@ -228,7 +232,8 @@ def test_system_jacobian_omega_rows_under_the_scale_floor(monkeypatch, noiseless
     options = translog.EstimateOptions(proxy=proxy)
     step1 = translog.step1_cost_share(ds)
     step2 = translog.step2_gmm(ds, step1, options)
-    problem, _ = _captured_problem(monkeypatch, ds, step1, step2, proxy)
+    step3 = translog.step3_nls(ds, step1, step2, options)
+    problem, _ = _captured_problem(monkeypatch, ds, step1, step2, step3, proxy)
     params, laws = truth.params, truth.laws
     lam = np.concatenate((
         [params.beta_0, params.beta_l, laws.rho_phi_1], laws.rho_phi_2,

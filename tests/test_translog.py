@@ -391,8 +391,9 @@ def test_system_refine_refuses_a_step_two_record_of_another_instrument_set(bench
     exact = EstimateOptions(instruments="exactly_identified")
     step1 = step1_cost_share(ds)
     step2 = step2_gmm(ds, step1, exact)
+    step3 = translog.step3_nls(ds, step1, step2, exact)
     with pytest.raises(ValueError, match="instruments='default' gives 5"):
-        translog.system_refine(ds, step1, step2, EstimateOptions())
+        translog.system_refine(ds, step1, step2, step3, EstimateOptions())
 
 
 def test_system_refine_refuses_a_step_two_record_of_another_panel(bench, small_panel):
@@ -400,8 +401,9 @@ def test_system_refine_refuses_a_step_two_record_of_another_panel(bench, small_p
     options = EstimateOptions()
     step1, other_step1 = step1_cost_share(ds), step1_cost_share(other)
     step2 = step2_gmm(other, other_step1, options)
+    step3 = translog.step3_nls(ds, step1, step2, options)
     with pytest.raises(ValueError, match="lag pairs"):
-        translog.system_refine(ds, step1, step2, options)
+        translog.system_refine(ds, step1, step2, step3, options)
 
 
 def test_system_starts_on_panel_401_stay_off_the_cobb_douglas_edge(monkeypatch):
