@@ -20,6 +20,7 @@ from .moments import flexible_output, omega_law_coef, omega_law_columns, phi_law
 from .panel import LagPairs, PanelDataset
 from .translog import (
     TranslogEstimate,
+    _gram_root,
     _point_estimate,
     _step3_result,
     _omega_law_data,
@@ -252,9 +253,11 @@ def bootstrap_replicate(
     step2_b = step2_gmm(ds_b, step1_b, opts)
 
     # third step: resampled y* against the omega proxy rebuilt from the
-    # observed inputs at the replicate's second-step parameters
+    # observed inputs at the replicate's second-step parameters; y* is not
+    # the synthetic panel's, so D is formed here rather than read from the Gram
     mstar_b = omega_proxy(dataset, step2_b.beta_0, step2_b.beta_l, step1_b.delta_lm, step1_b.theta, which=opts.proxy)
-    core = step3_core(ystar_b, dataset.k[cur], dataset.k[prev], mstar_b[prev], dataset.x[prev], opts)
+    d = omega_law_columns(ystar_b, dataset.k[cur], dataset.k[prev], mstar_b[prev], dataset.x[prev])
+    core = step3_core(_gram_root(d.T @ d), opts)
     step3_b = _step3_result(core, proxy=opts.proxy, n_pairs=int(cur.size))
     sys_b = system_refine(ds_b, step1_b, step2_b, step3_b, opts) if opts.refine == "system" else None
     return pack_parameters(*_point_estimate(step1_b, step2_b, step3_b, sys_b))

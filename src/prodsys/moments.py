@@ -33,13 +33,16 @@ controls @ rho_2`` and on proxied phi, the innovation is ``E a(alpha)``
 and the residual ``D c(gamma)``, with blocks of fixed data columns
 (:func:`phi_law_columns`, :func:`omega_law_columns`) and coefficient maps
 of the candidate (:func:`phi_law_coef`, :func:`omega_law_coef`).  The maps' derivatives give
-the Jacobians ``E da/dalpha`` and ``D dc/dgamma``.  A fit forms ``Q'E`` or a
-square root of ``D'D`` once, and each candidate then costs the same at any
-number of lag pairs.  :func:`proxied_omega_coef` carries ``c`` through the
-proxied-phi expansion of ``y*`` and ``m*`` for the joint system, and
+the Jacobians ``E da/dalpha`` and ``D dc/dgamma``.  The fits read ``Q'E``
+and a square root of ``D'D`` from one Gram of lag-pair columns, and each
+candidate then costs the same at any number of lag pairs.
+:func:`proxied_omega_coef` carries ``c`` through the proxied-phi expansion
+of ``y*`` and ``m*`` for the joint system, and
 :func:`proxied_omega_coef_jacobian` gives its derivative in ``(beta_0,
 beta_l, gamma)``, from which the joint system's omega rows are formed in
-closed form.
+closed form.  At a fixed ``(beta_0, beta_l)`` that expansion is a matrix
+``B`` (:func:`_proxied_omega_map`), and ``D = R B`` with the joint
+system's fixed block ``R``, so step three's ``D'D`` is ``B'(R'R)B``.
 """
 
 from __future__ import annotations
@@ -156,7 +159,7 @@ def omega_residual_jacobian(params, law, y_cur, cap_cur, cap_prev, mstar_prev, x
 
 
 def _block(*cols) -> np.ndarray:
-    """1-D columns side by side, stored column-major for the products and QR that read the block."""
+    """1-D columns side by side, stored column-major for the products that read the block."""
     return np.stack(cols).T
 
 
@@ -239,6 +242,21 @@ def proxied_omega_coef(gamma, beta_0: float, beta_l: float, delta_lm: float) -> 
         1.0, -beta_l**2 / (2.0 * beta_0) * (1.0 - g1) - g0, curv, -bk, -bkk, -g1, -g1 * curv, g1 * bk, g1 * bkk,
         *[-v for v in g2],
     ])
+
+
+def _proxied_omega_map(beta_0: float, beta_l: float, delta_lm: float, px: int) -> np.ndarray:
+    """The matrix ``B`` with ``proxied_omega_coef(gamma, ...) == B @ omega_law_coef(gamma)`` at every ``gamma``.
+
+    ``R B`` is the block ``D`` of :func:`omega_law_columns` on phi proxied at
+    ``(beta_0, beta_l)``.
+    """
+    curv = delta_lm**2 / (2.0 * beta_0)
+    shift = beta_l**2 / (2.0 * beta_0)
+    out = np.zeros((9 + px, 7 + px))
+    out[[0, 1, 3, 4, 5, 7, 8], [0, 1, 2, 3, 4, 5, 6]] = 1.0
+    out[[1, 1, 2, 6], [0, 4, 0, 4]] = -shift, -shift, curv, curv
+    out[9:, 7:] = np.eye(px)
+    return out
 
 
 #: (rows, columns) of the nonzero entries of :func:`proxied_omega_coef_jacobian` left of the ``rho_2`` columns

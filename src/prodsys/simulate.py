@@ -243,11 +243,12 @@ def solve_translog_inputs(
     Returns ``(l, m, max_residual)``.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    phi = np.broadcast_to(np.asarray(phi, dtype=float), omega.shape).astype(float)
-    k = np.broadcast_to(np.asarray(k, dtype=float), omega.shape).astype(float)
-    ln_pl = np.broadcast_to(np.asarray(ln_price_l, dtype=float), omega.shape).astype(float)
-    ln_pm = np.broadcast_to(np.asarray(ln_price_m, dtype=float), omega.shape).astype(float)
-    ln_py = np.broadcast_to(np.asarray(ln_price_y, dtype=float), omega.shape).astype(float)
+    # read-only views of the inputs: nothing below writes one
+    phi = np.broadcast_to(np.asarray(phi, dtype=float), omega.shape)
+    k = np.broadcast_to(np.asarray(k, dtype=float), omega.shape)
+    ln_pl = np.broadcast_to(np.asarray(ln_price_l, dtype=float), omega.shape)
+    ln_pm = np.broadcast_to(np.asarray(ln_price_m, dtype=float), omega.shape)
+    ln_py = np.broadcast_to(np.asarray(ln_price_y, dtype=float), omega.shape)
 
     bl, bm, b0 = params.beta_l, params.beta_m, params.beta_0
     delta = bl + bm
@@ -262,8 +263,8 @@ def solve_translog_inputs(
     for _ in range(NEWTON_STEPS):
         e_l, e_m = bl + b0 * x, bm - b0 * x
         step = (x + g + np.log(e_l / e_m)) / (1.0 + b0 * delta / (e_l * e_m))  # 1/e_l + 1/e_m = delta/(e_l e_m)
-        # no step goes more than halfway to an edge of the interval
-        x, x_old = np.clip(x - step, 0.5 * (x + lo), 0.5 * (x + hi)), x
+        # no step goes more than halfway to an edge of the interval (np.clip without its overhead)
+        x, x_old = np.minimum(np.maximum(x - step, 0.5 * (x + lo)), 0.5 * (x + hi)), x
         if not np.any(np.abs(x - x_old) > NEWTON_XTOL * (1.0 + np.abs(x))):
             break
 

@@ -29,12 +29,13 @@ output are defined once in :mod:`prodsys.moments`, and every purged output
 ``y*`` and omega proxy ``m*`` subtracts
 :func:`~prodsys.moments.flexible_output`.  Under the linear laws each
 residual is a fixed block of data columns times coefficients of the
-candidate (the moments module's cross-product core), so every fit here
-forms its cross-products once per call and no optimizer iteration touches
-an array as long as the panel: step two reads ``Q'E/n``, step three a
-square root of ``D'D``, and the joint refinement step two's whitened
-``Q'E/n`` from its record, its own whitened ``H'R/n`` and the Gram matrices
-of both blocks.
+candidate (the moments module's cross-product core).  Every block is a
+fixed map of one set of lag-pair columns, so one pass over the pairs forms
+their Gram once per estimate (:func:`_lag_pair_gram`, kept in step two's
+record) and no later fit or optimizer iteration touches an array as long
+as the panel: step two reads ``Q'Q`` and ``Q'E``, step three a root of
+``D'D = B'(R'R)B`` at its proxied phi, and the joint refinement ``H'R``
+and the centered Gram matrices of both blocks.
 
 At a fixed slope in lagged productivity each linear-law fit is a linear
 least-squares problem in its other coefficients, so steps two and three
@@ -62,13 +63,12 @@ import numbers
 import numpy as np
 
 from .moments import (
+    _proxied_omega_map,
     flexible_output,
     omega_law_coef,
     omega_law_coef_jacobian,
-    omega_law_columns,
     phi_law_coef,
     phi_law_coef_jacobian,
-    phi_law_columns,
     phi_proxy,
     proxied_omega_coef,
     proxied_omega_coef_jacobian,
@@ -166,8 +166,12 @@ class Step1Result:
 
 @dataclasses.dataclass
 class Step2Result:
-    """Step two's fit, with the moment block the joint refinement reads.
+    """Step two's fit, with the cross-products step three and the joint refinement read.
 
+    ``gram`` and ``centered_gram`` are the lag-pair Gram ``X'X`` of
+    :func:`_lag_pair_gram` and that of the centered columns (``None`` under
+    ``refine="none"``), one row and column per key in ``gram_columns``;
+    step three and the joint refinement take their blocks from them.
     ``whitened_qe`` is ``W^{1/2} Q'E / n_pairs``, one row per instrument
     (see :func:`step2_gmm`).
     """
@@ -183,6 +187,9 @@ class Step2Result:
     n_pairs: int
     instrument_names: tuple[str, ...]
     whitened_qe: np.ndarray
+    gram: np.ndarray
+    centered_gram: np.ndarray | None
+    gram_columns: tuple[str, ...]
     warnings: list[str] = dataclasses.field(default_factory=list)
 
 
@@ -521,8 +528,83 @@ def _step2_arrays(dataset: PanelDataset):
     )
 
 
-def _gram_weight(mat: np.ndarray, label: str, warnings: list[str]) -> np.ndarray:
-    gram = mat.T @ mat / mat.shape[0]
+def _lag_pair_gram(dataset: PanelDataset, step1: Step1Result, options: EstimateOptions):
+    """``(G, G_c, columns)``: the Gram ``X'X`` of every lag-pair column the linear-law fits read, and its keys.
+
+    Step two's ``Q`` and ``E``, the omega block ``R`` and, under
+    ``refine="system"``, the level instruments ``H`` are each ``X T`` for a
+    fixed map ``T`` (:func:`_block_maps`), so every cross-product the fits
+    read is a block of ``T' G T``.  ``H`` adds only ``m_prev``; ``R``'s FOC
+    column is kept for both inputs, so one Gram serves every omega proxy.
+    The columns are written once into one column-major block.  ``G_c`` is
+    the Gram of the centered columns (``None`` without refinement), formed
+    from them: ``G/n - mu mu'`` cancels, and puts a residual variance of
+    1e-15 where a noiseless panel's exact fit has zero.
+    """
+    pairs = dataset.lag_pairs()
+    cur, prev = pairs.cur, pairs.prev
+    delta, log_theta = step1.delta_lm, np.log(step1.theta)
+    pz, px = dataset.z.shape[1], dataset.x.shape[1]
+    columns = ("const", "ml_cur", "ml_prev", "s_cur", "s_prev", "k_cur", "k_prev", "y_flex", "s_cur_sq", "k_cur_sq",
+               "foc_materials", "foc_labor", "s_prev_sq", "k_prev_sq", *(f"z{j}" for j in range(pz)),
+               *(f"x{j}" for j in range(px)), *(["m_prev"] if options.refine == "system" else []))
+    # X' row by row, so X is stored column-major; each column is written in place
+    block = np.empty((len(columns), cur.size))
+    (const, ml_cur, ml_prev, s_cur, s_prev, k_cur, k_prev, y_flex, s_cur_sq, k_cur_sq,
+     foc_materials, foc_labor, s_prev_sq, k_prev_sq) = block[:14]
+    m_cur, m_prev, l_prev = dataset.m[cur], dataset.m[prev], dataset.l[prev]
+    const.fill(1.0)
+    np.subtract(m_cur, dataset.l[cur], out=ml_cur)
+    np.subtract(m_prev, l_prev, out=ml_prev)
+    s_cur[:], s_prev[:], k_cur[:], k_prev[:] = dataset.s_l[cur], dataset.s_l[prev], dataset.k[cur], dataset.k[prev]
+    np.subtract(dataset.y[cur], delta * m_cur, out=y_flex)
+    np.square(s_cur, out=s_cur_sq)
+    np.multiply(0.5, k_cur**2, out=k_cur_sq)
+    flex_prev = delta * m_prev
+    focs = _foc_terms(dataset.ln_price_m[prev], dataset.ln_price_l[prev], m_prev, l_prev, s_prev, delta)
+    for foc, out in zip(focs, (foc_materials, foc_labor)):
+        np.subtract(foc - log_theta, flex_prev, out=out)
+    np.square(s_prev, out=s_prev_sq)
+    np.multiply(0.5, k_prev**2, out=k_prev_sq)
+    block[14:14 + pz + px] = np.concatenate((dataset.z[prev], dataset.x[prev]), axis=1).T
+    if options.refine != "system":
+        return block @ block.T, None, columns
+    block[-1] = m_prev
+    gram = block @ block.T
+    block -= block.mean(axis=1)[:, None]
+    return gram, block @ block.T, columns
+
+
+def _block_maps(columns, options: EstimateOptions) -> dict:
+    """The maps ``T`` with ``X T`` each block, over the lag-pair Gram's ``columns`` (:func:`_lag_pair_gram`).
+
+    ``Q`` is step two's instrument set (:func:`build_instruments`), ``E`` the
+    phi-law block, ``R`` the omega block at ``options.proxy``'s FOC and, when
+    the Gram has ``m_prev``, ``H`` the level instruments
+    (:func:`build_level_instruments`).  An entry is a key or a ``{key:
+    weight}`` sum of columns.
+    """
+    z, x = [key for key in columns if key[0] == "z"], [key for key in columns if key[0] == "x"]
+    foc = {"materials": "foc_materials", "labor": "foc_labor"}.get(options.proxy, {"foc_materials": 0.5, "foc_labor": 0.5})
+    blocks = {
+        "Q": ["const", "ml_prev", "s_prev", *z, *(["k_cur", "k_prev"] if options.instruments == "default" else [])],
+        "E": ["ml_cur", "ml_prev", "const", "s_cur", "s_prev", *z],
+        "R": ["y_flex", "const", "s_cur_sq", "k_cur", "k_cur_sq", foc, "s_prev_sq", "k_prev", "k_prev_sq", *x],
+        "H": ["const", "k_cur", {"k_cur_sq": 2.0}, "k_prev", {"k_prev_sq": 2.0}, "m_prev", "ml_prev", "s_prev", *x, *z],
+    }
+    if "m_prev" not in columns:
+        del blocks["H"]
+    index, maps = {key: i for i, key in enumerate(columns)}, {}
+    for name, entries in blocks.items():
+        maps[name] = np.zeros((len(columns), len(entries)))
+        for j, entry in enumerate(entries):
+            for key, weight in (entry.items() if isinstance(entry, dict) else [(entry, 1.0)]):
+                maps[name][index[key], j] = weight
+    return maps
+
+
+def _gram_weight(gram: np.ndarray, label: str, warnings: list[str]) -> np.ndarray:
+    """The inverse of an instrument Gram matrix ``Q'Q/n``, a pseudo-inverse (with a warning) where it is ill-conditioned."""
     cond = np.linalg.cond(gram)
     if cond > 1e12:
         warnings.append(f"{label} Gram matrix ill-conditioned (cond={cond:.2e}); using pseudo-inverse")
@@ -530,18 +612,18 @@ def _gram_weight(mat: np.ndarray, label: str, warnings: list[str]) -> np.ndarray
     return np.linalg.inv(gram)
 
 
-def _phi_moment_block(dataset: PanelDataset, options: EstimateOptions, label: str, warnings: list[str]):
-    """``(names, W, E, Q'E)`` of step two's moments, for :func:`step2_gmm` and :func:`information_matrix`.
+def _phi_cross_products(gram: np.ndarray, columns, options: EstimateOptions, warnings: list[str]):
+    """``(W, Q'E/n)`` of step two's moments, read from the lag-pair Gram, for :func:`step2_gmm` and :func:`information_matrix`.
 
-    ``Q`` is :func:`build_instruments`' matrix, ``W`` its :func:`_gram_weight`
-    (warning under ``label``) and ``E`` the phi-law columns, a fresh array.
+    ``W`` is the :func:`_gram_weight` of ``Q'Q/n``, warning as an instrument Gram.
     """
-    q, names = build_instruments(dataset, kind=options.instruments)
-    if q.shape[0] <= q.shape[1]:
+    maps = _block_maps(columns, options)
+    t_q, t_e = maps["Q"], maps["E"]
+    n = gram[0, 0]  # the constant column's sum of squares
+    if n <= t_q.shape[1]:
         raise ValueError("not enough lag pairs for the instrument count")
-    weight = _gram_weight(q, label, warnings)
-    e = phi_law_columns(*_step2_arrays(dataset))
-    return names, weight, e, q.T @ e
+    qx = t_q.T @ gram / n
+    return _gram_weight(qx @ t_q, "instrument", warnings), qx @ t_e
 
 
 def _beta_box(delta_lm: float):
@@ -603,11 +685,13 @@ def step2_gmm(dataset: PanelDataset, step1: Step1Result, options: EstimateOption
     beta_l``.
 
     The innovation is ``E a(alpha)`` with fixed columns ``E``
-    (:func:`~prodsys.moments.phi_law_columns`), so ``Q'E/N`` is formed once
-    and the moments ``(Q'E/N) a`` and their Jacobian ``(Q'E/N) da/dalpha``
-    cost the same at any panel size.  So is the whitened block ``W^{1/2}
-    Q'E / N``, whose product with ``a`` is the moment vector the criterion
-    squares; the record keeps it as ``whitened_qe``.
+    (:func:`~prodsys.moments.phi_law_columns`).  One pass over the lag
+    pairs forms the Gram of every column the estimate reads
+    (:func:`_lag_pair_gram`); ``Q'Q/N`` and ``Q'E/N`` are blocks of it, and
+    the moments ``(Q'E/N) a`` and their Jacobian ``(Q'E/N) da/dalpha`` cost
+    the same at any panel size.  So is the whitened block ``W^{1/2} Q'E /
+    N``, whose product with ``a`` is the moment vector the criterion
+    squares.  The record keeps it as ``whitened_qe``, with the Gram.
 
     The starts are the local minima of the criterion's profile in
     ``rho_phi_1`` (:func:`_phi_profile` on the whitened block), one optimizer
@@ -619,10 +703,9 @@ def step2_gmm(dataset: PanelDataset, step1: Step1Result, options: EstimateOption
     delta = step1.delta_lm
     pz = dataset.z.shape[1]
     warnings: list[str] = []
-    names, weight, e, qe = _phi_moment_block(dataset, options, "instrument", warnings)
-    n_pairs = e.shape[0]
-    whitened_qe = _psd_sqrt(weight) @ qe / n_pairs
-    qe = qe / n_pairs
+    gram, centered, columns = _lag_pair_gram(dataset, step1, options)
+    weight, qe = _phi_cross_products(gram, columns, options, warnings)
+    whitened_qe = _psd_sqrt(weight) @ qe
     problem, grid = _phi_law_gmm(
         lambda alpha: qe @ phi_law_coef(alpha, delta),
         lambda alpha: qe @ phi_law_coef_jacobian(alpha, delta),
@@ -649,9 +732,12 @@ def step2_gmm(dataset: PanelDataset, step1: Step1Result, options: EstimateOption
         phi_hat=phi_hat,
         objective=result.objective,
         converged=result.converged,
-        n_pairs=n_pairs,
-        instrument_names=names,
+        n_pairs=int(dataset.lag_pairs().cur.size),
+        instrument_names=_instrument_names(dataset, options.instruments),
         whitened_qe=whitened_qe,
+        gram=gram,
+        centered_gram=centered,
+        gram_columns=columns,
         warnings=warnings,
     )
 
@@ -665,8 +751,9 @@ def information_matrix(dataset: PanelDataset, step1: Step1Result, alpha, options
     parameters; rank deficiency arises, for example, when the labor share
     carries no independent variation.
     """
-    _, weight, e, qe = _phi_moment_block(dataset, options, "instrument", [])
-    g = qe / e.shape[0] @ phi_law_coef_jacobian(np.asarray(alpha, dtype=float), step1.delta_lm)
+    gram, _, columns = _lag_pair_gram(dataset, step1, options)
+    weight, qe = _phi_cross_products(gram, columns, options, [])
+    g = qe @ phi_law_coef_jacobian(np.asarray(alpha, dtype=float), step1.delta_lm)
     info = g.T @ weight @ g
     svals = np.linalg.svd(info, compute_uv=False)
     tol = max(info.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
@@ -678,17 +765,20 @@ def information_matrix(dataset: PanelDataset, step1: Step1Result, alpha, options
 # -- step three --------------------------------------------------------------
 
 
-def _foc_term(dataset: PanelDataset, delta_lm: float, theta: float, which: str) -> np.ndarray:
-    """``ln(P/P^Y) - ln(theta) - ln(e) + input`` of the omega proxy's FOC, on every row.
+def _foc_terms(ln_price_m, ln_price_l, m, l, s_l, delta_lm: float):
+    """``ln(P/P^Y) - ln(e) + input`` of the materials and of the labor FOC, from those columns.
 
     On proxied phi the elasticity ``e`` is ``delta*(1 - s_l)`` for materials
-    and ``delta*s_l`` for labor, whatever the candidate; ``average`` takes
-    the mean over both.
+    and ``delta*s_l`` for labor, whatever the candidate.
     """
     if not delta_lm > 0:
         raise ValueError(f"delta_lm must be positive, got {delta_lm}")
-    materials = dataset.ln_price_m - np.log(delta_lm * (1.0 - dataset.s_l)) + dataset.m
-    labor = dataset.ln_price_l - np.log(delta_lm * dataset.s_l) + dataset.l
+    return ln_price_m - np.log(delta_lm * (1.0 - s_l)) + m, ln_price_l - np.log(delta_lm * s_l) + l
+
+
+def _foc_term(dataset: PanelDataset, delta_lm: float, theta: float, which: str) -> np.ndarray:
+    """``ln(P/P^Y) - ln(theta) - ln(e) + input`` of the omega proxy's FOC on every row; ``average`` takes the mean over both."""
+    materials, labor = _foc_terms(dataset.ln_price_m, dataset.ln_price_l, dataset.m, dataset.l, dataset.s_l, delta_lm)
     focs = {"materials": materials, "labor": labor, "average": 0.5 * (materials + labor)}
     if which not in focs:
         raise ValueError(f"unknown omega proxy {which!r}")
@@ -749,37 +839,43 @@ def _omega_law_nls(residual, jacobian, lin: int, n_params: int, regressors, targ
     return problem, starts
 
 
-def step3_core(y_cur, k_cur, k_prev, mstar_prev, x_prev, options: EstimateOptions) -> OptimResult:
-    """Step-three least squares of the linear omega law on pre-assembled pair arrays.
+def _gram_root(gram: np.ndarray) -> np.ndarray:
+    """A square ``S`` with ``S'S = gram``: the transposed Cholesky factor, or the symmetric eigen root where Cholesky refuses a singular ``gram``."""
+    try:
+        return np.linalg.cholesky(gram).T
+    except np.linalg.LinAlgError:
+        return _psd_sqrt(gram)
+
+
+def step3_core(root: np.ndarray, options: EstimateOptions) -> OptimResult:
+    """Step-three least squares of the linear omega law on a root of its cross-products.
 
     Parameter order is ``(beta_k, beta_kk, rho_0, rho_1, rho_2)``; the
-    model is documented on :func:`step3_nls`, which assembles the arrays
-    from a dataset.
+    model is documented on :func:`step3_nls`, which forms ``root``.
 
     The residual is ``D c(gamma)`` with fixed columns ``D``
-    (:func:`~prodsys.moments.omega_law_columns`).  With ``S`` the triangular
-    factor of ``D = QS``, ``S'S = D'D``, so the short residual ``S c`` and
-    its Jacobian ``S dc/dgamma`` have the same ``r'r``, ``J'r`` and ``J'J``
-    as ``D c`` and ``D dc/dgamma``.  Levenberg-Marquardt reads a problem
-    only through those three products (the objective, the gradient and the
-    damped normal equations), so it takes the same iterates as on the long
-    residual, and ``S`` is formed once per call.
+    (:func:`~prodsys.moments.omega_law_columns`), and ``root`` is any square
+    ``S`` with ``S'S = D'D`` (:func:`_gram_root`).  The short residual ``S
+    c`` and its Jacobian ``S dc/dgamma`` have the same ``r'r``, ``J'r`` and
+    ``J'J`` as ``D c`` and ``D dc/dgamma``.  Levenberg-Marquardt reads a
+    problem only through those three products (the objective, the gradient
+    and the damped normal equations), so it takes the same iterates as on
+    the long residual, at a cost that does not grow with the panel.
 
     The starts are the local minima of ``|S c|^2``'s profile in ``rho_1``
     (:func:`_omega_profile`), one optimizer start each, and the best
     polished minimum is returned.
     """
-    root = np.linalg.qr(omega_law_columns(y_cur, k_cur, k_prev, mstar_prev, x_prev), mode="r")
     problem, grid = _omega_law_nls(
         lambda gamma: root @ omega_law_coef(gamma),
         lambda gamma: root @ omega_law_coef_jacobian(gamma),
-        3, 4 + x_prev.shape[1], root[:, [2, 3, 1]], root[:, 0],
+        3, root.shape[1] - 3, root[:, [2, 3, 1]], root[:, 0],
     )
     starts = _omega_slope_minima(root) or grid[:1]
     return minimize_nls(problem, starts[0], starts=starts[1:], grad_tol=options.grad_tol, max_iter=options.max_iter)
 
 
-def step3_nls(dataset: PanelDataset, step1: Step1Result, step2: Step2Result, options: EstimateOptions) -> Step3Result:
+def step3_nls(dataset: PanelDataset, step1: Step1Result, step2, options: EstimateOptions) -> Step3Result:
     """Nonlinear least squares for the capital coefficients and the omega law.
 
     Regresses the flexible-input-purged output ``y*`` on the capital terms
@@ -788,15 +884,24 @@ def step3_nls(dataset: PanelDataset, step1: Step1Result, step2: Step2Result, opt
         y*_t = beta_k*k_t + 0.5*beta_kk*k_t^2 + rho_0
                + rho_1*(m*_{t-1} - beta_k*k_{t-1} - 0.5*beta_kk*k_{t-1}^2)
                + rho_2'X_{t-1} + error.
-    """
-    ystar, mstar = _omega_law_data(dataset, step2.beta_0, step2.beta_l, step1.delta_lm, step1.theta, options.proxy)
-    pairs = dataset.lag_pairs()
-    cur, prev = pairs.cur, pairs.prev
-    if cur.size < 4 + dataset.x.shape[1]:
-        raise ValueError("too few usable lag pairs for step three")
 
-    result = step3_core(ystar[cur], dataset.k[cur], dataset.k[prev], mstar[prev], dataset.x[prev], options)
-    return _step3_result(result, proxy=options.proxy, n_pairs=int(cur.size))
+    On phi proxied at step two's ``(beta_0, beta_l)`` the block ``D`` of
+    this regression is ``R B``: ``R`` is the omega block of step two's
+    lag-pair Gram and ``B`` the proxied-phi expansion at that point
+    (:func:`~prodsys.moments._proxied_omega_map`).  So :func:`step3_core`
+    runs on a root of ``D'D = B'(R'R)B`` (:func:`_gram_root`), and no
+    lag-pair array is formed.
+    """
+    n_pairs, px = dataset.lag_pairs().cur.size, dataset.x.shape[1]
+    if n_pairs < 4 + px:
+        raise ValueError("too few usable lag pairs for step three")
+    if isinstance(step2, Step2Result):
+        gram, columns = step2.gram, step2.gram_columns
+    else:  # a series step-two record carries no Gram
+        gram, _, columns = _lag_pair_gram(dataset, step1, options)
+    t_d = _block_maps(columns, options)["R"] @ _proxied_omega_map(step2.beta_0, step2.beta_l, step1.delta_lm, px)
+    result = step3_core(_gram_root(t_d.T @ gram @ t_d), options)
+    return _step3_result(result, proxy=options.proxy, n_pairs=int(n_pairs))
 
 
 def _step3_result(result: OptimResult, *, proxy: str, n_pairs: int) -> Step3Result:
@@ -832,28 +937,15 @@ def build_level_instruments(dataset: PanelDataset):
     """
     pairs = dataset.lag_pairs()
     cur, prev = pairs.cur, pairs.prev
-    k_cur, k_prev = dataset.k[cur], dataset.k[prev]
-    cols = [
-        np.ones(cur.size),
-        k_cur,
-        k_cur**2,
-        k_prev,
-        k_prev**2,
-        dataset.m[prev],
-        dataset.m[prev] - dataset.l[prev],
-        dataset.s_l[prev],
-    ]
-    names = ["const", "k", "k_sq", "k_lag", "k_sq_lag", "m_lag", "ml_lag", "s_l_lag"]
-    for j in range(dataset.x.shape[1]):
-        cols.append(dataset.x[prev, j])
-        names.append(f"{dataset.x_names[j]}_lag")
-    for j in range(dataset.z.shape[1]):
-        cols.append(dataset.z[prev, j])
-        names.append(f"{dataset.z_names[j]}_lag")
-    return np.column_stack(cols), tuple(names)
+    k_cur, k_prev, m_prev = dataset.k[cur], dataset.k[prev], dataset.m[prev]
+    cols = [np.ones(cur.size), k_cur, k_cur**2, k_prev, k_prev**2, m_prev, m_prev - dataset.l[prev], dataset.s_l[prev],
+            *dataset.x[prev].T, *dataset.z[prev].T]
+    names = ("const", "k", "k_sq", "k_lag", "k_sq_lag", "m_lag", "ml_lag", "s_l_lag",
+             *(f"{name}_lag" for name in (*dataset.x_names, *dataset.z_names)))
+    return np.stack(cols).T, names
 
 
-def _system_cross_products(dataset: PanelDataset, step1: Step1Result, options: EstimateOptions, warnings: list[str]):
+def _system_cross_products(dataset: PanelDataset, step2: Step2Result, options: EstimateOptions, warnings: list[str]):
     """Candidate-free cross-products of the joint system's residuals that step two's record does not carry.
 
     On proxied phi the phi-law innovation is ``eps = E a`` and the omega-law
@@ -862,35 +954,32 @@ def _system_cross_products(dataset: PanelDataset, step1: Step1Result, options: E
     :func:`~prodsys.moments.proxied_omega_coef`, and coefficients ``a`` and
     ``c`` that depend only on the candidate (see :func:`system_refine`).
     The whitened projection of ``E`` is step two's
-    (``Step2Result.whitened_qe``); ``E`` is formed here only for its Gram
-    matrix.
+    (``Step2Result.whitened_qe``), and ``H'R`` and the centered Gram
+    matrices are blocks of its lag-pair Gram (:func:`_lag_pair_gram`); a
+    record formed under ``refine="none"`` has no ``m_prev`` for ``H`` and is
+    refused with ``ValueError``.  Only ``H'H`` is formed from ``H``: its
+    condition number is near 4e8, and its weight's root (an inverse, then a
+    symmetric root) turns a last-bit change of an entry, as a block of the
+    larger Gram summed in another order has, into changes near 1e-6 in the
+    whitened rows.
 
     Returns ``(P_R, G_E, G_R, h_names)``: the whitened projection ``half_h
     H'R / n``, the centered Gram matrices ``E_c'E_c / n`` and ``R_c'R_c /
-    n`` over the ``n`` lag pairs and the level-instrument names.  No
-    lag-pair array outlives the call.
+    n`` over the ``n`` lag pairs and the level-instrument names.
     """
-    delta = step1.delta_lm
-    pairs = dataset.lag_pairs()
-    cur, prev = pairs.cur, pairs.prev
-    n = cur.size
-    s_cur, s_prev = dataset.s_l[cur], dataset.s_l[prev]
-    m_cur, m_prev = dataset.m[cur], dataset.m[prev]
-    k_cur, k_prev = dataset.k[cur], dataset.k[prev]
-    foc_prev = _foc_term(dataset, delta, step1.theta, options.proxy)[prev]  # lagged omega proxy plus flexible output
-
-    r = np.column_stack([
-        dataset.y[cur] - delta * m_cur, np.ones(n), s_cur**2, k_cur, 0.5 * k_cur**2,
-        foc_prev - delta * m_prev, s_prev**2, k_prev, 0.5 * k_prev**2, *dataset.x[prev].T,
-    ])
+    gram, columns = step2.gram, step2.gram_columns
+    if "m_prev" not in columns:
+        raise ValueError("step2's lag-pair Gram has no m_prev column for the level instruments; "
+                         "it was formed with refine='none'")
     h, h_names = build_level_instruments(dataset)
+    n = h.shape[0]
     if n <= h.shape[1]:  # H has more columns than Q
         raise ValueError("not enough usable lag pairs for the joint refinement")
-    proj_r = _psd_sqrt(_gram_weight(h, "output-level instrument", warnings)) @ (h.T @ r) / n
-    e = phi_law_columns(*_step2_arrays(dataset))
-    e -= e.mean(axis=0)
-    r -= r.mean(axis=0)
-    return proj_r, e.T @ e / n, r.T @ r / n, h_names
+    maps = _block_maps(columns, options)
+    half_h = _psd_sqrt(_gram_weight(h.T @ h / n, "output-level instrument", warnings))
+    centered = step2.centered_gram / n
+    return (half_h @ (maps["H"].T @ gram @ maps["R"] / n), maps["E"].T @ centered @ maps["E"],
+            maps["R"].T @ centered @ maps["R"], h_names)
 
 
 # -- the joint system's profile over beta_0 --------------------------------------
@@ -1134,10 +1223,10 @@ def system_refine(
 
     The phi block reads step two's whitened ``Q'E/n``
     (``step2.whitened_qe``), so it is not formed again here; a ``step2``
-    record from another panel or instrument set is refused with
-    ``ValueError``.  Step two's warning on an ill-conditioned instrument
-    Gram matrix is step two's alone, and is not repeated among the system's
-    warnings.
+    record from another panel or instrument set, or one formed under
+    ``refine="none"``, is refused with ``ValueError``.  Step two's warning
+    on an ill-conditioned instrument Gram matrix is step two's alone, and
+    is not repeated among the system's warnings.
 
     Both stacked residuals are fixed data columns times coefficients that
     depend only on the candidate: ``eps = E a`` with ``a`` step two's
@@ -1145,11 +1234,11 @@ def system_refine(
     three's :func:`~prodsys.moments.omega_law_coef` carried through the
     proxied-phi expansion of ``y*`` and ``m*``
     (:func:`~prodsys.moments.proxied_omega_coef`).  The projection ``H'R``
-    and the centered Gram matrices of ``E`` and ``R`` (see
-    :func:`_system_cross_products`) are formed once per call, and ``Q'E``
-    once per step-two fit; each residual
-    evaluation is then a few products of size at most about 20, and its cost
-    no longer grows with the number of lag pairs.
+    and the centered Gram matrices of ``E`` and ``R`` are blocks of the
+    lag-pair Gram step two formed once per estimate and kept in its record
+    (see :func:`_system_cross_products`); each residual evaluation is then
+    a few products of size at most about 20, and its cost does not grow
+    with the number of lag pairs.
 
     The start is a scan, not a guess.  At a fixed ``beta_0`` the criterion
     splits into its two blocks, each a one-slope problem whose other
@@ -1191,7 +1280,7 @@ def system_refine(
         raise ValueError(f"step2's moment block has {proj_e.shape[0]} instruments; "
                          f"instruments={options.instruments!r} gives {n_q}")
     warnings: list[str] = []
-    proj_r, gram_e, gram_r, h_names = _system_cross_products(dataset, step1, options, warnings)
+    proj_r, gram_e, gram_r, h_names = _system_cross_products(dataset, step2, options, warnings)
     scale_floor = 1e-8  # keeps noiseless panels from dividing by ~eps
 
     # ndarray.dot, not @: the same BLAS call, with half the overhead at this size

@@ -9,12 +9,21 @@ instead; the tests compare the two.
 :func:`proxied_omega_map` writes the joint system's proxied-phi expansion
 (:func:`prodsys.moments.proxied_omega_coef`) as a matrix on step three's
 coefficients, for the tests that carry a root of the joint system's block to
-a step-two point.
+a step-two point; ``prodsys.moments._proxied_omega_map`` is its copy in the
+library.
+
+:func:`qr_step3_root` is step three's former root: the triangular factor of a
+QR decomposition of the block ``D`` formed on the lag pairs, with the
+purged output and the omega proxy computed on every row.  It is the oracle
+of the root step three now takes from the lag-pair Gram.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from prodsys import translog
+from prodsys.moments import omega_law_columns
 
 
 class LinearLaw:
@@ -58,3 +67,13 @@ def proxied_omega_map(beta_0: float, beta_l: float, delta_lm: float, px: int) ->
     out[[1, 1, 2, 6], [0, 4, 0, 4]] = -shift, -shift, curv, curv
     out[9:, 7:] = np.eye(px)
     return out
+
+
+def qr_step3_root(dataset, step1, step2, options):
+    """``(S, D)``: step three's block ``D`` on the lag pairs at step two's point, and the ``R`` of its QR."""
+    ystar, mstar = translog._omega_law_data(
+        dataset, step2.beta_0, step2.beta_l, step1.delta_lm, step1.theta, options.proxy)
+    pairs = dataset.lag_pairs()
+    cur, prev = pairs.cur, pairs.prev
+    d = omega_law_columns(ystar[cur], dataset.k[cur], dataset.k[prev], mstar[prev], dataset.x[prev])
+    return np.linalg.qr(d, mode="r"), d

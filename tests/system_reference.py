@@ -101,7 +101,7 @@ def reference_system_fit(dataset, options):
 
 def profile_curve(dataset, step1, step2, options) -> np.ndarray:
     """The scanned ``J(beta_0)`` on the profile's grid, one curvature at a time."""
-    proj_r, gram_e, gram_r, _ = translog._system_cross_products(dataset, step1, options, [])
+    proj_r, gram_e, gram_r, _ = translog._system_cross_products(dataset, step2, options, [])
     profile = translog._system_profile(step2.whitened_qe, gram_e, proj_r, gram_r, step1.delta_lm)
     slopes = translog._PROFILE_SLOPES
     curve = []

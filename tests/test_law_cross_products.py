@@ -14,9 +14,9 @@ check of the lagged ``z`` and ``x`` columns.
 
 import numpy as np
 import pytest
-from moments_reference import LinearLaw
+from moments_reference import LinearLaw, proxied_omega_map, qr_step3_root
 
-from prodsys import translog
+from prodsys import moments, translog
 from prodsys.moments import (
     capital_terms,
     flexible_output,
@@ -91,9 +91,10 @@ def test_step2_moments_match_pair_array_moments(monkeypatch, panel_steps):
     ds, step1, _ = panel_steps
     problem, starts = _capture(monkeypatch, "minimize_gmm", lambda: translog.step2_gmm(ds, step1, translog.EstimateOptions()))
     # one start per minimum of step two's slope profile
-    _, weight, e, qe = translog._phi_moment_block(ds, translog.EstimateOptions(), "instrument", [])
+    gram, _, columns = translog._lag_pair_gram(ds, step1, translog.EstimateOptions())
+    weight, qe = translog._phi_cross_products(gram, columns, translog.EstimateOptions(), [])
     box = tuple(bound[:2] for bound in problem.bounds)
-    minima = translog._phi_slope_minima(_psd_sqrt(weight) @ qe / e.shape[0], step1.delta_lm, box)
+    minima = translog._phi_slope_minima(_psd_sqrt(weight) @ qe, step1.delta_lm, box)
     assert len(starts) == len(minima) >= 1
     assert all(np.array_equal(start, minimum) for start, minimum in zip(starts, minima))
 
@@ -118,9 +119,11 @@ def test_step3_products_match_pair_array_products(monkeypatch, panel_steps):
     mstar = translog.omega_proxy(ds, b0, bl, delta, step1.theta)
     core_args = (ystar[cur], ds.k[cur], ds.k[prev], mstar[prev], ds.x[prev])
     options = translog.EstimateOptions()
-    problem, starts = _capture(monkeypatch, "minimize_nls", lambda: translog.step3_core(*core_args, options))
+    d = omega_law_columns(*core_args)
+    root = translog._gram_root(d.T @ d)
+    problem, starts = _capture(monkeypatch, "minimize_nls", lambda: translog.step3_core(root, options))
     # one start per minimum of step three's slope profile
-    minima = translog._omega_slope_minima(np.linalg.qr(omega_law_columns(*core_args), mode="r"))
+    minima = translog._omega_slope_minima(root)
     assert len(starts) == len(minima) >= 1
     assert all(np.array_equal(start, minimum) for start, minimum in zip(starts, minima))
 
@@ -131,3 +134,39 @@ def test_step3_products_match_pair_array_products(monkeypatch, panel_steps):
         _assert_close(jac.T @ jac, jac_ref.T @ jac_ref)
         _assert_close(jac.T @ r, jac_ref.T @ r_ref)
         _assert_close(r @ r, r_ref @ r_ref)
+
+
+@pytest.mark.parametrize("panel", ("plain", "controls", "exactly_identified"))
+def test_step3_gram_root_matches_the_qr_oracle(monkeypatch, panel):
+    """Step three's root from the lag-pair Gram is a root of the ``D'D`` the former QR path factored.
+
+    The controls panel carries one ``x`` and one ``z`` column; the exactly
+    identified instrument set moves step two's point, where ``D`` is formed.
+    """
+    ds, _ = generate_panel(benchmark_config(n=400, seed=201), seed=201)
+    if panel == "controls":
+        rng = np.random.default_rng(5)
+        ds = PanelDataset(
+            firm_ids=ds.labels, years=ds.year, y=ds.y, k=ds.k, l=ds.l, m=ds.m, s_l=ds.s_l, ln_r=ds.ln_r,
+            x=rng.standard_normal((ds.n_obs, 1)), z=rng.standard_normal((ds.n_obs, 1)),
+            ln_price_l=ds.ln_price_l, ln_price_m=ds.ln_price_m,
+        )
+    options = translog.EstimateOptions(instruments="exactly_identified" if panel == "exactly_identified" else "default")
+    step1 = translog.step1_cost_share(ds)
+    step2 = translog.step2_gmm(ds, step1, options)
+    px = ds.x.shape[1]
+    assert np.array_equal(moments._proxied_omega_map(step2.beta_0, step2.beta_l, step1.delta_lm, px),
+                          proxied_omega_map(step2.beta_0, step2.beta_l, step1.delta_lm, px))
+    roots = []
+    core = translog.step3_core
+    monkeypatch.setattr(translog, "step3_core", lambda root, opts: roots.append(root) or core(root, opts))
+    step3 = translog.step3_nls(ds, step1, step2, options)
+    qr_root, d = qr_step3_root(ds, step1, step2, options)
+    (root,) = roots
+    dd = d.T @ d
+    assert np.max(np.abs(root.T @ root - dd)) <= 1e-10 * np.max(np.abs(dd))
+    assert np.max(np.abs(qr_root.T @ qr_root - dd)) <= 1e-10 * np.max(np.abs(dd))
+    oracle = core(qr_root, options)
+    got = np.r_[step3.beta_k, step3.beta_kk, step3.rho_omega_0, step3.rho_omega_1, step3.rho_omega_2]
+    assert np.max(np.abs(got - oracle.params)) < 1e-7
+    assert step3.objective == pytest.approx(oracle.objective, rel=1e-7)

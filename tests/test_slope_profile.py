@@ -25,9 +25,10 @@ SLOPES = st.floats(-0.999999, 0.999999)
 
 def step2_profile_inputs(ds, step1):
     """``(proj, delta, box)``: step two's whitened ``Q'E/n`` and the box of ``(beta_0, beta_l)``."""
-    _, weight, e, qe = translog._phi_moment_block(ds, translog.EstimateOptions(), "instrument", [])
+    gram, _, columns = translog._lag_pair_gram(ds, step1, translog.EstimateOptions())
+    weight, qe = translog._phi_cross_products(gram, columns, translog.EstimateOptions(), [])
     lo, hi = translog._phi_law_gmm(None, None, 2, 3 + ds.z.shape[1], step1.delta_lm, weight)[0].bounds
-    return _psd_sqrt(weight) @ qe / e.shape[0], step1.delta_lm, (lo[:2], hi[:2])
+    return _psd_sqrt(weight) @ qe, step1.delta_lm, (lo[:2], hi[:2])
 
 
 @pytest.fixture(scope="module")
@@ -159,7 +160,7 @@ def test_step3_without_capital_falls_back_to_the_first_grid_start():
     y, mstar, zeros = rng.standard_normal(50), rng.standard_normal(50), np.zeros(50)
     root = np.linalg.qr(omega_law_columns(y, zeros, zeros, mstar, np.zeros((50, 0))), mode="r")
     assert translog._omega_slope_minima(root) == []
-    result = translog.step3_core(y, zeros, zeros, mstar, np.zeros((50, 0)), translog.EstimateOptions())
+    result = translog.step3_core(translog._gram_root(root.T @ root), translog.EstimateOptions())
     ols, *_ = np.linalg.lstsq(np.column_stack([np.ones(50), mstar]), y, rcond=None)
     assert result.converged and np.all(result.params[:2] == 0.0)
     assert_rel(result.params[2:], ols, 1e-8)

@@ -75,7 +75,7 @@ def test_the_profile_at_the_polished_point_is_the_joint_objective(panel):
     ds = _panel(panel)
     est = estimate(ds)
     system, delta = est.system, est.step1.delta_lm
-    proj_r, gram_e, gram_r, _ = translog._system_cross_products(ds, est.step1, est.options, [])
+    proj_r, gram_e, gram_r, _ = translog._system_cross_products(ds, est.step2, est.options, [])
     profile = translog._system_profile(est.step2.whitened_qe, gram_e, proj_r, gram_r, delta)
     (phi_crit, beta_l, rho_phi_2), _ = profile(np.array([system.beta_0]), np.array([system.rho_phi_1]))
     _, (omega_crit, _, v) = profile(np.array([system.beta_0]), np.array([system.rho_omega_1]))
@@ -98,7 +98,7 @@ def test_the_phi_block_on_a_face_of_the_box_is_the_box_minimum():
     options = EstimateOptions()
     step1 = translog.step1_cost_share(ds)
     step2 = translog.step2_gmm(ds, step1, options)
-    proj_r, gram_e, gram_r, _ = translog._system_cross_products(ds, step1, options, [])
+    proj_r, gram_e, gram_r, _ = translog._system_cross_products(ds, step2, options, [])
     delta = step1.delta_lm
     profile = translog._system_profile(step2.whitened_qe, gram_e, proj_r, gram_r, delta)
     beta_0 = np.repeat(translog._PROFILE_BETA_0, translog._PROFILE_SLOPES.size)

@@ -124,7 +124,7 @@ def test_system_residual_matches_pair_array_residual(monkeypatch, panel_steps, p
 def _from_scratch_residual(ds, step1, step2, proxy):
     """The joint residual as first written on the cross products: both blocks at every call."""
     proj_e = step2.whitened_qe
-    proj_r, gram_e, gram_r, *_ = translog._system_cross_products(ds, step1, translog.EstimateOptions(proxy=proxy), [])
+    proj_r, gram_e, gram_r, *_ = translog._system_cross_products(ds, step2, translog.EstimateOptions(proxy=proxy), [])
     delta, pz = step1.delta_lm, ds.z.shape[1]
 
     def residual(lam):
@@ -239,7 +239,7 @@ def test_system_jacobian_omega_rows_under_the_scale_floor(monkeypatch, noiseless
         [params.beta_0, params.beta_l, laws.rho_phi_1], laws.rho_phi_2,
         [params.beta_k, params.beta_kk, laws.rho_omega_0, laws.rho_omega_1], laws.rho_omega_2,
     ))
-    gram_r = translog._system_cross_products(ds, step1, options, [])[2]
+    gram_r = translog._system_cross_products(ds, step2, options, [])[2]
     c = proxied_omega_coef(lam[3:], lam[0], lam[1], step1.delta_lm)
     assert np.sqrt(max(c @ gram_r @ c, 0.0)) < 1e-8  # the floor binds
     n_e = translog.build_instruments(ds)[0].shape[1]

@@ -353,17 +353,33 @@ def _counting_calls(monkeypatch, names):
 
 
 @pytest.mark.parametrize("fit", ["estimate", "bootstrap_replicate"])
-def test_a_refined_fit_forms_step_two_once(monkeypatch, bench, bench_est, fit):
-    # the joint system reads step two's whitened Q'E/n and slope minima
-    # from step two's record instead of forming and scanning them again
+def test_an_estimate_forms_its_lag_pair_gram_once(monkeypatch, bench, bench_est, fit):
+    # step three and the joint system read step two's lag-pair Gram, whitened
+    # Q'E/n and slope minima from its record instead of forming them again,
+    # and no fit takes a QR decomposition of a lag-pair block
     ds, _, _ = bench
     residuals = bootstrap.compute_residuals(ds, bench_est)
     weights = bootstrap.mammen_weights(ds.n_firms, np.random.SeedSequence(11))
     run = {"estimate": lambda: estimate(ds),
            "bootstrap_replicate": lambda: bootstrap.bootstrap_replicate(ds, bench_est, residuals, weights)}[fit]
-    calls = _counting_calls(monkeypatch, ("build_instruments", "_phi_slope_minima"))
+    calls = _counting_calls(monkeypatch, ("_lag_pair_gram", "_phi_slope_minima"))
+    qr_calls = []
+    monkeypatch.setattr(np.linalg, "qr", lambda *args, **kwargs: qr_calls.append(args))
     run()
-    assert calls == {"build_instruments": 1, "_phi_slope_minima": 1}
+    assert calls == {"_lag_pair_gram": 1, "_phi_slope_minima": 1}
+    assert qr_calls == []
+
+
+def test_system_refine_refuses_a_step_two_record_formed_without_refinement(bench):
+    # under refine="none" step two's Gram has no m_prev column, which the
+    # level instruments need
+    ds, _, _ = bench
+    step1 = step1_cost_share(ds)
+    step2 = step2_gmm(ds, step1, EstimateOptions(refine="none"))
+    assert step2.centered_gram is None and "m_prev" not in step2.gram_columns
+    step3 = translog.step3_nls(ds, step1, step2, EstimateOptions(refine="none"))
+    with pytest.raises(ValueError, match="refine='none'"):
+        translog.system_refine(ds, step1, step2, step3, EstimateOptions())
 
 
 def test_step_two_record_keeps_the_minima_of_its_own_block(bench_est):
