@@ -246,18 +246,15 @@ def minimize_gmm(
 
     The problem is whitened with the symmetric square root of ``W`` and
     handed to :func:`minimize_nls`, so the reported objective equals the
-    GMM criterion exactly.  ``weight=None`` means the identity.
+    GMM criterion exactly.  ``weight=None`` means the identity: the moments
+    are already whitened, and go to :func:`minimize_nls` as they are.
     """
-    g0 = np.atleast_1d(np.asarray(problem.moments(np.asarray(x0, dtype=float)), dtype=float))
-    weight = problem.weight if problem.weight is not None else np.eye(g0.size)
-    half = _psd_sqrt(weight)
-
-    def residual(x):
-        return half @ np.atleast_1d(np.asarray(problem.moments(x), dtype=float))
-
-    jacobian = None
-    if problem.jacobian is not None:
-        jacobian = lambda x: half @ np.atleast_2d(np.asarray(problem.jacobian(x), dtype=float))
+    residual, jacobian = problem.moments, problem.jacobian
+    if problem.weight is not None:
+        half = _psd_sqrt(problem.weight)
+        residual = lambda x: half @ np.atleast_1d(np.asarray(problem.moments(x), dtype=float))
+        if jacobian is not None:
+            jacobian = lambda x: half @ np.atleast_2d(np.asarray(problem.jacobian(x), dtype=float))
 
     nls = NlsProblem(residual=residual, jacobian=jacobian, bounds=problem.bounds)
     return minimize_nls(nls, x0, starts=starts, grad_tol=grad_tol, max_iter=max_iter)

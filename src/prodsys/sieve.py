@@ -45,6 +45,7 @@ from .translog import (
     ProductivityLaws,
     Step1Result,
     TranslogParams,
+    _inverse_root,
     _omega_law_data,
     _omega_law_nls,
     _phi_law_gmm,
@@ -314,7 +315,10 @@ def sieve_step2_gmm(
     The law ``r_phi(phi_lag, Z_lag)`` is a polynomial without intercept
     (zero stays a fixed point of the law, as in the linear normalization),
     so ``basis`` has no constant term and no centering.  The instruments
-    are expanded to the basis degree.
+    are expanded to the basis degree, and the moments ``Q' eps / n`` are
+    whitened by the :func:`~prodsys.translog._inverse_root` of their Gram
+    ``Q'Q / n`` (expanded monomial Grams are poorly conditioned; its
+    pseudo-inverse branch drops the directions they lack).
     """
     delta = step1.delta_lm
     arrays = _step2_arrays(dataset)
@@ -324,24 +328,13 @@ def sieve_step2_gmm(
     n_pairs = q.shape[0]
     if n_pairs <= q.shape[1]:
         raise ValueError("not enough lag pairs for the expanded instrument count")
-    # expanded monomial Grams are poorly conditioned; an eigendecomposition
-    # inverse stays symmetric PSD where inv() would not, and truncating the
-    # tiny eigenvalues doubles as the pseudo-inverse fallback
-    qq = q.T @ q / n_pairs
-    vals, vecs = np.linalg.eigh(qq)
-    keep = vals > vals[-1] * 1e-12
-    if not np.all(keep):
-        warnings.append(
-            f"instrument Gram matrix ill-conditioned (cond={vals[-1] / max(vals[0], 1e-300):.2e}); "
-            f"dropping {int(np.sum(~keep))} directions"
-        )
-    weight = (vecs * np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)) @ vecs.T
+    whiten = _inverse_root(q.T @ q / n_pairs, "instrument", warnings) @ q.T / n_pairs
 
     args = (basis, delta, *arrays)
     problem, starts = _phi_law_gmm(
-        lambda alpha: q.T @ phi_innovation(alpha, *args) / n_pairs,
-        lambda alpha: q.T @ phi_innovation_jacobian(alpha, *args) / n_pairs,
-        2 + _linear_term_index(basis, 0), 2 + basis.n_terms, delta, weight,
+        lambda alpha: whiten @ phi_innovation(alpha, *args),
+        lambda alpha: whiten @ phi_innovation_jacobian(alpha, *args),
+        2 + _linear_term_index(basis, 0), 2 + basis.n_terms, delta,
     )
     result = minimize_gmm(problem, starts[0], starts=starts[1:], grad_tol=options.grad_tol, max_iter=options.max_iter)
 

@@ -34,8 +34,10 @@ fixed map of one set of lag-pair columns, so one pass over the pairs forms
 their Gram once per estimate (:func:`_lag_pair_gram`, kept in step two's
 record) and no later fit or optimizer iteration touches an array as long
 as the panel: step two reads ``Q'Q`` and ``Q'E``, step three a root of
-``D'D = B'(R'R)B`` at its proxied phi, and the joint refinement ``H'R``
-and the centered Gram matrices of both blocks.
+``D'D = B'(R'R)B`` at its proxied phi, and the joint refinement ``H'H``,
+``H'R`` and the centered Gram matrices of both blocks.  Each instrument
+Gram whitens its moments through one inverse root taken of the Gram itself
+(:func:`_inverse_root`), so no fit hands the optimizer a weight matrix.
 
 At a fixed slope in lagged productivity each linear-law fit is a linear
 least-squares problem in its other coefficients, so steps two and three
@@ -90,9 +92,7 @@ __all__ = [
     "step1_cost_share",
     "phi_proxy",
     "build_instruments",
-    "build_level_instruments",
     "step2_gmm",
-    "information_matrix",
     "omega_proxy",
     "step3_core",
     "step3_nls",
@@ -172,8 +172,9 @@ class Step2Result:
     :func:`_lag_pair_gram` and that of the centered columns (``None`` under
     ``refine="none"``), one row and column per key in ``gram_columns``;
     step three and the joint refinement take their blocks from them.
-    ``whitened_qe`` is ``W^{1/2} Q'E / n_pairs``, one row per instrument
-    (see :func:`step2_gmm`).
+    ``whitened_qe`` is ``S Q'E / n_pairs``, one row per instrument, with
+    ``S`` the :func:`_inverse_root` of ``Q'Q / n_pairs`` (see
+    :func:`step2_gmm`).
     """
 
     beta_0: float
@@ -581,7 +582,7 @@ def _block_maps(columns, options: EstimateOptions) -> dict:
     ``Q`` is step two's instrument set (:func:`build_instruments`), ``E`` the
     phi-law block, ``R`` the omega block at ``options.proxy``'s FOC and, when
     the Gram has ``m_prev``, ``H`` the level instruments
-    (:func:`build_level_instruments`).  An entry is a key or a ``{key:
+    (:func:`_system_cross_products`).  An entry is a key or a ``{key:
     weight}`` sum of columns.
     """
     z, x = [key for key in columns if key[0] == "z"], [key for key in columns if key[0] == "x"]
@@ -603,27 +604,35 @@ def _block_maps(columns, options: EstimateOptions) -> dict:
     return maps
 
 
-def _gram_weight(gram: np.ndarray, label: str, warnings: list[str]) -> np.ndarray:
-    """The inverse of an instrument Gram matrix ``Q'Q/n``, a pseudo-inverse (with a warning) where it is ill-conditioned."""
-    cond = np.linalg.cond(gram)
-    if cond > 1e12:
-        warnings.append(f"{label} Gram matrix ill-conditioned (cond={cond:.2e}); using pseudo-inverse")
-        return np.linalg.pinv(gram)
-    return np.linalg.inv(gram)
+def _inverse_root(gram: np.ndarray, label: str, warnings: list[str]) -> np.ndarray:
+    """The whitening ``S = V diag(lambda^-1/2) V'`` of an instrument Gram matrix, from one eigendecomposition.
 
-
-def _phi_cross_products(gram: np.ndarray, columns, options: EstimateOptions, warnings: list[str]):
-    """``(W, Q'E/n)`` of step two's moments, read from the lag-pair Gram, for :func:`step2_gmm` and :func:`information_matrix`.
-
-    ``W`` is the :func:`_gram_weight` of ``Q'Q/n``, warning as an instrument Gram.
+    ``S gram S`` is the identity, so ``S`` times averaged moments is the
+    residual whose squared norm is the GMM criterion weighted by the inverse
+    Gram.  The root is taken of the Gram itself, not of its inverse: on the
+    joint system's ``H'H/n``, whose condition number is near 4e8, a
+    last-bit change of the entries moves the rows this root whitens by
+    about 1e-11 relative, and an inverse followed by a root by about 3e-6.
+    Eigenvalues at or below ``1e-12`` of the largest are dropped, with a
+    warning, so ``S`` is then the root of the pseudo-inverse.
     """
+    vals, vecs = np.linalg.eigh(gram)
+    keep = vals > 1e-12 * vals[-1]
+    if not keep.all():
+        warnings.append(f"{label} Gram matrix ill-conditioned (cond={vals[-1] / max(abs(vals[0]), 1e-300):.2e}); "
+                        "using pseudo-inverse")
+    return (vecs[:, keep] / np.sqrt(vals[keep])) @ vecs[:, keep].T
+
+
+def _phi_cross_products(gram: np.ndarray, columns, options: EstimateOptions, warnings: list[str]) -> np.ndarray:
+    """Step two's whitened block ``S Q'E/n``, read from the lag-pair Gram, with ``S`` the :func:`_inverse_root` of ``Q'Q/n``."""
     maps = _block_maps(columns, options)
     t_q, t_e = maps["Q"], maps["E"]
     n = gram[0, 0]  # the constant column's sum of squares
     if n <= t_q.shape[1]:
         raise ValueError("not enough lag pairs for the instrument count")
     qx = t_q.T @ gram / n
-    return _gram_weight(qx @ t_q, "instrument", warnings), qx @ t_e
+    return _inverse_root(qx @ t_q, "instrument", warnings) @ (qx @ t_e)
 
 
 def _beta_box(delta_lm: float):
@@ -635,11 +644,12 @@ def _beta_box(delta_lm: float):
     return (-10.0, 1e-10), (-1e-10, delta_lm * (1 - 1e-10))
 
 
-def _phi_law_gmm(moments, jacobian, lin: int, n_params: int, delta_lm: float, weight):
+def _phi_law_gmm(moments, jacobian, lin: int, n_params: int, delta_lm: float):
     """GMM problem and start grid of a phi law, linear or series.
 
     ``moments`` and ``jacobian`` map the parameters ``(beta_0, beta_l,
-    coef)`` to the averaged moments and their derivative; ``coef[lin - 2]``
+    coef)`` to the whitened averaged moments and their derivative, so the
+    problem has no weight (:func:`_inverse_root`); ``coef[lin - 2]``
     is the slope in lagged phi, kept inside the unit interval.  The starts
     cross curvature magnitudes with labor shares; the series law runs them
     all, and the linear law only the first, on a panel whose slope profile
@@ -648,7 +658,7 @@ def _phi_law_gmm(moments, jacobian, lin: int, n_params: int, delta_lm: float, we
     lo, hi = np.full(n_params, -50.0), np.full(n_params, 50.0)
     lo[:2], hi[:2] = _beta_box(delta_lm)
     lo[lin], hi[lin] = -0.999999, 0.999999
-    problem = GmmProblem(moments=moments, jacobian=jacobian, weight=weight, bounds=(lo, hi))
+    problem = GmmProblem(moments=moments, jacobian=jacobian, bounds=(lo, hi))
     starts = []
     for b0 in (-0.2, -0.1, -0.05, -0.02, -0.005):
         for frac in (0.25, 0.5, 0.75):
@@ -679,19 +689,19 @@ def step2_gmm(dataset: PanelDataset, step1: Step1Result, options: EstimateOption
     """GMM estimation of the curvature, labor coefficient and phi law.
 
     Moments are ``E[Q_{t-1} * eps_t(alpha)] = 0`` where ``eps`` is the
-    innovation of the phi law evaluated at proxied phi.  The default
-    weight is ``(Q'Q/N)^{-1}``; parameters are ``(beta_0, beta_l,
-    rho_phi_1, rho_phi_2)`` with ``beta_m`` recovered as ``delta_lm -
-    beta_l``.
+    innovation of the phi law evaluated at proxied phi, weighted by
+    ``(Q'Q/N)^{-1}``; parameters are ``(beta_0, beta_l, rho_phi_1,
+    rho_phi_2)`` with ``beta_m`` recovered as ``delta_lm - beta_l``.
 
     The innovation is ``E a(alpha)`` with fixed columns ``E``
     (:func:`~prodsys.moments.phi_law_columns`).  One pass over the lag
     pairs forms the Gram of every column the estimate reads
-    (:func:`_lag_pair_gram`); ``Q'Q/N`` and ``Q'E/N`` are blocks of it, and
-    the moments ``(Q'E/N) a`` and their Jacobian ``(Q'E/N) da/dalpha`` cost
-    the same at any panel size.  So is the whitened block ``W^{1/2} Q'E /
-    N``, whose product with ``a`` is the moment vector the criterion
-    squares.  The record keeps it as ``whitened_qe``, with the Gram.
+    (:func:`_lag_pair_gram`); ``Q'Q/N`` and ``Q'E/N`` are blocks of it.
+    The optimizer is handed the whitened moments ``S (Q'E/N) a`` and their
+    Jacobian, with ``S`` the :func:`_inverse_root` of ``Q'Q/N``, so their
+    squared norm is the criterion and they cost the same at any panel
+    size.  The record keeps the whitened block ``S Q'E/N`` as
+    ``whitened_qe``, with the Gram.
 
     The starts are the local minima of the criterion's profile in
     ``rho_phi_1`` (:func:`_phi_profile` on the whitened block), one optimizer
@@ -704,12 +714,11 @@ def step2_gmm(dataset: PanelDataset, step1: Step1Result, options: EstimateOption
     pz = dataset.z.shape[1]
     warnings: list[str] = []
     gram, centered, columns = _lag_pair_gram(dataset, step1, options)
-    weight, qe = _phi_cross_products(gram, columns, options, warnings)
-    whitened_qe = _psd_sqrt(weight) @ qe
+    whitened_qe = _phi_cross_products(gram, columns, options, warnings)
     problem, grid = _phi_law_gmm(
-        lambda alpha: qe @ phi_law_coef(alpha, delta),
-        lambda alpha: qe @ phi_law_coef_jacobian(alpha, delta),
-        2, 3 + pz, delta, weight,
+        lambda alpha: whitened_qe @ phi_law_coef(alpha, delta),
+        lambda alpha: whitened_qe @ phi_law_coef_jacobian(alpha, delta),
+        2, 3 + pz, delta,
     )
     minima = _phi_slope_minima(whitened_qe, delta, _beta_box(delta))
     starts = list(minima) or grid[:1]
@@ -740,26 +749,6 @@ def step2_gmm(dataset: PanelDataset, step1: Step1Result, options: EstimateOption
         gram_columns=columns,
         warnings=warnings,
     )
-
-
-def information_matrix(dataset: PanelDataset, step1: Step1Result, alpha, options: EstimateOptions):
-    """Curvature of the GMM criterion at ``alpha``: ``G'WG`` with rank and condition.
-
-    ``G = (Q'E/N) da/dalpha`` is the Jacobian of step two's moments and ``W``
-    their weight, so this is the curvature of the criterion step two minimizes.  A
-    full-rank matrix signals local identification of the step-two
-    parameters; rank deficiency arises, for example, when the labor share
-    carries no independent variation.
-    """
-    gram, _, columns = _lag_pair_gram(dataset, step1, options)
-    weight, qe = _phi_cross_products(gram, columns, options, [])
-    g = qe @ phi_law_coef_jacobian(np.asarray(alpha, dtype=float), step1.delta_lm)
-    info = g.T @ weight @ g
-    svals = np.linalg.svd(info, compute_uv=False)
-    tol = max(info.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
-    rank = int(np.sum(svals > tol))
-    cond = float(svals[0] / svals[-1]) if svals.size and svals[-1] > 0 else float("inf")
-    return info, rank, cond
 
 
 # -- step three --------------------------------------------------------------
@@ -927,24 +916,6 @@ def _step3_result(result: OptimResult, *, proxy: str, n_pairs: int) -> Step3Resu
 # -- joint refinement ----------------------------------------------------------
 
 
-def build_level_instruments(dataset: PanelDataset):
-    """Instrument matrix for the output-level block of the joint system.
-
-    Everything here is either current/lagged capital (predetermined) or a
-    lagged flexible-input observable, so all columns are orthogonal to the
-    period-``t`` productivity innovation and transitory shock.  Returns
-    ``(H, names)`` aligned to the dataset's lag pairs.
-    """
-    pairs = dataset.lag_pairs()
-    cur, prev = pairs.cur, pairs.prev
-    k_cur, k_prev, m_prev = dataset.k[cur], dataset.k[prev], dataset.m[prev]
-    cols = [np.ones(cur.size), k_cur, k_cur**2, k_prev, k_prev**2, m_prev, m_prev - dataset.l[prev], dataset.s_l[prev],
-            *dataset.x[prev].T, *dataset.z[prev].T]
-    names = ("const", "k", "k_sq", "k_lag", "k_sq_lag", "m_lag", "ml_lag", "s_l_lag",
-             *(f"{name}_lag" for name in (*dataset.x_names, *dataset.z_names)))
-    return np.stack(cols).T, names
-
-
 def _system_cross_products(dataset: PanelDataset, step2: Step2Result, options: EstimateOptions, warnings: list[str]):
     """Candidate-free cross-products of the joint system's residuals that step two's record does not carry.
 
@@ -954,32 +925,35 @@ def _system_cross_products(dataset: PanelDataset, step2: Step2Result, options: E
     :func:`~prodsys.moments.proxied_omega_coef`, and coefficients ``a`` and
     ``c`` that depend only on the candidate (see :func:`system_refine`).
     The whitened projection of ``E`` is step two's
-    (``Step2Result.whitened_qe``), and ``H'R`` and the centered Gram
-    matrices are blocks of its lag-pair Gram (:func:`_lag_pair_gram`); a
-    record formed under ``refine="none"`` has no ``m_prev`` for ``H`` and is
-    refused with ``ValueError``.  Only ``H'H`` is formed from ``H``: its
-    condition number is near 4e8, and its weight's root (an inverse, then a
-    symmetric root) turns a last-bit change of an entry, as a block of the
-    larger Gram summed in another order has, into changes near 1e-6 in the
-    whitened rows.
+    (``Step2Result.whitened_qe``), and ``H'H``, ``H'R`` and the centered
+    Gram matrices are blocks ``T' G T`` of its lag-pair Gram ``G``
+    (:func:`_lag_pair_gram`); a record formed under ``refine="none"`` has no
+    ``m_prev`` for ``H`` and is refused with ``ValueError``.  ``H`` stacks a
+    constant, current and lagged capital and its square, and lagged ``m``,
+    ``m - l``, labor share, ``X`` and ``Z``: each is predetermined or a
+    lagged flexible-input observable, so orthogonal to the period-``t``
+    productivity innovation and transitory shock.
 
-    Returns ``(P_R, G_E, G_R, h_names)``: the whitened projection ``half_h
-    H'R / n``, the centered Gram matrices ``E_c'E_c / n`` and ``R_c'R_c /
-    n`` over the ``n`` lag pairs and the level-instrument names.
+    Returns ``(P_R, G_E, G_R, h_names)``: the whitened projection ``S H'R /
+    n``, with ``S`` the :func:`_inverse_root` of ``H'H / n``, the centered
+    Gram matrices ``E_c'E_c / n`` and ``R_c'R_c / n`` over the ``n`` lag
+    pairs and the level-instrument names.
     """
     gram, columns = step2.gram, step2.gram_columns
     if "m_prev" not in columns:
         raise ValueError("step2's lag-pair Gram has no m_prev column for the level instruments; "
                          "it was formed with refine='none'")
-    h, h_names = build_level_instruments(dataset)
-    n = h.shape[0]
-    if n <= h.shape[1]:  # H has more columns than Q
-        raise ValueError("not enough usable lag pairs for the joint refinement")
     maps = _block_maps(columns, options)
-    half_h = _psd_sqrt(_gram_weight(h.T @ h / n, "output-level instrument", warnings))
+    t_h, t_r, t_e = maps["H"], maps["R"], maps["E"]
+    n = gram[0, 0]  # the constant column's sum of squares
+    if n <= t_h.shape[1]:  # H has more columns than Q
+        raise ValueError("not enough usable lag pairs for the joint refinement")
+    hx = t_h.T @ gram / n
     centered = step2.centered_gram / n
-    return (half_h @ (maps["H"].T @ gram @ maps["R"] / n), maps["E"].T @ centered @ maps["E"],
-            maps["R"].T @ centered @ maps["R"], h_names)
+    h_names = ("const", "k", "k_sq", "k_lag", "k_sq_lag", "m_lag", "ml_lag", "s_l_lag",
+               *(f"{name}_lag" for name in (*dataset.x_names, *dataset.z_names)))
+    return (_inverse_root(hx @ t_h, "output-level instrument", warnings) @ (hx @ t_r),
+            t_e.T @ centered @ t_e, t_r.T @ centered @ t_r, h_names)
 
 
 # -- the joint system's profile over beta_0 --------------------------------------
@@ -1210,16 +1184,17 @@ def system_refine(
     The cure is more information, not a better optimizer: the output-level
     autoregression residual of step three also depends on ``(beta_0,
     beta_l)`` through the proxies, and projecting it on its own
-    predetermined instruments (``build_level_instruments``) yields moments
+    predetermined instruments (:func:`_system_cross_products`) yields moments
     that move sharply along the flat ray.  This routine stacks
 
         E[Q_{t-1} * eps_t(alpha)] = 0  and  E[H_{t-1} * r_t(alpha, gamma)] = 0
 
     and minimizes the sum of the two quadratic forms, each weighted by its
-    inverse instrument Gram matrix and normalized by the residual standard
-    deviation at the candidate point so that neither block can be improved
-    by pure rescaling.  Step-one quantities stay frozen at their closed
-    form.
+    inverse instrument Gram matrix (through :func:`_inverse_root`, so the
+    optimizer sees a plain residual) and normalized by the residual
+    standard deviation at the candidate point so that neither block can be
+    improved by pure rescaling.  Step-one quantities stay frozen at their
+    closed form.
 
     The phi block reads step two's whitened ``Q'E/n``
     (``step2.whitened_qe``), so it is not formed again here; a ``step2``
@@ -1233,8 +1208,8 @@ def system_refine(
     :func:`~prodsys.moments.phi_law_coef`, and ``r = R c`` with ``c`` step
     three's :func:`~prodsys.moments.omega_law_coef` carried through the
     proxied-phi expansion of ``y*`` and ``m*``
-    (:func:`~prodsys.moments.proxied_omega_coef`).  The projection ``H'R``
-    and the centered Gram matrices of ``E`` and ``R`` are blocks of the
+    (:func:`~prodsys.moments.proxied_omega_coef`).  ``H'H``, ``H'R`` and
+    the centered Gram matrices of ``E`` and ``R`` are blocks of the
     lag-pair Gram step two formed once per estimate and kept in its record
     (see :func:`_system_cross_products`); each residual evaluation is then
     a few products of size at most about 20, and its cost does not grow

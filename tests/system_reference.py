@@ -11,7 +11,9 @@ delta/2)``.
 :func:`reference_system_fit` runs that list on the problem the estimator
 builds, so a test can compare the two rules' answers, and
 :func:`profile_curve` recomputes the scanned profile one curvature at a
-time.
+time.  :func:`build_level_instruments` forms the joint system's level
+instruments ``H`` on the lag pairs, and :func:`inverse_root` whitens a Gram
+matrix, for tests that form ``H'H`` and ``Q'Q`` from the rows.
 """
 
 from __future__ import annotations
@@ -44,6 +46,24 @@ def system_problem(dataset, step1, step2, step3, options):
     finally:
         translog.minimize_nls = real
     return seen["problem"]
+
+
+def build_level_instruments(dataset):
+    """The output-level instrument matrix ``H`` of the joint system on the lag pairs, and its column names."""
+    pairs = dataset.lag_pairs()
+    cur, prev = pairs.cur, pairs.prev
+    k_cur, k_prev, m_prev = dataset.k[cur], dataset.k[prev], dataset.m[prev]
+    cols = [np.ones(cur.size), k_cur, k_cur**2, k_prev, k_prev**2, m_prev, m_prev - dataset.l[prev], dataset.s_l[prev],
+            *dataset.x[prev].T, *dataset.z[prev].T]
+    names = ("const", "k", "k_sq", "k_lag", "k_sq_lag", "m_lag", "ml_lag", "s_l_lag",
+             *(f"{name}_lag" for name in (*dataset.x_names, *dataset.z_names)))
+    return np.column_stack(cols), names
+
+
+def inverse_root(gram):
+    """``V diag(lambda^-1/2) V'`` of a positive definite Gram matrix."""
+    vals, vecs = np.linalg.eigh(gram)
+    return (vecs / np.sqrt(vals)) @ vecs.T
 
 
 def uncentered_root(dataset, step1, options):

@@ -1,10 +1,12 @@
 """Steps two and three hand the optimizer what the lag-pair laws would give.
 
-``step2_gmm`` hands ``minimize_gmm`` a moment vector and its Jacobian, and
-``step3_core`` hands ``minimize_nls`` a residual and its Jacobian.  Both are
-captured from the optimizer call and compared, at every start and at
-perturbed points, with a direct evaluation on the lag-pair arrays through
-:func:`phi_innovation` and :func:`omega_residual` under the linear laws.
+``step2_gmm`` hands ``minimize_gmm`` a whitened moment vector and its
+Jacobian, and ``step3_core`` hands ``minimize_nls`` a residual and its
+Jacobian.  Both are captured from the optimizer call and compared, at every
+start and at perturbed points, with a direct evaluation on the lag-pair
+arrays through :func:`phi_innovation` and :func:`omega_residual` under the
+linear laws; step two's is whitened by the inverse root of the oracle's own
+``Q'Q/n``.
 Levenberg-Marquardt reads a least-squares problem only through ``J'J``,
 ``J'r`` and ``r'r``, so step three is compared on those: a residual of
 another length with the same three products gives the same iterates.  The
@@ -15,6 +17,7 @@ check of the lagged ``z`` and ``x`` columns.
 import numpy as np
 import pytest
 from moments_reference import LinearLaw, proxied_omega_map, qr_step3_root
+from system_reference import inverse_root
 
 from prodsys import moments, translog
 from prodsys.moments import (
@@ -27,7 +30,6 @@ from prodsys.moments import (
     phi_innovation_jacobian,
     phi_proxy,
 )
-from prodsys.optim import _psd_sqrt
 from prodsys.panel import PanelDataset
 from prodsys.simulate import benchmark_config, generate_panel
 
@@ -92,9 +94,9 @@ def test_step2_moments_match_pair_array_moments(monkeypatch, panel_steps):
     problem, starts = _capture(monkeypatch, "minimize_gmm", lambda: translog.step2_gmm(ds, step1, translog.EstimateOptions()))
     # one start per minimum of step two's slope profile
     gram, _, columns = translog._lag_pair_gram(ds, step1, translog.EstimateOptions())
-    weight, qe = translog._phi_cross_products(gram, columns, translog.EstimateOptions(), [])
+    whitened_qe = translog._phi_cross_products(gram, columns, translog.EstimateOptions(), [])
     box = tuple(bound[:2] for bound in problem.bounds)
-    minima = translog._phi_slope_minima(_psd_sqrt(weight) @ qe, step1.delta_lm, box)
+    minima = translog._phi_slope_minima(whitened_qe, step1.delta_lm, box)
     assert len(starts) == len(minima) >= 1
     assert all(np.array_equal(start, minimum) for start, minimum in zip(starts, minima))
 
@@ -104,9 +106,10 @@ def test_step2_moments_match_pair_array_moments(monkeypatch, panel_steps):
             ds.s_l[cur], ds.s_l[prev], ds.z[prev])
     q, _ = translog.build_instruments(ds)
     n = cur.size
+    root = inverse_root(q.T @ q / n)
     for alpha in _points(problem.bounds, starts):
-        _assert_close(problem.moments(alpha), q.T @ phi_innovation(alpha, *args) / n)
-        _assert_close(problem.jacobian(alpha), q.T @ phi_innovation_jacobian(alpha, *args) / n)
+        _assert_close(problem.moments(alpha), root @ (q.T @ phi_innovation(alpha, *args) / n))
+        _assert_close(problem.jacobian(alpha), root @ (q.T @ phi_innovation_jacobian(alpha, *args) / n))
 
 
 def test_step3_products_match_pair_array_products(monkeypatch, panel_steps):

@@ -18,7 +18,6 @@ from system_reference import uncentered_root
 
 from prodsys import translog
 from prodsys.moments import omega_law_coef, omega_law_columns, phi_law_coef, proxied_omega_coef
-from prodsys.optim import _psd_sqrt
 
 SLOPES = st.floats(-0.999999, 0.999999)
 
@@ -26,9 +25,9 @@ SLOPES = st.floats(-0.999999, 0.999999)
 def step2_profile_inputs(ds, step1):
     """``(proj, delta, box)``: step two's whitened ``Q'E/n`` and the box of ``(beta_0, beta_l)``."""
     gram, _, columns = translog._lag_pair_gram(ds, step1, translog.EstimateOptions())
-    weight, qe = translog._phi_cross_products(gram, columns, translog.EstimateOptions(), [])
-    lo, hi = translog._phi_law_gmm(None, None, 2, 3 + ds.z.shape[1], step1.delta_lm, weight)[0].bounds
-    return _psd_sqrt(weight) @ qe, step1.delta_lm, (lo[:2], hi[:2])
+    whitened_qe = translog._phi_cross_products(gram, columns, translog.EstimateOptions(), [])
+    lo, hi = translog._phi_law_gmm(None, None, 2, 3 + ds.z.shape[1], step1.delta_lm)[0].bounds
+    return whitened_qe, step1.delta_lm, (lo[:2], hi[:2])
 
 
 @pytest.fixture(scope="module")

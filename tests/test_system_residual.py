@@ -6,11 +6,16 @@ captured from the optimizer call and compared with a direct evaluation on
 the lag-pair arrays through :func:`phi_innovation`, :func:`flexible_output`
 and :func:`omega_residual`.  The benchmark panels carry no controls, so the
 controlled panel below is the check of the lagged ``z`` and ``x`` columns.
+On a simulated panel the labor share is exactly the ratio of labor to
+flexible-input expenditure, so the labor and materials first-order
+conditions agree up to rounding; the noisy-share panel perturbs the share
+so that the three omega proxies differ.
 """
 
 import numpy as np
 import pytest
 from moments_reference import LinearLaw
+from system_reference import build_level_instruments, inverse_root
 
 from prodsys import translog
 from prodsys.moments import (
@@ -22,7 +27,7 @@ from prodsys.moments import (
     phi_proxy,
     proxied_omega_coef,
 )
-from prodsys.optim import _psd_sqrt, finite_diff_jacobian
+from prodsys.optim import finite_diff_jacobian
 from prodsys.panel import PanelDataset
 from prodsys.simulate import benchmark_config, generate_panel
 
@@ -41,12 +46,22 @@ def _with_controls(ds, rng):
     )
 
 
-@pytest.fixture(scope="module", params=("plain", "controls"))
+def _with_noisy_share(ds, rng):
+    logit = np.log(ds.s_l / (1.0 - ds.s_l)) + 0.1 * rng.standard_normal(ds.n_obs)
+    return PanelDataset(
+        firm_ids=ds.labels, years=ds.year, y=ds.y, k=ds.k, l=ds.l, m=ds.m, s_l=1.0 / (1.0 + np.exp(-logit)),
+        ln_r=ds.ln_r, ln_price_l=ds.ln_price_l, ln_price_m=ds.ln_price_m,
+    )
+
+
+@pytest.fixture(scope="module", params=("plain", "controls", "noisy_share"))
 def panel_steps(request):
     cfg = benchmark_config(n=400, seed=201)
     ds, _ = generate_panel(cfg, seed=201)
     if request.param == "controls":
         ds = _with_controls(ds, np.random.default_rng(5))
+    if request.param == "noisy_share":
+        ds = _with_noisy_share(ds, np.random.default_rng(9))
     step1 = translog.step1_cost_share(ds)
     step2 = translog.step2_gmm(ds, step1, translog.EstimateOptions())
     return ds, step1, step2
@@ -79,9 +94,8 @@ def _pair_array_residual(ds, step1, proxy):
     labor = ds.ln_price_l[prev] - np.log(delta * s_prev) + ds.l[prev]
     foc_prev = {"materials": materials, "labor": labor, "average": 0.5 * (materials + labor)}[proxy] - np.log(theta)
     q, _ = translog.build_instruments(ds)
-    h, _ = translog.build_level_instruments(ds)
-    half_q = _psd_sqrt(np.linalg.inv(q.T @ q / n))
-    half_h = _psd_sqrt(np.linalg.inv(h.T @ h / n))
+    h, _ = build_level_instruments(ds)
+    half_q, half_h = inverse_root(q.T @ q / n), inverse_root(h.T @ h / n)
     pz = z_prev.shape[1]
     phi_law, omega_law = LinearLaw(intercept=False), LinearLaw(intercept=True)
 
@@ -119,6 +133,28 @@ def test_system_residual_matches_pair_array_residual(monkeypatch, panel_steps, p
         got, want = problem.residual(lam), reference(lam)
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-8 * np.maximum(1.0, np.abs(want))), np.max(np.abs(got - want))
+
+
+def test_output_level_whitening_from_the_gram_matches_the_pair_rows():
+    """``H'H/n`` read from the lag-pair Gram whitens ``H'R/n`` as ``H'H/n`` from the rows of ``H`` does.
+
+    The two ``H'H/n`` differ in the last bits (their sums run in another
+    order) and have a condition number near 4e8; the direct inverse root
+    keeps the whitened rows within 1e-10 of each other, where an inverse
+    followed by a root moved them by 3e-6.
+    """
+    ds, _ = generate_panel(benchmark_config(n=400, seed=201), seed=201)
+    options = translog.EstimateOptions()
+    step1 = translog.step1_cost_share(ds)
+    step2 = translog.step2_gmm(ds, step1, options)
+    proj_r, _, _, h_names = translog._system_cross_products(ds, step2, options, [])
+    maps = translog._block_maps(step2.gram_columns, options)
+    h, names = build_level_instruments(ds)
+    n = h.shape[0]
+    hr = maps["H"].T @ step2.gram @ maps["R"] / n
+    want = translog._inverse_root(h.T @ h / n, "output-level instrument", []) @ hr
+    assert h_names == names
+    assert np.max(np.abs(proj_r - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def _from_scratch_residual(ds, step1, step2, proxy):

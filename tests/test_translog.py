@@ -21,7 +21,6 @@ from prodsys.translog import (
     _valley_warning,
     build_instruments,
     estimate,
-    information_matrix,
     omega_proxy,
     phi_proxy,
     recover_productivity,
@@ -219,25 +218,6 @@ def test_step2_gmm_recovers_truth_noiseless(noiseless):
     assert abs(s2.beta_m - (s1.delta_lm - s2.beta_l)) < 1e-14
 
 
-def test_information_matrix_full_rank_at_truth(bench):
-    ds, _, cfg = bench
-    s1 = step1_cost_share(ds)
-    alpha = np.array([cfg.params.beta_0, cfg.params.beta_l, cfg.laws.rho_phi_1])
-    info, rank, cond = information_matrix(ds, s1, alpha, EstimateOptions())
-    assert info.shape == (3, 3)
-    assert rank == 3
-    assert np.isfinite(cond)
-    # curvature agrees with a finite-difference rebuild of the moment jacobian
-    e = phi_law_columns(*_step2_arrays(ds))
-    q, _ = build_instruments(ds)
-    n_pairs = q.shape[0]
-    weight = np.linalg.pinv(q.T @ q / n_pairs)
-    g_fd = finite_diff_jacobian(lambda a: q.T @ (e @ phi_law_coef(a, s1.delta_lm)) / n_pairs, alpha)
-    info_fd = g_fd.T @ weight @ g_fd
-    rel = np.max(np.abs(info - info_fd) / np.maximum(np.abs(info), 1e-12))
-    assert rel < 1e-6
-
-
 # -- full pipeline -------------------------------------------------------------
 
 
@@ -400,6 +380,52 @@ def test_an_ill_conditioned_step_two_gram_is_warned_once(bench):
     step2_gram = [w for w in est.warnings if "instrument Gram" in w and "output-level" not in w]
     assert len(step2_gram) == 1
     assert step2_gram == [f"step 2: {w}" for w in est.step2.warnings if "instrument Gram" in w]
+
+
+def _whitening_gram(rng, k):
+    x = rng.standard_normal((4 * k + 10, k)) * rng.uniform(0.1, 10.0, k)
+    return x, x.T @ x / x.shape[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8))
+def test_inverse_root_whitens_a_definite_gram(seed, k):
+    _, gram = _whitening_gram(np.random.default_rng(seed), k)
+    warnings = []
+    root = translog._inverse_root(gram, "test", warnings)
+    assert warnings == []
+    assert np.allclose(root, root.T, rtol=0.0, atol=1e-12 * np.max(np.abs(root)))
+    assert np.allclose(root @ gram @ root, np.eye(k), rtol=0.0, atol=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8))
+def test_inverse_root_of_a_gram_with_a_duplicated_column_projects_off_its_null_direction(seed, k):
+    x, _ = _whitening_gram(np.random.default_rng(seed), k)
+    x = np.column_stack((x, x[:, 0]))
+    gram = x.T @ x / x.shape[0]
+    warnings = []
+    root = translog._inverse_root(gram, "test", warnings)
+    assert len(warnings) == 1
+    assert warnings[0].startswith("test Gram matrix ill-conditioned (cond=") and warnings[0].endswith("using pseudo-inverse")
+    # the kept eigenvectors span everything but the difference of the two copies
+    null = np.zeros(k + 1)
+    null[0], null[k] = 1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)
+    assert np.allclose(root @ gram @ root, np.eye(k + 1) - np.outer(null, null), rtol=0.0, atol=1e-8)
+
+
+def test_a_modifier_equal_to_capital_is_whitened_by_the_pseudo_inverse_in_both_blocks():
+    # z = k makes z_lag a copy of k_lag among step two's instruments Q and the
+    # system's level instruments H; each Gram warns once, and the fit converges
+    ds, _ = generate_panel(benchmark_config(n=400, seed=201), seed=201)
+    dup = PanelDataset(firm_ids=ds.labels, years=ds.year, y=ds.y, k=ds.k, l=ds.l, m=ds.m, s_l=ds.s_l, ln_r=ds.ln_r,
+                       z=ds.k[:, None], ln_price_l=ds.ln_price_l, ln_price_m=ds.ln_price_m)
+    est = estimate(dup)
+    for prefix in ("step 2: instrument Gram matrix ill-conditioned", "system: output-level instrument Gram matrix ill-conditioned"):
+        assert sum(w.startswith(prefix) for w in est.warnings) == 1, est.warnings
+    assert est.system.converged
+    assert np.all(np.isfinite(dataclasses.astuple(est.params)))
+    assert np.all(np.isfinite(np.r_[est.laws.rho_phi_1, est.laws.rho_phi_2, est.laws.rho_omega_0, est.laws.rho_omega_1]))
 
 
 def test_system_refine_refuses_a_step_two_record_of_another_instrument_set(bench):
