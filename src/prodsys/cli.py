@@ -23,7 +23,7 @@ import yaml
 
 from .bootstrap import NUMERICAL_FAILURES, BootstrapConfig, pack_parameters, parameter_names, run_bootstrap
 from .diagnostics import aggregate_productivity, elasticities, monte_carlo_study
-from .panel import FLOAT_FORMAT, PanelDataset, _csv_cell, load_csv, write_csv, write_prices_csv
+from .panel import FLOAT_FORMAT, PanelDataset, _write_table, load_csv, write_csv, write_prices_csv
 from .partialid import GRID_AXES, MomentInequalityConfig, identified_set
 from .simulate import CesParams, DgpConfig, generate_panel
 from .sieve import sieve_estimate
@@ -274,16 +274,8 @@ def _run_on_panel(fn, *args, **kwargs):
 # output tables
 
 
-def _write_table(path: str, header, rows) -> None:
-    """CSV with ``header``; string cells quoted as ``csv`` quotes them, every other cell
-    through ``FLOAT_FORMAT``."""
-    with open(path, "w", newline="") as fh:
-        for row in [header, *rows]:
-            fh.write(",".join(_csv_cell(v) if isinstance(v, str) else FLOAT_FORMAT % v for v in row) + "\n")
-
-
 def _read_table(path: str, header: tuple, labels: int) -> dict:
-    """``{first labels cells: the other cells as floats}`` of a ``_write_table`` file."""
+    """``{first labels cells: the other cells as floats}`` of a table a command wrote."""
     table = {}
     try:
         with open(path, newline="") as fh:
@@ -334,7 +326,7 @@ def cmd_simulate(args, config: dict) -> int:
     i, t = dataset.firm, dataset.year - int(np.min(dataset.year))
     _write_table(
         os.path.join(out, "truth.csv"), ("firm_id", "year", "omega", "phi", "eta"),
-        zip(dataset.labels, dataset.year, truth.omega[i, t], truth.phi[i, t], truth.eta[i, t]),
+        [dataset.labels, dataset.year, truth.omega[i, t], truth.phi[i, t], truth.eta[i, t]], "\n",
     )
     print(f"simulated panel: n={dgp.n} firms, T={dgp.t_periods} periods, seed={args.seed}")
     print(f"max static FOC residual: {truth.max_foc_residual:.3e}")
@@ -371,10 +363,10 @@ def cmd_estimate(args, config: dict) -> int:
     summary += [f"{name} objective {fit.objective:.6e} converged {fit.converged}" for name, fit in _fits(result)]
     lines = summary + ["%-20s %s" % (name, _fmt(value)) for name, value in rows]
 
-    _write_table(os.path.join(out, "params.csv"), ("parameter", "value"), rows)
+    _write_table(os.path.join(out, "params.csv"), ("parameter", "value"), list(zip(*rows)), "\n")
     _write_table(
         os.path.join(out, "latents.csv"), ("firm_id", "year", "phi_hat", "omega_hat", "eta_hat"),
-        zip(dataset.labels, dataset.year, result.phi_hat, result.omega_hat, result.eta_hat),
+        [dataset.labels, dataset.year, result.phi_hat, result.omega_hat, result.eta_hat], "\n",
     )
     record = elasticities(result.params, dataset.k, dataset.m, dataset.l, result.phi_hat)
     means = "mean elasticities: capital %.6f labor %.6f material %.6f rts %.6f" % (
@@ -447,19 +439,14 @@ def cmd_bootstrap(args, config: dict) -> int:
     except ValueError as exc:
         raise EstimationError(str(exc)) from exc
 
-    point_vec = pack_parameters(point.params, point.laws)
     header = ["parameter", "point", "se"]
+    columns = [result.names, pack_parameters(point.params, point.laws), result.standard_errors]
     for level in boot_config.levels:
         tag = ("%g" % (100 * level)).replace(".", "_")
         header += [f"lower{tag}", f"upper{tag}"]
-    rows = []
-    for j, name in enumerate(result.names):
-        rows.append([name, point_vec[j], result.standard_errors[j]])
-        for level in boot_config.levels:
-            lo, hi = result.intervals[float(level)]
-            rows[-1] += [lo[j], hi[j]]
-    _write_table(os.path.join(out, "bootstrap.csv"), header, rows)
-    _write_table(os.path.join(out, "draws.csv"), result.names, result.draws)
+        columns += result.intervals[float(level)]
+    _write_table(os.path.join(out, "bootstrap.csv"), header, columns, "\n")
+    _write_table(os.path.join(out, "draws.csv"), result.names, result.draws.T, "\n")
     print(f"bootstrap: {result.draws.shape[0]} successful replicates, {result.n_failures} failures")
     for j, name in enumerate(result.names):
         print("%-20s se %s" % (name, _fmt(result.standard_errors[j])))
@@ -519,7 +506,7 @@ def cmd_partialid(args, config: dict) -> int:
     stats = [f"stat_q{('%g' % (100 * lv)).replace('.', '_')}" for lv in result.cutoff_levels]
     _write_table(
         os.path.join(out, "partialid.csv"), [*GRID_AXES, *stats, "feasible"],
-        ([*c, *s, "1" if f else "0"] for c, s, f in zip(result.candidates, result.statistics, result.feasible)),
+        [*result.candidates.T, *result.statistics.T, result.feasible], "\n",
     )
     print(f"cutoff levels {result.cutoff_levels} -> m cutoffs {[round(float(c), 6) for c in result.cutoffs]}")
     print(f"slack {_fmt(result.slack)}, feasible fraction {result.volume_fraction:.4f}, empty: {result.empty}")
@@ -555,12 +542,12 @@ def cmd_report(args, config: dict) -> int:
     record = elasticities(params, dataset.k, dataset.m, dataset.l, phi)
     _write_table(
         os.path.join(out, "elasticities.csv"), ("firm_id", "year", "capital", "labor", "material", "rts"),
-        zip(dataset.labels, dataset.year, record.capital, record.labor, record.material, record.rts),
+        [dataset.labels, dataset.year, record.capital, record.labor, record.material, record.rts], "\n",
     )
     series = aggregate_productivity(dataset, types.SimpleNamespace(params=params, phi_hat=phi, omega_hat=omega))
     _write_table(
         os.path.join(out, "aggregates.csv"), ("year", "phi", "omega", "labor_phi"),
-        zip(series.years, series.phi, series.omega, series.labor_phi),
+        [series.years, series.phi, series.omega, series.labor_phi], "\n",
     )
     print(f"wrote elasticities.csv, aggregates.csv to {out}")
     return 0

@@ -16,7 +16,7 @@ import types
 import numpy as np
 
 from .bootstrap import NUMERICAL_FAILURES, pack_parameters, parameter_names
-from .panel import PanelDataset
+from .panel import PanelDataset, _write_table
 from .simulate import DgpConfig, generate_panel
 from .translog import EstimateOptions, TranslogParams, estimate
 
@@ -108,11 +108,8 @@ class McStudyReport:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        buf.write("parameter,truth,mean,rmse,mae\n")
-        for i, name in enumerate(self.names):
-            buf.write(
-                "%s,%.17g,%.17g,%.17g,%.17g\n" % (name, self.truth[i], self.mean[i], self.rmse[i], self.mae[i])
-            )
+        columns = [self.names, self.truth, self.mean, self.rmse, self.mae]
+        _write_table(buf, ("parameter", "truth", "mean", "rmse", "mae"), columns, "\n")
         return buf.getvalue()
 
     def to_text(self) -> str:

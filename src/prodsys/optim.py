@@ -1,9 +1,9 @@
 """Deterministic nonlinear least squares and GMM minimization.
 
 A single damped Gauss-Newton (Levenberg-Marquardt) engine drives both
-problem types: a GMM problem with weight matrix ``W`` is whitened into the
-residual ``h = W^{1/2} g`` so that ``h'h`` equals the GMM criterion
-``g'Wg`` exactly.  The implementation is pure numpy and contains no hidden
+problem types: a GMM problem hands its moments, already whitened by the
+caller, to the least-squares loop, so the loop's ``g'g`` is the GMM
+criterion.  The implementation is pure numpy and contains no hidden
 randomness; given the same inputs it produces the same iterates on every
 run.
 """
@@ -56,17 +56,16 @@ class NlsProblem:
 
 @dataclasses.dataclass
 class GmmProblem:
-    """Quadratic-form criterion ``g(x)' W g(x)`` over averaged moments ``g``.
+    """GMM criterion ``g(x)' g(x)`` over whitened averaged moments ``g``.
 
-    ``moments`` returns the sample-averaged moment vector, ``jacobian`` its
-    derivative with respect to the parameters (optional), and ``weight`` the
-    symmetric positive semidefinite weighting matrix.  ``bounds`` is that
-    of :class:`NlsProblem`.
+    ``moments`` returns the sample-averaged moment vector, already
+    multiplied by the square root of its weight matrix, and ``jacobian``
+    its derivative with respect to the parameters (optional).  ``bounds``
+    is that of :class:`NlsProblem`.
     """
 
     moments: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
-    weight: np.ndarray | None = None
     bounds: tuple[np.ndarray, np.ndarray] | None = None
 
 
@@ -242,19 +241,10 @@ def minimize_gmm(
     grad_tol: float = GRAD_TOL,
     max_iter: int = MAX_ITER,
 ) -> OptimResult:
-    """Minimize the GMM criterion ``g(x)' W g(x)``.
+    """Minimize the GMM criterion ``g(x)' g(x)`` of whitened moments.
 
-    The problem is whitened with the symmetric square root of ``W`` and
-    handed to :func:`minimize_nls`, so the reported objective equals the
-    GMM criterion exactly.  ``weight=None`` means the identity: the moments
-    are already whitened, and go to :func:`minimize_nls` as they are.
+    The moments go to :func:`minimize_nls` as they are, as its residual,
+    so the reported objective is the GMM criterion.
     """
-    residual, jacobian = problem.moments, problem.jacobian
-    if problem.weight is not None:
-        half = _psd_sqrt(problem.weight)
-        residual = lambda x: half @ np.atleast_1d(np.asarray(problem.moments(x), dtype=float))
-        if jacobian is not None:
-            jacobian = lambda x: half @ np.atleast_2d(np.asarray(problem.jacobian(x), dtype=float))
-
-    nls = NlsProblem(residual=residual, jacobian=jacobian, bounds=problem.bounds)
+    nls = NlsProblem(residual=problem.moments, jacobian=problem.jacobian, bounds=problem.bounds)
     return minimize_nls(nls, x0, starts=starts, grad_tol=grad_tol, max_iter=max_iter)

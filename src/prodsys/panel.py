@@ -9,6 +9,7 @@ step consumes them.  Rows are kept in canonical (firm, year) order.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import itertools
@@ -200,9 +201,9 @@ class PanelDataset:
         Per-observation log price ratios ln(P^L/P^Y) and ln(P^M/P^Y).
     levels : dict, optional
         Parsed level columns keyed by CSV column name (floats, integer
-        years, firm ids), which :func:`write_csv` writes back.  They hold
-        the parsed values, not the cells' text, so ``1.50`` writes back as
-        ``1.5``.
+        years, firm ids), which :func:`write_csv` writes back (the ids as
+        the panel's labels).  They hold the parsed values, not the cells'
+        text, so ``1.50`` writes back as ``1.5``.
 
     Notes
     -----
@@ -608,6 +609,36 @@ def _csv_cell(text: str) -> str:
     return text
 
 
+def _write_table(out, header, columns, line_end: str) -> None:
+    """Write ``header`` and the rows of ``columns`` as CSV to ``out``, a path or an open text file.
+
+    A column whose first cell is a ``str`` writes each cell's ``str()``;
+    every other column writes its cells through ``FLOAT_FORMAT``, so
+    integers and bools write as integers.  Cells are quoted as
+    ``csv.writer`` quotes them, and every line ends in ``line_end``.  Each
+    ``CHUNK_ROWS`` rows are formatted from one ``%`` row template, so only
+    one chunk's cells are held as strings.
+    """
+    # text as objects: numpy's text dtype drops a string's trailing NULs
+    cols = [np.array(v, dtype=object) if np.asarray(v).dtype.kind == "U" else np.asarray(v) for v in columns]
+    n_rows = len(cols[0]) if cols else 0
+    text = [n_rows > 0 and isinstance(col[0], str) for col in cols]
+    row = ",".join(["%s" if is_text else FLOAT_FORMAT for is_text in text]) + line_end
+    with contextlib.nullcontext(out) if hasattr(out, "write") else open(out, "w", newline="") as fh:
+        fh.write(",".join([_csv_cell(str(name)) for name in header]) + line_end)
+        for start in range(0, n_rows, CHUNK_ROWS):
+            part = slice(start, start + CHUNK_ROWS)
+            cells = []
+            for col, is_text in zip(cols, text):
+                cell = col[part].tolist()
+                if is_text:
+                    cell = list(map(str, cell))
+                    if _needs_quotes("".join(cell)):  # one search per chunk
+                        cell = list(map(_csv_cell, cell))
+                cells.append(cell)
+            fh.write("".join([row % r for r in zip(*cells)]))
+
+
 def write_csv(dataset: PanelDataset, path) -> None:
     """Write a panel back to CSV.
 
@@ -619,13 +650,11 @@ def write_csv(dataset: PanelDataset, path) -> None:
     normalized to one: labor and material columns carry expenditures
     P*quantity, matching the semantics of the load path.
 
-    Each row is formatted from one ``%`` template, and cells are quoted as
-    ``csv.writer`` quotes them, so the file is what ``csv.writer`` writes.
+    Firm ids write as their labels, the ``str()`` of each id, and the file
+    is what ``csv.writer`` writes, with its ``\\r\\n`` line ends.
     """
-    extra = [c for c in (dataset.x_names + dataset.z_names)]
-    header = list(REQUIRED_COLUMNS) + [c for c in dict.fromkeys(extra)]
+    header = [*REQUIRED_COLUMNS, *dict.fromkeys(dataset.x_names + dataset.z_names)]
     if dataset.levels is not None:
-        ids = dataset.levels["firm_id"]
         cols = [dataset.levels[c] for c in header[1:]]
     else:
         xz = {}
@@ -633,7 +662,6 @@ def write_csv(dataset: PanelDataset, path) -> None:
             xz[name] = dataset.x[:, j]
         for j, name in enumerate(dataset.z_names):
             xz.setdefault(name, dataset.z[:, j])
-        ids = dataset.labels
         cols = [
             dataset.year,
             np.exp(dataset.y),
@@ -642,25 +670,21 @@ def write_csv(dataset: PanelDataset, path) -> None:
             np.exp(dataset.m + dataset.ln_price_m),
             np.exp(dataset.y),
         ] + [xz[c] for c in header[7:]]
-    row = ",".join(["%s"] + [FLOAT_FORMAT] * len(cols)) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join([_csv_cell(str(name)) for name in header]) + "\r\n")
-        # a chunk at a time, so only one chunk's cells are held as strings
-        for start in range(0, dataset.n_obs, CHUNK_ROWS):
-            part = slice(start, start + CHUNK_ROWS)
-            labels = list(map(str, ids[part].tolist()))
-            if _needs_quotes("".join(labels)):
-                labels = list(map(_csv_cell, labels))
-            fh.write("".join([row % r for r in zip(labels, *(c[part].tolist() for c in cols))]))
+    _write_table(path, header, [dataset.labels, *cols], "\r\n")
 
 
 def write_prices_csv(dataset: PanelDataset, path) -> None:
-    """Persist per-year price ratios (levels) alongside an exported panel."""
-    years, first = np.unique(dataset.year, return_index=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["year", "ratio_l", "ratio_m"])
-        for yr, i in zip(years, first):
-            writer.writerow(
-                [int(yr), FLOAT_FORMAT % np.exp(dataset.ln_price_l[i]), FLOAT_FORMAT % np.exp(dataset.ln_price_m[i])]
-            )
+    """Persist per-year price ratios (levels) alongside an exported panel.
+
+    The table holds one ``(ratio_l, ratio_m)`` per year, so a panel whose
+    prices differ between two rows of one year raises ``ValueError``.
+    """
+    years, first, at = np.unique(dataset.year, return_index=True, return_inverse=True)
+    columns = [years]
+    for name in ("ln_price_l", "ln_price_m"):
+        prices = getattr(dataset, name)
+        varies = np.flatnonzero(prices != prices[first][at])
+        if varies.size:
+            raise ValueError(f"{name} varies within year {dataset.year[varies[0]]}; the price table holds one per year")
+        columns.append(np.exp(prices[first]))
+    _write_table(path, ("year", "ratio_l", "ratio_m"), columns, "\r\n")

@@ -1,10 +1,12 @@
-"""Reference copies of the panel CSV writer and of the panel constructor.
+"""Reference copies of the CSV writers and of the panel constructor.
 
-``write_csv`` is the straightforward writer: every cell goes through
+``write_csv`` is the straightforward panel writer: every cell goes through
 ``FLOAT_FORMAT`` and ``csv.writer``, which does the quoting.
-``prodsys.panel.write_csv`` formats each row from one template and quotes
-only what ``csv`` would quote; ``test_panel.py`` requires both to write
-the same bytes.
+``write_table`` is the command line's former table writer, which formats
+one cell at a time.  ``prodsys.panel._write_table``, which writes both
+kinds of file, formats each row from one template and quotes only what
+``csv`` would quote; ``test_panel.py`` requires each reference and the
+shared writer to write the same bytes.
 
 ``ReferencePanelDataset`` builds every panel's index the one way: each
 id's ``str()``, its code, and a ``np.lexsort`` of the rows, with every
@@ -24,7 +26,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from prodsys.panel import CHUNK_ROWS, FLOAT_FORMAT, REQUIRED_COLUMNS, LagPairs, PanelDataset, _as_float_matrix
+from prodsys.panel import (
+    CHUNK_ROWS, FLOAT_FORMAT, REQUIRED_COLUMNS, LagPairs, PanelDataset, _as_float_matrix, _csv_cell,
+)
 
 
 def write_csv(dataset: PanelDataset, path) -> None:
@@ -66,6 +70,14 @@ def write_csv(dataset: PanelDataset, path) -> None:
             part = slice(start, start + CHUNK_ROWS)
             cells = (map(FLOAT_FORMAT.__mod__, col[part].tolist()) for col in cols)
             writer.writerows(zip(ids[part].tolist(), *cells))
+
+
+def write_table(path: str, header, rows) -> None:
+    """CSV with ``header``; string cells quoted as ``csv`` quotes them, every other cell
+    through ``FLOAT_FORMAT``."""
+    with open(path, "w", newline="") as fh:
+        for row in [header, *rows]:
+            fh.write(",".join(_csv_cell(v) if isinstance(v, str) else FLOAT_FORMAT % v for v in row) + "\n")
 
 
 class ReferencePanelDataset(PanelDataset):

@@ -215,7 +215,8 @@ def test_gmm_linear_moments_closed_form(rng):
     w = np.diag(rng.uniform(0.5, 2.0, 6))
     expected = np.linalg.solve(a.T @ w @ a, a.T @ w @ b)
 
-    problem = GmmProblem(moments=lambda x: a @ x - b, jacobian=lambda x: a, weight=w)
+    half = _psd_sqrt(w)
+    problem = GmmProblem(moments=lambda x: half @ (a @ x - b), jacobian=lambda x: half @ a)
     res = minimize_gmm(problem, np.zeros(3))
     assert res.converged
     assert np.max(np.abs(res.params - expected)) < 1e-8

@@ -400,6 +400,17 @@ def test_price_table_load_and_write(tmp_path, small_panel):
     assert np.allclose(reloaded.ln_price_m, loaded.ln_price_m, atol=1e-12)
 
 
+@pytest.mark.parametrize("name", ["ln_price_l", "ln_price_m"])
+def test_write_prices_csv_refuses_prices_that_vary_within_a_year(tmp_path, name):
+    # the table holds one ratio per year, so a second price in 2002 would be lost
+    prices = {"ln_price_l": 0.0, "ln_price_m": 0.0, name: np.array([0.1, 0.1, 0.2, 0.3, 0.3])}
+    dataset = tiny_panel(firm_ids=["a", "b", "a", "b", "a"], years=[2001, 2001, 2002, 2002, 2004], **prices)
+    path = tmp_path / "prices.csv"
+    with pytest.raises(ValueError, match=f"{name} varies within year 2002"):
+        write_prices_csv(dataset, path)
+    assert not path.exists()
+
+
 def test_load_csv_reads_control_columns(tmp_path):
     path = tmp_path / "p.csv"
     write_rows(path, [
@@ -685,6 +696,61 @@ def test_write_csv_writes_the_reference_bytes(tmp_path_factory, case, chunk_rows
         write_csv(loaded, work / "loaded.csv")
         assert (work / "loaded.csv").read_bytes() == (work / "loaded-reference.csv").read_bytes()
     assert loaded.labels.tolist() == dataset.labels.tolist()
+
+
+#: float cells the writers must agree on: infinities, NaN, signed zeros and subnormals among them
+SPECIAL_FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | st.sampled_from(
+    [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -2.2250738585072009e-308]
+)
+INT64 = st.integers(-(2**63), 2**63 - 1)
+#: CSV_TEXT and a NUL, which numpy's text dtype drops from the end of a string
+TABLE_TEXT = st.text(alphabet=[",", '"', "\r", "\n", " ", "'", "a", "é", "\x00"], max_size=4)
+
+
+@st.composite
+def cli_table(draw):
+    """A header and columns of strings, integers, bools and floats, as lists or arrays, and their kinds."""
+    n = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(["text", "int", "bool", "float"]), min_size=1, max_size=5))
+    cells = {"text": TABLE_TEXT, "int": INT64, "bool": st.booleans(), "float": SPECIAL_FLOATS}
+    columns = [draw(st.lists(cells[kind], min_size=n, max_size=n)) for kind in kinds]
+    header = draw(st.lists(TABLE_TEXT, min_size=len(kinds), max_size=len(kinds)))
+    return header, columns, kinds
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_table(), st.sampled_from(["lists", "arrays", "objects"]), st.integers(1, 5))
+def test_write_table_writes_the_former_cli_bytes(tmp_path_factory, case, form, chunk_rows):
+    # the former per-cell writer on the rows, the shared writer on the columns;
+    # a column of numbers held as objects still writes through FLOAT_FORMAT
+    header, columns, kinds = case
+    work = tmp_path_factory.mktemp("table")
+    panel_reference.write_table(work / "reference.csv", header, zip(*columns))
+    if form != "lists":
+        columns = [np.array(col, dtype=object if form == "objects" or kind == "text" else None)
+                   for col, kind in zip(columns, kinds)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(panel, "CHUNK_ROWS", chunk_rows)
+        panel._write_table(work / "table.csv", header, columns, "\n")
+    assert (work / "table.csv").read_bytes() == (work / "reference.csv").read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(writable_panel(), st.data(), st.integers(1, 5))
+def test_write_csv_writes_any_levels_as_the_reference(tmp_path_factory, case, data, chunk_rows):
+    # levels are written as they are held, so integer years and special floats go through the shared writer
+    dataset, _ = case
+    n = dataset.n_obs
+    levels = {"firm_id": dataset.labels, "year": np.array(data.draw(st.lists(INT64, min_size=n, max_size=n)))}
+    for name in REQUIRED_COLUMNS[2:] + dataset.x_names + dataset.z_names:
+        levels[name] = np.array(data.draw(st.lists(SPECIAL_FLOATS, min_size=n, max_size=n)), dtype=float)
+    dataset.levels = levels
+    work = tmp_path_factory.mktemp("levels")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(panel, "CHUNK_ROWS", chunk_rows)
+        panel_reference.write_csv(dataset, work / "reference.csv")
+        write_csv(dataset, work / "panel.csv")
+    assert (work / "panel.csv").read_bytes() == (work / "reference.csv").read_bytes()
 
 
 # -- which parser reads a file ----------------------------------------------------
