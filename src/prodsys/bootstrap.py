@@ -4,10 +4,12 @@ Residuals from each estimation step are scaled by a single two-point
 weight per firm (the block), synthetic outcomes are rebuilt step by step
 (the revenue ratio directly, the flexible-input gap through its
 autoregressive recursion, the purged output through the omega law), and
-the full estimator is re-run on each synthetic panel.  Labor shares and
-all right-hand-side observables stay at their observed values by design;
+the full estimator is re-run on each synthetic panel: a replicate is
+``estimate()``'s answer there, bit for bit.  Labor shares and all
+right-hand-side observables stay at their observed values by design;
 only the step outcomes are resampled.  The step residuals and the fitted
-omega law are the ones defined in :mod:`prodsys.moments`.
+omega law are the ones defined in :mod:`prodsys.moments`, formed once per
+bootstrap.
 """
 
 from __future__ import annotations
@@ -20,12 +22,11 @@ from .moments import flexible_output, omega_law_coef, omega_law_columns, phi_law
 from .panel import LagPairs, PanelDataset
 from .translog import (
     TranslogEstimate,
-    _gram_root,
     _point_estimate,
     _step3_result,
+    _step3_root,
     _omega_law_data,
     _step2_arrays,
-    omega_proxy,
     step1_cost_share,
     step2_gmm,
     step3_core,
@@ -98,18 +99,19 @@ class BootstrapResult:
 
 @dataclasses.dataclass
 class ResidualSet:
-    """Recentered step residuals at the reported point estimates.
+    """Recentered step residuals at the reported point estimates, and the fitted omega law.
 
     ``eta`` lives on every row, ``zeta_phi`` and ``resid_omega`` on the lag
-    pairs.  ``mstar`` is the omega proxy on the observed data at the
-    reported point (:func:`~prodsys.translog.omega_proxy`, finite on every
-    row), reused by every replicate when rebuilding the purged output.
+    pairs.  ``fitted`` is the omega law's fitted purged output on the lag
+    pairs, at the reported point and on the observed panel's omega proxy;
+    every replicate's resampled ``y*`` is it plus the weighted
+    ``resid_omega``.
     """
 
     eta: np.ndarray
     zeta_phi: np.ndarray
     resid_omega: np.ndarray
-    mstar: np.ndarray
+    fitted: np.ndarray
 
 
 def mammen_weights(firm_ids, seed=None) -> np.ndarray:
@@ -141,13 +143,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
-def _omega_law_coef(params, laws) -> np.ndarray:
-    """:func:`~prodsys.moments.omega_law_coef` at the reported omega-law parameters."""
-    return omega_law_coef(
-        np.concatenate(([params.beta_k, params.beta_kk, laws.rho_omega_0, laws.rho_omega_1], laws.rho_omega_2))
-    )
-
-
 def compute_residuals(dataset: PanelDataset, estimate: TranslogEstimate) -> ResidualSet:
     """Step residuals at the reported parameters, each recentered to mean zero."""
     params, laws = estimate.params, estimate.laws
@@ -163,9 +158,12 @@ def compute_residuals(dataset: PanelDataset, estimate: TranslogEstimate) -> Resi
     )
     cur, prev = pairs.cur, pairs.prev
     d = omega_law_columns(ystar[cur], dataset.k[cur], dataset.k[prev], mstar[prev], dataset.x[prev])
-    resid = d @ _omega_law_coef(params, laws)
+    coef = omega_law_coef(np.r_[params.beta_k, params.beta_kk, laws.rho_omega_0, laws.rho_omega_1, laws.rho_omega_2])
+    resid = d @ coef
     resid = resid - np.mean(resid)
-    return ResidualSet(eta=eta, zeta_phi=zeta, resid_omega=resid, mstar=mstar)
+    # the omega-law residual of a zero target is minus the fitted law
+    d[:, 0] = 0.0
+    return ResidualSet(eta=eta, zeta_phi=zeta, resid_omega=resid, fitted=-d @ coef)
 
 
 def synthetic_outcomes(dataset: PanelDataset, estimate: TranslogEstimate, residuals: ResidualSet, weights):
@@ -175,7 +173,8 @@ def synthetic_outcomes(dataset: PanelDataset, estimate: TranslogEstimate, residu
     rows), the flexible-input gap rebuilt through the phi-law recursion
     (all rows; non-pair rows keep their observed values, which also
     restarts the recursion after panel gaps), and the purged output on
-    the lag pairs, in pair order.
+    the lag pairs, in pair order: the fitted omega law of
+    ``residuals.fitted`` plus the weighted omega-law residual.
     """
     params, laws = estimate.params, estimate.laws
     pairs = dataset.lag_pairs()
@@ -207,11 +206,7 @@ def synthetic_outcomes(dataset: PanelDataset, estimate: TranslogEstimate, residu
             + z_term[i] + shock[i]
         )
 
-    # the omega-law residual of a zero target is minus the fitted law
-    fitted = -omega_law_columns(
-        np.zeros(cur.size), dataset.k[cur], dataset.k[prev], residuals.mstar[prev], dataset.x[prev],
-    ) @ _omega_law_coef(params, laws)
-    ystar_b = fitted + w_obs[cur] * residuals.resid_omega
+    ystar_b = residuals.fitted + w_obs[cur] * residuals.resid_omega
     return lnr_b, ml_b, ystar_b
 
 
@@ -229,8 +224,11 @@ def bootstrap_replicate(
     and lag pairs included, is the observed panel's, shared through
     read-only views, so the synthetic panel does no id work and cannot
     write to the observed arrays.  The replicate runs with the
-    options the point estimate ran with (``estimate.options``).  Vector
-    layout matches :func:`parameter_names`.
+    options the point estimate ran with (``estimate.options``), and each
+    step as :func:`~prodsys.translog.estimate` runs it, so the vector is
+    ``estimate()``'s on the synthetic panel; step three reads its root
+    from the replicate's own lag-pair Gram.  Vector layout matches
+    :func:`parameter_names`.
     """
     opts = estimate.options
     params = estimate.params
@@ -251,14 +249,8 @@ def bootstrap_replicate(
 
     step1_b = step1_cost_share(ds_b)
     step2_b = step2_gmm(ds_b, step1_b, opts)
-
-    # third step: resampled y* against the omega proxy rebuilt from the
-    # observed inputs at the replicate's second-step parameters; y* is not
-    # the synthetic panel's, so D is formed here rather than read from the Gram
-    mstar_b = omega_proxy(dataset, step2_b.beta_0, step2_b.beta_l, step1_b.delta_lm, step1_b.theta, which=opts.proxy)
-    d = omega_law_columns(ystar_b, dataset.k[cur], dataset.k[prev], mstar_b[prev], dataset.x[prev])
-    core = step3_core(_gram_root(d.T @ d), opts)
-    step3_b = _step3_result(core, proxy=opts.proxy, n_pairs=int(cur.size))
+    step3_b = _step3_result(step3_core(_step3_root(ds_b, step1_b, step2_b, opts), opts),
+                            proxy=opts.proxy, n_pairs=int(cur.size))
     sys_b = system_refine(ds_b, step1_b, step2_b, step3_b, opts) if opts.refine == "system" else None
     return pack_parameters(*_point_estimate(step1_b, step2_b, step3_b, sys_b))
 

@@ -13,6 +13,7 @@ import contextlib
 import csv
 import dataclasses
 import itertools
+import numbers
 import os
 import re
 import warnings
@@ -612,9 +613,10 @@ def _csv_cell(text: str) -> str:
 def _write_table(out, header, columns, line_end: str) -> None:
     """Write ``header`` and the rows of ``columns`` as CSV to ``out``, a path or an open text file.
 
-    A column whose first cell is a ``str`` writes each cell's ``str()``;
-    every other column writes its cells through ``FLOAT_FORMAT``, so
-    integers and bools write as integers.  Cells are quoted as
+    A column whose first cell is a ``str`` writes each cell's ``str()``, a
+    column whose first cell is an integer or a bool writes through ``%d``
+    (``FLOAT_FORMAT`` would take ``2**60 + 1`` to a double), and every other
+    column writes through ``FLOAT_FORMAT``.  Cells are quoted as
     ``csv.writer`` quotes them, and every line ends in ``line_end``.  Each
     ``CHUNK_ROWS`` rows are formatted from one ``%`` row template, so only
     one chunk's cells are held as strings.
@@ -622,16 +624,17 @@ def _write_table(out, header, columns, line_end: str) -> None:
     # text as objects: numpy's text dtype drops a string's trailing NULs
     cols = [np.array(v, dtype=object) if np.asarray(v).dtype.kind == "U" else np.asarray(v) for v in columns]
     n_rows = len(cols[0]) if cols else 0
-    text = [n_rows > 0 and isinstance(col[0], str) for col in cols]
-    row = ",".join(["%s" if is_text else FLOAT_FORMAT for is_text in text]) + line_end
+    firsts = [col[0] if n_rows else None for col in cols]
+    row = ",".join(["%s" if isinstance(v, str) else "%d" if isinstance(v, (numbers.Integral, np.bool_)) else FLOAT_FORMAT
+                    for v in firsts]) + line_end
     with contextlib.nullcontext(out) if hasattr(out, "write") else open(out, "w", newline="") as fh:
         fh.write(",".join([_csv_cell(str(name)) for name in header]) + line_end)
         for start in range(0, n_rows, CHUNK_ROWS):
             part = slice(start, start + CHUNK_ROWS)
             cells = []
-            for col, is_text in zip(cols, text):
+            for col, first in zip(cols, firsts):
                 cell = col[part].tolist()
-                if is_text:
+                if isinstance(first, str):
                     cell = list(map(str, cell))
                     if _needs_quotes("".join(cell)):  # one search per chunk
                         cell = list(map(_csv_cell, cell))

@@ -5,15 +5,13 @@ Here the conditional means are approximated by polynomial series in
 (lagged productivity, controls), with the approximation degree chosen by
 generalized cross-validation.
 
-``sieve_estimate`` runs the parametric steps two and three once.  A law of
-degree one reports that fit, so degree one equals the sequential
-``estimate(refine="none")``, not the jointly refined ``estimate()``.  When
-a degree is ``"auto"`` or above one, the parametric fit is also refined
-jointly: the sequential step-two solution can sit in the degenerate
-rescaling valley (see ``translog.system_refine``), where the proxied
-series is an artifact and its conditional mean looks nonlinear.  The
-refined point is the reference at which degrees are chosen and the series
-bases are scaled; the series steps then fit only the laws of degree two
+``sieve_estimate`` runs the parametric steps two and three and their joint
+refinement once.  The sequential step-two solution can sit in the
+degenerate rescaling valley (see ``translog.system_refine``), where the
+proxied series is an artifact and its conditional mean looks nonlinear, so
+the refined point is the reference: a law of degree one reports it, and
+degree one equals ``estimate()``; degrees are chosen and the series bases
+are scaled there.  The series steps then fit only the laws of degree two
 or more, each in the basis it is handed.
 
 The series laws enter the same residuals and Jacobians as the linear
@@ -428,11 +426,11 @@ def sieve_estimate(
 
     ``degree`` sets both laws' degree, an integer of at least 1, or
     ``"auto"`` picks each from ``degrees`` by GCV at the refined parametric
-    point.  A law of degree one is the parametric step's fit; for omega that
-    is step three at the series phi point when phi is of a higher degree.
-    ``laws`` on the returned estimate is populated only when both degrees
-    are one.  The series steps run sequentially; there is no joint
-    refinement of nonlinear laws.
+    point.  A law of degree one is the refined parametric fit, so both
+    degrees at one give ``estimate()``'s answer and warnings; for omega at a
+    series phi point it is step three there.  ``laws`` on the returned
+    estimate is populated only when both degrees are one.  The series steps
+    run sequentially; there is no joint refinement of nonlinear laws.
 
     The one ``options`` object (default ``EstimateOptions()``) reaches every
     fit.  Degrees are picked at the refined point, so ``refine="none"`` is
@@ -449,34 +447,30 @@ def sieve_estimate(
     step1 = step1_cost_share(dataset)
     p2 = step2_gmm(dataset, step1, opts)
     p3 = step3_nls(dataset, step1, p2, opts)
+    ref = system_refine(dataset, step1, p2, p3, opts)
 
+    # both laws' series at the reference: targets and (lagged) inputs
+    pairs = dataset.lag_pairs()
+    phi_inputs = np.column_stack([ref.phi_hat[pairs.prev], dataset.z[pairs.prev]])
+    mstar = omega_proxy(dataset, ref.beta_0, ref.beta_l, step1.delta_lm, step1.theta, which=opts.proxy)
+    omega = mstar - ref.beta_k * dataset.k - ref.beta_kk * 0.5 * dataset.k**2
+    omega_inputs = np.column_stack([omega[pairs.prev], dataset.x[pairs.prev]])
     degree_phi = degree_omega = degree
     gcv_phi = gcv_omega = None
     warn_phi: list[str] = []
     warn_omega: list[str] = []
-    if degree == "auto" or degree > 1:
-        ref = system_refine(dataset, step1, p2, p3, opts)
-        # both laws' series at the reference: targets and (lagged) inputs
-        delta = step1.delta_lm
-        ml_cur, ml_prev, sl_cur, sl_prev, z_prev = _step2_arrays(dataset)
-        phi_cur = phi_proxy(ml_cur, sl_cur, ref.beta_0, ref.beta_l, delta)
-        phi_inputs = np.column_stack([phi_proxy(ml_prev, sl_prev, ref.beta_0, ref.beta_l, delta), z_prev])
-        mstar = omega_proxy(dataset, ref.beta_0, ref.beta_l, delta, step1.theta, which=opts.proxy)
-        omega = mstar - ref.beta_k * dataset.k - ref.beta_kk * 0.5 * dataset.k**2
-        pairs = dataset.lag_pairs()
-        omega_inputs = np.column_stack([omega[pairs.prev], dataset.x[pairs.prev]])
-        if degree == "auto":
-            degree_phi, gcv_phi, warn_phi = gcv_select_degree(phi_cur, phi_inputs, degrees, intercept=False)
-            degree_omega, gcv_omega, warn_omega = gcv_select_degree(
-                omega[pairs.cur], omega_inputs, degrees, intercept=True
-            )
+    if degree == "auto":
+        degree_phi, gcv_phi, warn_phi = gcv_select_degree(ref.phi_hat[pairs.cur], phi_inputs, degrees, intercept=False)
+        degree_omega, gcv_omega, warn_omega = gcv_select_degree(omega[pairs.cur], omega_inputs, degrees, intercept=True)
 
+    # a law of degree one reports the refined point, each warning named by its fit as estimate() names it
     if degree_phi == 1:
         s2 = SieveStep2Result(
-            beta_0=p2.beta_0, beta_l=p2.beta_l, beta_m=p2.beta_m,
-            coef=np.concatenate(([p2.rho_phi_1], p2.rho_phi_2)), basis=build_basis(1 + dataset.z.shape[1], 1),
-            degree=1, gcv=None, phi_hat=p2.phi_hat, objective=p2.objective, converged=p2.converged,
-            n_pairs=p2.n_pairs, instrument_names=p2.instrument_names, warnings=p2.warnings,
+            beta_0=ref.beta_0, beta_l=ref.beta_l, beta_m=ref.beta_m,
+            coef=np.concatenate(([ref.rho_phi_1], ref.rho_phi_2)), basis=build_basis(1 + dataset.z.shape[1], 1),
+            degree=1, gcv=None, phi_hat=ref.phi_hat, objective=ref.objective, converged=ref.converged,
+            n_pairs=ref.n_pairs, instrument_names=p2.instrument_names,
+            warnings=[f"{layer}: {w}" for layer, fit in (("step 2", p2), ("system", ref)) for w in fit.warnings],
         )
     else:
         # scale only: centering would break the r(0) = 0 normalization
@@ -485,13 +479,13 @@ def sieve_estimate(
     s2 = dataclasses.replace(s2, gcv=gcv_phi, warnings=warn_phi + s2.warnings)
 
     if degree_omega == 1:
-        par = p3 if degree_phi == 1 else step3_nls(dataset, step1, s2, opts)
+        par = ref if degree_phi == 1 else step3_nls(dataset, step1, s2, opts)
         s3 = SieveStep3Result(
             beta_k=par.beta_k, beta_kk=par.beta_kk,
             coef=np.concatenate(([par.rho_omega_0, par.rho_omega_1], par.rho_omega_2)),
             basis=build_basis(1 + dataset.x.shape[1], 1, intercept=True), degree=1, gcv=None,
             objective=par.objective, converged=par.converged, proxy=opts.proxy, n_pairs=par.n_pairs,
-            warnings=par.warnings,
+            warnings=[f"step 3: {w}" for w in p3.warnings] if par is ref else par.warnings,
         )
     else:
         basis = dataclasses.replace(
@@ -505,7 +499,7 @@ def sieve_estimate(
         beta_k=s3.beta_k, beta_kk=s3.beta_kk, beta_l=s2.beta_l, beta_m=s2.beta_m,
         beta_0=s2.beta_0, theta=step1.theta,
     )
-    laws = _point_estimate(step1, p2, p3)[1] if degree_phi == degree_omega == 1 else None
+    laws = _point_estimate(step1, p2, p3, ref)[1] if degree_phi == degree_omega == 1 else None
     omega_hat = recover_productivity(dataset, params, s2.phi_hat, step1.eta_hat)
     return SieveEstimate(
         params=params,

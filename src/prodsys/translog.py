@@ -210,7 +210,7 @@ class Step3Result:
 
 @dataclasses.dataclass
 class SystemResult:
-    """Joint refinement of the step-two and step-three parameter blocks."""
+    """Joint refinement of the step-two and step-three parameter blocks; ``phi_hat`` is phi proxied at its point."""
 
     beta_0: float
     beta_l: float
@@ -222,6 +222,7 @@ class SystemResult:
     rho_omega_0: float
     rho_omega_1: float
     rho_omega_2: np.ndarray
+    phi_hat: np.ndarray
     objective: float
     converged: bool
     n_pairs: int
@@ -881,16 +882,22 @@ def step3_nls(dataset: PanelDataset, step1: Step1Result, step2, options: Estimat
     runs on a root of ``D'D = B'(R'R)B`` (:func:`_gram_root`), and no
     lag-pair array is formed.
     """
-    n_pairs, px = dataset.lag_pairs().cur.size, dataset.x.shape[1]
-    if n_pairs < 4 + px:
+    n_pairs = dataset.lag_pairs().cur.size
+    if n_pairs < 4 + dataset.x.shape[1]:
         raise ValueError("too few usable lag pairs for step three")
+    result = step3_core(_step3_root(dataset, step1, step2, options), options)
+    return _step3_result(result, proxy=options.proxy, n_pairs=int(n_pairs))
+
+
+def _step3_root(dataset: PanelDataset, step1: Step1Result, step2, options: EstimateOptions) -> np.ndarray:
+    """A root of step three's ``D'D = B'(R'R)B`` at step two's point, from its lag-pair Gram (see :func:`step3_nls`)."""
     if isinstance(step2, Step2Result):
         gram, columns = step2.gram, step2.gram_columns
     else:  # a series step-two record carries no Gram
         gram, _, columns = _lag_pair_gram(dataset, step1, options)
-    t_d = _block_maps(columns, options)["R"] @ _proxied_omega_map(step2.beta_0, step2.beta_l, step1.delta_lm, px)
-    result = step3_core(_gram_root(t_d.T @ gram @ t_d), options)
-    return _step3_result(result, proxy=options.proxy, n_pairs=int(n_pairs))
+    t_d = _block_maps(columns, options)["R"] @ _proxied_omega_map(
+        step2.beta_0, step2.beta_l, step1.delta_lm, dataset.x.shape[1])
+    return _gram_root(t_d.T @ gram @ t_d)
 
 
 def _step3_result(result: OptimResult, *, proxy: str, n_pairs: int) -> Step3Result:
@@ -1312,7 +1319,8 @@ def system_refine(
 
     b0, bl, r1, r2 = *result.params[:3], result.params[3:3 + pz]
     bk, bkk, g0, g1, g2 = *result.params[3 + pz:7 + pz], result.params[7 + pz:]
-    warnings += _valley_warning(dataset, phi_proxy(dataset.m - dataset.l, dataset.s_l, b0, bl, delta))
+    phi_hat = phi_proxy(dataset.m - dataset.l, dataset.s_l, b0, bl, delta)
+    warnings += _valley_warning(dataset, phi_hat)
     if not result.converged:
         warnings.append(f"joint refinement did not converge: {result.status}")
     return SystemResult(
@@ -1326,6 +1334,7 @@ def system_refine(
         rho_omega_0=float(g0),
         rho_omega_1=float(g1),
         rho_omega_2=np.asarray(g2, dtype=float),
+        phi_hat=phi_hat,
         objective=result.objective,
         converged=result.converged,
         n_pairs=n_pairs,
@@ -1381,10 +1390,7 @@ def estimate(dataset: PanelDataset, options: EstimateOptions | None = None) -> T
     system = system_refine(dataset, step1, step2, step3, opts) if opts.refine == "system" else None
 
     params, laws = _point_estimate(step1, step2, step3, system)
-    if system is not None:
-        phi_hat = phi_proxy(dataset.m - dataset.l, dataset.s_l, params.beta_0, params.beta_l, step1.delta_lm)
-    else:
-        phi_hat = step2.phi_hat
+    phi_hat = (system or step2).phi_hat
     omega_hat = recover_productivity(dataset, params, phi_hat, step1.eta_hat)
     # each warning names the fit whose point it describes: under refinement
     # the reported point is the system's, which checks its own phi variance

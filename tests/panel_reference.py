@@ -1,7 +1,8 @@
 """Reference copies of the CSV writers and of the panel constructor.
 
-``write_csv`` is the straightforward panel writer: every cell goes through
-``FLOAT_FORMAT`` and ``csv.writer``, which does the quoting.
+``write_csv`` is the straightforward panel writer: every number cell goes
+through ``FLOAT_FORMAT``, or ``%d`` for an integer, and ``csv.writer`` does
+the quoting.
 ``write_table`` is the command line's former table writer, which formats
 one cell at a time.  ``prodsys.panel._write_table``, which writes both
 kinds of file, formats each row from one template and quotes only what
@@ -15,8 +16,10 @@ each run of equal ids once, and the simulator and the bootstrap hand on
 an index they already hold; ``test_panel.py`` requires every
 attribute and the lag pairs of each path to equal this one's.
 
-The function bodies are kept exactly as they were when the faster
-versions replaced them.
+The function bodies are kept as they were when the faster versions
+replaced them, but for one change both writers made together: integer
+cells write through ``%d``, which keeps every digit of an integer that a
+double cannot hold.
 """
 
 from __future__ import annotations
@@ -68,16 +71,17 @@ def write_csv(dataset: PanelDataset, path) -> None:
         # a chunk at a time, so only one chunk's cells are held as strings
         for start in range(0, dataset.n_obs, CHUNK_ROWS):
             part = slice(start, start + CHUNK_ROWS)
-            cells = (map(FLOAT_FORMAT.__mod__, col[part].tolist()) for col in cols)
+            cells = ((("%d" if isinstance(v, int) else FLOAT_FORMAT) % v for v in col[part].tolist()) for col in cols)
             writer.writerows(zip(ids[part].tolist(), *cells))
 
 
 def write_table(path: str, header, rows) -> None:
-    """CSV with ``header``; string cells quoted as ``csv`` quotes them, every other cell
-    through ``FLOAT_FORMAT``."""
+    """CSV with ``header``; string cells quoted as ``csv`` quotes them, integer and bool
+    cells through ``%d``, every other cell through ``FLOAT_FORMAT``."""
     with open(path, "w", newline="") as fh:
         for row in [header, *rows]:
-            fh.write(",".join(_csv_cell(v) if isinstance(v, str) else FLOAT_FORMAT % v for v in row) + "\n")
+            fh.write(",".join(_csv_cell(v) if isinstance(v, str) else ("%d" if isinstance(v, int) else FLOAT_FORMAT) % v
+                              for v in row) + "\n")
 
 
 class ReferencePanelDataset(PanelDataset):

@@ -163,6 +163,21 @@ def test_override_one_reproduces_point_with_the_estimates_options(bench, refine)
     assert np.max(np.abs(out.draws[0] - pack_parameters(est.params, est.laws))) < 1e-6
 
 
+@pytest.mark.parametrize("refine", ["system", "none"])
+def test_a_replicate_is_estimate_on_its_synthetic_panel(bench, refine, monkeypatch):
+    # a replicate once ran a step 3 of its own, on the resampled y* against the
+    # observed panel's omega proxy, which moved refine="none" draws by up to 1e-2
+    ds, _, _ = bench
+    est = estimate(ds, EstimateOptions(refine=refine))
+    res = compute_residuals(ds, est)
+    panels, step1 = [], prodsys.bootstrap.step1_cost_share
+    monkeypatch.setattr(prodsys.bootstrap, "step1_cost_share", lambda panel: panels.append(panel) or step1(panel))
+    for seed in range(4):
+        draw = bootstrap_replicate(ds, est, res, mammen_weights(ds.n_firms, seed=seed))
+        again = estimate(panels[-1], est.options)
+        assert np.array_equal(draw, pack_parameters(again.params, again.laws)), seed
+
+
 @pytest.fixture(scope="module")
 def sequential_est(bench):
     """The sequential point estimate: its replicates skip the joint refinement."""

@@ -359,6 +359,21 @@ def test_write_then_load_round_trips_bytes(tmp_path, small_panel):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_years_a_double_cannot_hold_round_trip(tmp_path):
+    # through %.17g both years wrote as 1.152921504606847e+18, and load_csv dropped both rows
+    years = [2**60 + 1, 2**60 + 2]
+    prices = np.array([0.1, 0.2])
+    ds = tiny_panel(firm_ids=["a", "a"], years=years, ln_price_l=prices, ln_price_m=-prices,
+                    **{name: values[:2] for name, values in COLUMNS.items()})
+    write_csv(ds, tmp_path / "panel.csv")
+    write_prices_csv(ds, tmp_path / "prices.csv")
+    loaded, report = load_csv(tmp_path / "panel.csv", prices=tmp_path / "prices.csv")
+    assert report.rows_kept == 2
+    assert loaded.year.tolist() == years
+    assert np.allclose(loaded.ln_price_l, prices, atol=1e-12)
+    assert np.allclose(loaded.ln_price_m, -prices, atol=1e-12)
+
+
 def test_write_then_load_keeps_level_contract(tmp_path, small_panel):
     # l and m are logs of the expenditure columns; the price table rides
     # along separately rather than being divided out

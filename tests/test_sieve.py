@@ -214,7 +214,7 @@ def test_sieve_instruments_degree_one_unchanged(bench):
 
 def test_degree_one_equals_parametric(bench):
     ds, _, _ = bench
-    par = estimate(ds, EstimateOptions(refine="none"))
+    par = estimate(ds)
     sv = sieve_estimate(ds, degree=1)
     assert sv.degree_phi == 1 and sv.degree_omega == 1
     assert abs(sv.params.beta_0 - par.params.beta_0) < 1e-8
