@@ -26,7 +26,7 @@ from .diagnostics import aggregate_productivity, elasticities, monte_carlo_study
 from .panel import FLOAT_FORMAT, PanelDataset, _write_table, load_csv, write_csv, write_prices_csv
 from .partialid import GRID_AXES, MomentInequalityConfig, identified_set
 from .simulate import CesParams, DgpConfig, generate_panel
-from .sieve import sieve_estimate
+from .sieve import SieveEstimate, sieve_estimate
 from .translog import PROXIES, EstimateOptions, ProductivityLaws, TranslogParams, estimate
 
 __all__ = ["ConfigError", "DataError", "EstimationError", "main"]
@@ -301,7 +301,10 @@ def _param_rows(result, dataset: PanelDataset) -> list[tuple[str, float]]:
 
 
 def _fits(result) -> list:
-    """``(name, optimizer record)`` of each fitted block of an estimate."""
+    """``(name, optimizer record)`` of each fitted block of an estimate, the joint refinement once, as ``system``."""
+    # a sieve law of degree one reports the refinement: phi's always, omega's at a degree-one phi
+    if isinstance(result, SieveEstimate) and result.degree_phi == 1:
+        return ([("step3", result.step3)] if result.degree_omega > 1 else []) + [("system", result.step2)]
     fits = [("step2", result.step2), ("step3", result.step3)]
     if getattr(result, "system", None) is not None:
         fits.append(("system", result.system))

@@ -214,7 +214,7 @@ class PanelDataset:
     none is aliased, and :meth:`validate` runs last.
 
     Code that already holds a canonical index (the simulator, the
-    bootstrap) builds the panel with the private ``_from_index`` instead,
+    bootstrap, :func:`load_csv`) builds the panel with the private ``_from_index`` instead,
     which does no id work: it checks in O(n) that the rows are in
     (firm, year) order, stores the arrays it is given without copying them,
     and runs :meth:`validate`.
@@ -460,7 +460,7 @@ def _parse_chunked(reader, width, where, numeric):
         if set(map(len, rows)) != {width}:  # csv.DictReader's restval and restkey
             rows = [(row + [None] * width)[:width] for row in rows]
         cols = list(zip(*rows))
-        ids.extend(cols[where["firm_id"]])
+        ids.extend(map(str, cols[where["firm_id"]]))  # a short row's missing id reads "None"
         year_parts.append(_convert(cols[where["year"]], int, int))
         for name in numeric:
             parts[name].append(_convert(cols[where[name]], float, float))
@@ -497,14 +497,15 @@ def load_csv(
     are skipped, a short row reads its missing cells as empty, a long row's
     extra cells are ignored and a repeated header name reads its last
     column.  The dataset's ``levels`` hold the parsed cells of the kept
-    rows, not their text (see :func:`write_csv`).
+    rows, not their text (see :func:`write_csv`), in arrays of their own.
 
     numpy's C parser (``np.loadtxt``) reads the body in one pass; where it
     refuses a cell or a row, or warns, the chunked ``csv.reader`` fallback
     reads the file again.  The two read alike every file both accept, so the
     result does not depend on which one ran.  A row ``csv.reader`` cannot
     split, such as one with a cell longer than ``csv.field_size_limit()``,
-    raises ``ValueError`` naming its line.
+    raises ``ValueError`` naming its line.  A short row's missing id reads
+    ``"None"``.  A file in (firm, year) order is never sorted.
 
     ``prices`` optionally supplies per-year price ratios P/P^Y (see
     ``_parse_prices`` for accepted forms); years without an entry default
@@ -562,21 +563,27 @@ def load_csv(
     if not keep.any():
         raise ValueError(f"no usable rows in {path}")
     report.rows_kept = int(np.count_nonzero(keep))
-    years = years[keep]
-    kept = {name: v[keep] for name, v in values.items()}
-    firm_ids = np.asarray(ids, dtype=object)[keep]
+    rows = np.flatnonzero(keep)
+    labels, year = np.asarray(ids, dtype=object)[rows], years[rows]
+    firm_labels, firm = _code_runs(labels)
+    if not _in_order(firm, year):
+        order = np.lexsort((year, firm))
+        rows, labels, firm, year = rows[order], labels[order], firm[order], year[order]
+    kept = {name: v[rows] for name, v in values.items()}
     s_l, ln_r = compute_shares(kept["labor_cost"], kept["material_cost"], kept["revenue"])
-    table_years, at = np.unique(years, return_inverse=True)
-    ratios = np.array([price_table.get(int(t), (1.0, 1.0)) for t in table_years], dtype=float)
-    ratio_l, ratio_m = ratios[at, 0], ratios[at, 1]
-    if np.any(ratio_l <= 0) or np.any(ratio_m <= 0):
-        raise ValueError("price ratios must be strictly positive")
+    ln_price_l = ln_price_m = 0.0  # np.log(1.0), a year's ratio with no price table
+    if price_table:
+        table_years, at = np.unique(year, return_inverse=True)
+        ratios = np.array([price_table.get(int(t), (1.0, 1.0)) for t in table_years], dtype=float)
+        ratio_l, ratio_m = ratios[at, 0], ratios[at, 1]
+        if np.any(ratio_l <= 0) or np.any(ratio_m <= 0):
+            raise ValueError("price ratios must be strictly positive")
+        ln_price_l, ln_price_m = np.log(ratio_l), np.log(ratio_m)
 
-    levels = {"firm_id": firm_ids, "year": years}
+    levels = {"firm_id": labels.copy(), "year": year.copy()}
     levels.update((c, kept[c]) for c in LEVEL_COLUMNS + tuple(controls))
-    dataset = PanelDataset(
-        firm_ids=firm_ids,
-        years=years,
+    dataset = PanelDataset._from_index(
+        labels, firm, firm_labels, year,
         y=np.log(kept["output"]),
         k=np.log(kept["capital"]),
         l=np.log(kept["labor_cost"]),
@@ -587,8 +594,8 @@ def load_csv(
         z=np.column_stack([kept[c] for c in z_columns]) if z_columns else None,
         x_names=tuple(x_columns),
         z_names=tuple(z_columns),
-        ln_price_l=np.log(ratio_l),
-        ln_price_m=np.log(ratio_m),
+        ln_price_l=ln_price_l,
+        ln_price_m=ln_price_m,
         levels=levels,
     )
     if report.rows_dropped:

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import tempfile
 import types
@@ -12,6 +13,7 @@ import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from prodsys import cli, sieve
 from prodsys.bootstrap import parameter_names
 from prodsys.cli import _param_rows, main
 from prodsys.panel import PanelDataset, write_csv
@@ -341,3 +343,62 @@ def test_tables_round_trip_firm_ids_that_need_quotes(tmp_path, small_panel):
     for table in (est / "latents.csv", rep / "elasticities.csv"):
         with open(table, newline="") as fh:
             assert {(row[0], row[1]) for row in list(csv.reader(fh))[1:]} == keys
+
+
+# -- the sieve's report -------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def smoke_csv(tmp_path_factory):
+    """The CI smoke panel: n = 40 firms over 6 years at seed 3."""
+    out = tmp_path_factory.mktemp("smoke")
+    config = write_config(out, "simulate: {n: 40, t_periods: 6}\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--config", config, "--seed", "3", "--out", str(out / "sim")]) == 0
+    return str(out / "sim" / "panel.csv")
+
+
+def fit_lines(out) -> list[str]:
+    return [line for line in (out / "report.txt").read_text().splitlines() if " objective " in line]
+
+
+def sieve_with(monkeypatch, *, degrees, unconverged=None):
+    """``cli.sieve_estimate`` with GCV's picks set to ``degrees`` (phi, omega), and one record's ``converged`` cleared."""
+    real_gcv = sieve.gcv_select_degree
+    monkeypatch.setattr(sieve, "gcv_select_degree", lambda target, inputs, candidates, intercept: (
+        degrees[intercept], *real_gcv(target, inputs, candidates, intercept=intercept)[1:]))
+    real = sieve.sieve_estimate
+
+    def run(*args, **kwargs):
+        result = real(*args, **kwargs)
+        if unconverged is not None:
+            record = dataclasses.replace(getattr(result, unconverged), converged=False)
+            result = dataclasses.replace(result, **{unconverged: record})
+        return result
+
+    monkeypatch.setattr(cli, "sieve_estimate", run)
+
+
+def test_a_sieve_of_degree_one_names_the_refinement_system_once(smoke_csv, tmp_path, capsys):
+    assert main(["estimate", "--data", smoke_csv, "--out", str(tmp_path / "par")]) == 0
+    assert main(["estimate", "--law", "sieve", "--data", smoke_csv, "--out", str(tmp_path / "sieve")]) == 0
+    (system,) = fit_lines(tmp_path / "sieve")
+    assert system == fit_lines(tmp_path / "par")[-1] and system.startswith("system objective ")
+    assert system in capsys.readouterr().out
+
+
+def test_a_mixed_degree_sieve_reports_its_own_step3_and_the_refinement(smoke_csv, tmp_path, monkeypatch):
+    sieve_with(monkeypatch, degrees=(1, 2))
+    assert main(["estimate", "--law", "sieve", "--data", smoke_csv, "--out", str(tmp_path / "sieve")]) == 0
+    step3, system = fit_lines(tmp_path / "sieve")
+    assert step3.startswith("step3 objective ") and system.startswith("system objective ")
+    assert step3.split()[2] != system.split()[2]
+
+
+@pytest.mark.parametrize(("degrees", "unconverged"), [
+    ((1, 1), "step2"), ((1, 2), "step2"), ((1, 2), "step3"), ((2, 1), "step2"), ((2, 1), "step3"),
+])
+def test_every_sieve_fit_that_did_not_converge_exits_4(smoke_csv, tmp_path, monkeypatch, capsys, degrees, unconverged):
+    sieve_with(monkeypatch, degrees=degrees, unconverged=unconverged)
+    assert main(["estimate", "--law", "sieve", "--data", smoke_csv, "--out", str(tmp_path / "sieve")]) == 4
+    assert "converged False" in capsys.readouterr().out

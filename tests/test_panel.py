@@ -737,7 +737,7 @@ def cli_table(draw):
 @given(cli_table(), st.sampled_from(["lists", "arrays", "objects"]), st.integers(1, 5))
 def test_write_table_writes_the_former_cli_bytes(tmp_path_factory, case, form, chunk_rows):
     # the former per-cell writer on the rows, the shared writer on the columns;
-    # a column of numbers held as objects still writes through FLOAT_FORMAT
+    # a column held as objects writes integers and bools through %d and floats through FLOAT_FORMAT
     header, columns, kinds = case
     work = tmp_path_factory.mktemp("table")
     panel_reference.write_table(work / "reference.csv", header, zip(*columns))
@@ -909,6 +909,71 @@ def test_both_parsers_read_an_accepted_file_alike(tmp_path, monkeypatch, chunked
     monkeypatch.setattr(np, "loadtxt", refuse)
     assert _load_as_bytes(path, options) == fast
     assert len(chunked_calls) == 1
+
+
+# -- the index a load builds ---------------------------------------------------
+
+
+def constructor_panel(header, rows, prices):
+    """The public constructor's panel on a file's rows with a positive output, read cell by cell."""
+    at = {name: i for i, name in enumerate(header)}
+    rows = [row for row in rows if float(row[at["output"]]) > 0.0]
+    ids = np.array([row[at["firm_id"]] for row in rows], dtype=object)
+    years = np.array([int(row[at["year"]]) for row in rows])
+    levels = {name: np.array([float(row[at[name]]) for row in rows]) for name in header[2:]}
+    ratios = np.array([prices.get(int(yr), (1.0, 1.0)) for yr in years])
+    return PanelDataset(
+        ids, years, *(np.log(levels[name]) for name in ("output", "capital", "labor_cost", "material_cost")),
+        *compute_shares(levels["labor_cost"], levels["material_cost"], levels["revenue"]),
+        x=levels["rd"], x_names=["rd"], ln_price_l=np.log(ratios[:, 0]), ln_price_m=np.log(ratios[:, 1]),
+        levels={"firm_id": ids, "year": years, **levels},
+    )
+
+
+@pytest.mark.parametrize("prices", [{}, {1: (0.5, 2.0), 4: (1.5, 0.25)}], ids=["no-prices", "prices"])
+def test_a_file_and_its_reversed_twin_load_to_the_constructors_panel(cli_file, tmp_path, monkeypatch, prices):
+    with open(cli_file, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    rng = np.random.default_rng(7)
+    header.append("rd")
+    for row in rows:
+        row.append(repr(float(rng.normal())))
+    rows[5][header.index("output")] = "-1"  # a dropped row, so the kept rows are a subset to reorder
+    want = constructor_panel(header, rows, prices)
+    sorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(len(keys[0])) or lexsort(keys))
+    for name, body in (("ordered", rows), ("reversed", rows[::-1])):
+        path = tmp_path / f"{name}.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([header, *body])
+        ds, report = load_csv(path, x_columns=["rd"], prices=prices)
+        assert report.dropped == {"nonpositive_output": 1}
+        assert_same_panel(ds, want)
+    assert sorts == [want.n_obs]  # only the reversed file is sorted
+
+
+def test_a_loaded_panel_holds_its_own_arrays(cli_file):
+    ds, _ = load_csv(cli_file)
+    assert not np.shares_memory(ds.year, ds.levels["year"])
+    assert not np.shares_memory(ds.labels, ds.levels["firm_id"])
+    for a in [v for v in vars(ds).values() if isinstance(v, np.ndarray)] + list(ds.levels.values()):
+        while isinstance(a, np.ndarray):  # not a view of the parser's table of records
+            assert a.dtype.names is None
+            a = a.base
+
+
+def test_a_short_row_with_no_id_reads_None_in_both_parsers(tmp_path, chunked_calls):
+    # a short row sends its file to the fallback; the C parser reads the id written out
+    header = "year,output,capital,labor_cost,material_cost,revenue,firm_id\n"
+    short, spelled = tmp_path / "short.csv", tmp_path / "spelled.csv"
+    short.write_text(header + "2001,10,5,3,7,20,a\n2002,11,5,3,7,20\n")
+    spelled.write_text(header + "2001,10,5,3,7,20,a\n2002,11,5,3,7,20,None\n")
+    got = _load_as_bytes(short, {})
+    assert len(chunked_calls) == 1
+    assert _load_as_bytes(spelled, {}) == got
+    assert len(chunked_calls) == 1
+    assert got[1]["labels"][2] == got[1]["levels.firm_id"][2] == ["None", "a"]
 
 
 @pytest.fixture(scope="module")
