@@ -26,7 +26,8 @@ coef)`` is
           - r_omega(m*_{t-1} - beta_k*k_{t-1} - 0.5*beta_kk*k_{t-1}^2, X_{t-1}).
 
 Each Jacobian takes the same arguments as its residual, so a residual and
-its Jacobian can share one argument tuple.
+its Jacobian can share one argument tuple and, through :func:`last_point`,
+one point: the target, ``u`` and the basis ``evaluate(u)``.
 
 The cross-product core: under the linear laws ``[rho_0 +] rho_1*lag +
 controls @ rho_2`` and on proxied phi, the innovation is ``E a(alpha)``
@@ -50,14 +51,16 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "law_residual",
     "phi_proxy",
+    "phi_law_point",
     "phi_innovation",
     "phi_innovation_jacobian",
     "capital_terms",
     "flexible_output",
+    "omega_law_point",
     "omega_residual",
     "omega_residual_jacobian",
+    "last_point",
     "phi_law_columns",
     "phi_law_coef",
     "phi_law_coef_jacobian",
@@ -81,12 +84,6 @@ def _columns(*blocks) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def law_residual(target, law, lag, controls, coef) -> np.ndarray:
-    """``target - r(lag, controls)`` with ``r`` the law's basis times ``coef``: both laws' form."""
-    # np.dot, not @: matmul is several times slower on a single-column basis
-    return target - np.dot(law.evaluate(_columns(lag, controls)), coef)
-
-
 def phi_proxy(m_minus_l, s_l, beta_0: float, beta_l: float, delta_lm: float) -> np.ndarray:
     """Labor-augmenting productivity from observables.
 
@@ -102,15 +99,20 @@ def phi_proxy(m_minus_l, s_l, beta_0: float, beta_l: float, delta_lm: float) -> 
     return np.asarray(m_minus_l, dtype=float) + beta_l / beta_0 - (delta_lm / beta_0) * np.asarray(s_l, dtype=float)
 
 
-def phi_innovation(params, law, delta_lm: float, ml_cur, ml_prev, sl_cur, sl_prev, z_prev) -> np.ndarray:
-    """Innovation of the phi law at ``params = (beta_0, beta_l, coef)`` on lag-pair arrays."""
-    beta_0, beta_l, coef = params[0], params[1], params[2:]
-    phi_cur = phi_proxy(ml_cur, sl_cur, beta_0, beta_l, delta_lm)
-    phi_prev = phi_proxy(ml_prev, sl_prev, beta_0, beta_l, delta_lm)
-    return law_residual(phi_cur, law, phi_prev, z_prev, coef)
+def phi_law_point(params, law, delta_lm: float, ml_cur, ml_prev, sl_cur, sl_prev, z_prev) -> tuple:
+    """``(phi_cur, u, law.evaluate(u))``, ``u = [phi_prev, z_prev]``, with phi proxied at ``params[:2]``."""
+    u = _columns(phi_proxy(ml_prev, sl_prev, params[0], params[1], delta_lm), z_prev)
+    return phi_proxy(ml_cur, sl_cur, params[0], params[1], delta_lm), u, law.evaluate(u)
 
 
-def phi_innovation_jacobian(params, law, delta_lm: float, ml_cur, ml_prev, sl_cur, sl_prev, z_prev) -> np.ndarray:
+def phi_innovation(params, law, delta_lm: float, ml_cur, ml_prev, sl_cur, sl_prev, z_prev, point=None) -> np.ndarray:
+    """Innovation of the phi law at ``params = (beta_0, beta_l, coef)`` on lag-pair arrays, at its ``point``."""
+    phi_cur, _, basis = point or phi_law_point(params, law, delta_lm, ml_cur, ml_prev, sl_cur, sl_prev, z_prev)
+    # np.dot, not @: matmul is several times slower on a single-column basis
+    return phi_cur - np.dot(basis, params[2:])
+
+
+def phi_innovation_jacobian(params, law, delta_lm: float, ml_cur, ml_prev, sl_cur, sl_prev, z_prev, point=None) -> np.ndarray:
     """Derivative of :func:`phi_innovation` in each parameter.
 
     At fixed data ``d phi/d beta_0 = (delta_lm*s_l - beta_l)/beta_0^2`` and
@@ -118,11 +120,11 @@ def phi_innovation_jacobian(params, law, delta_lm: float, ml_cur, ml_prev, sl_cu
     ``dr`` in lagged phi.
     """
     beta_0, beta_l, coef = params[0], params[1], params[2:]
-    u = _columns(phi_proxy(ml_prev, sl_prev, beta_0, beta_l, delta_lm), z_prev)
+    _, u, basis = point or phi_law_point(params, law, delta_lm, ml_cur, ml_prev, sl_cur, sl_prev, z_prev)
     dr = law.evaluate_deriv(u, 0) @ coef
     d_beta0 = (-beta_l * (1.0 - dr) + delta_lm * (sl_cur - dr * sl_prev)) / beta_0**2
     d_betal = np.broadcast_to((1.0 - dr) / beta_0, d_beta0.shape)
-    return _columns(d_beta0, d_betal, -law.evaluate(u))
+    return _columns(d_beta0, d_betal, -basis)
 
 
 def flexible_output(beta_0: float, beta_l: float, beta_m: float, m, l, phi):
@@ -135,24 +137,45 @@ def capital_terms(k) -> np.ndarray:
     return np.column_stack([k, 0.5 * k**2])
 
 
-def omega_residual(params, law, y_cur, cap_cur, cap_prev, mstar_prev, x_prev) -> np.ndarray:
+def omega_law_point(params, law, y_cur, cap_cur, cap_prev, mstar_prev, x_prev) -> tuple:
+    """``(target, u, law.evaluate(u))``, ``u = [omega_prev, x_prev]``, with capital terms at ``params[:2]``."""
+    u = _columns(mstar_prev - cap_prev @ params[:2], x_prev)
+    return y_cur - cap_cur @ params[:2], u, law.evaluate(u)
+
+
+def omega_residual(params, law, y_cur, cap_cur, cap_prev, mstar_prev, x_prev, point=None) -> np.ndarray:
     """Residual of the omega law at ``params = (beta_k, beta_kk, coef)`` on lag-pair arrays.
 
     ``y_cur`` is the flexible-input-purged output, ``cap_*`` are
     :func:`capital_terms` and ``mstar_prev`` is the lagged omega proxy plus
     capital terms.  At a zero ``y_cur`` the residual is minus the fitted
-    mean of the law.
+    mean of the law.  ``point`` is :func:`omega_law_point` at ``params``.
     """
-    beta, coef = params[:2], params[2:]
-    return law_residual(y_cur - cap_cur @ beta, law, mstar_prev - cap_prev @ beta, x_prev, coef)
+    target, _, basis = point or omega_law_point(params, law, y_cur, cap_cur, cap_prev, mstar_prev, x_prev)
+    return target - np.dot(basis, params[2:])
 
 
-def omega_residual_jacobian(params, law, y_cur, cap_cur, cap_prev, mstar_prev, x_prev) -> np.ndarray:
+def omega_residual_jacobian(params, law, y_cur, cap_cur, cap_prev, mstar_prev, x_prev, point=None) -> np.ndarray:
     """Derivative of :func:`omega_residual` in each parameter."""
-    beta, coef = params[:2], params[2:]
-    u = _columns(mstar_prev - cap_prev @ beta, x_prev)
-    dr = law.evaluate_deriv(u, 0) @ coef
-    return _columns(dr[:, None] * cap_prev - cap_cur, -law.evaluate(u))
+    _, u, basis = point or omega_law_point(params, law, y_cur, cap_cur, cap_prev, mstar_prev, x_prev)
+    dr = law.evaluate_deriv(u, 0) @ params[2:]
+    return _columns(dr[:, None] * cap_prev - cap_cur, -basis)
+
+
+def last_point(law_point, *args):
+    """``params -> law_point(params, *args)``, kept for the bytes of the last ``params[:2]``.
+
+    Levenberg-Marquardt evaluates a Jacobian only at its latest residual evaluation, so the Jacobian finds its point here.
+    """
+    last = [None, None]
+
+    def point(params):
+        key = np.asarray(params[:2], dtype=float).tobytes()
+        if key != last[0]:
+            last[:] = key, law_point(params, *args)
+        return last[1]
+
+    return point
 
 
 # -- the cross-product core of the linear laws ----------------------------------

@@ -187,14 +187,6 @@ def estimate_propensity(dataset: PanelDataset, cutoff: float, *, degree: int = 1
     return np.clip(p, 0.01, 0.99)
 
 
-def _stack_last(arrays) -> np.ndarray:
-    """The arrays broadcast against each other, stacked along a new last axis."""
-    out = np.empty(np.broadcast_shapes(*(np.shape(a) for a in arrays)) + (len(arrays),))
-    for j, a in enumerate(arrays):
-        out[..., j] = a
-    return out
-
-
 def _candidate_loadings(beta_k, beta_kk, beta_l, beta_m, beta_0):
     """Coefficients of ybar on the features (1, k, k^2/2, m, S^2).
 
@@ -203,7 +195,11 @@ def _candidate_loadings(beta_k, beta_kk, beta_l, beta_m, beta_0):
     last axis of five.
     """
     delta = beta_l + beta_m
-    return _stack_last((beta_l**2 / (2.0 * beta_0), beta_k, beta_kk, delta, -(delta**2) / (2.0 * beta_0)))
+    terms = (beta_l**2 / (2.0 * beta_0), beta_k, beta_kk, delta, -(delta**2) / (2.0 * beta_0))
+    out = np.empty(np.broadcast_shapes(*(np.shape(a) for a in terms)) + (5,))
+    for j, a in enumerate(terms):
+        out[..., j] = a
+    return out
 
 
 def _features(dataset: PanelDataset) -> np.ndarray:
@@ -297,10 +293,11 @@ def identified_set(dataset: PanelDataset, config: MomentInequalityConfig) -> Ide
         b_terms[j] = features.T @ w / n_pairs
 
     # the grid is a tensor: each axis broadcasts along its own dimension, and
-    # the C-order rows of (N, 5) are the candidates in meshgrid order
+    # the C-order rows of (N, 5) are the candidates in meshgrid order, written
+    # one contiguous coordinate column at a time
     shape = tuple(axis.size for axis in axes)
     open_axes = np.ix_(*axes)
-    candidates = _stack_last(open_axes).reshape(-1, 5)
+    candidates = np.stack(np.broadcast_arrays(*open_axes)).reshape(5, -1).T
     loadings = _candidate_loadings(*open_axes).reshape(-1, 5)
     statistics = a_terms[None, :] - loadings @ b_terms.T
 

@@ -29,12 +29,8 @@ import numbers
 import numpy as np
 
 from .moments import (
-    capital_terms,
-    omega_residual,
-    omega_residual_jacobian,
-    phi_innovation,
-    phi_innovation_jacobian,
-    phi_proxy,
+    capital_terms, last_point, omega_law_point, omega_residual, omega_residual_jacobian,
+    phi_innovation, phi_innovation_jacobian, phi_law_point, phi_proxy,
 )
 from .optim import minimize_gmm, minimize_nls
 from .panel import PanelDataset
@@ -117,38 +113,42 @@ class SieveBasis:
         return self.exponents.shape[0]
 
     def evaluate(self, u) -> np.ndarray:
-        return self._monomials(u, self.exponents)
+        return self._monomials(u)
 
     def evaluate_deriv(self, u, coord: int) -> np.ndarray:
         """Derivative of every term in the raw input ``u[:, coord]``."""
         if not 0 <= coord < self.dim:
             raise ValueError(f"coord {coord} outside the basis's {self.dim} inputs")
-        expo = self.exponents
-        down = expo.copy()
-        down[:, coord] = np.maximum(down[:, coord] - 1, 0)
-        vals = self._monomials(u, down)
-        vals *= expo[:, coord] / self.scales[coord]
-        return vals
+        return self._monomials(u, coord)
 
-    def _monomials(self, u, exponents: np.ndarray) -> np.ndarray:
-        """``prod_d z_d ** exponents[t, d]`` for every row of ``u``, ``z`` the mapped input.
+    def _monomials(self, u, coord: int | None = None) -> np.ndarray:
+        """``prod_d z_d ** exponents[t, d]`` for every row of ``u``, ``z`` the mapped input, or its ``coord`` derivative.
 
-        The powers come from a per-input table of repeated products:
-        numpy's ``**`` with an array exponent is an order of magnitude
-        slower, and not correctly rounded on every CPU.
+        The powers come from a per-input table of repeated products: numpy's
+        ``**`` with an array exponent is an order of magnitude slower, and not
+        correctly rounded on every CPU.  Terms multiply the rows :func:`_product_plan` lists, left to right.
         """
         u = np.atleast_2d(np.asarray(u, dtype=float))
         if u.shape[1] != self.dim:
             raise ValueError(f"expected {self.dim} input columns, got {u.shape[1]}")
+        expo = self.exponents
+        scale = None if coord is None else float(self.scales[coord])
+        n_powers, terms, factor = _product_plan(expo.tobytes(), expo.shape, expo.dtype.str, coord, scale)
         z = ((u - self.centers) / self.scales).T
-        table = np.empty((self.dim, int(exponents.max(initial=0)) + 1, z.shape[1]))
+        table = np.empty((self.dim, n_powers, z.shape[1]))
         table[:, 0] = 1.0
-        for p in range(1, table.shape[1]):
+        for p in range(1, n_powers):
             np.multiply(table[:, p - 1], z, out=table[:, p])
-        out = np.empty((z.shape[1], exponents.shape[0]))
-        for t, expo in enumerate(exponents.tolist()):
-            factors = [table[d, e] for d, e in enumerate(expo) if e] or [table[0, 0]]
-            out[:, t] = functools.reduce(np.multiply, factors)
+        out = np.empty((z.shape[1], len(terms)))
+        for col, (first, *rest) in zip(out.T, terms):
+            if not rest:
+                col[...] = table[first]
+                continue
+            np.multiply(table[first], table[rest[0]], out=col)
+            for later in rest[1:]:
+                np.multiply(col, table[later], out=col)
+        if factor is not None:
+            out *= factor
         return out
 
     def term_names(self, var_names) -> tuple[str, ...]:
@@ -165,6 +165,24 @@ class SieveBasis:
                     parts.append(f"{var_names[d]}^{e}")
             names.append("*".join(parts))
         return tuple(names)
+
+
+@functools.lru_cache(maxsize=64)
+def _product_plan(data: bytes, shape: tuple, dtype: str, coord: int | None, scale: float | None):
+    """``(n_powers, terms, factor)`` of :meth:`SieveBasis._monomials`, keyed by the exponent table's bytes.
+
+    A term's ``(input, power)`` rows are its inputs' powers in input order (``coord``'s lowered by one), or
+    the row of ones; ``factor`` holds each former power of ``coord`` over ``scale``.
+    """
+    expo = np.frombuffer(data, dtype=dtype).reshape(shape)
+    factor = None
+    if coord is not None:
+        factor = expo[:, coord] / scale
+        factor.flags.writeable = False  # every call shares it
+        expo = expo.copy()
+        expo[:, coord] = np.maximum(expo[:, coord] - 1, 0)
+    terms = tuple(tuple((d, e) for d, e in enumerate(row) if e) or ((0, 0),) for row in expo.tolist())
+    return int(expo.max(initial=0)) + 1, terms, factor
 
 
 def build_basis(dim: int, degree: int, intercept: bool = False) -> SieveBasis:
@@ -329,9 +347,10 @@ def sieve_step2_gmm(
     whiten = _inverse_root(q.T @ q / n_pairs, "instrument", warnings) @ q.T / n_pairs
 
     args = (basis, delta, *arrays)
+    point = last_point(phi_law_point, *args)
     problem, starts = _phi_law_gmm(
-        lambda alpha: whiten @ phi_innovation(alpha, *args),
-        lambda alpha: whiten @ phi_innovation_jacobian(alpha, *args),
+        lambda alpha: whiten @ phi_innovation(alpha, *args, point=point(alpha)),
+        lambda alpha: whiten @ phi_innovation_jacobian(alpha, *args, point=point(alpha)),
         2 + _linear_term_index(basis, 0), 2 + basis.n_terms, delta,
     )
     result = minimize_gmm(problem, starts[0], starts=starts[1:], grad_tol=options.grad_tol, max_iter=options.max_iter)
@@ -378,9 +397,10 @@ def sieve_step3_nls(
         basis, ystar[cur], capital_terms(dataset.k[cur]), capital_terms(dataset.k[prev]),
         mstar[prev], dataset.x[prev],
     )
+    point = last_point(omega_law_point, *args)
     problem, starts = _omega_law_nls(
-        lambda gamma: omega_residual(gamma, *args),
-        lambda gamma: omega_residual_jacobian(gamma, *args),
+        lambda gamma: omega_residual(gamma, *args, point=point(gamma)),
+        lambda gamma: omega_residual_jacobian(gamma, *args, point=point(gamma)),
         2 + _linear_term_index(basis, 0), 2 + basis.n_terms,
         np.column_stack([args[2], np.ones(cur.size)]), ystar[cur],
     )
