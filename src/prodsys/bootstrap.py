@@ -60,16 +60,10 @@ NUMERICAL_FAILURES = (ValueError, RuntimeError, FloatingPointError)
 
 @dataclasses.dataclass
 class BootstrapConfig:
-    """Replication count B, master seed and reporting levels.
-
-    ``weight_override`` fixes every firm's weight to a constant, which is
-    only useful for testing (1 reproduces the original sample relations,
-    0 gives the noiseless refit).
-    """
+    """Replication count B, master seed and reporting levels."""
 
     n_reps: int = 200
     seed: int = 0
-    weight_override: float | None = None
     levels: tuple = (0.90, 0.95, 0.99)
 
     def validate(self) -> None:
@@ -78,8 +72,6 @@ class BootstrapConfig:
         for level in self.levels:
             if not 0.0 < level < 1.0:
                 raise ValueError(f"interval level {level} outside (0, 1)")
-        if self.weight_override is not None and not np.isfinite(self.weight_override):
-            raise ValueError(f"weight_override must be finite, got {self.weight_override}")
 
 
 @dataclasses.dataclass
@@ -114,22 +106,10 @@ class ResidualSet:
     fitted: np.ndarray
 
 
-def mammen_weights(firm_ids, seed=None) -> np.ndarray:
-    """One two-point weight per firm.
-
-    ``firm_ids`` is an integer count or a sequence of per-observation
-    identifiers; with a sequence the result has one entry per distinct
-    identifier, counted by ``str()`` as :class:`PanelDataset` codes them
-    (``1`` and ``1.0`` are two firms), so expanding by firm code keeps the
-    weight constant within firm.  Values are (1+sqrt(5))/2 with probability
-    (sqrt(5)-1)/(2 sqrt(5)) and (1-sqrt(5))/2 otherwise.
-    """
-    if np.ndim(firm_ids) == 0:
-        n = int(firm_ids)
-    else:
-        n = len(set(map(str, firm_ids)))
+def mammen_weights(n_firms: int, seed) -> np.ndarray:
+    """One two-point weight per firm code: (1+sqrt(5))/2 with probability (sqrt(5)-1)/(2 sqrt(5)), else (1-sqrt(5))/2."""
     rng = np.random.default_rng(seed)
-    return np.where(rng.random(n) < GOLDEN_PROB, GOLDEN, 1.0 - GOLDEN)
+    return np.where(rng.random(n_firms) < GOLDEN_PROB, GOLDEN, 1.0 - GOLDEN)
 
 
 #: the :class:`PanelDataset` arrays a synthetic panel shares with the observed one
@@ -249,7 +229,8 @@ def bootstrap_replicate(
 
     step1_b = step1_cost_share(ds_b)
     step2_b = step2_gmm(ds_b, step1_b, opts)
-    step3_b = _step3_result(step3_core(_step3_root(ds_b, step1_b, step2_b, opts), opts),
+    checked: list[str] = []  # step three's warnings, which no replicate reports
+    step3_b = _step3_result(step3_core(_step3_root(ds_b, step1_b, step2_b, opts, checked), opts), checked,
                             proxy=opts.proxy, n_pairs=int(cur.size))
     sys_b = system_refine(ds_b, step1_b, step2_b, step3_b, opts) if opts.refine == "system" else None
     return pack_parameters(*_point_estimate(step1_b, step2_b, step3_b, sys_b))
@@ -303,12 +284,8 @@ def run_bootstrap(dataset: PanelDataset, estimate: TranslogEstimate, config: Boo
     rows: list[np.ndarray] = []
     failures: list[str] = []
     for b, seq in enumerate(seeds):
-        if config.weight_override is not None:
-            w = np.full(dataset.n_firms, float(config.weight_override))
-        else:
-            w = mammen_weights(dataset.n_firms, seq)
         try:
-            rows.append(bootstrap_replicate(dataset, estimate, residuals, w))
+            rows.append(bootstrap_replicate(dataset, estimate, residuals, mammen_weights(dataset.n_firms, seq)))
         except NUMERICAL_FAILURES as exc:
             failures.append(f"replicate {b}: {exc}")
     if not rows:

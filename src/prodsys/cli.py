@@ -419,13 +419,13 @@ def cmd_montecarlo(args, config: dict) -> int:
 def cmd_bootstrap(args, config: dict) -> int:
     section = _typed(
         _section(config, "bootstrap"), "bootstrap",
-        {**_PANEL, **_ESTIMATOR, "n_reps": _positive_int, "levels": _numbers, "weight_override": _number},
+        {**_PANEL, **_ESTIMATOR, "n_reps": _positive_int, "levels": _numbers},
     )
     options = _estimator_options(section, "bootstrap", args)
     boot_config = BootstrapConfig(
         n_reps=_positive_int(_resolve(args.B, section.get("n_reps"), 200), "bootstrap.n_reps"),
         seed=args.seed,
-        **{key: section[key] for key in ("levels", "weight_override") if key in section},
+        levels=section.get("levels", BootstrapConfig.levels),
     )
     try:
         boot_config.validate()

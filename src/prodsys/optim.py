@@ -1,11 +1,11 @@
 """Deterministic nonlinear least squares and GMM minimization.
 
-A single damped Gauss-Newton (Levenberg-Marquardt) engine drives both
-problem types: a GMM problem hands its moments, already whitened by the
-caller, to the least-squares loop, so the loop's ``g'g`` is the GMM
-criterion.  The implementation is pure numpy and contains no hidden
-randomness; given the same inputs it produces the same iterates on every
-run.
+A single damped Gauss-Newton (Levenberg-Marquardt) engine drives one
+problem type, :class:`NlsProblem`: a GMM fit passes its moments, already
+whitened by the caller, as the residual, so the loop's ``g'g`` is the GMM
+criterion.  Every problem states its Jacobian.  The implementation is
+pure numpy and contains no hidden randomness; given the same inputs it
+produces the same iterates on every run.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "NlsProblem",
-    "GmmProblem",
     "OptimResult",
     "minimize_nls",
     "minimize_gmm",
@@ -41,31 +40,18 @@ STALL_STATUS = "stalled along the box"
 class NlsProblem:
     """Residual-based least squares: minimize ``sum(residual(x)**2)``.
 
-    ``jacobian`` may be None, in which case central finite differences are
-    used.  ``bounds`` is an optional (lower, upper) pair of arrays; the
-    iterates are kept inside the box by clipping trial steps, and a start
-    whose last :data:`BOX_STALL_STEPS` accepted steps were all cut short by
-    the box is sliding along a face, not converging: it stops at its
-    current iterate with ``converged=False`` and status :data:`STALL_STATUS`.
+    ``jacobian`` returns the residual's derivative, one column per
+    parameter; a caller without a closed form can pass
+    :func:`finite_diff_jacobian` of its residual.  ``bounds`` is an
+    optional (lower, upper) pair of arrays; the iterates are kept inside
+    the box by clipping trial steps, and a start whose last
+    :data:`BOX_STALL_STEPS` accepted steps were all cut short by the box is
+    sliding along a face, not converging: it stops at its current iterate
+    with ``converged=False`` and status :data:`STALL_STATUS`.
     """
 
     residual: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray] | None = None
-    bounds: tuple[np.ndarray, np.ndarray] | None = None
-
-
-@dataclasses.dataclass
-class GmmProblem:
-    """GMM criterion ``g(x)' g(x)`` over whitened averaged moments ``g``.
-
-    ``moments`` returns the sample-averaged moment vector, already
-    multiplied by the square root of its weight matrix, and ``jacobian``
-    its derivative with respect to the parameters (optional).  ``bounds``
-    is that of :class:`NlsProblem`.
-    """
-
-    moments: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray] | None = None
+    jacobian: Callable[[np.ndarray], np.ndarray]
     bounds: tuple[np.ndarray, np.ndarray] | None = None
 
 
@@ -84,12 +70,10 @@ def finite_diff_jacobian(fun: Callable[[np.ndarray], np.ndarray], x) -> np.ndarr
     """Central-difference Jacobian of a vector-valued function.
 
     The per-coordinate step is ``1e-6 * max(1, |x_j|)``.  The function is
-    evaluated only at the ``2 * len(x)`` perturbed points (at ``x`` itself
-    only when ``x`` is empty, to size the output).
+    evaluated only at the ``2 * len(x)`` perturbed points, so ``x`` must
+    not be empty.
     """
     x = np.asarray(x, dtype=float)
-    if x.size == 0:
-        return np.empty((np.atleast_1d(np.asarray(fun(x), dtype=float)).size, 0))
     jac = None
     for j, xj in enumerate(x.tolist()):
         h = 1e-6 * max(1.0, abs(xj))
@@ -120,8 +104,7 @@ def _lm_single(problem: NlsProblem, x0, *, grad_tol, max_iter) -> OptimResult:
     # start after BOX_STALL_STEPS accepted steps in a row that the box cut
     # short (the clipped trial's bits differ from x + step's); it only ends
     # a run early, so every iterate up to the stop is the reference loop's.
-    resid = problem.residual
-    jacfun = problem.jacobian or (lambda x: finite_diff_jacobian(resid, x))
+    resid, jacfun = problem.residual, problem.jacobian
     x = _clip(np.asarray(x0, dtype=float).copy(), problem.bounds)
     # accepted steps in a row that the box cut short; without bounds _clip
     # hands back the trial itself, so no step counts
@@ -220,31 +203,13 @@ def minimize_nls(
     return min(results, key=lambda res: (not res.converged, res.objective))
 
 
-def _psd_sqrt(weight: np.ndarray) -> np.ndarray:
-    w = np.asarray(weight, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError("weight matrix must be square")
-    if not np.allclose(w, w.T, atol=1e-10):
-        raise ValueError("weight matrix must be symmetric")
-    vals, vecs = np.linalg.eigh(w)
-    if np.any(vals < -1e-10 * max(1.0, float(np.max(np.abs(vals))))):
-        raise ValueError("weight matrix must be positive semidefinite")
-    vals = np.maximum(vals, 0.0)
-    return (vecs * np.sqrt(vals)) @ vecs.T
-
-
 def minimize_gmm(
-    problem: GmmProblem,
+    problem: NlsProblem,
     x0,
     *,
     starts: Sequence[np.ndarray] | None = None,
     grad_tol: float = GRAD_TOL,
     max_iter: int = MAX_ITER,
 ) -> OptimResult:
-    """Minimize the GMM criterion ``g(x)' g(x)`` of whitened moments.
-
-    The moments go to :func:`minimize_nls` as they are, as its residual,
-    so the reported objective is the GMM criterion.
-    """
-    nls = NlsProblem(residual=problem.moments, jacobian=problem.jacobian, bounds=problem.bounds)
-    return minimize_nls(nls, x0, starts=starts, grad_tol=grad_tol, max_iter=max_iter)
+    """:func:`minimize_nls` with whitened moments ``g`` as the residual, so the objective is the GMM criterion ``g'g``."""
+    return minimize_nls(problem, x0, starts=starts, grad_tol=grad_tol, max_iter=max_iter)

@@ -75,7 +75,7 @@ from .moments import (
     proxied_omega_coef,
     proxied_omega_coef_jacobian,
 )
-from .optim import GRAD_TOL, MAX_ITER, GmmProblem, NlsProblem, OptimResult, _psd_sqrt, finite_diff_jacobian
+from .optim import GRAD_TOL, MAX_ITER, NlsProblem, OptimResult, finite_diff_jacobian
 from .optim import minimize_gmm, minimize_nls
 from .panel import PanelDataset
 
@@ -618,11 +618,16 @@ def _inverse_root(gram: np.ndarray, label: str, warnings: list[str]) -> np.ndarr
     warning, so ``S`` is then the root of the pseudo-inverse.
     """
     vals, vecs = np.linalg.eigh(gram)
+    keep = _kept_eigenvalues(vals, label, warnings, "; using pseudo-inverse")
+    return (vecs[:, keep] / np.sqrt(vals[keep])) @ vecs[:, keep].T
+
+
+def _kept_eigenvalues(vals: np.ndarray, label: str, warnings: list[str], note: str = "") -> np.ndarray:
+    """Which ascending eigenvalues ``vals`` of a Gram matrix exceed ``1e-12`` of the largest; if not all, a warning."""
     keep = vals > 1e-12 * vals[-1]
     if not keep.all():
-        warnings.append(f"{label} Gram matrix ill-conditioned (cond={vals[-1] / max(abs(vals[0]), 1e-300):.2e}); "
-                        "using pseudo-inverse")
-    return (vecs[:, keep] / np.sqrt(vals[keep])) @ vecs[:, keep].T
+        warnings.append(f"{label} Gram matrix ill-conditioned (cond={vals[-1] / max(abs(vals[0]), 1e-300):.2e}){note}")
+    return keep
 
 
 def _phi_cross_products(gram: np.ndarray, columns, options: EstimateOptions, warnings: list[str]) -> np.ndarray:
@@ -650,7 +655,8 @@ def _phi_law_gmm(moments, jacobian, lin: int, n_params: int, delta_lm: float):
 
     ``moments`` and ``jacobian`` map the parameters ``(beta_0, beta_l,
     coef)`` to the whitened averaged moments and their derivative, so the
-    problem has no weight (:func:`_inverse_root`); ``coef[lin - 2]``
+    problem's residual is the moments themselves and it has no weight
+    (:func:`_inverse_root`); ``coef[lin - 2]``
     is the slope in lagged phi, kept inside the unit interval.  The starts
     cross curvature magnitudes with labor shares; the series law runs them
     all, and the linear law only the first, on a panel whose slope profile
@@ -659,7 +665,7 @@ def _phi_law_gmm(moments, jacobian, lin: int, n_params: int, delta_lm: float):
     lo, hi = np.full(n_params, -50.0), np.full(n_params, 50.0)
     lo[:2], hi[:2] = _beta_box(delta_lm)
     lo[lin], hi[lin] = -0.999999, 0.999999
-    problem = GmmProblem(moments=moments, jacobian=jacobian, bounds=(lo, hi))
+    problem = NlsProblem(residual=moments, jacobian=jacobian, bounds=(lo, hi))
     starts = []
     for b0 in (-0.2, -0.1, -0.05, -0.02, -0.005):
         for frac in (0.25, 0.5, 0.75):
@@ -834,7 +840,8 @@ def _gram_root(gram: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.cholesky(gram).T
     except np.linalg.LinAlgError:
-        return _psd_sqrt(gram)
+        vals, vecs = np.linalg.eigh(gram)
+        return (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
 
 
 def step3_core(root: np.ndarray, options: EstimateOptions) -> OptimResult:
@@ -880,29 +887,37 @@ def step3_nls(dataset: PanelDataset, step1: Step1Result, step2, options: Estimat
     lag-pair Gram and ``B`` the proxied-phi expansion at that point
     (:func:`~prodsys.moments._proxied_omega_map`).  So :func:`step3_core`
     runs on a root of ``D'D = B'(R'R)B`` (:func:`_gram_root`), and no
-    lag-pair array is formed.
+    lag-pair array is formed.  Collinear regressors (say ``x`` equal to
+    log capital) are flagged with a warning.
     """
     n_pairs = dataset.lag_pairs().cur.size
     if n_pairs < 4 + dataset.x.shape[1]:
         raise ValueError("too few usable lag pairs for step three")
-    result = step3_core(_step3_root(dataset, step1, step2, options), options)
-    return _step3_result(result, proxy=options.proxy, n_pairs=int(n_pairs))
+    warnings: list[str] = []
+    result = step3_core(_step3_root(dataset, step1, step2, options, warnings), options)
+    return _step3_result(result, warnings, proxy=options.proxy, n_pairs=int(n_pairs))
 
 
-def _step3_root(dataset: PanelDataset, step1: Step1Result, step2, options: EstimateOptions) -> np.ndarray:
-    """A root of step three's ``D'D = B'(R'R)B`` at step two's point, from its lag-pair Gram (see :func:`step3_nls`)."""
+def _step3_root(dataset: PanelDataset, step1: Step1Result, step2, options: EstimateOptions,
+                warnings: list[str]) -> np.ndarray:
+    """A root of step three's ``D'D = B'(R'R)B`` at step two's point, from its lag-pair Gram (see :func:`step3_nls`).
+
+    The regressors' Gram is checked by :func:`_kept_eigenvalues`; it leaves
+    out ``y*``, which is a combination of the regressors at an exact fit.
+    """
     if isinstance(step2, Step2Result):
         gram, columns = step2.gram, step2.gram_columns
     else:  # a series step-two record carries no Gram
         gram, _, columns = _lag_pair_gram(dataset, step1, options)
     t_d = _block_maps(columns, options)["R"] @ _proxied_omega_map(
         step2.beta_0, step2.beta_l, step1.delta_lm, dataset.x.shape[1])
-    return _gram_root(t_d.T @ gram @ t_d)
+    gram_d = t_d.T @ gram @ t_d
+    _kept_eigenvalues(np.linalg.eigvalsh(gram_d[1:, 1:]), "omega-law regressor", warnings)
+    return _gram_root(gram_d)
 
 
-def _step3_result(result: OptimResult, *, proxy: str, n_pairs: int) -> Step3Result:
-    """Step-three record from a :func:`step3_core` fit."""
-    warnings = []
+def _step3_result(result: OptimResult, warnings: list[str], *, proxy: str, n_pairs: int) -> Step3Result:
+    """Step-three record from a :func:`step3_core` fit; it takes ``warnings``, the list its root was checked into."""
     if not result.converged:
         warnings.append(f"step-3 NLS did not converge: {result.status}")
     bk, bkk, r0, r1 = result.params[:4]
@@ -973,6 +988,8 @@ _PROFILE_BETA_0 = -np.logspace(1.0, math.log10(_B_MIN), 30)
 _PROFILE_SLOPES = np.linspace(-0.975, 0.975, 40)
 #: Dinkelbach steps of each ratio minimum, and the relative gap below it that certifies it
 _DINKELBACH_STEPS, _CERTIFIED = 6, 1e-11
+#: least residual standard deviation a joint-system block divides by: keeps noiseless panels from dividing by ~eps
+_SCALE_FLOOR = 1e-8
 
 
 def _quad(mats: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -990,9 +1007,9 @@ def _ratio_minimum(num: np.ndarray, den: np.ndarray):
     ``v'(A - lam B)v`` over the free coordinates (one :func:`_solve_batch`)
     and take the ratio there as the next ``lam``.  Every ratio is at least
     the eigenvalue, so ``A - lam B`` positive definite just below the last
-    ratio certifies it; a member the certificate misses is solved by
-    :func:`_eigen_minimum`.  Call this under ``np.errstate``: a singular
-    batch member is not finite.
+    ratio certifies it; the members the certificate misses are solved
+    together by :func:`_eigen_minimum`.  Call this under ``np.errstate``: a
+    singular batch member is not finite.
     """
     v = np.ones((num.shape[0], num.shape[2]))
     if num.shape[0] == 1:
@@ -1006,23 +1023,28 @@ def _ratio_minimum(num: np.ndarray, den: np.ndarray):
         better = lam < best
         best, v = np.where(better, lam, best), np.where(better, trial, v)
     _, sure = _solve_batch(num - best * (1.0 - _CERTIFIED) * den, v, definite=True)
-    for g in np.flatnonzero(~sure & np.isfinite(best)):
-        best[g], v[:, g] = _eigen_minimum(num[:, :, g], den[:, :, g], best[g], v[:, g])
+    todo = np.flatnonzero(~sure & np.isfinite(best))
+    if todo.size:
+        best[todo], v[:, todo] = _eigen_minimum(num[:, :, todo], den[:, :, todo], best[todo], v[:, todo])
     return best, v
 
 
-def _eigen_minimum(num: np.ndarray, den: np.ndarray, ratio: float, v: np.ndarray):
-    """:func:`_ratio_minimum` of one pencil from its smallest generalized eigenvector, scaled to ``v[0] = 1``.
+def _eigen_minimum(num: np.ndarray, den: np.ndarray, ratio: np.ndarray, v: np.ndarray):
+    """:func:`_ratio_minimum` of a batch of pencils from their smallest generalized eigenvectors, scaled to ``v[0] = 1``.
 
-    A ``den`` that is not positive definite keeps the given ``(ratio, v)``.
+    ``den = V diag(d) V'`` (one batched ``eigh``) gives ``W = V diag(d^-1/2)``
+    and ``u = W y`` with ``y`` the smallest eigenvector of ``W' num W``.  A
+    member whose ``den`` is not positive definite keeps its ``(ratio, v)``.
     """
-    try:
-        root = np.linalg.inv(np.linalg.cholesky(den))
-    except np.linalg.LinAlgError:
-        return ratio, v
-    u = root.T @ np.linalg.eigh(root @ num @ root.T)[1][:, 0]
+    vals, vecs = np.linalg.eigh(np.moveaxis(den, -1, 0))
+    ok = vals[:, 0] > 0.0
+    root = vecs[ok] / np.sqrt(vals[ok])[:, None, :]
+    y = np.linalg.eigh(np.swapaxes(root, 1, 2) @ np.moveaxis(num[:, :, ok], -1, 0) @ root)[1][:, :, 0]
+    u = np.einsum("gij,gj->ig", root, y)
     u = u / u[0]
-    return (u @ num @ u) / (u @ den @ u), u
+    ratio, v = ratio.copy(), v.copy()
+    ratio[ok], v[:, ok] = _quad(num[:, :, ok], u) / _quad(den[:, :, ok], u), u
+    return ratio, v
 
 
 def _ratio_profile(proj: np.ndarray, gram: np.ndarray, maps: np.ndarray):
@@ -1033,7 +1055,8 @@ def _ratio_profile(proj: np.ndarray, gram: np.ndarray, maps: np.ndarray):
     quadratic forms are fixed matrices times products of the monomials,
     formed once here.  The returned function takes ``mu`` (4 x g) and
     returns ``(crit, v)``, with the criterion's numerator the squared norm
-    of the residual itself.
+    of the residual itself and its denominator floored at ``_SCALE_FLOOR**2``,
+    as :func:`system_refine` floors its residuals' standard deviation.
     """
     pm = proj @ maps
     k = maps.shape[2]
@@ -1045,7 +1068,8 @@ def _ratio_profile(proj: np.ndarray, gram: np.ndarray, maps: np.ndarray):
         den_g = (den @ mu2).reshape(k, k, -1)
         _, v = _ratio_minimum((num @ mu2).reshape(k, k, -1), den_g)
         resid = np.einsum("mg,mig->ig", mu, pm @ v)
-        return np.einsum("ig,ig->g", resid, resid) / _quad(den_g, v), v
+        # the floor: at an exact fit the expanded denominator cancels below zero
+        return np.einsum("ig,ig->g", resid, resid) / np.maximum(_quad(den_g, v), _SCALE_FLOOR**2), v
 
     return at
 
@@ -1250,7 +1274,7 @@ def system_refine(
     moments are ``P c / s`` with ``s = sqrt(c'Gc)``, so their derivative is
     ``(P dc - (P c / s) c'G dc / s) / s`` with ``dc`` from
     :func:`~prodsys.moments.proxied_omega_coef_jacobian`, and ``P dc /
-    scale_floor`` where the floor binds.
+    _SCALE_FLOOR`` where the floor (:data:`_SCALE_FLOOR`) binds.
     """
     delta = step1.delta_lm
     pz, px = dataset.z.shape[1], dataset.x.shape[1]
@@ -1263,18 +1287,17 @@ def system_refine(
                          f"instruments={options.instruments!r} gives {n_q}")
     warnings: list[str] = []
     proj_r, gram_e, gram_r, h_names = _system_cross_products(dataset, step2, options, warnings)
-    scale_floor = 1e-8  # keeps noiseless panels from dividing by ~eps
 
     # ndarray.dot, not @: the same BLAS call, with half the overhead at this size
     def phi_moments(alpha):
         a = phi_law_coef(alpha, delta)
         # np.std of eps = E a is sqrt(a' G a) with G the centered Gram matrix
-        return proj_e.dot(a) / max(math.sqrt(max(float(a.dot(gram_e).dot(a)), 0.0)), scale_floor)
+        return proj_e.dot(a) / max(math.sqrt(max(float(a.dot(gram_e).dot(a)), 0.0)), _SCALE_FLOOR)
 
     def omega_moments(betas_gamma):
         beta_0, beta_l = betas_gamma[:2].tolist()
         c = proxied_omega_coef(betas_gamma[2:], beta_0, beta_l, delta)
-        return proj_r.dot(c) / max(math.sqrt(max(float(c.dot(gram_r).dot(c)), 0.0)), scale_floor)
+        return proj_r.dot(c) / max(math.sqrt(max(float(c.dot(gram_r).dot(c)), 0.0)), _SCALE_FLOOR)
 
     def omega_jacobian(betas_gamma):
         beta_0, beta_l = betas_gamma[:2].tolist()
@@ -1283,8 +1306,8 @@ def system_refine(
         dc = proxied_omega_coef_jacobian(gamma, beta_0, beta_l, delta)
         gram_c = gram_r.dot(c)
         s = math.sqrt(max(float(c.dot(gram_c)), 0.0))
-        if s <= scale_floor:
-            return proj_r.dot(dc) / scale_floor
+        if s <= _SCALE_FLOOR:
+            return proj_r.dot(dc) / _SCALE_FLOOR
         # d(Pc/s) = (P dc - (Pc/s) ds)/s with ds = c'G dc/s, so no s**3 to overflow
         return (proj_r.dot(dc) - (proj_r.dot(c) / s)[:, None] * (gram_c.dot(dc) / s)) / s
 

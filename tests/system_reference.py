@@ -11,9 +11,12 @@ delta/2)``.
 :func:`reference_system_fit` runs that list on the problem the estimator
 builds, so a test can compare the two rules' answers, and
 :func:`profile_curve` recomputes the scanned profile one curvature at a
-time.  :func:`build_level_instruments` forms the joint system's level
-instruments ``H`` on the lag pairs, and :func:`inverse_root` whitens a Gram
-matrix, for tests that form ``H'H`` and ``Q'Q`` from the rows.
+time, and :func:`eigen_minimum` solves one of its ratio minima by a
+Cholesky whitening, as the profile once did member by member.
+:func:`build_level_instruments` forms the joint system's level instruments
+``H`` on the lag pairs, :func:`inverse_root` whitens a Gram matrix, for
+tests that form ``H'H`` and ``Q'Q`` from the rows, and :func:`psd_sqrt` is
+the symmetric root of step three's cross-products.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import numpy as np
 from moments_reference import proxied_omega_map
 
 from prodsys import optim, translog
-from prodsys.optim import _psd_sqrt
 
 
 class _Captured(Exception):
@@ -66,6 +68,12 @@ def inverse_root(gram):
     return (vecs / np.sqrt(vals)) @ vecs.T
 
 
+def psd_sqrt(weight):
+    """The symmetric root ``V diag(lambda^1/2) V'`` of a positive semidefinite matrix, negative eigenvalues cut to 0."""
+    vals, vecs = np.linalg.eigh(weight)
+    return (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
+
+
 def uncentered_root(dataset, step1, options):
     """A symmetric root of the uncentered ``R'R / n`` of the joint system's omega block.
 
@@ -84,7 +92,7 @@ def uncentered_root(dataset, step1, options):
         dataset.y[cur] - delta * m_cur, np.ones(cur.size), s_cur**2, k_cur, 0.5 * k_cur**2,
         foc_prev - delta * m_prev, s_prev**2, k_prev, 0.5 * k_prev**2, *dataset.x[prev].T,
     ])
-    return _psd_sqrt(r.T @ r / cur.size)
+    return psd_sqrt(r.T @ r / cur.size)
 
 
 def reference_starts(dataset, step1, step2, step3, options, bounds):
@@ -129,6 +137,20 @@ def profile_curve(dataset, step1, step2, options) -> np.ndarray:
         (phi_crit, *_), (omega_crit, *_) = profile(np.full(slopes.size, beta_0), slopes)
         curve.append(np.min(phi_crit) + np.min(omega_crit))
     return np.array(curve)
+
+
+def eigen_minimum(num, den, ratio, v):
+    """The ratio minimum of one pencil ``(num, den)`` from its smallest generalized eigenvector, scaled to ``v[0] = 1``.
+
+    A ``den`` that is not positive definite keeps the given ``(ratio, v)``.
+    """
+    try:
+        root = np.linalg.inv(np.linalg.cholesky(den))
+    except np.linalg.LinAlgError:
+        return ratio, v
+    u = root.T @ np.linalg.eigh(root @ num @ root.T)[1][:, 0]
+    u = u / u[0]
+    return (u @ num @ u) / (u @ den @ u), u
 
 
 def system_vector(system) -> np.ndarray:

@@ -42,9 +42,6 @@ def test_weight_sample_moments():
 
 def test_weight_count_and_determinism():
     assert mammen_weights(7, seed=1).shape == (7,)
-    # per-observation ids collapse to one weight per distinct firm
-    ids = np.array([3, 3, 5, 5, 5, 9])
-    assert mammen_weights(ids, seed=1).shape == (3,)
     assert np.array_equal(mammen_weights(10, seed=4), mammen_weights(10, seed=4))
     assert not np.array_equal(mammen_weights(100, seed=4), mammen_weights(100, seed=5))
 
@@ -145,21 +142,28 @@ def test_weights_constant_within_firm(bench, bench_est):
             assert min(abs(vals[0] - GOLDEN), abs(vals[0] - (1.0 - GOLDEN))) < 1e-8
 
 
-def test_override_one_reproduces_point(bench, bench_est):
+def _constant_weights(monkeypatch, value):
+    """Every replicate of ``run_bootstrap`` draws the weight ``value`` for every firm."""
+    monkeypatch.setattr(prodsys.bootstrap, "mammen_weights", lambda n_firms, seed: np.full(n_firms, value))
+
+
+def test_override_one_reproduces_point(bench, bench_est, monkeypatch):
     ds, _, _ = bench
     point = pack_parameters(bench_est.params, bench_est.laws)
-    out = run_bootstrap(ds, bench_est, BootstrapConfig(n_reps=2, seed=5, weight_override=1.0))
+    _constant_weights(monkeypatch, 1.0)
+    out = run_bootstrap(ds, bench_est, BootstrapConfig(n_reps=2, seed=5))
     assert out.draws.shape == (2, point.size)
     assert np.max(np.abs(out.draws - point)) < 1e-6
     assert np.array_equal(out.draws[0], out.draws[1])
 
 
 @pytest.mark.parametrize("refine", ["system", "none"])
-def test_override_one_reproduces_point_with_the_estimates_options(bench, refine):
+def test_override_one_reproduces_point_with_the_estimates_options(bench, refine, monkeypatch):
     # no options given: the replicate reruns the estimator the point came from
     ds, _, _ = bench
     est = estimate(ds, EstimateOptions(instruments="exactly_identified", refine=refine))
-    out = run_bootstrap(ds, est, BootstrapConfig(n_reps=1, seed=5, weight_override=1.0))
+    _constant_weights(monkeypatch, 1.0)
+    out = run_bootstrap(ds, est, BootstrapConfig(n_reps=1, seed=5))
     assert np.max(np.abs(out.draws[0] - pack_parameters(est.params, est.laws))) < 1e-6
 
 
@@ -184,19 +188,21 @@ def sequential_est(bench):
     return estimate(bench[0], EstimateOptions(refine="none"))
 
 
-def test_override_one_reproduces_sequential_point(bench, sequential_est):
+def test_override_one_reproduces_sequential_point(bench, sequential_est, monkeypatch):
     ds, _, _ = bench
-    out = run_bootstrap(ds, sequential_est, BootstrapConfig(n_reps=1, seed=5, weight_override=1.0))
+    _constant_weights(monkeypatch, 1.0)
+    out = run_bootstrap(ds, sequential_est, BootstrapConfig(n_reps=1, seed=5))
     point = pack_parameters(sequential_est.params, sequential_est.laws)
     assert np.max(np.abs(out.draws[0] - point)) < 1e-6
     assert np.all(out.standard_errors == 0.0)
     assert any("single successful replicate" in msg for msg in out.warnings)
 
 
-def test_override_zero_ignores_seed(bench, sequential_est):
+def test_override_zero_ignores_seed(bench, sequential_est, monkeypatch):
     ds, _, _ = bench
-    a = run_bootstrap(ds, sequential_est, BootstrapConfig(n_reps=1, seed=1, weight_override=0.0))
-    b = run_bootstrap(ds, sequential_est, BootstrapConfig(n_reps=1, seed=2, weight_override=0.0))
+    _constant_weights(monkeypatch, 0.0)
+    a = run_bootstrap(ds, sequential_est, BootstrapConfig(n_reps=1, seed=1))
+    b = run_bootstrap(ds, sequential_est, BootstrapConfig(n_reps=1, seed=2))
     assert np.array_equal(a.draws, b.draws)
 
 
@@ -227,12 +233,6 @@ def test_config_validation():
         BootstrapConfig(n_reps=0).validate()
     with pytest.raises(ValueError):
         BootstrapConfig(levels=(0.9, 1.2)).validate()
-
-
-@pytest.mark.parametrize("override", [float("nan"), float("inf")])
-def test_config_rejects_nonfinite_weight_override(override):
-    with pytest.raises(ValueError, match="weight_override"):
-        BootstrapConfig(weight_override=override).validate()
 
 
 def test_failures_recorded_and_flagged(bench, bench_est, monkeypatch):
@@ -338,16 +338,6 @@ def test_numerical_failures_count_as_failed_replicates(bench, bench_est, monkeyp
 def test_pack_without_laws_is_the_leading_technology_block(bench_est):
     full = pack_parameters(bench_est.params, bench_est.laws)
     assert np.array_equal(pack_parameters(bench_est.params, None), full[:6])
-
-
-def test_weights_count_firms_by_their_str_as_the_panel_codes_them():
-    # 1 and 1.0 are two firms of the panel, so they get two weights
-    ids = [1, 1.0, 2]
-    ds = PanelDataset(ids, [2001] * 3, np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), np.full(3, 0.5), np.zeros(3))
-    w = mammen_weights(ids, seed=0)
-    assert w.shape == (ds.n_firms,) == (3,)
-    assert w[ds.firm].shape == (3,)
-    assert mammen_weights(np.array(["a", "b", "a"]), seed=0).shape == (2,)
 
 
 def test_run_bootstrap_leaves_the_observed_panel_unchanged(bench, bench_est):

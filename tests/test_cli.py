@@ -95,12 +95,9 @@ def test_settings_are_checked_before_the_data(tmp_path, capsys, command, setting
     ("partialid", "grid: {beta_k: {min: low, max: 0.3}}", "grid.beta_k.min"),
     ("partialid", "grid: 3", "grid"),
     ("bootstrap", "levels: [abc]", "levels"),
-    ("bootstrap", "weight_override: .nan", "weight_override"),
-    ("bootstrap", "weight_override: abc", "weight_override"),
 ], ids=[
     "partialid-slack_scale", "partialid-slack", "partialid-cutoffs-text", "partialid-cutoffs-scalar",
     "partialid-cutoffs-range", "partialid-propensity_degree", "partialid-grid-min", "partialid-grid-scalar", "bootstrap-levels",
-    "bootstrap-weight_override-nan", "bootstrap-weight_override-text",
 ])
 def test_bad_numeric_settings_are_config_errors_before_the_data(tmp_path, capsys, command, settings, named):
     # no data key: the bad setting is reported (exit 2), not the missing CSV
@@ -186,7 +183,7 @@ SECTION_KEYS = {
         **{f"dgp.{k}": kind for k, kind in DGP_KEYS.items()},
         **{f"estimator.{k}": kind for k, kind in ESTIMATOR_KEYS.items()},
     },
-    "bootstrap": {**PANEL_KEYS, **ESTIMATOR_KEYS, "n_reps": INTEGER, "levels": LIST, "weight_override": NUMBER},
+    "bootstrap": {**PANEL_KEYS, **ESTIMATOR_KEYS, "n_reps": INTEGER, "levels": LIST},
     "partialid": {
         **PANEL_KEYS, "cutoffs": LIST, "slack": NUMBER, "slack_scale": NUMBER, "propensity_degree": INTEGER,
         "grid": MAPPING, **GRID_KEYS,

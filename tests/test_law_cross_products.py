@@ -108,7 +108,7 @@ def test_step2_moments_match_pair_array_moments(monkeypatch, panel_steps):
     n = cur.size
     root = inverse_root(q.T @ q / n)
     for alpha in _points(problem.bounds, starts):
-        _assert_close(problem.moments(alpha), root @ (q.T @ phi_innovation(alpha, *args) / n))
+        _assert_close(problem.residual(alpha), root @ (q.T @ phi_innovation(alpha, *args) / n))
         _assert_close(problem.jacobian(alpha), root @ (q.T @ phi_innovation_jacobian(alpha, *args) / n))
 
 

@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 
 from prodsys import optim
 from prodsys.optim import (
-    GmmProblem,
     NlsProblem,
-    _psd_sqrt,
     finite_diff_jacobian,
     minimize_gmm,
     minimize_nls,
@@ -70,12 +68,9 @@ def test_rosenbrock_residual_form():
     assert np.max(np.abs(res.params - 1.0)) < 1e-8
 
 
-def test_finite_difference_fallback_when_jacobian_missing(rng):
-    a = rng.standard_normal((10, 2))
-    b = rng.standard_normal(10)
-    expected, *_ = np.linalg.lstsq(a, b, rcond=None)
-    res = minimize_nls(NlsProblem(residual=lambda x: a @ x - b), np.zeros(2))
-    assert np.max(np.abs(res.params - expected)) < 1e-8
+def test_a_problem_states_its_jacobian():
+    with pytest.raises(TypeError, match="jacobian"):
+        NlsProblem(residual=lambda x: x)
 
 
 def test_bounds_clip_iterates_onto_the_box():
@@ -95,9 +90,12 @@ def test_multistart_keeps_lowest_objective():
     def residual(x):
         return np.array([x[0] ** 2 - 1.0, 0.1 * (x[0] - 1.0)])
 
+    def jacobian(x):
+        return np.array([[2.0 * x[0]], [0.1]])
+
     # basin near x=1 zeroes both residuals almost exactly; near x=-1 the
     # second residual stays at 0.2 scale
-    problem = NlsProblem(residual=residual)
+    problem = NlsProblem(residual=residual, jacobian=jacobian)
     res_bad = minimize_nls(problem, np.array([-1.3]))
     res_multi = minimize_nls(problem, np.array([-1.3]), starts=[np.array([1.4])])
     assert res_bad.params[0] < 0
@@ -194,20 +192,6 @@ def test_descent_along_a_face_stops_after_box_stall_steps_cut_steps():
         assert res.start_index == index and res.converged
 
 
-def test_psd_sqrt_properties(rng):
-    a = rng.standard_normal((5, 5))
-    w = a @ a.T
-    half = _psd_sqrt(w)
-    assert np.allclose(half @ half, w, atol=1e-10)
-    assert np.allclose(half, half.T, atol=1e-12)
-    with pytest.raises(ValueError, match="symmetric"):
-        _psd_sqrt(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError, match="semidefinite"):
-        _psd_sqrt(np.array([[1.0, 0.0], [0.0, -1.0]]))
-    with pytest.raises(ValueError, match="square"):
-        _psd_sqrt(np.ones((2, 3)))
-
-
 def test_gmm_linear_moments_closed_form(rng):
     # g(x) = A x - b, minimizer of g'Wg solves A'WA x = A'Wb
     a = rng.standard_normal((6, 3))
@@ -215,8 +199,8 @@ def test_gmm_linear_moments_closed_form(rng):
     w = np.diag(rng.uniform(0.5, 2.0, 6))
     expected = np.linalg.solve(a.T @ w @ a, a.T @ w @ b)
 
-    half = _psd_sqrt(w)
-    problem = GmmProblem(moments=lambda x: half @ (a @ x - b), jacobian=lambda x: half @ a)
+    half = np.sqrt(w)  # the root of a diagonal weight
+    problem = NlsProblem(residual=lambda x: half @ (a @ x - b), jacobian=lambda x: half @ a)
     res = minimize_gmm(problem, np.zeros(3))
     assert res.converged
     assert np.max(np.abs(res.params - expected)) < 1e-8
@@ -227,7 +211,7 @@ def test_gmm_linear_moments_closed_form(rng):
 def test_gmm_identity_weight_default(rng):
     a = rng.standard_normal((5, 2))
     b = rng.standard_normal(5)
-    res = minimize_gmm(GmmProblem(moments=lambda x: a @ x - b), np.zeros(2))
+    res = minimize_gmm(NlsProblem(residual=lambda x: a @ x - b, jacobian=lambda x: a), np.zeros(2))
     expected, *_ = np.linalg.lstsq(a, b, rcond=None)
     assert np.max(np.abs(res.params - expected)) < 1e-8
 
@@ -274,7 +258,7 @@ def _bounded_problems(draw):
     if draw(st.booleans()):
         lo = np.array(draw(st.lists(_coef, min_size=p, max_size=p)))
         bounds = (lo, lo + np.array(draw(st.lists(st.floats(0.0, 4.0), min_size=p, max_size=p))))
-    problem = NlsProblem(residual=residual, jacobian=jacobian if draw(st.booleans()) else None, bounds=bounds)
+    problem = NlsProblem(residual=residual, jacobian=jacobian, bounds=bounds)
     x0 = np.array(draw(st.lists(_coef, min_size=p, max_size=p)))
     return problem, x0
 
@@ -320,4 +304,3 @@ def test_finite_diff_jacobian_evaluates_only_the_perturbed_points(rng):
     optim_reference.finite_diff_jacobian(lambda v: want.append(v.copy()) or a @ v, x)
     assert len(got) == 2 * x.size
     assert np.array_equal(got, want[1:])  # the reference's first call is the centre
-    assert optim.finite_diff_jacobian(lambda v: a[:, :0] @ v, np.zeros(0)).shape == (3, 0)

@@ -15,7 +15,7 @@ import pytest
 from sieve_reference import former_step2_fit, former_step2_problem, former_step3_fit, former_step3_problem
 
 from prodsys import sieve, translog
-from prodsys.optim import GmmProblem, NlsProblem
+from prodsys.optim import NlsProblem
 from prodsys.panel import PanelDataset
 from prodsys.simulate import benchmark_config, generate_panel
 
@@ -104,10 +104,9 @@ def test_a_jacobian_is_never_served_a_stale_point(fitted, monkeypatch, step, deg
     problem, starts = _captured(monkeypatch, step, ds, step1, step2, basis)
     if step == 2:
         former, _ = former_step2_problem(ds, step1, basis, OPTIONS)
-        residual, jacobian, former_residual = problem.moments, problem.jacobian, former.moments
     else:
         former, _ = former_step3_problem(ds, step1, step2, basis, OPTIONS)
-        residual, jacobian, former_residual = problem.residual, problem.jacobian, former.residual
+    residual, jacobian, former_residual = problem.residual, problem.jacobian, former.residual
 
     x1 = starts[0]
     others = [x1.copy() for _ in range(3)]
@@ -148,8 +147,8 @@ def test_a_series_fit_evaluates_its_basis_once_per_point_and_never_in_a_jacobian
     monkeypatch.setattr(sieve.SieveBasis, "evaluate", counted)
     if step == 2:
         real = sieve.minimize_gmm
-        monkeypatch.setattr(sieve, "minimize_gmm", lambda problem, x0, **kw: real(GmmProblem(
-            traced("residual", problem.moments), traced("jacobian", problem.jacobian), problem.bounds), x0, **kw))
+        monkeypatch.setattr(sieve, "minimize_gmm", lambda problem, x0, **kw: real(NlsProblem(
+            traced("residual", problem.residual), traced("jacobian", problem.jacobian), problem.bounds), x0, **kw))
         sieve.sieve_step2_gmm(ds, step1, basis, OPTIONS)
     else:
         real = sieve.minimize_nls

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from system_reference import reference_system_fit, system_vector
+from system_reference import eigen_minimum, reference_system_fit, system_problem, system_vector
 
 from prodsys import translog
 from prodsys.moments import phi_law_coef
@@ -30,11 +30,20 @@ def _with_controls(ds, rng):
     )
 
 
+def _with_one_z(ds, rng):
+    return PanelDataset(
+        firm_ids=ds.labels, years=ds.year, y=ds.y, k=ds.k, l=ds.l, m=ds.m, s_l=ds.s_l, ln_r=ds.ln_r,
+        z=rng.standard_normal((ds.n_obs, 1)), ln_price_l=ds.ln_price_l, ln_price_m=ds.ln_price_m,
+    )
+
+
 def _panel(name):
-    """The plain and controls panels of ``test_system_residual.py``, or a benchmark panel ``(n, seed, markup)``."""
-    if name in ("plain", "controls"):
+    """The plain and controls panels of ``test_system_residual.py``, plain with one ``z``, or a benchmark panel ``(n, seed, markup)``."""
+    if name in ("plain", "controls", "one_z"):
         ds, _ = generate_panel(benchmark_config(n=400, seed=201), seed=201)
-        return _with_controls(ds, np.random.default_rng(5)) if name == "controls" else ds
+        if name == "plain":
+            return ds
+        return (_with_controls if name == "controls" else _with_one_z)(ds, np.random.default_rng(5))
     n, seed, markup = name
     return generate_panel(benchmark_config(n=n, seed=seed, markup=markup))[0]
 
@@ -146,6 +155,98 @@ def test_no_ratio_minimum_on_a_panels_scan_needs_the_eigensolver(monkeypatch, be
 
     monkeypatch.setattr(translog, "_eigen_minimum", refused)
     estimate(bench[0])
+
+
+def _steps_and_profile(ds, options):
+    """Steps one to three on ``ds`` and the joint profile ``system_refine`` scans."""
+    step1 = translog.step1_cost_share(ds)
+    step2 = translog.step2_gmm(ds, step1, options)
+    step3 = translog.step3_nls(ds, step1, step2, options)
+    proj_r, gram_e, gram_r, _ = translog._system_cross_products(ds, step2, options, [])
+    return (step1, step2, step3), translog._system_profile(step2.whitened_qe, gram_e, proj_r, gram_r, step1.delta_lm)
+
+
+def test_a_profile_start_solves_its_uncertified_minima_together(monkeypatch):
+    # with one z column Dinkelbach leaves about 2 400 of the phi faces' 3 600
+    # ratio minima per scan uncertified; solved one eigenproblem at a time they
+    # took an estimate on this panel from about 6 to about 70 ms
+    _, profile = _steps_and_profile(_panel("one_z"), EstimateOptions())
+    calls = {"_ratio_minimum": 0, "_eigen_minimum": 0}
+
+    def counted(name):
+        real = getattr(translog, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(translog, name, counted(name))
+    translog._profile_start(profile)
+    assert 1 <= calls["_eigen_minimum"] <= calls["_ratio_minimum"], calls
+
+
+def _assert_eigen_minima(got, args, members):
+    """``got`` of ``_eigen_minimum(*args)`` is the per-member solve of ``system_reference`` on ``members``, to 1e-10."""
+    num, den, ratio, v = args
+    want = [eigen_minimum(num[:, :, g], den[:, :, g], ratio[g], v[:, g]) for g in members]
+    want_ratio, want_v = np.array([w[0] for w in want]), np.array([w[1] for w in want]).T
+    got_ratio, got_v = got[0][members], got[1][:, members]
+    assert np.all(np.abs(got_ratio - want_ratio) <= 1e-10 * np.abs(want_ratio))
+    assert np.all(np.abs(got_v - want_v) <= 1e-10 * np.maximum(np.abs(want_v), 1.0))
+
+
+def test_the_batched_eigensolve_is_the_per_member_solve_on_a_panels_scan(monkeypatch):
+    seen = []
+    real = translog._eigen_minimum
+    monkeypatch.setattr(translog, "_eigen_minimum", lambda *args: seen.append((args, real(*args))) or seen[-1][1])
+    _, profile = _steps_and_profile(_panel("one_z"), EstimateOptions())
+    translog._profile_start(profile)
+    assert sum(args[0].shape[2] for args, _ in seen) > 1000
+    for args, got in seen:
+        _assert_eigen_minima(got, args, np.arange(args[0].shape[2]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), k=st.integers(2, 5))
+def test_the_batched_eigensolve_keeps_a_member_whose_den_is_not_definite(data, k):
+    num = np.stack([data.draw(_pencil(k)) for _ in range(3)], axis=-1)
+    den = np.stack([data.draw(_pencil(k)) for _ in range(3)], axis=-1)
+    den[0, 0, 1] -= np.trace(den[:, :, 1]) + 1.0  # e0' den e0 < 0: indefinite
+    for g in (0, 2):
+        root = np.linalg.inv(np.linalg.cholesky(den[:, :, g]))
+        values, vectors = np.linalg.eigh(root @ num[:, :, g] @ root.T)
+        vector = root.T @ vectors[:, 0]
+        # a repeated smallest eigenvalue has no one eigenvector to compare
+        assume(values[1] - values[0] >= 1e-3 * values[1])
+        assume(abs(vector[0]) >= 0.05 * np.linalg.norm(vector))
+    ratio, v = np.full(3, 7.0), np.ones((k, 3))
+    got = translog._eigen_minimum(num, den, ratio, v)
+    assert got[0][1] == 7.0 and np.all(got[1][:, 1] == 1.0)
+    _assert_eigen_minima(got, (num, den, ratio, v), np.arange(3))
+
+
+def test_the_profile_blocks_at_an_exact_fit_are_the_joint_objectives(noiseless):
+    # without noise the omega block's residual deviation is ~eps at the
+    # sequential point, and its monomial-expanded square cancelled below zero:
+    # the block read -2e-7.  The profile floors it at _SCALE_FLOOR**2, as the
+    # joint residual floors the deviation at _SCALE_FLOOR
+    ds, options = noiseless[0], EstimateOptions()
+    (step1, step2, step3), profile = _steps_and_profile(ds, options)
+    beta_0 = np.array([step2.beta_0])
+    (phi_crit, *_), _ = profile(beta_0, np.array([step2.rho_phi_1]))
+    _, (omega_crit, *_) = profile(beta_0, np.array([step3.rho_omega_1]))
+    sequential = np.concatenate((
+        [step2.beta_0, step2.beta_l, step2.rho_phi_1], step2.rho_phi_2,
+        [step3.beta_k, step3.beta_kk, step3.rho_omega_0, step3.rho_omega_1], step3.rho_omega_2,
+    ))
+    r = system_problem(ds, step1, step2, step3, options).residual(sequential)
+    n_e = step2.whitened_qe.shape[0]
+    assert 0.0 <= phi_crit[0] <= r[:n_e] @ r[:n_e] + 1e-12
+    # both omega values are roundoff over the floor's square here (about
+    # 1e-24 / 1e-16), so they agree only to a few digits
+    assert omega_crit[0] >= 0.0 and omega_crit[0] == pytest.approx(r[n_e:] @ r[n_e:], rel=1e-3)
 
 
 def test_a_noiseless_panel_reaches_the_truth(noiseless):

@@ -428,6 +428,27 @@ def test_a_modifier_equal_to_capital_is_whitened_by_the_pseudo_inverse_in_both_b
     assert np.all(np.isfinite(np.r_[est.laws.rho_phi_1, est.laws.rho_phi_2, est.laws.rho_omega_0, est.laws.rho_omega_1]))
 
 
+@pytest.mark.parametrize("refine", ["none", "system"])
+def test_a_modifier_equal_to_capital_is_flagged_among_step_threes_regressors(refine):
+    # x = k makes x_lag a copy of k_lag among step three's regressors; under
+    # refine="none" the estimate reported beta_k 0.62 against a truth of 0.2,
+    # converged, with no step-three warning
+    ds, _ = generate_panel(benchmark_config(n=400, seed=201), seed=201)
+    dup = PanelDataset(firm_ids=ds.labels, years=ds.year, y=ds.y, k=ds.k, l=ds.l, m=ds.m, s_l=ds.s_l, ln_r=ds.ln_r,
+                       x=ds.k[:, None], ln_price_l=ds.ln_price_l, ln_price_m=ds.ln_price_m)
+    est = estimate(dup, EstimateOptions(refine=refine))
+    prefix = "step 3: omega-law regressor Gram matrix ill-conditioned (cond="
+    assert sum(w.startswith(prefix) for w in est.warnings) == 1, est.warnings
+
+
+@pytest.mark.parametrize("fixture", ["bench", "small_panel", "noiseless"])
+def test_step_three_does_not_flag_ordinary_panels_or_an_exact_fit(request, fixture):
+    # at the exact fit y* is a combination of the regressors, so D'D is
+    # singular; the check leaves y* out and reads the regressors alone
+    est = estimate(request.getfixturevalue(fixture)[0])
+    assert not any("regressor Gram" in w for w in est.warnings), est.warnings
+
+
 def test_system_refine_refuses_a_step_two_record_of_another_instrument_set(bench):
     ds, _, _ = bench
     exact = EstimateOptions(instruments="exactly_identified")
