@@ -123,8 +123,10 @@ def phi_innovation_jacobian(params, law, delta_lm: float, ml_cur, ml_prev, sl_cu
     _, u, basis = point or phi_law_point(params, law, delta_lm, ml_cur, ml_prev, sl_cur, sl_prev, z_prev)
     dr = law.evaluate_deriv(u, 0) @ coef
     d_beta0 = (-beta_l * (1.0 - dr) + delta_lm * (sl_cur - dr * sl_prev)) / beta_0**2
-    d_betal = np.broadcast_to((1.0 - dr) / beta_0, d_beta0.shape)
-    return _columns(d_beta0, d_betal, -basis)
+    out = np.empty((basis.shape[0], 2 + basis.shape[1]))
+    out[:, 0], out[:, 1] = d_beta0, (1.0 - dr) / beta_0
+    np.negative(basis, out=out[:, 2:])
+    return out
 
 
 def flexible_output(beta_0: float, beta_l: float, beta_m: float, m, l, phi):
@@ -159,7 +161,10 @@ def omega_residual_jacobian(params, law, y_cur, cap_cur, cap_prev, mstar_prev, x
     """Derivative of :func:`omega_residual` in each parameter."""
     _, u, basis = point or omega_law_point(params, law, y_cur, cap_cur, cap_prev, mstar_prev, x_prev)
     dr = law.evaluate_deriv(u, 0) @ params[2:]
-    return _columns(dr[:, None] * cap_prev - cap_cur, -basis)
+    out = np.empty((basis.shape[0], 2 + basis.shape[1]))
+    np.subtract(dr[:, None] * cap_prev, cap_cur, out=out[:, :2])
+    np.negative(basis, out=out[:, 2:])
+    return out
 
 
 def last_point(law_point, *args):

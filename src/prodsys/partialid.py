@@ -40,6 +40,9 @@ GRID_AXES = ("beta_k", "beta_kk", "beta_l", "beta_m", "beta_0")
 #: the stable opening of the warning that some bound is the grid's end
 GRID_EDGE_WARNING = "identified set reaches the grid edge"
 
+#: least rows of one block of the grid sweep's matrix product
+_SWEEP_BLOCK_ROWS = 4096
+
 # half-width floors keep the default grid wide enough to cover the truth
 # when a coordinate's (markup-biased) point estimate sits near zero
 _HALF_WIDTH_FLOOR = {
@@ -259,13 +262,29 @@ def default_grid(params: TranslogParams) -> dict:
     return grid
 
 
+def _sweep_blocks(n_slices: int, slice_rows: int) -> list[tuple[int, int]]:
+    """``(lo, hi)`` ranges of ``beta_k`` slices, each block at least :data:`_SWEEP_BLOCK_ROWS` rows.
+
+    A grid with fewer rows is one block.  A short tail joins the block
+    before it, so no block has exactly one row unless the grid has: a
+    one-row product takes numpy's vector path, whose bits differ.
+    """
+    step = -(-_SWEEP_BLOCK_ROWS // slice_rows)
+    edges = [*range(0, n_slices, step), n_slices]
+    if len(edges) > 2 and (edges[-1] - edges[-2]) * slice_rows < _SWEEP_BLOCK_ROWS:
+        del edges[-2]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def identified_set(dataset: PanelDataset, config: MomentInequalityConfig) -> IdentifiedSet:
     """Evaluate every grid candidate against every cutoff inequality.
 
     The statistic is affine in the candidate loadings, so the data enter
     only through one scalar and one feature-moment vector per cutoff;
     the grid sweep is a matrix product and its result does not depend on
-    evaluation order.  An empty feasible set is a valid outcome and is
+    evaluation order.  The product runs in blocks of whole ``beta_k``
+    slices (:func:`_sweep_blocks`), so the sweep's memory is its outputs
+    and one block.  An empty feasible set is a valid outcome and is
     flagged, not raised.
     """
     config.validate()
@@ -298,8 +317,14 @@ def identified_set(dataset: PanelDataset, config: MomentInequalityConfig) -> Ide
     shape = tuple(axis.size for axis in axes)
     open_axes = np.ix_(*axes)
     candidates = np.stack(np.broadcast_arrays(*open_axes)).reshape(5, -1).T
-    loadings = _candidate_loadings(*open_axes).reshape(-1, 5)
-    statistics = a_terms[None, :] - loadings @ b_terms.T
+    # statistics are written in place, a block of whole beta_k slices at a
+    # time, so neither the (N, 5) loadings nor the (N, cutoffs) product exists
+    statistics = np.empty((candidates.shape[0], len(cutoffs)))
+    slice_rows = statistics.shape[0] // shape[0]
+    for lo, hi in _sweep_blocks(shape[0], slice_rows):
+        rows = statistics[lo * slice_rows:hi * slice_rows]
+        np.matmul(_candidate_loadings(open_axes[0][lo:hi], *open_axes[1:]).reshape(-1, 5), b_terms.T, out=rows)
+        np.subtract(a_terms, rows, out=rows)
 
     slack = config.slack
     if slack is None:

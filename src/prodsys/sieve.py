@@ -107,6 +107,8 @@ class SieveBasis:
             raise ValueError(f"centers and scales must hold one value per input ({self.dim})")
         if not np.all(np.isfinite(self.scales) & (self.scales > 0)):
             raise ValueError("scales must be finite and positive")
+        # the last power table and its key, the bytes of u, centers, scales and exponents: not a field
+        self._powers = (None, None)
 
     @property
     def n_terms(self) -> int:
@@ -126,20 +128,26 @@ class SieveBasis:
 
         The powers come from a per-input table of repeated products: numpy's
         ``**`` with an array exponent is an order of magnitude slower, and not
-        correctly rounded on every CPU.  Terms multiply the rows :func:`_product_plan` lists, left to right.
+        correctly rounded on every CPU.  The basis keeps the last table, so a
+        Jacobian's ``evaluate_deriv(u, 0)`` reads the one its residual's
+        ``evaluate(u)`` built.  Terms multiply the rows :func:`_product_plan` lists, left to right.
         """
         u = np.atleast_2d(np.asarray(u, dtype=float))
         if u.shape[1] != self.dim:
             raise ValueError(f"expected {self.dim} input columns, got {u.shape[1]}")
         expo = self.exponents
         scale = None if coord is None else float(self.scales[coord])
-        n_powers, terms, factor = _product_plan(expo.tobytes(), expo.shape, expo.dtype.str, coord, scale)
-        z = ((u - self.centers) / self.scales).T
-        table = np.empty((self.dim, n_powers, z.shape[1]))
-        table[:, 0] = 1.0
-        for p in range(1, n_powers):
-            np.multiply(table[:, p - 1], z, out=table[:, p])
-        out = np.empty((z.shape[1], len(terms)))
+        terms, factor = _product_plan(expo.tobytes(), expo.shape, expo.dtype.str, coord, scale)
+        key = (u.tobytes(), self.centers.tobytes(), self.scales.tobytes(), expo.tobytes())
+        last, table = self._powers
+        if key != last:
+            z = ((u - self.centers) / self.scales).T
+            table = np.empty((self.dim, int(expo.max(initial=0)) + 1, z.shape[1]))
+            table[:, 0] = 1.0
+            for p in range(1, table.shape[1]):
+                np.multiply(table[:, p - 1], z, out=table[:, p])
+            self._powers = key, table
+        out = np.empty((u.shape[0], len(terms)))
         for col, (first, *rest) in zip(out.T, terms):
             if not rest:
                 col[...] = table[first]
@@ -169,7 +177,7 @@ class SieveBasis:
 
 @functools.lru_cache(maxsize=64)
 def _product_plan(data: bytes, shape: tuple, dtype: str, coord: int | None, scale: float | None):
-    """``(n_powers, terms, factor)`` of :meth:`SieveBasis._monomials`, keyed by the exponent table's bytes.
+    """``(terms, factor)`` of :meth:`SieveBasis._monomials`, keyed by the exponent table's bytes.
 
     A term's ``(input, power)`` rows are its inputs' powers in input order (``coord``'s lowered by one), or
     the row of ones; ``factor`` holds each former power of ``coord`` over ``scale``.
@@ -182,7 +190,7 @@ def _product_plan(data: bytes, shape: tuple, dtype: str, coord: int | None, scal
         expo = expo.copy()
         expo[:, coord] = np.maximum(expo[:, coord] - 1, 0)
     terms = tuple(tuple((d, e) for d, e in enumerate(row) if e) or ((0, 0),) for row in expo.tolist())
-    return int(expo.max(initial=0)) + 1, terms, factor
+    return terms, factor
 
 
 def build_basis(dim: int, degree: int, intercept: bool = False) -> SieveBasis:

@@ -650,6 +650,10 @@ def _beta_box(delta_lm: float):
     return (-10.0, 1e-10), (-1e-10, delta_lm * (1 - 1e-10))
 
 
+#: the LM box's bound on every law coefficient but the slopes in lagged productivity
+_COEF_BOUND = 50.0
+
+
 def _phi_law_gmm(moments, jacobian, lin: int, n_params: int, delta_lm: float):
     """GMM problem and start grid of a phi law, linear or series.
 
@@ -662,7 +666,7 @@ def _phi_law_gmm(moments, jacobian, lin: int, n_params: int, delta_lm: float):
     all, and the linear law only the first, on a panel whose slope profile
     has no minimum.  ``(beta_0, beta_l)`` lie in :func:`_beta_box`.
     """
-    lo, hi = np.full(n_params, -50.0), np.full(n_params, 50.0)
+    lo, hi = np.full(n_params, -_COEF_BOUND), np.full(n_params, _COEF_BOUND)
     lo[:2], hi[:2] = _beta_box(delta_lm)
     lo[lin], hi[lin] = -0.999999, 0.999999
     problem = NlsProblem(residual=moments, jacobian=jacobian, bounds=(lo, hi))
@@ -1082,8 +1086,9 @@ def _phi_block_profile(proj: np.ndarray, gram: np.ndarray, delta: float, box):
     ``G``'s constant column is zero, so ``c`` enters only the numerator,
     linearly: it is projected out of ``P``, and where its solution puts
     ``beta_l`` outside :func:`_beta_box` each bound of ``beta_l`` is a face
-    whose ratio is minimized the same way, over ``(1, rho_2)``.  Returns a
-    function of ``mu`` giving ``(crit, beta_l, rho_2)``.
+    whose ratio is minimized the same way, over ``(1, rho_2)``.  A solution
+    with ``|rho_2|`` past :data:`_COEF_BOUND` is outside the box too.
+    Returns a function of ``mu`` giving ``(crit, beta_l, rho_2)``.
     """
     (_, lo_l), (_, hi_l) = box
     pz = proj.shape[1] - 5
@@ -1100,14 +1105,18 @@ def _phi_block_profile(proj: np.ndarray, gram: np.ndarray, delta: float, box):
         face[2, 2, 0], face[3, 2, 0] = bound, -bound  # c(1 - rho_1) = bound (1 - rho_1)/beta_0
         faces.append(_ratio_profile(proj, gram, face))
 
+    def in_box(v):
+        """Where ``rho_2 = v[1:]`` is inside the box: no work without a ``z`` column."""
+        return np.all(np.abs(v[1:]) <= _COEF_BOUND, axis=0) if pz else True
+
     def at(mu):
         crit, v = free(mu)
         beta_l = np.einsum("mg,mk,kg->g", mu, share, v) / (1.0 - mu[1]) / mu[2]
-        ok = np.isfinite(crit) & (beta_l >= lo_l) & (beta_l <= hi_l)
+        ok = np.isfinite(crit) & (beta_l >= lo_l) & (beta_l <= hi_l) & in_box(v)
         crit = np.where(ok, crit, np.inf)
         for bound, face in zip((lo_l, hi_l), faces):
             face_crit, face_v = face(mu)
-            better = ~ok & (face_crit < crit)
+            better = ~ok & (face_crit < crit) & in_box(face_v)
             crit, beta_l, v = np.where(better, face_crit, crit), np.where(better, bound, beta_l), np.where(better, face_v, v)
         return crit, beta_l, v[1:]
 
@@ -1325,8 +1334,9 @@ def system_refine(
         return jac
 
     box = _beta_box(delta)
-    lo = np.concatenate((box[0], [-0.999999], np.full(pz, -50.0), [-5.0, -5.0, -50.0, -0.999999], np.full(px, -50.0)))
-    hi = np.concatenate((box[1], [0.999999], np.full(pz, 50.0), [5.0, 5.0, 50.0, 0.999999], np.full(px, 50.0)))
+    bound = _COEF_BOUND
+    lo = np.concatenate((box[0], [-0.999999], np.full(pz, -bound), [-5.0, -5.0, -bound, -0.999999], np.full(px, -bound)))
+    hi = np.concatenate((box[1], [0.999999], np.full(pz, bound), [5.0, 5.0, bound, 0.999999], np.full(px, bound)))
     problem = NlsProblem(residual=residual, jacobian=jacobian, bounds=(lo, hi))
     start = _profile_start(_system_profile(proj_e, gram_e, proj_r, gram_r, delta))
     result = minimize_nls(problem, np.clip(start, lo + 1e-9, hi - 1e-9),

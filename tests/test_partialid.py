@@ -1,6 +1,7 @@
 """Moment-inequality bounds: IPW statistic, propensity fit, grid sweep."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import partialid_reference
@@ -308,9 +309,22 @@ def _grids(draw):
     return grid, slack
 
 
+# 11 points per axis: 161 051 candidates, swept in eleven blocks of one beta_k slice each
+GRID_11 = {name: np.linspace(axis[0], axis[-1], 11) for name, axis in SMALL_GRID.items()}
+# one point per axis, so a beta_k slice is one row
+POINT_GRID = {name: axis[:1] for name, axis in SMALL_GRID.items()}
+
+
 @settings(max_examples=60, deadline=None)
 @given(_grids(), st.sampled_from([(0.25, 0.5, 0.75), (0.4,), (0.3, 0.7)]))
 @example((dict(SMALL_GRID, beta_m=np.array([2.0, 1.5])), 0.0), (0.25, 0.5, 0.75))  # the empty set
+@example((GRID_11, None), (0.4,))
+@example((GRID_11, 0.05), (0.3, 0.7))
+@example((GRID_11, None), (0.25, 0.5, 0.75))
+# a block per beta_k value would make two one-row products here, whose bits differ from one two-row product
+@example((dict(POINT_GRID, beta_k=SMALL_GRID["beta_k"]), None), (0.25, 0.5, 0.75))
+# blocks of 4 096 rows would leave a one-row tail here
+@example((dict(POINT_GRID, beta_k=np.linspace(0.3, 0.1, 4097)), None), (0.25, 0.5, 0.75))
 def test_identified_set_equals_the_reference_sweep(small_panel, case, cutoffs):
     ds, _, _ = small_panel
     grid, slack = case
@@ -326,3 +340,19 @@ def test_identified_set_equals_the_reference_sweep(small_panel, case, cutoffs):
             assert all(np.array_equal(a[name], b[name], equal_nan=True) for name in a)
         else:
             assert a == b, field.name
+
+
+def test_the_sweep_holds_its_outputs_and_one_block(small_panel):
+    # the statistics are written in place a block at a time: neither the
+    # (N, 5) loadings nor the (N, cutoffs) product is formed, which took the
+    # peak to twice the outputs
+    ds, _, _ = small_panel
+    identified_set(ds, MomentInequalityConfig(grid=SMALL_GRID))  # the first call's imports are not the sweep's
+    tracemalloc.start()
+    try:
+        res = identified_set(ds, MomentInequalityConfig(grid=GRID_11))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = res.candidates.nbytes + res.statistics.nbytes + res.feasible.nbytes
+    assert peak <= 1.15 * outputs, peak / outputs

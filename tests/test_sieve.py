@@ -59,6 +59,27 @@ def test_basis_affine_map_round_trip(rng):
     assert np.allclose(mapped.evaluate(u), direct, atol=1e-14)
 
 
+def test_basis_reuses_its_power_table_only_for_the_same_inputs_map_and_exponents(rng):
+    # a Jacobian's evaluate_deriv(u, 0) reads the table its residual's
+    # evaluate(u) built; new bytes in u, the map or the exponents build it again
+    basis = dataclasses.replace(
+        build_basis(2, 3, intercept=True), centers=np.array([0.5, -1.0]), scales=np.array([2.0, 0.5]))
+    u = rng.uniform(-2, 2, (30, 2))
+
+    def same_as_fresh(coord=None):
+        fresh = dataclasses.replace(basis)
+        got, want = (b.evaluate(u) if coord is None else b.evaluate_deriv(u, coord) for b in (basis, fresh))
+        return got.tobytes() == want.tobytes()
+
+    assert same_as_fresh(0) and same_as_fresh() and same_as_fresh(0) and same_as_fresh(1)
+    u[3, 1] += 1.0
+    assert same_as_fresh(0) and same_as_fresh()
+    basis.centers[0] = 0.25
+    assert same_as_fresh()
+    basis.exponents[-1] = [0, 5]  # a power above every one the table holds
+    assert same_as_fresh(1) and same_as_fresh()
+
+
 def test_basis_derivative_refuses_wrong_columns_and_coord():
     basis = build_basis(2, 2)
     u = np.array([[2.0, 3.0]])

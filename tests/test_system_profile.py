@@ -261,3 +261,31 @@ def test_a_noiseless_panel_reaches_the_truth(noiseless):
     want = [truth.params.beta_0, truth.params.beta_l, truth.params.beta_k, truth.params.beta_kk]
     assert np.allclose(got, want, rtol=0, atol=1e-6)
     assert not any(w.startswith("system:") for w in est.warnings)
+
+
+def _phi_scan(profile):
+    """The phi block's ``(crit, rho_2)`` over the whole joint scan, one row per ``beta_0``."""
+    n_b, n_s = translog._PROFILE_BETA_0.size, translog._PROFILE_SLOPES.size
+    (crit, _, rho_2), _ = profile(np.repeat(translog._PROFILE_BETA_0, n_s), np.tile(translog._PROFILE_SLOPES, n_b))
+    return crit.reshape(n_b, n_s), rho_2.reshape(-1, n_b, n_s)
+
+
+def test_the_phi_faces_hold_rho_2_to_the_box(monkeypatch):
+    # the joint polish boxes rho_phi_2 at _COEF_BOUND; without the check 16
+    # face points of this scan sit at |rho_phi_2| of 50.2-57.1, none a row
+    # minimum, so a start drawn from the scan stays where it was
+    _, profile = _steps_and_profile(_panel("one_z"), EstimateOptions())
+    crit, rho_2 = _phi_scan(profile)
+    monkeypatch.setattr(translog, "_COEF_BOUND", np.inf)
+    free_crit, free_rho_2 = _phi_scan(profile)
+    past = np.isfinite(free_crit) & np.any(np.abs(free_rho_2) > 50.0, axis=0)
+    assert np.count_nonzero(past) == 16
+    assert np.all(np.abs(rho_2[:, np.isfinite(crit)]) <= 50.0)
+    assert np.all(np.isinf(crit[past])) and np.array_equal(crit[~past], free_crit[~past])
+    assert np.array_equal(np.argmin(crit, axis=1), np.argmin(free_crit, axis=1))
+    assert np.array_equal(np.min(crit, axis=1), np.min(free_crit, axis=1))
+    # a bound that binds on interior points too holds every finite point to it
+    bound = float(np.median(np.abs(free_rho_2[:, np.isfinite(free_crit)])))
+    monkeypatch.setattr(translog, "_COEF_BOUND", bound)
+    crit, rho_2 = _phi_scan(profile)
+    assert np.count_nonzero(np.isfinite(crit)) > 0 and np.all(np.abs(rho_2[:, np.isfinite(crit)]) <= bound)
