@@ -33,7 +33,6 @@ from .partialid import (
     default_grid,
     estimate_propensity,
     identified_set,
-    moment_statistic,
 )
 from .diagnostics import (
     AggregateProductivity,
@@ -84,7 +83,6 @@ __all__ = [
     "default_grid",
     "estimate_propensity",
     "identified_set",
-    "moment_statistic",
     "AggregateProductivity",
     "ElasticityRecord",
     "McStudyReport",

@@ -122,10 +122,18 @@ def phi_innovation_jacobian(params, law, delta_lm: float, ml_cur, ml_prev, sl_cu
     beta_0, beta_l, coef = params[0], params[1], params[2:]
     _, u, basis = point or phi_law_point(params, law, delta_lm, ml_cur, ml_prev, sl_cur, sl_prev, z_prev)
     dr = law.evaluate_deriv(u, 0) @ coef
-    d_beta0 = (-beta_l * (1.0 - dr) + delta_lm * (sl_cur - dr * sl_prev)) / beta_0**2
+    one_less_dr = 1.0 - dr
+    out = _negated_basis(basis)
+    np.divide(-beta_l * one_less_dr + delta_lm * (sl_cur - dr * sl_prev), beta_0**2, out=out[:, 0])
+    np.divide(one_less_dr, beta_0, out=out[:, 1])
+    return out
+
+
+def _negated_basis(basis) -> np.ndarray:
+    """A C-order ``(n, 2 + terms)`` Jacobian with ``-basis`` in its last columns, written a column per ufunc."""
     out = np.empty((basis.shape[0], 2 + basis.shape[1]))
-    out[:, 0], out[:, 1] = d_beta0, (1.0 - dr) / beta_0
-    np.negative(basis, out=out[:, 2:])
+    for col, term in zip(out.T[2:], basis.T):
+        np.negative(term, out=col)
     return out
 
 
@@ -161,9 +169,9 @@ def omega_residual_jacobian(params, law, y_cur, cap_cur, cap_prev, mstar_prev, x
     """Derivative of :func:`omega_residual` in each parameter."""
     _, u, basis = point or omega_law_point(params, law, y_cur, cap_cur, cap_prev, mstar_prev, x_prev)
     dr = law.evaluate_deriv(u, 0) @ params[2:]
-    out = np.empty((basis.shape[0], 2 + basis.shape[1]))
-    np.subtract(dr[:, None] * cap_prev, cap_cur, out=out[:, :2])
-    np.negative(basis, out=out[:, 2:])
+    out = _negated_basis(basis)
+    for col, prev, cur in zip(out.T[:2], cap_prev.T, cap_cur.T):
+        np.subtract(np.multiply(dr, prev, out=col), cur, out=col)
     return out
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "IdentifiedSet",
     "cutoff_values",
     "estimate_propensity",
-    "moment_statistic",
     "default_grid",
     "identified_set",
 ]
@@ -218,24 +217,6 @@ def _signed_weights(dataset: PanelDataset, cutoff: float, scores: np.ndarray) ->
     return np.where(high, 1.0 / scores, -1.0 / (1.0 - scores))
 
 
-def moment_statistic(dataset: PanelDataset, beta, cutoff: float, scores: np.ndarray) -> float:
-    """IPW mean difference of (y - ybar) between high- and low-materials firms.
-
-    ``beta`` is (beta_k, beta_kk, beta_l, beta_m, beta_0).  Nonnegative
-    at the true coefficients when material demand rises with both
-    productivities.
-    """
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (5,):
-        raise ValueError("candidate must be (beta_k, beta_kk, beta_l, beta_m, beta_0)")
-    if beta[4] == 0.0:
-        raise ValueError("candidate beta_0 must be nonzero")
-    cur = dataset.lag_pairs().cur
-    resid = dataset.y[cur] - _features(dataset) @ _candidate_loadings(*beta)
-    w = _signed_weights(dataset, cutoff, scores)
-    return float(np.mean(resid * w))
-
-
 def default_grid(params: TranslogParams) -> dict:
     """Candidate ranges of 11 points bracketing a point estimate by 50% per coordinate.
 
@@ -324,7 +305,8 @@ def identified_set(dataset: PanelDataset, config: MomentInequalityConfig) -> Ide
     for lo, hi in _sweep_blocks(shape[0], slice_rows):
         rows = statistics[lo * slice_rows:hi * slice_rows]
         np.matmul(_candidate_loadings(open_axes[0][lo:hi], *open_axes[1:]).reshape(-1, 5), b_terms.T, out=rows)
-        np.subtract(a_terms, rows, out=rows)
+        for a, column in zip(a_terms, rows.T):  # a pass over all of rows loops over the few cutoffs
+            np.subtract(a, column, out=column)
 
     slack = config.slack
     if slack is None:

@@ -130,33 +130,42 @@ class SieveBasis:
         ``**`` with an array exponent is an order of magnitude slower, and not
         correctly rounded on every CPU.  The basis keeps the last table, so a
         Jacobian's ``evaluate_deriv(u, 0)`` reads the one its residual's
-        ``evaluate(u)`` built.  Terms multiply the rows :func:`_product_plan` lists, left to right.
+        ``evaluate(u)`` built.  Terms multiply the rows :func:`_product_plan` lists, left to right, then
+        their factor.  Each pass runs over one input's or one term's column, not over an ``(n, dim)`` or
+        ``(n, terms)`` array, whose inner axis is a few entries wide.
         """
         u = np.atleast_2d(np.asarray(u, dtype=float))
         if u.shape[1] != self.dim:
             raise ValueError(f"expected {self.dim} input columns, got {u.shape[1]}")
         expo = self.exponents
         scale = None if coord is None else float(self.scales[coord])
-        terms, factor = _product_plan(expo.tobytes(), expo.shape, expo.dtype.str, coord, scale)
+        terms, factors, n_powers = _product_plan(expo.tobytes(), expo.shape, expo.dtype.str, coord, scale)
         key = (u.tobytes(), self.centers.tobytes(), self.scales.tobytes(), expo.tobytes())
         last, table = self._powers
         if key != last:
-            z = ((u - self.centers) / self.scales).T
-            table = np.empty((self.dim, int(expo.max(initial=0)) + 1, z.shape[1]))
-            table[:, 0] = 1.0
-            for p in range(1, table.shape[1]):
-                np.multiply(table[:, p - 1], z, out=table[:, p])
+            table = np.empty((self.dim, n_powers, u.shape[0]))
+            for d in range(self.dim):
+                z = table[d, 0]  # row p - 1 holds the mapped input's power p
+                np.divide(np.subtract(u[:, d], self.centers[d], out=z), self.scales[d], out=z)
+                for p in range(1, n_powers):
+                    np.multiply(table[d, p - 1], z, out=table[d, p])
             self._powers = key, table
         out = np.empty((u.shape[0], len(terms)))
-        for col, (first, *rest) in zip(out.T, terms):
-            if not rest:
-                col[...] = table[first]
+        for col, rows, factor in zip(out.T, terms, factors):
+            if not rows:  # the constant
+                col[...] = 1.0 if factor is None else factor
                 continue
-            np.multiply(table[first], table[rest[0]], out=col)
-            for later in rest[1:]:
-                np.multiply(col, table[later], out=col)
-        if factor is not None:
-            out *= factor
+            first, *rest = rows
+            if rest:
+                np.multiply(table[first], table[rest[0]], out=col)
+                for later in rest[1:]:
+                    np.multiply(col, table[later], out=col)
+                if factor is not None:
+                    np.multiply(col, factor, out=col)
+            elif factor is not None:
+                np.multiply(table[first], factor, out=col)
+            else:
+                col[...] = table[first]
         return out
 
     def term_names(self, var_names) -> tuple[str, ...]:
@@ -177,20 +186,22 @@ class SieveBasis:
 
 @functools.lru_cache(maxsize=64)
 def _product_plan(data: bytes, shape: tuple, dtype: str, coord: int | None, scale: float | None):
-    """``(terms, factor)`` of :meth:`SieveBasis._monomials`, keyed by the exponent table's bytes.
+    """``(terms, factors, n_powers)`` of :meth:`SieveBasis._monomials`, keyed by the exponent table's bytes.
 
-    A term's ``(input, power)`` rows are its inputs' powers in input order (``coord``'s lowered by one), or
-    the row of ones; ``factor`` holds each former power of ``coord`` over ``scale``.
+    A term's ``(input, power - 1)`` rows index its inputs' powers in input order (``coord``'s lowered by
+    one), and the constant has none; its factor is its former power of ``coord`` over ``scale``, or
+    ``None`` for no derivative.  ``n_powers``, the power table's row count, is the largest exponent
+    and at least one: the first row is the mapped input.
     """
     expo = np.frombuffer(data, dtype=dtype).reshape(shape)
-    factor = None
+    n_powers = max(int(expo.max(initial=0)), 1)
+    factors = (None,) * shape[0]
     if coord is not None:
-        factor = expo[:, coord] / scale
-        factor.flags.writeable = False  # every call shares it
+        factors = tuple((expo[:, coord] / scale).tolist())
         expo = expo.copy()
         expo[:, coord] = np.maximum(expo[:, coord] - 1, 0)
-    terms = tuple(tuple((d, e) for d, e in enumerate(row) if e) or ((0, 0),) for row in expo.tolist())
-    return terms, factor
+    terms = tuple(tuple((d, e - 1) for d, e in enumerate(row) if e) for row in expo.tolist())
+    return terms, factors, n_powers
 
 
 def build_basis(dim: int, degree: int, intercept: bool = False) -> SieveBasis:
@@ -373,7 +384,7 @@ def sieve_step2_gmm(
         beta_l=float(beta_l),
         beta_m=float(delta - beta_l),
         coef=np.asarray(coef, dtype=float),
-        basis=basis,
+        basis=dataclasses.replace(basis),  # without the power table the fit kept
         degree=basis.degree,
         gcv=None,
         phi_hat=phi_hat,
@@ -421,7 +432,7 @@ def sieve_step3_nls(
         beta_k=float(result.params[0]),
         beta_kk=float(result.params[1]),
         coef=np.asarray(result.params[2:], dtype=float),
-        basis=basis,
+        basis=dataclasses.replace(basis),  # without the power table the fit kept
         degree=basis.degree,
         gcv=None,
         objective=result.objective,

@@ -9,7 +9,8 @@ the slack, and each bound is a min/max over the feasible candidates' rows.
 candidates and statistics bitwise equal.
 
 The function bodies are kept exactly as they were when the faster version
-replaced them.
+replaced them.  :func:`moment_statistic` is the statistic of one candidate
+at one cutoff, formed directly: the pointwise check of the sweep's rows.
 """
 
 from __future__ import annotations
@@ -45,6 +46,23 @@ def _candidate_loadings(beta_k, beta_kk, beta_l, beta_m, beta_0):
         axis=-1,
     )
 
+
+def moment_statistic(dataset: PanelDataset, beta, cutoff: float, scores: np.ndarray) -> float:
+    """IPW mean difference of (y - ybar) between high- and low-materials firms.
+
+    ``beta`` is (beta_k, beta_kk, beta_l, beta_m, beta_0).  Nonnegative
+    at the true coefficients when material demand rises with both
+    productivities.
+    """
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (5,):
+        raise ValueError("candidate must be (beta_k, beta_kk, beta_l, beta_m, beta_0)")
+    if beta[4] == 0.0:
+        raise ValueError("candidate beta_0 must be nonzero")
+    cur = dataset.lag_pairs().cur
+    resid = dataset.y[cur] - _features(dataset) @ _candidate_loadings(*beta)
+    w = _signed_weights(dataset, cutoff, scores)
+    return float(np.mean(resid * w))
 
 
 def identified_set(dataset: PanelDataset, config: MomentInequalityConfig) -> IdentifiedSet:

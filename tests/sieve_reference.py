@@ -8,6 +8,10 @@ evaluates the basis itself.  :func:`former_step2_problem` and
 :func:`former_step3_problem` build those optimizer problems and their starts;
 :func:`former_step2_fit` and :func:`former_step3_fit` solve them as the fits
 do.  They are the oracle of the shared point: the same bits, fit by fit.
+
+:func:`former_monomials` and the ``former_`` law points, residuals and
+Jacobians after them are frozen copies of the series arithmetic itself, the
+oracle of its bits (``test_sieve.py``).
 """
 
 from __future__ import annotations
@@ -71,3 +75,105 @@ def former_step3_fit(dataset, step1, step2, basis, options):
     """The optimizer's result of the step-three series NLS."""
     problem, starts = former_step3_problem(dataset, step1, step2, basis, options)
     return minimize_nls(problem, starts[0], starts=starts[1:], grad_tol=options.grad_tol, max_iter=options.max_iter)
+
+
+# -- the series layer's arithmetic, frozen ---------------------------------------
+#
+# Copies of ``SieveBasis._monomials``, of the law points and of both series
+# residuals and Jacobians as they were when the term columns and Jacobian
+# columns were written as whole (n, k) arrays: each derivative's factor by
+# ``out *= factor``, the basis block of a Jacobian by one ``np.negative``.
+# They call nothing in ``prodsys``, so a change of the live code's bits shows
+# against them.
+
+
+def _former_columns(*blocks):
+    cols = [col for block in blocks for col in (block.T if np.ndim(block) == 2 else [block])]
+    if len(cols) == 1:
+        return cols[0][:, None]
+    return np.column_stack(cols)
+
+
+def _former_phi_proxy(m_minus_l, s_l, beta_0, beta_l, delta_lm):
+    return np.asarray(m_minus_l, dtype=float) + beta_l / beta_0 - (delta_lm / beta_0) * np.asarray(s_l, dtype=float)
+
+
+def former_monomials(basis, u, coord=None):
+    """``basis.evaluate(u)``, or ``basis.evaluate_deriv(u, coord)``, as a fresh power table and product plan."""
+    u = np.atleast_2d(np.asarray(u, dtype=float))
+    expo = basis.exponents
+    factor = None
+    if coord is not None:
+        factor = expo[:, coord] / float(basis.scales[coord])
+        expo = expo.copy()
+        expo[:, coord] = np.maximum(expo[:, coord] - 1, 0)
+    terms = tuple(tuple((d, e) for d, e in enumerate(row) if e) or ((0, 0),) for row in expo.tolist())
+    z = ((u - basis.centers) / basis.scales).T
+    table = np.empty((basis.dim, int(basis.exponents.max(initial=0)) + 1, z.shape[1]))
+    table[:, 0] = 1.0
+    for p in range(1, table.shape[1]):
+        np.multiply(table[:, p - 1], z, out=table[:, p])
+    out = np.empty((u.shape[0], len(terms)))
+    for col, (first, *rest) in zip(out.T, terms):
+        if not rest:
+            col[...] = table[first]
+            continue
+        np.multiply(table[first], table[rest[0]], out=col)
+        for later in rest[1:]:
+            np.multiply(col, table[later], out=col)
+    if factor is not None:
+        out *= factor
+    return out
+
+
+class FormerLaw:
+    """A law object whose basis is :func:`former_monomials` of ``basis``."""
+
+    def __init__(self, basis):
+        self.basis = basis
+
+    def evaluate(self, u):
+        return former_monomials(self.basis, u)
+
+    def evaluate_deriv(self, u, coord):
+        return former_monomials(self.basis, u, coord)
+
+
+def former_phi_law_point(params, law, delta_lm, ml_cur, ml_prev, sl_cur, sl_prev, z_prev):
+    u = _former_columns(_former_phi_proxy(ml_prev, sl_prev, params[0], params[1], delta_lm), z_prev)
+    return _former_phi_proxy(ml_cur, sl_cur, params[0], params[1], delta_lm), u, law.evaluate(u)
+
+
+def former_phi_innovation(params, law, delta_lm, ml_cur, ml_prev, sl_cur, sl_prev, z_prev):
+    phi_cur, _, basis = former_phi_law_point(params, law, delta_lm, ml_cur, ml_prev, sl_cur, sl_prev, z_prev)
+    return phi_cur - np.dot(basis, params[2:])
+
+
+def former_phi_innovation_jacobian(params, law, delta_lm, ml_cur, ml_prev, sl_cur, sl_prev, z_prev):
+    beta_0, beta_l, coef = params[0], params[1], params[2:]
+    _, u, basis = former_phi_law_point(params, law, delta_lm, ml_cur, ml_prev, sl_cur, sl_prev, z_prev)
+    dr = law.evaluate_deriv(u, 0) @ coef
+    d_beta0 = (-beta_l * (1.0 - dr) + delta_lm * (sl_cur - dr * sl_prev)) / beta_0**2
+    out = np.empty((basis.shape[0], 2 + basis.shape[1]))
+    out[:, 0], out[:, 1] = d_beta0, (1.0 - dr) / beta_0
+    np.negative(basis, out=out[:, 2:])
+    return out
+
+
+def former_omega_law_point(params, law, y_cur, cap_cur, cap_prev, mstar_prev, x_prev):
+    u = _former_columns(mstar_prev - cap_prev @ params[:2], x_prev)
+    return y_cur - cap_cur @ params[:2], u, law.evaluate(u)
+
+
+def former_omega_residual(params, law, y_cur, cap_cur, cap_prev, mstar_prev, x_prev):
+    target, _, basis = former_omega_law_point(params, law, y_cur, cap_cur, cap_prev, mstar_prev, x_prev)
+    return target - np.dot(basis, params[2:])
+
+
+def former_omega_residual_jacobian(params, law, y_cur, cap_cur, cap_prev, mstar_prev, x_prev):
+    _, u, basis = former_omega_law_point(params, law, y_cur, cap_cur, cap_prev, mstar_prev, x_prev)
+    dr = law.evaluate_deriv(u, 0) @ params[2:]
+    out = np.empty((basis.shape[0], 2 + basis.shape[1]))
+    np.subtract(dr[:, None] * cap_prev, cap_cur, out=out[:, :2])
+    np.negative(basis, out=out[:, 2:])
+    return out

@@ -8,6 +8,7 @@ import partialid_reference
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from partialid_reference import moment_statistic
 
 from prodsys.panel import PanelDataset
 from prodsys.partialid import (
@@ -18,7 +19,6 @@ from prodsys.partialid import (
     default_grid,
     estimate_propensity,
     identified_set,
-    moment_statistic,
 )
 from prodsys.simulate import benchmark_config, generate_panel
 from prodsys.translog import TranslogParams, estimate

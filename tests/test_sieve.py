@@ -7,8 +7,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sieve_reference import (
+    FormerLaw,
+    former_monomials,
+    former_omega_residual,
+    former_omega_residual_jacobian,
+    former_phi_innovation,
+    former_phi_innovation_jacobian,
+)
 
-from prodsys.moments import phi_innovation
+from prodsys.moments import (
+    capital_terms,
+    omega_residual,
+    omega_residual_jacobian,
+    phi_innovation,
+    phi_innovation_jacobian,
+)
 from prodsys.panel import PanelDataset, shares_from_logs
 from prodsys.simulate import benchmark_config, generate_panel, solve_translog_inputs
 from prodsys.sieve import (
@@ -172,6 +186,45 @@ def test_basis_matches_exact_products(case):
         np.testing.assert_allclose(basis.evaluate_deriv(u, coord), lowered, rtol=1e-13, atol=0)
 
 
+def _same_array(got, want):
+    """Equal shape, strides and bytes: the reductions downstream read the layout too."""
+    assert (got.shape, got.strides) == (want.shape, want.strides)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=mapped_bases(), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
+def test_the_series_arithmetic_keeps_its_bits(case, seed, n):
+    # the basis writes each term column in its own passes, and the Jacobians
+    # each output column with its own ufunc; the frozen copies form the same
+    # arrays as whole (n, k) blocks. The benchmark's laws have one input and
+    # degree 2 or 3: the draws reach more inputs, degree one, exponents above
+    # the degree, signed inputs and x/z control columns.
+    basis, u = case
+    _same_array(basis.evaluate(u), former_monomials(basis, u))
+    for coord in range(basis.dim):
+        _same_array(basis.evaluate_deriv(u, coord), former_monomials(basis, u, coord))
+    _same_array(basis.evaluate(u), former_monomials(basis, u))  # read from the kept table
+
+    rng = np.random.default_rng(seed)
+    controls = rng.standard_normal((n, basis.dim - 1))
+    coef = rng.standard_normal(basis.n_terms)
+    phi_params = np.concatenate(([rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 1.0), rng.uniform(0.1, 0.9)], coef))
+    ml_cur, ml_prev = rng.standard_normal((2, n))
+    sl_cur, sl_prev = rng.uniform(0.1, 0.9, (2, n))
+    phi_args = (rng.uniform(0.5, 1.0), ml_cur, ml_prev, sl_cur, sl_prev, controls)
+    omega_params = np.concatenate((rng.standard_normal(2), coef))
+    k_cur, k_prev = rng.normal(2.0, 1.0, (2, n))
+    omega_args = (rng.standard_normal(n), capital_terms(k_cur), capital_terms(k_prev), rng.standard_normal(n), controls)
+    for live, former, params, args in (
+        (phi_innovation, former_phi_innovation, phi_params, phi_args),
+        (phi_innovation_jacobian, former_phi_innovation_jacobian, phi_params, phi_args),
+        (omega_residual, former_omega_residual, omega_params, omega_args),
+        (omega_residual_jacobian, former_omega_residual_jacobian, omega_params, omega_args),
+    ):
+        _same_array(live(params, basis, *args), former(params, FormerLaw(basis), *args))
+
+
 def test_term_names():
     basis = build_basis(2, 2, intercept=True)
     assert basis.term_names(("a", "b")) == ("const", "a", "b", "a^2", "a*b", "b^2")
@@ -274,6 +327,30 @@ def test_mixed_degrees_fit_omega_parametrically_at_the_series_phi_point(small_pa
     assert (sv.step3.beta_k, sv.step3.beta_kk, sv.step3.objective) == (par.beta_k, par.beta_kk, par.objective)
     assert np.array_equal(sv.step3.coef, np.concatenate(([par.rho_omega_0, par.rho_omega_1], par.rho_omega_2)))
     assert sv.laws is None
+
+
+def _held_bytes(obj) -> int:
+    """Bytes of the arrays and byte strings an object's attributes hold, through tuples and lists."""
+    total, stack = 0, list(vars(obj).values())
+    while stack:
+        value = stack.pop()
+        if isinstance(value, (tuple, list)):
+            stack.extend(value)
+        elif isinstance(value, np.ndarray):
+            total += value.nbytes
+        elif isinstance(value, bytes):
+            total += len(value)
+    return total
+
+
+def test_a_fitted_series_law_keeps_no_power_table(small_panel):
+    # the fits evaluate their basis on every lag pair; the estimate keeps the
+    # law, not the last power table and its key (a copy of the law's inputs)
+    ds, _, _ = small_panel
+    sv = sieve_estimate(ds, degree=2)
+    for basis in (sv.step2.basis, sv.step3.basis):
+        assert basis.degree == 2
+        assert _held_bytes(basis) == basis.exponents.nbytes + basis.centers.nbytes + basis.scales.nbytes
 
 
 def test_degree_below_one_is_refused(small_panel):
