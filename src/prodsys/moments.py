@@ -72,16 +72,15 @@ __all__ = [
 ]
 
 
-def _columns(*blocks) -> np.ndarray:
-    """Side-by-side stack of 1-D columns and 2-D blocks.
+def _law_input(lag: np.ndarray, controls: np.ndarray) -> np.ndarray:
+    """``u = [lag, controls]``: a view of ``lag`` without controls, else a C-order stack of columns.
 
     ``np.column_stack`` copies a 2-D block row by row, which is several
-    times slower on tall narrow blocks, so blocks are split into columns.
+    times slower on tall narrow blocks, so the controls are split into columns.
     """
-    cols = [col for block in blocks for col in (block.T if np.ndim(block) == 2 else [block])]
-    if len(cols) == 1:
-        return cols[0][:, None]  # a view: no controls, nothing to copy
-    return np.column_stack(cols)
+    if not controls.shape[1]:
+        return lag[:, None]
+    return np.column_stack([lag, *controls.T])
 
 
 def phi_proxy(m_minus_l, s_l, beta_0: float, beta_l: float, delta_lm: float) -> np.ndarray:
@@ -101,7 +100,7 @@ def phi_proxy(m_minus_l, s_l, beta_0: float, beta_l: float, delta_lm: float) -> 
 
 def phi_law_point(params, law, delta_lm: float, ml_cur, ml_prev, sl_cur, sl_prev, z_prev) -> tuple:
     """``(phi_cur, u, law.evaluate(u))``, ``u = [phi_prev, z_prev]``, with phi proxied at ``params[:2]``."""
-    u = _columns(phi_proxy(ml_prev, sl_prev, params[0], params[1], delta_lm), z_prev)
+    u = _law_input(phi_proxy(ml_prev, sl_prev, params[0], params[1], delta_lm), z_prev)
     return phi_proxy(ml_cur, sl_cur, params[0], params[1], delta_lm), u, law.evaluate(u)
 
 
@@ -149,7 +148,7 @@ def capital_terms(k) -> np.ndarray:
 
 def omega_law_point(params, law, y_cur, cap_cur, cap_prev, mstar_prev, x_prev) -> tuple:
     """``(target, u, law.evaluate(u))``, ``u = [omega_prev, x_prev]``, with capital terms at ``params[:2]``."""
-    u = _columns(mstar_prev - cap_prev @ params[:2], x_prev)
+    u = _law_input(mstar_prev - cap_prev @ params[:2], x_prev)
     return y_cur - cap_cur @ params[:2], u, law.evaluate(u)
 
 

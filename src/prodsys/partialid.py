@@ -20,6 +20,7 @@ import dataclasses
 import numpy as np
 
 from .panel import PanelDataset
+from .sieve import _degree
 from .translog import TranslogParams, estimate
 
 __all__ = [
@@ -80,14 +81,17 @@ class MomentInequalityConfig:
             if set(self.grid) != set(GRID_AXES):
                 raise ValueError(f"grid must have exactly the axes {GRID_AXES}")
             for name, values in self.grid.items():
-                if np.asarray(values).size == 0:
+                values = np.asarray(values, dtype=float)
+                if values.size == 0:
                     raise ValueError(f"empty grid axis {name}")
-        if self.slack is not None and self.slack < 0:
-            raise ValueError("slack must be nonnegative")
-        if self.slack_scale < 0:
-            raise ValueError("slack scale must be nonnegative")
-        if self.propensity_degree < 1:
-            raise ValueError("propensity degree must be at least 1")
+                if values.ndim != 1 or not np.all(np.isfinite(values)):
+                    raise ValueError(f"grid axis {name} must be a 1-D array of finite values")
+        # negated comparisons, so that NaN is refused too
+        if self.slack is not None and not self.slack >= 0:
+            raise ValueError(f"slack must be nonnegative, got {self.slack!r}")
+        if not self.slack_scale >= 0:
+            raise ValueError(f"slack_scale: slack scale must be nonnegative, got {self.slack_scale!r}")
+        _degree(self.propensity_degree, "propensity_degree")
 
 
 @dataclasses.dataclass
@@ -123,12 +127,10 @@ def cutoff_values(dataset: PanelDataset, levels) -> np.ndarray:
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
-    out = np.empty_like(eta)
+    # each side's own formula from one exp of -|eta|, written so that a NaN keeps its bits, which -abs would sign
     pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    ez = np.exp(eta[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    ez = np.exp(np.where(pos, -eta, eta))
+    return np.where(pos, 1.0, ez) / (1.0 + ez)
 
 
 def _propensity_design(dataset: PanelDataset, degree: int) -> np.ndarray:
@@ -167,18 +169,21 @@ def estimate_propensity(dataset: PanelDataset, cutoff: float, *, degree: int = 1
             "cutoff puts every observation on one side; use a coarser cutoff nearer the interior quantiles"
         )
     design = _propensity_design(dataset, degree)
+    weighted = np.empty_like(design, order="C")  # design * w, written a column per ufunc: its rows are a few wide
     coef = np.zeros(design.shape[1])
     for _ in range(100):
         p = _sigmoid(design @ coef)
         w = p * (1.0 - p)
         grad = design.T @ (outcome - p)
-        hess = design.T @ (design * w[:, None])
-        hess[np.diag_indices_from(hess)] += 1e-10
+        for col, term in zip(weighted.T, design.T):
+            np.multiply(term, w, out=col)
+        hess = design.T @ weighted
+        hess.ravel()[:: hess.shape[0] + 1] += 1e-10  # its diagonal, a view: no index arrays
         step = np.linalg.solve(hess, grad)
         coef = coef + step
-        if np.max(np.abs(step)) < 1e-10:
+        if np.abs(step).max() < 1e-10:
             break
-        if np.max(np.abs(coef)) > 40.0:
+        if np.abs(coef).max() > 40.0:
             raise ValueError(
                 "propensity fit diverged (complete separation); use a coarser cutoff"
             )
@@ -189,19 +194,20 @@ def estimate_propensity(dataset: PanelDataset, cutoff: float, *, degree: int = 1
     return np.clip(p, 0.01, 0.99)
 
 
-def _candidate_loadings(beta_k, beta_kk, beta_l, beta_m, beta_0):
-    """Coefficients of ybar on the features (1, k, k^2/2, m, S^2).
+def _candidate_loadings(beta_k, beta_kk, beta_l, beta_m, beta_0, *, candidate_major: bool = True):
+    """Coefficients of ybar on the features (1, k, k^2/2, m, S^2): a ``(5, candidates)`` array, one row per feature.
 
     The coordinates broadcast against each other, so each term is computed
-    over only the axes it reads; the result has their broadcast shape plus a
-    last axis of five.
+    over only the axes it reads and written over its row.  ``candidate_major``
+    stores the rows contiguously, else the array is the transpose of a C-order ``(candidates, 5)`` one.
     """
     delta = beta_l + beta_m
     terms = (beta_l**2 / (2.0 * beta_0), beta_k, beta_kk, delta, -(delta**2) / (2.0 * beta_0))
-    out = np.empty(np.broadcast_shapes(*(np.shape(a) for a in terms)) + (5,))
-    for j, a in enumerate(terms):
-        out[..., j] = a
-    return out
+    shape = np.broadcast_shapes(*(np.shape(a) for a in terms))
+    out = np.empty((5, *shape)) if candidate_major else np.moveaxis(np.empty((*shape, 5)), -1, 0)
+    for row, a in zip(out, terms):
+        row[...] = a
+    return out.reshape(5, -1)
 
 
 def _features(dataset: PanelDataset) -> np.ndarray:
@@ -299,29 +305,43 @@ def identified_set(dataset: PanelDataset, config: MomentInequalityConfig) -> Ide
     open_axes = np.ix_(*axes)
     candidates = np.stack(np.broadcast_arrays(*open_axes)).reshape(5, -1).T
     # statistics are written in place, a block of whole beta_k slices at a
-    # time, so neither the (N, 5) loadings nor the (N, cutoffs) product exists
-    statistics = np.empty((candidates.shape[0], len(cutoffs)))
-    slice_rows = statistics.shape[0] // shape[0]
-    for lo, hi in _sweep_blocks(shape[0], slice_rows):
-        rows = statistics[lo * slice_rows:hi * slice_rows]
-        np.matmul(_candidate_loadings(open_axes[0][lo:hi], *open_axes[1:]).reshape(-1, 5), b_terms.T, out=rows)
-        for a, column in zip(a_terms, rows.T):  # a pass over all of rows loops over the few cutoffs
-            np.subtract(a, column, out=column)
-
+    # time, so neither the (N, 5) loadings nor the (N, cutoffs) product exists:
+    # a block's (cutoffs, 5) @ (5, rows) product goes to the transpose of its
+    # rows. BLAS's matrix kernel runs several times faster on contiguous
+    # loading rows, to the same bits; one cutoff takes numpy's vector path,
+    # whose bits follow the layout. Only the beta_k row differs between
+    # blocks, so the loadings are built once; feasibility reads hot blocks.
     slack = config.slack
     if slack is None:
         slack = config.slack_scale * float(n_pairs) ** (-1.0 / 3.0)
-    feasible = statistics[:, 0] >= -slack
-    for column in statistics.T[1:]:
-        feasible &= column >= -slack
+    statistics = np.empty((candidates.shape[0], len(cutoffs)))
+    feasible = np.empty(candidates.shape[0], dtype=bool)
+    slice_rows = statistics.shape[0] // shape[0]
+    blocks = _sweep_blocks(shape[0], slice_rows)
+    widest = max(hi - lo for lo, hi in blocks)
+    loadings = _candidate_loadings(open_axes[0][:widest], *open_axes[1:], candidate_major=len(cutoffs) > 1)
+    for lo, hi in blocks:
+        rows, flags = statistics[lo * slice_rows:hi * slice_rows], feasible[lo * slice_rows:hi * slice_rows]
+        loadings[1, :len(rows)].reshape(hi - lo, slice_rows)[...] = axes[0][lo:hi, None]
+        np.matmul(b_terms, loadings[:, :len(rows)], out=rows.T)
+        for a, column in zip(a_terms, rows.T):  # a pass over all of rows loops over the few cutoffs
+            np.subtract(a, column, out=column)
+        np.greater_equal(rows[:, 0], -slack, out=flags)
+        for column in rows.T[1:]:
+            flags &= column >= -slack
     n_feasible = int(np.count_nonzero(feasible))
-    feasible_grid = feasible.reshape(shape)
+    # per axis, the values some feasible candidate takes, from one chain of
+    # reductions: only its first two passes read the whole mask
+    taken, rest = [], feasible.reshape(shape)
+    for _ in range(4):
+        taken.append(rest.reshape(rest.shape[0], -1).any(axis=1))
+        rest = rest.any(axis=0)
+    taken.append(rest)
     bounding_box = {}
     at_grid_edge = {}
     for i, name in enumerate(GRID_AXES):
         if n_feasible:
-            # the axis values that some feasible candidate takes
-            coord = axes[i][feasible_grid.any(axis=tuple(d for d in range(5) if d != i))]
+            coord = axes[i][taken[i]]
             lo, hi = float(np.min(coord)), float(np.max(coord))
         else:
             lo, hi = np.nan, np.nan

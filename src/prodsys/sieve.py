@@ -22,7 +22,6 @@ the law object there.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import numbers
 
@@ -107,8 +106,8 @@ class SieveBasis:
             raise ValueError(f"centers and scales must hold one value per input ({self.dim})")
         if not np.all(np.isfinite(self.scales) & (self.scales > 0)):
             raise ValueError("scales must be finite and positive")
-        # the last power table and its key, the bytes of u, centers, scales and exponents: not a field
-        self._powers = (None, None)
+        # not fields: plans per coord for the bytes of exponents, centers and scales, and the last table and its u
+        self._map, self._plans, self._u, self._table = None, {}, None, None
 
     @property
     def n_terms(self) -> int:
@@ -130,26 +129,30 @@ class SieveBasis:
         ``**`` with an array exponent is an order of magnitude slower, and not
         correctly rounded on every CPU.  The basis keeps the last table, so a
         Jacobian's ``evaluate_deriv(u, 0)`` reads the one its residual's
-        ``evaluate(u)`` built.  Terms multiply the rows :func:`_product_plan` lists, left to right, then
-        their factor.  Each pass runs over one input's or one term's column, not over an ``(n, dim)`` or
-        ``(n, terms)`` array, whose inner axis is a few entries wide.
+        ``evaluate(u)`` built, and its plans.  Terms multiply the rows :func:`_product_plan` lists, left to
+        right, then their factor.  Each pass runs over one input's or one term's column, not over an ``(n, dim)``
+        or ``(n, terms)`` array, whose inner axis is a few entries wide.
         """
-        u = np.atleast_2d(np.asarray(u, dtype=float))
+        if type(u) is not np.ndarray or u.dtype.type is not np.float64 or u.ndim != 2:  # the law points' u skips this
+            u = np.atleast_2d(np.asarray(u, dtype=float))
         if u.shape[1] != self.dim:
             raise ValueError(f"expected {self.dim} input columns, got {u.shape[1]}")
-        expo = self.exponents
-        scale = None if coord is None else float(self.scales[coord])
-        terms, factors, n_powers = _product_plan(expo.tobytes(), expo.shape, expo.dtype.str, coord, scale)
-        key = (u.tobytes(), self.centers.tobytes(), self.scales.tobytes(), expo.tobytes())
-        last, table = self._powers
-        if key != last:
+        basis_map = (self.exponents.tobytes(), self.centers.tobytes(), self.scales.tobytes())
+        if basis_map != self._map:
+            self._map, self._plans, self._u = basis_map, {}, None
+        if coord not in self._plans:
+            self._plans[coord] = _product_plan(self.exponents, coord, self.scales)
+        terms, factors, n_powers = self._plans[coord]
+        u_bytes = u.tobytes()
+        if u_bytes != self._u:
             table = np.empty((self.dim, n_powers, u.shape[0]))
             for d in range(self.dim):
                 z = table[d, 0]  # row p - 1 holds the mapped input's power p
                 np.divide(np.subtract(u[:, d], self.centers[d], out=z), self.scales[d], out=z)
                 for p in range(1, n_powers):
                     np.multiply(table[d, p - 1], z, out=table[d, p])
-            self._powers = key, table
+            self._u, self._table = u_bytes, table
+        table = self._table
         out = np.empty((u.shape[0], len(terms)))
         for col, rows, factor in zip(out.T, terms, factors):
             if not rows:  # the constant
@@ -184,20 +187,18 @@ class SieveBasis:
         return tuple(names)
 
 
-@functools.lru_cache(maxsize=64)
-def _product_plan(data: bytes, shape: tuple, dtype: str, coord: int | None, scale: float | None):
-    """``(terms, factors, n_powers)`` of :meth:`SieveBasis._monomials`, keyed by the exponent table's bytes.
+def _product_plan(expo: np.ndarray, coord: int | None, scales: np.ndarray):
+    """``(terms, factors, n_powers)`` of :meth:`SieveBasis._monomials` for the exponent table ``expo``.
 
     A term's ``(input, power - 1)`` rows index its inputs' powers in input order (``coord``'s lowered by
-    one), and the constant has none; its factor is its former power of ``coord`` over ``scale``, or
-    ``None`` for no derivative.  ``n_powers``, the power table's row count, is the largest exponent
+    one), and the constant has none; its factor is its former power of ``coord`` over ``scales[coord]``,
+    or ``None`` for no derivative.  ``n_powers``, the power table's row count, is the largest exponent
     and at least one: the first row is the mapped input.
     """
-    expo = np.frombuffer(data, dtype=dtype).reshape(shape)
     n_powers = max(int(expo.max(initial=0)), 1)
-    factors = (None,) * shape[0]
+    factors = (None,) * expo.shape[0]
     if coord is not None:
-        factors = tuple((expo[:, coord] / scale).tolist())
+        factors = tuple((expo[:, coord] / float(scales[coord])).tolist())
         expo = expo.copy()
         expo[:, coord] = np.maximum(expo[:, coord] - 1, 0)
     terms = tuple(tuple((d, e - 1) for d, e in enumerate(row) if e) for row in expo.tolist())

@@ -11,6 +11,12 @@ candidates and statistics bitwise equal.
 The function bodies are kept exactly as they were when the faster version
 replaced them.  :func:`moment_statistic` is the statistic of one candidate
 at one cutoff, formed directly: the pointwise check of the sweep's rows.
+
+:func:`former_sigmoid` and :func:`former_estimate_propensity` are the
+propensity fit as it was before its Newton loop wrote the weighted design a
+column at a time and its logistic function stopped gathering through
+boolean masks; ``test_partialid.py`` requires the live fit's bytes to equal
+theirs.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from prodsys.partialid import (
     IdentifiedSet,
     MomentInequalityConfig,
     _features,
+    _propensity_design,
     _signed_weights,
     cutoff_values,
     default_grid,
@@ -45,6 +52,52 @@ def _candidate_loadings(beta_k, beta_kk, beta_l, beta_m, beta_0):
         ],
         axis=-1,
     )
+
+
+def former_sigmoid(eta: np.ndarray) -> np.ndarray:
+    out = np.empty_like(eta)
+    pos = eta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    ez = np.exp(eta[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def former_estimate_propensity(dataset: PanelDataset, cutoff: float, *, degree: int = 1) -> np.ndarray:
+    """Logistic probability that current materials exceed the cutoff.
+
+    Fitted on lag-pair rows against the lagged conditioning variables;
+    returns one score per pair, clipped to [0.01, 0.99].  Raises on a
+    degenerate or completely separated outcome with a recommendation to
+    pick a coarser cutoff.
+    """
+    pairs = dataset.lag_pairs()
+    outcome = (dataset.m[pairs.cur] > cutoff).astype(float)
+    if outcome.min() == outcome.max():
+        raise ValueError(
+            "cutoff puts every observation on one side; use a coarser cutoff nearer the interior quantiles"
+        )
+    design = _propensity_design(dataset, degree)
+    coef = np.zeros(design.shape[1])
+    for _ in range(100):
+        p = former_sigmoid(design @ coef)
+        w = p * (1.0 - p)
+        grad = design.T @ (outcome - p)
+        hess = design.T @ (design * w[:, None])
+        hess[np.diag_indices_from(hess)] += 1e-10
+        step = np.linalg.solve(hess, grad)
+        coef = coef + step
+        if np.max(np.abs(step)) < 1e-10:
+            break
+        if np.max(np.abs(coef)) > 40.0:
+            raise ValueError(
+                "propensity fit diverged (complete separation); use a coarser cutoff"
+            )
+    p = former_sigmoid(design @ coef)
+    # perfectly classified outcomes mean the IPW weights are unbounded
+    if np.min(np.abs(outcome - p)) > 0 and np.max(np.abs(outcome - p)) < 1e-6:
+        raise ValueError("propensity scores separate the sample completely; use a coarser cutoff")
+    return np.clip(p, 0.01, 0.99)
 
 
 def moment_statistic(dataset: PanelDataset, beta, cutoff: float, scores: np.ndarray) -> float:

@@ -1,6 +1,7 @@
 """Moment-inequality bounds: IPW statistic, propensity fit, grid sweep."""
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,13 +9,14 @@ import partialid_reference
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from partialid_reference import moment_statistic
+from partialid_reference import former_estimate_propensity, former_sigmoid, moment_statistic
 
 from prodsys.panel import PanelDataset
 from prodsys.partialid import (
     GRID_AXES,
     GRID_EDGE_WARNING,
     MomentInequalityConfig,
+    _sigmoid,
     cutoff_values,
     default_grid,
     estimate_propensity,
@@ -154,6 +156,37 @@ def test_propensity_degenerate_cutoffs_raise():
         estimate_propensity(sep, cutoff)
 
 
+def test_sigmoid_keeps_its_bits_at_the_extremes():
+    # a single exp of -|eta| per entry; a NaN keeps the bits the masked form gave it
+    eta = np.array([np.inf, -np.inf, 800.0, -800.0, 0.0, -0.0, np.nan, -np.nan])
+    assert _sigmoid(eta).tobytes() == former_sigmoid(eta).tobytes()
+    assert _sigmoid(eta)[:6].tolist() == [1.0, 0.0, 1.0, 0.0, 0.5, 0.5]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_x=st.integers(0, 2), n_z=st.integers(0, 2),
+       degree=st.sampled_from((1, 2)), level=st.floats(0.1, 0.9))
+def test_the_propensity_fit_keeps_its_bits(small_panel, seed, n_x, n_z, degree, level):
+    # the Newton loop writes design * w a column at a time and the logistic
+    # function takes one exp; the frozen copy forms both as whole arrays
+    ds, _, _ = small_panel
+    rng = np.random.default_rng(seed)
+    ds = PanelDataset(
+        firm_ids=ds.labels, years=ds.year, y=ds.y, k=ds.k, l=ds.l, m=ds.m, s_l=ds.s_l, ln_r=ds.ln_r,
+        x=rng.standard_normal((ds.n_obs, n_x)), z=rng.standard_normal((ds.n_obs, n_z)),
+    )
+    cutoff = float(cutoff_values(ds, (level,))[0])
+    try:
+        want = former_estimate_propensity(ds, cutoff, degree=degree)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            estimate_propensity(ds, cutoff, degree=degree)
+        return
+    got = estimate_propensity(ds, cutoff, degree=degree)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 SMALL_GRID = {
     "beta_k": np.array([0.1, 0.3]),
     "beta_kk": np.array([-0.02, -0.005]),
@@ -251,6 +284,26 @@ def test_config_validation(small_panel):
         identified_set(ds, MomentInequalityConfig(grid=dict(SMALL_GRID, beta_0=np.array([-0.05, 0.0]))))
 
 
+@pytest.mark.parametrize("bad, field", [
+    ({"slack": np.nan}, "slack"),
+    ({"slack_scale": np.nan}, "slack_scale"),
+    ({"propensity_degree": 1.5}, "propensity_degree"),
+    ({"propensity_degree": True}, "propensity_degree"),
+    ({"grid": dict(SMALL_GRID, beta_m=np.array([0.4, np.nan]))}, "grid axis beta_m"),
+    ({"grid": dict(SMALL_GRID, beta_kk=SMALL_GRID["beta_kk"][:, None])}, "grid axis beta_kk"),
+])
+def test_the_library_refuses_what_the_cli_refuses(small_panel, bad, field):
+    # each ran before: a NaN slack or scale gave an empty set, degree 1.5 a
+    # TypeError from range(), True degree one, a NaN grid value a NaN
+    # candidate and a 2-D axis numpy's "Cross index" error
+    ds, _, _ = small_panel
+    config = MomentInequalityConfig(**{"grid": SMALL_GRID, **bad})
+    with pytest.raises(ValueError, match=field):
+        config.validate()
+    with pytest.raises(ValueError, match=field):
+        identified_set(ds, config)
+
+
 def test_default_grid_at_benchmark_truth_stays_negative_in_beta_0(small_panel):
     ds, _, cfg = small_panel
     grid = default_grid(cfg.params)
@@ -313,6 +366,11 @@ def _grids(draw):
 GRID_11 = {name: np.linspace(axis[0], axis[-1], 11) for name, axis in SMALL_GRID.items()}
 # one point per axis, so a beta_k slice is one row
 POINT_GRID = {name: axis[:1] for name, axis in SMALL_GRID.items()}
+# slices of 1 000 rows: blocks of 5 and 7 slices, so the first block reads a
+# prefix of the loadings built for the second
+UNEVEN_GRID = {
+    name: np.linspace(axis[0], axis[-1], size) for (name, axis), size in zip(SMALL_GRID.items(), (12, 10, 10, 10, 1))
+}
 
 
 @settings(max_examples=60, deadline=None)
@@ -325,6 +383,13 @@ POINT_GRID = {name: axis[:1] for name, axis in SMALL_GRID.items()}
 @example((dict(POINT_GRID, beta_k=SMALL_GRID["beta_k"]), None), (0.25, 0.5, 0.75))
 # blocks of 4 096 rows would leave a one-row tail here
 @example((dict(POINT_GRID, beta_k=np.linspace(0.3, 0.1, 4097)), None), (0.25, 0.5, 0.75))
+# products where numpy's matmul takes its vector path: one candidate, or one cutoff
+@example((POINT_GRID, None), (0.4,))
+@example((POINT_GRID, None), (0.3, 0.7))
+@example((POINT_GRID, None), (0.25, 0.5, 0.75))
+@example((dict(POINT_GRID, beta_k=np.linspace(0.3, 0.1, 4097)), None), (0.4,))
+@example((UNEVEN_GRID, None), (0.25, 0.5, 0.75))
+@example((UNEVEN_GRID, None), (0.4,))
 def test_identified_set_equals_the_reference_sweep(small_panel, case, cutoffs):
     ds, _, _ = small_panel
     grid, slack = case
