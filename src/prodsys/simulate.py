@@ -15,6 +15,7 @@ output is bit-reproducible.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from typing import Sequence
 
 import numpy as np
@@ -79,8 +80,18 @@ class DgpConfig:
         return float(np.exp(self.sigma_eta**2 / 2.0))
 
     def validate(self) -> None:
+        for name in ("n", "t_periods"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 1 or self.t_periods < 2:
             raise ValueError("need at least one firm and two periods")
+        for name, size in (("omega_init_range", 2), ("phi_init_range", 2), ("k_init_range", 2), ("iota", 3)):
+            value = getattr(self, name)
+            items = value.tolist() if isinstance(value, np.ndarray) else value
+            if not (isinstance(items, (list, tuple)) and len(items) == size
+                    and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in items)):
+                raise ValueError(f"{name} must be {size} numbers, got {value!r}")
         if self.technology not in ("translog", "ces"):
             raise ValueError(f"unknown technology {self.technology!r}")
         if self.technology == "ces" and self.ces is None:

@@ -530,6 +530,10 @@ def _step2_arrays(dataset: PanelDataset):
     )
 
 
+#: lag pairs per block of :func:`_lag_pair_gram`; a panel with at most this many is one block
+_GRAM_BLOCK_ROWS = 4096
+
+
 def _lag_pair_gram(dataset: PanelDataset, step1: Step1Result, options: EstimateOptions):
     """``(G, G_c, columns)``: the Gram ``X'X`` of every lag-pair column the linear-law fits read, and its keys.
 
@@ -538,43 +542,64 @@ def _lag_pair_gram(dataset: PanelDataset, step1: Step1Result, options: EstimateO
     fixed map ``T`` (:func:`_block_maps`), so every cross-product the fits
     read is a block of ``T' G T``.  ``H`` adds only ``m_prev``; ``R``'s FOC
     column is kept for both inputs, so one Gram serves every omega proxy.
-    The columns are written once into one column-major block.  ``G_c`` is
-    the Gram of the centered columns (``None`` without refinement), formed
-    from them: ``G/n - mu mu'`` cancels, and puts a residual variance of
-    1e-15 where a noiseless panel's exact fit has zero.
+    The columns are written into one reused buffer, ``_GRAM_BLOCK_ROWS``
+    lag pairs at a time, and ``G`` sums the blocks' ``X_b'X_b``, so the
+    memory taken does not grow with the panel.  ``G_c`` is the Gram of the
+    centered columns (``None`` without refinement), from the same pass: with
+    ``S`` and ``s`` the sums of ``(x - c)(x - c)'`` and ``x - c`` over the
+    ``n`` pairs, ``c`` the first block's means, ``G_c = S - s s'/n`` (the
+    shifted-data form of Chan, Golub and LeVeque, 1983), as accurate as a
+    second pass over the columns less their means, which one block is.
+    ``G/n - mu mu'`` would cancel, and put a residual variance of 1e-15
+    where a noiseless panel's exact fit has zero.  No lag pairs, zero Grams.
     """
     pairs = dataset.lag_pairs()
-    cur, prev = pairs.cur, pairs.prev
+    n = pairs.cur.size
     delta, log_theta = step1.delta_lm, np.log(step1.theta)
     pz, px = dataset.z.shape[1], dataset.x.shape[1]
+    system = options.refine == "system"
     columns = ("const", "ml_cur", "ml_prev", "s_cur", "s_prev", "k_cur", "k_prev", "y_flex", "s_cur_sq", "k_cur_sq",
                "foc_materials", "foc_labor", "s_prev_sq", "k_prev_sq", *(f"z{j}" for j in range(pz)),
-               *(f"x{j}" for j in range(px)), *(["m_prev"] if options.refine == "system" else []))
-    # X' row by row, so X is stored column-major; each column is written in place
-    block = np.empty((len(columns), cur.size))
-    (const, ml_cur, ml_prev, s_cur, s_prev, k_cur, k_prev, y_flex, s_cur_sq, k_cur_sq,
-     foc_materials, foc_labor, s_prev_sq, k_prev_sq) = block[:14]
-    m_cur, m_prev, l_prev = dataset.m[cur], dataset.m[prev], dataset.l[prev]
-    const.fill(1.0)
-    np.subtract(m_cur, dataset.l[cur], out=ml_cur)
-    np.subtract(m_prev, l_prev, out=ml_prev)
-    s_cur[:], s_prev[:], k_cur[:], k_prev[:] = dataset.s_l[cur], dataset.s_l[prev], dataset.k[cur], dataset.k[prev]
-    np.subtract(dataset.y[cur], delta * m_cur, out=y_flex)
-    np.square(s_cur, out=s_cur_sq)
-    np.multiply(0.5, k_cur**2, out=k_cur_sq)
-    flex_prev = delta * m_prev
-    focs = _foc_terms(dataset.ln_price_m[prev], dataset.ln_price_l[prev], m_prev, l_prev, s_prev, delta)
-    for foc, out in zip(focs, (foc_materials, foc_labor)):
-        np.subtract(foc - log_theta, flex_prev, out=out)
-    np.square(s_prev, out=s_prev_sq)
-    np.multiply(0.5, k_prev**2, out=k_prev_sq)
-    block[14:14 + pz + px] = np.concatenate((dataset.z[prev], dataset.x[prev]), axis=1).T
-    if options.refine != "system":
-        return block @ block.T, None, columns
-    block[-1] = m_prev
-    gram = block @ block.T
-    block -= block.mean(axis=1)[:, None]
-    return gram, block @ block.T, columns
+               *(f"x{j}" for j in range(px)), *(["m_prev"] if system else []))
+    gram, sums = np.zeros((len(columns), len(columns))), np.zeros(len(columns))
+    centered = np.zeros_like(gram) if system else None
+    # X' row by row, so each block of X is stored column-major; each column is written in place
+    buffer = np.empty((len(columns), min(n, _GRAM_BLOCK_ROWS)))
+    blocks = range(0, n, _GRAM_BLOCK_ROWS)
+    for start in blocks:
+        cur, prev = pairs.cur[start:start + _GRAM_BLOCK_ROWS], pairs.prev[start:start + _GRAM_BLOCK_ROWS]
+        block = buffer[:, :cur.size]
+        (const, ml_cur, ml_prev, s_cur, s_prev, k_cur, k_prev, y_flex, s_cur_sq, k_cur_sq,
+         foc_materials, foc_labor, s_prev_sq, k_prev_sq) = block[:14]
+        m_cur, m_prev, l_prev = dataset.m[cur], dataset.m[prev], dataset.l[prev]
+        const.fill(1.0)
+        np.subtract(m_cur, dataset.l[cur], out=ml_cur)
+        np.subtract(m_prev, l_prev, out=ml_prev)
+        s_cur[:], s_prev[:], k_cur[:], k_prev[:] = dataset.s_l[cur], dataset.s_l[prev], dataset.k[cur], dataset.k[prev]
+        np.subtract(dataset.y[cur], delta * m_cur, out=y_flex)
+        np.square(s_cur, out=s_cur_sq)
+        np.multiply(0.5, k_cur**2, out=k_cur_sq)
+        flex_prev = delta * m_prev
+        focs = _foc_terms(dataset.ln_price_m[prev], dataset.ln_price_l[prev], m_prev, l_prev, s_prev, delta)
+        for foc, out in zip(focs, (foc_materials, foc_labor)):
+            np.subtract(foc - log_theta, flex_prev, out=out)
+        np.square(s_prev, out=s_prev_sq)
+        np.multiply(0.5, k_prev**2, out=k_prev_sq)
+        block[14:14 + pz + px] = np.concatenate((dataset.z[prev], dataset.x[prev]), axis=1).T
+        if system:
+            block[-1] = m_prev
+        gram += block @ block.T
+        if system:
+            if start == 0:
+                shift = block.mean(axis=1).tolist()
+            for row, mean in zip(block, shift):  # a broadcast subtraction would allocate ufunc buffers
+                row -= mean
+            centered += block @ block.T
+            if len(blocks) > 1:
+                sums += block.sum(axis=1)
+    if system and len(blocks) > 1:
+        centered -= np.outer(sums, sums) / n
+    return gram, centered, columns
 
 
 def _block_maps(columns, options: EstimateOptions) -> dict:
@@ -634,10 +659,7 @@ def _phi_cross_products(gram: np.ndarray, columns, options: EstimateOptions, war
     """Step two's whitened block ``S Q'E/n``, read from the lag-pair Gram, with ``S`` the :func:`_inverse_root` of ``Q'Q/n``."""
     maps = _block_maps(columns, options)
     t_q, t_e = maps["Q"], maps["E"]
-    n = gram[0, 0]  # the constant column's sum of squares
-    if n <= t_q.shape[1]:
-        raise ValueError("not enough lag pairs for the instrument count")
-    qx = t_q.T @ gram / n
+    qx = t_q.T @ gram / gram[0, 0]  # the constant column's sum of squares is the pair count
     return _inverse_root(qx @ t_q, "instrument", warnings) @ (qx @ t_e)
 
 
@@ -724,6 +746,9 @@ def step2_gmm(dataset: PanelDataset, step1: Step1Result, options: EstimateOption
     delta = step1.delta_lm
     pz = dataset.z.shape[1]
     warnings: list[str] = []
+    n_pairs, instrument_names = dataset.lag_pairs().cur.size, _instrument_names(dataset, options.instruments)
+    if n_pairs <= len(instrument_names):
+        raise ValueError("not enough lag pairs for the instrument count")
     gram, centered, columns = _lag_pair_gram(dataset, step1, options)
     whitened_qe = _phi_cross_products(gram, columns, options, warnings)
     problem, grid = _phi_law_gmm(
@@ -752,8 +777,8 @@ def step2_gmm(dataset: PanelDataset, step1: Step1Result, options: EstimateOption
         phi_hat=phi_hat,
         objective=result.objective,
         converged=result.converged,
-        n_pairs=int(dataset.lag_pairs().cur.size),
-        instrument_names=_instrument_names(dataset, options.instruments),
+        n_pairs=int(n_pairs),
+        instrument_names=instrument_names,
         whitened_qe=whitened_qe,
         gram=gram,
         centered_gram=centered,

@@ -64,6 +64,22 @@ def test_config_rejects_non_finite_numbers(setting):
         DgpConfig(n=5, t_periods=3, **setting).validate()
 
 
+@pytest.mark.parametrize("setting", [
+    {"n": 10.5}, {"n": True}, {"t_periods": 3.0}, {"t_periods": np.float64(4.0)},
+    {"iota": (0.8, 0.1)}, {"iota": np.array([[0.8, 0.1, 0.1]])}, {"omega_init_range": (1.0,)},
+    {"phi_init_range": ("a", "b")}, {"k_init_range": (10.0, 20.0, 30.0)}, {"k_init_range": (True, 20.0)},
+], ids=lambda setting: next(iter(setting)))
+def test_the_library_refuses_what_the_cli_refuses(setting):
+    # each passed validate() before, or failed in it without naming the field:
+    # n = 10.5 died in np.zeros, n = True and t_periods = 3.0 in TypeErrors,
+    # a short iota or range in "not enough values to unpack"
+    name = next(iter(setting))
+    with pytest.raises(ValueError, match=name):
+        DgpConfig(**setting).validate()
+    with pytest.raises(ValueError, match=name):
+        generate_panel(DgpConfig(**setting))
+
+
 def test_generate_panel_deterministic():
     cfg = benchmark_config(n=30, t_periods=5, seed=123)
     d1, t1 = generate_panel(cfg, seed=123)
