@@ -8,12 +8,14 @@ The technology is a nested CES with a common substitution elasticity
 with output ``y = ln F + omega + eta``.  The labor distribution parameter
 is normalized to one because it cannot be separated from ``phi``.  The
 FOC ratio of the two flexible inputs yields ``phi`` in closed form given
-``(sigma, beta_m)``, so the first step estimates those jointly with the
-phi law by nonlinear least squares; the second step estimates ``(nu,
-beta_k)`` and the omega law, proxying lagged omega through the materials
-FOC.  The constant ``ln(theta*nu)`` is absorbed into the second-step
-intercept and not separately reported.  Both steps run the optimizer at
-its default tolerance and iteration cap.
+``(sigma, beta_m)``.  The first step estimates those with the phi law as a
+slope profile in ``rho_phi_1`` (:func:`ces_step1_nls`): its ``objective``
+is the sum of squares of ``(1 - sigma)`` times the phi-law innovation, and
+``converged`` means a finite minimum inside the slope scan.  The second
+step estimates ``(nu, beta_k)`` and the omega law by nonlinear least
+squares, proxying lagged omega through the materials FOC.  The constant
+``ln(theta*nu)`` is absorbed into the second-step intercept and not
+separately reported.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 
 from .optim import NlsProblem, minimize_nls
 from .panel import PanelDataset
+from .translog import _SLOPES, _gram_root, _profile_minima, _slope_profile
 
 __all__ = [
     "CesParams",
@@ -130,75 +133,63 @@ def _gap(dataset: PanelDataset) -> np.ndarray:
 
 
 def ces_step1_nls(dataset: PanelDataset) -> CesStep1Result:
-    """Estimate ``(sigma, beta_m)`` and the phi law by least squares.
+    """Estimate ``(sigma, beta_m)`` and the phi law on the scale-free innovation.
 
-    The residual is the phi-law innovation at proxied phi.  Separate
-    identification of ``sigma`` and ``beta_m`` requires temporal variation
-    in the materials-to-labor price gap; with a constant gap only a
-    composite is pinned down and a warning is recorded.  The solver runs
-    over both substitution brackets (sigma below and above one) and keeps
-    the better optimum.
+    ``(1 - sigma)`` times the phi-law innovation at proxied phi is ``ml_t -
+    r ml_{t-1} + sigma (gap_t - r gap_{t-1}) - (1 - r) sigma ln(beta_m) - (1 -
+    sigma) rho_2'z_{t-1}``, with ``ml = m - l`` and ``r = rho_phi_1``.  At a
+    fixed ``r`` it is affine in ``theta = (sigma, sigma ln(beta_m), (1 -
+    sigma) rho_2)``, so its sum of squares is a slope profile
+    (:func:`~prodsys.translog._slope_profile`) over ``sigma > 0``, on a root
+    of the Gram of those columns.  The innovation itself scales with ``1/(1
+    - sigma)``, so its own least squares would trade fit for scale.
+    Separate identification needs time variation in the price gap: with a
+    constant gap, or no finite minimum, ``sigma``, ``beta_m`` and the phi
+    law are NaN and a warning says why.
     """
     pairs = dataset.lag_pairs()
     cur, prev = pairs.cur, pairs.prev
     gap = _gap(dataset)
     ml = dataset.m - dataset.l
-    z_prev = dataset.z[prev]
-    pz = z_prev.shape[1]
+    pz = dataset.z.shape[1]
 
     warnings: list[str] = []
     if float(np.std(gap)) < GAP_VARIATION_TOL:
+        # the gap columns are multiples of the constant one: every slope's
+        # normal matrix is singular, and its rounding can pass for a minimum
         warnings.append(
             "materials-to-labor price gap is constant over time; sigma and beta_m are not separately identified"
         )
+        slopes = np.empty(0)
+    else:
+        cols = np.column_stack((ml[cur], ml[prev], gap[cur], gap[prev], np.ones(cur.size), dataset.z[prev]))
+        root = _gram_root(cols.T @ cols)
+        b = np.stack([root[:, 0], -root[:, 1]])
+        a = np.zeros((2, root.shape[0], 2 + pz))
+        a[0, :, 0], a[1, :, 0] = root[:, 2], -root[:, 3]
+        a[0, :, 1], a[1, :, 1] = -root[:, 4], root[:, 4]
+        a[0, :, 2:] = -root[:, 5:]
+        slopes, theta, crit = _profile_minima(_slope_profile(b, a, feasible=lambda th: th[0] > 0))
+        if not slopes.size:
+            warnings.append("CES step 1: the slope profile has no finite minimum")
 
-    def residual(theta_vec):
-        sigma, beta_m, rho_1 = theta_vec[0], theta_vec[1], theta_vec[2]
-        rho_2 = theta_vec[3:3 + pz]
-        phi = ces_phi_proxy(ml, gap, sigma, beta_m)
-        return phi[cur] - rho_1 * phi[prev] - z_prev @ rho_2
-
-    def jacobian(theta_vec):
-        sigma, beta_m, rho_1 = theta_vec[0], theta_vec[1], theta_vec[2]
-        phi = ces_phi_proxy(ml, gap, sigma, beta_m)
-        # d phi / d sigma = [(m - l) - ln(beta_m) + gap] / (1 - sigma)^2
-        dsig = (ml - np.log(beta_m) + gap) / (1.0 - sigma) ** 2
-        dbm = -sigma / ((1.0 - sigma) * beta_m) * np.ones_like(ml)
-        cols = [
-            dsig[cur] - rho_1 * dsig[prev],
-            dbm[cur] - rho_1 * dbm[prev],
-            -phi[prev],
-        ] + [-z_prev[:, j] for j in range(pz)]
-        return np.column_stack(cols)
-
-    def solve(bracket, sigma_starts):
-        lo = np.concatenate(([bracket[0], 1e-8, -0.999999], np.full(pz, -50.0)))
-        hi = np.concatenate(([bracket[1], 1e6, 0.999999], np.full(pz, 50.0)))
-        problem = NlsProblem(residual=residual, jacobian=jacobian, bounds=(lo, hi))
-        starts = [
-            np.concatenate(([s0, bm0, 0.5], np.zeros(pz)))
-            for s0 in sigma_starts
-            for bm0 in (0.3, 1.0)
-        ]
-        return minimize_nls(problem, starts[0], starts=starts[1:])
-
-    low = solve((1e-3, 1.0 - 1e-6), (0.3, 0.6, 0.9))
-    high = solve((1.0 + 1e-6, 50.0), (1.5, 3.0, 8.0))
-    result = low if low.objective <= high.objective else high
-
-    sigma, beta_m, rho_1 = result.params[0], result.params[1], result.params[2]
-    rho_2 = result.params[3:3 + pz]
-    phi_hat = ces_phi_proxy(ml, gap, float(sigma), float(beta_m))
-    if not result.converged:
-        warnings.append(f"CES step-1 NLS did not converge: {result.status}")
+    if slopes.size:
+        rho_1, sigma, objective = float(slopes[0]), float(theta[0, 0]), float(crit[0])
+        beta_m, rho_2 = float(np.exp(theta[0, 1] / sigma)), theta[0, 2:] / (1.0 - sigma)
+        converged = bool(_SLOPES[0] < rho_1 < _SLOPES[-1])
+        if not converged:
+            warnings.append(f"CES step 1: the best profile minimum is at an end of the rho_phi_1 scan ({rho_1})")
+    else:
+        sigma = beta_m = rho_1 = objective = np.nan
+        rho_2, converged = np.full(pz, np.nan), False
     return CesStep1Result(
-        sigma=float(sigma),
-        beta_m=float(beta_m),
-        rho_phi_1=float(rho_1),
-        rho_phi_2=np.asarray(rho_2, dtype=float),
-        phi_hat=phi_hat,
-        objective=result.objective,
-        converged=result.converged,
+        sigma=sigma,
+        beta_m=beta_m,
+        rho_phi_1=rho_1,
+        rho_phi_2=rho_2,
+        phi_hat=ces_phi_proxy(ml, gap, sigma, beta_m),
+        objective=objective,
+        converged=converged,
         warnings=warnings,
     )
 

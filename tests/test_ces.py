@@ -1,11 +1,13 @@
 """CES variant: proxy closed form and two-step recovery."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from prodsys.ces import CesParams, ces_estimate, ces_phi_proxy, ces_step1_nls, ces_step2_nls
+from prodsys.panel import PanelDataset
 from prodsys.simulate import DgpConfig, generate_panel
 
 
@@ -105,3 +107,63 @@ def test_step2_consumes_step1(ces_noiseless):
     s2 = ces_step2_nls(ds, s1)
     assert abs(s2.nu - 0.9) < 1e-4
     assert abs(s2.beta_k - 0.2) < 1e-4
+
+
+@pytest.mark.parametrize("seed", [6, 8])
+def test_constant_price_gap_leaves_sigma_and_beta_m_unestimated(seed):
+    # with a constant gap the step-one Gram is singular, and a minimum its
+    # rounding makes is no estimate (at seed 8 the profile finds one near 4e4)
+    cfg = DgpConfig(
+        n=60, t_periods=6, technology="ces",
+        ces=CesParams(sigma=0.6, nu=0.9, beta_k=0.2, beta_m=0.5),
+        seed=seed,
+    )
+    ds, _ = generate_panel(cfg, seed=seed)
+    s1 = ces_step1_nls(ds)
+    assert math.isnan(s1.sigma) and math.isnan(s1.beta_m) and math.isnan(s1.rho_phi_1)
+    assert not s1.converged
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        est = ces_estimate(ds)
+    assert math.isnan(est.params.sigma) and not est.step1.converged
+
+
+def test_step1_recovers_sigma_and_beta_m_on_noisy_panels():
+    # seeds fixed before the first run
+    cfg = DgpConfig(
+        n=400, t_periods=10, technology="ces",
+        ces=CesParams(sigma=0.6, nu=0.9, beta_k=0.2, beta_m=0.5),
+        price_m=1.0 + 0.3 * np.sin(np.arange(10)),
+    )
+    fits = [ces_step1_nls(generate_panel(cfg, seed=seed)[0]) for seed in range(1, 21)]
+    assert all(fit.converged for fit in fits)
+    for name, truth in (("sigma", 0.6), ("beta_m", 0.5)):
+        values = np.array([getattr(fit, name) for fit in fits])
+        assert abs(values.mean() - truth) < 3 * values.std(ddof=1) / math.sqrt(values.size), name
+
+
+@pytest.mark.parametrize("with_z", [False, True])
+@pytest.mark.parametrize("c", [0.3, -2.0])
+def test_step1_is_equivariant_under_a_shifted_price_gap(c, with_z):
+    # ln P^M + c is ln beta_m + c at the same sigma, phi law and phi
+    cfg = DgpConfig(
+        n=200, t_periods=10, technology="ces",
+        ces=CesParams(sigma=0.6, nu=0.9, beta_k=0.2, beta_m=0.5),
+        price_m=1.0 + 0.3 * np.sin(np.arange(10)),
+    )
+    ds, _ = generate_panel(cfg, seed=3)
+    z = np.random.default_rng(3).normal(size=(ds.n_obs, 1)) if with_z else None
+
+    def panel(shift):
+        return PanelDataset(
+            ds.firm_labels[ds.firm], ds.year, ds.y, ds.k, ds.l, ds.m, ds.s_l, ds.ln_r, z=z,
+            ln_price_l=ds.ln_price_l, ln_price_m=ds.ln_price_m + shift,
+        )
+
+    base, shifted = ces_step1_nls(panel(0.0)), ces_step1_nls(panel(c))
+    assert base.converged and shifted.converged
+    assert abs(shifted.sigma - base.sigma) < 1e-8
+    assert abs(shifted.beta_m / (base.beta_m * math.exp(c)) - 1.0) < 1e-8
+    assert abs(shifted.rho_phi_1 - base.rho_phi_1) < 1e-8
+    assert np.max(np.abs(shifted.rho_phi_2 - base.rho_phi_2), initial=0.0) < 1e-8
+    assert np.max(np.abs(shifted.phi_hat - base.phi_hat)) < 1e-8
