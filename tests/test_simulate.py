@@ -1,5 +1,6 @@
 """Data-generating process: determinism, optimality, and identities."""
 
+import dataclasses
 import math
 import warnings
 
@@ -9,6 +10,7 @@ import simulate_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prodsys import simulate
 from prodsys.ces import CesParams
 from prodsys.simulate import (
     FOC_TOL,
@@ -337,3 +339,63 @@ def test_generate_panel_raises_no_runtime_warning():
         warnings.simplefilter("error", RuntimeWarning)
         _, truth = generate_panel(benchmark_config(n=400, seed=301), seed=322)
     assert truth.max_foc_residual <= 1e-13
+
+
+# -- the generator against its former self ----------------------------------------
+
+_BISECTED = TranslogParams(beta_k=0.2, beta_kk=-0.01, beta_l=0.107, beta_m=0.279, beta_0=-0.06)
+_FORMER_CASES = {
+    "bench-1": (benchmark_config(n=400), 1),
+    "bench-2": (benchmark_config(n=400), 2),
+    "bench-305": (benchmark_config(n=400), 305),
+    "markup": (benchmark_config(n=400, markup=1.2), 3),
+    "price_m": (DgpConfig(n=400, price_m=1.0 + 0.2 * np.sin(np.arange(10))), 4),
+    "prices": (DgpConfig(n=60, t_periods=5, price_y=[1.0, 1.2, 0.9, 1.1, 1.0], price_l=[1.1, 1.0, 0.95, 1.2, 1.0],
+                         price_m=[0.9, 1.0, 1.3, 1.0, 1.1]), 5),
+    # the CI's simulation with the other sign of beta_0
+    "beta0-positive": (DgpConfig(n=40, t_periods=6, params=TranslogParams(beta_k=0.2, beta_kk=-0.01, beta_l=0.25,
+                                                                          beta_m=0.5, beta_0=0.05),
+                                 price_m=[1.0, 1.1, 0.9, 1.2, 1.0, 0.95]), 3),
+    "ces": (DgpConfig(n=400, technology="ces", ces=CesParams(sigma=0.6, nu=0.9, beta_k=0.2, beta_m=0.5),
+                      price_m=1.0 + 0.3 * np.sin(np.arange(10))), 2),
+    "no-noise": (DgpConfig(n=400, sigma_omega=0.0, sigma_phi=0.0, sigma_eta=0.0), 6),
+    # the Cobb-Douglas start lands beside a saddle point on most of these rows
+    "bisection": (DgpConfig(n=50, t_periods=6, params=_BISECTED, phi_init_range=(-3.0, 3.0)), 5),
+}
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype == object:
+        return b.dtype == object and a.shape == b.shape and a.tolist() == b.tolist()
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("case", list(_FORMER_CASES))
+def test_generate_panel_keeps_the_former_bits(case, monkeypatch):
+    config, seed = _FORMER_CASES[case]
+    bisected = []
+
+    def counted(params, g, x_cd, lo, hi):
+        bisected.append(g)
+        return bisect(params, g, x_cd, lo, hi)
+
+    bisect = simulate._translog_bisect
+    monkeypatch.setattr(simulate, "_translog_bisect", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ds, truth = generate_panel(config, seed=seed)
+    ds_ref, truth_ref = simulate_reference.former_generate_panel(config, seed=seed)
+    if case == "bisection":
+        assert len(bisected) > 0
+    for name in ("y", "k", "l", "m", "s_l", "ln_r", "ln_price_l", "ln_price_m", "labels", "firm", "firm_labels",
+                 "year"):
+        assert _same_bytes(getattr(ds, name), getattr(ds_ref, name)), name
+    pairs, pairs_ref = ds.lag_pairs(), ds_ref.lag_pairs()
+    assert _same_bytes(pairs.cur, pairs_ref.cur) and _same_bytes(pairs.prev, pairs_ref.prev)
+    for field in dataclasses.fields(truth):
+        value, value_ref = getattr(truth, field.name), getattr(truth_ref, field.name)
+        if isinstance(value, np.ndarray):
+            assert _same_bytes(value, value_ref), field.name
+        else:
+            assert value == value_ref, field.name
