@@ -200,9 +200,16 @@ def ces_step2_nls(dataset: PanelDataset, step1: CesStep1Result) -> CesStep2Resul
     Fits ``y_t = -nu*q*ln(S_t) + c + rho_1*[m*_{t-1} + (1 + nu*q)*ln(S_{t-1})]
     + rho_2'X_{t-1} + error`` with ``q = sigma/(1-sigma)``, ``S = beta_k*K* +
     H*`` and the step-one quantities held fixed.  The intercept ``c``
-    absorbs ``rho_omega_0 - rho_1*ln(theta*nu)``.
+    absorbs ``rho_omega_0 - rho_1*ln(theta*nu)``.  Without a step-one
+    estimate (NaN ``sigma``) there is nothing to fit: every coefficient is
+    NaN, ``converged`` is False and a warning says so.
     """
     sigma, beta_m = step1.sigma, step1.beta_m
+    if np.isnan(sigma):
+        px = dataset.x.shape[1]
+        return CesStep2Result(nu=np.nan, beta_k=np.nan, intercept=np.nan, rho_omega_1=np.nan,
+                              rho_omega_2=np.full(px, np.nan), objective=np.nan, converged=False,
+                              warnings=["CES step 2 not run: step 1 gave no estimate of sigma"])
     a = -(1.0 - sigma) / sigma
     q = sigma / (1.0 - sigma)
     kstar = np.exp(a * dataset.k)

@@ -15,13 +15,14 @@ output is bit-reproducible.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import numbers
 from typing import Sequence
 
 import numpy as np
 
 from .ces import CesParams
-from .panel import PanelDataset, shares_from_logs
+from .panel import LagPairs, PanelDataset, shares_from_logs
 from .translog import ProductivityLaws, TranslogParams
 
 __all__ = [
@@ -199,28 +200,62 @@ def evolve_productivity(
 # -- static input choice, translog -------------------------------------------
 
 
-def _translog_foc(params: TranslogParams, c, phi, l, m, ln_pl, ln_pm):
-    """Both first-order conditions in logs and the input elasticities."""
-    x = m - phi - l
-    e_l = params.beta_l + params.beta_0 * x
-    e_m = params.beta_m - params.beta_0 * x
-    base = c + params.beta_m * m + params.beta_l * (phi + l) - 0.5 * params.beta_0 * x**2
+def _translog_foc(params: TranslogParams, c, phi, l, m, ln_pl, ln_pm, work):
+    """Both first-order conditions in logs and the input elasticities.
+
+    ``work`` holds five arrays of the rows' shape; the result ``(f1, f2,
+    e_l, e_m)`` is written into the first four.
+    """
+    f1, f2, e_l, e_m, x = work
+    bl, bm, b0 = params.beta_l, params.beta_m, params.beta_0
+    np.subtract(m, phi, out=x)
+    x -= l  # x = m - phi - l
+    np.multiply(b0, x, out=e_l)
+    e_l += bl
+    np.multiply(b0, x, out=e_m)
+    np.subtract(bm, e_m, out=e_m)
+    # f2 first holds base = c + beta_m m + beta_l (phi + l) - beta_0 x^2 / 2
+    np.multiply(bm, m, out=f2)
+    f2 += c
+    np.add(phi, l, out=f1)
+    f1 *= bl
+    f2 += f1
+    np.multiply(x, x, out=f1)
+    f1 *= 0.5 * b0
+    f2 -= f1
     with np.errstate(invalid="ignore", divide="ignore"):
-        f1 = base - l + np.log(e_l) - ln_pl
-        f2 = base - m + np.log(e_m) - ln_pm
+        np.subtract(f2, l, out=f1)
+        f1 += np.log(e_l, out=x)
+        f1 -= ln_pl
+        f2 -= m
+        f2 += np.log(e_m, out=x)
+        f2 -= ln_pm
     return f1, f2, e_l, e_m
 
 
 def _foc_error(f1, f2):
-    err = np.maximum(np.abs(f1), np.abs(f2))
-    return np.where(np.isnan(err), np.inf, err)
+    """The larger absolute condition per row, infinite where either is NaN, written into ``f1``."""
+    err = np.maximum(np.abs(f1, out=f1), np.abs(f2, out=f2), out=f1)
+    err[np.isnan(err)] = np.inf
+    return err
 
 
-def _translog_levels(params: TranslogParams, c, phi, ln_pm, x):
-    """``(l, m)`` given ``x = m - phi - l``: the materials condition solved for ``m``."""
+def _translog_levels(params: TranslogParams, c, phi, ln_pm, x, l, m):
+    """``(l, m)`` given ``x = m - phi - l``, written into ``l`` and ``m``: the materials condition solved for ``m``."""
     bl, bm, b0 = params.beta_l, params.beta_m, params.beta_0
-    m = (ln_pm - c + bl * x + 0.5 * b0 * x**2 - np.log(bm - b0 * x)) / (bl + bm - 1.0)
-    return m - x - phi, m
+    # m = (ln_pm - c + bl x + b0 x^2 / 2 - ln(bm - b0 x)) / (bl + bm - 1), with l as the work array
+    np.subtract(ln_pm, c, out=m)
+    m += np.multiply(bl, x, out=l)
+    np.multiply(x, x, out=l)
+    l *= 0.5 * b0
+    m += l
+    np.multiply(b0, x, out=l)
+    np.subtract(bm, l, out=l)
+    m -= np.log(l, out=l)
+    m /= bl + bm - 1.0
+    np.subtract(m, x, out=l)
+    l -= phi
+    return l, m
 
 
 def solve_translog_inputs(
@@ -251,44 +286,78 @@ def solve_translog_inputs(
     ``beta_0 < 0`` the two outer roots (``h' < 0``) are saddle points; for
     ``beta_0 > 0`` the root is unique.  Other rows go to a bisection.
 
+    The rows take the shape of ``omega``; ``phi`` and ``k`` broadcast to
+    it, and so do the log prices, which may be per-period vectors against
+    ``(n, T)`` rows.  Every step writes into a fixed set of work arrays.
+
     Returns ``(l, m, max_residual)``.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    shape = omega.shape
     # read-only views of the inputs: nothing below writes one
-    phi = np.broadcast_to(np.asarray(phi, dtype=float), omega.shape)
-    k = np.broadcast_to(np.asarray(k, dtype=float), omega.shape)
-    ln_pl = np.broadcast_to(np.asarray(ln_price_l, dtype=float), omega.shape)
-    ln_pm = np.broadcast_to(np.asarray(ln_price_m, dtype=float), omega.shape)
-    ln_py = np.broadcast_to(np.asarray(ln_price_y, dtype=float), omega.shape)
+    phi = np.broadcast_to(np.asarray(phi, dtype=float), shape)
+    k = np.broadcast_to(np.asarray(k, dtype=float), shape)
+    ln_pl, ln_pm, ln_py = (np.asarray(p, dtype=float) for p in (ln_price_l, ln_price_m, ln_price_y))
 
     bl, bm, b0 = params.beta_l, params.beta_m, params.beta_0
     delta = bl + bm
     if delta >= 1.0:
         raise ValueError("static optimum requires beta_l + beta_m < 1")
-    c = np.log(theta) - np.log(markup) + ln_py + params.beta_k * k + 0.5 * params.beta_kk * k**2 + omega
+    c, g, x, x_new, e_l, e_m, *spare = np.empty((8, *shape))
+    np.multiply(params.beta_k, k, out=c)
+    np.add(np.log(theta) - np.log(markup) + ln_py, c, out=c)
+    np.multiply(k, k, out=g)
+    g *= 0.5 * params.beta_kk
+    c += g
+    c += omega
 
     lo, hi = sorted((-bl / b0, bm / b0)) if b0 else (-np.inf, np.inf)  # where e_l, e_m > 0
-    g = phi + ln_pm - ln_pl
-    x_cd = np.log(bm / bl) - g
-    x = np.where((x_cd > lo) & (x_cd < hi), x_cd, 0.5 * (lo + hi))
+    np.add(phi, ln_pm, out=g)
+    g -= ln_pl
+    ln_ratio = np.log(bm / bl)
+    np.subtract(ln_ratio, g, out=x)  # the Cobb-Douglas root
+    x[~((x > lo) & (x < hi))] = 0.5 * (lo + hi)
     for _ in range(NEWTON_STEPS):
-        e_l, e_m = bl + b0 * x, bm - b0 * x
-        step = (x + g + np.log(e_l / e_m)) / (1.0 + b0 * delta / (e_l * e_m))  # 1/e_l + 1/e_m = delta/(e_l e_m)
+        np.multiply(b0, x, out=e_l)
+        e_l += bl
+        np.multiply(b0, x, out=e_m)
+        np.subtract(bm, e_m, out=e_m)
+        np.log(np.divide(e_l, e_m, out=x_new), out=x_new)
+        e_l *= e_m
+        np.add(x, g, out=e_m)
+        e_m += x_new  # h(x)
+        np.divide(b0 * delta, e_l, out=e_l)  # 1/e_l + 1/e_m = delta/(e_l e_m)
+        e_l += 1.0  # h'(x)
+        e_m /= e_l
+        np.subtract(x, e_m, out=x_new)
         # no step goes more than halfway to an edge of the interval (np.clip without its overhead)
-        x, x_old = np.minimum(np.maximum(x - step, 0.5 * (x + lo)), 0.5 * (x + hi)), x
-        if not np.any(np.abs(x - x_old) > NEWTON_XTOL * (1.0 + np.abs(x))):
+        np.add(x, lo, out=e_l)
+        e_l *= 0.5
+        np.maximum(x_new, e_l, out=x_new)
+        np.add(x, hi, out=e_l)
+        e_l *= 0.5
+        np.minimum(x_new, e_l, out=x_new)
+        np.abs(np.subtract(x_new, x, out=e_l), out=e_l)
+        np.abs(x_new, out=e_m)
+        e_m += 1.0
+        e_m *= NEWTON_XTOL
+        x, x_new = x_new, x
+        if not np.any(e_l > e_m):
             break
 
-    l, m = _translog_levels(params, c, phi, ln_pm, x)
-    f1, f2, e_l, e_m = _translog_foc(params, c, phi, l, m, ln_pl, ln_pm)
+    l, m = _translog_levels(params, c, phi, ln_pm, x, np.empty(shape), np.empty(shape))
+    work = (x_new, e_l, e_m, *spare)
+    f1, f2, e_l, e_m = _translog_foc(params, c, phi, l, m, ln_pl, ln_pm, work)
     err = _foc_error(f1, f2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        open_rows = np.flatnonzero((err > FOC_TOL) | ~(1.0 + b0 * delta / (e_l * e_m) > 0.0))
+        np.divide(b0 * delta, np.multiply(e_l, e_m, out=e_l), out=e_l)
+        e_l += 1.0
+        open_rows = np.flatnonzero((err > FOC_TOL) | ~(e_l > 0.0))
     if open_rows.size:
         for i in open_rows:
-            x[i] = _translog_bisect(params, float(g[i]), float(x_cd[i]), lo, hi)
-        l, m = _translog_levels(params, c, phi, ln_pm, x)
-        f1, f2, _, _ = _translog_foc(params, c, phi, l, m, ln_pl, ln_pm)
+            x.flat[i] = _translog_bisect(params, float(g.flat[i]), float(ln_ratio - g.flat[i]), lo, hi)
+        _translog_levels(params, c, phi, ln_pm, x, l, m)
+        f1, f2, _, _ = _translog_foc(params, c, phi, l, m, ln_pl, ln_pm, work)
         err = _foc_error(f1, f2)
     if np.any(err > FOC_TOL):
         raise RuntimeError(f"static input solver failed on {int(np.sum(err > FOC_TOL))} observations")
@@ -419,6 +488,26 @@ def solve_static_inputs(params, omega, phi, k, **kwargs):
 # -- panel generation ----------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
+def _panel_index(n: int, t_periods: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, LagPairs]:
+    """The canonical index of a balanced panel and its lag pairs, every array read-only.
+
+    Zero-padded names sort as their codes, and rows run by (firm, year).
+    Returns ``(labels, firm, firm_labels, years, lag_pairs)``; the cache
+    keeps the last size's, which every panel of that size shares.
+    """
+    name = f"f%0{len(str(n - 1))}d"
+    firm_labels = np.array([name % i for i in range(n)], dtype=object)
+    firm = np.repeat(np.arange(n, dtype=np.intp), t_periods)
+    years = np.tile(np.arange(1, t_periods + 1), n)
+    labels = firm_labels[firm]
+    cur = np.flatnonzero(years > 1)  # each firm's rows after its first year
+    pairs = LagPairs(cur=cur, prev=cur - 1)
+    for a in (labels, firm, firm_labels, years, pairs.cur, pairs.prev):
+        a.flags.writeable = False
+    return labels, firm, firm_labels, years, pairs
+
+
 def generate_panel(config: DgpConfig, seed: int | None = None) -> tuple[PanelDataset, SimTruth]:
     """Simulate a balanced panel from the configured economy.
 
@@ -426,6 +515,11 @@ def generate_panel(config: DgpConfig, seed: int | None = None) -> tuple[PanelDat
     shocks, omega initials, phi initials, capital initials, depreciation
     assignment.  Depreciation rates are split across firms in equal shares
     and randomly assigned.
+
+    The static inputs are solved in place on the ``(n, T)`` rows against
+    per-period prices.  Every panel of one ``(n, t_periods)`` shares one
+    read-only index: labels, firm codes, ``firm_labels``, years and lag
+    pairs, built once and cached for the last size simulated.
     """
     config.validate()
     n, t_periods = config.n, config.t_periods
@@ -454,24 +548,21 @@ def generate_panel(config: DgpConfig, seed: int | None = None) -> tuple[PanelDat
 
     p_y, p_l, p_m = config.price_arrays()
     theta = config.theta
-    ln_py = np.broadcast_to(np.log(p_y), (n, t_periods))
-    ln_pl = np.broadcast_to(np.log(p_l), (n, t_periods))
-    ln_pm = np.broadcast_to(np.log(p_m), (n, t_periods))
+    ln_py, ln_pl, ln_pm = np.log(p_y), np.log(p_l), np.log(p_m)
 
     tech_params = config.params if config.technology == "translog" else config.ces
+    # (n, T) rows against per-period prices, which the solver broadcasts
     l, m, max_resid = solve_static_inputs(
         tech_params,
-        omega.ravel(),
-        phi.ravel(),
-        k.ravel(),
-        ln_price_y=ln_py.ravel(),
-        ln_price_l=ln_pl.ravel(),
-        ln_price_m=ln_pm.ravel(),
+        omega,
+        phi,
+        k,
+        ln_price_y=ln_py,
+        ln_price_l=ln_pl,
+        ln_price_m=ln_pm,
         theta=theta,
         markup=config.markup,
     )
-    l = l.reshape(n, t_periods)
-    m = m.reshape(n, t_periods)
 
     if config.technology == "translog":
         params = dataclasses.replace(config.params, theta=theta)
@@ -491,17 +582,13 @@ def generate_panel(config: DgpConfig, seed: int | None = None) -> tuple[PanelDat
         ybar = (params.nu / a) * np.log(s) + omega
     y = ybar + eta
 
-    # the index in canonical form: zero-padded names sort as their codes, rows by (firm, year)
-    name = f"f%0{len(str(n - 1))}d"
-    firm_labels = np.array([name % i for i in range(n)], dtype=object)
-    firm = np.repeat(np.arange(n, dtype=np.intp), t_periods)
-    years = np.tile(np.arange(1, t_periods + 1), n)
-    ln_pl_rel = (ln_pl - ln_py).ravel()
-    ln_pm_rel = (ln_pm - ln_py).ravel()
+    labels, firm, firm_labels, years, pairs = _panel_index(n, t_periods)
+    ln_pl_rel = np.tile(ln_pl - ln_py, n)
+    ln_pm_rel = np.tile(ln_pm - ln_py, n)
     s_l, ln_r = shares_from_logs(y.ravel(), l.ravel(), m.ravel(), ln_pl_rel, ln_pm_rel)
 
     dataset = PanelDataset._from_index(
-        firm_labels[firm],
+        labels,
         firm,
         firm_labels,
         years,
@@ -513,6 +600,7 @@ def generate_panel(config: DgpConfig, seed: int | None = None) -> tuple[PanelDat
         ln_r=ln_r,
         ln_price_l=ln_pl_rel,
         ln_price_m=ln_pm_rel,
+        lag_pairs=pairs,
     )
     truth = SimTruth(
         omega=omega,

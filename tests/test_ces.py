@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from prodsys import ces
 from prodsys.ces import CesParams, ces_estimate, ces_phi_proxy, ces_step1_nls, ces_step2_nls
 from prodsys.panel import PanelDataset
 from prodsys.simulate import DgpConfig, generate_panel
@@ -126,6 +127,30 @@ def test_constant_price_gap_leaves_sigma_and_beta_m_unestimated(seed):
         warnings.simplefilter("error", RuntimeWarning)
         est = ces_estimate(ds)
     assert math.isnan(est.params.sigma) and not est.step1.converged
+
+
+def test_step2_without_a_step1_estimate_reports_nan(monkeypatch):
+    # it used to report its first start (nu 0.5, beta_k 0.1, intercept 0,
+    # rho_omega_1 0.5) as the estimate beside a NaN sigma
+    cfg = DgpConfig(
+        n=60, t_periods=6, technology="ces",
+        ces=CesParams(sigma=0.6, nu=0.9, beta_k=0.2, beta_m=0.5),
+        seed=6,
+    )
+    ds, _ = generate_panel(cfg, seed=6)
+    s1 = ces_step1_nls(ds)
+    assert math.isnan(s1.sigma)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("step 2 ran the optimizer without a step-one estimate")
+
+    monkeypatch.setattr(ces, "minimize_nls", no_fit)
+    s2 = ces_step2_nls(ds, s1)
+    coefs = [s2.nu, s2.beta_k, s2.intercept, s2.rho_omega_1, *s2.rho_omega_2, s2.objective]
+    assert all(math.isnan(v) for v in coefs) and not s2.converged
+    assert len(s2.warnings) == 1
+    est = ces_estimate(ds)
+    assert math.isnan(est.params.nu) and math.isnan(est.params.beta_k) and math.isnan(est.intercept)
 
 
 def test_step1_recovers_sigma_and_beta_m_on_noisy_panels():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from prodsys import simulate
 from prodsys.ces import CesParams
+from prodsys.panel import PanelDataset, build_lag_pairs
 from prodsys.simulate import (
     FOC_TOL,
     DgpConfig,
@@ -399,3 +401,50 @@ def test_generate_panel_keeps_the_former_bits(case, monkeypatch):
             assert _same_bytes(value, value_ref), field.name
         else:
             assert value == value_ref, field.name
+
+
+def _index(ds):
+    pairs = ds.lag_pairs()
+    return ds.labels, ds.firm, ds.firm_labels, ds.year, pairs.cur, pairs.prev
+
+
+def test_simulated_panels_share_one_read_only_index_per_size():
+    a, _ = generate_panel(benchmark_config(n=30, t_periods=5), seed=1)
+    b, _ = generate_panel(benchmark_config(n=30, t_periods=5), seed=2)
+    for array, other in zip(_index(a), _index(b)):
+        assert array is other
+        with pytest.raises(ValueError):
+            array[0] = array[1]
+    pairs, rebuilt = a.lag_pairs(), build_lag_pairs(a)
+    assert np.array_equal(pairs.cur, rebuilt.cur) and np.array_equal(pairs.prev, rebuilt.prev)
+    # the cache keeps one size: another size gets its own index, and the first size a new one
+    c, _ = generate_panel(benchmark_config(n=31, t_periods=5), seed=1)
+    assert c.firm is not a.firm and c.year is not a.year and c.lag_pairs().cur is not pairs.cur
+    d, _ = generate_panel(benchmark_config(n=30, t_periods=5), seed=1)
+    assert d.firm is not a.firm and np.array_equal(d.firm, a.firm)
+    # the public constructor still takes a simulated panel's columns, rows shuffled
+    order = np.random.default_rng(0).permutation(a.n_obs)
+    columns = ("y", "k", "l", "m", "s_l", "ln_r")
+    e = PanelDataset(a.labels[order], a.year[order], *(getattr(a, name)[order] for name in columns),
+                     ln_price_l=a.ln_price_l[order], ln_price_m=a.ln_price_m[order])
+    for name in ("labels", "firm", "firm_labels", "year", "ln_price_l", "ln_price_m", *columns):
+        assert np.array_equal(getattr(e, name), getattr(a, name)), name
+    assert np.array_equal(e.lag_pairs().cur, pairs.cur) and np.array_equal(e.lag_pairs().prev, pairs.prev)
+
+
+def test_translog_solver_peak_memory_is_a_few_row_arrays():
+    # eight work arrays, the two outputs and a few boolean masks read 10.4
+    # row arrays; a solver that allocates each step's temporaries read 17.0
+    rng = np.random.default_rng(0)
+    shape = (4000, 10)  # 40 000 rows against per-period prices, as generate_panel calls it
+    omega, phi, k = rng.uniform(-1.0, 1.0, shape), rng.uniform(-1.0, 1.0, shape), rng.uniform(2.0, 5.0, shape)
+    prices = {"ln_price_y": 0.1 * np.sin(np.arange(10)), "ln_price_l": np.full(10, 0.05),
+              "ln_price_m": 0.2 * np.cos(np.arange(10))}
+    solve_translog_inputs(BENCH, omega, phi, k, **prices)
+    tracemalloc.start()
+    try:
+        solve_translog_inputs(BENCH, omega, phi, k, **prices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11.0 * omega.nbytes
