@@ -304,6 +304,7 @@ def solve_translog_inputs(
     if delta >= 1.0:
         raise ValueError("static optimum requires beta_l + beta_m < 1")
     c, g, x, x_new, e_l, e_m, *spare = np.empty((8, *shape))
+    # c = ln theta - ln markup + ln P^Y + beta_k k + beta_kk k^2 / 2 + omega, with g as the work array
     np.multiply(params.beta_k, k, out=c)
     np.add(np.log(theta) - np.log(markup) + ln_py, c, out=c)
     np.multiply(k, k, out=g)
@@ -315,9 +316,10 @@ def solve_translog_inputs(
     np.add(phi, ln_pm, out=g)
     g -= ln_pl
     ln_ratio = np.log(bm / bl)
-    np.subtract(ln_ratio, g, out=x)  # the Cobb-Douglas root
+    np.subtract(ln_ratio, g, out=x)  # the Cobb-Douglas root, or the interval's middle where it is outside
     x[~((x > lo) & (x < hi))] = 0.5 * (lo + hi)
     for _ in range(NEWTON_STEPS):
+        # x_new = x - h(x) / h'(x), h = x + g + ln(e_l / e_m), h' = 1 + b0 delta / (e_l e_m)
         np.multiply(b0, x, out=e_l)
         e_l += bl
         np.multiply(b0, x, out=e_m)

@@ -366,6 +366,25 @@ _FORMER_CASES = {
 }
 
 
+@settings(max_examples=60, deadline=None)
+@given(_static_problems())
+def test_translog_solver_keeps_the_former_bits(problem):
+    params, omega, phi, k, prices, theta, markup = problem
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            former = simulate_reference.former_solve_translog_inputs(
+                params, omega, phi, k, theta=theta, markup=markup, **prices)
+        except RuntimeError:
+            former = None
+        try:
+            l, m, resid = solve_translog_inputs(params, omega, phi, k, theta=theta, markup=markup, **prices)
+        except RuntimeError:
+            assert former is None
+            return
+    assert _same_bytes(l, former[0]) and _same_bytes(m, former[1]) and resid == former[2]
+
+
 def _same_bytes(a, b):
     a, b = np.asarray(a), np.asarray(b)
     if a.dtype == object:
