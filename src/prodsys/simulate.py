@@ -546,7 +546,7 @@ def generate_panel(config: DgpConfig, seed: int | None = None) -> tuple[PanelDat
     for t in range(1, t_periods):
         invest = cap[:, t - 1] ** iota_1 * np.exp(iota_2 * omega[:, t - 1]) * np.exp(iota_3 * phi[:, t - 1])
         cap[:, t] = invest + (1.0 - depreciation) * cap[:, t - 1]
-    k = np.log(cap)
+    k = np.log(cap, out=cap)
 
     p_y, p_l, p_m = config.price_arrays()
     theta = config.theta
@@ -568,21 +568,20 @@ def generate_panel(config: DgpConfig, seed: int | None = None) -> tuple[PanelDat
 
     if config.technology == "translog":
         params = dataclasses.replace(config.params, theta=theta)
-        x = m - phi - l
-        ybar = (
+        y = (
             params.beta_k * k
             + 0.5 * params.beta_kk * k**2
             + params.beta_m * m
             + params.beta_l * (phi + l)
-            - 0.5 * params.beta_0 * x**2
+            - 0.5 * params.beta_0 * (m - phi - l) ** 2
             + omega
         )
     else:
         params = dataclasses.replace(config.ces, theta=theta)
         a = params.exponent
         s = params.beta_k * np.exp(a * k) + np.exp(a * (phi + l)) + params.beta_m * np.exp(a * m)
-        ybar = (params.nu / a) * np.log(s) + omega
-    y = ybar + eta
+        y = (params.nu / a) * np.log(s) + omega
+    y += eta  # ybar above; the transitory shock is added in place
 
     labels, firm, firm_labels, years, pairs = _panel_index(n, t_periods)
     ln_pl_rel = np.tile(ln_pl - ln_py, n)
